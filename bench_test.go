@@ -7,6 +7,7 @@ package cloudgraph
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -634,5 +635,62 @@ func gammaName(g float64) string {
 		return "gamma=2"
 	default:
 		return "gamma=4"
+	}
+}
+
+// --- the analysis plane: one default runner over one sealed window ---------
+
+// minuteWindows returns a preset cluster's first n one-minute windows,
+// frozen the way the engine seals them.
+func minuteWindows(tb testing.TB, preset string, scale float64, n int) []*graph.Graph {
+	tb.Helper()
+	spec, err := cluster.Preset(preset, scale)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := cluster.New(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []*graph.Graph
+	w := core.NewWindower(time.Minute, graph.BuilderOptions{})
+	w.OnComplete = func(g *graph.Graph) {
+		g.Freeze()
+		out = append(out, g)
+	}
+	_, err = c.Run(benchStart, n, nicsim.CollectorFunc(func(batch []flowlog.Record) error {
+		for _, r := range batch {
+			w.Add(r)
+		}
+		return nil
+	}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Flush()
+	return out
+}
+
+// BenchmarkRunnerWindow times what the plane pays per sealed window and
+// runner — OnSnapshot plus the marshal of its result, the call behind
+// bench's runner.<name>.ms_per_window rows — on ~170-node k8spaas and
+// 33-node µserviceBench minute windows. One op is one window.
+func BenchmarkRunnerWindow(b *testing.B) {
+	for _, ds := range []struct{ name, preset string }{
+		{"k8spaas", "k8spaas"}, {"usvc", "microservicebench"},
+	} {
+		windows := minuteWindows(b, ds.preset, 0.25, 10)
+		for i, r := range runner.DefaultRunners() {
+			b.Run(ds.name+"/"+r.Name(), func(b *testing.B) {
+				r := runner.DefaultRunners()[i]
+				b.ReportAllocs()
+				for n := 0; n < b.N; n++ {
+					r.OnSnapshot(uint64(n+1), windows[n%len(windows)])
+					if _, err := json.Marshal(r.Result()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

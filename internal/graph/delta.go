@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // Delta captures what changed between two graphs of the same facet — the
 // paper's "what changed?" historical analysis (§1, "Dynamic").
 type Delta struct {
@@ -14,51 +12,59 @@ type Delta struct {
 	ByteChange float64
 }
 
-// Diff computes the delta from old to new.
+// Diff computes the delta from old to new: a merge-join of the two sorted
+// node tables, then of the two views' (A,B)-ordered pair streams, keyed by
+// each node's rank in the union of both tables so ids from the two graphs
+// compare directly. All byte sums are integer-valued floats, exact in any
+// order.
 func Diff(old, new *Graph) Delta {
 	var d Delta
-	new.EachNode(func(n Node) {
-		if !old.HasNode(n) {
-			d.AddedNodes = append(d.AddedNodes, n)
+	uo, un := old.Undirected(), new.Undirected()
+	rankOld := make([]int32, len(uo.Nodes))
+	rankNew := make([]int32, len(un.Nodes))
+	var rank int32
+	for i, j := 0, 0; i < len(uo.Nodes) || j < len(un.Nodes); rank++ {
+		switch {
+		case j >= len(un.Nodes) || (i < len(uo.Nodes) && uo.Nodes[i].Less(un.Nodes[j])):
+			d.RemovedNodes = append(d.RemovedNodes, uo.Nodes[i])
+			rankOld[i] = rank
+			i++
+		case i >= len(uo.Nodes) || un.Nodes[j].Less(uo.Nodes[i]):
+			d.AddedNodes = append(d.AddedNodes, un.Nodes[j])
+			rankNew[j] = rank
+			j++
+		default:
+			rankOld[i], rankNew[j] = rank, rank
+			i++
+			j++
 		}
-	})
-	old.EachNode(func(n Node) {
-		if !new.HasNode(n) {
-			d.RemovedNodes = append(d.RemovedNodes, n)
-		}
-	})
-	sort.Slice(d.AddedNodes, func(i, j int) bool { return d.AddedNodes[i].Less(d.AddedNodes[j]) })
-	sort.Slice(d.RemovedNodes, func(i, j int) bool { return d.RemovedNodes[i].Less(d.RemovedNodes[j]) })
+	}
 
-	type pair struct{ a, b Node }
-	oldPairs := make(map[pair]uint64)
-	for _, e := range old.UndirectedEdges() {
-		oldPairs[pair{e.A, e.B}] = e.Bytes
-	}
-	var l1 float64
-	var oldTotal float64
-	for _, v := range oldPairs {
-		oldTotal += float64(v)
-	}
-	seen := make(map[pair]bool)
-	for _, e := range new.UndirectedEdges() {
-		p := pair{e.A, e.B}
-		seen[p] = true
-		if oldBytes, ok := oldPairs[p]; ok {
-			diff := float64(e.Bytes) - float64(oldBytes)
-			if diff < 0 {
-				diff = -diff
-			}
-			l1 += diff
-		} else {
+	var l1, oldTotal float64
+	po, pn := newPairWalk(uo, rankOld), newPairWalk(un, rankNew)
+	for po.ok || pn.ok {
+		switch {
+		case !pn.ok || (po.ok && po.key < pn.key):
+			e := po.edge()
+			d.RemovedPairs = append(d.RemovedPairs, e)
+			oldTotal += float64(e.Bytes)
+			l1 += float64(e.Bytes)
+			po.next()
+		case !po.ok || pn.key < po.key:
+			e := pn.edge()
 			d.AddedPairs = append(d.AddedPairs, e)
 			l1 += float64(e.Bytes)
-		}
-	}
-	for _, e := range old.UndirectedEdges() {
-		if !seen[pair{e.A, e.B}] {
-			d.RemovedPairs = append(d.RemovedPairs, e)
-			l1 += float64(e.Bytes)
+			pn.next()
+		default:
+			ob, nb := float64(uo.Pair[po.k].Bytes), float64(un.Pair[pn.k].Bytes)
+			oldTotal += ob
+			if nb > ob {
+				l1 += nb - ob
+			} else {
+				l1 += ob - nb
+			}
+			po.next()
+			pn.next()
 		}
 	}
 	if oldTotal < 1 {
@@ -66,4 +72,41 @@ func Diff(old, new *Graph) Delta {
 	}
 	d.ByteChange = l1 / oldTotal
 	return d
+}
+
+// pairWalk streams a view's unordered pairs — each row's entries at or
+// right of the diagonal — in (A,B) order. key orders pairs across two
+// graphs: the endpoints' union ranks, A's in the high half.
+type pairWalk struct {
+	u    *Undirected
+	rank []int32
+	row  int32
+	k    int32 // index into u.Nbr / u.Pair
+	key  uint64
+	ok   bool
+}
+
+func newPairWalk(u *Undirected, rank []int32) *pairWalk {
+	w := &pairWalk{u: u, rank: rank, k: -1}
+	w.next()
+	return w
+}
+
+func (w *pairWalk) next() {
+	u := w.u
+	for w.k++; int(w.k) < len(u.Nbr); w.k++ {
+		for w.k >= u.Off[w.row+1] {
+			w.row++
+		}
+		if j := u.Nbr[w.k]; j >= w.row {
+			w.key = uint64(w.rank[w.row])<<32 | uint64(w.rank[j])
+			w.ok = true
+			return
+		}
+	}
+	w.ok = false
+}
+
+func (w *pairWalk) edge() UndirectedEdge {
+	return UndirectedEdge{A: w.u.Nodes[w.row], B: w.u.Nodes[w.u.Nbr[w.k]], Counters: w.u.Pair[w.k]}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -64,6 +65,16 @@ func TestFrozenEquivalence(t *testing.T) {
 				return false
 			}
 		}
+		// The index-space view is the same struct from either form and
+		// agrees with the Node-keyed accessors.
+		um, uf := m.Undirected(), fz.Undirected()
+		if !reflect.DeepEqual(um, uf) {
+			return false
+		}
+		if err := viewAgrees(m, um); err != nil {
+			t.Error(err)
+			return false
+		}
 		// Directed edges, counters and series agree pairwise.
 		same := true
 		m.EachOut(func(src, dst Node, e *Edge) {
@@ -110,6 +121,51 @@ func TestFrozenEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// viewAgrees checks an Undirected view against the graph it was built
+// from: nodes in sorted order, rows strictly ascending (so no neighbour —
+// and no self-loop — is listed twice), every row equal to Neighbors, Degree,
+// NodeStrength and PairCounters, and the entry count equal to two per
+// unordered pair plus one per self-loop (NumEdges counts pairs of distinct
+// nodes only).
+func viewAgrees(g *Graph, u *Undirected) error {
+	if !reflect.DeepEqual(u.Nodes, g.Nodes()) || len(u.Off) != len(u.Nodes)+1 || len(u.Nbr) != len(u.Pair) {
+		return fmt.Errorf("view shape: %d nodes, %d offsets, %d nbr, %d pair", len(u.Nodes), len(u.Off), len(u.Nbr), len(u.Pair))
+	}
+	selfLoops := 0
+	for i, n := range u.Nodes {
+		nbr, pair := u.Row(int32(i))
+		if len(nbr) != g.Degree(n) {
+			return fmt.Errorf("%v: row has %d entries, Degree %d", n, len(nbr), g.Degree(n))
+		}
+		want := g.Neighbors(n)
+		var strength Counters
+		for k, j := range nbr {
+			if k > 0 && nbr[k-1] >= j {
+				return fmt.Errorf("%v: row not strictly ascending at %d", n, k)
+			}
+			if _, ok := want[u.Nodes[j]]; !ok {
+				return fmt.Errorf("%v: row lists %v, Neighbors does not", n, u.Nodes[j])
+			}
+			if pair[k] != g.PairCounters(n, u.Nodes[j]) {
+				return fmt.Errorf("%v-%v: pair %+v, PairCounters %+v", n, u.Nodes[j], pair[k], g.PairCounters(n, u.Nodes[j]))
+			}
+			if int(j) == i {
+				selfLoops++
+			}
+			strength.Add(pair[k])
+		}
+		for _, met := range []Metric{Bytes, Packets, Conns} {
+			if strength.Get(met) != g.NodeStrength(n, met) {
+				return fmt.Errorf("%v: row %v sum %d, NodeStrength %d", n, met, strength.Get(met), g.NodeStrength(n, met))
+			}
+		}
+	}
+	if len(u.Nbr) != 2*g.NumEdges()+selfLoops {
+		return fmt.Errorf("%d entries for %d pairs and %d self-loops", len(u.Nbr), g.NumEdges(), selfLoops)
+	}
+	return nil
 }
 
 func TestFreezeThawRoundTrip(t *testing.T) {

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"math"
 	"sort"
 
 	"cloudgraph/internal/counterfactual"
@@ -102,35 +101,25 @@ type SummarizeResult struct {
 	Score summarize.WindowScore `json:"score"`
 }
 
-// SummarizeRunner computes per-window summaries and maintains the
-// incremental anomaly baseline: drift vs the previous window, flagged
-// when it exceeds mean + Sigma·stddev of the non-anomalous history —
-// bit-for-bit the summarize.ScoreWindows recurrence, so the online score
-// of window i equals the batch score over windows [0..i].
+// SummarizeRunner computes per-window summaries and carries the
+// incremental anomaly baseline in a summarize.Scorer, so the online score
+// of window i equals the batch summarize.ScoreWindows over windows [0..i].
 type SummarizeRunner struct {
-	opts    summarize.AnomalyOptions
-	prev    *graph.Graph
-	history []float64
-	index   int
-	last    SummarizeResult
+	scorer *summarize.Scorer
+	prev   *graph.Graph
+	last   SummarizeResult
 }
 
 // NewSummarize returns the "summarize" runner.
 func NewSummarize(opts summarize.AnomalyOptions) *SummarizeRunner {
-	if opts.Sigma <= 0 {
-		opts.Sigma = 3
-	}
-	if opts.MinHistory <= 0 {
-		opts.MinHistory = 3
-	}
-	return &SummarizeRunner{opts: opts}
+	return &SummarizeRunner{scorer: summarize.NewScorer(opts)}
 }
 
 func (r *SummarizeRunner) Name() string { return "summarize" }
 
 func (r *SummarizeRunner) OnSnapshot(epoch uint64, g *graph.Graph) {
 	s := summarize.Summarize(g)
-	res := SummarizeResult{
+	r.last = SummarizeResult{
 		Epoch:         epoch,
 		Headline:      s.Headline,
 		Nodes:         s.Stats.Nodes,
@@ -138,51 +127,12 @@ func (r *SummarizeRunner) OnSnapshot(epoch uint64, g *graph.Graph) {
 		Hubs:          len(s.Hubs),
 		Cliques:       len(s.Cliques),
 		FractionFor90: summarize.FractionForShare(s.CCDF, 0.9),
+		Score:         r.scorer.Step(r.prev, g),
 	}
-	score := summarize.WindowScore{Index: r.index}
-	if r.prev != nil {
-		d := graph.Diff(r.prev, g)
-		score.Drift = d.ByteChange
-		score.NewPairs = len(d.AddedPairs)
-		score.LostPairs = len(d.RemovedPairs)
-		if len(r.history) >= r.opts.MinHistory {
-			mean, sd := meanStd(r.history)
-			if score.Drift > mean+r.opts.Sigma*sd {
-				score.Anomalous = true
-			}
-		}
-		if !score.Anomalous {
-			// Matching ScoreWindows: only normal windows feed the
-			// baseline, so a sustained attack doesn't poison its own
-			// detector.
-			r.history = append(r.history, score.Drift)
-		}
-	}
-	res.Score = score
 	r.prev = g
-	r.index++
-	r.last = res
 }
 
 func (r *SummarizeRunner) Result() any { return r.last }
-
-// meanStd mirrors summarize's baseline statistics, including the 1e-3
-// stddev floor that keeps perfectly steady baselines from zero-slack
-// flagging.
-func meanStd(xs []float64) (mean, sd float64) {
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		sd += (x - mean) * (x - mean)
-	}
-	sd = math.Sqrt(sd / float64(len(xs)))
-	if sd < 1e-3 {
-		sd = 1e-3
-	}
-	return mean, sd
-}
 
 // ---- counterfactual ----
 

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cloudgraph/internal/graph"
@@ -106,8 +107,8 @@ func (o *Options) defaults() {
 // Run applies the named strategy to the graph and returns the segmentation.
 func Run(s Strategy, g *graph.Graph, opts Options) (Assignment, error) {
 	opts.defaults()
-	ix := newIndex(g)
-	n := len(ix.nodes)
+	u := g.Undirected()
+	n := len(u.Nodes)
 	if n == 0 {
 		return Assignment{}, nil
 	}
@@ -115,21 +116,20 @@ func Run(s Strategy, g *graph.Graph, opts Options) (Assignment, error) {
 	similarity := true
 	switch s {
 	case StrategyJaccardLouvain:
-		pairs = jaccardClique(neighborSets(g, ix), opts.MinScore)
+		pairs = jaccardClique(neighborSets(u), opts.MinScore)
 	case StrategyMinHashLouvain:
-		pairs = minhashClique(neighborSets(g, ix), opts.MinHashK, opts.MinScore)
+		pairs = minhashClique(neighborSets(u), opts.MinHashK, opts.MinScore)
 	case StrategySimRank:
-		scores := simRankScores(neighborSets(g, ix), opts.SimRank)
+		scores := simRankScores(neighborSets(u), opts.SimRank)
 		pairs = scoresToPairs(scores, n, opts.MinScore)
 	case StrategySimRankPP:
-		sets := neighborSets(g, ix)
-		scores := simRankPPScores(g, ix, sets, opts.SimRank)
+		scores := simRankPPScores(u, neighborSets(u), opts.SimRank)
 		pairs = scoresToPairs(scores, n, opts.MinScore)
 	case StrategyModularityConn:
-		pairs = commPairs(g, ix, graph.Conns)
+		pairs = commPairs(u, graph.Conns)
 		similarity = false
 	case StrategyModularityBytes:
-		pairs = commPairs(g, ix, graph.Bytes)
+		pairs = commPairs(u, graph.Bytes)
 		similarity = false
 	default:
 		return nil, fmt.Errorf("segment: unknown strategy %q", s)
@@ -138,20 +138,22 @@ func Run(s Strategy, g *graph.Graph, opts Options) (Assignment, error) {
 		pairs = topK(pairs, n, opts.TopK)
 	}
 	comm := louvain(newWGraph(n, pairs), 1e-9, opts.Resolution)
-	return compact(ix, comm), nil
+	return compact(u.Nodes, comm), nil
 }
 
 // topK sparsifies a similarity clique to a mutual-or kNN graph: an edge
 // survives if it is among either endpoint's k strongest.
 func topK(pairs []simPair, n, k int) []simPair {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].w != pairs[j].w {
-			return pairs[i].w > pairs[j].w
+	slices.SortFunc(pairs, func(x, y simPair) int {
+		switch {
+		case x.w > y.w:
+			return -1
+		case x.w < y.w:
+			return 1
+		case x.a != y.a:
+			return x.a - y.a
 		}
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
+		return x.b - y.b
 	})
 	deg := make([]int, n)
 	out := make([]simPair, 0, n*k)
@@ -170,13 +172,14 @@ func topK(pairs []simPair, n, k int) []simPair {
 // is exactly why they group clients with servers instead of role peers
 // ("nodes with the same role such as the front-end VMs may never talk to
 // each other", §2.1).
-func commPairs(g *graph.Graph, ix *index, m graph.Metric) []simPair {
-	edges := g.UndirectedEdges()
-	pairs := make([]simPair, 0, len(edges))
-	for _, e := range edges {
-		w := float64(e.Get(m))
-		if w > 0 {
-			pairs = append(pairs, simPair{a: ix.id[e.A], b: ix.id[e.B], w: w})
+func commPairs(u *graph.Undirected, m graph.Metric) []simPair {
+	pairs := make([]simPair, 0, len(u.Nbr)/2+1)
+	for a := range u.Nodes {
+		nbr, pair := u.Row(int32(a))
+		for k, b := range nbr {
+			if w := float64(pair[k].Get(m)); int(b) >= a && w > 0 {
+				pairs = append(pairs, simPair{a: a, b: int(b), w: w})
+			}
 		}
 	}
 	return pairs
@@ -184,10 +187,10 @@ func commPairs(g *graph.Graph, ix *index, m graph.Metric) []simPair {
 
 // compact converts a dense community slice into an Assignment with ids
 // renumbered by first appearance over the sorted node order.
-func compact(ix *index, comm []int) Assignment {
+func compact(nodes []graph.Node, comm []int) Assignment {
 	relabel := make(map[int]int)
-	out := make(Assignment, len(ix.nodes))
-	for i, n := range ix.nodes {
+	out := make(Assignment, len(nodes))
+	for i, n := range nodes {
 		c := comm[i]
 		id, ok := relabel[c]
 		if !ok {

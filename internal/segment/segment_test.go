@@ -11,14 +11,14 @@ import (
 
 func TestJaccard(t *testing.T) {
 	cases := []struct {
-		a, b []int
+		a, b []int32
 		want float64
 	}{
-		{[]int{1, 2, 3}, []int{1, 2, 3}, 1},
-		{[]int{1, 2}, []int{3, 4}, 0},
-		{[]int{1, 2, 3}, []int{2, 3, 4}, 0.5},
+		{[]int32{1, 2, 3}, []int32{1, 2, 3}, 1},
+		{[]int32{1, 2}, []int32{3, 4}, 0},
+		{[]int32{1, 2, 3}, []int32{2, 3, 4}, 0.5},
 		{nil, nil, 0},
-		{[]int{1}, nil, 0},
+		{[]int32{1}, nil, 0},
 	}
 	for _, c := range cases {
 		if got := Jaccard(c.a, c.b); got != c.want {
@@ -38,13 +38,13 @@ func TestJaccardSymmetricQuick(t *testing.T) {
 	}
 }
 
-func dedupSorted(xs []uint8) []int {
-	seen := make(map[int]bool)
-	var out []int
+func dedupSorted(xs []uint8) []int32 {
+	seen := make(map[uint8]bool)
+	var out []int32
 	for _, x := range xs {
-		if !seen[int(x)] {
-			seen[int(x)] = true
-			out = append(out, int(x))
+		if !seen[x] {
+			seen[x] = true
+			out = append(out, int32(x))
 		}
 	}
 	// insertion sort (tiny inputs)
@@ -61,13 +61,13 @@ func TestMinHashApproximatesJaccard(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 50 + rng.Intn(100)
 		overlap := rng.Intn(n)
-		a := make([]int, 0, n)
-		b := make([]int, 0, n)
-		for i := 0; i < overlap; i++ {
+		a := make([]int32, 0, n)
+		b := make([]int32, 0, n)
+		for i := int32(0); int(i) < overlap; i++ {
 			a = append(a, i)
 			b = append(b, i)
 		}
-		for i := overlap; i < n; i++ {
+		for i := int32(overlap); int(i) < n; i++ {
 			a = append(a, 1000+i)
 			b = append(b, 2000+i)
 		}
@@ -133,13 +133,13 @@ func TestLouvainEmptyAndSingleton(t *testing.T) {
 }
 
 func TestEvidence(t *testing.T) {
-	if e := evidence([]int{1, 2}, []int{3, 4}); e != 0 {
+	if e := evidence([]int32{1, 2}, []int32{3, 4}); e != 0 {
 		t.Errorf("no common neighbors: evidence = %v", e)
 	}
-	if e := evidence([]int{1}, []int{1}); e != 0.5 {
+	if e := evidence([]int32{1}, []int32{1}); e != 0.5 {
 		t.Errorf("one common: evidence = %v, want 0.5", e)
 	}
-	if e := evidence([]int{1, 2}, []int{1, 2}); e != 0.75 {
+	if e := evidence([]int32{1, 2}, []int32{1, 2}); e != 0.75 {
 		t.Errorf("two common: evidence = %v, want 0.75", e)
 	}
 }

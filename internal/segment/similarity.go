@@ -9,48 +9,23 @@
 package segment
 
 import (
-	"sort"
+	"slices"
 
 	"cloudgraph/internal/graph"
 )
 
-// index assigns dense integer ids to a graph's nodes in deterministic
-// (sorted) order, the representation the algorithms work over.
-type index struct {
-	nodes []graph.Node
-	id    map[graph.Node]int
-}
-
-func newIndex(g *graph.Graph) *index {
-	nodes := g.Nodes()
-	ix := &index{nodes: nodes, id: make(map[graph.Node]int, len(nodes))}
-	for i, n := range nodes {
-		ix.id[n] = i
-	}
-	return ix
-}
-
-// neighborSets returns each node's undirected neighbor id set, sorted.
-func neighborSets(g *graph.Graph, ix *index) [][]int {
-	sets := make([][]int, len(ix.nodes))
-	for i, n := range ix.nodes {
-		nb := g.Neighbors(n)
-		ids := make([]int, 0, len(nb))
-		for m := range nb {
-			ids = append(ids, ix.id[m])
-		}
-		sort.Ints(ids)
-		sets[i] = ids
+// neighborSets returns each node's undirected neighbor ids, ascending: the
+// rows of the graph's index-space view, shared, not copied.
+func neighborSets(u *graph.Undirected) [][]int32 {
+	sets := make([][]int32, len(u.Nodes))
+	for i := range sets {
+		sets[i], _ = u.Row(int32(i))
 	}
 	return sets
 }
 
-// Jaccard returns |a∩b| / |a∪b| for sorted int slices. Two empty sets have
-// similarity 0 (an isolated pair tells us nothing about shared role).
-func Jaccard(a, b []int) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
+// common returns |a∩b| for sorted id slices.
+func common(a, b []int32) int {
 	inter := 0
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -65,8 +40,17 @@ func Jaccard(a, b []int) float64 {
 			j++
 		}
 	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
+	return inter
+}
+
+// Jaccard returns |a∩b| / |a∪b| for sorted id slices. Two empty sets have
+// similarity 0 (an isolated pair tells us nothing about shared role).
+func Jaccard(a, b []int32) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 0
+	}
+	inter := common(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // simPair is one scored node pair of the similarity clique.
@@ -75,19 +59,39 @@ type simPair struct {
 	w    float64
 }
 
-// jaccardClique scores every node pair by neighbor-set Jaccard overlap and
-// returns pairs above minScore. This is the paper's "score each pair of
-// nodes based on the overlap in their neighboring sets" step, with the
-// super-quadratic cost the paper calls out as an open issue.
-func jaccardClique(sets [][]int, minScore float64) []simPair {
-	n := len(sets)
+// jaccardClique scores node pairs by neighbor-set Jaccard overlap and
+// returns those at or above minScore (which must be positive), ascending
+// by (a, b). This is the paper's "score each pair of nodes based on the
+// overlap in their neighboring sets" step without its all-pairs cost: only
+// pairs sharing a neighbor score above zero, so for each node i the
+// intersections |N(i)∩N(j)| are counted in a dense scratch array by walking
+// the rows of i's neighbors — sets must be symmetric, as a view's rows are.
+// The cost is Σ deg² plus a sort of each node's two-hop hits.
+func jaccardClique(sets [][]int32, minScore float64) []simPair {
 	var pairs []simPair
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if w := Jaccard(sets[i], sets[j]); w >= minScore {
-				pairs = append(pairs, simPair{a: i, b: j, w: w})
+	inter := make([]int32, len(sets))
+	var hits []int32 // j > i with inter[j] > 0
+	for i := range sets {
+		for _, m := range sets[i] {
+			for _, j := range sets[m] {
+				if int(j) <= i {
+					continue
+				}
+				if inter[j] == 0 {
+					hits = append(hits, j)
+				}
+				inter[j]++
 			}
 		}
+		slices.Sort(hits)
+		for _, j := range hits {
+			c := int(inter[j])
+			inter[j] = 0
+			if w := float64(c) / float64(len(sets[i])+len(sets[j])-c); w >= minScore {
+				pairs = append(pairs, simPair{a: i, b: int(j), w: w})
+			}
+		}
+		hits = hits[:0]
 	}
 	return pairs
 }
@@ -98,7 +102,7 @@ const MinHashSize = 64
 // minhashSig computes a k-permutation MinHash signature of a set of ids.
 // Estimated Jaccard = fraction of colliding signature slots; this is the
 // sketching mitigation (à la SuperMinHash) for the quadratic scoring cost.
-func minhashSig(set []int, k int) []uint64 {
+func minhashSig(set []int32, k int) []uint64 {
 	sig := make([]uint64, k)
 	for i := range sig {
 		sig[i] = ^uint64(0)
@@ -135,7 +139,7 @@ func minhashEstimate(a, b []uint64) float64 {
 }
 
 // minhashClique is jaccardClique with sketched scores.
-func minhashClique(sets [][]int, k int, minScore float64) []simPair {
+func minhashClique(sets [][]int32, k int, minScore float64) []simPair {
 	n := len(sets)
 	sigs := make([][]uint64, n)
 	for i, s := range sets {

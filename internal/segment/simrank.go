@@ -33,7 +33,7 @@ func (o *SimRankOptions) defaults() {
 
 // simRankScores runs plain SimRank over undirected neighbor sets and
 // returns the dense similarity matrix (row-major n×n).
-func simRankScores(sets [][]int, opts SimRankOptions) []float64 {
+func simRankScores(sets [][]int32, opts SimRankOptions) []float64 {
 	opts.defaults()
 	n := len(sets)
 	cur := make([]float64, n*n)
@@ -50,7 +50,7 @@ func simRankScores(sets [][]int, opts SimRankOptions) []float64 {
 				if len(ni) > 0 && len(nj) > 0 {
 					var sum float64
 					for _, a := range ni {
-						row := cur[a*n:]
+						row := cur[int(a)*n:]
 						for _, b := range nj {
 							sum += row[b]
 						}
@@ -70,7 +70,7 @@ func simRankScores(sets [][]int, opts SimRankOptions) []float64 {
 // an evidence factor — pairs sharing more neighbors are trusted more — and
 // edge-weight-aware propagation, so heavy conversations influence
 // similarity more than trickles.
-func simRankPPScores(g *graph.Graph, ix *index, sets [][]int, opts SimRankOptions) []float64 {
+func simRankPPScores(u *graph.Undirected, sets [][]int32, opts SimRankOptions) []float64 {
 	opts.defaults()
 	n := len(sets)
 
@@ -78,11 +78,12 @@ func simRankPPScores(g *graph.Graph, ix *index, sets [][]int, opts SimRankOption
 	// O(n²·d²) inner loop stays free of map lookups:
 	// wlist[i][k] = traffic(i, sets[i][k]) / Σ traffic(i, ·).
 	wlist := make([][]float64, n)
-	for i, node := range ix.nodes {
+	for i := range sets {
 		ws := make([]float64, len(sets[i]))
 		var total float64
-		for k, aID := range sets[i] {
-			w := float64(g.PairCounters(node, ix.nodes[aID]).Get(opts.Metric))
+		_, pair := u.Row(int32(i))
+		for k, c := range pair {
+			w := float64(c.Get(opts.Metric))
 			ws[k] = w
 			total += w
 		}
@@ -118,7 +119,7 @@ func simRankPPScores(g *graph.Graph, ix *index, sets [][]int, opts SimRankOption
 						if wa == 0 {
 							continue
 						}
-						row := cur[a*n:]
+						row := cur[int(a)*n:]
 						for bi, b := range nj {
 							sum += wa * wj[bi] * row[b]
 						}
@@ -136,25 +137,12 @@ func simRankPPScores(g *graph.Graph, ix *index, sets [][]int, opts SimRankOption
 
 // evidence returns 1 − 2^{−|common neighbors|}, the SimRank++ confidence
 // factor: more shared witnesses, more trust.
-func evidence(a, b []int) float64 {
-	common := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			common++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	if common == 0 {
+func evidence(a, b []int32) float64 {
+	c := common(a, b)
+	if c == 0 {
 		return 0
 	}
-	return 1 - math.Pow(2, -float64(common))
+	return 1 - math.Pow(2, -float64(c))
 }
 
 // scoresToPairs converts a dense similarity matrix into clique pairs above

@@ -36,37 +36,59 @@ type AnomalyOptions struct {
 	MinHistory int
 }
 
-// ScoreWindows scores consecutive graphs. The first window has no
-// predecessor and gets drift 0.
-func ScoreWindows(windows []*graph.Graph, opts AnomalyOptions) []WindowScore {
+// Scorer is the incremental form of the detector: it scores one window at
+// a time against its predecessor and carries the drift baseline between
+// calls, so the online score of window i equals the batch score over
+// windows [0..i].
+type Scorer struct {
+	opts    AnomalyOptions
+	history []float64 // drifts of the non-anomalous windows so far
+	index   int
+}
+
+// NewScorer returns a Scorer with opts' defaults applied.
+func NewScorer(opts AnomalyOptions) *Scorer {
 	if opts.Sigma <= 0 {
 		opts.Sigma = 3
 	}
 	if opts.MinHistory <= 0 {
 		opts.MinHistory = 3
 	}
+	return &Scorer{opts: opts}
+}
+
+// Step scores cur against prev, the window before it. The first window has
+// no predecessor (prev nil) and gets drift 0.
+func (s *Scorer) Step(prev, cur *graph.Graph) WindowScore {
+	score := WindowScore{Index: s.index}
+	s.index++
+	if prev == nil {
+		return score
+	}
+	d := graph.Diff(prev, cur)
+	score.Drift = d.ByteChange
+	score.NewPairs = len(d.AddedPairs)
+	score.LostPairs = len(d.RemovedPairs)
+	if len(s.history) >= s.opts.MinHistory {
+		mean, sd := meanStd(s.history)
+		score.Anomalous = score.Drift > mean+s.opts.Sigma*sd
+	}
+	if !score.Anomalous {
+		// Only normal windows update the baseline, so a sustained
+		// attack doesn't poison its own detector.
+		s.history = append(s.history, score.Drift)
+	}
+	return score
+}
+
+// ScoreWindows scores consecutive graphs.
+func ScoreWindows(windows []*graph.Graph, opts AnomalyOptions) []WindowScore {
+	s := NewScorer(opts)
 	out := make([]WindowScore, len(windows))
-	var history []float64
-	for i := range windows {
-		out[i].Index = i
-		if i == 0 {
-			continue
-		}
-		d := graph.Diff(windows[i-1], windows[i])
-		out[i].Drift = d.ByteChange
-		out[i].NewPairs = len(d.AddedPairs)
-		out[i].LostPairs = len(d.RemovedPairs)
-		if len(history) >= opts.MinHistory {
-			mean, sd := meanStd(history)
-			if out[i].Drift > mean+opts.Sigma*sd {
-				out[i].Anomalous = true
-			}
-		}
-		if !out[i].Anomalous {
-			// Only normal windows update the baseline, so a sustained
-			// attack doesn't poison its own detector.
-			history = append(history, out[i].Drift)
-		}
+	var prev *graph.Graph
+	for i, g := range windows {
+		out[i] = s.Step(prev, g)
+		prev = g
 	}
 	return out
 }

@@ -7,7 +7,9 @@
 package summarize
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cloudgraph/internal/graph"
@@ -23,32 +25,35 @@ type CCDFPoint struct {
 
 // CCDF computes the traffic-concentration curve for metric m: "a few nodes
 // account for most of the traffic". The curve is evaluated after each node
-// in descending-traffic order.
+// in descending-traffic order. A graph whose nodes exchanged nothing under
+// m has no concentration to report: its curve is flat at 0.
 func CCDF(g *graph.Graph, m graph.Metric) []CCDFPoint {
-	nodes := g.Nodes()
-	if len(nodes) == 0 {
+	return ccdf(g.Undirected(), m)
+}
+
+func ccdf(u *graph.Undirected, m graph.Metric) []CCDFPoint {
+	n := len(u.Nodes)
+	if n == 0 {
 		return nil
 	}
-	strengths := make([]uint64, 0, len(nodes))
+	strengths := make([]uint64, n)
 	var total float64
-	for _, n := range nodes {
-		s := g.NodeStrength(n, m)
-		strengths = append(strengths, s)
-		total += float64(s)
+	for i := range strengths {
+		_, pair := u.Row(int32(i))
+		for _, c := range pair {
+			strengths[i] += c.Get(m)
+		}
+		total += float64(strengths[i])
 	}
 	sort.Slice(strengths, func(i, j int) bool { return strengths[i] > strengths[j] })
-	out := make([]CCDFPoint, 0, len(strengths))
+	out := make([]CCDFPoint, n)
 	var cum float64
 	for i, s := range strengths {
+		out[i].Fraction = float64(i+1) / float64(n)
 		cum += float64(s)
-		ccdf := 1 - cum/total
-		if ccdf < 0 {
-			ccdf = 0
+		if total > 0 {
+			out[i].CCDF = max(0, 1-cum/total)
 		}
-		out = append(out, CCDFPoint{
-			Fraction: float64(i+1) / float64(len(strengths)),
-			CCDF:     ccdf,
-		})
 	}
 	return out
 }
@@ -78,31 +83,37 @@ type Hub struct {
 // Hubs returns nodes whose degree covers at least minSpokeShare of the
 // graph, sorted by degree descending.
 func Hubs(g *graph.Graph, minSpokeShare float64) []Hub {
-	n := g.NumNodes()
+	return hubs(g.Undirected(), g.TotalTraffic().Bytes, minSpokeShare)
+}
+
+func hubs(u *graph.Undirected, totalBytes uint64, minSpokeShare float64) []Hub {
+	n := len(u.Nodes)
 	if n < 3 {
 		return nil
 	}
-	total := float64(g.TotalTraffic().Bytes)
 	var out []Hub
-	for _, node := range g.Nodes() {
-		deg := g.Degree(node)
+	for i, node := range u.Nodes {
+		_, pair := u.Row(int32(i))
+		deg := len(pair)
 		spoke := float64(deg) / float64(n-1)
-		if spoke >= minSpokeShare {
-			h := Hub{Node: node, Degree: deg, SpokeShare: spoke}
-			if total > 0 {
-				// Share of all bytes the hub touches (a perfect hub
-				// that is an endpoint of every edge scores 1).
-				h.ByteShare = float64(g.NodeStrength(node, graph.Bytes)) / total
+		if spoke < minSpokeShare {
+			continue
+		}
+		h := Hub{Node: node, Degree: deg, SpokeShare: spoke}
+		if totalBytes > 0 {
+			// Share of all bytes the hub touches (a perfect hub
+			// that is an endpoint of every edge scores 1).
+			var strength uint64
+			for _, c := range pair {
+				strength += c.Bytes
 			}
-			out = append(out, h)
+			h.ByteShare = float64(strength) / float64(totalBytes)
 		}
+		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Degree != out[j].Degree {
-			return out[i].Degree > out[j].Degree
-		}
-		return out[i].Node.Less(out[j].Node)
-	})
+	// Nodes are visited in ascending order, so a stable sort on degree
+	// leaves equal-degree hubs ordered by Node.Less.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Degree > out[j].Degree })
 	return out
 }
 
@@ -118,132 +129,134 @@ type Clique struct {
 	ByteShare float64
 }
 
+// maxCliqueSize bounds how far one seed grows.
+const maxCliqueSize = 64
+
 // ChattyCliques finds dense heavy subgraphs greedily: seeds are the
 // heaviest edges; a seed grows by adding the node with the most bytes to
 // the current members while pair density stays above minDensity. Cliques
 // smaller than minSize or below minByteShare are dropped. The greedy
 // approach mirrors how the banded blocks of Figure 4 pop out visually.
 func ChattyCliques(g *graph.Graph, minSize int, minDensity, minByteShare float64) []Clique {
+	return chattyCliques(g.Undirected(), g.TotalTraffic().Bytes, minSize, minDensity, minByteShare)
+}
+
+// chattyCliques grows each seed incrementally in index space. Per
+// candidate (a non-member with bytes to some member) it keeps toMembers,
+// the bytes it exchanges with the current members, and links, how many
+// members those bytes reach; adding a member updates both from that
+// member's row alone, and the members' own filled-pair count and internal
+// bytes are the running sums of the links/toMembers each member had when it
+// joined. A seed therefore costs O(Σ deg(members) + steps·|touched|).
+func chattyCliques(u *graph.Undirected, totalBytes uint64, minSize int, minDensity, minByteShare float64) []Clique {
 	if minSize < 3 {
 		minSize = 3
 	}
-	total := float64(g.TotalTraffic().Bytes)
-	//lint:allow floatcmp total is an exact uint64 byte count widened to float64; zero means an empty graph, not a rounding artifact
-	if total == 0 {
+	if totalBytes == 0 {
 		return nil
 	}
-	edges := g.UndirectedEdges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Bytes != edges[j].Bytes {
-			return edges[i].Bytes > edges[j].Bytes
+	type seed struct {
+		a, b  int32
+		bytes uint64
+	}
+	seeds := make([]seed, 0, len(u.Nbr)/2+1)
+	for a := int32(0); int(a) < len(u.Nodes); a++ {
+		nbr, pair := u.Row(a)
+		for k, b := range nbr {
+			if b >= a {
+				seeds = append(seeds, seed{a, b, pair[k].Bytes})
+			}
 		}
-		if edges[i].A != edges[j].A {
-			return edges[i].A.Less(edges[j].A)
+	}
+	slices.SortFunc(seeds, func(x, y seed) int {
+		switch {
+		case x.bytes != y.bytes:
+			return cmp.Compare(y.bytes, x.bytes)
+		case x.a != y.a:
+			return cmp.Compare(x.a, y.a)
 		}
-		return edges[i].B.Less(edges[j].B)
+		return cmp.Compare(x.b, y.b)
 	})
-	used := make(map[graph.Node]bool)
+
+	n := len(u.Nodes)
+	used, member := make([]bool, n), make([]bool, n)
+	toMembers, links := make([]uint64, n), make([]int32, n)
+	var members, touched []int32 // touched: every candidate of this seed
+	var filled int               // member pairs with traffic
+	var internal uint64          // bytes among members
+	add := func(x int32) {
+		member[x] = true
+		members = append(members, x)
+		filled += int(links[x])
+		internal += toMembers[x]
+		nbr, pair := u.Row(x)
+		for k, y := range nbr {
+			b := pair[k].Bytes
+			if b == 0 || member[y] || used[y] {
+				continue
+			}
+			if links[y] == 0 {
+				touched = append(touched, y)
+			}
+			toMembers[y] += b
+			links[y]++
+		}
+	}
+
 	var out []Clique
-	for _, seed := range edges {
-		if used[seed.A] || used[seed.B] {
+	for _, s := range seeds {
+		if used[s.a] || used[s.b] {
 			continue
 		}
-		members := map[graph.Node]bool{seed.A: true, seed.B: true}
-		for {
-			best, bestBytes := graph.Node{}, uint64(0)
-			candidates := make(map[graph.Node]bool)
-			for m := range members {
-				for c := range g.Neighbors(m) {
-					if !members[c] && !used[c] {
-						candidates[c] = true
-					}
-				}
-			}
-			for cand := range candidates {
-				var toMembers uint64
-				links := 0
-				for m := range members {
-					c := g.PairCounters(cand, m)
-					if c.Bytes > 0 {
-						toMembers += c.Bytes
-						links++
-					}
-				}
-				// Candidate must connect to enough members to keep the
-				// grown set dense.
-				newPairs := len(members) * (len(members) + 1) / 2
-				if float64(pairsFilled(g, members)+links)/float64(newPairs) < minDensity {
+		filled, internal = 0, 0
+		add(s.a)
+		if s.b != s.a {
+			add(s.b)
+		}
+		for len(members) < maxCliqueSize {
+			// The heaviest candidate that keeps the grown set dense; ties
+			// go to the lesser node.
+			best, bestBytes := int32(-1), uint64(0)
+			grownPairs := float64(len(members) * (len(members) + 1) / 2)
+			for _, c := range touched {
+				if member[c] || float64(filled+int(links[c]))/grownPairs < minDensity {
 					continue
 				}
-				if toMembers > bestBytes || (toMembers == bestBytes && toMembers > 0 && cand.Less(best)) {
-					best, bestBytes = cand, toMembers
+				if t := toMembers[c]; t > bestBytes || (t == bestBytes && c < best) {
+					best, bestBytes = c, t
 				}
 			}
-			if bestBytes == 0 || len(members) >= 64 {
+			if best < 0 {
 				break
 			}
-			members[best] = true
+			add(best)
 		}
-		if len(members) < minSize {
-			continue
+		if len(members) >= minSize {
+			cl := Clique{
+				InternalBytes: internal,
+				Density:       float64(filled) / float64(len(members)*(len(members)-1)/2),
+				ByteShare:     float64(internal) / float64(totalBytes),
+			}
+			if cl.ByteShare >= minByteShare && cl.Density >= minDensity {
+				slices.Sort(members)
+				cl.Members = make([]graph.Node, len(members))
+				for i, m := range members {
+					cl.Members[i] = u.Nodes[m]
+					used[m] = true
+				}
+				out = append(out, cl)
+			}
 		}
-		cl := materialize(g, members, total)
-		if cl.ByteShare < minByteShare || cl.Density < minDensity {
-			continue
+		for _, x := range members {
+			member[x], toMembers[x], links[x] = false, 0, 0
 		}
-		for m := range members {
-			used[m] = true
+		for _, x := range touched {
+			toMembers[x], links[x] = 0, 0
 		}
-		out = append(out, cl)
+		members, touched = members[:0], touched[:0]
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].InternalBytes > out[j].InternalBytes })
 	return out
-}
-
-// pairsFilled counts member pairs with traffic.
-func pairsFilled(g *graph.Graph, members map[graph.Node]bool) int {
-	ms := make([]graph.Node, 0, len(members))
-	for m := range members {
-		ms = append(ms, m)
-	}
-	filled := 0
-	for i := 0; i < len(ms); i++ {
-		for j := i + 1; j < len(ms); j++ {
-			if g.PairCounters(ms[i], ms[j]).Bytes > 0 {
-				filled++
-			}
-		}
-	}
-	return filled
-}
-
-// materialize computes a Clique's stats.
-func materialize(g *graph.Graph, members map[graph.Node]bool, totalBytes float64) Clique {
-	ms := make([]graph.Node, 0, len(members))
-	for m := range members {
-		ms = append(ms, m)
-	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Less(ms[j]) })
-	var internal uint64
-	filled := 0
-	for i := 0; i < len(ms); i++ {
-		for j := i + 1; j < len(ms); j++ {
-			c := g.PairCounters(ms[i], ms[j])
-			internal += c.Bytes
-			if c.Bytes > 0 {
-				filled++
-			}
-		}
-	}
-	pairs := len(ms) * (len(ms) - 1) / 2
-	cl := Clique{Members: ms, InternalBytes: internal}
-	if pairs > 0 {
-		cl.Density = float64(filled) / float64(pairs)
-	}
-	if totalBytes > 0 {
-		cl.ByteShare = float64(internal) / totalBytes
-	}
-	return cl
 }
 
 // Summary is an executive summary of one graph window.
@@ -257,12 +270,11 @@ type Summary struct {
 
 // Summarize builds the full succinct summary of a graph.
 func Summarize(g *graph.Graph) Summary {
-	s := Summary{
-		Stats:   g.ComputeStats(),
-		Hubs:    Hubs(g, 0.5),
-		Cliques: ChattyCliques(g, 3, 0.5, 0.01),
-		CCDF:    CCDF(g, graph.Bytes),
-	}
+	u := g.Undirected()
+	s := Summary{Stats: g.ComputeStats()}
+	s.Hubs = hubs(u, s.Stats.Bytes, 0.5)
+	s.Cliques = chattyCliques(u, s.Stats.Bytes, 3, 0.5, 0.01)
+	s.CCDF = ccdf(u, graph.Bytes)
 	top10 := 1 - ccdfAt(s.CCDF, 0.1)
 	var patternBytes float64
 	for _, c := range s.Cliques {

@@ -3,6 +3,7 @@ package summarize
 import (
 	"math"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,27 @@ func TestCCDFShape(t *testing.T) {
 func TestCCDFEmpty(t *testing.T) {
 	if pts := CCDF(graph.New(graph.FacetIP), graph.Bytes); pts != nil {
 		t.Errorf("empty graph CCDF = %v", pts)
+	}
+}
+
+// TestCCDFZeroTraffic pins the zero-total case: nodes that exchanged no
+// bytes (connection-only edges) used to divide by zero and print a "NaN%"
+// headline; the curve is flat at 0 instead.
+func TestCCDFZeroTraffic(t *testing.T) {
+	g := graph.New(graph.FacetIP)
+	g.AddEdge(node(1), node(2), graph.Counters{Conns: 1})
+	g.AddEdge(node(2), node(3), graph.Counters{Conns: 2})
+	pts := CCDF(g, graph.Bytes)
+	if len(pts) != 3 {
+		t.Fatalf("points = %d, want 3", len(pts))
+	}
+	for i, p := range pts {
+		if p.CCDF != 0 || p.Fraction != float64(i+1)/3 {
+			t.Fatalf("point %d = %+v, want a flat curve at CCDF 0", i, p)
+		}
+	}
+	if h := Summarize(g).Headline; strings.Contains(h, "NaN") {
+		t.Fatalf("headline %q", h)
 	}
 }
 
