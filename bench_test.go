@@ -296,6 +296,7 @@ func BenchmarkEngineIngestSharded(b *testing.B) {
 				b.Fatal("no windows completed")
 			}
 			b.ReportMetric(float64(int64(batch)*int64(b.N))/b.Elapsed().Seconds(), "records/s")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(batch)*int64(b.N)), "ns/rec")
 		})
 	}
 }

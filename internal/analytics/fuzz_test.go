@@ -47,8 +47,8 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, count uint8, data []byte) {
 		n := int(count % 17)
-		r := bytes.NewReader(data)
-		batch, err := readBatch(r, n, new(connScratch))
+		r := newWireReader(data)
+		batch, err := readBatch(r.Reader, n, new(connScratch))
 		consumed := len(data) - r.Len()
 		want := n * flowlog.WireSize
 		if len(data) >= want {
@@ -172,8 +172,8 @@ func FuzzDecodeFlaggedFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, count uint8, data []byte) {
 		n := int(count % 17)
-		r := bytes.NewReader(data)
-		batch, tcs, tenants, err := readBatchFlagged(r, n, new(connScratch))
+		r := newWireReader(data)
+		batch, tcs, tenants, err := readBatchFlagged(r.Reader, n, new(connScratch))
 		consumed := len(data) - r.Len()
 		if size, ok := scanFlaggedFrames(data, n); ok {
 			if consumed != size {
@@ -199,7 +199,7 @@ func FuzzDecodeFlaggedFrame(f *testing.F) {
 		for i := range batch {
 			enc = appendTaggedFrame(enc, batch[i], tcs[i], tenants[i])
 		}
-		batch2, tcs2, tenants2, err := readBatchFlagged(bytes.NewReader(enc), n, new(connScratch))
+		batch2, tcs2, tenants2, err := readBatchFlagged(newWireReader(enc).Reader, n, new(connScratch))
 		if err != nil {
 			t.Fatalf("n=%d: canonical re-decode failed: %v", n, err)
 		}

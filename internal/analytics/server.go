@@ -36,7 +36,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -623,39 +622,46 @@ func (s *Server) ingestTagged(ses *session, sc *connScratch, batch []flowlog.Rec
 }
 
 // readBatch reads a declared batch of n binary flowlog frames into sc's
-// reused buffer. Its protocol invariant: once the INGEST header promised n
-// frames, exactly n*WireSize bytes are consumed from r even when a frame
-// fails to decode — leaving unread frames in the stream would desync the
-// protocol, parsing leftover binary bytes as commands. Only a short read
-// (fewer bytes than promised) may leave the stream mid-batch, and that
-// already ends the connection.
+// reused buffer, decoding each run of whole frames in place from r's own
+// buffer (Peek, DecodeBinaryInto, Discard) rather than copying every frame
+// out first; r's buffer must hold at least one frame. Its protocol
+// invariant: once the INGEST header promised n frames, exactly n*WireSize
+// bytes are consumed from r even when a frame fails to decode — leaving
+// unread frames in the stream would desync the protocol, parsing leftover
+// binary bytes as commands. Only a short read (fewer bytes than promised)
+// may leave the stream mid-batch, and that already ends the connection.
 //
 //vet:borrowed sc return
-func readBatch(r io.Reader, n int, sc *connScratch) ([]flowlog.Record, error) {
+func readBatch(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record, error) {
 	if sc.batch == nil {
 		pre := min(n, 4096) // don't let a huge declared count pre-allocate unboundedly
 		sc.batch = make([]flowlog.Record, 0, pre)
 	}
 	batch := sc.batch[:0]
-	var buf [flowlog.WireSize]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
+	var decodeErr error
+	for i := 0; i < n; {
+		run := min(n-i, r.Size()/flowlog.WireSize)
+		buf, err := r.Peek(run * flowlog.WireSize)
+		if err != nil {
 			sc.batch = batch
-			return nil, fmt.Errorf("short ingest stream at record %d", i)
+			return nil, fmt.Errorf("short ingest stream at record %d", i+len(buf)/flowlog.WireSize)
 		}
-		batch = nextSlot(batch)
-		if err := flowlog.DecodeBinaryInto(&batch[len(batch)-1], buf[:]); err != nil {
-			sc.batch = batch[:len(batch)-1]
-			// Consume the rest of the declared batch before reporting.
-			for j := i + 1; j < n; j++ {
-				if _, derr := io.ReadFull(r, buf[:]); derr != nil {
-					return nil, fmt.Errorf("short ingest stream at record %d", j)
-				}
+		// After a bad frame the rest of the declared batch is only drained.
+		for k := 0; k < run && decodeErr == nil; k++ {
+			batch = nextSlot(batch)
+			if err := flowlog.DecodeBinaryInto(&batch[len(batch)-1], buf[k*flowlog.WireSize:]); err != nil {
+				batch = batch[:len(batch)-1]
+				decodeErr = fmt.Errorf("record %d: %v", i+k, err)
 			}
-			return nil, fmt.Errorf("record %d: %v", i, err)
 		}
+		//lint:allow errdrop Discard of bytes just Peeked cannot fail
+		r.Discard(len(buf))
+		i += run
 	}
 	sc.batch = batch
+	if decodeErr != nil {
+		return nil, decodeErr
+	}
 	return batch, nil
 }
 

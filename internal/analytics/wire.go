@@ -35,10 +35,10 @@ package analytics
 // the stream in sync.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/realm"
@@ -56,6 +56,9 @@ const (
 	frameFlagMax = frameFlagTraced | frameFlagTenant
 	// traceFieldSize is the trace ID + span ID appendix.
 	traceFieldSize = 16
+	// maxFlaggedFrame is the longest well-framed flagged frame: flag,
+	// record, trace field, tenant length byte and a 0x7f-byte name.
+	maxFlaggedFrame = 1 + flowlog.WireSize + traceFieldSize + 1 + 0x7f
 )
 
 // errDesync marks framing errors after which the byte stream cannot be
@@ -117,52 +120,47 @@ func internTenant(sc *connScratch, name []byte) string {
 // readBatchFlagged reads a declared batch of n flagged frames into sc's
 // reused buffers, returning the records with their parallel trace
 // contexts (zero Context on plain frames) and tenant tags ("" on
-// untagged frames). It keeps readBatch's drain invariant for every
-// recoverable error: once a frame's flag byte and tenant length byte fix
-// its length, the remaining frames of the batch are consumed even when a
-// record or tenant name fails validation, so the stream stays
-// command-aligned. Only short reads, unknown flag bytes, and unframeable
-// tenant lengths (errDesync) leave the stream mid-batch, and all end the
-// connection.
+// untagged frames). Like readBatch it decodes in place from r's own
+// buffer, which must hold the largest frame (maxFlaggedFrame), and it
+// keeps readBatch's drain invariant for every recoverable error: once a
+// frame's flag byte and tenant length byte fix its length, the remaining
+// frames of the batch are consumed even when a record or tenant name
+// fails validation, so the stream stays command-aligned. Only short
+// reads, unknown flag bytes, and unframeable tenant lengths (errDesync)
+// leave the stream mid-batch, and all end the connection.
 //
 //vet:borrowed sc return
-func readBatchFlagged(r io.Reader, n int, sc *connScratch) ([]flowlog.Record, []trace.Context, []string, error) {
+func readBatchFlagged(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record, []trace.Context, []string, error) {
 	if sc.batch == nil {
 		pre := min(n, 4096) // don't let a huge declared count pre-allocate unboundedly
 		sc.batch = make([]flowlog.Record, 0, pre)
 	}
 	batch, tcs, tenants := sc.batch[:0], sc.tcs[:0], sc.tenants[:0]
-	// The name region is sized for the largest well-framed length (0x7f),
-	// not MaxNameLen: an oversize name is a recoverable error and its
-	// bytes still have to be drained.
-	var buf [flowlog.WireSize + traceFieldSize + 1 + 0x7f]byte
 	var decodeErr, failErr error
 	failAt := -1
 	// Mid-batch failures save the scratch inline rather than through a
 	// helper closure: the buffers are borrowed, and a closure capturing
 	// them would pin them heap-reachable past the call.
-	for i := 0; i < n && failErr == nil; i++ {
-		if _, err := io.ReadFull(r, buf[:1]); err != nil {
+	for i := 0; i < n; i++ {
+		hdr, err := r.Peek(1)
+		if err != nil {
 			failAt, failErr = i, errors.New("short ingest stream")
 			break
 		}
-		flag := buf[0]
+		flag := hdr[0]
 		if flag > frameFlagMax {
 			failAt, failErr = i, fmt.Errorf("unknown frame flag 0x%02x: %w", flag, errDesync)
 			break
 		}
-		size := flowlog.WireSize
+		// The frame so far: flag, record, trace field.
+		size := 1 + flowlog.WireSize
 		if flag&frameFlagTraced != 0 {
 			size += traceFieldSize
 		}
-		if _, err := io.ReadFull(r, buf[:size]); err != nil {
-			failAt, failErr = i, errors.New("short ingest stream")
-			break
-		}
-		var name []byte
+		nameAt := size
 		if flag&frameFlagTenant != 0 {
-			lb := buf[size : size+1]
-			if _, err := io.ReadFull(r, lb); err != nil {
+			hdr, err = r.Peek(size + 1)
+			if err != nil {
 				failAt, failErr = i, errors.New("short ingest stream")
 				break
 			}
@@ -170,40 +168,47 @@ func readBatchFlagged(r io.Reader, n int, sc *connScratch) ([]flowlog.Record, []
 			// legal name needs one (MaxNameLen = 64 < 0x80), so the frame
 			// length is untrustworthy and the stream is lost. Zero-length
 			// tags are equally unwritable: taggers omit the bit instead.
-			if lb[0] == 0 || lb[0] >= 0x80 {
-				failAt, failErr = i, fmt.Errorf("unframeable tenant length 0x%02x: %w", lb[0], errDesync)
+			// An oversize name under 0x80 is well framed: a recoverable
+			// error whose bytes still have to be drained.
+			lb := hdr[size]
+			if lb == 0 || lb >= 0x80 {
+				failAt, failErr = i, fmt.Errorf("unframeable tenant length 0x%02x: %w", lb, errDesync)
 				break
 			}
-			name = buf[size+1 : size+1+int(lb[0])]
-			if _, err := io.ReadFull(r, name); err != nil {
-				failAt, failErr = i, errors.New("short ingest stream")
-				break
-			}
+			nameAt, size = size+1, size+1+int(lb)
 		}
-		if decodeErr != nil {
-			continue // draining the declared batch after a bad record
+		frame, err := r.Peek(size)
+		if err != nil {
+			failAt, failErr = i, errors.New("short ingest stream")
+			break
 		}
-		if flag&frameFlagTenant != 0 && !realm.ValidNameBytes(name) {
+		name := frame[nameAt:]
+		switch {
+		case decodeErr != nil:
+			// Draining the declared batch after a bad record.
+		case flag&frameFlagTenant != 0 && !realm.ValidNameBytes(name):
 			decodeErr = fmt.Errorf("record %d: invalid tenant tag %q", i, name)
-			continue
+		default:
+			batch = nextSlot(batch)
+			if err := flowlog.DecodeBinaryInto(&batch[len(batch)-1], frame[1:1+flowlog.WireSize]); err != nil {
+				batch = batch[:len(batch)-1]
+				decodeErr = fmt.Errorf("record %d: %v", i, err)
+				break
+			}
+			var tc trace.Context
+			if flag&frameFlagTraced != 0 {
+				tc.TraceID = binary.LittleEndian.Uint64(frame[1+flowlog.WireSize:])
+				tc.SpanID = binary.LittleEndian.Uint64(frame[1+flowlog.WireSize+8:])
+			}
+			tcs = append(tcs, tc)
+			tenant := ""
+			if flag&frameFlagTenant != 0 {
+				tenant = internTenant(sc, name)
+			}
+			tenants = append(tenants, tenant)
 		}
-		batch = nextSlot(batch)
-		if err := flowlog.DecodeBinaryInto(&batch[len(batch)-1], buf[:flowlog.WireSize]); err != nil {
-			batch = batch[:len(batch)-1]
-			decodeErr = fmt.Errorf("record %d: %v", i, err)
-			continue
-		}
-		var tc trace.Context
-		if flag&frameFlagTraced != 0 {
-			tc.TraceID = binary.LittleEndian.Uint64(buf[flowlog.WireSize:])
-			tc.SpanID = binary.LittleEndian.Uint64(buf[flowlog.WireSize+8:])
-		}
-		tcs = append(tcs, tc)
-		tenant := ""
-		if flag&frameFlagTenant != 0 {
-			tenant = internTenant(sc, name)
-		}
-		tenants = append(tenants, tenant)
+		//lint:allow errdrop Discard of bytes just Peeked cannot fail
+		r.Discard(size)
 	}
 	sc.batch, sc.tcs, sc.tenants = batch, tcs, tenants
 	if failErr != nil {

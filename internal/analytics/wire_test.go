@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -14,6 +15,21 @@ import (
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/trace"
 )
+
+// wireReader is the batch decoders' input in tests: the bufio.Reader they
+// decode from, over a byte slice, able to say how much of it is unread.
+type wireReader struct {
+	*bufio.Reader
+	src *bytes.Reader
+}
+
+func newWireReader(data []byte) *wireReader {
+	src := bytes.NewReader(data)
+	return &wireReader{Reader: bufio.NewReader(src), src: src}
+}
+
+// Len returns the bytes not yet consumed: still in src or buffered.
+func (r *wireReader) Len() int { return r.src.Len() + r.Buffered() }
 
 func wireTestRecord(i int) flowlog.Record {
 	return flowlog.Record{
@@ -46,8 +62,8 @@ func TestFlaggedRoundTrip(t *testing.T) {
 	if len(buf) != wantLen {
 		t.Fatalf("encoded %d bytes, want %d", len(buf), wantLen)
 	}
-	r := bytes.NewReader(buf)
-	gotRecs, gotTcs, gotTenants, err := readBatchFlagged(r, 3, new(connScratch))
+	r := newWireReader(buf)
+	gotRecs, gotTcs, gotTenants, err := readBatchFlagged(r.Reader, 3, new(connScratch))
 	if err != nil {
 		t.Fatalf("readBatchFlagged: %v", err)
 	}
@@ -88,8 +104,8 @@ func TestFlaggedDecodeErrorDrains(t *testing.T) {
 	const next = "STATS\n"
 	buf = append(buf, next...)
 
-	r := bytes.NewReader(buf)
-	_, _, _, err := readBatchFlagged(r, 3, new(connScratch))
+	r := newWireReader(buf)
+	_, _, _, err := readBatchFlagged(r.Reader, 3, new(connScratch))
 	if err == nil {
 		t.Fatal("want decode error")
 	}
@@ -97,7 +113,7 @@ func TestFlaggedDecodeErrorDrains(t *testing.T) {
 		t.Fatalf("decode error must be recoverable, got desync: %v", err)
 	}
 	rest := make([]byte, r.Len())
-	if _, rerr := r.Read(rest); rerr != nil {
+	if _, rerr := io.ReadFull(r, rest); rerr != nil {
 		t.Fatal(rerr)
 	}
 	if string(rest) != next {
@@ -112,7 +128,7 @@ func TestFlaggedBadFlagIsDesync(t *testing.T) {
 	buf := appendFlaggedFrame(nil, wireTestRecord(0), trace.Context{})
 	buf = append(buf, 0x7f) // second frame: invalid flag
 	buf = append(buf, make([]byte, flowlog.WireSize)...)
-	_, _, _, err := readBatchFlagged(bytes.NewReader(buf), 2, new(connScratch))
+	_, _, _, err := readBatchFlagged(newWireReader(buf).Reader, 2, new(connScratch))
 	if !errors.Is(err, errDesync) {
 		t.Fatalf("want errDesync, got %v", err)
 	}
@@ -129,7 +145,7 @@ func TestOldFormatHasNoTraceField(t *testing.T) {
 	for _, r := range recs {
 		legacy = flowlog.AppendBinary(legacy, r)
 	}
-	gotOld, err := readBatch(bytes.NewReader(legacy), 2, new(connScratch))
+	gotOld, err := readBatch(newWireReader(legacy).Reader, 2, new(connScratch))
 	if err != nil {
 		t.Fatalf("readBatch: %v", err)
 	}
@@ -137,7 +153,7 @@ func TestOldFormatHasNoTraceField(t *testing.T) {
 	for _, r := range recs {
 		flagged = appendFlaggedFrame(flagged, r, trace.Context{})
 	}
-	gotNew, tcs, _, err := readBatchFlagged(bytes.NewReader(flagged), 2, new(connScratch))
+	gotNew, tcs, _, err := readBatchFlagged(newWireReader(flagged).Reader, 2, new(connScratch))
 	if err != nil {
 		t.Fatalf("readBatchFlagged: %v", err)
 	}
@@ -167,8 +183,8 @@ func TestTaggedRoundTrip(t *testing.T) {
 	if len(buf) != wantLen {
 		t.Fatalf("encoded %d bytes, want %d", len(buf), wantLen)
 	}
-	r := bytes.NewReader(buf)
-	gotRecs, gotTcs, gotTenants, err := readBatchFlagged(r, 3, new(connScratch))
+	r := newWireReader(buf)
+	gotRecs, gotTcs, gotTenants, err := readBatchFlagged(r.Reader, 3, new(connScratch))
 	if err != nil {
 		t.Fatalf("readBatchFlagged: %v", err)
 	}
@@ -196,7 +212,7 @@ func TestTaggedInterning(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		buf = appendTaggedFrame(buf, wireTestRecord(i), trace.Context{}, "acme")
 	}
-	_, _, tenants, err := readBatchFlagged(bytes.NewReader(buf), 4, new(connScratch))
+	_, _, tenants, err := readBatchFlagged(newWireReader(buf).Reader, 4, new(connScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +244,8 @@ func TestTaggedInvalidNameDrains(t *testing.T) {
 	const next = "STATS\n"
 	buf = append(buf, next...)
 
-	r := bytes.NewReader(buf)
-	_, _, _, err := readBatchFlagged(r, 3, new(connScratch))
+	r := newWireReader(buf)
+	_, _, _, err := readBatchFlagged(r.Reader, 3, new(connScratch))
 	if err == nil {
 		t.Fatal("want invalid-tenant error")
 	}
@@ -237,7 +253,7 @@ func TestTaggedInvalidNameDrains(t *testing.T) {
 		t.Fatalf("invalid name must be recoverable, got desync: %v", err)
 	}
 	rest := make([]byte, r.Len())
-	if _, rerr := r.Read(rest); rerr != nil {
+	if _, rerr := io.ReadFull(r, rest); rerr != nil {
 		t.Fatal(rerr)
 	}
 	if string(rest) != next {
@@ -252,7 +268,7 @@ func TestTaggedBadLengthIsDesync(t *testing.T) {
 	for _, lb := range []byte{0x00, 0x80, 0xff} {
 		buf := appendTaggedFrame(nil, wireTestRecord(0), trace.Context{}, "acme")
 		buf[1+flowlog.WireSize] = lb
-		_, _, _, err := readBatchFlagged(bytes.NewReader(buf), 1, new(connScratch))
+		_, _, _, err := readBatchFlagged(newWireReader(buf).Reader, 1, new(connScratch))
 		if !errors.Is(err, errDesync) {
 			t.Fatalf("length byte 0x%02x: want errDesync, got %v", lb, err)
 		}
@@ -321,5 +337,35 @@ func TestServerClosesOnDesync(t *testing.T) {
 	}
 	if strings.Count(resp, "\n") != 1 {
 		t.Fatalf("connection should close after the ERR line, got %q", resp)
+	}
+}
+
+// TestReadBatchSpansBufferRefills decodes batches longer than the reader's
+// buffer, so the Peek-a-run loop refills mid-batch, and checks the drain
+// invariant holds across refills: a bad frame early in the batch still
+// consumes every declared frame and nothing after them.
+func TestReadBatchSpansBufferRefills(t *testing.T) {
+	const n = 9
+	var good, bad []byte
+	for i := 0; i < n; i++ {
+		good = flowlog.AppendBinary(good, wireTestRecord(i))
+	}
+	bad = append(bad, good...)
+	clear(bad[2*flowlog.WireSize : 3*flowlog.WireSize]) // frame 2: unspecified addresses
+	for _, size := range []int{flowlog.WireSize, 200, 4096} {
+		for name, data := range map[string][]byte{"good": good, "bad": bad} {
+			src := bytes.NewReader(append(append([]byte(nil), data...), "STATS\n"...))
+			r := bufio.NewReaderSize(src, size)
+			batch, err := readBatch(r, n, new(connScratch))
+			if name == "good" && (err != nil || len(batch) != n || batch[n-1] != wireTestRecord(n-1)) {
+				t.Errorf("buffer %d: %d records, err %v; want %d", size, len(batch), err, n)
+			}
+			if name == "bad" && (err == nil || !strings.Contains(err.Error(), "record 2")) {
+				t.Errorf("buffer %d: err = %v, want a decode error at record 2", size, err)
+			}
+			if rest, _ := io.ReadAll(r); string(rest) != "STATS\n" {
+				t.Errorf("buffer %d, %s batch: %d bytes left after the batch, want the next command", size, name, len(rest))
+			}
+		}
 	}
 }

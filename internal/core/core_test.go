@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"net/netip"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +13,9 @@ import (
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/nicsim"
+	"cloudgraph/internal/store"
 	"cloudgraph/internal/summarize"
+	"cloudgraph/internal/telemetry"
 )
 
 var (
@@ -453,5 +458,163 @@ func TestEngineOnWindowHook(t *testing.T) {
 	e.Flush()
 	if len(got) != 2 {
 		t.Errorf("OnWindow fired %d times, want 2", len(got))
+	}
+}
+
+// TestWindowerLateRecordBoundary pins what happens either side of the
+// newest window's start. A record older than the newest one seen but inside
+// the newest window is not late: it folds in. A record before that start is
+// late: its window already closed, so it opens a second builder for the same
+// start (later late records for it share that builder), and the next close
+// emits a second graph for that start.
+func TestWindowerLateRecordBoundary(t *testing.T) {
+	w := NewWindower(time.Hour, graph.BuilderOptions{})
+	var got []*graph.Graph
+	w.OnComplete = func(g *graph.Graph) { got = append(got, g) }
+	hour1 := t0.Add(time.Hour)
+
+	w.Add(rec(t0.Add(5*time.Minute), 1, 100))
+	w.Add(rec(hour1.Add(10*time.Minute), 2, 200)) // closes hour 0
+	if len(got) != 1 || w.Pending() != 1 || w.Late() != 0 {
+		t.Fatalf("after advancing: %d closed, %d open, %d late; want 1, 1, 0", len(got), w.Pending(), w.Late())
+	}
+
+	w.Add(rec(hour1, 3, 400)) // on the boundary: the open window's first instant
+	if w.Pending() != 1 || w.Late() != 0 {
+		t.Fatalf("record at the open window's start: %d open, %d late; want 1, 0", w.Pending(), w.Late())
+	}
+	w.Add(rec(hour1.Add(-time.Nanosecond), 4, 800)) // one tick before it: hour 0, already closed
+	if w.Pending() != 2 || w.Late() != 1 {
+		t.Fatalf("record before the open window's start: %d open, %d late; want 2, 1", w.Pending(), w.Late())
+	}
+	w.Add(rec(t0.Add(30*time.Minute), 5, 1600)) // late again: joins the reopened hour 0
+	if w.Pending() != 2 || w.Late() != 2 || len(got) != 1 {
+		t.Fatalf("second late record: %d open, %d late, %d closed; want 2, 2, 1", w.Pending(), w.Late(), len(got))
+	}
+
+	w.Flush()
+	if len(got) != 3 {
+		t.Fatalf("windows emitted = %d, want 3 (hour 0 twice)", len(got))
+	}
+	wantStart := []time.Time{t0, t0, hour1}
+	wantBytes := []uint64{100, 800 + 1600, 200 + 400}
+	for i, g := range got {
+		if !g.Start.Equal(wantStart[i]) || !g.End.Equal(wantStart[i].Add(time.Hour)) || g.TotalTraffic().Bytes != wantBytes[i] {
+			t.Errorf("window %d = [%v, %v) with %d bytes, want start %v and %d bytes",
+				i, g.Start, g.End, g.TotalTraffic().Bytes, wantStart[i], wantBytes[i])
+		}
+	}
+}
+
+func TestEngineCountsLateRecords(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	e := NewEngine(Config{Window: time.Hour, Telemetry: reg})
+	defer e.Close()
+	e.Ingest([]flowlog.Record{rec(t0.Add(time.Hour), 1, 10), rec(t0.Add(61*time.Minute), 2, 10)})
+	e.Ingest([]flowlog.Record{rec(t0.Add(59*time.Minute), 3, 10), {}, rec(t0.Add(2*time.Hour), 4, 10)})
+	late := reg.Counter("cloudgraph_core_late_records_total",
+		"records older than the newest window their shard had reached",
+		telemetry.Label{Key: "shard", Value: "0"})
+	if late.Value() != 1 {
+		t.Errorf("late records counter = %d, want 1", late.Value())
+	}
+	if got := len(e.Flush()); got != 3 {
+		t.Errorf("windows = %d, want 3 (the late record still opens hour 0)", got)
+	}
+}
+
+func presetHour(t testing.TB, name string, scale float64) []flowlog.Record {
+	t.Helper()
+	spec, err := cluster.Preset(name, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := c.CollectHour(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestEngineShardedMatchesWindower is sharded==single to the byte: preset
+// traffic through the engine at 1, 2 and 4 shards — per-shard builders
+// sealing to CSR, merge-joined across shards — must publish windows whose
+// store encoding and per-edge series equal those of one Windower over the
+// same stream.
+func TestEngineShardedMatchesWindower(t *testing.T) {
+	for _, preset := range []string{"microservicebench", "k8spaas"} {
+		recs := presetHour(t, preset, 0.02)
+		opts := graph.BuilderOptions{KeepSeries: true}
+		w := NewWindower(10*time.Minute, opts)
+		for _, r := range recs {
+			w.Add(r)
+		}
+		want := w.Flush()
+		if len(want) != 6 {
+			t.Fatalf("%s: reference windows = %d, want 6", preset, len(want))
+		}
+		for _, shards := range []int{1, 2, 4} {
+			e := NewEngine(Config{Window: 10 * time.Minute, Shards: shards, KeepSeries: true})
+			for off := 0; off < len(recs); off += 1000 {
+				e.Ingest(recs[off:min(off+1000, len(recs))])
+			}
+			got := e.Flush()
+			e.Close()
+			if len(got) != len(want) {
+				t.Fatalf("%s shards=%d: windows = %d, want %d", preset, shards, len(got), len(want))
+			}
+			for i := range want {
+				if !got[i].Frozen() {
+					t.Errorf("%s shards=%d window %d: published in map form", preset, shards, i)
+				}
+				if !bytes.Equal(store.EncodeGraph(got[i]), store.EncodeGraph(want[i])) {
+					t.Errorf("%s shards=%d window %d: store encoding differs from the single windower's", preset, shards, i)
+				}
+				want[i].EachOut(func(src, dst graph.Node, e *graph.Edge) {
+					if ge := got[i].OutEdge(src, dst); ge == nil || !reflect.DeepEqual(ge.Series, e.Series) {
+						t.Errorf("%s shards=%d window %d edge %v->%v: series differ", preset, shards, i, src, dst)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestEngineIngestAllocBudget pins the open window's allocation claim: once
+// the first window has sealed and its builders are recycled, Engine.Ingest
+// allocates per sealed window, not per record or per flow.
+func TestEngineIngestAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ingests four usvc hours")
+	}
+	recs := presetHour(t, "microservicebench", 0.25)
+	e := NewEngine(Config{Window: time.Hour, Shards: 2})
+	defer e.Close()
+	scratch := make([]flowlog.Record, 0, 4096)
+	pass := func(hour int) {
+		for off := 0; off < len(recs); off += cap(scratch) {
+			scratch = scratch[:0]
+			for _, r := range recs[off:min(off+cap(scratch), len(recs))] {
+				r.Time = r.Time.Add(time.Duration(hour) * time.Hour)
+				scratch = append(scratch, r)
+			}
+			e.Ingest(scratch)
+		}
+	}
+	pass(0)
+	pass(1) // seals hour 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass(2)
+	pass(3)
+	runtime.ReadMemStats(&after)
+	perRec := float64(after.Mallocs-before.Mallocs) / float64(2*len(recs))
+	t.Logf("%d allocations over %d records: %.5f per record", after.Mallocs-before.Mallocs, 2*len(recs), perRec)
+	if perRec > 0.01 {
+		t.Errorf("steady-state ingest allocates %.4f times per record, budget 0.01", perRec)
 	}
 }

@@ -160,6 +160,9 @@ type engineShard struct {
 	windower *Windower
 	records  int64
 	busy     time.Duration
+	// late mirrors the windower's late-record count into telemetry (nil
+	// when telemetry is off), advanced once per batch.
+	late *telemetry.Counter
 }
 
 // add folds a batch into the shard and returns the newest window start the
@@ -167,12 +170,14 @@ type engineShard struct {
 func (sh *engineShard) add(recs []flowlog.Record) time.Time {
 	sh.mu.Lock()
 	start := time.Now()
-	for _, r := range recs {
+	late := sh.windower.Late()
+	for i := range recs {
 		//lint:allow lockscope OnComplete here is always Engine.addPartial, which only takes the leaf lock pendMu; partials must queue before the shard lock releases so a window closes atomically per shard
-		sh.windower.Add(r)
+		sh.windower.add(&recs[i])
 	}
 	sh.busy += time.Since(start)
 	sh.records += int64(len(recs))
+	sh.late.Add(sh.windower.Late() - late)
 	m := sh.windower.MaxStart()
 	sh.mu.Unlock()
 	return m
@@ -185,14 +190,16 @@ func (sh *engineShard) add(recs []flowlog.Record) time.Time {
 func (sh *engineShard) addFiltered(recs []flowlog.Record, ids []uint8, s uint8, count int) time.Time {
 	sh.mu.Lock()
 	start := time.Now()
+	late := sh.windower.Late()
 	for i := range recs {
 		if ids[i] == s {
 			//lint:allow lockscope OnComplete here is always Engine.addPartial (leaf lock pendMu only); see add
-			sh.windower.Add(recs[i])
+			sh.windower.add(&recs[i])
 		}
 	}
 	sh.busy += time.Since(start)
 	sh.records += int64(count)
+	sh.late.Add(sh.windower.Late() - late)
 	m := sh.windower.MaxStart()
 	sh.mu.Unlock()
 	return m
@@ -276,9 +283,9 @@ func (e *Engine) onWindow(g *graph.Graph, traces []trace.Context) {
 	}
 	g.Traces = traces
 	// A completed window is never mutated again (the bus and timeline
-	// contract), so drop it to the CSR form before anyone retains it: the
-	// builder maps are released here, and every consumer holds the compact
-	// representation.
+	// contract), so every consumer holds the compact CSR form. Builders
+	// seal straight to it and the cross-shard merge keeps it, so this is a
+	// no-op unless Collapse just rebuilt the window as maps.
 	g.Freeze()
 	e.mu.Lock()
 	e.windows = append(e.windows, g)
@@ -362,7 +369,7 @@ func (e *Engine) IngestTraced(recs []flowlog.Record, tcs []trace.Context) {
 		ids, counts := sc.ids[:len(recs)], sc.counts[:n]
 		clear(counts)
 		for i := range recs {
-			s := ingest.ShardOf(recs[i].Key(), n)
+			s := ingest.ShardOfRecord(&recs[i], n)
 			ids[i] = uint8(s)
 			counts[s]++
 		}

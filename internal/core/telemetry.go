@@ -37,10 +37,12 @@ func (e *Engine) instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	for i := range e.shards {
+	for i, sh := range e.shards {
+		shard := telemetry.Label{Key: "shard", Value: strconv.Itoa(i)}
 		e.tel.shardRecords[i] = reg.Counter("cloudgraph_core_shard_records_total",
-			"records folded per ingest shard",
-			telemetry.Label{Key: "shard", Value: strconv.Itoa(i)})
+			"records folded per ingest shard", shard)
+		sh.late = reg.Counter("cloudgraph_core_late_records_total",
+			"records older than the newest window their shard had reached", shard)
 	}
 	e.tel.merge = reg.Histogram("cloudgraph_core_window_merge_seconds",
 		"time closing windows across shards and merging their partial graphs",

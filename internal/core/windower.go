@@ -27,7 +27,23 @@ type Windower struct {
 	builders map[time.Time]*graph.Builder
 	maxStart time.Time
 	done     []*graph.Graph
+
+	// newest is the builder of the window starting at maxStart and
+	// [newestLo, newestHi) that window in Unix nanoseconds (empty when not
+	// representable): the route of every record that is neither late nor
+	// the first of a newer window.
+	newest             *graph.Builder
+	newestLo, newestHi int64
+	// free holds finished builders for the next windows to reuse, tables
+	// emptied and capacity kept.
+	free []*graph.Builder
+	late int64
 }
+
+// maxFreeBuilders bounds the recycled builders kept: the steady state has
+// one window open and needs one spare; a burst of late records that opened
+// many windows at once must not pin all their capacity.
+const maxFreeBuilders = 2
 
 // NewWindower returns a Windower with the given window size (default one
 // hour) and builder options.
@@ -43,20 +59,42 @@ func NewWindower(window time.Duration, opts graph.BuilderOptions) *Windower {
 }
 
 // Add routes one record into its window's builder.
-func (w *Windower) Add(rec flowlog.Record) {
+func (w *Windower) Add(rec flowlog.Record) { w.add(&rec) }
+
+// add is Add by pointer, for callers scanning a batch in place. The record
+// is only read.
+//
+//vet:borrowed rec
+func (w *Windower) add(rec *flowlog.Record) {
 	if !rec.Valid() {
 		return
 	}
-	start := rec.Time.Truncate(w.window)
-	b, ok := w.builders[start]
-	if !ok {
-		b = graph.NewBuilder(w.opts)
-		w.builders[start] = b
+	if ns, ok := flowlog.UnixNanos(rec.Time); ok && ns >= w.newestLo && ns < w.newestHi {
+		w.newest.AddValid(rec)
+		return
 	}
-	b.Add(rec)
-	if start.After(w.maxStart) {
+	start := rec.Time.Truncate(w.window)
+	if start.Before(w.maxStart) {
+		w.late++
+	} else if start.After(w.maxStart) {
+		// Close the older windows before opening this one, so the builder
+		// they free is the one it reuses.
 		w.maxStart = start
 		w.emit(w.closeBefore(start))
+	}
+	b, ok := w.builders[start]
+	if !ok {
+		if n := len(w.free); n > 0 {
+			b, w.free = w.free[n-1], w.free[:n-1]
+		} else {
+			b = graph.NewBuilder(w.opts)
+		}
+		w.builders[start] = b
+	}
+	b.AddValid(rec)
+	if start.Equal(w.maxStart) {
+		w.newest = b
+		w.newestLo, w.newestHi = flowlog.NanoSpan(start, w.window)
 	}
 }
 
@@ -72,12 +110,19 @@ func (w *Windower) closeBefore(cutoff time.Time) []*graph.Graph {
 	sort.Slice(starts, func(i, j int) bool { return starts[i].Before(starts[j]) })
 	closed := make([]*graph.Graph, 0, len(starts))
 	for _, s := range starts {
-		g := w.builders[s].Finish()
+		b := w.builders[s]
+		g := b.Finish()
 		// The graph covers its whole window, not just the span of the
 		// records that happened to arrive.
 		g.Start = s
 		g.End = s.Add(w.window)
 		delete(w.builders, s)
+		if b == w.newest {
+			w.newest, w.newestLo, w.newestHi = nil, 0, 0
+		}
+		if len(w.free) < maxFreeBuilders {
+			w.free = append(w.free, b)
+		}
 		closed = append(closed, g)
 	}
 	return closed
@@ -106,6 +151,12 @@ func (w *Windower) CloseUpTo(cutoff time.Time) {
 
 // MaxStart returns the start of the newest window any record has touched.
 func (w *Windower) MaxStart() time.Time { return w.maxStart }
+
+// Late returns how many records arrived for a window older than the newest
+// one the stream had already reached. Such a record still counts: it folds
+// into its window if that is still open, and otherwise opens a second graph
+// for the same window start.
+func (w *Windower) Late() int64 { return w.late }
 
 // Flush closes all open windows and returns the completed graphs not yet
 // consumed, in window order, draining them from the Windower: a second

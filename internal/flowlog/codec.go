@@ -138,25 +138,36 @@ func (r *Reader) Read() (Record, error) {
 }
 
 // ReadBatch decodes up to len(dst) records into the caller-owned dst and
-// returns how many slots it filled. It allocates nothing: frames decode in
-// place into dst's slots via DecodeBinaryInto, so the caller reuses one
+// returns how many slots it filled. It allocates and copies nothing: each
+// run of whole frames decodes via DecodeBinaryInto straight from the
+// buffered reader's own buffer into dst's slots, so the caller reuses one
 // batch buffer across calls (records from earlier calls must not be
 // retained across reuse; copy any that are). A clean end of stream before
 // the first frame returns (n, io.EOF) with n possibly positive; a truncated
-// frame returns io.ErrUnexpectedEOF; a garbage frame returns ErrBadRecord
-// with the preceding good records counted in n.
+// frame returns io.ErrUnexpectedEOF; a garbage frame is consumed and
+// returns ErrBadRecord with the preceding good records counted in n.
 //
 //vet:borrowed dst
 func (r *Reader) ReadBatch(dst []Record) (int, error) {
-	for n := range dst {
-		if _, err := io.ReadFull(r.r, r.buf[:]); err != nil {
-			if err == io.EOF {
+	for n := 0; n < len(dst); {
+		run := min(len(dst)-n, r.r.Size()/WireSize)
+		buf, err := r.r.Peek(run * WireSize)
+		whole := len(buf) / WireSize
+		for k := 0; k < whole; k++ {
+			if derr := DecodeBinaryInto(&dst[n], buf[k*WireSize:]); derr != nil {
+				//lint:allow errdrop Discard of bytes just Peeked cannot fail
+				r.r.Discard((k + 1) * WireSize)
+				return n, derr
+			}
+			n++
+		}
+		//lint:allow errdrop Discard of bytes just Peeked cannot fail
+		r.r.Discard(whole * WireSize)
+		if err != nil {
+			if err == io.EOF && len(buf) == whole*WireSize {
 				return n, io.EOF
 			}
 			return n, io.ErrUnexpectedEOF
-		}
-		if err := DecodeBinaryInto(&dst[n], r.buf[:]); err != nil {
-			return n, err
 		}
 	}
 	return len(dst), nil

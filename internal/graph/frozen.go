@@ -3,17 +3,17 @@ package graph
 import "sort"
 
 // frozen is the hypersparse CSR (compressed sparse row) form of a sealed
-// window graph. The mutable map-backed representation is right for the open
-// window — records arrive in any order and edges accumulate in place — but
-// it costs two map entries plus a heap-allocated Edge per directed edge,
-// which does not survive the ~100K-node subscriptions production windows
-// reach. Once a window seals it is never mutated again (the timeline and
-// consumer-bus contract), so the engine freezes it: nodes become one sorted
-// slice whose index is the node id, out-edges become offset+column arrays
-// with a parallel slab of per-edge counter blocks, and the in-direction is
-// a CSC mirror that shares the slab. Every read accessor answers from the
-// arrays; mutation thaws back to maps first (see Thaw), so the Graph API is
-// unchanged either side of the seal.
+// window graph. The map-backed representation costs two map entries plus a
+// heap-allocated Edge per directed edge, which does not survive the
+// ~100K-node subscriptions production windows reach. Once a window seals it
+// is never mutated again (the timeline and consumer-bus contract), so it is
+// held frozen: nodes are one sorted slice whose index is the node id,
+// out-edges are offset+column arrays with a parallel slab of per-edge
+// counter blocks, and the in-direction is a CSC mirror that shares the
+// slab. A Builder seals its window straight into this form, Merge of two
+// frozen graphs stays in it, and Freeze converts a map-form graph. Every
+// read accessor answers from the arrays; mutation thaws back to maps first
+// (see Thaw), so the Graph API is unchanged either side of the seal.
 //
 // Layout, for n nodes and m directed edges:
 //
@@ -37,10 +37,12 @@ type frozen struct {
 // Frozen reports whether the graph is in its immutable CSR form.
 func (g *Graph) Frozen() bool { return g.fz != nil }
 
-// Freeze converts the graph to the CSR form, releasing the builder maps.
-// Idempotent. Freeze is called by the engine when a window completes and by
-// the timeline when a roll-up bucket seals; read accessors are unchanged,
-// and a later mutation (AddEdge, Merge into it) transparently thaws.
+// Freeze converts a map-form graph to the CSR form, releasing the maps.
+// Idempotent, and a no-op on the graphs builders emit. Freeze is called by
+// the engine when a window completes (a collapsed window is rebuilt as
+// maps) and by the timeline when a roll-up bucket seals; read accessors are
+// unchanged, and a later mutation (AddEdge, Merge of a map-form graph into
+// it) transparently thaws.
 func (g *Graph) Freeze() {
 	if g.fz != nil {
 		return
@@ -82,9 +84,17 @@ func (g *Graph) Freeze() {
 		sort.Sort(&rowSorter{cols: fz.cols[lo:hi], edges: fz.edges[lo:hi]})
 	}
 
-	// CSC mirror from the sorted CSR: visiting rows in ascending order with
-	// ascending columns inside each row delivers every column's sources
-	// already ascending, so no second sort is needed.
+	fz.mirror()
+
+	g.fz = fz
+	g.out, g.in, g.nodes = nil, nil, nil
+}
+
+// mirror builds the CSC arrays from the sorted CSR: visiting rows in
+// ascending order with ascending columns inside each row delivers every
+// column's sources already ascending, so no second sort is needed.
+func (fz *frozen) mirror() {
+	n, m := len(fz.nodes), len(fz.cols)
 	fz.inOff = make([]int32, n+1)
 	for _, j := range fz.cols {
 		fz.inOff[j+1]++
@@ -94,7 +104,7 @@ func (g *Graph) Freeze() {
 	}
 	fz.inSrc = make([]int32, m)
 	fz.inEdge = make([]int32, m)
-	clear(fill)
+	fill := make([]int32, n)
 	for i := 0; i < n; i++ {
 		for k := fz.rowOff[i]; k < fz.rowOff[i+1]; k++ {
 			j := fz.cols[k]
@@ -104,9 +114,19 @@ func (g *Graph) Freeze() {
 			fz.inEdge[p] = k
 		}
 	}
+}
 
-	g.fz = fz
-	g.out, g.in, g.nodes = nil, nil, nil
+// pairs counts the unordered pairs of distinct nodes joined by an edge in
+// either direction — Graph.NumEdges, recomputed from the arrays.
+func (fz *frozen) pairs() int {
+	twice := 0
+	for i := range fz.nodes {
+		twice += fz.degree(int32(i))
+		if fz.outIdx(int32(i), int32(i)) >= 0 {
+			twice-- // a self-loop is a neighbour but not a pair
+		}
+	}
+	return twice / 2
 }
 
 // Thaw converts back to the mutable map form. Idempotent. Series slices are
@@ -133,8 +153,9 @@ func (g *Graph) Thaw() {
 }
 
 // thawForWrite makes the graph mutable before a mutation lands. The hot
-// paths never hit it — builders and merge accumulators stay map-backed —
-// so it exists for correctness, not speed.
+// paths never hit it — builders work in index space, the cross-shard merge
+// stays in CSR and roll-up accumulators stay map-backed — so it exists for
+// correctness, not speed.
 func (g *Graph) thawForWrite() {
 	if g.fz != nil {
 		g.Thaw()

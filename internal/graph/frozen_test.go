@@ -34,6 +34,7 @@ func TestFrozenEquivalence(t *testing.T) {
 		recs := randRecords(rng)
 		sortByTime(recs)
 		m := Build(recs, BuilderOptions{Facet: FacetIP, KeepSeries: true})
+		m.Thaw() // builders seal straight to CSR; the map form is the reference here
 		fz := freezeClone(m)
 		if !fz.Frozen() || m.Frozen() {
 			t.Fatal("representation flags wrong")
@@ -110,17 +111,55 @@ func TestFrozenEquivalence(t *testing.T) {
 			len(d.AddedPairs)+len(d.RemovedPairs) != 0 {
 			return false
 		}
-		// Merging a frozen source must equal merging its map-backed twin.
-		intoA := Build(recs[:len(recs)/2], BuilderOptions{Facet: FacetIP, KeepSeries: true})
-		intoB := Build(recs[:len(recs)/2], BuilderOptions{Facet: FacetIP, KeepSeries: true})
-		intoA.Merge(m)
-		intoB.Merge(fz)
-		return reflect.DeepEqual(intoA.UndirectedEdges(), intoB.UndirectedEdges()) &&
-			intoA.TotalTraffic() == intoB.TotalTraffic()
+		// Merge gives the same graph whichever form either side is in —
+		// frozen into frozen merge-joins in CSR form and stays frozen, the
+		// rest go through the maps. The first half of the stream shares
+		// every interval with the whole, so the series collide on
+		// Sample.Start and must sum.
+		half := recs[:len(recs)/2]
+		want := Build(half, BuilderOptions{Facet: FacetIP, KeepSeries: true})
+		want.Thaw()
+		want.Merge(m)
+		for _, intoFrozen := range []bool{false, true} {
+			for _, src := range []*Graph{m, fz} {
+				into := Build(half, BuilderOptions{Facet: FacetIP, KeepSeries: true})
+				if !intoFrozen {
+					into.Thaw()
+				}
+				into.Merge(src)
+				into.Merge(New(FacetIP)) // an empty map-form argument changes nothing
+				if into.Frozen() != (intoFrozen && src.Frozen()) {
+					t.Errorf("merge of frozen=%v into frozen=%v left frozen=%v", src.Frozen(), intoFrozen, into.Frozen())
+					return false
+				}
+				if !sameContent(into, want) {
+					return false
+				}
+			}
+		}
+		// The argument is only read: fz still equals its map twin.
+		return sameContent(fz, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// sameContent reports whether two graphs, in either form, hold the same
+// window, nodes, pair count, directed edges, counters and series.
+func sameContent(a, b *Graph) bool {
+	if a.Start != b.Start || a.End != b.End || a.NumEdges() != b.NumEdges() ||
+		a.NumDirectedEdges() != b.NumDirectedEdges() || !reflect.DeepEqual(a.Nodes(), b.Nodes()) {
+		return false
+	}
+	same := true
+	a.EachOut(func(src, dst Node, e *Edge) {
+		be := b.OutEdge(src, dst)
+		if be == nil || be.Counters != e.Counters || !reflect.DeepEqual(be.Series, e.Series) {
+			same = false
+		}
+	})
+	return same
 }
 
 // viewAgrees checks an Undirected view against the graph it was built

@@ -53,9 +53,10 @@ type Edge struct {
 // are derived. The zero value is not usable; call New.
 //
 // A Graph has two representations behind one API: the mutable map-backed
-// form used while the window is open, and the immutable hypersparse CSR
-// form (see Freeze) used once it seals. Every read accessor works on both;
-// mutation on a frozen graph thaws it first.
+// form that AddEdge, Collapse and roll-up accumulators build, and the
+// immutable hypersparse CSR form (see Freeze) every sealed window is in —
+// a Builder emits it directly. Every read accessor works on both; mutation
+// on a frozen graph thaws it first.
 type Graph struct {
 	Facet Facet
 	Start time.Time

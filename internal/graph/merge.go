@@ -1,25 +1,109 @@
 package graph
 
+import "slices"
+
 // Merge folds other's nodes, edges and series into g. Counters accumulate;
 // series samples covering the same interval start are summed, the rest are
 // interleaved in start order. Both graphs must share a facet; the window
 // expands to cover both. Merge is how parallel partial aggregations
 // (internal/ingest, the engine's cross-shard fold) combine into one graph.
-// Either side may be frozen: g thaws on first mutation, other is only read.
+// Two frozen graphs merge-join in CSR form and g stays frozen; otherwise g
+// thaws on first mutation. other is only read, and g never aliases its
+// series.
 func (g *Graph) Merge(other *Graph) {
-	other.EachNode(g.AddNode)
-	other.EachOut(func(src, dst Node, e *Edge) {
-		me := g.addDirected(src, dst, e.Counters)
-		if len(e.Series) > 0 {
-			me.Series = mergeSamples(me.Series, e.Series)
-		}
-	})
+	if g.fz != nil && other.fz != nil {
+		g.fz = mergeFrozen(g.fz, other.fz)
+		g.edges = g.fz.pairs()
+	} else {
+		other.EachNode(g.AddNode)
+		other.EachOut(func(src, dst Node, e *Edge) {
+			me := g.addDirected(src, dst, e.Counters)
+			if len(e.Series) > 0 {
+				me.Series = mergeSamples(me.Series, e.Series)
+			}
+		})
+	}
 	if g.Start.IsZero() || (!other.Start.IsZero() && other.Start.Before(g.Start)) {
 		g.Start = other.Start
 	}
 	if other.End.After(g.End) {
 		g.End = other.End
 	}
+}
+
+// mergeFrozen is Merge for two CSR graphs: a merge-join of the sorted node
+// tables, then of each node's sorted rows under the remapped ids (the
+// remaps are monotone, so rows stay sorted), linear in both graphs' size.
+func mergeFrozen(a, b *frozen) *frozen {
+	// The union sizes are known only after the join, so build into scratch
+	// sized for the worst case and keep exact-size copies: a sealed window
+	// is retained for as long as the timeline holds it.
+	out := &frozen{nodes: make([]Node, 0, len(a.nodes)+len(b.nodes))}
+	idA, idB := make([]int32, len(a.nodes)), make([]int32, len(b.nodes))
+	// rowA/rowB name each merged node's row in a and b, -1 when absent.
+	var rowA, rowB []int32
+	for i, j := 0, 0; i < len(a.nodes) || j < len(b.nodes); {
+		id, ra, rb := int32(len(out.nodes)), int32(-1), int32(-1)
+		switch {
+		case j >= len(b.nodes) || (i < len(a.nodes) && a.nodes[i].Less(b.nodes[j])):
+			ra = int32(i)
+		case i >= len(a.nodes) || b.nodes[j].Less(a.nodes[i]):
+			rb = int32(j)
+		default:
+			ra, rb = int32(i), int32(j)
+		}
+		if ra >= 0 {
+			out.nodes = append(out.nodes, a.nodes[i])
+			idA[i] = id
+			i++
+		} else {
+			out.nodes = append(out.nodes, b.nodes[j])
+		}
+		if rb >= 0 {
+			idB[j] = id
+			j++
+		}
+		rowA, rowB = append(rowA, ra), append(rowB, rb)
+	}
+
+	out.rowOff = make([]int32, 1, len(out.nodes)+1)
+	out.cols = make([]int32, 0, len(a.cols)+len(b.cols))
+	out.edges = make([]Edge, 0, len(a.edges)+len(b.edges))
+	for u := range out.nodes {
+		var ka, endA, kb, endB int32
+		if r := rowA[u]; r >= 0 {
+			ka, endA = a.rowOff[r], a.rowOff[r+1]
+		}
+		if r := rowB[u]; r >= 0 {
+			kb, endB = b.rowOff[r], b.rowOff[r+1]
+		}
+		for ka < endA || kb < endB {
+			switch {
+			case kb >= endB || (ka < endA && idA[a.cols[ka]] < idB[b.cols[kb]]):
+				out.cols = append(out.cols, idA[a.cols[ka]])
+				out.edges = append(out.edges, a.edges[ka])
+				ka++
+			case ka >= endA || idB[b.cols[kb]] < idA[a.cols[ka]]:
+				out.cols = append(out.cols, idB[b.cols[kb]])
+				out.edges = append(out.edges, Edge{Counters: b.edges[kb].Counters, Series: mergeSamples(nil, b.edges[kb].Series)})
+				kb++
+			default:
+				e := a.edges[ka]
+				e.Counters.Add(b.edges[kb].Counters)
+				if len(b.edges[kb].Series) > 0 {
+					e.Series = mergeSamples(e.Series, b.edges[kb].Series)
+				}
+				out.cols = append(out.cols, idA[a.cols[ka]])
+				out.edges = append(out.edges, e)
+				ka++
+				kb++
+			}
+		}
+		out.rowOff = append(out.rowOff, int32(len(out.cols)))
+	}
+	out.nodes, out.cols, out.edges = slices.Clone(out.nodes), slices.Clone(out.cols), slices.Clone(out.edges)
+	out.mirror()
+	return out
 }
 
 // mergeSamples merges two per-edge series sorted by interval start into one.

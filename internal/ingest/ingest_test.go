@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cloudgraph/internal/cluster"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 )
@@ -179,6 +180,44 @@ func TestShardOfStable(t *testing.T) {
 	rev := flowlog.Record{LocalIP: b, LocalPort: 6, RemoteIP: a, RemotePort: 5}.Key()
 	if ShardOf(rev, 7) != s {
 		t.Error("reverse report shards differently")
+	}
+}
+
+// TestShardOfBalanced pins the word-mixing hash's spread: over an hour of
+// each benchmark preset, no shard carries more than 1.1x the mean record
+// load at any width the engine is run at, and ShardOfRecord agrees with
+// ShardOf on every record — the loader deals by one, the engine by the
+// other.
+func TestShardOfBalanced(t *testing.T) {
+	for _, preset := range []string{"microservicebench", "k8spaas"} {
+		spec, err := cluster.Preset(preset, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cluster.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := c.CollectHour(time.Unix(1700000000, 0).UTC())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{2, 3, 4, 8, 16} {
+			load := make([]int, n)
+			for i := range recs {
+				s := ShardOfRecord(&recs[i], n)
+				if k := ShardOf(recs[i].Key(), n); k != s {
+					t.Fatalf("%s n=%d: ShardOfRecord = %d, ShardOf(Key()) = %d for %+v", preset, n, s, k, recs[i])
+				}
+				load[s]++
+			}
+			mean := float64(len(recs)) / float64(n)
+			for s, l := range load {
+				if float64(l) > 1.1*mean {
+					t.Errorf("%s n=%d: shard %d holds %d of %d records, %.2fx the mean", preset, n, s, l, len(recs), float64(l)/mean)
+				}
+			}
+		}
 	}
 }
 

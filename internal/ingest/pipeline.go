@@ -7,6 +7,9 @@
 package ingest
 
 import (
+	"encoding/binary"
+	"math/bits"
+	"net/netip"
 	"strconv"
 	"sync"
 	"time"
@@ -86,26 +89,43 @@ func (p *Pipeline) Trace(tr *trace.Tracer) { p.tracer = tr }
 // shardSeed keeps sharding deterministic across runs.
 const shardSeed = 0x51ed2701
 
-// ShardOf hashes a flow key onto one of n shards (FNV-1a over both
-// endpoints). Both reports of an intra-subscription flow carry the same
-// directionless key, so they always land in the same shard — the property
-// the deduplication window depends on. The engine's sharded hot path
-// (internal/core) uses the same scheme so a flow aggregates identically
-// whichever path ingests it.
+// ShardOf hashes a flow key onto one of n shards. Both reports of an
+// intra-subscription flow carry the same directionless key, so they always
+// land in the same shard — the property the deduplication window depends
+// on. The engine's sharded hot path (internal/core) uses the same scheme
+// through ShardOfRecord, so a flow aggregates identically whichever path
+// ingests it.
 func ShardOf(k flowlog.FlowKey, n int) int {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037) ^ shardSeed
-	a16 := k.A.Addr().As16()
-	b16 := k.B.Addr().As16()
-	for _, c := range a16 {
-		h = (h ^ uint64(c)) * prime
-	}
-	for _, c := range b16 {
-		h = (h ^ uint64(c)) * prime
-	}
-	h = (h ^ uint64(k.A.Port())) * prime
-	h = (h ^ uint64(k.B.Port())) * prime
-	return int(h % uint64(n))
+	return shardOf(endpointHash(k.A.Addr(), k.A.Port()), endpointHash(k.B.Addr(), k.B.Port()), n)
+}
+
+// ShardOfRecord is ShardOf(r.Key(), n) without building the key: the two
+// endpoint hashes combine commutatively, so the record's local/remote order
+// gives the same shard as the key's canonical one.
+//
+//vet:borrowed r
+func ShardOfRecord(r *flowlog.Record, n int) int {
+	return shardOf(endpointHash(r.LocalIP, r.LocalPort), endpointHash(r.RemoteIP, r.RemotePort), n)
+}
+
+// endpointHash mixes one endpoint as three words — the address's two
+// 64-bit halves and the port — a multiply and a rotate each, where FNV-1a
+// took a dependent multiply per byte.
+func endpointHash(ip netip.Addr, port uint16) uint64 {
+	a := ip.As16()
+	h := (binary.BigEndian.Uint64(a[:8]) ^ shardSeed) * 0x9e3779b97f4a7c15
+	h = (bits.RotateLeft64(h, 32) ^ binary.BigEndian.Uint64(a[8:])) * 0xbf58476d1ce4e5b9
+	return (bits.RotateLeft64(h, 32) ^ uint64(port)) * 0x94d049bb133111eb
+}
+
+// shardOf sums the endpoint hashes (order-free), avalanches the sum and
+// scales its high half onto [0, n).
+func shardOf(a, b uint64, n int) int {
+	h := a + b
+	h ^= h >> 32
+	h *= 0xd6e8feb86659fd93
+	h ^= h >> 32
+	return int((h >> 32) * uint64(n) >> 32)
 }
 
 // Ingest accepts one minibatch, splits it by flow-key shard and hands the
@@ -140,9 +160,9 @@ func (p *Pipeline) IngestTraced(batch []flowlog.Record, tcs []trace.Context) {
 		return
 	}
 	shards := make([][]flowlog.Record, n)
-	for _, rec := range batch {
-		s := ShardOf(rec.Key(), n)
-		shards[s] = append(shards[s], rec)
+	for i := range batch {
+		s := ShardOfRecord(&batch[i], n)
+		shards[s] = append(shards[s], batch[i])
 	}
 	for i, s := range shards {
 		if len(s) > 0 {
@@ -162,7 +182,7 @@ func (p *Pipeline) recordShardSpans(batch []flowlog.Record, tcs []trace.Context,
 	d := time.Since(start)
 	for i, tc := range tcs {
 		if tc.Sampled() {
-			p.tracer.Record(tc, "ingest.shard", start, d, "shard="+strconv.Itoa(ShardOf(batch[i].Key(), n)))
+			p.tracer.Record(tc, "ingest.shard", start, d, "shard="+strconv.Itoa(ShardOfRecord(&batch[i], n)))
 		}
 	}
 }
