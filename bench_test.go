@@ -19,7 +19,6 @@ import (
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/heatmap"
-	"cloudgraph/internal/ingest"
 	"cloudgraph/internal/matrix"
 	"cloudgraph/internal/nicsim"
 	"cloudgraph/internal/policy"
@@ -242,29 +241,27 @@ func BenchmarkNICHostPull(b *testing.B) {
 
 // --- Figure 8: analytics ingest throughput -----------------------------------
 
-func benchPipeline(b *testing.B, workers, batch int) {
+// benchIngest folds the fixture hour through a fresh engine per
+// iteration, one caller feeding shards shard lanes batch records at a time.
+func benchIngest(b *testing.B, shards, batch int) {
 	loadFixtures(b)
 	recs := fixK8s.records
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := ingest.NewPipeline(workers, graph.BuilderOptions{Facet: graph.FacetIP})
+		e := core.NewEngine(core.Config{Window: time.Hour, Shards: shards})
 		for off := 0; off < len(recs); off += batch {
-			end := off + batch
-			if end > len(recs) {
-				end = len(recs)
-			}
-			p.Ingest(recs[off:end])
+			e.Ingest(recs[off:min(off+batch, len(recs))])
 		}
-		g, _ := p.Close()
-		if g.NumNodes() == 0 {
-			b.Fatal("empty result")
+		if e.Flush(); e.Epoch() == 0 {
+			b.Fatal("no windows completed")
 		}
+		e.Close()
 	}
 	b.ReportMetric(float64(len(recs)*b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-func BenchmarkAnalyticsIngest1Worker(b *testing.B)  { benchPipeline(b, 1, 8192) }
-func BenchmarkAnalyticsIngest4Workers(b *testing.B) { benchPipeline(b, 4, 8192) }
+func BenchmarkAnalyticsIngest1Worker(b *testing.B)  { benchIngest(b, 1, 8192) }
+func BenchmarkAnalyticsIngest4Workers(b *testing.B) { benchIngest(b, 4, 8192) }
 
 // BenchmarkEngineIngestSharded drives the engine's sharded hot path from
 // GOMAXPROCS concurrent ingesters — the analytics-server picture, where
@@ -292,7 +289,7 @@ func BenchmarkEngineIngestSharded(b *testing.B) {
 				}
 			})
 			b.StopTimer()
-			if len(e.Flush()) == 0 {
+			if e.Flush(); e.Epoch() == 0 {
 				b.Fatal("no windows completed")
 			}
 			b.ReportMetric(float64(int64(batch)*int64(b.N))/b.Elapsed().Seconds(), "records/s")
@@ -324,7 +321,7 @@ func BenchmarkEngineIngestTelemetry(b *testing.B) {
 			e.Ingest(recs[off:end])
 		}
 		b.StopTimer()
-		if len(e.Flush()) == 0 {
+		if e.Flush(); e.Epoch() == 0 {
 			b.Fatal("no windows completed")
 		}
 		b.ReportMetric(float64(int64(batch)*int64(b.N))/b.Elapsed().Seconds(), "records/s")
@@ -365,7 +362,7 @@ func BenchmarkEngineIngestWatermarks(b *testing.B) {
 			e.Ingest(recs[off:end])
 		}
 		b.StopTimer()
-		if len(e.Flush()) == 0 {
+		if e.Flush(); e.Epoch() == 0 {
 			b.Fatal("no windows completed")
 		}
 		e.Close()
@@ -406,7 +403,7 @@ func BenchmarkEngineIngestTracing(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if len(e.Flush()) == 0 {
+		if e.Flush(); e.Epoch() == 0 {
 			b.Fatal("no windows completed")
 		}
 		b.ReportMetric(float64(int64(batch)*int64(b.N))/b.Elapsed().Seconds(), "records/s")
@@ -451,7 +448,7 @@ func BenchmarkEngineIngestConsumers(b *testing.B) {
 			e.Ingest(recs[off:end])
 		}
 		b.StopTimer()
-		if len(e.Flush()) == 0 {
+		if e.Flush(); e.Epoch() == 0 {
 			b.Fatal("no windows completed")
 		}
 		b.ReportMetric(float64(int64(batch)*int64(b.N))/b.Elapsed().Seconds(), "records/s")
@@ -498,7 +495,7 @@ func BenchmarkEngineIngestDecode(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if len(e.Flush()) == 0 {
+	if e.Flush(); e.Epoch() == 0 {
 		b.Fatal("no windows completed")
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "records/s")
@@ -591,7 +588,7 @@ func benchSegmentOn(b *testing.B, g *graph.Graph, s segment.Strategy) {
 // BenchmarkAblationBatch sweeps the ingest minibatch size.
 func BenchmarkAblationBatch(b *testing.B) {
 	for _, batch := range []int{256, 4096, 65536} {
-		b.Run(batchName(batch), func(b *testing.B) { benchPipeline(b, 4, batch) })
+		b.Run(batchName(batch), func(b *testing.B) { benchIngest(b, 4, batch) })
 	}
 }
 

@@ -121,12 +121,18 @@ type (
 	FCTModel = counterfactual.FCTModel
 	// Plan is a capacity plan (upgrades + proximity groups).
 	Plan = counterfactual.Plan
-	// Engine is the streaming pipeline: windows, baseline, monitoring.
+	// Engine is the streaming window producer: it publishes each
+	// completed window to the consumers its config subscribes.
 	Engine = core.Engine
 	// EngineConfig parameterizes an Engine.
 	EngineConfig = core.Config
+	// ConsumerSpec subscribes a function to an Engine's completed windows.
+	ConsumerSpec = core.ConsumerSpec
+	// Baseline is a learned segmentation and reachability policy, with the
+	// window it was learned on pinned for proportionality checks.
+	Baseline = policy.Baseline
 	// MonitorReport is the security assessment of one window.
-	MonitorReport = core.MonitorReport
+	MonitorReport = policy.MonitorReport
 	// CostReport accounts ingest volume and compute (COGS).
 	CostReport = ingest.CostReport
 )
@@ -250,9 +256,16 @@ func PlanCapacity(g *Graph, capacityPerMin, utilThreshold float64, topPairs int)
 	return counterfactual.PlanCapacity(g, capacityPerMin, utilThreshold, topPairs)
 }
 
-// NewEngine returns the streaming engine: ingest records, get windowed
-// graphs, learn a baseline and monitor subsequent windows.
+// NewEngine returns the streaming engine: ingest records and receive the
+// windowed graphs on cfg.Consumers.
 func NewEngine(cfg EngineConfig) *Engine { return core.NewEngine(cfg) }
+
+// LearnBaseline runs the paper's auto-segmentation on a window and learns
+// the reachability policy from it; Baseline.Monitor then assesses later
+// windows against it.
+func LearnBaseline(g *Graph, opts SegmentOptions) (*Baseline, error) {
+	return policy.LearnBaseline(segment.StrategyJaccardLouvain, g, opts)
+}
 
 // Workload-classification extension (§2.2 open issue): quantized graph
 // fingerprints, a pre-trainable classifier, and byte attribution.

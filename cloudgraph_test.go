@@ -89,18 +89,24 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestPublicEngineFlow(t *testing.T) {
 	cl := tinyPreset(t)
-	e := NewEngine(EngineConfig{Window: time.Hour})
+	var windows []*Graph
+	e := NewEngine(EngineConfig{Window: time.Hour, Consumers: []ConsumerSpec{{
+		Name: "windows",
+		Fn:   func(_ uint64, g *Graph) { windows = append(windows, g) },
+	}}})
+	defer e.Close()
 	if _, err := cl.Run(t0, 60, e); err != nil {
 		t.Fatal(err)
 	}
-	windows := e.Flush()
+	e.Flush()
 	if len(windows) != 1 {
 		t.Fatalf("windows = %d", len(windows))
 	}
-	if _, err := e.Learn(windows[0]); err != nil {
+	base, err := LearnBaseline(windows[0], SegmentOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.Monitor(windows[0])
+	rep := base.Monitor(windows[0])
 	if rep == nil || len(rep.Violations) != 0 {
 		t.Errorf("self-check should be clean: %+v", rep)
 	}

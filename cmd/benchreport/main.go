@@ -167,7 +167,7 @@ func measureIngest(r *Report) ([]flowlog.Record, error) {
 		}
 	}
 	elapsed := time.Since(start)
-	if len(e.Flush()) == 0 {
+	if e.Flush(); e.Epoch() == 0 {
 		return nil, fmt.Errorf("no windows completed")
 	}
 	r.RecordsPerSec = float64(passes*len(recs)) / elapsed.Seconds()

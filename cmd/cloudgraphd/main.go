@@ -40,11 +40,11 @@
 //
 // A second HTTP listener (-ops, default 127.0.0.1:9443) serves operational
 // views of the running daemon: Prometheus metrics on /metrics, liveness on
-// /healthz, profiling on /debug/pprof/, the latest window's adjacency
-// heatmap on /graphz, sampled record traces on /tracez, the flight
-// recorder on /flightz, per-tenant planes on /tenantz and the analysis
-// plane on /analyz. SIGQUIT dumps the flight ring to stderr without
-// stopping the daemon.
+// /healthz, profiling on /debug/pprof/, a tenant's latest window as an
+// adjacency heatmap on /graphz (?tenant=, the default tenant otherwise),
+// sampled record traces on /tracez, the flight recorder on /flightz,
+// per-tenant planes on /tenantz and the analysis plane on /analyz. SIGQUIT
+// dumps the flight ring to stderr without stopping the daemon.
 package main
 
 import (
@@ -129,7 +129,6 @@ func main() {
 		window      = flag.Duration("window", time.Hour, "graph window size")
 		collapse    = flag.Float64("collapse", 0, "heavy-hitter collapse threshold (0 disables; paper uses 0.001)")
 		facet       = flag.String("facet", "ip", "graph facet: ip or ip-port")
-		maxWin      = flag.Int("max-windows", 48, "retained window history per tenant (0 = unlimited)")
 		workers     = flag.Int("workers", runtime.NumCPU(), "ingest shards: concurrent connections fold records in parallel, one flow-key shard per worker")
 		storeTo     = flag.String("store", "", "append the default tenant's completed windows to this store file (graphctl history reads it)")
 		opsAddr     = flag.String("ops", "127.0.0.1:9443", "ops HTTP address serving /metrics, /healthz, /debug/pprof/, /graphz, /tracez, /flightz and /tenantz (empty disables)")
@@ -169,7 +168,7 @@ func main() {
 		telemetry.Label{Key: "shards", Value: strconv.Itoa(*workers)},
 		telemetry.Label{Key: "flags", Value: fmt.Sprintf("window=%v collapse=%g facet=%s live=%v freshness-slo=%v", *window, *collapse, *facet, *live, *freshSLO)})
 
-	cfg := core.Config{Window: *window, MaxWindows: *maxWin, Shards: *workers}
+	cfg := core.Config{Window: *window, Shards: *workers}
 	switch *facet {
 	case "ip":
 		cfg.Facet = graph.FacetIP
@@ -299,7 +298,7 @@ func main() {
 		log.Printf("diagnostic bundles in %s (max %d)", filepath.Join(*dataDir, "diag"), *diagMax)
 	}
 
-	srv, err := analytics.ServeRealms(*addr, m, reg, analytics.Options{})
+	srv, err := analytics.Serve(*addr, m, analytics.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -348,7 +347,7 @@ func main() {
 		defer ops.Close()
 		// HandleView wraps each view in the shared GET/HEAD-or-405 contract;
 		// only /debug/pprof/ stays outside it (pprof.Symbol accepts POST).
-		ops.HandleView("/graphz", analytics.GraphzHandler(srv.Engine()))
+		ops.HandleView("/graphz", analytics.GraphzHandler(m))
 		ops.HandleView("/tracez", trace.TracezHandler(tr.Recorder()))
 		ops.HandleView("/flightz", trace.FlightzHandler(tr.Flight()))
 		ops.HandleView("/statusz", statusz.Handler(sources))

@@ -200,12 +200,8 @@ func expAttacks(e *env) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Fine-grained segmentation (resolution 4) so the learned policy
-		// is tight enough for reachability violations to mean something.
-		engine := core.NewEngine(core.Config{
-			Window:  time.Hour,
-			Segment: segment.Options{Resolution: 4},
-		})
+		var windows []*graph.Graph
+		engine := windowEngine(core.Config{Window: time.Hour}, &windows)
 		// Tee raw records per hour: the port-fanout detector consumes the
 		// IP-port information the collapsed IP graph discards (§2.1:
 		// "segmenting IP-port graphs may be more useful").
@@ -230,14 +226,18 @@ func expAttacks(e *env) {
 		if _, err := c.Run(attackStart, 60, tee); err != nil {
 			log.Fatal(err)
 		}
-		windows := engine.Flush()
+		engine.Flush()
+		engine.Close()
 		if len(windows) != 6 {
 			log.Fatalf("%s: windows = %d", sc.name, len(windows))
 		}
-		if _, err := engine.Learn(windows[0]); err != nil {
+		// Fine-grained segmentation (resolution 4) so the learned policy
+		// is tight enough for reachability violations to mean something.
+		base, err := policy.LearnBaseline(segment.StrategyJaccardLouvain, windows[0], segment.Options{Resolution: 4})
+		if err != nil {
 			log.Fatal(err)
 		}
-		rep := engine.Monitor(windows[5])
+		rep := base.Monitor(windows[5])
 		scores := summarize.ScoreWindows(windows, summarize.AnomalyOptions{Sigma: 3, MinHistory: 2})
 		suspects := summarize.DetectScans(baseRecs, attackRecs, 20)
 		fmt.Printf("| %s | %d | %d | %.3f | %v | %d |\n",

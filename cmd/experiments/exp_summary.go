@@ -49,17 +49,19 @@ func expFig5(e *env) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := core.NewEngine(core.Config{
+	var graphs []*graph.Graph
+	engine := windowEngine(core.Config{
 		Window: time.Hour,
 		Collapse: graph.CollapseOptions{
 			Threshold: spec.CollapseThreshold,
 			Keep:      func(n graph.Node) bool { return c.Monitored(n.Addr) },
 		},
-	})
+	}, &graphs)
 	if _, err := c.Run(e.start, 4*60, engine); err != nil {
 		log.Fatal(err)
 	}
-	graphs := engine.Flush()
+	engine.Flush()
+	engine.Close()
 	for h, g := range graphs {
 		adj := g.AdjacencyMatrix(graph.Bytes)
 		path := e.artifact(fmt.Sprintf("fig5-k8spaas-hour%d.pgm", h))

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"cloudgraph/internal/cluster"
+	"cloudgraph/internal/core"
 	"cloudgraph/internal/graph"
 )
 
@@ -141,6 +142,16 @@ func hourly(e *env, preset string, scale float64, at time.Time) (*cluster.Cluste
 	}
 	e.cache[key] = &hourData{cluster: c, recsPerMin: len(recs) / 60, graph: g}
 	return c, len(recs) / 60, g
+}
+
+// windowEngine returns an engine for cfg that appends each completed
+// window to *windows; the slice is complete once Flush returns.
+func windowEngine(cfg core.Config, windows *[]*graph.Graph) *core.Engine {
+	cfg.Consumers = append(cfg.Consumers, core.ConsumerSpec{
+		Name: "windows",
+		Fn:   func(_ uint64, g *graph.Graph) { *windows = append(*windows, g) },
+	})
+	return core.NewEngine(cfg)
 }
 
 // datasetScale returns the scale each dataset runs at.

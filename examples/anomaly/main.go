@@ -26,7 +26,12 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
-	engine := cloudgraph.NewEngine(cloudgraph.EngineConfig{Window: time.Hour})
+	// The engine produces windows; this walkthrough keeps every one.
+	var windows []*cloudgraph.Graph
+	engine := cloudgraph.NewEngine(cloudgraph.EngineConfig{Window: time.Hour, Consumers: []cloudgraph.ConsumerSpec{{
+		Name: "windows",
+		Fn:   func(_ uint64, g *cloudgraph.Graph) { windows = append(windows, g) },
+	}}})
 
 	// Four clean hours.
 	if _, err := cl.Run(start, 4*60, engine); err != nil {
@@ -57,24 +62,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	windows := engine.Flush()
+	engine.Flush()
 	fmt.Printf("collected %d hourly graphs (%d records total)\n", len(windows), engine.Cost().Records)
 
 	// Learn the policy on hour one; the attacker cannot tamper with the
 	// telemetry that exposes it (§3.1).
-	if _, err := engine.Learn(windows[0]); err != nil {
+	base, err := cloudgraph.LearnBaseline(windows[0], cloudgraph.SegmentOptions{})
+	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("\nhour  violations  alerts  drift    anomalous")
-	scores := engine.Anomalies(summarize.AnomalyOptions{Sigma: 3, MinHistory: 2})
+	scores := summarize.ScoreWindows(windows, summarize.AnomalyOptions{Sigma: 3, MinHistory: 2})
 	for i, g := range windows {
-		rep := engine.Monitor(g)
+		rep := base.Monitor(g)
 		fmt.Printf("%4d  %10d  %6d  %.4f   %v\n", i+1, len(rep.Violations), rep.Alerts, scores[i].Drift, scores[i].Anomalous)
 	}
 
 	// Zoom into the attack hour: what exactly fired?
-	rep := engine.Monitor(windows[len(windows)-1])
+	rep := base.Monitor(windows[len(windows)-1])
 	fmt.Println("\nattack-hour evidence:")
 	for _, cchange := range rep.Cohorts {
 		status := "ALERT"

@@ -26,11 +26,15 @@ func main() {
 
 	// Two hours of traffic through the streaming engine: hour one to
 	// learn, hour two to monitor.
-	engine := cloudgraph.NewEngine(cloudgraph.EngineConfig{Window: time.Hour})
+	var windows []*cloudgraph.Graph
+	engine := cloudgraph.NewEngine(cloudgraph.EngineConfig{Window: time.Hour, Consumers: []cloudgraph.ConsumerSpec{{
+		Name: "windows",
+		Fn:   func(_ uint64, g *cloudgraph.Graph) { windows = append(windows, g) },
+	}}})
 	if _, err := cl.Run(start, 120, engine); err != nil {
 		log.Fatal(err)
 	}
-	windows := engine.Flush()
+	engine.Flush()
 	baseline, nextHour := windows[0], windows[1]
 
 	// Figure 1 vs Figure 3: same graph, five strategies, quality vs the
@@ -63,10 +67,11 @@ func main() {
 		ip.Total, ip.Max, ip.OverLimit, tags.Total, tags.Max)
 
 	// Monitor the next hour against the learned policy.
-	if _, err := engine.Learn(baseline); err != nil {
+	base, err := cloudgraph.LearnBaseline(baseline, cloudgraph.SegmentOptions{})
+	if err != nil {
 		log.Fatal(err)
 	}
-	rep := engine.Monitor(nextHour)
+	rep := base.Monitor(nextHour)
 	fmt.Printf("hour 2 check: %d raw violations, %d alerts after similarity filtering\n",
 		len(rep.Violations), rep.Alerts)
 	flagged := 0

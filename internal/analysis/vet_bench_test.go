@@ -50,11 +50,15 @@ func BenchmarkVetModuleWithLoad(b *testing.B) {
 const vetModuleBudget = 20 * time.Second
 
 // TestVetModuleBudget fails when a full end-to-end run exceeds the pinned
-// budget. CI runs it by name; -short skips it like the other whole-module
-// passes.
+// budget. CI runs it by name without -race; -short skips it like the other
+// whole-module passes, and -race skips it because the detector's slowdown
+// is not the engine's.
 func TestVetModuleBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module run is slow under -short")
+	}
+	if raceEnabled {
+		t.Skip("wall-clock budget is meaningless under the race detector; CI's non-race budget step enforces it")
 	}
 	start := time.Now()
 	pkgs := loadModulePkgs(t)

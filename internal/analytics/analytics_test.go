@@ -12,18 +12,34 @@ import (
 	"cloudgraph/internal/cluster"
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
+	"cloudgraph/internal/realm"
 )
 
 var t0 = time.Unix(1700000000, 0).UTC().Truncate(time.Hour)
 
 func testServer(t *testing.T) *Server {
 	t.Helper()
-	s, err := Serve("127.0.0.1:0", core.Config{Window: time.Hour})
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Live: true}, Options{})
+	return s
+}
+
+// serve starts a server over a fresh realm manager built from cfg; both
+// close at cleanup. Single-tenant tests use the manager's default tenant.
+func serve(t *testing.T, cfg realm.Config, opts Options) (*Server, *realm.Manager) {
+	t.Helper()
+	m, err := realm.NewManager(cfg)
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	s, err := Serve("127.0.0.1:0", m, opts)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	t.Cleanup(func() { s.Close() })
-	return s
+	t.Cleanup(func() {
+		s.Close()
+		m.Close()
+	})
+	return s, m
 }
 
 func testCluster(t *testing.T) *cluster.Cluster {
@@ -301,11 +317,7 @@ func TestServerConcurrentMixedCommands(t *testing.T) {
 	// Several clients hammer one sharded server with the full command mix
 	// concurrently (run with -race): every response must stay coherent
 	// and no records may be lost.
-	s, err := Serve("127.0.0.1:0", core.Config{Window: time.Hour, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour, Shards: 4}, Live: true}, Options{})
 
 	const clients = 6
 	const flows = 200

@@ -114,8 +114,7 @@ func (c *Client) IngestTraced(recs []flowlog.Record, tcs []trace.Context) error 
 
 // Tenant switches the connection's session tenant: every later command
 // reads and ingests that tenant's pipeline plane. The server admits the
-// realm on first use; invalid names, the tenant cap, or a single-engine
-// server (for any tenant but the default) answer ERR.
+// realm on first use; invalid names or the tenant cap answer ERR.
 func (c *Client) Tenant(name string) error {
 	if strings.ContainsAny(name, " \t\r\n") || name == "" {
 		return fmt.Errorf("bad tenant %q", name)
@@ -168,7 +167,9 @@ func (c *Client) finishIngest(n int) error {
 	return nil
 }
 
-// Flush closes open windows server-side and returns the window count.
+// Flush closes the session tenant's open windows server-side, waits for
+// its pipeline to settle, and returns the newest epoch: the windows its
+// engine has published, recovered ones included.
 func (c *Client) Flush() (int, error) {
 	if err := c.send("FLUSH\n"); err != nil {
 		return 0, err

@@ -5,24 +5,35 @@ import (
 	"net/http"
 	"strconv"
 
-	"cloudgraph/internal/core"
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/heatmap"
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/telemetry"
 )
 
-// GraphzHandler serves the latest completed window as an adjacency heatmap
-// — the ops-endpoint rendering of Figure 4. The default is ASCII art sized
-// by ?size= (at most size characters wide, default 64); ?format=pgm returns
-// a binary PGM image instead, one pixel per node pair. GET/HEAD only, like
-// every ops view.
-func GraphzHandler(e *core.Engine) http.Handler {
+// GraphzHandler serves a tenant's latest timeline window as an adjacency
+// heatmap — the ops-endpoint rendering of Figure 4. ?tenant= picks the
+// tenant (default tenant when absent; an unknown or invalid name is a 404
+// and is never admitted). The default is ASCII art sized by ?size= (at most
+// size characters wide, default 64); ?format=pgm returns a binary PGM image
+// instead, one pixel per node pair. GET/HEAD only, like every ops view.
+func GraphzHandler(m *realm.Manager) http.Handler {
 	return telemetry.GetOnly(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		g := e.Latest()
-		if g == nil {
-			http.Error(w, "no completed window yet", http.StatusNotFound)
+		name := req.URL.Query().Get("tenant")
+		if name == "" {
+			name = realm.DefaultTenant
+		}
+		r := m.Get(name)
+		if r == nil {
+			http.Error(w, fmt.Sprintf("unknown tenant %q", name), http.StatusNotFound)
 			return
 		}
+		snap, err := latestWindow(r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		g := snap.Window
 		adj := g.AdjacencyMatrix(graph.Bytes)
 		if req.URL.Query().Get("format") == "pgm" {
 			w.Header().Set("Content-Type", "image/x-portable-graymap")

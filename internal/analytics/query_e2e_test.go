@@ -7,28 +7,17 @@ import (
 	"time"
 
 	"cloudgraph/internal/core"
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/runner"
-	"cloudgraph/internal/timeline"
 )
 
-// liveServer starts a server with the analysis plane attached the way
-// cloudgraphd -live does: plane consumers on the engine bus, plane handle
-// in Options.
+// liveServer starts a one-tenant realm server the way cloudgraphd -live
+// runs: the default tenant's plane on its engine bus. It returns that
+// plane for in-process cross-checks.
 func liveServer(t *testing.T, window time.Duration) (*Server, *runner.Plane) {
 	t.Helper()
-	plane := runner.New(runner.Config{
-		Timeline: timeline.Config{Rollup: time.Hour},
-	})
-	s, err := ServeWith("127.0.0.1:0", core.Config{
-		Window:    window,
-		Shards:    4,
-		Consumers: plane.Consumers(),
-	}, Options{Plane: plane})
-	if err != nil {
-		t.Fatalf("ServeWith: %v", err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s, plane
+	s, m := realmServer(t, window)
+	return s, m.Default().Plane()
 }
 
 // TestQueryEndToEnd exercises the full live path over TCP: ingest a
@@ -107,15 +96,36 @@ func TestQueryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestQueryWithoutPlane pins the ERR for a server running without -live.
+// TestQueryWithoutPlane pins the ERR for a server running without -live:
+// QUERY and every legacy command reading the timeline answer ERR, while
+// STATS still answers the engine's ingest counters.
 func TestQueryWithoutPlane(t *testing.T) {
-	s := testServer(t)
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour, Shards: 2}}, Options{})
 	client, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	recs := hourOf(t, testCluster(t), t0)
+	if err := client.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := client.Query("segment", 0); err == nil || !strings.Contains(err.Error(), "no analysis plane") {
 		t.Fatalf("err = %v, want a no-plane ERR", err)
+	}
+	for _, cmd := range []string{"WINDOWS", "SUMMARY", "ANOMALIES", "LEARN", "MONITOR"} {
+		if err := client.jsonCmd(cmd, &json.RawMessage{}); err == nil || !strings.Contains(err.Error(), "no analysis plane") {
+			t.Errorf("%s: err = %v, want a no-plane ERR", cmd, err)
+		}
+	}
+	st, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != int64(len(recs)) || st.Workers != 2 || st.Windows != 0 {
+		t.Errorf("stats = %+v, want %d records over 2 workers and no windows", st, len(recs))
 	}
 }

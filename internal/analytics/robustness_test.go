@@ -9,17 +9,13 @@ import (
 	"time"
 
 	"cloudgraph/internal/core"
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/telemetry"
 )
 
 func TestServerStalledConnTimesOut(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	s, err := ServeWith("127.0.0.1:0", core.Config{Window: time.Hour, Telemetry: reg},
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Telemetry: telemetry.NewRegistry()},
 		Options{IdleTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -55,10 +51,16 @@ func TestServerCloseUnblocksStalledConn(t *testing.T) {
 	// The leak scenario: with default (minutes-long) deadlines a stalled
 	// peer would pin its handler goroutine long past Close unless Close
 	// force-closes tracked connections. Close must return promptly and
-	// leave no handler goroutines behind.
+	// leave no handler goroutines behind. The manager's bus goroutines
+	// predate the count: the server alone must not leak.
+	m, err := realm.NewManager(realm.Config{Engine: core.Config{Window: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
 	before := runtime.NumGoroutine()
 
-	s, err := Serve("127.0.0.1:0", core.Config{Window: time.Hour})
+	s, err := Serve("127.0.0.1:0", m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,17 +96,18 @@ func TestServerCloseUnblocksStalledConn(t *testing.T) {
 }
 
 func TestGraphzHandler(t *testing.T) {
-	e := core.NewEngine(core.Config{Window: time.Hour})
-	h := GraphzHandler(e)
+	_, m := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Live: true}, Options{})
+	h := GraphzHandler(m)
 
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/graphz", nil))
 	if rr.Code != 404 {
-		t.Errorf("empty engine: status = %d, want 404", rr.Code)
+		t.Errorf("empty timeline: status = %d, want 404", rr.Code)
 	}
 
-	e.Ingest(hourOf(t, testCluster(t), t0))
-	e.Flush()
+	def := m.Default()
+	def.IngestTraced(hourOf(t, testCluster(t), t0), nil)
+	def.Flush()
 
 	rr = httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/graphz?size=16", nil))
@@ -126,5 +129,41 @@ func TestGraphzHandler(t *testing.T) {
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/graphz?size=9999", nil))
 	if rr.Code != 400 {
 		t.Errorf("oversized size: status = %d, want 400", rr.Code)
+	}
+
+	// ?tenant= renders that tenant's latest window; the default tenant's
+	// answer is the parameter-free one.
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/graphz?size=16&tenant=default", nil))
+	if rr.Code != 200 || rr.Body.String() != body {
+		t.Errorf("tenant=default: status = %d, body differs from the default view", rr.Code)
+	}
+	acme, err := m.Realm("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/graphz?tenant=acme", nil))
+	if rr.Code != 404 {
+		t.Errorf("tenant without windows: status = %d, want 404", rr.Code)
+	}
+	acme.IngestTraced(testRecords(0, 50), nil)
+	acme.Flush()
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/graphz?size=16&tenant=acme", nil))
+	if rr.Code != 200 || rr.Body.String() == body {
+		t.Errorf("tenant=acme: status = %d, want 200 with acme's own window", rr.Code)
+	}
+
+	// Unknown and invalid names are 404s that never admit a tenant.
+	for _, name := range []string{"nobody", "Bad%20Name", "diag"} {
+		rr = httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", "/graphz?tenant="+name, nil))
+		if rr.Code != 404 {
+			t.Errorf("tenant=%s: status = %d, want 404", name, rr.Code)
+		}
+	}
+	if n := len(m.Realms()); n != 2 {
+		t.Errorf("/graphz admitted tenants: %d realms, want 2", n)
 	}
 }

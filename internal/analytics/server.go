@@ -1,34 +1,34 @@
-// Package analytics exposes the core engine as the software-as-a-service
-// sketched in Figure 8: host agents (or a replayer) stream connection
-// summaries to a TCP endpoint, workers fold them into the windowed
-// communication graphs, and administrators query segmentations, security
-// reports and summaries over the same protocol.
+// Package analytics exposes the per-tenant pipelines of internal/realm as
+// the software-as-a-service sketched in Figure 8: host agents (or a
+// replayer) stream connection summaries to a TCP endpoint, the tenant's
+// engine folds them into windowed communication graphs, and administrators
+// query segmentations, security reports and summaries over the same
+// protocol.
 //
-// The wire protocol is line-oriented commands with JSON responses:
+// The wire protocol is line-oriented commands with JSON responses. Every
+// command acts on the connection's session tenant (TENANT switches it; the
+// default tenant otherwise); the right-hand column names what each one
+// reads. "Timeline" is the tenant plane's one window history, the latest
+// timeline.Snapshot: without a plane (cloudgraphd -live=false) the
+// commands reading it answer ERR, as QUERY does.
 //
-//	INGEST <n>\n  followed by n binary flowlog frames  -> OK <n>
-//	INGEST <n> T\n followed by n flagged frames        -> OK <n>  (wire.go)
-//	FLUSH                                              -> OK <windows>
-//	STATS                                              -> JSON Stats
-//	WINDOWS                                            -> JSON []WindowInfo
-//	LEARN                                              -> JSON LearnResult
-//	SEGMENTS                                           -> JSON map[node]segment
-//	MONITOR                                            -> JSON MonitorResult
-//	SUMMARY                                            -> JSON SummaryResult
-//	ANOMALIES                                          -> JSON []AnomalyResult
-//	QUERY <analysis> [<epoch>|latest]                  -> JSON QueryResult
-//	TENANT <name>                                      -> OK <name>
-//	QUIT                                               -> connection closes
+//	INGEST <n>\n + n binary flowlog frames    -> OK <n>                 engine ingest
+//	INGEST <n> T\n + n flagged frames         -> OK <n>                 per-frame tenant tags (wire.go)
+//	FLUSH                                     -> OK <epoch>             seal + drain; engine epoch
+//	STATS                                     -> JSON Stats             engine cost; timeline windows + summary
+//	WINDOWS                                   -> JSON []WindowInfo      timeline windows
+//	LEARN                                     -> JSON LearnResult       timeline latest -> tenant baseline
+//	SEGMENTS                                  -> JSON map[node]segment  tenant baseline
+//	MONITOR                                   -> JSON MonitorResult     timeline latest vs baseline
+//	SUMMARY                                   -> JSON SummaryResult     timeline latest
+//	ANOMALIES                                 -> JSON []AnomalyResult   timeline windows
+//	QUERY <analysis> [<epoch>|<time>|latest]  -> JSON QueryResult       runner results, then history
+//	TENANT <name>                             -> OK <name>              admits + binds the session tenant
+//	QUIT                                      -> connection closes
 //
-// QUERY reads the online analysis plane (Options.Plane); without a plane
-// attached it answers ERR.
-//
-// A server started with ServeRealms serves one pipeline plane per tenant
-// (see internal/realm): TENANT switches the connection's session tenant
-// — every later command reads and ingests that tenant's plane — and
-// tagged frames (wire.go) route records per frame regardless of the
-// session tenant. A single-engine server accepts TENANT only for the
-// default tenant, so tools probing for multi-tenancy get a clean ERR.
+// Tagged frames (wire.go) route records per frame regardless of the
+// session tenant. A single-tenant deployment is simply a manager whose
+// default tenant carries all the traffic.
 package analytics
 
 import (
@@ -44,13 +44,14 @@ import (
 	"sync"
 	"time"
 
-	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/model"
+	"cloudgraph/internal/policy"
 	"cloudgraph/internal/realm"
-	"cloudgraph/internal/runner"
+	"cloudgraph/internal/segment"
 	"cloudgraph/internal/summarize"
 	"cloudgraph/internal/telemetry"
+	"cloudgraph/internal/timeline"
 	"cloudgraph/internal/trace"
 )
 
@@ -62,11 +63,6 @@ type Options struct {
 	// WriteTimeout bounds writing one response to a peer that has stopped
 	// reading. Zero means 1 minute.
 	WriteTimeout time.Duration
-	// Plane, when set, answers QUERY commands with online analysis
-	// results. The caller owns wiring the plane's consumers onto the
-	// engine bus (core.Config.Consumers = plane.Consumers()); the server
-	// only reads from it.
-	Plane *runner.Plane
 }
 
 func (o Options) withDefaults() Options {
@@ -107,16 +103,11 @@ func (m *serverMetrics) instrument(reg *telemetry.Registry) {
 
 // Server is a running analytics service.
 type Server struct {
-	engine *core.Engine
-	plane  *runner.Plane
-	realms *realm.Manager // nil on a single-engine server
-	// ownEngine marks the single-engine mode, where Close tears the
-	// engine down; a realm manager owns its engines itself.
-	ownEngine bool
-	ln        net.Listener
-	opts      Options
-	tel       serverMetrics
-	wg        sync.WaitGroup
+	realms *realm.Manager
+	ln     net.Listener
+	opts   Options
+	tel    serverMetrics
+	wg     sync.WaitGroup
 
 	// mu guards closed and conns. Tracking live connections lets Close
 	// tear down stalled peers instead of waiting out their deadlines.
@@ -125,53 +116,22 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 }
 
-// Serve starts a server on addr (e.g. "127.0.0.1:0") backed by a fresh
-// engine with the given config, using default Options.
-func Serve(addr string, cfg core.Config) (*Server, error) {
-	return ServeWith(addr, cfg, Options{})
-}
-
-// ServeWith is Serve with explicit robustness options. The server's
-// endpoint metrics register in cfg.Telemetry alongside the engine's.
-func ServeWith(addr string, cfg core.Config, opts Options) (*Server, error) {
+// Serve starts a server on addr (e.g. "127.0.0.1:0") over a realm
+// manager. The manager owns every engine and plane; Close stops the
+// listener and handlers but leaves the manager to its owner. The endpoint
+// metrics register in the manager's telemetry registry.
+func Serve(addr string, m *realm.Manager, opts Options) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		engine:    core.NewEngine(cfg),
-		plane:     opts.Plane,
-		ownEngine: true,
-		ln:        ln,
-		opts:      opts.withDefaults(),
-		conns:     make(map[net.Conn]struct{}),
-	}
-	s.tel.instrument(cfg.Telemetry)
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// ServeRealms starts a multi-tenant server over a realm manager. The
-// manager owns every engine and plane (the server's Engine and default
-// command routing resolve to the default tenant's realm); Close stops
-// the listener and handlers but leaves the manager to its owner. The
-// endpoint metrics register in reg (nil disables them).
-func ServeRealms(addr string, m *realm.Manager, reg *telemetry.Registry, opts Options) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	def := m.Default()
-	s := &Server{
-		engine: def.Engine(),
-		plane:  def.Plane(),
 		realms: m,
 		ln:     ln,
 		opts:   opts.withDefaults(),
 		conns:  make(map[net.Conn]struct{}),
 	}
-	s.tel.instrument(reg)
+	s.tel.instrument(m.Telemetry())
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -179,9 +139,6 @@ func ServeRealms(addr string, m *realm.Manager, reg *telemetry.Registry, opts Op
 
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Engine exposes the underlying engine (e.g. for in-process inspection).
-func (s *Server) Engine() *core.Engine { return s.engine }
 
 // Close stops accepting, force-closes live connections (a stalled peer
 // must not pin shutdown until its deadline fires) and waits for the
@@ -200,9 +157,6 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.wg.Wait()
-	if s.ownEngine {
-		s.engine.Close() // stop the consumer-bus goroutines after the last handler exits
-	}
 	return err
 }
 
@@ -247,56 +201,26 @@ func (s *Server) dropConn(conn net.Conn) {
 // than a JSON document.
 type textResponse string
 
-// session is one connection's tenant binding: the engine and plane every
-// command on this connection reads and writes. A single-engine server
-// pins it to the server's engine; under a realm manager the TENANT
-// command rebinds it, and per-frame tenant tags override it record by
-// record on the ingest path.
+// session is one connection's tenant binding: the realm every command on
+// this connection reads and writes. The TENANT command rebinds it, and
+// per-frame tenant tags override it record by record on the ingest path.
 type session struct {
 	tenant string
-	engine *core.Engine
-	plane  *runner.Plane
-	realm  *realm.Realm // nil on a single-engine server
+	*realm.Realm
 }
 
 // cmdTenant rebinds the connection's session tenant, admitting the realm
-// if needed. The single-engine server accepts only the default tenant so
-// a probing client gets a clean ERR rather than silently shared state.
+// if needed.
 func (s *Server) cmdTenant(fields []string, ses *session) (any, error) {
 	if len(fields) != 2 {
 		return nil, errors.New("usage: TENANT <name>")
 	}
-	name := fields[1]
-	if s.realms == nil {
-		if name != realm.DefaultTenant {
-			return nil, errors.New("multi-tenant mode disabled (single-engine server)")
-		}
-		return textResponse("OK " + name), nil
-	}
-	r, err := s.realms.Realm(name)
+	r, err := s.realms.Realm(fields[1])
 	if err != nil {
 		return nil, err
 	}
-	ses.tenant = name
-	ses.realm = r
-	ses.engine = r.Engine()
-	ses.plane = r.Plane()
-	return textResponse("OK " + name), nil
-}
-
-// flush drains the session tenant's pipeline: close open windows, drain
-// its bus, seal the roll-up bucket.
-func (ses *session) flush() int {
-	if ses.realm != nil {
-		return ses.realm.Flush()
-	}
-	n := len(ses.engine.Flush())
-	if ses.plane != nil {
-		// Flush drained the bus, so the timeline has every window;
-		// seal the in-progress roll-up bucket to make it queryable.
-		ses.plane.Seal()
-	}
-	return n
+	*ses = session{tenant: fields[1], Realm: r}
+	return textResponse("OK " + fields[1]), nil
 }
 
 // handle runs the command loop for one connection. Handlers compute a
@@ -307,10 +231,7 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 256<<10)
 	w := bufio.NewWriter(conn)
 	sc := new(connScratch)
-	ses := &session{tenant: realm.DefaultTenant, engine: s.engine, plane: s.plane}
-	if s.realms != nil {
-		ses.realm = s.realms.Default()
-	}
+	ses := &session{tenant: realm.DefaultTenant, Realm: s.realms.Default()}
 	for {
 		// The read deadline is absolute, so it also bounds the binary
 		// batch an INGEST command goes on to read: a peer that stalls
@@ -338,11 +259,12 @@ func (s *Server) handle(conn net.Conn) {
 		case "INGEST":
 			out, cmdErr = s.cmdIngest(fields, r, sc, ses)
 		case "FLUSH":
-			out = textResponse(fmt.Sprintf("OK %d", ses.flush()))
+			ses.Flush()
+			out = textResponse(fmt.Sprintf("OK %d", ses.Engine().Epoch()))
 		case "STATS":
-			out = s.stats(ses)
+			out = stats(ses)
 		case "WINDOWS":
-			out = windows(ses)
+			out, cmdErr = cmdWindows(ses)
 		case "LEARN":
 			out, cmdErr = cmdLearn(ses)
 		case "SEGMENTS":
@@ -352,7 +274,7 @@ func (s *Server) handle(conn net.Conn) {
 		case "SUMMARY":
 			out, cmdErr = cmdSummary(ses)
 		case "ANOMALIES":
-			out = cmdAnomalies(ses)
+			out, cmdErr = cmdAnomalies(ses)
 		case "QUERY":
 			out, cmdErr = cmdQuery(fields, ses)
 		case "TENANT":
@@ -362,7 +284,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		if cmdErr != nil {
 			s.tel.protoErrs.Add(1)
-			if tr := s.engine.Tracer(); tr != nil {
+			if tr := ses.Engine().Tracer(); tr != nil {
 				tr.Eventf(trace.Context{}, "analytics", slog.LevelWarn, "protocol error: %v", cmdErr)
 				tr.Trip("analytics", "protocol error: "+cmdErr.Error())
 			}
@@ -441,7 +363,7 @@ func nextSlot(batch []flowlog.Record) []flowlog.Record {
 
 // cmdIngest reads n binary frames — bare legacy frames, or flagged frames
 // when the command carries the T marker — and feeds them to the session
-// tenant's engine (per-frame tenant tags override the session, routed in
+// tenant's realm (per-frame tenant tags override the session, routed in
 // ingestTagged). The returned batch lives in sc and is overwritten by the
 // next INGEST.
 func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, ses *session) (any, error) {
@@ -458,7 +380,7 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 		return nil, errors.New("bad count")
 	}
 	if !traced {
-		tr := ses.engine.Tracer()
+		tr := ses.Engine().Tracer()
 		var start time.Time
 		if tr != nil {
 			start = time.Now()
@@ -488,7 +410,7 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 				tr.Record(c, "wire.ingest", start, d, note)
 			}
 		}
-		ses.ingest(batch, tcs)
+		ses.IngestTraced(batch, tcs)
 		s.tel.frames.Add(int64(n))
 		return textResponse(fmt.Sprintf("OK %d", n)), nil
 	}
@@ -497,7 +419,7 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 	if err != nil {
 		return nil, err
 	}
-	if tr := ses.engine.Tracer(); tr != nil {
+	if tr := ses.Engine().Tracer(); tr != nil {
 		// The "wire.ingest" hop: the sampled record crossed the protocol
 		// and decoded server-side.
 		d := time.Since(start)
@@ -513,18 +435,6 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 	}
 	s.tel.frames.Add(int64(n))
 	return textResponse(fmt.Sprintf("OK %d", n)), nil
-}
-
-// ingest folds an untagged batch into the session tenant's engine,
-// through the weighted-fair scheduler when realms are on.
-//
-//vet:borrowed batch tcs
-func (ses *session) ingest(batch []flowlog.Record, tcs []trace.Context) {
-	if ses.realm != nil {
-		ses.realm.IngestTraced(batch, tcs)
-		return
-	}
-	ses.engine.IngestTraced(batch, tcs)
 }
 
 // ingestTagged routes a flagged batch by per-frame tenant tag (""
@@ -556,22 +466,16 @@ func (s *Server) ingestTagged(ses *session, sc *connScratch, batch []flowlog.Rec
 		}
 	}
 	if !mixed {
-		target := ses
+		target := ses.Realm
 		if first != ses.tenant {
-			if s.realms == nil {
-				return fmt.Errorf("tenant tag %q: multi-tenant mode disabled", first)
-			}
 			r, err := s.realms.Realm(first)
 			if err != nil {
 				return err
 			}
-			target = &session{tenant: first, engine: r.Engine(), plane: r.Plane(), realm: r}
+			target = r
 		}
-		target.ingest(batch, tcs)
+		target.IngestTraced(batch, tcs)
 		return nil
-	}
-	if s.realms == nil {
-		return errors.New("tenant tags: multi-tenant mode disabled")
 	}
 	// Mixed batch: resolve every realm first (all-or-nothing), then
 	// regroup per tenant preserving each tenant's record order.
@@ -691,8 +595,34 @@ type ShardInfo struct {
 	Depth   int     `json:"depth"`
 }
 
-func (s *Server) stats(ses *session) Stats {
-	cost := ses.engine.Cost()
+// errNoPlane answers every command that reads the analysis plane of a
+// realm running without one.
+var errNoPlane = errors.New("no analysis plane attached (start cloudgraphd with -live)")
+
+// latest returns a tenant's window history: its plane timeline's latest
+// snapshot, nil before the first window.
+func latest(r *realm.Realm) (*timeline.Snapshot, error) {
+	p := r.Plane()
+	if p == nil {
+		return nil, errNoPlane
+	}
+	return p.Timeline().Latest(), nil
+}
+
+// latestWindow is latest narrowed to its newest window, an error before
+// the first one.
+func latestWindow(r *realm.Realm) (*timeline.Snapshot, error) {
+	snap, err := latest(r)
+	if err == nil && snap == nil {
+		err = errors.New("no completed window (FLUSH first?)")
+	}
+	return snap, err
+}
+
+// stats answers STATS. The engine's ingest counters always answer; the
+// window fields read the timeline and stay zero without a plane.
+func stats(ses *session) Stats {
+	cost := ses.Engine().Cost()
 	st := Stats{
 		Records:       cost.Records,
 		RecordsPerSec: cost.RecordsPerSec,
@@ -706,10 +636,9 @@ func (s *Server) stats(ses *session) Stats {
 			Depth:   sh.Depth,
 		})
 	}
-	ws := ses.engine.Windows()
-	st.Windows = len(ws)
-	if len(ws) > 0 {
-		sum := ses.engine.Summary()
+	if snap, err := latest(ses.Realm); err == nil && snap != nil {
+		sum := summarize.Summarize(snap.Window)
+		st.Windows = len(snap.Windows)
 		st.Nodes = sum.Stats.Nodes
 		st.Edges = sum.Stats.Edges
 		st.Headline = sum.Headline
@@ -728,10 +657,16 @@ type WindowInfo struct {
 	Bytes uint64 `json:"bytes"`
 }
 
-func windows(ses *session) []WindowInfo {
-	ws := ses.engine.Windows()
-	out := make([]WindowInfo, 0, len(ws))
-	for _, g := range ws {
+func cmdWindows(ses *session) (any, error) {
+	snap, err := latest(ses.Realm)
+	if err != nil {
+		return nil, err
+	}
+	out := []WindowInfo{}
+	if snap == nil {
+		return out, nil
+	}
+	for _, g := range snap.Windows {
 		st := g.ComputeStats()
 		out = append(out, WindowInfo{
 			Start: g.Start.UTC().Format("2006-01-02T15:04:05Z"),
@@ -739,7 +674,7 @@ func windows(ses *session) []WindowInfo {
 			Nodes: st.Nodes, Edges: st.Edges, Bytes: st.Bytes,
 		})
 	}
-	return out
+	return out, nil
 }
 
 // LearnResult is the LEARN response.
@@ -751,30 +686,34 @@ type LearnResult struct {
 	AllowedPairs int `json:"allowed_pairs"`
 }
 
+// cmdLearn learns the tenant's baseline on its latest window.
 func cmdLearn(ses *session) (any, error) {
-	g := ses.engine.Latest()
-	if g == nil {
-		return nil, errors.New("no completed window to learn from (FLUSH first?)")
-	}
-	assign, err := ses.engine.Learn(g)
+	snap, err := latestWindow(ses.Realm)
 	if err != nil {
 		return nil, err
 	}
-	_, reach := ses.engine.Baseline()
+	b, err := policy.LearnBaseline(segment.StrategyJaccardLouvain, snap.Window, segment.Options{})
+	if err != nil {
+		return nil, err
+	}
+	ses.SetBaseline(b)
 	return LearnResult{
-		Segments:     assign.NumSegments(),
-		Nodes:        len(assign),
-		AllowedPairs: len(reach.AllowedPairs()),
+		Segments:     b.Assign.NumSegments(),
+		Nodes:        len(b.Assign),
+		AllowedPairs: len(b.Reach.AllowedPairs()),
 	}, nil
 }
 
+// errNoBaseline answers commands that need a learned baseline.
+var errNoBaseline = errors.New("no baseline: LEARN first")
+
 func cmdSegments(ses *session) (any, error) {
-	assign, _ := ses.engine.Baseline()
-	if assign == nil {
-		return nil, errors.New("no baseline: LEARN first")
+	b := ses.Baseline()
+	if b == nil {
+		return nil, errNoBaseline
 	}
-	out := make(map[string]int, len(assign))
-	for n, seg := range assign {
+	out := make(map[string]int, len(b.Assign))
+	for n, seg := range b.Assign {
 		out[n.String()] = seg
 	}
 	return out, nil
@@ -791,13 +730,13 @@ type MonitorResult struct {
 }
 
 func cmdMonitor(ses *session) (any, error) {
-	g := ses.engine.Latest()
-	if g == nil {
-		return nil, errors.New("no completed window")
+	snap, err := latestWindow(ses.Realm)
+	if err != nil {
+		return nil, err
 	}
-	rep := ses.engine.Monitor(g)
+	rep := ses.Baseline().Monitor(snap.Window)
 	if rep == nil {
-		return nil, errors.New("no baseline: LEARN first")
+		return nil, errNoBaseline
 	}
 	res := MonitorResult{Violations: len(rep.Violations), Alerts: rep.Alerts}
 	for _, c := range rep.Cohorts {
@@ -829,10 +768,11 @@ type SummaryResult struct {
 }
 
 func cmdSummary(ses *session) (any, error) {
-	g := ses.engine.Latest()
-	if g == nil {
-		return nil, errors.New("no completed window")
+	snap, err := latestWindow(ses.Realm)
+	if err != nil {
+		return nil, err
 	}
+	g := snap.Window
 	sum := summarize.Summarize(g)
 	attr := model.Attribute(g)
 	return SummaryResult{
@@ -858,17 +798,24 @@ type AnomalyResult struct {
 	Anomalous bool    `json:"anomalous"`
 }
 
-func cmdAnomalies(ses *session) []AnomalyResult {
-	scores := ses.engine.Anomalies(summarize.AnomalyOptions{})
-	out := make([]AnomalyResult, 0, len(scores))
-	for _, sc := range scores {
+// cmdAnomalies scores the retained windows for hour-over-hour drift.
+func cmdAnomalies(ses *session) (any, error) {
+	snap, err := latest(ses.Realm)
+	if err != nil {
+		return nil, err
+	}
+	out := []AnomalyResult{}
+	if snap == nil {
+		return out, nil
+	}
+	for _, sc := range summarize.ScoreWindows(snap.Windows, summarize.AnomalyOptions{}) {
 		out = append(out, AnomalyResult{
 			Window: sc.Index, Drift: sc.Drift,
 			NewPairs: sc.NewPairs, LostPairs: sc.LostPairs,
 			Anomalous: sc.Anomalous,
 		})
 	}
-	return out
+	return out, nil
 }
 
 // writeLine writes one text response line.

@@ -33,39 +33,26 @@ func tenantCluster(t *testing.T, seed int64, fe, be int) *cluster.Cluster {
 	return c
 }
 
-// realmServer starts a multi-tenant server whose per-tenant engine and
-// plane configuration matches liveServer's single-engine config exactly:
-// the isolation equivalence below is only well-defined because both
-// sides run identical pipelines.
+// realmServer starts a realm server with the live plane on. Solo and
+// multi-tenant runs both come from here, so the isolation equivalence
+// below compares identical per-tenant pipelines.
 func realmServer(t *testing.T, window time.Duration) (*Server, *realm.Manager) {
 	t.Helper()
-	m, err := realm.NewManager(realm.Config{
+	return serve(t, realm.Config{
 		Engine:   core.Config{Window: window, Shards: 4},
 		Live:     true,
 		Timeline: timeline.Config{Rollup: time.Hour},
 		// Two slots for four-plus planes: admission is contended, so the
 		// scheduler is actually in the loop for every window.
 		Workers: 2,
-	})
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	s, err := ServeRealms("127.0.0.1:0", m, nil, Options{})
-	if err != nil {
-		t.Fatalf("ServeRealms: %v", err)
-	}
-	t.Cleanup(func() {
-		s.Close()
-		m.Close()
-	})
-	return s, m
+	}, Options{})
 }
 
 // TestTenantIsolationEquivalence pins the realm isolation contract at
 // the wire level: three tenants interleaved through one multi-tenant
 // server — mixed tagged batches, plus one tenant riding the session
 // tenant untagged — must produce per-tenant QUERY results byte-identical
-// to each tenant running alone on a dedicated single-engine server, for
+// to each tenant running alone on a dedicated one-tenant realm server, for
 // every analysis at every epoch.
 func TestTenantIsolationEquivalence(t *testing.T) {
 	window := 15 * time.Minute
@@ -76,7 +63,8 @@ func TestTenantIsolationEquivalence(t *testing.T) {
 		"charlie": hourOf(t, tenantCluster(t, 11, 4, 1), t0),
 	}
 
-	// Solo baselines: each tenant alone on its own single-engine server.
+	// Solo baselines: each tenant alone on the default tenant of its own
+	// realm server.
 	solo := make(map[string]map[string][]string) // tenant -> analysis -> result per epoch
 	var analyses []string
 	var epochs uint64

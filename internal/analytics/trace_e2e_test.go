@@ -13,6 +13,7 @@ import (
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/store"
 	"cloudgraph/internal/trace"
 )
@@ -51,15 +52,11 @@ func TestTraceEndToEnd(t *testing.T) {
 	defer w.Close()
 	w.Trace(tr)
 
-	s, err := Serve("127.0.0.1:0", core.Config{
-		Window:   time.Hour,
+	s, _ := serve(t, realm.Config{
+		Engine:   core.Config{Window: time.Hour},
 		Trace:    tr,
-		OnWindow: func(g *graph.Graph) { _ = w.Append(g) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+		OnWindow: func(_ string, g *graph.Graph) { _ = w.Append(g) },
+	}, Options{})
 
 	cl, err := Dial(s.Addr())
 	if err != nil {
@@ -161,11 +158,7 @@ func TestTraceEndToEnd(t *testing.T) {
 // must trace file-driven ingest too, with journeys starting at the wire.
 func TestTraceLegacyIngestSamplesServerSide(t *testing.T) {
 	tr := trace.New(trace.Options{SampleEvery: 1, Seed: 3, MaxTraces: 1 << 16})
-	s, err := Serve("127.0.0.1:0", core.Config{Window: time.Hour, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Trace: tr}, Options{})
 	cl, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)

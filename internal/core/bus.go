@@ -16,11 +16,10 @@ import (
 // the timeline and in every analysis result, so queries against different
 // consumers line up. A consumer runs on its own goroutine and sees windows
 // in epoch order, though it may skip epochs if it falls behind (see the
-// slow-consumer policy on Bus). Consumers may use the engine's read APIs
-// (Windows, Latest, Monitor, Summary) but must not call Ingest or Flush —
-// Flush waits for consumers to drain, so a consumer flushing would
-// deadlock waiting on itself (cloudgraph-vet's busconsumer rule enforces
-// this).
+// slow-consumer policy on Bus). Consumers must not call the engine's
+// Ingest or Flush — Flush waits for consumers to drain, so a consumer
+// flushing would deadlock waiting on itself (cloudgraph-vet's busconsumer
+// rule enforces this).
 type WindowConsumer func(epoch uint64, g *graph.Graph)
 
 // ConsumerSpec declares one bus consumer registered at engine

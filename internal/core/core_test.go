@@ -13,6 +13,8 @@ import (
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/nicsim"
+	"cloudgraph/internal/policy"
+	"cloudgraph/internal/segment"
 	"cloudgraph/internal/store"
 	"cloudgraph/internal/summarize"
 	"cloudgraph/internal/telemetry"
@@ -29,6 +31,30 @@ func rec(at time.Time, lport uint16, bytes uint64) flowlog.Record {
 		Time: at, LocalIP: ipA, LocalPort: lport, RemoteIP: ipB, RemotePort: 443,
 		PacketsSent: 1, BytesSent: bytes,
 	}
+}
+
+// collecting returns an engine for cfg with one more bus consumer that
+// records every published window; windows returns them in epoch order
+// once Flush has drained the bus.
+func collecting(cfg Config) (e *Engine, windows func() []*graph.Graph) {
+	var mu sync.Mutex
+	var got []*graph.Graph
+	cfg.Consumers = append(cfg.Consumers, ConsumerSpec{Name: "collect", Fn: func(_ uint64, g *graph.Graph) {
+		mu.Lock()
+		got = append(got, g)
+		mu.Unlock()
+	}})
+	return NewEngine(cfg), func() []*graph.Graph {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]*graph.Graph(nil), got...)
+	}
+}
+
+// flushed flushes e and returns every window it has published.
+func flushed(e *Engine, windows func() []*graph.Graph) []*graph.Graph {
+	e.Flush()
+	return windows()
 }
 
 func TestWindowerSplitsByHour(t *testing.T) {
@@ -76,7 +102,7 @@ func TestWindowerIgnoresInvalid(t *testing.T) {
 
 func TestEngineEndToEnd(t *testing.T) {
 	// Drive a small synthetic cluster through the engine for three hours:
-	// learn on hour one, monitor an attack in hour three.
+	// learn a baseline on hour one, monitor an attack in hour three.
 	spec := cluster.Spec{
 		Name: "core-e2e", Seed: 5,
 		Roles: []cluster.RoleSpec{
@@ -93,7 +119,8 @@ func TestEngineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(Config{Window: time.Hour})
+	e, published := collecting(Config{Window: time.Hour})
+	defer e.Close()
 
 	// Hours 1 and 2: clean traffic.
 	if _, err := c.Run(t0, 120, e); err != nil {
@@ -109,22 +136,22 @@ func TestEngineEndToEnd(t *testing.T) {
 	if _, err := c.Run(t0.Add(2*time.Hour), 60, e); err != nil {
 		t.Fatal(err)
 	}
-	windows := e.Flush()
-	if len(windows) != 3 {
-		t.Fatalf("windows = %d, want 3", len(windows))
+	windows := flushed(e, published)
+	if len(windows) != 3 || e.Epoch() != 3 {
+		t.Fatalf("windows = %d (epoch %d), want 3", len(windows), e.Epoch())
 	}
 
-	assign, err := e.Learn(windows[0])
+	base, err := policy.LearnBaseline(segment.StrategyJaccardLouvain, windows[0], segment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if assign.NumSegments() < 2 {
-		t.Errorf("segments = %d, want at least client/fe/be structure", assign.NumSegments())
+	if base.Assign.NumSegments() < 2 {
+		t.Errorf("segments = %d, want at least client/fe/be structure", base.Assign.NumSegments())
 	}
 
 	// Hour two should be mostly quiet; hour three should alert.
-	repClean := e.Monitor(windows[1])
-	repAttack := e.Monitor(windows[2])
+	repClean := base.Monitor(windows[1])
+	repAttack := base.Monitor(windows[2])
 	if repClean == nil || repAttack == nil {
 		t.Fatal("Monitor returned nil after Learn")
 	}
@@ -137,7 +164,7 @@ func TestEngineEndToEnd(t *testing.T) {
 
 	// Anomaly scoring sees the drift, though with only 3 windows it
 	// cannot flag; just confirm the drift ordering.
-	scores := e.Anomalies(summarize.AnomalyOptions{MinHistory: 1})
+	scores := summarize.ScoreWindows(windows, summarize.AnomalyOptions{MinHistory: 1})
 	if len(scores) != 3 {
 		t.Fatalf("scores = %d", len(scores))
 	}
@@ -145,7 +172,7 @@ func TestEngineEndToEnd(t *testing.T) {
 		t.Error("attack window should add new communicating pairs")
 	}
 
-	if e.Summary().Stats.Nodes == 0 {
+	if summarize.Summarize(windows[2]).Stats.Nodes == 0 {
 		t.Error("summary empty")
 	}
 	if e.Cost().Records == 0 {
@@ -154,37 +181,58 @@ func TestEngineEndToEnd(t *testing.T) {
 }
 
 func TestEngineMonitorBeforeLearn(t *testing.T) {
-	e := NewEngine(Config{})
-	if e.Monitor(graph.New(graph.FacetIP)) != nil {
+	// An engine that has published nothing, and nothing learned: a nil
+	// policy.Baseline (a realm before LEARN) monitors nothing.
+	e, published := collecting(Config{})
+	defer e.Close()
+	if ws := flushed(e, published); len(ws) != 0 || e.Epoch() != 0 {
+		t.Errorf("empty engine published %d windows (epoch %d)", len(ws), e.Epoch())
+	}
+	var b *policy.Baseline
+	if b.Monitor(graph.New(graph.FacetIP)) != nil {
 		t.Error("Monitor before Learn should be nil")
-	}
-	if a, r := e.Baseline(); a != nil || r != nil {
-		t.Error("baseline should be empty")
-	}
-	if e.Latest() != nil {
-		t.Error("Latest on empty engine")
-	}
-	if e.Summary().Stats.Nodes != 0 {
-		t.Error("Summary on empty engine")
 	}
 }
 
 func TestEngineMaxWindows(t *testing.T) {
-	e := NewEngine(Config{Window: time.Hour, MaxWindows: 2})
+	// The engine no longer caps a window history of its own (the bounded
+	// history is the realm timeline, a bus consumer): all five windows are
+	// published, in epoch order, and none is dropped on the way.
+	var mu sync.Mutex
+	var epochs []uint64
+	e := NewEngine(Config{Window: time.Hour, Consumers: []ConsumerSpec{{Name: "collect", Fn: func(epoch uint64, _ *graph.Graph) {
+		mu.Lock()
+		epochs = append(epochs, epoch)
+		mu.Unlock()
+	}}}})
+	defer e.Close()
 	for h := 0; h < 5; h++ {
 		e.Ingest([]flowlog.Record{rec(t0.Add(time.Duration(h)*time.Hour), uint16(h+1), 10)})
 	}
-	ws := e.Flush()
-	if len(ws) != 2 {
-		t.Errorf("retained windows = %d, want 2", len(ws))
+	e.Flush()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(epochs) != 5 || e.Epoch() != 5 {
+		t.Fatalf("published windows = %d (epoch %d), want 5", len(epochs), e.Epoch())
+	}
+	for i, ep := range epochs {
+		if ep != uint64(i+1) {
+			t.Fatalf("epochs = %v, want 1..5", epochs)
+		}
+	}
+	for _, st := range e.Bus().Stats() {
+		if st.Dropped != 0 {
+			t.Errorf("consumer %s dropped %d windows", st.Name, st.Dropped)
+		}
 	}
 }
 
 func TestEngineCollapseApplied(t *testing.T) {
-	e := NewEngine(Config{
+	e, published := collecting(Config{
 		Window:   time.Hour,
 		Collapse: graph.CollapseOptions{Threshold: 0.01},
 	})
+	defer e.Close()
 	recs := []flowlog.Record{rec(t0, 1, 1_000_000)}
 	for i := 0; i < 300; i++ {
 		r := flowlog.Record{
@@ -195,7 +243,7 @@ func TestEngineCollapseApplied(t *testing.T) {
 		recs = append(recs, r)
 	}
 	e.Ingest(recs)
-	ws := e.Flush()
+	ws := flushed(e, published)
 	if len(ws) != 1 {
 		t.Fatal("expected one window")
 	}
@@ -209,10 +257,10 @@ func TestEngineAsCollector(t *testing.T) {
 }
 
 func TestMonitorAlertsOnUnknownEndpoint(t *testing.T) {
-	e := NewEngine(Config{Window: time.Hour})
 	base := graph.New(graph.FacetIP)
 	base.AddEdge(graph.IPNode(ipA), graph.IPNode(ipB), graph.Counters{Bytes: 1000, Conns: 1})
-	if _, err := e.Learn(base); err != nil {
+	b, err := policy.LearnBaseline(segment.StrategyJaccardLouvain, base, segment.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// New window: ipA starts talking to a brand-new external endpoint.
@@ -220,7 +268,7 @@ func TestMonitorAlertsOnUnknownEndpoint(t *testing.T) {
 	next.AddEdge(graph.IPNode(ipA), graph.IPNode(ipB), graph.Counters{Bytes: 1000, Conns: 1})
 	c2 := graph.IPNode(netip.MustParseAddr("198.51.100.66"))
 	next.AddEdge(graph.IPNode(ipA), c2, graph.Counters{Bytes: 1 << 30, Conns: 1})
-	rep := e.Monitor(next)
+	rep := b.Monitor(next)
 	if rep == nil || len(rep.Violations) != 1 {
 		t.Fatalf("violations = %+v", rep)
 	}
@@ -271,14 +319,16 @@ func TestWindowerOnCompleteDoesNotRetain(t *testing.T) {
 }
 
 func TestEngineRetentionBoundedWithMaxWindows(t *testing.T) {
-	// Regression for the same leak at engine level: with MaxWindows set,
-	// nothing below the engine may keep unbounded window history.
-	e := NewEngine(Config{Window: time.Hour, MaxWindows: 2})
+	// Regression for the same leak at engine level. The MaxWindows bound
+	// is now zero: the engine is a pure window producer — every window
+	// goes to the bus and nothing below it keeps window history.
+	e, published := collecting(Config{Window: time.Hour})
+	defer e.Close()
 	for h := 0; h < 10; h++ {
 		e.Ingest([]flowlog.Record{rec(t0.Add(time.Duration(h)*time.Hour), uint16(h+1), 10)})
 	}
-	if got := len(e.Flush()); got != 2 {
-		t.Fatalf("retained windows = %d, want 2", got)
+	if got := len(flushed(e, published)); got != 10 {
+		t.Fatalf("published windows = %d, want 10", got)
 	}
 	for _, sh := range e.shards {
 		if n := sh.windower.Retained(); n != 0 {
@@ -321,14 +371,16 @@ func TestEngineShardEquivalence(t *testing.T) {
 	// The sharded hot path must be invisible in the output: same record
 	// stream, same merged windows, at any shard width.
 	recs := engineRecords(t, 3)
-	base := NewEngine(Config{Window: time.Hour, Shards: 1})
+	base, basePublished := collecting(Config{Window: time.Hour, Shards: 1})
+	defer base.Close()
 	base.Ingest(recs)
-	want := base.Flush()
+	want := flushed(base, basePublished)
 	if len(want) != 3 {
 		t.Fatalf("single-shard windows = %d, want 3", len(want))
 	}
 	for _, shards := range []int{2, 4, 8} {
-		e := NewEngine(Config{Window: time.Hour, Shards: shards})
+		e, published := collecting(Config{Window: time.Hour, Shards: shards})
+		defer e.Close()
 		for i := 0; i < len(recs); i += 97 { // minibatches, like the wire path
 			end := i + 97
 			if end > len(recs) {
@@ -336,7 +388,7 @@ func TestEngineShardEquivalence(t *testing.T) {
 			}
 			e.Ingest(recs[i:end])
 		}
-		got := e.Flush()
+		got := flushed(e, published)
 		if len(got) != len(want) {
 			t.Fatalf("shards=%d: windows = %d, want %d", shards, len(got), len(want))
 		}
@@ -372,11 +424,13 @@ func TestEngineShardedConcurrentIngest(t *testing.T) {
 	// with -race): the merged window must cover the same nodes and edges
 	// as a serial single-shard pass, and the meter must not lose records.
 	recs := engineRecords(t, 1)
-	serial := NewEngine(Config{Window: time.Hour})
+	serial, serialPublished := collecting(Config{Window: time.Hour})
+	defer serial.Close()
 	serial.Ingest(recs)
-	want := serial.Flush()[0]
+	want := flushed(serial, serialPublished)[0]
 
-	e := NewEngine(Config{Window: time.Hour, Shards: 4})
+	e, published := collecting(Config{Window: time.Hour, Shards: 4})
+	defer e.Close()
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -393,7 +447,7 @@ func TestEngineShardedConcurrentIngest(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	ws := e.Flush()
+	ws := flushed(e, published)
 	if len(ws) != 1 {
 		t.Fatalf("windows = %d, want 1", len(ws))
 	}
@@ -408,35 +462,37 @@ func TestEngineShardedConcurrentIngest(t *testing.T) {
 
 func TestMonitorBaselinePinnedAcrossTrim(t *testing.T) {
 	// Regression: Monitor used e.windows[0] as the proportionality base,
-	// which silently became a different window once MaxWindows trimmed
-	// history. The base is now pinned at Learn time.
-	e := NewEngine(Config{Window: time.Hour, MaxWindows: 2})
+	// which silently became a different window once the engine trimmed its
+	// history. The base is pinned in the learned policy.Baseline, whatever
+	// the engine publishes (and any history drops) afterwards.
+	e, published := collecting(Config{Window: time.Hour})
+	defer e.Close()
 	e.Ingest([]flowlog.Record{rec(t0, 1, 1000)})
-	ws := e.Flush()
+	ws := flushed(e, published)
 	if len(ws) != 1 {
 		t.Fatalf("windows = %d, want 1", len(ws))
 	}
-	if _, err := e.Learn(ws[0]); err != nil {
+	base, err := policy.LearnBaseline(segment.StrategyJaccardLouvain, ws[0], segment.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	next := graph.New(graph.FacetIP)
 	next.AddEdge(graph.IPNode(ipA), graph.IPNode(ipB), graph.Counters{Bytes: 5000, Conns: 1})
-	before := e.Monitor(next)
+	before := base.Monitor(next)
 	if before == nil || len(before.Growth) == 0 {
 		t.Fatalf("no growth assessment before trim: %+v", before)
 	}
 
-	// Push enough much-louder windows through to trim the Learn window
-	// out of history.
+	// Push much-louder windows through after the Learn window.
 	for h := 1; h < 5; h++ {
 		e.Ingest([]flowlog.Record{rec(t0.Add(time.Duration(h)*time.Hour), uint16(h), 900000)})
 	}
-	if got := len(e.Flush()); got != 2 {
-		t.Fatalf("retained windows = %d, want 2", got)
+	if got := len(flushed(e, published)); got != 5 {
+		t.Fatalf("published windows = %d, want 5", got)
 	}
 
-	after := e.Monitor(next)
+	after := base.Monitor(next)
 	if after == nil || len(after.Growth) != len(before.Growth) {
 		t.Fatalf("growth assessment changed shape after trim: %+v vs %+v", after, before)
 	}
@@ -451,11 +507,22 @@ func TestMonitorBaselinePinnedAcrossTrim(t *testing.T) {
 }
 
 func TestEngineOnWindowHook(t *testing.T) {
+	// The OnWindow config hook is gone; a per-window func subscribed to the
+	// engine's bus takes its place and fires once per window by Flush.
+	var mu sync.Mutex
 	var got []*graph.Graph
-	e := NewEngine(Config{Window: time.Hour, OnWindow: func(g *graph.Graph) { got = append(got, g) }})
+	e := NewEngine(Config{Window: time.Hour})
+	defer e.Close()
+	e.Subscribe(ConsumerSpec{Name: "hook", Fn: func(_ uint64, g *graph.Graph) {
+		mu.Lock()
+		got = append(got, g)
+		mu.Unlock()
+	}})
 	e.Ingest([]flowlog.Record{rec(t0, 1, 10)})
 	e.Ingest([]flowlog.Record{rec(t0.Add(time.Hour), 2, 10)})
 	e.Flush()
+	mu.Lock()
+	defer mu.Unlock()
 	if len(got) != 2 {
 		t.Errorf("OnWindow fired %d times, want 2", len(got))
 	}
@@ -508,7 +575,7 @@ func TestWindowerLateRecordBoundary(t *testing.T) {
 
 func TestEngineCountsLateRecords(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	e := NewEngine(Config{Window: time.Hour, Telemetry: reg})
+	e, published := collecting(Config{Window: time.Hour, Telemetry: reg})
 	defer e.Close()
 	e.Ingest([]flowlog.Record{rec(t0.Add(time.Hour), 1, 10), rec(t0.Add(61*time.Minute), 2, 10)})
 	e.Ingest([]flowlog.Record{rec(t0.Add(59*time.Minute), 3, 10), {}, rec(t0.Add(2*time.Hour), 4, 10)})
@@ -518,7 +585,7 @@ func TestEngineCountsLateRecords(t *testing.T) {
 	if late.Value() != 1 {
 		t.Errorf("late records counter = %d, want 1", late.Value())
 	}
-	if got := len(e.Flush()); got != 3 {
+	if got := len(flushed(e, published)); got != 3 {
 		t.Errorf("windows = %d, want 3 (the late record still opens hour 0)", got)
 	}
 }
@@ -544,7 +611,8 @@ func presetHour(t testing.TB, name string, scale float64) []flowlog.Record {
 // traffic through the engine at 1, 2 and 4 shards — per-shard builders
 // sealing to CSR, merge-joined across shards — must publish windows whose
 // store encoding and per-edge series equal those of one Windower over the
-// same stream.
+// same stream. The windows are collected through a bus consumer, which must
+// not have dropped any.
 func TestEngineShardedMatchesWindower(t *testing.T) {
 	for _, preset := range []string{"microservicebench", "k8spaas"} {
 		recs := presetHour(t, preset, 0.02)
@@ -558,12 +626,17 @@ func TestEngineShardedMatchesWindower(t *testing.T) {
 			t.Fatalf("%s: reference windows = %d, want 6", preset, len(want))
 		}
 		for _, shards := range []int{1, 2, 4} {
-			e := NewEngine(Config{Window: 10 * time.Minute, Shards: shards, KeepSeries: true})
+			e, published := collecting(Config{Window: 10 * time.Minute, Shards: shards, KeepSeries: true})
 			for off := 0; off < len(recs); off += 1000 {
 				e.Ingest(recs[off:min(off+1000, len(recs))])
 			}
-			got := e.Flush()
+			got := flushed(e, published)
 			e.Close()
+			for _, st := range e.Bus().Stats() {
+				if st.Dropped != 0 {
+					t.Fatalf("%s shards=%d: bus consumer %s dropped %d windows", preset, shards, st.Name, st.Dropped)
+				}
+			}
 			if len(got) != len(want) {
 				t.Fatalf("%s shards=%d: windows = %d, want %d", preset, shards, len(got), len(want))
 			}

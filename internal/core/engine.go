@@ -12,9 +12,6 @@ import (
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/ingest"
-	"cloudgraph/internal/policy"
-	"cloudgraph/internal/segment"
-	"cloudgraph/internal/summarize"
 	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/trace"
 	"cloudgraph/internal/watermark"
@@ -31,40 +28,27 @@ type Config struct {
 	// Collapse configures heavy-hitter collapsing applied to each
 	// completed window (Threshold 0 disables).
 	Collapse graph.CollapseOptions
-	// Strategy and Segment configure auto-segmentation. Default is the
-	// paper's Jaccard+Louvain.
-	Strategy segment.Strategy
-	Segment  segment.Options
-	// MaxWindows bounds retained history (0 = keep everything).
-	MaxWindows int
 	// KeepSeries records per-interval time series on edges.
 	KeepSeries bool
 	// Shards is the width of the ingest hot path: records are hashed by
 	// flow key onto Shards independent windowers, each behind its own
 	// lock, so concurrent Ingest calls touching different flows proceed
 	// in parallel. Completed windows merge across shards before they are
-	// collapsed, stored and handed to OnWindow, so window semantics are
-	// identical at any width. Default 1.
+	// collapsed and published, so window semantics are identical at any
+	// width. Default 1.
 	Shards int
-	// OnWindow, when set, is called with each completed (and collapsed)
-	// window. It is a compatibility shim over the consumer bus: the hook
-	// is auto-registered as the bus consumer named "hook", so it runs on
-	// a dedicated goroutine in window order and is drained by Flush. Like
-	// every consumer it may use the read APIs (Windows, Latest, Monitor,
-	// Summary) but must not call Ingest or Flush. New code should declare
-	// Consumers instead.
-	OnWindow func(*graph.Graph)
 	// Consumers are the fan-out bus subscribers receiving each completed
-	// window together with its epoch. See WindowConsumer for the
-	// contract and Bus for the slow-consumer policy. More can be added
-	// later with Engine.Subscribe.
+	// window together with its epoch — the engine keeps no window history
+	// of its own, so a caller that needs the windows subscribes one. See
+	// WindowConsumer for the contract and Bus for the slow-consumer
+	// policy. More can be added later with Engine.Subscribe.
 	Consumers []ConsumerSpec
 	// ConsumerBuffer is the per-consumer queue capacity before the bus
 	// drops the oldest undelivered window (default 64).
 	ConsumerBuffer int
 	// Telemetry, when set, receives the engine's metrics: per-shard
-	// ingest counts, window merge latency, OnWindow hook duration, open
-	// and pending-merge window gauges, and the shared ingest counters.
+	// ingest counts, window merge latency, open and pending-merge window
+	// gauges, and the shared ingest counters.
 	// Handles are preallocated at construction and lock-free on the hot
 	// path; nil disables instrumentation for the cost of a branch.
 	Telemetry *telemetry.Registry
@@ -92,9 +76,6 @@ func (c *Config) defaults() {
 	if c.Window <= 0 {
 		c.Window = time.Hour
 	}
-	if c.Strategy == "" {
-		c.Strategy = segment.StrategyJaccardLouvain
-	}
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
@@ -103,11 +84,13 @@ func (c *Config) defaults() {
 	}
 }
 
-// Engine consumes connection summaries and maintains the dynamic view: the
-// rolling window graphs plus the learned segmentation and reachability
-// policy. It is safe for concurrent use; with Config.Shards > 1 concurrent
-// Ingest calls contend only per flow-key shard, not on one engine-wide
-// lock.
+// Engine is the streaming window producer: it folds connection summaries
+// into windowed communication graphs and publishes each completed window,
+// under the next epoch, on its consumer bus. It retains no windows and runs
+// no analyses — the timeline, the runners and the durable history are bus
+// consumers. It is safe for concurrent use; with Config.Shards > 1
+// concurrent Ingest calls contend only per flow-key shard, not on one
+// engine-wide lock.
 type Engine struct {
 	cfg   Config
 	meter *ingest.Meter
@@ -144,14 +127,6 @@ type Engine struct {
 	// writer of epoch.
 	bus   *Bus
 	epoch atomic.Uint64
-
-	mu      sync.Mutex
-	windows []*graph.Graph // collapsed, completed windows in order
-
-	// baseline state, established by Learn.
-	assign segment.Assignment
-	reach  *policy.Reachability
-	base   *graph.Graph // proportionality baseline, pinned at Learn time
 }
 
 // engineShard is one lane of the ingest hot path.
@@ -229,14 +204,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	e.instrument(cfg.Telemetry)
 	e.bus = newBus(cfg.ConsumerBuffer, cfg.Telemetry, cfg.Trace)
-	if cfg.OnWindow != nil {
-		hook := cfg.OnWindow
-		e.bus.Subscribe(ConsumerSpec{Name: "hook", Fn: func(_ uint64, g *graph.Graph) {
-			sp := telemetry.StartSpan(e.tel.hook)
-			hook(g)
-			sp.End()
-		}})
-	}
 	for _, spec := range cfg.Consumers {
 		e.bus.Subscribe(spec)
 	}
@@ -268,11 +235,9 @@ func (e *Engine) addPartial(g *graph.Graph) {
 	e.pendMu.Unlock()
 }
 
-// onWindow collapses and stores a completed, fully merged window, then
-// publishes it on the consumer bus under the next epoch. Publishing never
-// blocks (see Bus); consumers run on their own goroutines with no engine
-// lock held, so a consumer may call the engine's read APIs (Windows,
-// Latest, Monitor) without deadlocking on the non-reentrant mutex. Epochs
+// onWindow collapses a completed, fully merged window and publishes it on
+// the consumer bus under the next epoch. Publishing never blocks (see Bus);
+// consumers run on their own goroutines with no engine lock held. Epochs
 // stay in window order because every caller holds e.closeMu. traces
 // carries the sampled-record contexts that folded into the window; it is
 // attached after the collapse so downstream consumers see it on the graph
@@ -287,12 +252,6 @@ func (e *Engine) onWindow(g *graph.Graph, traces []trace.Context) {
 	// seal straight to it and the cross-shard merge keeps it, so this is a
 	// no-op unless Collapse just rebuilt the window as maps.
 	g.Freeze()
-	e.mu.Lock()
-	e.windows = append(e.windows, g)
-	if e.cfg.MaxWindows > 0 && len(e.windows) > e.cfg.MaxWindows {
-		e.windows = e.windows[len(e.windows)-e.cfg.MaxWindows:]
-	}
-	e.mu.Unlock()
 	e.tel.windows.Add(1)
 	e.tracer.Eventf(trace.Context{}, "core", slog.LevelDebug,
 		"window %s completed: %d nodes, %d edges, %d sampled traces",
@@ -434,7 +393,7 @@ func (e *Engine) advance(maxStart time.Time) {
 		return
 	}
 	e.maxStartNS.Store(ns)
-	//lint:allow lockscope closeMu serializes window closes so OnWindow fires in window order; it is never taken by the read APIs a hook may call, only by Ingest/Flush, which a hook must not reenter (documented on Config.OnWindow)
+	//lint:allow lockscope closeMu serializes window closes so windows publish in epoch order; it is taken only by Ingest/Flush, which a bus consumer must not reenter (documented on WindowConsumer)
 	e.closeShards(maxStart, false)
 }
 
@@ -562,37 +521,17 @@ func (e *Engine) CollectTraced(recs []flowlog.Record, tcs []trace.Context) error
 // tracing is off), so servers fronting the engine can continue its traces.
 func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
-// Flush closes open windows across all shards, waits for every bus
-// consumer to process all published windows, and returns all completed
-// window graphs. The drain means that when Flush returns, the store, the
-// timeline, and every analysis have observed the full stream — which is
-// what makes online results comparable to batch ones.
-func (e *Engine) Flush() []*graph.Graph {
+// Flush closes open windows across all shards and waits for every bus
+// consumer to process all published windows. The drain means that when
+// Flush returns, the store, the timeline, and every analysis have observed
+// the full stream — which is what makes online results comparable to batch
+// ones.
+func (e *Engine) Flush() {
 	e.closeMu.Lock()
 	//lint:allow lockscope closeMu keeps window publication ordered; see advance
 	e.closeShards(time.Time{}, true)
 	e.closeMu.Unlock()
 	e.bus.Drain()
-	return e.Windows()
-}
-
-// Windows returns the completed window graphs without flushing.
-func (e *Engine) Windows() []*graph.Graph {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]*graph.Graph, len(e.windows))
-	copy(out, e.windows)
-	return out
-}
-
-// Latest returns the most recent completed window, or nil.
-func (e *Engine) Latest() *graph.Graph {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.windows) == 0 {
-		return nil
-	}
-	return e.windows[len(e.windows)-1]
 }
 
 // Cost returns the ingest cost report so far, including the per-shard
@@ -616,100 +555,4 @@ func (e *Engine) Cost() ingest.CostReport {
 	r.WorkerBusy = busy
 	r.Merge = time.Duration(e.mergeNS.Load())
 	return r
-}
-
-// Learn segments the given window (typically the first clean one) and
-// derives the reachability policy from it, establishing the engine's
-// baseline. The window is also pinned as the proportionality-growth base,
-// so later history trimming (MaxWindows) cannot silently shift what
-// Monitor compares against. It returns the segmentation.
-func (e *Engine) Learn(g *graph.Graph) (segment.Assignment, error) {
-	assign, err := segment.Run(e.cfg.Strategy, g, e.cfg.Segment)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	e.assign = assign
-	e.reach = policy.Learn(g, assign)
-	e.base = g
-	e.mu.Unlock()
-	return assign, nil
-}
-
-// Baseline returns the learned segmentation and policy (nil before Learn).
-func (e *Engine) Baseline() (segment.Assignment, *policy.Reachability) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.assign, e.reach
-}
-
-// Monitor evaluates a window against the learned baseline: raw reachability
-// violations, similarity-filtered cohort changes, and proportionality
-// assessments against the window pinned at Learn time. It returns nil
-// results before Learn.
-func (e *Engine) Monitor(g *graph.Graph) *MonitorReport {
-	e.mu.Lock()
-	reach := e.reach
-	base := e.base
-	e.mu.Unlock()
-	if reach == nil {
-		return nil
-	}
-	rep := &MonitorReport{
-		Violations: reach.CheckGraph(g),
-		Cohorts:    policy.SimilarityPolicy{R: reach}.Evaluate(g),
-	}
-	if base != nil {
-		rep.Growth = policy.ProportionalityPolicy{R: reach}.Evaluate(base, g)
-	}
-	for _, c := range rep.Cohorts {
-		if !c.Suppressed {
-			rep.Alerts += len(c.Violations)
-		}
-	}
-	// Violations touching nodes outside the baseline assignment — e.g. a
-	// brand-new external endpoint receiving exfiltrated data or serving
-	// as a C2 — have no cohort to vouch for them and always alert.
-	assign := reach.Assign
-	for _, v := range rep.Violations {
-		_, okA := assign[v.A]
-		_, okB := assign[v.B]
-		if !okA || !okB {
-			rep.Alerts++
-			rep.Unknown = append(rep.Unknown, v)
-		}
-	}
-	return rep
-}
-
-// MonitorReport is the security assessment of one window.
-type MonitorReport struct {
-	// Violations are raw reachability denials.
-	Violations []policy.Violation
-	// Cohorts groups the violations per segment pair with similarity
-	// suppression applied.
-	Cohorts []policy.CohortChange
-	// Growth is the proportionality assessment vs the baseline window.
-	Growth []policy.PairGrowth
-	// Unknown lists violations involving nodes absent from the baseline
-	// assignment (new endpoints); these always alert.
-	Unknown []policy.Violation
-	// Alerts counts violations that survive similarity suppression plus
-	// all Unknown violations.
-	Alerts int
-}
-
-// Anomalies scores all completed windows for hour-over-hour drift.
-func (e *Engine) Anomalies(opts summarize.AnomalyOptions) []summarize.WindowScore {
-	return summarize.ScoreWindows(e.Windows(), opts)
-}
-
-// Summary returns the succinct summary of the latest window, or a zero
-// Summary when no window has completed.
-func (e *Engine) Summary() summarize.Summary {
-	g := e.Latest()
-	if g == nil {
-		return summarize.Summary{}
-	}
-	return summarize.Summarize(g)
 }

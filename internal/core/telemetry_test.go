@@ -6,19 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"cloudgraph/internal/graph"
 	"cloudgraph/internal/telemetry"
 )
 
 func TestEngineTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	var hooked int
-	e := NewEngine(Config{
-		Window:    time.Hour,
-		Shards:    4,
-		Telemetry: reg,
-		OnWindow:  func(*graph.Graph) { hooked++ },
-	})
+	e := NewEngine(Config{Window: time.Hour, Shards: 4, Telemetry: reg})
+	defer e.Close()
 	recs := engineRecords(t, 3)
 	for i := 0; i < len(recs); i += 97 {
 		end := i + 97
@@ -27,8 +21,8 @@ func TestEngineTelemetry(t *testing.T) {
 		}
 		e.Ingest(recs[i:end])
 	}
-	if got := len(e.Flush()); got != 3 {
-		t.Fatalf("windows = %d, want 3", got)
+	if e.Flush(); e.Epoch() != 3 {
+		t.Fatalf("windows = %d, want 3", e.Epoch())
 	}
 
 	var perShard int64
@@ -42,12 +36,6 @@ func TestEngineTelemetry(t *testing.T) {
 	}
 	if got := e.tel.windows.Value(); got != 3 {
 		t.Errorf("windows counter = %d, want 3", got)
-	}
-	if hooked != 3 {
-		t.Fatalf("OnWindow fired %d times, want 3", hooked)
-	}
-	if got := e.tel.hook.Count(); got != 3 {
-		t.Errorf("hook histogram count = %d, want 3", got)
 	}
 	if e.tel.merge.Count() == 0 {
 		t.Error("merge histogram recorded nothing")
@@ -84,9 +72,10 @@ func TestEngineTelemetryDisabled(t *testing.T) {
 	// With no registry every handle is nil and ingest must still work —
 	// the nil-receiver no-op path the overhead budget depends on.
 	e := NewEngine(Config{Window: time.Hour, Shards: 2})
+	defer e.Close()
 	e.Ingest(engineRecords(t, 1))
-	if got := len(e.Flush()); got != 1 {
-		t.Fatalf("windows = %d, want 1", got)
+	if e.Flush(); e.Epoch() != 1 {
+		t.Fatalf("windows = %d, want 1", e.Epoch())
 	}
 	if len(e.tel.shardRecords) != 2 {
 		t.Fatalf("shardRecords len = %d, want 2 (sized even when off)", len(e.tel.shardRecords))

@@ -63,7 +63,7 @@ type Graph struct {
 	End   time.Time
 	// Traces lists the trace contexts of the sampled records folded into
 	// this window, attached by the engine when the window completes so
-	// downstream consumers (the store append, OnWindow hooks) can record
+	// downstream bus consumers (the store append, the timeline) can record
 	// their own spans against the same trace IDs. Nil when tracing is off
 	// or no sampled record landed in the window; never serialized.
 	Traces []trace.Context

@@ -3,7 +3,6 @@ package ingest
 import (
 	"math/rand"
 	"net/netip"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,161 +11,6 @@ import (
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 )
-
-var t0 = time.Unix(1700000000, 0).UTC().Truncate(time.Minute)
-
-func rec(local, remote netip.Addr, lport, rport uint16, bytes uint64, ts time.Time) flowlog.Record {
-	return flowlog.Record{
-		Time: ts, LocalIP: local, LocalPort: lport, RemoteIP: remote, RemotePort: rport,
-		PacketsSent: bytes / 1460, BytesSent: bytes, PacketsRcvd: 1, BytesRcvd: 100,
-	}
-}
-
-func TestPipelineMatchesSerialBuilder(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	addrs := make([]netip.Addr, 20)
-	for i := range addrs {
-		addrs[i] = netip.AddrFrom4([4]byte{10, 0, 1, byte(i + 1)})
-	}
-	var recs []flowlog.Record
-	for minute := 0; minute < 5; minute++ {
-		ts := t0.Add(time.Duration(minute) * time.Minute)
-		for f := 0; f < 500; f++ {
-			a, b := addrs[rng.Intn(len(addrs))], addrs[rng.Intn(len(addrs))]
-			if a == b {
-				continue
-			}
-			r := rec(a, b, uint16(30000+rng.Intn(1000)), 443, uint64(1000+rng.Intn(5000)), ts)
-			recs = append(recs, r)
-			if rng.Intn(2) == 0 { // double-report half the flows
-				recs = append(recs, r.Reverse())
-			}
-		}
-	}
-	serial := graph.Build(recs, graph.BuilderOptions{Facet: graph.FacetIP})
-
-	p := NewPipeline(4, graph.BuilderOptions{Facet: graph.FacetIP})
-	for i := 0; i < len(recs); i += 97 {
-		end := i + 97
-		if end > len(recs) {
-			end = len(recs)
-		}
-		p.Ingest(recs[i:end])
-	}
-	parallel, report := p.Close()
-
-	if parallel.NumNodes() != serial.NumNodes() {
-		t.Errorf("nodes: parallel %d vs serial %d", parallel.NumNodes(), serial.NumNodes())
-	}
-	if parallel.NumEdges() != serial.NumEdges() {
-		t.Errorf("edges: parallel %d vs serial %d", parallel.NumEdges(), serial.NumEdges())
-	}
-	pt, st := parallel.TotalTraffic(), serial.TotalTraffic()
-	if pt != st {
-		t.Errorf("traffic: parallel %+v vs serial %+v", pt, st)
-	}
-	if report.Records != int64(len(recs)) {
-		t.Errorf("meter records = %d, want %d", report.Records, len(recs))
-	}
-	if report.Workers != 4 {
-		t.Errorf("workers = %d", report.Workers)
-	}
-}
-
-func TestPipelineShardingKeepsFlowTogether(t *testing.T) {
-	// The same flow key must always shard to the same worker, or dedup
-	// breaks: verify via exact byte totals with double reports.
-	a, b := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
-	p := NewPipeline(8, graph.BuilderOptions{Facet: graph.FacetIP})
-	r := rec(a, b, 30001, 443, 1000, t0)
-	p.Ingest([]flowlog.Record{r})
-	p.Ingest([]flowlog.Record{r.Reverse()}) // arrives in a later batch
-	g, _ := p.Close()
-	if got := g.PairCounters(graph.IPNode(a), graph.IPNode(b)).Bytes; got != 1100 {
-		t.Errorf("pair bytes = %d, want 1100 (dedup across batches)", got)
-	}
-}
-
-func TestPipelineSingleWorker(t *testing.T) {
-	a, b := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
-	p := NewPipeline(0, graph.BuilderOptions{Facet: graph.FacetIP})
-	p.Ingest([]flowlog.Record{rec(a, b, 1, 2, 500, t0)})
-	g, rep := p.Close()
-	if g.NumEdges() != 1 || rep.Workers != 1 {
-		t.Errorf("single-worker pipeline broken: %d edges, %d workers", g.NumEdges(), rep.Workers)
-	}
-}
-
-func TestPipelineIngestAfterCloseIsNoop(t *testing.T) {
-	p := NewPipeline(2, graph.BuilderOptions{})
-	g, _ := p.Close()
-	p.Ingest([]flowlog.Record{rec(netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), 1, 2, 10, t0)})
-	g2, _ := p.Close()
-	if g.NumNodes() != 0 || g2.NumNodes() != 0 {
-		t.Error("Ingest after Close should not add records")
-	}
-}
-
-func TestPipelineCloseDuringIngestIsSafe(t *testing.T) {
-	// Regression for the closed-flag data race: Ingest read p.closed
-	// while Close wrote it with no synchronization, and an Ingest racing
-	// the channel close could send on a closed channel. Run with -race.
-	a, b := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
-	for round := 0; round < 20; round++ {
-		p := NewPipeline(4, graph.BuilderOptions{Facet: graph.FacetIP})
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				<-start
-				batch := []flowlog.Record{rec(a, b, uint16(30000+g), 443, 1000, t0)}
-				for i := 0; i < 50; i++ {
-					p.Ingest(batch)
-				}
-			}(g)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			p.Close()
-		}()
-		close(start)
-		wg.Wait()
-		// Close is idempotent and Ingest after Close stays a no-op.
-		g1, _ := p.Close()
-		p.Ingest([]flowlog.Record{rec(a, b, 1, 2, 10, t0)})
-		g2, _ := p.Close()
-		if g2.NumNodes() != g1.NumNodes() {
-			t.Fatal("Ingest after Close added records")
-		}
-	}
-}
-
-func TestPipelineReportsPerShardStats(t *testing.T) {
-	a := netip.MustParseAddr("10.0.0.1")
-	p := NewPipeline(3, graph.BuilderOptions{Facet: graph.FacetIP})
-	for i := 0; i < 32; i++ {
-		b := netip.AddrFrom4([4]byte{10, 0, 1, byte(i + 1)})
-		p.Ingest([]flowlog.Record{rec(a, b, uint16(30000+i), 443, 1000, t0)})
-	}
-	_, report := p.Close()
-	if len(report.Shards) != 3 {
-		t.Fatalf("shard stats = %d entries, want 3", len(report.Shards))
-	}
-	var sum int64
-	for _, s := range report.Shards {
-		sum += s.Records
-		if s.Depth != 0 {
-			t.Errorf("drained worker reports depth %d", s.Depth)
-		}
-	}
-	if sum != report.Records || sum != 32 {
-		t.Errorf("per-shard records sum to %d, meter says %d", sum, report.Records)
-	}
-}
 
 func TestShardOfStable(t *testing.T) {
 	a, b := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.9.9.9")

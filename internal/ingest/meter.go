@@ -31,10 +31,10 @@ func NewMeter() *Meter {
 }
 
 // Instrument registers the shared ingest counter families in reg and
-// mirrors every Observe into them. The engine's sharded path and the
-// Pipeline both bind the same families, so whichever path ingests, the
-// wire-throughput view is one pair of counters. Call before the first
-// Observe; a nil registry leaves the meter un-mirrored.
+// mirrors every Observe into them; every engine binds the same families,
+// so the wire-throughput view is one pair of counters however many realms
+// ingest. Call before the first Observe; a nil registry leaves the meter
+// un-mirrored.
 func (m *Meter) Instrument(reg *telemetry.Registry) {
 	m.telRecords = reg.Counter("cloudgraph_ingest_records_total",
 		"connection summaries accepted by an ingest path")
@@ -57,7 +57,7 @@ type CostReport struct {
 	Wall          time.Duration
 	RecordsPerSec float64
 	// WorkerBusy is summed CPU-equivalent busy time across workers;
-	// filled in by Pipeline.Close and core.Engine.Cost.
+	// filled in by core.Engine.Cost.
 	WorkerBusy time.Duration
 	Workers    int
 	// Shards breaks the work down per shard for the sharded ingest paths.
@@ -75,8 +75,7 @@ type ShardStat struct {
 	Records int64
 	// Busy is time spent folding records into the shard's builders.
 	Busy time.Duration
-	// Depth is the shard's backlog: queued minibatches for a Pipeline
-	// worker, still-open windows for an engine shard.
+	// Depth is the shard's backlog: its still-open windows.
 	Depth int
 }
 

@@ -1,11 +1,12 @@
 // Package realm multiplexes the whole analysis pipeline per tenant. The
 // paper's unit of analysis is a cloud *subscription*; a Realm is one
 // subscription's private pipeline plane — its own engine and consumer
-// bus, its own timeline/runner plane, its own durable history partition
-// and watermark tracker — while the Manager shares the machine between
-// realms: a deficit-round-robin scheduler (sched.go) meters every unit
-// of per-tenant work through one worker pool, and a COGS meter (cogs.go)
-// accounts what each subscription costs to serve.
+// bus, its own timeline/runner plane, its own security baseline, its own
+// durable history partition and watermark tracker — while the Manager
+// shares the machine between realms: a deficit-round-robin scheduler
+// (sched.go) meters every unit of per-tenant work through one worker
+// pool, and a COGS meter (cogs.go) accounts what each subscription costs
+// to serve.
 //
 // Isolation contract, pinned by the tenant-equivalence tests: because a
 // realm owns every piece of per-tenant state and the scheduler only
@@ -22,12 +23,14 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/histstore"
+	"cloudgraph/internal/policy"
 	"cloudgraph/internal/runner"
 	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/timeline"
@@ -68,7 +71,8 @@ type Config struct {
 	// Weights seeds per-tenant scheduler weights (default 1 each).
 	Weights map[string]int64
 	// OnWindow, when set, observes every tenant's sealed windows on that
-	// tenant's bus (e.g. the legacy -store hook, filtered by tenant).
+	// tenant's bus (e.g. the legacy -store hook, filtered by tenant). It
+	// rides the bus unscheduled, as the consumer named "hook".
 	OnWindow func(tenant string, g *graph.Graph)
 	// Telemetry and Trace are shared across realms; per-tenant series
 	// carry a tenant label (see cogs.go), engine-internal series
@@ -97,6 +101,9 @@ type Realm struct {
 	hist   *histstore.Store
 	wm     *watermark.Tracker
 	cogs   cogsMeter
+	// baseline is the tenant's learned security baseline (nil before the
+	// first LEARN); swapped whole, so readers never see a torn one.
+	baseline atomic.Pointer[policy.Baseline]
 
 	recovered   int // windows replayed at startup
 	stopCompact func()
@@ -153,6 +160,9 @@ func NewManager(cfg Config) (*Manager, error) {
 
 // Scheduler exposes the shared admission gate (for /tenantz and tests).
 func (m *Manager) Scheduler() *Scheduler { return m.sched }
+
+// Telemetry returns the registry shared by every realm (nil when off).
+func (m *Manager) Telemetry() *telemetry.Registry { return m.cfg.Telemetry }
 
 // Default returns the default tenant's realm.
 func (m *Manager) Default() *Realm {
@@ -232,10 +242,6 @@ func (m *Manager) create(name string) (*Realm, error) {
 	ecfg.Watermarks = r.wm
 	ecfg.Consumers = nil
 	ecfg.StartEpoch = 0
-	if m.cfg.OnWindow != nil {
-		onWindow := m.cfg.OnWindow
-		ecfg.OnWindow = func(g *graph.Graph) { onWindow(name, g) }
-	}
 
 	var consumers []core.ConsumerSpec
 	if m.cfg.Live {
@@ -308,6 +314,12 @@ func (m *Manager) create(name string) (*Realm, error) {
 			r.cogs.graphBytes.Store(int64(g.MemBytes()))
 		},
 	})
+	if onWindow := m.cfg.OnWindow; onWindow != nil {
+		consumers = append(consumers, core.ConsumerSpec{
+			Name: "hook",
+			Fn:   func(_ uint64, g *graph.Graph) { onWindow(name, g) },
+		})
+	}
 	ecfg.Consumers = consumers
 	r.engine = core.NewEngine(ecfg)
 	r.instrument(m.cfg.Telemetry)
@@ -379,6 +391,13 @@ func (r *Realm) Watermarks() *watermark.Tracker { return r.wm }
 // Recovered reports how many windows startup replayed for this tenant.
 func (r *Realm) Recovered() int { return r.recovered }
 
+// Baseline returns the tenant's learned security baseline, or nil before
+// SetBaseline.
+func (r *Realm) Baseline() *policy.Baseline { return r.baseline.Load() }
+
+// SetBaseline replaces the tenant's security baseline.
+func (r *Realm) SetBaseline(b *policy.Baseline) { r.baseline.Store(b) }
+
 // IngestTraced folds a batch into the tenant's engine once the
 // weighted-fair scheduler admits it. Borrow semantics pass through: recs
 // and tcs are the engine's only for the duration of the call.
@@ -401,12 +420,11 @@ func (r *Realm) IngestTraced(recs []flowlog.Record, tcs []trace.Context) {
 // Flush closes the tenant's open windows, drains its bus, and seals its
 // roll-up bucket. It must not hold a scheduler slot: the bus consumers
 // it drains are themselves waiting on slots.
-func (r *Realm) Flush() int {
-	n := len(r.engine.Flush())
+func (r *Realm) Flush() {
+	r.engine.Flush()
 	if r.plane != nil {
 		r.plane.Seal()
 	}
-	return n
 }
 
 // diskBytes is the tenant's durable footprint (0 without a store).
