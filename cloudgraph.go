@@ -44,12 +44,12 @@ import (
 	"cloudgraph/internal/counterfactual"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/histstore"
 	"cloudgraph/internal/ingest"
 	"cloudgraph/internal/matrix"
 	"cloudgraph/internal/model"
 	"cloudgraph/internal/policy"
 	"cloudgraph/internal/segment"
-	"cloudgraph/internal/store"
 	"cloudgraph/internal/summarize"
 )
 
@@ -291,18 +291,14 @@ func Attribute(g *Graph) Attribution { return model.Attribute(g) }
 // ParseAzureNSG ingests a real Azure NSG flow log (version 2) export.
 func ParseAzureNSG(r io.Reader) ([]Record, error) { return flowlog.ParseAzureNSG(r) }
 
-// Window store: durable history for "what happened during that event?".
+// Durable history for "what changed?" / "what happened during that
+// (past) event?" (§1): the epoch-indexed, crash-recoverable window store
+// behind cloudgraphd -data-dir and graphctl archive/history.
 
-// OpenStore loads every window graph from a store file.
-func OpenStore(path string) ([]*Graph, error) { return store.Open(path) }
+// History is a durable, epoch-indexed window history rooted at one
+// directory. One process owns a directory at a time.
+type History = histstore.Store
 
-// StoreRange loads the windows overlapping [from, to) from a store file.
-func StoreRange(path string, from, to time.Time) ([]*Graph, error) {
-	return store.Range(path, from, to)
-}
-
-// StoreWriter appends window graphs to a store file.
-type StoreWriter = store.Writer
-
-// CreateStore opens (or creates) a window store for appending.
-func CreateStore(path string) (*StoreWriter, error) { return store.Create(path) }
+// OpenHistory opens (or creates) the window history rooted at dir,
+// running crash recovery first.
+func OpenHistory(dir string) (*History, error) { return histstore.Open(dir, histstore.Options{}) }

@@ -70,7 +70,6 @@ import (
 	"cloudgraph/internal/histstore"
 	"cloudgraph/internal/realm"
 	"cloudgraph/internal/statusz"
-	"cloudgraph/internal/store"
 	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/timeline"
 	"cloudgraph/internal/trace"
@@ -130,7 +129,6 @@ func main() {
 		collapse    = flag.Float64("collapse", 0, "heavy-hitter collapse threshold (0 disables; paper uses 0.001)")
 		facet       = flag.String("facet", "ip", "graph facet: ip or ip-port")
 		workers     = flag.Int("workers", runtime.NumCPU(), "ingest shards: concurrent connections fold records in parallel, one flow-key shard per worker")
-		storeTo     = flag.String("store", "", "append the default tenant's completed windows to this store file (graphctl history reads it)")
 		opsAddr     = flag.String("ops", "127.0.0.1:9443", "ops HTTP address serving /metrics, /healthz, /debug/pprof/, /graphz, /tracez, /flightz and /tenantz (empty disables)")
 		traceSample = flag.Int("trace-sample", 0, "trace one in N ingested records end to end (0 disables span sampling)")
 		flightN     = flag.Int("flight-events", trace.DefaultFlightEvents, "flight recorder ring capacity (events and spans retained for /flightz and crash dumps)")
@@ -185,10 +183,6 @@ func main() {
 	if *rollup == 0 {
 		tcfg.Rollup = -1
 	}
-	hcfg := histstore.Options{Retention: *histRet}
-	if *rollup > 0 {
-		hcfg.RollupBucket = *rollup
-	}
 
 	// Every per-tenant watermark tracker observes its realm's per-stage
 	// epoch progress: the engine marks windows sealed, the plane's
@@ -207,7 +201,7 @@ func main() {
 		Timeline:   tcfg,
 		Watermark:  watermark.Config{FreshnessTarget: *freshSLO, Trip: *burnTrip},
 		DataDir:    *dataDir,
-		Hist:       hcfg,
+		Hist:       histstore.Options{Retention: *histRet},
 		MaxTenants: *maxTenants,
 		Workers:    *schedW,
 		Weights:    weights,
@@ -219,30 +213,6 @@ func main() {
 	}
 	if *dataDir != "" {
 		rcfg.CompactEvery = time.Minute
-	}
-	if *storeTo != "" {
-		w, err := store.Create(*storeTo)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer w.Close()
-		w.Instrument(reg)
-		w.Trace(tr)
-		// The flat store file has no tenant column, so the legacy hook
-		// follows the legacy plane: the default tenant's windows only.
-		rcfg.OnWindow = func(tenant string, g *graph.Graph) {
-			if tenant != realm.DefaultTenant {
-				return
-			}
-			if err := w.Append(g); err != nil {
-				log.Printf("store append: %v", err)
-				return
-			}
-			if err := w.Sync(); err != nil {
-				log.Printf("store sync: %v", err)
-			}
-		}
-		log.Printf("persisting windows to %s", *storeTo)
 	}
 
 	m, err := realm.NewManager(rcfg)

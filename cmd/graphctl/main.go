@@ -17,9 +17,16 @@
 //	graphctl diff       old.flows new.flows
 //	graphctl windows    [-window 1h] file.flows
 //	graphctl attribution file.flows
-//	graphctl archive    [-window 1h] -store windows.cg file.flows
-//	graphctl history    [-from t] [-to t] windows.cg
+//	graphctl archive    [-window 1h] [-store dir] file.flows
+//	graphctl history    [-from t] [-to t] dir
 //	graphctl top        [-ops host:port] [-interval 2s]
+//
+// archive and history work on a history directory in the same
+// epoch-indexed format as a cloudgraphd -data-dir tenant partition
+// (<data-dir>/<tenant>/). history opens the directory, which runs crash
+// recovery and takes ownership of it, so point it only at a directory no
+// daemon is serving; ask a live daemon with `graphctl query <analysis>
+// <RFC3339 time>` instead.
 //
 // Files may be binary (flowgen default), CSV (.csv suffix), Azure NSG
 // flow log v2 exports (.json suffix), or tagged multi-tenant captures
@@ -46,11 +53,11 @@ import (
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/heatmap"
+	"cloudgraph/internal/histstore"
 	"cloudgraph/internal/matrix"
 	"cloudgraph/internal/model"
 	"cloudgraph/internal/policy"
 	"cloudgraph/internal/segment"
-	"cloudgraph/internal/store"
 	"cloudgraph/internal/summarize"
 )
 
@@ -553,35 +560,70 @@ func cmdAttribution(args []string) {
 func cmdArchive(args []string) {
 	fs := flag.NewFlagSet("archive", flag.ExitOnError)
 	window := fs.Duration("window", time.Hour, "window size")
-	out := fs.String("store", "windows.cg", "store file to append to")
+	dir := fs.String("store", "history", "history directory to append to (created if missing)")
 	file := parseArgs(fs, args)
 	recs := readRecords(file)
 	w := core.NewWindower(*window, graph.BuilderOptions{})
 	for _, r := range recs {
 		w.Add(r)
 	}
-	sw, err := store.Create(*out)
-	if err != nil {
+	gs := w.Flush()
+	if err := archiveWindows(*dir, gs); err != nil {
 		log.Fatal(err)
 	}
-	for _, g := range w.Flush() {
-		if err := sw.Append(g); err != nil {
-			log.Fatal(err)
+	fmt.Fprintf(os.Stderr, "archived %d window(s) to %s\n", len(gs), *dir)
+}
+
+// archiveWindows appends gs to the history in dir under the epochs after
+// its last one, so archiving into an existing directory appends.
+func archiveWindows(dir string, gs []*graph.Graph) error {
+	hs, err := histstore.Open(dir, histstore.Options{})
+	if err != nil {
+		return err
+	}
+	epoch := hs.LastEpoch()
+	for _, g := range gs {
+		epoch++
+		if err := hs.Append(epoch, g); err != nil {
+			//lint:allow errdrop best-effort close; the Append error is the one the caller needs
+			hs.Close()
+			return err
 		}
 	}
-	n := sw.Count()
-	if err := sw.Close(); err != nil {
-		log.Fatal(err)
+	return hs.Close()
+}
+
+// historyWindows loads the window-resolution records of the history in
+// dir that overlap [from, to), in epoch order. Windows a daemon's
+// compactor already folded into roll-ups are not among them.
+func historyWindows(dir string, from, to time.Time) ([]*graph.Graph, error) {
+	// Open creates a missing directory; a read must not.
+	if _, err := os.Stat(dir); err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "archived %d window(s) to %s\n", n, *out)
+	hs, err := histstore.Open(dir, histstore.Options{})
+	if err != nil {
+		return nil, err
+	}
+	var gs []*graph.Graph
+	err = hs.Replay(func(_ uint64, g *graph.Graph) error {
+		if g.End.After(from) && g.Start.Before(to) {
+			gs = append(gs, g)
+		}
+		return nil
+	})
+	if cerr := hs.Close(); err == nil {
+		err = cerr
+	}
+	return gs, err
 }
 
 func cmdHistory(args []string) {
 	fs := flag.NewFlagSet("history", flag.ExitOnError)
 	from := fs.Int64("from", 0, "unix start of the range (0 = beginning)")
 	to := fs.Int64("to", 1<<62, "unix end of the range")
-	file := parseArgs(fs, args)
-	gs, err := store.Range(file, time.Unix(*from, 0).UTC(), time.Unix(*to, 0).UTC())
+	dir := parseArgs(fs, args)
+	gs, err := historyWindows(dir, time.Unix(*from, 0).UTC(), time.Unix(*to, 0).UTC())
 	if err != nil {
 		log.Fatal(err)
 	}

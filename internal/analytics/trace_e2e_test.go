@@ -5,16 +5,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
-	"cloudgraph/internal/graph"
 	"cloudgraph/internal/realm"
-	"cloudgraph/internal/store"
 	"cloudgraph/internal/trace"
 )
 
@@ -29,11 +26,11 @@ func (t tracedClientCollector) CollectTraced(recs []flowlog.Record, tcs []trace.
 
 // pipelineStages is the Figure 8 journey a sampled record's trace must
 // cover, in causal order.
-var pipelineStages = []string{"nicsim.pull", "wire.ingest", "core.shard", "core.merge", "store.append"}
+var pipelineStages = []string{"nicsim.pull", "wire.ingest", "core.shard", "core.merge", "histstore.append"}
 
 // TestTraceEndToEnd runs the whole pipeline — simulated NICs, the wire
-// protocol, the windowing engine, the store — under one tracer with
-// sampling on, and asserts a sampled record leaves exactly one span per
+// protocol, the windowing engine, the durable history — under one tracer
+// with sampling on, and asserts a sampled record leaves exactly one span per
 // stage, in order, under a single trace ID, retrievable from /tracez. It
 // then injects a protocol fault and asserts /flightz serves the pre-fault
 // window with the trip.
@@ -45,17 +42,10 @@ func TestTraceEndToEnd(t *testing.T) {
 		FlightEvents: 1 << 12,
 	})
 
-	w, err := store.Create(filepath.Join(t.TempDir(), "windows.cgraph"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	w.Trace(tr)
-
 	s, _ := serve(t, realm.Config{
-		Engine:   core.Config{Window: time.Hour},
-		Trace:    tr,
-		OnWindow: func(_ string, g *graph.Graph) { _ = w.Append(g) },
+		Engine:  core.Config{Window: time.Hour},
+		Trace:   tr,
+		DataDir: t.TempDir(),
 	}, Options{})
 
 	cl, err := Dial(s.Addr())
@@ -69,7 +59,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if _, err := c.Run(t0, 5, tracedClientCollector{cl}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Flush(); err != nil { // close the window: merge + store append
+	if _, err := cl.Flush(); err != nil { // close the window: merge + history append
 		t.Fatal(err)
 	}
 
@@ -145,7 +135,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	// The pre-fault window: pipeline spans recorded before the fault must
 	// appear in the same dump, ahead of the trip.
-	spanAt := strings.Index(dump, "store.append")
+	spanAt := strings.Index(dump, "histstore.append")
 	tripAt := strings.Index(dump, "protocol error")
 	if spanAt == -1 || spanAt > tripAt {
 		t.Fatalf("/flightz pre-fault window missing or misordered (span@%d trip@%d):\n%s",
@@ -174,10 +164,10 @@ func TestTraceLegacyIngestSamplesServerSide(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wireStages := []string{"wire.ingest", "core.shard", "core.merge", "store.append"}
+	wireStages := []string{"wire.ingest", "core.shard", "core.merge", "histstore.append"}
 	for _, id := range tr.Recorder().TraceIDs() {
 		spans := tr.Recorder().Trace(id)
-		if len(spans) != len(wireStages)-1 { // no store writer attached: 3 stages
+		if len(spans) != len(wireStages)-1 { // no -data-dir history: 3 stages
 			continue
 		}
 		ok := true

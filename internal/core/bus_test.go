@@ -64,9 +64,8 @@ func TestBusFanOut(t *testing.T) {
 }
 
 // TestBusOnWindowCompat: what replaced the legacy OnWindow hook — a plain
-// per-window func riding the bus as the "hook" consumer (realm.Config
-// .OnWindow installs exactly this) — still observes every window by the
-// time Flush returns.
+// per-window func riding the bus as a consumer — still observes every
+// window by the time Flush returns.
 func TestBusOnWindowCompat(t *testing.T) {
 	var mu sync.Mutex
 	var n int

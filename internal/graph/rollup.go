@@ -1,0 +1,27 @@
+package graph
+
+import "time"
+
+// RollupStart returns the start of the size-aligned roll-up bucket that a
+// window starting at start folds into.
+func RollupStart(start time.Time, size time.Duration) time.Time {
+	return start.Truncate(size).UTC()
+}
+
+// FoldRollup is the one roll-up bucket rule, shared by the in-memory
+// timeline and histstore compaction so that compacted history mirrors the
+// in-memory buckets: merge window g into the bucket acc (nil opens a fresh
+// one), pin Start back to g's bucket boundary — Merge widens it to the
+// member's — and widen End to cover at least the whole bucket. Callers
+// seal acc and open a new one when RollupStart of the next window moves.
+func FoldRollup(acc, g *Graph, size time.Duration) *Graph {
+	if acc == nil {
+		acc = New(g.Facet)
+	}
+	acc.Merge(g)
+	acc.Start = RollupStart(g.Start, size)
+	if end := acc.Start.Add(size); acc.End.Before(end) {
+		acc.End = end
+	}
+	return acc
+}

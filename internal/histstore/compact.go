@@ -20,12 +20,11 @@ type CompactStats struct {
 }
 
 // Compact folds sealed window segments whose data has aged past the
-// retention horizon into hour roll-up records, mirroring the timeline's
-// bucket semantics (same Truncate key, same Merge accumulation, same
-// boundary pinning), and retires the inputs under an atomic manifest
-// swap. The horizon is data-relative: cutoff = newest window End −
-// Retention, so a bucket compacts only once no future window can land in
-// it. Records in still-open buckets are rewritten into a residue window
+// retention horizon into hour roll-up records with the timeline's own
+// bucket rule (graph.RollupStart keys, graph.FoldRollup accumulation),
+// and retires the inputs under an atomic manifest swap. The horizon is
+// data-relative: cutoff = newest window End − Retention, so a bucket
+// compacts only once no future window can land in it. Records in still-open buckets are rewritten into a residue window
 // segment and stay replayable.
 //
 // The heavy streaming merge runs without the store lock (sealed segments
@@ -200,7 +199,6 @@ type compaction struct {
 	residueID uint64 // reserved manifest id for the residue output
 
 	bucket   *graph.Graph // in-progress roll-up accumulator
-	bucketK  int64        // unix seconds of bucket start
 	bucketLo uint64       // first member epoch
 	bucketHi uint64       // last member epoch
 	buckets  []int64      // flushed bucket keys, for compact spans
@@ -234,7 +232,7 @@ func (c *compaction) consumeSegment(path string, records int) error {
 		off = nextOff
 		c.stats.RecordsIn++
 		ru := c.s.opts.RollupBucket
-		k := rec.g.Start.Truncate(ru).Unix()
+		k := graph.RollupStart(rec.g.Start, ru).Unix()
 		if k+int64(ru/time.Second) > c.cutoff {
 			// Bucket still inside the horizon: keep at window resolution.
 			if err := c.writeOut(&c.residue, kindWindow, rec.epochLo, rec.epochHi, rec.g); err != nil {
@@ -243,24 +241,15 @@ func (c *compaction) consumeSegment(path string, records int) error {
 			c.stats.Residue++
 			continue
 		}
-		if c.bucket != nil && k != c.bucketK {
+		if c.bucket != nil && k != c.bucket.Start.Unix() {
 			if err := c.flushBucket(); err != nil {
 				return err
 			}
 		}
 		if c.bucket == nil {
-			c.bucket = graph.New(rec.g.Facet)
-			c.bucket.Start = rec.g.Start.Truncate(ru)
-			c.bucketK = k
 			c.bucketLo = rec.epochLo
 		}
-		c.bucket.Merge(rec.g)
-		// Merge widened Start to the member's; pin the bucket boundary
-		// back, exactly as the timeline does.
-		c.bucket.Start = time.Unix(c.bucketK, 0).UTC()
-		if end := c.bucket.Start.Add(ru); c.bucket.End.Before(end) {
-			c.bucket.End = end
-		}
+		c.bucket = graph.FoldRollup(c.bucket, rec.g, ru)
 		c.bucketHi = rec.epochHi
 	}
 	return nil
@@ -279,7 +268,7 @@ func (c *compaction) flushBucket() error {
 		return err
 	}
 	c.stats.Rollups++
-	c.buckets = append(c.buckets, c.bucketK)
+	c.buckets = append(c.buckets, g.Start.Unix())
 	return nil
 }
 

@@ -1,6 +1,6 @@
-// Package histstore is the durable, epoch-indexed graph history store:
-// the on-disk successor to the single append-only file of internal/store
-// and the crash-recoverable backing of the in-memory timeline. The paper
+// Package histstore is the durable, epoch-indexed graph history store —
+// the repository's one on-disk window format — and the crash-recoverable
+// backing of the in-memory timeline. The paper
 // motivates it directly — operators need "up-to-date views while also
 // being able to do historical analysis such as 'what changed?' or 'what
 // happened during that (past) event?'" (§1) — and at cloud scale that
@@ -8,12 +8,12 @@
 // in-memory retention.
 //
 // Layout on disk: a directory of segment files plus one MANIFEST. Each
-// segment holds length-prefixed, CRC-framed window records (the frozen-CSR
-// record codec shared with internal/store), and sealed segments carry a
-// sparse epoch index block so point lookups touch one frame chain, not
-// the file. A background compactor rolls minute-window segments whose
-// data has aged past the retention horizon into hour roll-up segments via
-// graph.Merge — mirroring the timeline's bucket semantics — and retires
+// segment holds length-prefixed, CRC-framed window records (graph bytes
+// from the internal/store codec), and sealed segments carry a sparse
+// epoch index block so point lookups touch one frame chain, not the file.
+// A background compactor rolls minute-window segments whose data has aged
+// past the retention horizon into hour roll-up segments via
+// graph.FoldRollup — the timeline's own bucket rule — and retires
 // the originals under an atomic manifest swap. Opening the store replays
 // the manifest, rolls forward interrupted compactions, adopts segments
 // orphaned by a crash, and truncates any torn tail record, so a kill -9
@@ -218,5 +218,5 @@ func sparsify(entries []indexEntry, stride int) []indexEntry {
 
 // bucketStart truncates t (unix seconds) to its roll-up bucket start.
 func bucketStart(unix int64, bucket time.Duration) int64 {
-	return time.Unix(unix, 0).UTC().Truncate(bucket).Unix()
+	return graph.RollupStart(time.Unix(unix, 0), bucket).Unix()
 }

@@ -33,8 +33,8 @@ type Options struct {
 	// the data (newest window End), not the wall clock, so replayed
 	// historical streams compact deterministically.
 	Retention time.Duration
-	// RollupBucket is the roll-up granularity; it must match the
-	// timeline's Rollup so compacted history mirrors the in-memory
+	// RollupBucket is the roll-up granularity. A realm derives it from
+	// its timeline's Rollup so compacted history mirrors the in-memory
 	// buckets.
 	RollupBucket time.Duration
 	// NoSync skips the per-append fsync (tests and benchmarks).

@@ -390,6 +390,8 @@ func TestCompactionReducesBytesAndPreservesHistory(t *testing.T) {
 	if st.BytesAfter >= st.BytesBefore {
 		t.Fatalf("compaction grew the store: %d -> %d bytes", st.BytesBefore, st.BytesAfter)
 	}
+	t.Logf("compaction: %d window records -> %d roll-ups, %d -> %d bytes (%.1fx smaller)",
+		st.RecordsIn, st.Rollups, st.BytesBefore, st.BytesAfter, float64(st.BytesBefore)/float64(st.BytesAfter))
 	after := s.Stats()
 	if after.Bytes >= before.Bytes {
 		t.Fatalf("on-disk bytes not reduced: %d -> %d", before.Bytes, after.Bytes)

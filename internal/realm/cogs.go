@@ -33,7 +33,7 @@ func (c *cogsMeter) timeAnalysis(start time.Time) {
 }
 
 // Cost is one tenant's COGS snapshot — the /tenantz row, the `graphctl
-// top` tenant columns, and the per-tenant benchreport figures.
+// top` tenant columns, and bench's realm.cogs_* layer rows.
 type Cost struct {
 	Tenant string `json:"tenant"`
 	Weight int64  `json:"weight"`

@@ -58,7 +58,9 @@ type Config struct {
 	// DataDir, when set, partitions durable history per tenant under
 	// DataDir/<tenant>/ with per-tenant recovery and compaction.
 	DataDir string
-	// Hist configures each tenant's history store.
+	// Hist configures each tenant's history store. Its RollupBucket
+	// follows Timeline.Rollup whenever that is positive, so compacted
+	// history mirrors the in-memory roll-ups.
 	Hist histstore.Options
 	// CompactEvery starts a per-tenant compactor loop (0 disables).
 	CompactEvery time.Duration
@@ -70,10 +72,6 @@ type Config struct {
 	MaxTenants int
 	// Weights seeds per-tenant scheduler weights (default 1 each).
 	Weights map[string]int64
-	// OnWindow, when set, observes every tenant's sealed windows on that
-	// tenant's bus (e.g. the legacy -store hook, filtered by tenant). It
-	// rides the bus unscheduled, as the consumer named "hook".
-	OnWindow func(tenant string, g *graph.Graph)
 	// Telemetry and Trace are shared across realms; per-tenant series
 	// carry a tenant label (see cogs.go), engine-internal series
 	// aggregate across tenants.
@@ -118,6 +116,9 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = 64
+	}
+	if cfg.Timeline.Rollup > 0 {
+		cfg.Hist.RollupBucket = cfg.Timeline.Rollup
 	}
 	m := &Manager{
 		cfg:    cfg,
@@ -260,6 +261,7 @@ func (m *Manager) create(name string) (*Realm, error) {
 			return nil, fmt.Errorf("tenant history: %w", err)
 		}
 		r.hist = hs
+		hs.Trace(m.cfg.Trace)
 		if r.plane != nil {
 			if err := hs.Replay(func(ep uint64, g *graph.Graph) error {
 				r.plane.Restore(ep, g)
@@ -314,12 +316,6 @@ func (m *Manager) create(name string) (*Realm, error) {
 			r.cogs.graphBytes.Store(int64(g.MemBytes()))
 		},
 	})
-	if onWindow := m.cfg.OnWindow; onWindow != nil {
-		consumers = append(consumers, core.ConsumerSpec{
-			Name: "hook",
-			Fn:   func(_ uint64, g *graph.Graph) { onWindow(name, g) },
-		})
-	}
 	ecfg.Consumers = consumers
 	r.engine = core.NewEngine(ecfg)
 	r.instrument(m.cfg.Telemetry)

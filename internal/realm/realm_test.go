@@ -6,13 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
-	"cloudgraph/internal/graph"
 	"cloudgraph/internal/histstore"
 )
 
@@ -122,40 +120,6 @@ func TestRealmIngestIsolation(t *testing.T) {
 	}
 	if ca.IngestSeconds <= 0 {
 		t.Fatal("COGS ingest seconds not recorded")
-	}
-}
-
-// TestRealmOnWindowHook: Config.OnWindow rides each tenant's bus
-// unscheduled as the consumer named "hook", after the COGS probe, and has
-// observed every window — labelled with its tenant — once Flush returns.
-func TestRealmOnWindowHook(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[string]int{}
-	m, err := NewManager(Config{
-		Engine: core.Config{Window: time.Minute},
-		OnWindow: func(tenant string, g *graph.Graph) {
-			mu.Lock()
-			seen[tenant]++
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	a, _ := m.Realm("acme")
-	t0 := time.Unix(1700000000, 0)
-	for i := 0; i < 3; i++ {
-		a.IngestTraced([]flowlog.Record{testRecord(i, t0.Add(time.Duration(i)*time.Minute))}, nil)
-	}
-	a.Flush()
-	mu.Lock()
-	defer mu.Unlock()
-	if seen["acme"] != 3 || len(seen) != 1 {
-		t.Fatalf("hook saw %v, want 3 acme windows only", seen)
-	}
-	if got := a.Engine().Bus().Consumers(); fmt.Sprint(got) != "[cogs hook]" {
-		t.Fatalf("bus consumers = %v, want [cogs hook]", got)
 	}
 }
 

@@ -1,184 +1,56 @@
-// Package store persists communication-graph windows to disk, the "store"
-// box of the Figure 8 architecture: the telemetry is continuous, so an
-// administrator needs "up-to-date views while also being able to do
-// historical analysis such as 'what changed?' or 'what happened during that
-// (past) event?'" (§1). Windows append to a single file in a compact
-// binary format; readers can stream every window or load a time range.
+// Package store is the window-graph codec: the one byte layout every
+// on-disk form of a communication-graph window uses. The durable,
+// epoch-indexed history in internal/histstore frames one EncodeGraph body
+// per record; nothing else in the repository serializes a graph.
 //
-// Format: a 16-byte file header (magic, version), then one length-prefixed
-// window record per graph. Within a window: facet, start/end, the node
-// table (deduplicated, referenced by index), then directed edges with
-// counters. Edge time series are not persisted — the per-window graphs ARE
-// the retained time series at window granularity.
+// EncodeGraph is canonical: it writes nodes in Node.Less order and directed
+// edges in (src, dst) node order whatever the graph's in-memory form.
+// DecodeGraph also accepts the orders older encoders wrote — map-form edges
+// in random order, and zoned IPv6 nodes written without their zone, which
+// decode merged — so re-encoding what it decodes reaches a fixed point
+// after one step. Edge time series are not persisted — the per-window
+// graphs ARE the retained time series at window granularity.
 package store
 
 import (
-	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"net/netip"
-	"os"
+	"slices"
 	"time"
 
 	"cloudgraph/internal/graph"
-	"cloudgraph/internal/telemetry"
-	"cloudgraph/internal/trace"
 )
 
-var magic = [8]byte{'c', 'g', 'r', 'a', 'p', 'h', '0', '1'}
-
-// ErrBadFormat is returned for corrupt or foreign files.
+// ErrBadFormat is returned for corrupt or truncated bytes.
 var ErrBadFormat = errors.New("store: bad file format")
 
-// Writer appends window graphs to a store file.
-type Writer struct {
-	f *os.File
-	w *bufio.Writer
-	n int
+// Node kinds on disk.
+const (
+	kindIP     = 0
+	kindIPPort = 1
+	kindName   = 2
+)
 
-	// Telemetry handles, bound by Instrument (nil when off).
-	telWindows *telemetry.Counter
-	telBytes   *telemetry.Counter
-	telFsync   *telemetry.Histogram
+// Smallest encodings of one node and one edge, used to reject counts the
+// remaining bytes cannot hold before anything is allocated for them.
+const (
+	minNodeBytes = 1 + 16 + 1 + 2 + 2
+	edgeBytes    = 4 + 4 + 8 + 8 + 8
+)
 
-	// tracer, bound by Trace (nil when off): Append closes the journey of
-	// every sampled record riding the window with a "store.append" span,
-	// and a failed fsync trips the flight recorder.
-	tracer *trace.Tracer
-}
-
-// Instrument registers the store's metric families in reg: windows and
-// bytes appended, and fsync latency. A nil registry is a no-op.
-func (w *Writer) Instrument(reg *telemetry.Registry) {
-	w.telWindows = reg.Counter("cloudgraph_store_windows_written_total",
-		"window graphs appended to the store file")
-	w.telBytes = reg.Counter("cloudgraph_store_bytes_written_total",
-		"serialized window bytes appended to the store file")
-	w.telFsync = reg.Histogram("cloudgraph_store_fsync_seconds",
-		"time spent in fsync making appended windows durable",
-		telemetry.DurBuckets)
-}
-
-// Create opens (or creates) a store file for appending. A new file gets the
-// header; an existing file is validated.
-func Create(path string) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		//lint:allow errdrop best-effort cleanup; the Stat error is the one the caller needs
-		f.Close()
-		return nil, err
-	}
-	if st.Size() == 0 {
-		if _, err := f.Write(magic[:]); err != nil {
-			//lint:allow errdrop best-effort cleanup; the Write error is the one the caller needs
-			f.Close()
-			return nil, err
-		}
-		var pad [8]byte
-		if _, err := f.Write(pad[:]); err != nil {
-			//lint:allow errdrop best-effort cleanup; the Write error is the one the caller needs
-			f.Close()
-			return nil, err
-		}
-	} else {
-		var got [8]byte
-		if _, err := io.ReadFull(f, got[:]); err != nil || got != magic {
-			//lint:allow errdrop best-effort cleanup; ErrBadFormat is the error the caller needs
-			f.Close()
-			return nil, ErrBadFormat
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		//lint:allow errdrop best-effort cleanup; the Seek error is the one the caller needs
-		f.Close()
-		return nil, err
-	}
-	return &Writer{f: f, w: bufio.NewWriterSize(f, 256<<10)}, nil
-}
-
-// Trace attaches tr (nil-safe, see Writer fields). Call before Append.
-func (w *Writer) Trace(tr *trace.Tracer) { w.tracer = tr }
-
-// Append serializes one window graph.
-func (w *Writer) Append(g *graph.Graph) error {
-	var appendStart time.Time
-	if w.tracer != nil && len(g.Traces) > 0 {
-		appendStart = time.Now()
-	}
-	body := encodeGraph(g)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(body); err != nil {
-		return err
-	}
-	w.n++
-	w.telWindows.Add(1)
-	w.telBytes.Add(int64(4 + len(body)))
-	if w.tracer != nil && len(g.Traces) > 0 {
-		// The last span of the record's journey: the window it folded
-		// into is on disk (buffered; Sync makes it durable).
-		d := time.Since(appendStart)
-		note := fmt.Sprintf("window=%s bytes=%d", g.Start.UTC().Format(time.RFC3339), 4+len(body))
-		for _, tc := range g.Traces {
-			w.tracer.Record(tc, "store.append", appendStart, d, note)
-		}
-	}
-	return nil
-}
-
-// Count returns windows appended by this writer.
-func (w *Writer) Count() int { return w.n }
-
-// Sync flushes buffered windows to the file and fsyncs it, making every
-// Append so far durable. Call it after each window (or batch) when the
-// store must survive a crash; Close syncs once more regardless.
-func (w *Writer) Sync() error {
-	if err := w.w.Flush(); err != nil {
-		w.tracer.Trip("store", "flush failed: "+err.Error())
-		return err
-	}
-	sp := telemetry.StartSpan(w.telFsync)
-	err := w.f.Sync()
-	sp.End()
-	if err != nil {
-		// A failed fsync means windows believed durable may be lost on
-		// crash — exactly the fault the flight recorder's pre-fault
-		// window exists to explain.
-		w.tracer.Trip("store", "fsync failed: "+err.Error())
-	}
-	return err
-}
-
-// Close makes all appended windows durable and closes the file. The file
-// is closed even when the flush or fsync fails, and that earlier error —
-// the one that says data was lost — is the one returned, never masked by
-// the close's outcome.
-func (w *Writer) Close() error {
-	err := w.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// encodeGraph serializes a graph. Layout (little endian):
+// EncodeGraph serializes one window graph. Layout (little endian):
 //
 //	u8  facet
 //	i64 start unix, i64 end unix
-//	u32 node count, then per node: u8 kind(0 ip,1 ipport,2 name),
-//	    [16]addr, u16 port, u16 nameLen, name bytes
-//	u32 directed edge count, then per edge: u32 src, u32 dst,
-//	    u64 bytes, u64 packets, u64 conns
-func encodeGraph(g *graph.Graph) []byte {
+//	u32 node count, then per node in Node.Less order: u8 kind (0 ip,
+//	    1 ipport, 2 name), [16]addr, u8 wasV4, u16 port, u16 textLen,
+//	    text bytes — the service name for kind 2, the IPv6 zone (usually
+//	    empty) for kinds 0 and 1
+//	u32 directed edge count, then per edge in (src, dst) order: u32 src,
+//	    u32 dst, u64 bytes, u64 packets, u64 conns
+func EncodeGraph(g *graph.Graph) []byte {
 	nodes := g.Nodes()
 	idx := make(map[graph.Node]uint32, len(nodes))
 	buf := make([]byte, 0, 64+len(nodes)*24)
@@ -188,12 +60,12 @@ func encodeGraph(g *graph.Graph) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(nodes)))
 	for i, n := range nodes {
 		idx[n] = uint32(i)
-		kind := byte(0)
+		kind, text := byte(kindIP), n.Addr.Zone()
 		switch {
 		case n.Name != "":
-			kind = 2
+			kind, text = kindName, n.Name
 		case n.Port != 0:
-			kind = 1
+			kind = kindIPPort
 		}
 		buf = append(buf, kind)
 		a16 := n.Addr.As16()
@@ -208,8 +80,8 @@ func encodeGraph(g *graph.Graph) []byte {
 			buf = append(buf, 0)
 		}
 		buf = binary.LittleEndian.AppendUint16(buf, n.Port)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(n.Name)))
-		buf = append(buf, n.Name...)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(text)))
+		buf = append(buf, text...)
 	}
 	type edge struct {
 		src, dst uint32
@@ -219,6 +91,13 @@ func encodeGraph(g *graph.Graph) []byte {
 	g.EachOut(func(src, dst graph.Node, e *graph.Edge) {
 		edges = append(edges, edge{src: idx[src], dst: idx[dst], c: e.Counters})
 	})
+	if !g.Frozen() {
+		// Map-form iteration order is random; lay edges out in the order
+		// the CSR form iterates them.
+		slices.SortFunc(edges, func(a, b edge) int {
+			return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
+		})
+	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(edges)))
 	for _, e := range edges {
 		buf = binary.LittleEndian.AppendUint32(buf, e.src)
@@ -230,58 +109,48 @@ func encodeGraph(g *graph.Graph) []byte {
 	return buf
 }
 
-// decodeGraph is the inverse of encodeGraph.
-func decodeGraph(b []byte) (*graph.Graph, error) {
+// DecodeGraph is the inverse of EncodeGraph. It rejects with ErrBadFormat
+// truncated or trailing bytes, counts larger than the input can hold,
+// unknown node kinds, fields an address kind does not carry, edge
+// endpoints outside the node table and repeated edges. Nodes and edges may
+// come in any order. The returned graph is map-backed; callers retaining
+// it long-term should Freeze it.
+func DecodeGraph(b []byte) (*graph.Graph, error) {
 	r := &byteReader{b: b}
 	facet := graph.Facet(r.u8())
 	start := time.Unix(int64(r.u64()), 0).UTC()
 	end := time.Unix(int64(r.u64()), 0).UTC()
-	nNodes := int(r.u32())
-	if r.err != nil || nNodes < 0 {
+	nNodes := uint64(r.u32())
+	if r.err != nil || nNodes*minNodeBytes > uint64(len(r.b)) {
 		return nil, ErrBadFormat
 	}
 	g := graph.New(facet)
 	g.Start, g.End = start, end
 	nodes := make([]graph.Node, 0, nNodes)
-	for i := 0; i < nNodes; i++ {
-		kind := r.u8()
-		var a16 [16]byte
-		copy(a16[:], r.bytes(16))
-		wasV4 := r.u8() == 1
-		port := r.u16()
-		nameLen := int(r.u16())
-		name := string(r.bytes(nameLen))
-		if r.err != nil {
+	for i := uint64(0); i < nNodes; i++ {
+		n, ok := r.node()
+		if !ok {
 			return nil, ErrBadFormat
-		}
-		var n graph.Node
-		switch kind {
-		case 2:
-			n = graph.ServiceNode(name)
-		default:
-			addr := netip.AddrFrom16(a16)
-			if wasV4 {
-				addr = addr.Unmap()
-			}
-			if kind == 1 {
-				n = graph.IPPortNode(addr, port)
-			} else {
-				n = graph.IPNode(addr)
-			}
 		}
 		nodes = append(nodes, n)
 		g.AddNode(n)
 	}
-	nEdges := int(r.u32())
-	for i := 0; i < nEdges; i++ {
-		src, dst := int(r.u32()), int(r.u32())
+	nEdges := uint64(r.u32())
+	if r.err != nil || nEdges*edgeBytes != uint64(len(r.b)) {
+		return nil, ErrBadFormat
+	}
+	keys := make([]uint64, 0, nEdges)
+	for i := uint64(0); i < nEdges; i++ {
+		src, dst := r.u32(), r.u32()
 		c := graph.Counters{Bytes: r.u64(), Packets: r.u64(), Conns: r.u64()}
-		if r.err != nil || src >= len(nodes) || dst >= len(nodes) {
+		if src >= uint32(len(nodes)) || dst >= uint32(len(nodes)) {
 			return nil, ErrBadFormat
 		}
+		keys = append(keys, uint64(src)<<32|uint64(dst))
 		g.AddEdge(nodes[src], nodes[dst], c)
 	}
-	if r.err != nil {
+	slices.Sort(keys)
+	if uint64(len(slices.Compact(keys))) != nEdges {
 		return nil, ErrBadFormat
 	}
 	return g, nil
@@ -293,150 +162,49 @@ type byteReader struct {
 	err error
 }
 
+// node reads one node table entry, reporting false for truncated or
+// malformed entries. A name node's address and port fields are ignored.
+func (r *byteReader) node() (graph.Node, bool) {
+	kind := r.u8()
+	a16 := [16]byte(r.take(16))
+	wasV4 := r.u8()
+	port := r.u16()
+	text := string(r.take(int(r.u16())))
+	if r.err != nil || wasV4 > 1 {
+		return graph.Node{}, false
+	}
+	if kind == kindName {
+		return graph.ServiceNode(text), text != ""
+	}
+	addr := netip.AddrFrom16(a16)
+	switch {
+	case wasV4 == 0:
+		addr = addr.WithZone(text)
+	case addr.Is4In6() && text == "":
+		addr = addr.Unmap()
+	default:
+		return graph.Node{}, false
+	}
+	switch {
+	case kind == kindIP && port == 0:
+		return graph.IPNode(addr), true
+	case kind == kindIPPort && port != 0:
+		return graph.IPPortNode(addr, port), true
+	}
+	return graph.Node{}, false
+}
+
 func (r *byteReader) take(n int) []byte {
 	if r.err != nil || len(r.b) < n {
 		r.err = ErrBadFormat
-		return nil
+		return make([]byte, n)
 	}
 	out := r.b[:n]
 	r.b = r.b[n:]
 	return out
 }
 
-func (r *byteReader) bytes(n int) []byte { return r.take(n) }
-func (r *byteReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-func (r *byteReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-func (r *byteReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-func (r *byteReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// EncodeGraph serializes one window graph in the store's record layout
-// (see encodeGraph for the byte-level format). Exported so other on-disk
-// forms — the epoch-indexed history store in internal/histstore — reuse
-// one codec instead of inventing a second graph serialization.
-func EncodeGraph(g *graph.Graph) []byte { return encodeGraph(g) }
-
-// DecodeGraph is the inverse of EncodeGraph. The returned graph is
-// map-backed; callers retaining it long-term should Freeze it.
-func DecodeGraph(b []byte) (*graph.Graph, error) { return decodeGraph(b) }
-
-// Reader streams windows out of a store file one at a time, so replaying
-// days of history holds one window in memory rather than the whole file.
-// Open and Range are reimplemented on top of it.
-type Reader struct {
-	f  *os.File
-	br *bufio.Reader
-}
-
-// OpenReader opens a store file for streaming reads, validating the
-// header. The caller owns Close.
-func OpenReader(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	br := bufio.NewReaderSize(f, 256<<10)
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil || got != magic {
-		//lint:allow errdrop best-effort cleanup; ErrBadFormat is the error the caller needs
-		f.Close()
-		return nil, ErrBadFormat
-	}
-	if _, err := io.CopyN(io.Discard, br, 8); err != nil {
-		//lint:allow errdrop best-effort cleanup; ErrBadFormat is the error the caller needs
-		f.Close()
-		return nil, ErrBadFormat
-	}
-	return &Reader{f: f, br: br}, nil
-}
-
-// Next returns the next window in file order, or io.EOF at a clean end of
-// file. A record cut off mid-body reports ErrBadFormat.
-func (r *Reader) Next() (*graph.Graph, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err == io.EOF {
-		return nil, io.EOF
-	} else if err != nil {
-		return nil, ErrBadFormat
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > 1<<31 {
-		return nil, ErrBadFormat
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r.br, body); err != nil {
-		return nil, fmt.Errorf("%w: truncated window", ErrBadFormat)
-	}
-	return decodeGraph(body)
-}
-
-// Close releases the underlying file.
-func (r *Reader) Close() error { return r.f.Close() }
-
-// Open reads a store file and returns all windows in file order. Use Range
-// to restrict by time, or OpenReader to stream without materializing the
-// slice.
-func Open(path string) ([]*graph.Graph, error) {
-	r, err := OpenReader(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	var out []*graph.Graph
-	for {
-		g, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-}
-
-// Range loads only the windows overlapping [from, to), streaming the file
-// so out-of-range windows are never retained.
-func Range(path string, from, to time.Time) ([]*graph.Graph, error) {
-	r, err := OpenReader(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	var out []*graph.Graph
-	for {
-		g, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if g.End.After(from) && g.Start.Before(to) {
-			out = append(out, g)
-		}
-	}
-}
+func (r *byteReader) u8() byte    { return r.take(1)[0] }
+func (r *byteReader) u16() uint16 { return binary.LittleEndian.Uint16(r.take(2)) }
+func (r *byteReader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
+func (r *byteReader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }

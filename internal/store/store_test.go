@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"net/netip"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -28,12 +30,18 @@ func randomGraph(rng *rand.Rand, start time.Time) *graph.Graph {
 			Conns:   uint64(1 + rng.Intn(10)),
 		})
 	}
-	// A few exotic nodes: IPv6, IP-port, service, collapsed, isolated.
+	// A few exotic nodes: IPv6, IP-port, service, collapsed, isolated, and
+	// scoped IPv6 nodes that differ only by zone.
 	g.AddEdge(graph.IPNode(netip.MustParseAddr("2001:db8::1")), graph.Collapsed, graph.Counters{Bytes: 7})
 	g.AddEdge(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.ServiceNode("svc"), graph.Counters{Bytes: 9, Conns: 1})
 	g.AddNode(graph.IPNode(netip.MustParseAddr("192.0.2.200")))
+	g.AddEdge(graph.IPNode(netip.MustParseAddr("fe80::1%eth0")), graph.IPNode(netip.MustParseAddr("fe80::1%eth1")), graph.Counters{Bytes: 11})
+	g.AddEdge(graph.IPPortNode(netip.MustParseAddr("fe80::1"), 22), graph.IPPortNode(netip.MustParseAddr("fe80::1%eth0"), 22), graph.Counters{Bytes: 13})
 	return g
 }
+
+// ip parses a FacetIP node.
+func ip(s string) graph.Node { return graph.IPNode(netip.MustParseAddr(s)) }
 
 func sameGraph(t *testing.T, a, b *graph.Graph) {
 	t.Helper()
@@ -63,129 +71,187 @@ func sameGraph(t *testing.T, a, b *graph.Graph) {
 	}
 }
 
+// TestRoundTrip: graphs with every node kind — IPv4, IPv6, ip:port,
+// service, the collapse bucket, an isolated node, IPv6 nodes that differ
+// only by zone — survive
+// EncodeGraph→DecodeGraph, and the encoding is canonical: the map form,
+// its frozen form and the decoded graph all encode to the same bytes.
 func TestRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "windows.cg")
 	rng := rand.New(rand.NewSource(77))
-	var want []*graph.Graph
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for h := 0; h < 5; h++ {
 		g := randomGraph(rng, t0.Add(time.Duration(h)*time.Hour))
-		want = append(want, g)
-		if err := w.Append(g); err != nil {
-			t.Fatal(err)
+		b := EncodeGraph(g)
+		got, err := DecodeGraph(b)
+		if err != nil {
+			t.Fatalf("window %d: %v", h, err)
+		}
+		sameGraph(t, g, got)
+		if re := EncodeGraph(got); !bytes.Equal(re, b) {
+			t.Fatalf("window %d: decoded graph re-encodes to different bytes", h)
+		}
+		g.Freeze()
+		if fb := EncodeGraph(g); !bytes.Equal(fb, b) {
+			t.Fatalf("window %d: frozen form encodes differently from map form", h)
 		}
 	}
-	if w.Count() != 5 {
-		t.Errorf("Count = %d", w.Count())
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("windows = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		sameGraph(t, want[i], got[i])
-	}
 }
 
-func TestAppendToExisting(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "w.cg")
-	rng := rand.New(rand.NewSource(5))
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Append(randomGraph(rng, t0))
-	w.Close()
-	w2, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2.Append(randomGraph(rng, t0.Add(time.Hour)))
-	w2.Close()
-	got, err := Open(path)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("after reopen: %d windows, %v", len(got), err)
-	}
-	if !got[1].Start.Equal(t0.Add(time.Hour)) {
-		t.Errorf("second window start = %v", got[1].Start)
-	}
-}
-
-func TestRangeQuery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "r.cg")
-	rng := rand.New(rand.NewSource(9))
-	w, _ := Create(path)
-	for h := 0; h < 6; h++ {
-		w.Append(randomGraph(rng, t0.Add(time.Duration(h)*time.Hour)))
-	}
-	w.Close()
-	got, err := Range(path, t0.Add(2*time.Hour), t0.Add(4*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("range windows = %d, want 2", len(got))
-	}
-	if !got[0].Start.Equal(t0.Add(2 * time.Hour)) {
-		t.Errorf("first in range = %v", got[0].Start)
-	}
-}
-
-func TestOpenErrors(t *testing.T) {
-	if _, err := Open(filepath.Join(t.TempDir(), "missing.cg")); err == nil {
-		t.Error("want error for missing file")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.cg")
-	os.WriteFile(bad, []byte("not a store file at all"), 0o644)
-	if _, err := Open(bad); err == nil {
-		t.Error("want error for foreign file")
-	}
-	if _, err := Create(bad); err == nil {
-		t.Error("Create on foreign file should fail")
-	}
-}
-
+// TestTruncatedWindow: a body cut short anywhere — mid-node, mid-edge, or
+// exactly at a field boundary — is ErrBadFormat, never a partial graph.
 func TestTruncatedWindow(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trunc.cg")
-	rng := rand.New(rand.NewSource(2))
-	w, _ := Create(path)
-	w.Append(randomGraph(rng, t0))
-	w.Close()
-	b, _ := os.ReadFile(path)
-	os.WriteFile(path, b[:len(b)-5], 0o644)
-	if _, err := Open(path); err == nil {
-		t.Error("want error for truncated window")
+	b := EncodeGraph(randomGraph(rand.New(rand.NewSource(2)), t0))
+	for n := 0; n < len(b); n++ {
+		if g, err := DecodeGraph(b[:n]); !errors.Is(err, ErrBadFormat) || g != nil {
+			t.Fatalf("truncated to %d/%d bytes: graph %v, err %v", n, len(b), g, err)
+		}
 	}
 }
 
-func TestHistoricalDiffFromStore(t *testing.T) {
-	// The §1 use case: load two past windows and ask "what changed?".
-	path := filepath.Join(t.TempDir(), "hist.cg")
-	a := graph.New(graph.FacetIP)
-	a.Start, a.End = t0, t0.Add(time.Hour)
-	a.AddEdge(graph.IPNode(netip.MustParseAddr("10.0.0.1")), graph.IPNode(netip.MustParseAddr("10.0.0.2")), graph.Counters{Bytes: 100})
-	b := graph.New(graph.FacetIP)
-	b.Start, b.End = t0.Add(time.Hour), t0.Add(2*time.Hour)
-	b.AddEdge(graph.IPNode(netip.MustParseAddr("10.0.0.1")), graph.IPNode(netip.MustParseAddr("10.0.0.9")), graph.Counters{Bytes: 500})
-	w, _ := Create(path)
-	w.Append(a)
-	w.Append(b)
-	w.Close()
-	windows, err := Open(path)
+// TestOpenErrors: foreign and malformed bodies are ErrBadFormat.
+func TestOpenErrors(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(3)), t0)
+	valid := EncodeGraph(g)
+	// Offsets of the first node's kind byte (after facet and two times)
+	// and of the edge count (before the edge table).
+	const node0 = 1 + 8 + 8 + 4
+	nEdges := g.NumDirectedEdges()
+	edges0 := len(valid) - nEdges*edgeBytes
+	mutate := func(f func(b []byte) []byte) []byte {
+		return f(append([]byte(nil), valid...))
+	}
+	cases := map[string][]byte{
+		"empty":         nil,
+		"foreign":       []byte("not a store file at all"),
+		"trailing byte": mutate(func(b []byte) []byte { return append(b, 0) }),
+		"unknown kind":  mutate(func(b []byte) []byte { b[node0] = 9; return b }),
+		"bad v4 flag":   mutate(func(b []byte) []byte { b[node0+17] = 2; return b }),
+		"edge node out of range": mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[edges0:], 1<<31)
+			return b
+		}),
+		"zone on v4 node": mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint16(b[node0+20:], 1)
+			return b
+		}),
+		"repeated edge": mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[edges0-4:], uint32(nEdges+1))
+			return append(b, b[len(b)-edgeBytes:]...)
+		}),
+	}
+	for name, b := range cases {
+		if g, err := DecodeGraph(b); !errors.Is(err, ErrBadFormat) || g != nil {
+			t.Errorf("%s: graph %v, err %v", name, g, err)
+		}
+	}
+}
+
+// TestDecodeAcceptsUnsortedEdges: the edge table may come in any order —
+// map-form graphs were once encoded in map iteration order — and decodes
+// to the same graph.
+func TestDecodeAcceptsUnsortedEdges(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(4)), t0)
+	b := EncodeGraph(g)
+	edges0 := len(b) - g.NumDirectedEdges()*edgeBytes
+	first := append([]byte(nil), b[edges0:edges0+edgeBytes]...)
+	copy(b[edges0:], b[edges0+edgeBytes:edges0+2*edgeBytes])
+	copy(b[edges0+edgeBytes:], first)
+	got, err := DecodeGraph(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := graph.Diff(windows[0], windows[1])
-	if len(d.AddedPairs) != 1 || len(d.RemovedPairs) != 1 {
-		t.Errorf("historical diff = %+v", d)
+	sameGraph(t, g, got)
+}
+
+// TestDecodeMapFormRecord decodes a record checked in from an encoder that
+// wrote map-form edges in map iteration order and dropped IPv6 zones. The
+// edges are out of (src, dst) order and fe80::1%eth0 and fe80::1%eth1
+// share one node entry; the record decodes with the two merged, and
+// re-encoding it reaches a fixed point.
+func TestDecodeMapFormRecord(t *testing.T) {
+	b, err := os.ReadFile("testdata/mapform_unsorted_zoned.bin")
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := DecodeGraph(b)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	want := graph.New(graph.FacetIP)
+	want.Start, want.End = t0, t0.Add(time.Hour)
+	want.AddEdge(ip("10.0.0.1"), ip("10.0.0.2"), graph.Counters{Bytes: 100, Packets: 2, Conns: 1})
+	want.AddEdge(ip("10.0.0.2"), ip("10.0.0.3"), graph.Counters{Bytes: 200, Packets: 3, Conns: 1})
+	want.AddEdge(ip("10.0.0.3"), ip("10.0.0.1"), graph.Counters{Bytes: 300, Packets: 4, Conns: 2})
+	want.AddEdge(ip("2001:db8::1"), ip("10.0.0.1"), graph.Counters{Bytes: 400, Packets: 5, Conns: 1})
+	want.AddEdge(ip("fe80::1"), ip("10.0.0.3"), graph.Counters{Bytes: 500, Packets: 6, Conns: 1})
+	want.AddEdge(ip("fe80::1"), ip("10.0.0.2"), graph.Counters{Bytes: 600, Packets: 7, Conns: 1})
+	want.AddEdge(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.ServiceNode("svc"), graph.Counters{Bytes: 9, Conns: 1})
+	want.AddEdge(ip("2001:db8::1"), graph.Collapsed, graph.Counters{Bytes: 7})
+	want.AddNode(ip("192.0.2.200"))
+	sameGraph(t, want, got)
+	assertFixedPoint(t, got)
+}
+
+// assertFixedPoint checks that g's encoding decodes and re-encodes to
+// itself.
+func assertFixedPoint(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	b := EncodeGraph(g)
+	again, err := DecodeGraph(b)
+	if err != nil {
+		t.Fatalf("re-decode: %v", err)
+	}
+	if re := EncodeGraph(again); !bytes.Equal(re, b) {
+		t.Fatalf("%d encoded bytes re-encode to %d different bytes", len(b), len(re))
+	}
+}
+
+// hostileNodeCount is the input that once made DecodeGraph allocate a
+// 0xFFFFFFF0-entry node table: facet, two zero times, a node count no
+// 25-byte body can hold, and four bytes of padding.
+var hostileNodeCount = []byte{
+	0,
+	0, 0, 0, 0, 0, 0, 0, 0,
+	0, 0, 0, 0, 0, 0, 0, 0,
+	0xF0, 0xFF, 0xFF, 0xFF,
+	0, 0, 0, 0,
+}
+
+func TestDecodeRejectsImpossibleCounts(t *testing.T) {
+	if _, err := DecodeGraph(hostileNodeCount); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("hostile node count: err %v, want ErrBadFormat", err)
+	}
+	// An edge count past the remaining bytes, after an empty node table.
+	b := append(hostileNodeCount[:17:17], 0, 0, 0, 0, 0xF0, 0xFF, 0xFF, 0xFF)
+	if _, err := DecodeGraph(b); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("hostile edge count: err %v, want ErrBadFormat", err)
+	}
+}
+
+// FuzzDecodeGraph: DecodeGraph never panics (nor allocates past what its
+// input can describe), and the encoding of whatever it accepts is a fixed
+// point: it decodes and re-encodes to itself.
+func FuzzDecodeGraph(f *testing.F) {
+	// Seeds stay small: the fuzzer minimizes every new-coverage input, at a
+	// cost quadratic in its length.
+	small := graph.New(graph.FacetIP)
+	small.Start, small.End = t0, t0.Add(time.Minute)
+	small.AddEdge(graph.IPNode(netip.MustParseAddr("10.0.0.1")), graph.IPNode(netip.MustParseAddr("2001:db8::1")), graph.Counters{Bytes: 7, Conns: 1})
+	small.AddEdge(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.Collapsed, graph.Counters{Packets: 2})
+	f.Add(EncodeGraph(small))
+	f.Add(EncodeGraph(graph.New(graph.FacetIPPort)))
+	f.Add(hostileNodeCount)
+	f.Add([]byte("not a store file at all"))
+	if b, err := os.ReadFile("testdata/mapform_unsorted_zoned.bin"); err == nil {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		g, err := DecodeGraph(b)
+		if err != nil {
+			if !errors.Is(err, ErrBadFormat) || g != nil {
+				t.Fatalf("graph %v, err %v", g, err)
+			}
+			return
+		}
+		assertFixedPoint(t, g)
+	})
 }

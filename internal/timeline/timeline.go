@@ -88,7 +88,6 @@ type Timeline struct {
 	windows []*graph.Graph
 	rollups []*graph.Graph
 	bucket  *graph.Graph // in-progress roll-up accumulator, never exposed
-	bucketK int64        // unix nanos of bucket start
 	history []*Snapshot  // bounded, oldest first
 	latest  *Snapshot
 
@@ -195,21 +194,10 @@ func (t *Timeline) rollupLocked(g *graph.Graph) {
 	if t.cfg.Rollup < 0 {
 		return
 	}
-	k := g.Start.Truncate(t.cfg.Rollup).UnixNano()
-	if t.bucket != nil && k != t.bucketK {
+	if t.bucket != nil && !t.bucket.Start.Equal(graph.RollupStart(g.Start, t.cfg.Rollup)) {
 		t.sealLocked()
 	}
-	if t.bucket == nil {
-		t.bucket = graph.New(g.Facet)
-		t.bucket.Start = g.Start.Truncate(t.cfg.Rollup)
-		t.bucketK = k
-	}
-	t.bucket.Merge(g)
-	// Merge widened Start to the member's; pin the bucket boundary back.
-	t.bucket.Start = time.Unix(0, t.bucketK).UTC()
-	if end := t.bucket.Start.Add(t.cfg.Rollup); t.bucket.End.Before(end) {
-		t.bucket.End = end
-	}
+	t.bucket = graph.FoldRollup(t.bucket, g, t.cfg.Rollup)
 	// Carry the members' sampled-record contexts so the seal can close
 	// their journeys with a "timeline.rollup" span.
 	t.bucket.Traces = append(t.bucket.Traces, g.Traces...)
