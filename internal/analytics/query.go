@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,6 +82,29 @@ type QueryResult struct {
 	Analysis string          `json:"analysis"`
 	Epoch    uint64          `json:"epoch"`
 	Result   json.RawMessage `json:"result"`
+}
+
+// writeLine writes q as one JSON line framed around its stored result
+// bytes, equal byte for byte to json.Marshal(q) plus the newline but
+// without re-validating and re-compacting Result: Analysis has passed
+// validAnalysisName, so it needs no escaping, and the plane's results come
+// out of json.Marshal, which compacting again leaves unchanged.
+//
+//wire:codec QueryResult
+func (q QueryResult) writeLine(w *bufio.Writer) error {
+	b := append(w.AvailableBuffer(), `{"analysis":"`...)
+	b = append(b, q.Analysis...)
+	b = append(b, `","epoch":`...)
+	b = strconv.AppendUint(b, q.Epoch, 10)
+	b = append(b, `,"result":`...)
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
+	if _, err := w.Write(q.Result); err != nil {
+		return err
+	}
+	_, err := w.WriteString("}\n")
+	return err
 }
 
 func cmdQuery(fields []string, ses *session) (any, error) {

@@ -314,14 +314,17 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // writeResponse emits one response line: an ERR line when the handler
-// failed, the text line for textResponse results, a JSON document
-// otherwise.
+// failed, the text line for textResponse results, a QUERY answer framed
+// from its stored bytes, a JSON document otherwise.
 func writeResponse(w *bufio.Writer, out any, cmdErr error) error {
 	if cmdErr != nil {
 		return writeLine(w, "ERR "+cmdErr.Error())
 	}
-	if t, ok := out.(textResponse); ok {
-		return writeLine(w, string(t))
+	switch out := out.(type) {
+	case textResponse:
+		return writeLine(w, string(out))
+	case QueryResult:
+		return out.writeLine(w)
 	}
 	return writeJSON(w, out)
 }

@@ -350,8 +350,8 @@ func (b *Builder) Finish() *Graph {
 }
 
 // seal lays the open window out as CSR: rank the node ids that carry an
-// edge by Node.Less, then counting-sort the edge slab by destination rank
-// and, stably, by source rank.
+// edge by Node.Less, renumber the edge keys by rank, and sort the slab into
+// (src, dst) order (sortEdges copies it, so the builder keeps its slab).
 func (b *Builder) seal() *frozen {
 	keys := b.edgeIdx.keys
 	used := make([]bool, len(b.nodes))
@@ -366,44 +366,18 @@ func (b *Builder) seal() *frozen {
 	}
 	sort.Slice(order, func(i, j int) bool { return b.nodes[order[i]].Less(b.nodes[order[j]]) })
 
-	n, m := len(order), len(keys)
-	fz := &frozen{
-		nodes:  make([]Node, n),
-		rowOff: make([]int32, n+1),
-		cols:   make([]int32, m),
-		edges:  make([]Edge, m),
-	}
-	rank := make([]int32, len(b.nodes))
+	nodes := make([]Node, len(order))
+	rank := make([]uint64, len(b.nodes))
 	for r, id := range order {
-		rank[id] = int32(r)
-		fz.nodes[r] = b.nodes[id]
+		rank[id] = uint64(r)
+		nodes[r] = b.nodes[id]
 	}
-	colOff := make([]int32, n+1)
-	for _, k := range keys {
-		fz.rowOff[rank[k>>32]+1]++
-		colOff[rank[uint32(k)]+1]++
-	}
-	for i := 0; i < n; i++ {
-		fz.rowOff[i+1] += fz.rowOff[i]
-		colOff[i+1] += colOff[i]
-	}
-	byDst := make([]int32, m) // slab indices in destination-rank order
+	ranked := make([]uint64, len(keys))
 	for e, k := range keys {
-		j := rank[uint32(k)]
-		byDst[colOff[j]] = int32(e)
-		colOff[j]++
+		ranked[e] = rank[k>>32]<<32 | rank[uint32(k)]
 	}
-	next := colOff[:n] // reused: next free position in each row
-	copy(next, fz.rowOff)
-	for _, e := range byDst {
-		k := keys[e]
-		i := rank[k>>32]
-		fz.cols[next[i]] = rank[uint32(k)]
-		fz.edges[next[i]] = b.edges[e]
-		next[i]++
-	}
-	fz.mirror()
-	return fz
+	ranked, slab := sortEdges(len(nodes), ranked, b.edges)
+	return csr(nodes, ranked, slab)
 }
 
 // reset empties every table for the next graph. The intern tables go with

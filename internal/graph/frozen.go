@@ -11,9 +11,10 @@ import "sort"
 // out-edges are offset+column arrays with a parallel slab of per-edge
 // counter blocks, and the in-direction is a CSC mirror that shares the
 // slab. A Builder seals its window straight into this form, Merge of two
-// frozen graphs stays in it, and Freeze converts a map-form graph. Every
-// read accessor answers from the arrays; mutation thaws back to maps first
-// (see Thaw), so the Graph API is unchanged either side of the seal.
+// frozen graphs stays in it, FromIndex assembles a decoded window into it,
+// and Freeze converts a map-form graph. Every read accessor answers from
+// the arrays; mutation thaws back to maps first (see Thaw), so the Graph
+// API is unchanged either side of the seal.
 //
 // Layout, for n nodes and m directed edges:
 //
@@ -47,47 +48,151 @@ func (g *Graph) Freeze() {
 	if g.fz != nil {
 		return
 	}
-	n := len(g.nodes)
-	fz := &frozen{nodes: make([]Node, 0, n)}
+	nodes := make([]Node, 0, len(g.nodes))
 	for node := range g.nodes {
-		fz.nodes = append(fz.nodes, node)
+		nodes = append(nodes, node)
 	}
-	sort.Slice(fz.nodes, func(i, j int) bool { return fz.nodes[i].Less(fz.nodes[j]) })
-	id := make(map[Node]int32, n)
-	for i, node := range fz.nodes {
-		id[node] = int32(i)
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Less(nodes[j]) })
+	id := make(map[Node]uint64, len(nodes))
+	for i, node := range nodes {
+		id[node] = uint64(i)
 	}
-
-	var m int
-	fz.rowOff = make([]int32, n+1)
+	m := g.NumDirectedEdges()
+	keys := make([]uint64, 0, m)
+	slab := make([]Edge, 0, m)
 	for src, row := range g.out {
-		fz.rowOff[id[src]+1] = int32(len(row))
-		m += len(row)
+		for dst, e := range row {
+			keys = append(keys, id[src]<<32|id[dst])
+			slab = append(slab, *e)
+		}
+	}
+	keys, slab = sortEdges(len(nodes), keys, slab)
+	g.fz = csr(nodes, keys, slab)
+	g.out, g.in, g.nodes = nil, nil, nil
+}
+
+// FromIndex assembles a frozen graph from an index form: nodes, and the
+// directed edges keys[e] = src<<32|dst between positions in nodes, with
+// counter blocks edges[e]. Edges may come in any order but must not repeat
+// a key (FromIndex reports false if one does); nodes may come in any order
+// and repeat, and equal nodes become one node whose coinciding edges sum.
+// Nodes in strictly ascending Node.Less order with strictly ascending keys —
+// the order the CSR form, and so EncodeGraph, lays them out in — are adopted
+// without sorting. FromIndex takes ownership of all three slices; the caller
+// guarantees every key indexes into nodes.
+func FromIndex(facet Facet, nodes []Node, keys []uint64, edges []Edge) (*Graph, bool) {
+	if !ascending(keys) {
+		keys, edges = sortEdges(len(nodes), keys, edges)
+		if !ascending(keys) {
+			return nil, false
+		}
+	}
+	for i := 1; i < len(nodes); i++ {
+		if !nodes[i-1].Less(nodes[i]) {
+			nodes, keys, edges = mergeNodes(nodes, keys, edges)
+			break
+		}
+	}
+	g := &Graph{Facet: facet, fz: csr(nodes, keys, edges)}
+	g.edges = g.fz.pairs()
+	return g, true
+}
+
+// ascending reports whether keys strictly increase.
+func ascending(keys []uint64) bool {
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeNodes ranks nodes given in any order, possibly repeated, into their
+// distinct Node.Less order, renumbers the edge keys to match, and sums the
+// counters of edges that then coincide.
+func mergeNodes(nodes []Node, keys []uint64, edges []Edge) ([]Node, []uint64, []Edge) {
+	order := make([]int, len(nodes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return nodes[order[a]].Less(nodes[order[b]]) })
+	rank := make([]uint64, len(nodes))
+	uniq := make([]Node, 0, len(nodes))
+	for _, i := range order {
+		if len(uniq) == 0 || uniq[len(uniq)-1] != nodes[i] {
+			uniq = append(uniq, nodes[i])
+		}
+		rank[i] = uint64(len(uniq) - 1)
+	}
+	for e, k := range keys {
+		keys[e] = rank[k>>32]<<32 | rank[uint32(k)]
+	}
+	keys, edges = sortEdges(len(uniq), keys, edges)
+	out := 0
+	for e, k := range keys {
+		if out > 0 && keys[out-1] == k {
+			edges[out-1].Counters.Add(edges[e].Counters)
+			continue
+		}
+		keys[out], edges[out] = k, edges[e]
+		out++
+	}
+	return uniq, keys[:out], edges[:out]
+}
+
+// sortEdges orders an edge slab keyed src<<32|dst over n node ranks by key:
+// a counting sort by destination and then, stably, by source. It returns
+// fresh arrays and leaves keys and slab as they were.
+func sortEdges(n int, keys []uint64, slab []Edge) ([]uint64, []Edge) {
+	rowOff := make([]int32, n+1)
+	colOff := make([]int32, n+1)
+	for _, k := range keys {
+		rowOff[k>>32+1]++
+		colOff[uint32(k)+1]++
+	}
+	for i := 0; i < n; i++ {
+		rowOff[i+1] += rowOff[i]
+		colOff[i+1] += colOff[i]
+	}
+	byDst := make([]int32, len(keys)) // slab indices in destination order
+	for e, k := range keys {
+		j := uint32(k)
+		byDst[colOff[j]] = int32(e)
+		colOff[j]++
+	}
+	outKeys := make([]uint64, len(keys))
+	outSlab := make([]Edge, len(keys))
+	next := rowOff[:n] // next free position in each row
+	for _, e := range byDst {
+		i := keys[e] >> 32
+		outKeys[next[i]] = keys[e]
+		outSlab[next[i]] = slab[e]
+		next[i]++
+	}
+	return outKeys, outSlab
+}
+
+// csr lays out nodes (distinct, in Node.Less order) and the edge slab keyed
+// src<<32|dst by node index, keys strictly ascending, as the frozen form.
+// It adopts nodes and slab.
+func csr(nodes []Node, keys []uint64, slab []Edge) *frozen {
+	n := len(nodes)
+	fz := &frozen{
+		nodes:  nodes,
+		rowOff: make([]int32, n+1),
+		cols:   make([]int32, len(keys)),
+		edges:  slab,
+	}
+	for e, k := range keys {
+		fz.rowOff[k>>32+1]++
+		fz.cols[e] = int32(uint32(k))
 	}
 	for i := 0; i < n; i++ {
 		fz.rowOff[i+1] += fz.rowOff[i]
 	}
-	fz.cols = make([]int32, m)
-	fz.edges = make([]Edge, m)
-	fill := make([]int32, n)
-	for src, row := range g.out {
-		i := id[src]
-		for dst, e := range row {
-			k := fz.rowOff[i] + fill[i]
-			fill[i]++
-			fz.cols[k] = id[dst]
-			fz.edges[k] = *e
-		}
-	}
-	for i := 0; i < n; i++ {
-		lo, hi := fz.rowOff[i], fz.rowOff[i+1]
-		sort.Sort(&rowSorter{cols: fz.cols[lo:hi], edges: fz.edges[lo:hi]})
-	}
-
 	fz.mirror()
-
-	g.fz = fz
-	g.out, g.in, g.nodes = nil, nil, nil
+	return fz
 }
 
 // mirror builds the CSC arrays from the sorted CSR: visiting rows in
@@ -160,20 +265,6 @@ func (g *Graph) thawForWrite() {
 	if g.fz != nil {
 		g.Thaw()
 	}
-}
-
-// rowSorter sorts one CSR row's columns ascending, keeping the parallel
-// edge slab in step.
-type rowSorter struct {
-	cols  []int32
-	edges []Edge
-}
-
-func (r *rowSorter) Len() int           { return len(r.cols) }
-func (r *rowSorter) Less(i, j int) bool { return r.cols[i] < r.cols[j] }
-func (r *rowSorter) Swap(i, j int) {
-	r.cols[i], r.cols[j] = r.cols[j], r.cols[i]
-	r.edges[i], r.edges[j] = r.edges[j], r.edges[i]
 }
 
 // nodeID returns the id of n in the sorted node index, or (0, false).

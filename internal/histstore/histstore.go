@@ -276,27 +276,29 @@ func (s *Store) sealNow(si *segmentInfo, w *segmentWriter, entries []indexEntry)
 // Nil-safe; call before concurrent use.
 func (s *Store) Trace(tr *trace.Tracer) { s.tracer = tr }
 
-// Instrument registers the store's metrics. Call once at wiring time.
-func (s *Store) Instrument(reg *telemetry.Registry) {
+// Instrument registers the store's metrics, each carrying labels (a realm
+// passes its tenant). Call once at wiring time, before Replay, so the
+// recovery pass is counted.
+func (s *Store) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) {
 	if reg == nil {
 		return
 	}
 	reg.GaugeFunc("cloudgraph_histstore_segments", "segment files in the history store", func() float64 {
 		st := s.Stats()
 		return float64(st.Segments)
-	})
+	}, labels...)
 	reg.GaugeFunc("cloudgraph_histstore_bytes", "bytes on disk across history segments", func() float64 {
 		st := s.Stats()
 		return float64(st.Bytes)
-	})
-	reg.GaugeFunc("cloudgraph_histstore_recovery_seconds", "duration of the last history replay", func() float64 {
+	}, labels...)
+	reg.GaugeFunc("cloudgraph_histstore_recovery_seconds", "duration of the startup recovery replay", func() float64 {
 		return float64(s.recoveryMilli.Load()) / 1e3
-	})
-	s.telAppended = reg.Counter("cloudgraph_histstore_windows_appended_total", "window records appended to the history store")
-	s.telReplayed = reg.Counter("cloudgraph_histstore_windows_replayed_total", "window records replayed from the history store")
-	s.telCompacts = reg.Counter("cloudgraph_histstore_compactions_total", "completed compaction passes")
-	s.telReclaimed = reg.Counter("cloudgraph_histstore_bytes_reclaimed_total", "on-disk bytes reclaimed by compaction")
-	s.telCompactSec = reg.Histogram("cloudgraph_histstore_compaction_seconds", "time folding window segments into roll-ups", telemetry.DurBuckets)
+	}, labels...)
+	s.telAppended = reg.Counter("cloudgraph_histstore_windows_appended_total", "window records appended to the history store", labels...)
+	s.telReplayed = reg.Counter("cloudgraph_histstore_windows_replayed_total", "window records replayed from the history store, by recovery and by disk QUERYs", labels...)
+	s.telCompacts = reg.Counter("cloudgraph_histstore_compactions_total", "completed compaction passes", labels...)
+	s.telReclaimed = reg.Counter("cloudgraph_histstore_bytes_reclaimed_total", "on-disk bytes reclaimed by compaction", labels...)
+	s.telCompactSec = reg.Histogram("cloudgraph_histstore_compaction_seconds", "time folding window segments into roll-ups", telemetry.DurBuckets, labels...)
 }
 
 // Stats is a point-in-time summary of the store.
@@ -507,7 +509,6 @@ func (s *Store) Get(epoch uint64) (*graph.Graph, error) {
 			return nil, err
 		}
 		if rec.epochLo <= epoch && epoch <= rec.epochHi {
-			rec.g.Freeze()
 			return rec.g, nil
 		}
 		if rec.epochLo > epoch {
@@ -595,12 +596,17 @@ func (s *Store) epochAtKind(unix int64, kind byte) (uint64, bool) {
 // already folded into roll-ups are not replayed — they predate any
 // in-memory retention worth rebuilding.
 func (s *Store) Replay(fn func(epoch uint64, g *graph.Graph) error) error {
-	return s.ReplayUpTo(^uint64(0), fn)
+	start := time.Now()
+	if err := s.ReplayUpTo(^uint64(0), fn); err != nil {
+		return err
+	}
+	s.recoveryMilli.Store(time.Since(start).Milliseconds())
+	return nil
 }
 
-// ReplayUpTo is Replay bounded to epochs <= limit.
+// ReplayUpTo is Replay bounded to epochs <= limit, without touching the
+// recovery gauge: disk QUERYs replay through it on every request.
 func (s *Store) ReplayUpTo(limit uint64, fn func(epoch uint64, g *graph.Graph) error) error {
-	start := time.Now()
 	type span struct {
 		path    string
 		records int
@@ -631,7 +637,6 @@ func (s *Store) ReplayUpTo(limit uint64, fn func(epoch uint64, g *graph.Graph) e
 				if rec.epochLo > limit {
 					return nil
 				}
-				rec.g.Freeze()
 				if err := fn(rec.epochLo, rec.g); err != nil {
 					return err
 				}
@@ -645,7 +650,6 @@ func (s *Store) ReplayUpTo(limit uint64, fn func(epoch uint64, g *graph.Graph) e
 		}
 	}
 	s.telReplayed.Add(replayed)
-	s.recoveryMilli.Store(time.Since(start).Milliseconds())
 	return nil
 }
 

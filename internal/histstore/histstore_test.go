@@ -448,6 +448,44 @@ func TestCompactionReducesBytesAndPreservesHistory(t *testing.T) {
 	}
 }
 
+// TestRecoveryGaugeOnlyFromReplay: the recovery gauge holds the duration of
+// Replay, the startup recovery pass; the bounded replays behind disk
+// QUERYs leave it alone but count toward windows_replayed_total.
+func TestRecoveryGaugeOnlyFromReplay(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	appendN(t, s, 3)
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg, telemetry.Label{Key: "tenant", Value: "acme"})
+	noop := func(uint64, *graph.Graph) error { return nil }
+	s.recoveryMilli.Store(-1)
+	if err := s.Replay(noop); err != nil {
+		t.Fatal(err)
+	}
+	if ms := s.recoveryMilli.Load(); ms < 0 {
+		t.Fatal("Replay did not record the recovery duration")
+	}
+	s.recoveryMilli.Store(4242)
+	if err := s.ReplayUpTo(2, noop); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`cloudgraph_histstore_recovery_seconds{tenant="acme"} 4.242`,
+		`cloudgraph_histstore_windows_replayed_total{tenant="acme"} 5`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", want, b.String())
+		}
+	}
+}
+
 func TestCompactionSurvivesRestart(t *testing.T) {
 	_, wins := clusterWindows(t)
 	dir := t.TempDir()

@@ -262,6 +262,7 @@ func (m *Manager) create(name string) (*Realm, error) {
 		}
 		r.hist = hs
 		hs.Trace(m.cfg.Trace)
+		hs.Instrument(m.cfg.Telemetry, telemetry.Label{Key: "tenant", Value: name})
 		if r.plane != nil {
 			if err := hs.Replay(func(ep uint64, g *graph.Graph) error {
 				r.plane.Restore(ep, g)

@@ -12,6 +12,7 @@ import (
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/histstore"
+	"cloudgraph/internal/telemetry"
 )
 
 func testRecord(i int, at time.Time) flowlog.Record {
@@ -124,7 +125,9 @@ func TestRealmIngestIsolation(t *testing.T) {
 }
 
 // TestManagerRecoversTenantDirs: a manager over a data dir containing
-// tenant partitions re-admits each tenant and resumes its epochs.
+// tenant partitions re-admits each tenant and resumes its epochs, and each
+// tenant's history metrics, recovery replay included, reach the registry
+// under its tenant label.
 func TestManagerRecoversTenantDirs(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
@@ -156,6 +159,8 @@ func TestManagerRecoversTenantDirs(t *testing.T) {
 	// A non-tenant directory must not become a realm.
 	os.MkdirAll(filepath.Join(dir, "diag"), 0o755)
 
+	reg := telemetry.NewRegistry()
+	cfg.Telemetry = reg
 	m2, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,5 +184,18 @@ func TestManagerRecoversTenantDirs(t *testing.T) {
 	}
 	if r.Cost().DiskBytes == 0 {
 		t.Fatal("recovered tenant has zero disk bytes")
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf(`cloudgraph_histstore_windows_replayed_total{tenant="acme"} %d`, r.Recovered()),
+		`cloudgraph_histstore_recovery_seconds{tenant="acme"}`,
+		`cloudgraph_histstore_segments{tenant="default"}`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }

@@ -77,8 +77,10 @@ func (p *Plane) ResolveTime(t time.Time) (uint64, bool) {
 }
 
 // queryDisk re-derives the named analysis's result at epoch by replaying
-// the durable history through a fresh runner. Called on an in-memory
-// miss; holds no plane lock while replaying.
+// the durable history through a fresh runner and asking it for one Result,
+// after the last window: under the Runner contract the earlier windows
+// cost only their state updates. Called on an in-memory miss; holds no
+// plane lock while replaying.
 func (p *Plane) queryDisk(name string, epoch uint64) (uint64, json.RawMessage, error) {
 	p.mu.RLock()
 	h, factory := p.hist, p.histRunners

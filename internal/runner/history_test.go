@@ -41,26 +41,31 @@ func TestQueryFallsThroughToDisk(t *testing.T) {
 	}
 	short.SetHistory(hs, nil)
 
-	// Epoch 2 must be gone from memory — the miss is what we are testing.
+	// Epochs below the retained ones must be gone from memory — the miss is
+	// what we are testing. Every one of them, for every runner, pins the
+	// lazily computed result at every replay depth, the first window (the
+	// policy baseline) included.
 	oldest, newest := short.Epochs("segment")
 	if oldest <= 2 {
 		t.Fatalf("oldest retained epoch %d; retention did not evict epoch 2", oldest)
 	}
 
 	for _, name := range short.Runners() {
-		ep, disk, err := short.Query(name, 2)
-		if err != nil {
-			t.Fatalf("QUERY %s@2 via disk: %v", name, err)
-		}
-		if ep != 2 {
-			t.Fatalf("QUERY %s@2 answered epoch %d", name, ep)
-		}
-		_, mem, err := full.Query(name, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(disk) != string(mem) {
-			t.Fatalf("%s@2: disk result diverges from in-memory:\n  disk: %s\n  mem:  %s", name, disk, mem)
+		for epoch := uint64(1); epoch < oldest; epoch++ {
+			ep, disk, err := short.Query(name, epoch)
+			if err != nil {
+				t.Fatalf("QUERY %s@%d via disk: %v", name, epoch, err)
+			}
+			if ep != epoch {
+				t.Fatalf("QUERY %s@%d answered epoch %d", name, epoch, ep)
+			}
+			_, mem, err := full.Query(name, epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(disk) != string(mem) {
+				t.Fatalf("%s@%d: disk result diverges from in-memory:\n  disk: %s\n  mem:  %s", name, epoch, disk, mem)
+			}
 		}
 	}
 
@@ -75,4 +80,41 @@ func TestQueryFallsThroughToDisk(t *testing.T) {
 		!strings.Contains(err.Error(), "history holds") {
 		t.Fatalf("QUERY far-future epoch: err = %v, want history range error", err)
 	}
+}
+
+// TestDiskQueryAllocBudget gates the allocations of one disk QUERY at
+// depth 8 — eight k8spaas minute windows read, decoded and stepped through
+// a fresh runner, one result marshaled — averaged over the default runners.
+// The count is deterministic up to map growth, so it is a build invariant,
+// not a timing: decoding straight to CSR and computing one result per
+// replay took it from ≈50.9K (map-form decode, every window analysed) to
+// ≈1.1K.
+func TestDiskQueryAllocBudget(t *testing.T) {
+	const depth, budget = 8, 5000
+	windows := goldenWindows(t, "k8spaas", 0.25, depth+1)
+	hs, err := histstore.Open(t.TempDir(), histstore.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hs.Close()
+	for i, g := range windows {
+		if err := hs.Append(uint64(i+1), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plane := New(Config{History: 1})
+	plane.Restore(uint64(len(windows)), windows[len(windows)-1])
+	plane.SetHistory(hs, nil)
+	names := plane.Runners()
+	avg := testing.AllocsPerRun(3, func() {
+		for _, name := range names {
+			if _, _, err := plane.Query(name, depth); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / float64(len(names))
+	if avg > budget {
+		t.Fatalf("a disk QUERY at depth %d allocates %.0f times, budget %d", depth, avg, budget)
+	}
+	t.Logf("disk QUERY at depth %d: %.0f allocs (budget %d)", depth, avg, budget)
 }

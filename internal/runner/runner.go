@@ -26,8 +26,16 @@ import (
 // Runner is one online analysis. The plane invokes OnSnapshot once per
 // completed window, in epoch order, always from the same goroutine (the
 // analysis's bus consumer), and reads Result immediately after — a Runner
-// therefore needs no internal locking. Result must return a
-// JSON-marshalable value describing the analysis of the latest snapshot.
+// therefore needs no internal locking.
+//
+// OnSnapshot only advances the state later windows depend on (a drift
+// baseline, a learned policy). Result computes the analysis of the latest
+// snapshot on its first call after OnSnapshot, caches it until the next,
+// and returns it as a JSON-marshalable value that must not depend on
+// whether Result was called for the earlier snapshots. Online the two run
+// back to back, so every window is analysed once; a disk QUERY replays
+// history through OnSnapshot and calls Result once, for the epoch asked
+// about.
 type Runner interface {
 	Name() string
 	OnSnapshot(epoch uint64, g *graph.Graph)
@@ -170,7 +178,8 @@ func (p *Plane) step(r Runner, epoch uint64, g *graph.Graph) {
 		}
 	}
 	if err != nil {
-		res = json.RawMessage(fmt.Sprintf("{%q:%q}", "error", err.Error()))
+		//lint:allow errdrop a map[string]string always marshals
+		res, _ = json.Marshal(map[string]string{"error": err.Error()})
 	}
 	p.mu.Lock()
 	name := r.Name()

@@ -33,10 +33,14 @@ type SegmentResult struct {
 	Error       string     `json:"error,omitempty"`
 }
 
-// SegmentRunner re-segments each window with the configured strategy.
+// SegmentRunner re-segments each window with the configured strategy. It
+// carries no state across windows, so it segments only the windows whose
+// Result is asked for.
 type SegmentRunner struct {
 	strategy segment.Strategy
 	opts     segment.Options
+	epoch    uint64
+	g        *graph.Graph // latest window, until Result segments it
 	last     SegmentResult
 }
 
@@ -47,18 +51,27 @@ func NewSegment(s segment.Strategy, opts segment.Options) *SegmentRunner {
 
 func (r *SegmentRunner) Name() string { return "segment" }
 
-func (r *SegmentRunner) OnSnapshot(epoch uint64, g *graph.Graph) {
-	r.last = SegmentResult{Epoch: epoch}
-	assign, err := segment.Run(r.strategy, g, r.opts)
-	if err != nil {
-		r.last.Error = err.Error()
-		return
+func (r *SegmentRunner) OnSnapshot(epoch uint64, g *graph.Graph) { r.epoch, r.g = epoch, g }
+
+func (r *SegmentRunner) Result() any {
+	if r.g != nil {
+		r.last = r.segment(r.epoch, r.g)
+		r.g = nil
 	}
-	r.last.NumSegments = assign.NumSegments()
-	r.last.Segments = segmentNames(assign)
+	return r.last
 }
 
-func (r *SegmentRunner) Result() any { return r.last }
+func (r *SegmentRunner) segment(epoch uint64, g *graph.Graph) SegmentResult {
+	res := SegmentResult{Epoch: epoch}
+	assign, err := segment.Run(r.strategy, g, r.opts)
+	if err != nil {
+		res.Error = err.Error()
+		return res
+	}
+	res.NumSegments = assign.NumSegments()
+	res.Segments = segmentNames(assign)
+	return res
+}
 
 // segmentNames renders an assignment as sorted member-name lists, the
 // stable wire form (graph.Node maps cannot marshal as JSON keys).
@@ -104,10 +117,15 @@ type SummarizeResult struct {
 // SummarizeRunner computes per-window summaries and carries the
 // incremental anomaly baseline in a summarize.Scorer, so the online score
 // of window i equals the batch summarize.ScoreWindows over windows [0..i].
+// The scorer steps on every window; the summary itself is computed only
+// for the windows whose Result is asked for.
 type SummarizeRunner struct {
-	scorer *summarize.Scorer
-	prev   *graph.Graph
-	last   SummarizeResult
+	scorer  *summarize.Scorer
+	prev    *graph.Graph // latest window
+	epoch   uint64
+	score   summarize.WindowScore
+	pending bool // prev not yet summarized
+	last    SummarizeResult
 }
 
 // NewSummarize returns the "summarize" runner.
@@ -118,21 +136,28 @@ func NewSummarize(opts summarize.AnomalyOptions) *SummarizeRunner {
 func (r *SummarizeRunner) Name() string { return "summarize" }
 
 func (r *SummarizeRunner) OnSnapshot(epoch uint64, g *graph.Graph) {
-	s := summarize.Summarize(g)
+	r.score = r.scorer.Step(r.prev, g)
+	r.prev, r.epoch, r.pending = g, epoch, true
+}
+
+func (r *SummarizeRunner) Result() any {
+	if !r.pending {
+		return r.last
+	}
+	r.pending = false
+	s := summarize.Summarize(r.prev)
 	r.last = SummarizeResult{
-		Epoch:         epoch,
+		Epoch:         r.epoch,
 		Headline:      s.Headline,
 		Nodes:         s.Stats.Nodes,
 		Edges:         s.Stats.Edges,
 		Hubs:          len(s.Hubs),
 		Cliques:       len(s.Cliques),
 		FractionFor90: summarize.FractionForShare(s.CCDF, 0.9),
-		Score:         r.scorer.Step(r.prev, g),
+		Score:         r.score,
 	}
-	r.prev = g
+	return r.last
 }
-
-func (r *SummarizeRunner) Result() any { return r.last }
 
 // ---- counterfactual ----
 
@@ -167,11 +192,13 @@ type PairJSON struct {
 }
 
 // CounterfactualRunner plans capacity per window via
-// counterfactual.PlanCapacity.
+// counterfactual.PlanCapacity, for the windows whose Result is asked for.
 type CounterfactualRunner struct {
 	capacityPerMin float64
 	utilThreshold  float64
 	topPairs       int
+	epoch          uint64
+	g              *graph.Graph // latest window, until Result plans it
 	last           CounterfactualResult
 }
 
@@ -188,7 +215,17 @@ func NewCounterfactual(capacityPerMin, utilThreshold float64, topPairs int) *Cou
 
 func (r *CounterfactualRunner) Name() string { return "counterfactual" }
 
-func (r *CounterfactualRunner) OnSnapshot(epoch uint64, g *graph.Graph) {
+func (r *CounterfactualRunner) OnSnapshot(epoch uint64, g *graph.Graph) { r.epoch, r.g = epoch, g }
+
+func (r *CounterfactualRunner) Result() any {
+	if r.g != nil {
+		r.last = r.plan(r.epoch, r.g)
+		r.g = nil
+	}
+	return r.last
+}
+
+func (r *CounterfactualRunner) plan(epoch uint64, g *graph.Graph) CounterfactualResult {
 	plan := counterfactual.PlanCapacity(g, r.capacityPerMin, r.utilThreshold, r.topPairs)
 	res := CounterfactualResult{Epoch: epoch}
 	for _, u := range plan.Upgrades {
@@ -201,10 +238,8 @@ func (r *CounterfactualRunner) OnSnapshot(epoch uint64, g *graph.Graph) {
 			A: e.A.String(), B: e.B.String(), Bytes: e.Bytes,
 		})
 	}
-	r.last = res
+	return res
 }
-
-func (r *CounterfactualRunner) Result() any { return r.last }
 
 // ---- policy churn ----
 
@@ -236,12 +271,16 @@ type PolicyChurnResult struct {
 // PolicyChurnRunner learns a baseline policy from the first window and,
 // for each later window, re-segments it, aligns the new segments to the
 // baseline by maximum member overlap, and prices every node move under
-// both rule compilations.
+// both rule compilations. The baseline is learned as soon as a window
+// segments; the churn of a later window is priced only when its Result is
+// asked for.
 type PolicyChurnRunner struct {
 	strategy segment.Strategy
 	opts     segment.Options
 	assign   segment.Assignment
 	reach    *policy.Reachability
+	epoch    uint64
+	g        *graph.Graph // latest post-baseline window, until Result prices it
 	last     PolicyChurnResult
 }
 
@@ -253,20 +292,37 @@ func NewPolicyChurn(s segment.Strategy, opts segment.Options) *PolicyChurnRunner
 func (r *PolicyChurnRunner) Name() string { return "policy" }
 
 func (r *PolicyChurnRunner) OnSnapshot(epoch uint64, g *graph.Graph) {
+	if r.reach != nil {
+		r.epoch, r.g = epoch, g
+		return
+	}
+	r.last = PolicyChurnResult{Epoch: epoch}
+	assign, err := segment.Run(r.strategy, g, r.opts)
+	if err != nil {
+		r.last.Error = err.Error()
+		return
+	}
+	r.assign = assign
+	r.reach = policy.Learn(g, assign)
+	r.last.Baseline = true
+	r.last.Segments = assign.NumSegments()
+}
+
+func (r *PolicyChurnRunner) Result() any {
+	if r.g != nil {
+		r.last = r.churn(r.epoch, r.g)
+		r.g = nil
+	}
+	return r.last
+}
+
+// churn prices window g's segment moves against the learned baseline.
+func (r *PolicyChurnRunner) churn(epoch uint64, g *graph.Graph) PolicyChurnResult {
 	res := PolicyChurnResult{Epoch: epoch}
 	assign, err := segment.Run(r.strategy, g, r.opts)
 	if err != nil {
 		res.Error = err.Error()
-		r.last = res
-		return
-	}
-	if r.reach == nil {
-		r.assign = assign
-		r.reach = policy.Learn(g, assign)
-		res.Baseline = true
-		res.Segments = assign.NumSegments()
-		r.last = res
-		return
+		return res
 	}
 	res.Segments = assign.NumSegments()
 	mapped := alignSegments(assign, r.assign)
@@ -291,10 +347,8 @@ func (r *PolicyChurnRunner) OnSnapshot(epoch uint64, g *graph.Graph) {
 		res.IPRuleUpdates += rep.IPRuleUpdates
 		res.TagUpdates += rep.TagUpdates
 	}
-	r.last = res
+	return res
 }
-
-func (r *PolicyChurnRunner) Result() any { return r.last }
 
 // alignSegments maps each segment id of the new assignment to the
 // baseline segment its members overlap most (ties to the smaller

@@ -4,12 +4,14 @@
 // per record; nothing else in the repository serializes a graph.
 //
 // EncodeGraph is canonical: it writes nodes in Node.Less order and directed
-// edges in (src, dst) node order whatever the graph's in-memory form.
-// DecodeGraph also accepts the orders older encoders wrote — map-form edges
-// in random order, and zoned IPv6 nodes written without their zone, which
-// decode merged — so re-encoding what it decodes reaches a fixed point
-// after one step. Edge time series are not persisted — the per-window
-// graphs ARE the retained time series at window granularity.
+// edges in (src, dst) node order whatever the graph's in-memory form — the
+// order of the frozen CSR arrays, which DecodeGraph therefore fills without
+// building a map graph. DecodeGraph also accepts the orders older encoders
+// wrote — map-form edges in random order, and zoned IPv6 nodes written
+// without their zone, which decode merged — so re-encoding what it decodes
+// reaches a fixed point after one step. Edge time series are not persisted
+// — the per-window graphs ARE the retained time series at window
+// granularity.
 package store
 
 import (
@@ -113,8 +115,9 @@ func EncodeGraph(g *graph.Graph) []byte {
 // truncated or trailing bytes, counts larger than the input can hold,
 // unknown node kinds, fields an address kind does not carry, edge
 // endpoints outside the node table and repeated edges. Nodes and edges may
-// come in any order. The returned graph is map-backed; callers retaining
-// it long-term should Freeze it.
+// come in any order. The returned graph is frozen: a canonical body lays
+// out as CSR directly, an older one goes through graph.FromIndex's
+// sort and merge.
 func DecodeGraph(b []byte) (*graph.Graph, error) {
 	r := &byteReader{b: b}
 	facet := graph.Facet(r.u8())
@@ -124,8 +127,6 @@ func DecodeGraph(b []byte) (*graph.Graph, error) {
 	if r.err != nil || nNodes*minNodeBytes > uint64(len(r.b)) {
 		return nil, ErrBadFormat
 	}
-	g := graph.New(facet)
-	g.Start, g.End = start, end
 	nodes := make([]graph.Node, 0, nNodes)
 	for i := uint64(0); i < nNodes; i++ {
 		n, ok := r.node()
@@ -133,26 +134,26 @@ func DecodeGraph(b []byte) (*graph.Graph, error) {
 			return nil, ErrBadFormat
 		}
 		nodes = append(nodes, n)
-		g.AddNode(n)
 	}
 	nEdges := uint64(r.u32())
 	if r.err != nil || nEdges*edgeBytes != uint64(len(r.b)) {
 		return nil, ErrBadFormat
 	}
-	keys := make([]uint64, 0, nEdges)
-	for i := uint64(0); i < nEdges; i++ {
+	keys := make([]uint64, nEdges)
+	edges := make([]graph.Edge, nEdges)
+	for i := range keys {
 		src, dst := r.u32(), r.u32()
-		c := graph.Counters{Bytes: r.u64(), Packets: r.u64(), Conns: r.u64()}
 		if src >= uint32(len(nodes)) || dst >= uint32(len(nodes)) {
 			return nil, ErrBadFormat
 		}
-		keys = append(keys, uint64(src)<<32|uint64(dst))
-		g.AddEdge(nodes[src], nodes[dst], c)
+		keys[i] = uint64(src)<<32 | uint64(dst)
+		edges[i].Counters = graph.Counters{Bytes: r.u64(), Packets: r.u64(), Conns: r.u64()}
 	}
-	slices.Sort(keys)
-	if uint64(len(slices.Compact(keys))) != nEdges {
+	g, ok := graph.FromIndex(facet, nodes, keys, edges)
+	if !ok {
 		return nil, ErrBadFormat
 	}
+	g.Start, g.End = start, end
 	return g, nil
 }
 

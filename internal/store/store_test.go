@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 )
 
 var t0 = time.Unix(1700000000, 0).UTC().Truncate(time.Hour)
@@ -73,26 +74,104 @@ func sameGraph(t *testing.T, a, b *graph.Graph) {
 
 // TestRoundTrip: graphs with every node kind — IPv4, IPv6, ip:port,
 // service, the collapse bucket, an isolated node, IPv6 nodes that differ
-// only by zone — survive
-// EncodeGraph→DecodeGraph, and the encoding is canonical: the map form,
-// its frozen form and the decoded graph all encode to the same bytes.
+// only by zone — and the graphtest shapes (self-loops, one-way and
+// zero-byte edges) survive EncodeGraph→DecodeGraph, decoding straight to
+// the frozen form and matching the map reference; and the encoding is
+// canonical: the map form, its frozen form and the decoded graph all
+// encode to the same bytes.
 func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	var gs []*graph.Graph
 	for h := 0; h < 5; h++ {
-		g := randomGraph(rng, t0.Add(time.Duration(h)*time.Hour))
+		gs = append(gs, randomGraph(rng, t0.Add(time.Duration(h)*time.Hour)))
+	}
+	for _, c := range graphtest.Cases(5) {
+		c.G.Start, c.G.End = t0, t0.Add(time.Minute)
+		gs = append(gs, c.G)
+	}
+	for i, g := range gs {
 		b := EncodeGraph(g)
 		got, err := DecodeGraph(b)
 		if err != nil {
-			t.Fatalf("window %d: %v", h, err)
+			t.Fatalf("graph %d: %v", i, err)
 		}
 		sameGraph(t, g, got)
+		assertMatchesMapReference(t, b)
 		if re := EncodeGraph(got); !bytes.Equal(re, b) {
-			t.Fatalf("window %d: decoded graph re-encodes to different bytes", h)
+			t.Fatalf("graph %d: decoded graph re-encodes to different bytes", i)
 		}
 		g.Freeze()
 		if fb := EncodeGraph(g); !bytes.Equal(fb, b) {
-			t.Fatalf("window %d: frozen form encodes differently from map form", h)
+			t.Fatalf("graph %d: frozen form encodes differently from map form", i)
 		}
+	}
+}
+
+// mapDecode is the reference decoder: it parses a body exactly as
+// DecodeGraph does but builds the graph node by node and edge by edge
+// through AddNode/AddEdge, the map form summing the edges of nodes that
+// decode equal.
+func mapDecode(b []byte) (*graph.Graph, error) {
+	r := &byteReader{b: b}
+	g := graph.New(graph.Facet(r.u8()))
+	g.Start = time.Unix(int64(r.u64()), 0).UTC()
+	g.End = time.Unix(int64(r.u64()), 0).UTC()
+	nNodes := uint64(r.u32())
+	if r.err != nil || nNodes*minNodeBytes > uint64(len(r.b)) {
+		return nil, ErrBadFormat
+	}
+	var nodes []graph.Node
+	for i := uint64(0); i < nNodes; i++ {
+		n, ok := r.node()
+		if !ok {
+			return nil, ErrBadFormat
+		}
+		nodes = append(nodes, n)
+		g.AddNode(n)
+	}
+	nEdges := uint64(r.u32())
+	if r.err != nil || nEdges*edgeBytes != uint64(len(r.b)) {
+		return nil, ErrBadFormat
+	}
+	seen := make(map[[2]uint32]bool)
+	for i := uint64(0); i < nEdges; i++ {
+		src, dst := r.u32(), r.u32()
+		c := graph.Counters{Bytes: r.u64(), Packets: r.u64(), Conns: r.u64()}
+		if src >= uint32(len(nodes)) || dst >= uint32(len(nodes)) || seen[[2]uint32{src, dst}] {
+			return nil, ErrBadFormat
+		}
+		seen[[2]uint32{src, dst}] = true
+		g.AddEdge(nodes[src], nodes[dst], c)
+	}
+	return g, nil
+}
+
+// assertMatchesMapReference checks that DecodeGraph accepts exactly what
+// mapDecode accepts and returns a frozen graph with no Diff from the map
+// reference that encodes to the reference's bytes.
+func assertMatchesMapReference(t *testing.T, b []byte) {
+	t.Helper()
+	got, err := DecodeGraph(b)
+	ref, rerr := mapDecode(b)
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("DecodeGraph err %v, map reference err %v", err, rerr)
+	}
+	if err != nil {
+		return
+	}
+	if !got.Frozen() {
+		t.Fatal("DecodeGraph returned a map-form graph")
+	}
+	if got.Facet != ref.Facet || !got.Start.Equal(ref.Start) || !got.End.Equal(ref.End) ||
+		got.NumNodes() != ref.NumNodes() || got.NumEdges() != ref.NumEdges() {
+		t.Fatalf("decoded %v %d nodes %d pairs, map reference %v %d nodes %d pairs",
+			got.Facet, got.NumNodes(), got.NumEdges(), ref.Facet, ref.NumNodes(), ref.NumEdges())
+	}
+	if d := graph.Diff(ref, got); len(d.AddedNodes)+len(d.RemovedNodes)+len(d.AddedPairs)+len(d.RemovedPairs) > 0 || d.ByteChange != 0 {
+		t.Fatalf("decoded graph differs from the map reference: %+v", d)
+	}
+	if !bytes.Equal(EncodeGraph(got), EncodeGraph(ref)) {
+		t.Fatal("decoded graph and map reference encode differently")
 	}
 }
 
@@ -160,6 +239,7 @@ func TestDecodeAcceptsUnsortedEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameGraph(t, g, got)
+	assertMatchesMapReference(t, b)
 }
 
 // TestDecodeMapFormRecord decodes a record checked in from an encoder that
@@ -188,7 +268,22 @@ func TestDecodeMapFormRecord(t *testing.T) {
 	want.AddEdge(ip("2001:db8::1"), graph.Collapsed, graph.Counters{Bytes: 7})
 	want.AddNode(ip("192.0.2.200"))
 	sameGraph(t, want, got)
+	assertMatchesMapReference(t, b)
 	assertFixedPoint(t, got)
+
+	// Point the fe80::1%eth1 edge (the sixth, to 10.0.0.2) at the
+	// fe80::1%eth0 edge's destination: once the twins merge, the two edges
+	// coincide and sum.
+	edge5 := len(b) - (8-5)*edgeBytes
+	binary.LittleEndian.PutUint32(b[edge5+4:], 2)
+	got, err = DecodeGraph(b)
+	if err != nil {
+		t.Fatalf("decode coinciding twins: %v", err)
+	}
+	if c := got.OutEdge(ip("fe80::1"), ip("10.0.0.3")).Counters; c != (graph.Counters{Bytes: 1100, Packets: 13, Conns: 2}) {
+		t.Fatalf("merged twin edges: %+v, want the sum of both", c)
+	}
+	assertMatchesMapReference(t, b)
 }
 
 // assertFixedPoint checks that g's encoding decodes and re-encodes to
@@ -228,8 +323,9 @@ func TestDecodeRejectsImpossibleCounts(t *testing.T) {
 }
 
 // FuzzDecodeGraph: DecodeGraph never panics (nor allocates past what its
-// input can describe), and the encoding of whatever it accepts is a fixed
-// point: it decodes and re-encodes to itself.
+// input can describe), accepts exactly what the map reference accepts and
+// decodes it to the same graph, and the encoding of whatever it accepts is
+// a fixed point: it decodes and re-encodes to itself.
 func FuzzDecodeGraph(f *testing.F) {
 	// Seeds stay small: the fuzzer minimizes every new-coverage input, at a
 	// cost quadratic in its length.
@@ -252,6 +348,7 @@ func FuzzDecodeGraph(f *testing.F) {
 			}
 			return
 		}
+		assertMatchesMapReference(t, b)
 		assertFixedPoint(t, g)
 	})
 }
