@@ -7,12 +7,15 @@
 package counterfactual
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/topk"
 )
 
 // Dist is an empirical distribution.
@@ -208,27 +211,56 @@ type Plan struct {
 // PlanCapacity builds a plan: nodes above utilThreshold become upgrade
 // recommendations and the topPairs heaviest pairs become proximity-group
 // candidates (§2.3: "relocate VMs that exchange a lot of data into the same
-// availability zone or a proximity group").
+// availability zone or a proximity group"). topPairs <= 0 asks for no
+// proximity list.
 func PlanCapacity(g *graph.Graph, capacityPerMin float64, utilThreshold float64, topPairs int) Plan {
 	var plan Plan
-	for _, nl := range Bottlenecks(g, capacityPerMin) {
-		if nl.Utilization >= utilThreshold && utilThreshold > 0 {
-			plan.Upgrades = append(plan.Upgrades, nl)
+	// Without a capacity every utilization is zero, so no node can reach
+	// a positive threshold: skip ranking the loads.
+	if capacityPerMin > 0 && utilThreshold > 0 {
+		for _, nl := range Bottlenecks(g, capacityPerMin) {
+			if nl.Utilization >= utilThreshold {
+				plan.Upgrades = append(plan.Upgrades, nl)
+			}
 		}
 	}
-	edges := g.UndirectedEdges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Bytes != edges[j].Bytes {
-			return edges[i].Bytes > edges[j].Bytes
-		}
-		if edges[i].A != edges[j].A {
-			return edges[i].A.Less(edges[j].A)
-		}
-		return edges[i].B.Less(edges[j].B)
-	})
-	if topPairs > len(edges) {
-		topPairs = len(edges)
-	}
-	plan.Proximity = edges[:topPairs]
+	plan.Proximity = heaviestPairs(g, topPairs)
 	return plan
+}
+
+// heaviestPairs returns the k heaviest unordered pairs, most bytes first,
+// ties by (A, B) in node order. It keeps a k-slot heap of positions in the
+// undirected view instead of sorting every pair: O(p log k) for p pairs.
+func heaviestPairs(g *graph.Graph, k int) []graph.UndirectedEdge {
+	if k <= 0 {
+		return nil
+	}
+	u := g.Undirected()
+	// A candidate is (a, off): node id a and the position of its pair with
+	// Nbr[off] >= a. View ids are in node order, so comparing ids is
+	// comparing nodes.
+	type pos struct{ a, off int32 }
+	order := func(x, y pos) int {
+		if bx, by := u.Pair[x.off].Bytes, u.Pair[y.off].Bytes; bx != by {
+			return cmp.Compare(by, bx)
+		}
+		if x.a != y.a {
+			return cmp.Compare(x.a, y.a)
+		}
+		return cmp.Compare(u.Nbr[x.off], u.Nbr[y.off])
+	}
+	var kept []pos
+	for a := range u.Nodes {
+		for off := u.Off[a]; off < u.Off[a+1]; off++ {
+			if int(u.Nbr[off]) >= a { // the pair's lower endpoint offers it
+				kept = topk.Offer(kept, k, pos{int32(a), off}, order)
+			}
+		}
+	}
+	slices.SortFunc(kept, order)
+	out := make([]graph.UndirectedEdge, len(kept))
+	for i, p := range kept {
+		out[i] = graph.UndirectedEdge{A: u.Nodes[p.a], B: u.Nodes[u.Nbr[p.off]], Counters: u.Pair[p.off]}
+	}
+	return out
 }

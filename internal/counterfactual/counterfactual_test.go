@@ -3,11 +3,14 @@ package counterfactual
 import (
 	"math"
 	"net/netip"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 )
 
 var (
@@ -152,6 +155,80 @@ func TestPlanCapacity(t *testing.T) {
 	}
 	if plan.Proximity[0].Bytes != 60_000_000 {
 		t.Errorf("heaviest pair bytes = %d", plan.Proximity[0].Bytes)
+	}
+}
+
+// naivePlanCapacity is PlanCapacity as it was before bounded selection:
+// every node load ranked, every pair sorted. Kept as the reference the
+// planner is tested against.
+func naivePlanCapacity(g *graph.Graph, capacityPerMin float64, utilThreshold float64, topPairs int) Plan {
+	var plan Plan
+	for _, nl := range Bottlenecks(g, capacityPerMin) {
+		if nl.Utilization >= utilThreshold && utilThreshold > 0 {
+			plan.Upgrades = append(plan.Upgrades, nl)
+		}
+	}
+	edges := g.UndirectedEdges()
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].Bytes != edges[j].Bytes {
+			return edges[i].Bytes > edges[j].Bytes
+		}
+		if edges[i].A != edges[j].A {
+			return edges[i].A.Less(edges[j].A)
+		}
+		return edges[i].B.Less(edges[j].B)
+	})
+	if topPairs > len(edges) {
+		topPairs = len(edges)
+	}
+	plan.Proximity = edges[:topPairs]
+	return plan
+}
+
+// TestPlanCapacityMatchesNaive drives the planner and the full-sort
+// reference over every generated shape in both representations (byte ties
+// are common there, self-loops and zero-byte pairs present): the same
+// proximity list for topPairs from 0 to past the pair count, and the same
+// upgrades over a capacity × threshold grid that includes zero and
+// negative values.
+func TestPlanCapacityMatchesNaive(t *testing.T) {
+	upgrades := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, cs := range [][]graphtest.Case{graphtest.Cases(seed), graphtest.FrozenCases(seed)} {
+			for _, c := range cs {
+				pairs := len(c.G.UndirectedEdges())
+				for _, top := range []int{0, 1, 10, pairs, pairs + 7} {
+					got, want := PlanCapacity(c.G, 0, 0.8, top), naivePlanCapacity(c.G, 0, 0.8, top)
+					if !slices.Equal(got.Proximity, want.Proximity) {
+						t.Fatalf("seed %d %s topPairs %d: proximity\n got: %v\nwant: %v", seed, c.Name, top, got.Proximity, want.Proximity)
+					}
+				}
+				for _, capacity := range []float64{-1000, 0, 100, 5000, 1e9} {
+					for _, threshold := range []float64{-1, 0, 0.5, 1, 3} {
+						got, want := PlanCapacity(c.G, capacity, threshold, 3), naivePlanCapacity(c.G, capacity, threshold, 3)
+						if !slices.Equal(got.Upgrades, want.Upgrades) {
+							t.Fatalf("seed %d %s capacity %g threshold %g: upgrades\n got: %v\nwant: %v", seed, c.Name, capacity, threshold, got.Upgrades, want.Upgrades)
+						}
+						upgrades += len(want.Upgrades)
+					}
+				}
+			}
+		}
+	}
+	if upgrades == 0 {
+		t.Fatal("no case recommended any upgrade; the grid tests nothing")
+	}
+}
+
+// TestPlanCapacityNonPositivePairs pins that a zero or negative proximity
+// bound asks for no list: a negative one used to slice out of range and
+// panic (graphctl plan -pairs -1, or a counterfactual runner's bus
+// consumer).
+func TestPlanCapacityNonPositivePairs(t *testing.T) {
+	for _, top := range []int{0, -1, -100} {
+		if plan := PlanCapacity(loadedGraph(), 2_000_000, 0.52, top); len(plan.Proximity) != 0 || len(plan.Upgrades) != 1 {
+			t.Errorf("topPairs %d: plan = %+v, want one upgrade and no proximity list", top, plan)
+		}
 	}
 }
 

@@ -7,8 +7,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
+	"strings"
 )
 
 // Facet selects the node granularity of a communication graph.
@@ -86,14 +88,17 @@ func (n Node) String() string {
 }
 
 // Less orders nodes deterministically: by name, then address, then port.
-func (n Node) Less(m Node) bool {
-	if n.Name != m.Name {
-		return n.Name < m.Name
+func (n Node) Less(m Node) bool { return n.Compare(m) < 0 }
+
+// Compare is the three-way form of Less, for slices.SortFunc.
+func (n Node) Compare(m Node) int {
+	if c := strings.Compare(n.Name, m.Name); c != 0 {
+		return c
 	}
 	if c := n.Addr.Compare(m.Addr); c != 0 {
-		return c < 0
+		return c
 	}
-	return n.Port < m.Port
+	return cmp.Compare(n.Port, m.Port)
 }
 
 // Labeler maps an address to a service name for FacetService graphs.

@@ -33,7 +33,7 @@ func (r *Reachability) ChurnOnMove(n graph.Node, to int) ChurnReport {
 	if !ok || from == to {
 		return rep
 	}
-	segs := r.Assign.Segments()
+	segs := r.segments()
 	nSegs := len(segs)
 	if to >= nSegs {
 		nSegs = to + 1

@@ -30,10 +30,14 @@ func pairOf(a, b int) SegPair {
 }
 
 // Reachability is a learned default-deny policy: a pair of resources may
-// communicate only if their segments' pair is explicitly allowed.
+// communicate only if their segments' pair is explicitly allowed. Assign
+// must not change after Learn.
 type Reachability struct {
 	Assign  segment.Assignment
 	Allowed map[SegPair]bool
+	// segs is Assign.Segments(), computed once by Learn for the per-node
+	// questions (ChurnOnMove, BlastRadius); nil on a literal.
+	segs [][]graph.Node
 }
 
 // Learn derives the reachability policy implied by one observation window:
@@ -42,7 +46,7 @@ type Reachability struct {
 // "only those [resources] that the resource must communicate with during
 // normal operation".
 func Learn(g *graph.Graph, assign segment.Assignment) *Reachability {
-	r := &Reachability{Assign: assign, Allowed: make(map[SegPair]bool)}
+	r := &Reachability{Assign: assign, Allowed: make(map[SegPair]bool), segs: assign.Segments()}
 	for _, e := range g.UndirectedEdges() {
 		sa, oka := assign[e.A]
 		sb, okb := assign[e.B]
@@ -103,9 +107,8 @@ func (r *Reachability) BlastRadius(n graph.Node) int {
 	if !ok {
 		return 0
 	}
-	segs := r.Assign.Segments()
 	count := 0
-	for t, members := range segs {
+	for t, members := range r.segments() {
 		if r.Allowed[pairOf(s, t)] {
 			count += len(members)
 			if t == s {
@@ -114,6 +117,15 @@ func (r *Reachability) BlastRadius(n graph.Node) int {
 		}
 	}
 	return count
+}
+
+// segments returns the member lists of the policy's segments, indexed by
+// segment id.
+func (r *Reachability) segments() [][]graph.Node {
+	if r.segs == nil {
+		return r.Assign.Segments()
+	}
+	return r.segs
 }
 
 // MeanBlastRadius averages BlastRadius over all assigned nodes, the

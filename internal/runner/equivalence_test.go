@@ -8,6 +8,7 @@ import (
 	"cloudgraph/internal/cluster"
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
+	"cloudgraph/internal/graph"
 	"cloudgraph/internal/segment"
 	"cloudgraph/internal/summarize"
 	"cloudgraph/internal/trace"
@@ -147,6 +148,97 @@ func TestOnlineBatchEquivalence(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no analysis.segment span recorded with tracing on")
+	}
+}
+
+// TestSharedSegmentationUnderDrops pins the segment/policy memo under the
+// bus's drop-oldest policy: the policy consumer stalls on its first window
+// behind a one-slot queue, so the bus drops windows for it while the
+// segment consumer runs ahead, and the two then race on the memo for the
+// last windows. Every answer either retained must equal the same analysis
+// built solo — no memo — byte for byte, and the memo must end holding only
+// the latest window.
+func TestSharedSegmentationUnderDrops(t *testing.T) {
+	recs := seededStream(t)
+	const window = 5 * time.Minute
+
+	solo := New(Config{Runners: []Runner{
+		NewSegment(segment.StrategyJaccardLouvain, segment.Options{}),
+		NewSummarize(summarize.AnomalyOptions{}),
+		NewCounterfactual(0, 0.8, 10),
+		NewPolicyChurn(segment.StrategyJaccardLouvain, segment.Options{}),
+	}})
+	solo.Replay(recs, ReplayOptions{Window: window})
+
+	p := New(Config{})
+	release := make(chan struct{})
+	specs := p.Consumers()
+	for i := range specs {
+		if specs[i].Name != "analysis.policy" {
+			continue
+		}
+		fn, stalled := specs[i].Fn, false
+		specs[i].Buffer = 1
+		specs[i].Fn = func(epoch uint64, g *graph.Graph) {
+			if !stalled {
+				stalled = true
+				<-release
+			}
+			fn(epoch, g)
+		}
+	}
+	e := core.NewEngine(core.Config{Window: window, Shards: 4, Consumers: specs})
+	defer e.Close()
+	for i := 0; i < len(recs); i += 512 {
+		e.Ingest(recs[i:min(i+512, len(recs))])
+	}
+	published := e.Epoch()
+	if published < 4 {
+		t.Fatalf("only %d windows published before the flush; nothing to drop", published)
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		if _, newest := p.Epochs("segment"); newest == published {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("segment consumer did not reach epoch %d", published)
+		}
+	}
+	close(release)
+	e.Flush()
+
+	p.mu.RLock()
+	retained := map[string][]uint64{}
+	for name, order := range p.order {
+		retained[name] = append([]uint64(nil), order...)
+	}
+	p.mu.RUnlock()
+	if len(retained["policy"]) >= len(retained["segment"]) {
+		t.Fatalf("policy retained %d epochs, segment %d: the bus dropped nothing", len(retained["policy"]), len(retained["segment"]))
+	}
+	for name, epochs := range retained {
+		for _, ep := range epochs {
+			_, got, err := p.Query(name, ep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, want, err := solo.Query(name, ep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("%s@%d diverges from the solo runner:\n  shared: %s\n  solo:   %s", name, ep, got, want)
+			}
+		}
+	}
+
+	seg, pol := p.runners[0].(*SegmentRunner), p.runners[3].(*PolicyChurnRunner)
+	if seg.memo == nil || seg.memo != pol.memo {
+		t.Fatal("segment and policy runners do not share a memo")
+	}
+	if latest := p.Timeline().Latest().Window; seg.memo.cur == nil || seg.memo.cur.g != latest {
+		t.Fatal("the memo does not hold the latest window")
 	}
 }
 

@@ -136,3 +136,28 @@ func TestSummarizeAllocBudget(t *testing.T) {
 	}
 	t.Logf("summarize: %.0f allocs per window (budget %d)", avg, budget)
 }
+
+// TestWindowAnalysisAllocBudget gates what the whole default analysis plane
+// allocates per sealed k8spaas minute window: timeline append plus all four
+// runners' OnSnapshot, Result and marshal, through Plane.Restore. The count
+// is deterministic up to map growth: segmenting each window once (shared by
+// the segment and policy runners) and ranking only the pairs the kNN filter
+// keeps took it from ≈2.37K to ≈1.27K.
+func TestWindowAnalysisAllocBudget(t *testing.T) {
+	const budget = 1800
+	windows := goldenWindows(t, "k8spaas", 0.25, 3)
+	for _, g := range windows {
+		g.Freeze()
+	}
+	plane := New(Config{})
+	plane.Restore(1, windows[0])
+	var epoch uint64 = 1
+	avg := testing.AllocsPerRun(20, func() {
+		epoch++
+		plane.Restore(epoch, windows[epoch%uint64(len(windows))])
+	})
+	if avg > budget {
+		t.Fatalf("the default runners allocate %.0f times per k8spaas minute window, budget %d", avg, budget)
+	}
+	t.Logf("default runners: %.0f allocs per window (budget %d)", avg, budget)
+}

@@ -36,6 +36,13 @@ import (
 // back to back, so every window is analysed once; a disk QUERY replays
 // history through OnSnapshot and calls Result once, for the epoch asked
 // about.
+//
+// Runners of one set may share work derived from the same window:
+// DefaultRunners' segment and policy runners share one segmentation per
+// window (segMemo). Whatever is shared is read-only to every runner that
+// receives it — the segment.Assignment included, which the policy runner
+// also keeps as its baseline — because the sharers run on different
+// goroutines.
 type Runner interface {
 	Name() string
 	OnSnapshot(epoch uint64, g *graph.Graph)

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"sort"
+	"sync"
 
 	"cloudgraph/internal/counterfactual"
 	"cloudgraph/internal/graph"
@@ -11,14 +12,61 @@ import (
 )
 
 // DefaultRunners returns the paper's §2 analyses with default tuning —
-// what cloudgraphd puts online when -live is set.
+// what cloudgraphd puts online when -live is set. The segment and policy
+// runners segment every window the same way, so they share one segMemo:
+// each window is segmented once, by whichever of the two asks first.
 func DefaultRunners() []Runner {
+	memo := new(segMemo)
+	seg := NewSegment(segment.StrategyJaccardLouvain, segment.Options{})
+	pol := NewPolicyChurn(segment.StrategyJaccardLouvain, segment.Options{})
+	seg.memo, pol.memo = memo, memo
 	return []Runner{
-		NewSegment(segment.StrategyJaccardLouvain, segment.Options{}),
+		seg,
 		NewSummarize(summarize.AnomalyOptions{}),
 		NewCounterfactual(0, 0.8, 10),
-		NewPolicyChurn(segment.StrategyJaccardLouvain, segment.Options{}),
+		pol,
 	}
+}
+
+// segMemo holds the segmentation of one window for the runners sharing it.
+// They run on separate bus consumers, so the memo is locked, but the lock
+// covers only the lookup: the segmentation itself runs under the entry's
+// sync.Once, and a runner asking for the window being segmented waits for
+// that run instead of starting its own. It keeps only the latest entry
+// asked for, so a runner that lags behind its peer (the bus dropped
+// windows for one of them) just misses and segments for itself.
+type segMemo struct {
+	mu  sync.Mutex
+	cur *segEntry
+}
+
+// segEntry is one memoised segmentation, keyed by the window pointer and
+// the segmentation parameters.
+type segEntry struct {
+	g        *graph.Graph
+	strategy segment.Strategy
+	opts     segment.Options
+	once     sync.Once
+	assign   segment.Assignment
+	err      error
+}
+
+// run returns segment.Run(s, g, opts), computed once per window across the
+// memo's runners. The Assignment is shared between them: read-only. A nil
+// memo segments directly.
+func (m *segMemo) run(s segment.Strategy, g *graph.Graph, opts segment.Options) (segment.Assignment, error) {
+	if m == nil {
+		return segment.Run(s, g, opts)
+	}
+	m.mu.Lock()
+	e := m.cur
+	if e == nil || e.g != g || e.strategy != s || e.opts != opts {
+		e = &segEntry{g: g, strategy: s, opts: opts}
+		m.cur = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.assign, e.err = segment.Run(s, g, opts) })
+	return e.assign, e.err
 }
 
 // ---- segment ----
@@ -39,6 +87,7 @@ type SegmentResult struct {
 type SegmentRunner struct {
 	strategy segment.Strategy
 	opts     segment.Options
+	memo     *segMemo // shared with the policy runner by DefaultRunners
 	epoch    uint64
 	g        *graph.Graph // latest window, until Result segments it
 	last     SegmentResult
@@ -63,7 +112,7 @@ func (r *SegmentRunner) Result() any {
 
 func (r *SegmentRunner) segment(epoch uint64, g *graph.Graph) SegmentResult {
 	res := SegmentResult{Epoch: epoch}
-	assign, err := segment.Run(r.strategy, g, r.opts)
+	assign, err := r.memo.run(r.strategy, g, r.opts)
 	if err != nil {
 		res.Error = err.Error()
 		return res
@@ -277,6 +326,7 @@ type PolicyChurnResult struct {
 type PolicyChurnRunner struct {
 	strategy segment.Strategy
 	opts     segment.Options
+	memo     *segMemo // shared with the segment runner by DefaultRunners
 	assign   segment.Assignment
 	reach    *policy.Reachability
 	epoch    uint64
@@ -297,7 +347,7 @@ func (r *PolicyChurnRunner) OnSnapshot(epoch uint64, g *graph.Graph) {
 		return
 	}
 	r.last = PolicyChurnResult{Epoch: epoch}
-	assign, err := segment.Run(r.strategy, g, r.opts)
+	assign, err := r.memo.run(r.strategy, g, r.opts)
 	if err != nil {
 		r.last.Error = err.Error()
 		return
@@ -319,7 +369,7 @@ func (r *PolicyChurnRunner) Result() any {
 // churn prices window g's segment moves against the learned baseline.
 func (r *PolicyChurnRunner) churn(epoch uint64, g *graph.Graph) PolicyChurnResult {
 	res := PolicyChurnResult{Epoch: epoch}
-	assign, err := segment.Run(r.strategy, g, r.opts)
+	assign, err := r.memo.run(r.strategy, g, r.opts)
 	if err != nil {
 		res.Error = err.Error()
 		return res

@@ -3,9 +3,9 @@ package segment
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/topk"
 )
 
 // Assignment maps each node to its µsegment id. Ids are dense, starting at
@@ -25,7 +25,7 @@ func (a Assignment) Segments() [][]graph.Node {
 		out[c] = append(out[c], n)
 	}
 	for _, seg := range out {
-		sort.Slice(seg, func(i, j int) bool { return seg[i].Less(seg[j]) })
+		slices.SortFunc(seg, graph.Node.Compare)
 	}
 	return out
 }
@@ -76,10 +76,15 @@ type Options struct {
 	// the clique sparse. Default 0.02.
 	MinScore float64
 	// TopK keeps, for each node, only the edges to its TopK most similar
-	// peers (an edge survives if either endpoint ranks it). Without it,
-	// the mass of weak cross-role similarities drowns the sharp
-	// within-role ones and Louvain finds only coarse macro-structure.
-	// Default 6; negative disables the filter.
+	// peers. The exact rule: rank the scored pairs by weight descending,
+	// ties by the pair's lower node, then its higher node, in sorted node
+	// order; a pair survives iff it is among the first TopK pairs of
+	// either endpoint in that ranking, and the survivors reach Louvain in
+	// that ranking's order. Without it, the mass of weak cross-role
+	// similarities drowns the sharp within-role ones and Louvain finds
+	// only coarse macro-structure. Default 6; negative disables the
+	// filter. The modularity strategies cluster the communication graph
+	// itself and ignore it.
 	TopK int
 	// Resolution is the Louvain resolution parameter gamma (default 1 =
 	// classic modularity; >1 yields more, finer segments). The paper
@@ -113,58 +118,103 @@ func Run(s Strategy, g *graph.Graph, opts Options) (Assignment, error) {
 		return Assignment{}, nil
 	}
 	var pairs []simPair
-	similarity := true
 	switch s {
 	case StrategyJaccardLouvain:
-		pairs = jaccardClique(neighborSets(u), opts.MinScore)
+		if opts.TopK > 0 {
+			pairs = jaccardTopK(neighborSets(u), opts.MinScore, opts.TopK)
+		} else {
+			pairs = jaccardClique(neighborSets(u), opts.MinScore)
+		}
 	case StrategyMinHashLouvain:
-		pairs = minhashClique(neighborSets(u), opts.MinHashK, opts.MinScore)
+		pairs = topK(minhashClique(neighborSets(u), opts.MinHashK, opts.MinScore), n, opts.TopK)
 	case StrategySimRank:
 		scores := simRankScores(neighborSets(u), opts.SimRank)
-		pairs = scoresToPairs(scores, n, opts.MinScore)
+		pairs = topK(scoresToPairs(scores, n, opts.MinScore), n, opts.TopK)
 	case StrategySimRankPP:
 		scores := simRankPPScores(u, neighborSets(u), opts.SimRank)
-		pairs = scoresToPairs(scores, n, opts.MinScore)
+		pairs = topK(scoresToPairs(scores, n, opts.MinScore), n, opts.TopK)
 	case StrategyModularityConn:
 		pairs = commPairs(u, graph.Conns)
-		similarity = false
 	case StrategyModularityBytes:
 		pairs = commPairs(u, graph.Bytes)
-		similarity = false
 	default:
 		return nil, fmt.Errorf("segment: unknown strategy %q", s)
-	}
-	if similarity && opts.TopK > 0 {
-		pairs = topK(pairs, n, opts.TopK)
 	}
 	comm := louvain(newWGraph(n, pairs), 1e-9, opts.Resolution)
 	return compact(u.Nodes, comm), nil
 }
 
-// topK sparsifies a similarity clique to a mutual-or kNN graph: an edge
-// survives if it is among either endpoint's k strongest.
-func topK(pairs []simPair, n, k int) []simPair {
-	slices.SortFunc(pairs, func(x, y simPair) int {
-		switch {
-		case x.w > y.w:
-			return -1
-		case x.w < y.w:
-			return 1
-		case x.a != y.a:
-			return x.a - y.a
-		}
-		return x.b - y.b
-	})
-	deg := make([]int, n)
-	out := make([]simPair, 0, n*k)
-	for _, p := range pairs {
-		if deg[p.a] < k || deg[p.b] < k {
-			out = append(out, p)
-			deg[p.a]++
-			deg[p.b]++
-		}
+// rank is the kNN ranking of scored pairs: weight descending, then (a, b)
+// ascending. It is total over distinct pairs.
+func rank(x, y simPair) int {
+	switch {
+	case x.w > y.w:
+		return -1
+	case x.w < y.w:
+		return 1
+	case x.a != y.a:
+		return x.a - y.a
 	}
-	return out
+	return x.b - y.b
+}
+
+// topK sparsifies a similarity clique over n nodes to a mutual-or kNN
+// graph: a pair survives iff it is among the k first pairs of either
+// endpoint under rank, and the survivors come back in rank order. k <= 0
+// returns pairs unfiltered. Pairs must have a < b.
+func topK(pairs []simPair, n, k int) []simPair {
+	if k <= 0 {
+		return pairs
+	}
+	sel := newKNN(n, k)
+	for _, p := range pairs {
+		sel.offer(p)
+	}
+	return sel.pairs()
+}
+
+// knn selects topK's survivors without ranking every pair. Walking all
+// pairs in rank order and keeping one while either endpoint has kept fewer
+// than k keeps exactly the union of every node's k first pairs: a pair
+// whose endpoint is still below k has every earlier pair of that endpoint
+// kept, so it is among that endpoint's first k. So each node keeps a k-slot
+// heap of the pairs offered to it, and only the ≤ n·k heap contents are
+// sorted at the end. Cost: O(P log k) for P offered pairs plus
+// O(nk log nk), against O(P log P) for a sort of every pair.
+type knn struct {
+	k    int
+	rows [][]simPair // node v's heap, capacity k
+}
+
+// newKNN returns a selector over n nodes. A node has at most n-1 pairs, so
+// k is capped at n.
+func newKNN(n, k int) *knn {
+	k = min(k, n)
+	slots := make([]simPair, n*k)
+	rows := make([][]simPair, n)
+	for v := range rows {
+		rows[v] = slots[v*k : v*k : v*k+k]
+	}
+	return &knn{k: k, rows: rows}
+}
+
+// offer hands one scored pair to both endpoints' heaps. Order of offers
+// does not matter: rank is total, so each heap ends with its node's k
+// first pairs whatever order they arrive in.
+func (s *knn) offer(p simPair) {
+	s.rows[p.a] = topk.Offer(s.rows[p.a], s.k, p, rank)
+	s.rows[p.b] = topk.Offer(s.rows[p.b], s.k, p, rank)
+}
+
+// pairs returns the union of every node's kept pairs, in rank order. A
+// pair kept by both endpoints sorts next to its twin and is dropped once.
+func (s *knn) pairs() []simPair {
+	out := make([]simPair, 0, len(s.rows)*s.k)
+	for _, row := range s.rows {
+		out = append(out, row...)
+	}
+	slices.SortFunc(out, rank)
+	return slices.CompactFunc(out, func(x, y simPair) bool { return x.a == y.a && x.b == y.b })
 }
 
 // commPairs converts the communication graph itself into weighted pairs —
@@ -211,7 +261,7 @@ func (a Assignment) Restrict(keep func(graph.Node) bool) Assignment {
 			nodes = append(nodes, n)
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Less(nodes[j]) })
+	slices.SortFunc(nodes, graph.Node.Compare)
 	relabel := make(map[int]int)
 	out := make(Assignment, len(nodes))
 	for _, n := range nodes {

@@ -59,18 +59,17 @@ type simPair struct {
 	w    float64
 }
 
-// jaccardClique scores node pairs by neighbor-set Jaccard overlap and
-// returns those at or above minScore (which must be positive), ascending
-// by (a, b). This is the paper's "score each pair of nodes based on the
+// jaccardRows is the paper's "score each pair of nodes based on the
 // overlap in their neighboring sets" step without its all-pairs cost: only
 // pairs sharing a neighbor score above zero, so for each node i the
 // intersections |N(i)∩N(j)| are counted in a dense scratch array by walking
 // the rows of i's neighbors — sets must be symmetric, as a view's rows are.
-// The cost is Σ deg² plus a sort of each node's two-hop hits.
-func jaccardClique(sets [][]int32, minScore float64) []simPair {
-	var pairs []simPair
+// It then calls row(i, hits, inter): hits holds every j > i sharing a
+// neighbor with i, in discovery order, and inter[j] is |N(i)∩N(j)|. row may
+// reorder hits but not retain either slice. The cost is Σ deg².
+func jaccardRows(sets [][]int32, row func(i int, hits, inter []int32)) {
 	inter := make([]int32, len(sets))
-	var hits []int32 // j > i with inter[j] > 0
+	var hits []int32
 	for i := range sets {
 		for _, m := range sets[i] {
 			for _, j := range sets[m] {
@@ -83,17 +82,48 @@ func jaccardClique(sets [][]int32, minScore float64) []simPair {
 				inter[j]++
 			}
 		}
-		slices.Sort(hits)
+		row(i, hits, inter)
 		for _, j := range hits {
-			c := int(inter[j])
 			inter[j] = 0
-			if w := float64(c) / float64(len(sets[i])+len(sets[j])-c); w >= minScore {
-				pairs = append(pairs, simPair{a: i, b: int(j), w: w})
-			}
 		}
 		hits = hits[:0]
 	}
+}
+
+// jaccardOf is the Jaccard score of nodes i and j sharing c neighbors.
+func jaccardOf(sets [][]int32, i int, j int32, c int32) float64 {
+	return float64(c) / float64(len(sets[i])+len(sets[j])-int(c))
+}
+
+// jaccardClique returns every node pair whose neighbor-set Jaccard overlap
+// is at or above minScore (which must be positive), ascending by (a, b).
+// Each node's two-hop hits are sorted to give that order.
+func jaccardClique(sets [][]int32, minScore float64) []simPair {
+	var pairs []simPair
+	jaccardRows(sets, func(i int, hits, inter []int32) {
+		slices.Sort(hits)
+		for _, j := range hits {
+			if w := jaccardOf(sets, i, j, inter[j]); w >= minScore {
+				pairs = append(pairs, simPair{a: i, b: int(j), w: w})
+			}
+		}
+	})
 	return pairs
+}
+
+// jaccardTopK is topK(jaccardClique(sets, minScore), len(sets), k) without
+// the clique: every scored pair goes straight to the kNN selector, so
+// neither the full pair slice nor the per-node sort of hits is built.
+func jaccardTopK(sets [][]int32, minScore float64, k int) []simPair {
+	sel := newKNN(len(sets), k)
+	jaccardRows(sets, func(i int, hits, inter []int32) {
+		for _, j := range hits {
+			if w := jaccardOf(sets, i, j, inter[j]); w >= minScore {
+				sel.offer(simPair{a: i, b: int(j), w: w})
+			}
+		}
+	})
+	return sel.pairs()
 }
 
 // MinHashSize is the default sketch width for approximate Jaccard.
