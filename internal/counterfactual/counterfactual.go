@@ -214,6 +214,12 @@ type Plan struct {
 // availability zone or a proximity group"). topPairs <= 0 asks for no
 // proximity list.
 func PlanCapacity(g *graph.Graph, capacityPerMin float64, utilThreshold float64, topPairs int) Plan {
+	return PlanCapacityView(g, g.Undirected(), capacityPerMin, utilThreshold, topPairs)
+}
+
+// PlanCapacityView is PlanCapacity for a caller that already holds u, g's
+// undirected view.
+func PlanCapacityView(g *graph.Graph, u *graph.Undirected, capacityPerMin float64, utilThreshold float64, topPairs int) Plan {
 	var plan Plan
 	// Without a capacity every utilization is zero, so no node can reach
 	// a positive threshold: skip ranking the loads.
@@ -224,18 +230,18 @@ func PlanCapacity(g *graph.Graph, capacityPerMin float64, utilThreshold float64,
 			}
 		}
 	}
-	plan.Proximity = heaviestPairs(g, topPairs)
+	plan.Proximity = heaviestPairs(u, topPairs)
 	return plan
 }
 
-// heaviestPairs returns the k heaviest unordered pairs, most bytes first,
-// ties by (A, B) in node order. It keeps a k-slot heap of positions in the
-// undirected view instead of sorting every pair: O(p log k) for p pairs.
-func heaviestPairs(g *graph.Graph, k int) []graph.UndirectedEdge {
+// heaviestPairs returns the k heaviest unordered pairs of the view u, most
+// bytes first, ties by (A, B) in node order. It keeps a k-slot heap of
+// positions in the view instead of sorting every pair: O(p log k) for p
+// pairs.
+func heaviestPairs(u *graph.Undirected, k int) []graph.UndirectedEdge {
 	if k <= 0 {
 		return nil
 	}
-	u := g.Undirected()
 	// A candidate is (a, off): node id a and the position of its pair with
 	// Nbr[off] >= a. View ids are in node order, so comparing ids is
 	// comparing nodes.

@@ -17,9 +17,12 @@ type Delta struct {
 // each node's rank in the union of both tables so ids from the two graphs
 // compare directly. All byte sums are integer-valued floats, exact in any
 // order.
-func Diff(old, new *Graph) Delta {
+func Diff(old, new *Graph) Delta { return DiffView(old.Undirected(), new.Undirected()) }
+
+// DiffView is Diff over the two graphs' undirected views, for callers that
+// already hold them.
+func DiffView(uo, un *Undirected) Delta {
 	var d Delta
-	uo, un := old.Undirected(), new.Undirected()
 	rankOld := make([]int32, len(uo.Nodes))
 	rankNew := make([]int32, len(un.Nodes))
 	var rank int32

@@ -11,10 +11,11 @@ import "sort"
 // out-edges are offset+column arrays with a parallel slab of per-edge
 // counter blocks, and the in-direction is a CSC mirror that shares the
 // slab. A Builder seals its window straight into this form, Merge of two
-// frozen graphs stays in it, FromIndex assembles a decoded window into it,
-// and Freeze converts a map-form graph. Every read accessor answers from
-// the arrays; mutation thaws back to maps first (see Thaw), so the Graph
-// API is unchanged either side of the seal.
+// frozen graphs stays in it, FoldRollup accumulates roll-up buckets in it,
+// FromIndex assembles a decoded window into it, and Freeze converts a
+// map-form graph. Every read accessor answers from the arrays; mutation
+// thaws back to maps first (see Thaw), so the Graph API is unchanged either
+// side of the seal.
 //
 // Layout, for n nodes and m directed edges:
 //
@@ -41,12 +42,33 @@ func (g *Graph) Frozen() bool { return g.fz != nil }
 // Freeze converts a map-form graph to the CSR form, releasing the maps.
 // Idempotent, and a no-op on the graphs builders emit. Freeze is called by
 // the engine when a window completes (a collapsed window is rebuilt as
-// maps) and by the timeline when a roll-up bucket seals; read accessors are
-// unchanged, and a later mutation (AddEdge, Merge of a map-form graph into
-// it) transparently thaws.
+// maps); read accessors are unchanged, and a later mutation (AddEdge, Merge
+// of a map-form graph into it) transparently thaws.
 func (g *Graph) Freeze() {
 	if g.fz != nil {
 		return
+	}
+	g.fz = g.csrForm()
+	g.out, g.in, g.nodes = nil, nil, nil
+}
+
+// CSR returns the graph's compressed-sparse-row arrays: nodes in Node.Less
+// order (index == node id), node i's out-edges at [rowOff[i], rowOff[i+1])
+// with destination ids cols[k], ascending within each row, and counter
+// blocks edges[k]. A frozen graph returns its own arrays, which the caller
+// must not modify; a map-form graph answers from a fresh frozen copy and is
+// left as it is. It is the index-space entry point of the window codec.
+func (g *Graph) CSR() (nodes []Node, rowOff, cols []int32, edges []Edge) {
+	fz := g.csrForm()
+	return fz.nodes, fz.rowOff, fz.cols, fz.edges
+}
+
+// csrForm returns g's CSR form: the graph's own on a frozen graph, a fresh
+// copy laid out from the maps otherwise (sharing the edges' series, and
+// leaving g in map form).
+func (g *Graph) csrForm() *frozen {
+	if g.fz != nil {
+		return g.fz
 	}
 	nodes := make([]Node, 0, len(g.nodes))
 	for node := range g.nodes {
@@ -67,8 +89,7 @@ func (g *Graph) Freeze() {
 		}
 	}
 	keys, slab = sortEdges(len(nodes), keys, slab)
-	g.fz = csr(nodes, keys, slab)
-	g.out, g.in, g.nodes = nil, nil, nil
+	return csr(nodes, keys, slab)
 }
 
 // FromIndex assembles a frozen graph from an index form: nodes, and the
@@ -257,10 +278,11 @@ func (g *Graph) Thaw() {
 	}
 }
 
-// thawForWrite makes the graph mutable before a mutation lands. The hot
-// paths never hit it — builders work in index space, the cross-shard merge
-// stays in CSR and roll-up accumulators stay map-backed — so it exists for
-// correctness, not speed.
+// thawForWrite makes the graph mutable before a mutation lands. The daemon
+// never hits it — builders work in index space, and the cross-shard merge,
+// roll-up accumulators and the codec all stay in CSR — so it exists for the
+// map-form conveniences (AddEdge on a frozen graph in tests and
+// experiments), not speed.
 func (g *Graph) thawForWrite() {
 	if g.fz != nil {
 		g.Thaw()

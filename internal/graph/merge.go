@@ -35,13 +35,15 @@ func (g *Graph) Merge(other *Graph) {
 // tables, then of each node's sorted rows under the remapped ids (the
 // remaps are monotone, so rows stay sorted), linear in both graphs' size.
 func mergeFrozen(a, b *frozen) *frozen {
-	// The union sizes are known only after the join, so build into scratch
-	// sized for the worst case and keep exact-size copies: a sealed window
-	// is retained for as long as the timeline holds it.
+	// The union sizes are known only after the join, so join into scratch
+	// sized for the worst case and keep exact-size arrays: a sealed window
+	// is retained for as long as the timeline holds it. The edge join
+	// records where each merged edge comes from instead of copying counter
+	// blocks, so its scratch is pointer-free and the slab is laid out once.
 	out := &frozen{nodes: make([]Node, 0, len(a.nodes)+len(b.nodes))}
 	idA, idB := make([]int32, len(a.nodes)), make([]int32, len(b.nodes))
 	// rowA/rowB name each merged node's row in a and b, -1 when absent.
-	var rowA, rowB []int32
+	rowA, rowB := make([]int32, 0, cap(out.nodes)), make([]int32, 0, cap(out.nodes))
 	for i, j := 0, 0; i < len(a.nodes) || j < len(b.nodes); {
 		id, ra, rb := int32(len(out.nodes)), int32(-1), int32(-1)
 		switch {
@@ -67,8 +69,10 @@ func mergeFrozen(a, b *frozen) *frozen {
 	}
 
 	out.rowOff = make([]int32, 1, len(out.nodes)+1)
-	out.cols = make([]int32, 0, len(a.cols)+len(b.cols))
-	out.edges = make([]Edge, 0, len(a.edges)+len(b.edges))
+	cols := make([]int32, 0, len(a.cols)+len(b.cols))
+	// fromA/fromB name each merged edge's slab index in a and b, -1 when
+	// absent.
+	fromA, fromB := make([]int32, 0, cap(cols)), make([]int32, 0, cap(cols))
 	for u := range out.nodes {
 		var ka, endA, kb, endB int32
 		if r := rowA[u]; r >= 0 {
@@ -80,28 +84,37 @@ func mergeFrozen(a, b *frozen) *frozen {
 		for ka < endA || kb < endB {
 			switch {
 			case kb >= endB || (ka < endA && idA[a.cols[ka]] < idB[b.cols[kb]]):
-				out.cols = append(out.cols, idA[a.cols[ka]])
-				out.edges = append(out.edges, a.edges[ka])
+				cols, fromA, fromB = append(cols, idA[a.cols[ka]]), append(fromA, ka), append(fromB, -1)
 				ka++
 			case ka >= endA || idB[b.cols[kb]] < idA[a.cols[ka]]:
-				out.cols = append(out.cols, idB[b.cols[kb]])
-				out.edges = append(out.edges, Edge{Counters: b.edges[kb].Counters, Series: mergeSamples(nil, b.edges[kb].Series)})
+				cols, fromA, fromB = append(cols, idB[b.cols[kb]]), append(fromA, -1), append(fromB, kb)
 				kb++
 			default:
-				e := a.edges[ka]
-				e.Counters.Add(b.edges[kb].Counters)
-				if len(b.edges[kb].Series) > 0 {
-					e.Series = mergeSamples(e.Series, b.edges[kb].Series)
-				}
-				out.cols = append(out.cols, idA[a.cols[ka]])
-				out.edges = append(out.edges, e)
+				cols, fromA, fromB = append(cols, idA[a.cols[ka]]), append(fromA, ka), append(fromB, kb)
 				ka++
 				kb++
 			}
 		}
-		out.rowOff = append(out.rowOff, int32(len(out.cols)))
+		out.rowOff = append(out.rowOff, int32(len(cols)))
 	}
-	out.nodes, out.cols, out.edges = slices.Clone(out.nodes), slices.Clone(out.cols), slices.Clone(out.edges)
+	out.nodes, out.cols = slices.Clone(out.nodes), slices.Clone(cols)
+	out.edges = make([]Edge, len(cols))
+	for k := range out.edges {
+		ka, kb := fromA[k], fromB[k]
+		switch {
+		case kb < 0:
+			out.edges[k] = a.edges[ka]
+		case ka < 0:
+			out.edges[k] = Edge{Counters: b.edges[kb].Counters, Series: mergeSamples(nil, b.edges[kb].Series)}
+		default:
+			e := a.edges[ka]
+			e.Counters.Add(b.edges[kb].Counters)
+			if len(b.edges[kb].Series) > 0 {
+				e.Series = mergeSamples(e.Series, b.edges[kb].Series)
+			}
+			out.edges[k] = e
+		}
+	}
 	out.mirror()
 	return out
 }

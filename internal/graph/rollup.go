@@ -11,15 +11,25 @@ func RollupStart(start time.Time, size time.Duration) time.Time {
 // FoldRollup is the one roll-up bucket rule, shared by the in-memory
 // timeline and histstore compaction so that compacted history mirrors the
 // in-memory buckets: merge window g into the bucket acc (nil opens a fresh
-// one), pin Start back to g's bucket boundary — Merge widens it to the
-// member's — and widen End to cover at least the whole bucket. Callers
-// seal acc and open a new one when RollupStart of the next window moves.
+// one), pin Start to g's bucket boundary, and widen End to cover g and at
+// least the whole bucket. Callers seal acc and open a new one when
+// RollupStart of the next window moves.
+//
+// The bucket is frozen from its first fold: every member merge-joins into
+// it in CSR (a map-form member through a frozen copy), so sealing it is
+// handing it over, and nothing thaws. acc must be nil or what the previous
+// call returned. It owns every array and series it holds — it never aliases
+// a member, which is only read.
 func FoldRollup(acc, g *Graph, size time.Duration) *Graph {
 	if acc == nil {
-		acc = New(g.Facet)
+		acc = &Graph{Facet: g.Facet, fz: csr(nil, nil, nil)}
 	}
-	acc.Merge(g)
+	acc.fz = mergeFrozen(acc.fz, g.csrForm())
+	acc.edges = acc.fz.pairs()
 	acc.Start = RollupStart(g.Start, size)
+	if g.End.After(acc.End) {
+		acc.End = g.End
+	}
 	if end := acc.Start.Add(size); acc.End.Before(end) {
 		acc.End = end
 	}

@@ -263,7 +263,6 @@ func (c *compaction) flushBucket() error {
 	}
 	g := c.bucket
 	c.bucket = nil
-	g.Freeze()
 	if err := c.writeOut(&c.rollup, kindRollup, c.bucketLo, c.bucketHi, g); err != nil {
 		return err
 	}

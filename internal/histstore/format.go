@@ -106,17 +106,21 @@ type record struct {
 //	      graph bytes (store.EncodeGraph — the frozen-CSR window codec)
 //
 // The times duplicate the graph's Start/End so index scans and time
-// lookups decode a 32-byte prefix instead of the whole graph.
+// lookups decode a 32-byte prefix instead of the whole graph. The body is
+// encoded in place after a reserved header, so a reused dst makes the
+// append allocation-free.
 func encodeRecord(dst []byte, epochLo, epochHi uint64, g *graph.Graph) []byte {
-	body := make([]byte, 0, recPrefixSize+64)
-	body = binary.LittleEndian.AppendUint64(body, epochLo)
-	body = binary.LittleEndian.AppendUint64(body, epochHi)
-	body = binary.LittleEndian.AppendUint64(body, uint64(g.Start.Unix()))
-	body = binary.LittleEndian.AppendUint64(body, uint64(g.End.Unix()))
-	body = append(body, store.EncodeGraph(g)...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(body, crcTable))
-	return append(dst, body...)
+	head := len(dst)
+	dst = append(dst, make([]byte, 8)...)
+	dst = binary.LittleEndian.AppendUint64(dst, epochLo)
+	dst = binary.LittleEndian.AppendUint64(dst, epochHi)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(g.Start.Unix()))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(g.End.Unix()))
+	dst = store.AppendGraph(dst, g)
+	body := dst[head+8:]
+	binary.LittleEndian.PutUint32(dst[head:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[head+4:], crc32.Checksum(body, crcTable))
+	return dst
 }
 
 // decodeRecordPrefix splits a validated frame body into its prefix fields

@@ -27,75 +27,40 @@ type ChurnReport struct {
 
 // ChurnOnMove computes the update cost of moving node n to segment to. The
 // policy itself is not modified.
+//
+// Segments partition the assigned nodes, so the VMs touched under per-IP
+// rules — every member of every segment allowed to reach `from` or `to`,
+// each once, n excluded — number the summed sizes of those segments, less
+// one when n's own segment `from` is among them: one pass over the segment
+// ids, no member lists and no set.
 func (r *Reachability) ChurnOnMove(n graph.Node, to int) ChurnReport {
 	from, ok := r.Assign[n]
 	rep := ChurnReport{Node: n, From: from, To: to}
 	if !ok || from == to {
 		return rep
 	}
-	segs := r.segments()
-	nSegs := len(segs)
-	if to >= nSegs {
-		nSegs = to + 1
-	}
-
-	// peersOf returns the segments allowed to talk to segment s.
-	peersOf := func(s int) map[int]bool {
-		peers := make(map[int]bool)
-		for t := 0; t < nSegs; t++ {
-			if r.Allowed[pairOf(s, t)] {
-				peers[t] = true
+	sizes := r.segmentSizes()
+	touched, peersChanged := 0, false
+	for s := 0; s < max(len(sizes), to+1); s++ {
+		// Per-IP: every VM in a segment that reaches `from` must drop the
+		// rule for n; every VM in a segment that reaches `to` must add one.
+		reachesFrom, reachesTo := r.Allowed[pairOf(from, s)], r.Allowed[pairOf(to, s)]
+		if reachesFrom || reachesTo {
+			if s < len(sizes) {
+				touched += sizes[s]
+			}
+			if s == from {
+				touched-- // n itself
 			}
 		}
-		return peers
+		peersChanged = peersChanged || reachesFrom != reachesTo
 	}
-	oldPeers := peersOf(from)
-	newPeers := peersOf(to)
-
-	// Per-IP: every VM in any segment that reaches `from` must drop the
-	// rule for n; every VM in any segment that reaches `to` must add one.
-	// A VM in both sets rewrites once. Plus n's own table rewrite.
-	touched := make(map[graph.Node]bool)
-	for s := range oldPeers {
-		for _, m := range members(segs, s) {
-			if m != n {
-				touched[m] = true
-			}
-		}
-	}
-	for s := range newPeers {
-		for _, m := range members(segs, s) {
-			if m != n {
-				touched[m] = true
-			}
-		}
-	}
-	rep.IPRuleUpdates = len(touched) + 1
+	rep.IPRuleUpdates = touched + 1 // plus n's own table rewrite
 
 	// Tags: retag n; rewrite n's own table only if its peer set changed.
 	rep.TagUpdates = 1
-	if !sameSet(oldPeers, newPeers) {
+	if peersChanged {
 		rep.TagUpdates++
 	}
 	return rep
-}
-
-// members returns segment s's member list, tolerating out-of-range ids.
-func members(segs [][]graph.Node, s int) []graph.Node {
-	if s < 0 || s >= len(segs) {
-		return nil
-	}
-	return segs[s]
-}
-
-func sameSet(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }

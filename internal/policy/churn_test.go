@@ -1,11 +1,161 @@
 package policy
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
+	"cloudgraph/internal/segment"
 )
+
+// naiveChurnOnMove is ChurnOnMove as it was before the closed form: the
+// member lists of every segment, the peer sets of `from` and `to` as maps,
+// and a Node-keyed set of the touched VMs. Kept as the reference.
+func naiveChurnOnMove(r *Reachability, n graph.Node, to int) ChurnReport {
+	from, ok := r.Assign[n]
+	rep := ChurnReport{Node: n, From: from, To: to}
+	if !ok || from == to {
+		return rep
+	}
+	segs := r.Assign.Segments()
+	nSegs := len(segs)
+	if to >= nSegs {
+		nSegs = to + 1
+	}
+	peersOf := func(s int) map[int]bool {
+		peers := make(map[int]bool)
+		for t := 0; t < nSegs; t++ {
+			if r.Allowed[pairOf(s, t)] {
+				peers[t] = true
+			}
+		}
+		return peers
+	}
+	oldPeers := peersOf(from)
+	newPeers := peersOf(to)
+	touched := make(map[graph.Node]bool)
+	for s := range oldPeers {
+		for _, m := range naiveMembers(segs, s) {
+			if m != n {
+				touched[m] = true
+			}
+		}
+	}
+	for s := range newPeers {
+		for _, m := range naiveMembers(segs, s) {
+			if m != n {
+				touched[m] = true
+			}
+		}
+	}
+	rep.IPRuleUpdates = len(touched) + 1
+	rep.TagUpdates = 1
+	if !naiveSameSet(oldPeers, newPeers) {
+		rep.TagUpdates++
+	}
+	return rep
+}
+
+func naiveMembers(segs [][]graph.Node, s int) []graph.Node {
+	if s < 0 || s >= len(segs) {
+		return nil
+	}
+	return segs[s]
+}
+
+func naiveSameSet(a, b map[int]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// naiveBlastRadius is BlastRadius over the member lists.
+func naiveBlastRadius(r *Reachability, n graph.Node) int {
+	s, ok := r.Assign[n]
+	if !ok {
+		return 0
+	}
+	count := 0
+	for t, members := range r.Assign.Segments() {
+		if r.Allowed[pairOf(s, t)] {
+			count += len(members)
+			if t == s {
+				count--
+			}
+		}
+	}
+	return count
+}
+
+// churnPolicies returns policies over graphtest's shapes: learned from the
+// jaccard-louvain segmentation, learned from a random assignment with gaps
+// in the ids and the isolated nodes in a segment of their own (no allowed
+// peer), and a literal with a random allow list that also names segments
+// past the last one.
+func churnPolicies(t *testing.T, seed int64) map[string]*Reachability {
+	rng := rand.New(rand.NewSource(seed))
+	out := make(map[string]*Reachability)
+	for _, c := range graphtest.Cases(seed) {
+		auto, err := segment.Run(segment.StrategyJaccardLouvain, c.G, segment.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[c.Name+"/learned"] = Learn(c.G, auto)
+
+		random := segment.Assignment{}
+		ids := []int{0, 1, 3, 4, 6}
+		for _, n := range c.G.Nodes() {
+			random[n] = ids[rng.Intn(len(ids))]
+			if c.G.Degree(n) == 0 {
+				random[n] = 8
+			}
+		}
+		out[c.Name+"/random"] = Learn(c.G, random)
+
+		literal := &Reachability{Assign: random, Allowed: make(map[SegPair]bool)}
+		for i := 0; i < 12; i++ {
+			literal.Allowed[pairOf(rng.Intn(11), rng.Intn(11))] = true
+		}
+		out[c.Name+"/literal"] = literal
+	}
+	return out
+}
+
+// TestChurnOnMoveMatchesNaive checks the closed form against the member
+// lists for every assigned node and an unknown one, moved to every segment
+// id from -1 to past the last (so to == from, ids with no members and ids
+// beyond the segment count all occur), and BlastRadius alongside.
+func TestChurnOnMoveMatchesNaive(t *testing.T) {
+	stranger := graph.IPNode(netip.MustParseAddr("203.0.113.9"))
+	for seed := int64(1); seed <= 3; seed++ {
+		for name, r := range churnPolicies(t, seed) {
+			nSegs := len(r.Assign.Segments())
+			nodes := []graph.Node{stranger}
+			for n := range r.Assign {
+				nodes = append(nodes, n)
+			}
+			for _, n := range nodes {
+				if got, want := r.BlastRadius(n), naiveBlastRadius(r, n); got != want {
+					t.Fatalf("seed %d %s: BlastRadius(%v) = %d, want %d", seed, name, n, got, want)
+				}
+				for to := -1; to <= nSegs+2; to++ {
+					got, want := r.ChurnOnMove(n, to), naiveChurnOnMove(r, n, to)
+					if got != want {
+						t.Fatalf("seed %d %s: ChurnOnMove(%v, %d) = %+v, want %+v", seed, name, n, to, got, want)
+					}
+				}
+			}
+		}
+	}
+}
 
 func TestChurnOnMove(t *testing.T) {
 	g, assign, nodes := fixture()

@@ -35,9 +35,9 @@ func pairOf(a, b int) SegPair {
 type Reachability struct {
 	Assign  segment.Assignment
 	Allowed map[SegPair]bool
-	// segs is Assign.Segments(), computed once by Learn for the per-node
-	// questions (ChurnOnMove, BlastRadius); nil on a literal.
-	segs [][]graph.Node
+	// sizes[s] is segment s's member count, computed once by Learn for the
+	// per-node questions (ChurnOnMove, BlastRadius); nil on a literal.
+	sizes []int
 }
 
 // Learn derives the reachability policy implied by one observation window:
@@ -46,7 +46,7 @@ type Reachability struct {
 // "only those [resources] that the resource must communicate with during
 // normal operation".
 func Learn(g *graph.Graph, assign segment.Assignment) *Reachability {
-	r := &Reachability{Assign: assign, Allowed: make(map[SegPair]bool), segs: assign.Segments()}
+	r := &Reachability{Assign: assign, Allowed: make(map[SegPair]bool), sizes: memberCounts(assign)}
 	for _, e := range g.UndirectedEdges() {
 		sa, oka := assign[e.A]
 		sb, okb := assign[e.B]
@@ -108,9 +108,9 @@ func (r *Reachability) BlastRadius(n graph.Node) int {
 		return 0
 	}
 	count := 0
-	for t, members := range r.segments() {
+	for t, size := range r.segmentSizes() {
 		if r.Allowed[pairOf(s, t)] {
-			count += len(members)
+			count += size
 			if t == s {
 				count-- // exclude n itself
 			}
@@ -119,13 +119,26 @@ func (r *Reachability) BlastRadius(n graph.Node) int {
 	return count
 }
 
-// segments returns the member lists of the policy's segments, indexed by
-// segment id.
-func (r *Reachability) segments() [][]graph.Node {
-	if r.segs == nil {
-		return r.Assign.Segments()
+// segmentSizes returns the member counts of the policy's segments, indexed
+// by segment id.
+func (r *Reachability) segmentSizes() []int {
+	if r.sizes == nil {
+		return memberCounts(r.Assign)
 	}
-	return r.segs
+	return r.sizes
+}
+
+// memberCounts counts each segment id's members: len(assign.Segments()[s])
+// without building the lists.
+func memberCounts(assign segment.Assignment) []int {
+	var sizes []int
+	for _, s := range assign {
+		if s >= len(sizes) {
+			sizes = append(sizes, make([]int, s+1-len(sizes))...)
+		}
+		sizes[s]++
+	}
+	return sizes
 }
 
 // MeanBlastRadius averages BlastRadius over all assigned nodes, the

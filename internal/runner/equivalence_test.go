@@ -2,6 +2,7 @@ package runner
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 	"cloudgraph/internal/segment"
 	"cloudgraph/internal/summarize"
 	"cloudgraph/internal/trace"
@@ -151,25 +153,15 @@ func TestOnlineBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestSharedSegmentationUnderDrops pins the segment/policy memo under the
-// bus's drop-oldest policy: the policy consumer stalls on its first window
-// behind a one-slot queue, so the bus drops windows for it while the
-// segment consumer runs ahead, and the two then race on the memo for the
-// last windows. Every answer either retained must equal the same analysis
-// built solo — no memo — byte for byte, and the memo must end holding only
-// the latest window.
-func TestSharedSegmentationUnderDrops(t *testing.T) {
-	recs := seededStream(t)
-	const window = 5 * time.Minute
-
-	solo := New(Config{Runners: []Runner{
-		NewSegment(segment.StrategyJaccardLouvain, segment.Options{}),
-		NewSummarize(summarize.AnomalyOptions{}),
-		NewCounterfactual(0, 0.8, 10),
-		NewPolicyChurn(segment.StrategyJaccardLouvain, segment.Options{}),
-	}})
-	solo.Replay(recs, ReplayOptions{Window: window})
-
+// stalledPolicyPlane drives the stream through a 4-shard engine into a
+// default plane whose policy consumer stalls on its first window behind a
+// one-slot queue, so the bus drops windows for it while the other three
+// consumers run ahead; once they have analysed every window published
+// before the flush, policy is released and the two groups race on the
+// shared memos for the last windows. watch, when set, runs repeatedly
+// while the others advance.
+func stalledPolicyPlane(t *testing.T, recs []flowlog.Record, window time.Duration, watch func(*Plane)) *Plane {
+	t.Helper()
 	p := New(Config{})
 	release := make(chan struct{})
 	specs := p.Consumers()
@@ -189,6 +181,10 @@ func TestSharedSegmentationUnderDrops(t *testing.T) {
 	}
 	e := core.NewEngine(core.Config{Window: window, Shards: 4, Consumers: specs})
 	defer e.Close()
+	// Released first on every exit, a failing one included, so Close can
+	// drain the stalled consumer.
+	unstall := sync.OnceFunc(func() { close(release) })
+	defer unstall()
 	for i := 0; i < len(recs); i += 512 {
 		e.Ingest(recs[i:min(i+512, len(recs))])
 	}
@@ -196,17 +192,39 @@ func TestSharedSegmentationUnderDrops(t *testing.T) {
 	if published < 4 {
 		t.Fatalf("only %d windows published before the flush; nothing to drop", published)
 	}
-	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
-		if _, newest := p.Epochs("segment"); newest == published {
-			break
+	caughtUp := func() bool {
+		for _, name := range []string{"segment", "summarize", "counterfactual"} {
+			if _, newest := p.Epochs(name); newest != published {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(time.Minute); !caughtUp(); time.Sleep(time.Millisecond) {
+		if watch != nil {
+			watch(p)
 		}
 		if time.Now().After(deadline) {
-			close(release)
-			t.Fatalf("segment consumer did not reach epoch %d", published)
+			t.Fatalf("the unstalled consumers did not reach epoch %d", published)
 		}
 	}
-	close(release)
+	unstall()
 	e.Flush()
+	return p
+}
+
+// assertMatchesSolo requires the bus to have dropped windows for policy and
+// every answer the plane retained to equal the same analysis built solo —
+// no shared memo — over the same stream, byte for byte.
+func assertMatchesSolo(t *testing.T, p *Plane, recs []flowlog.Record, window time.Duration) {
+	t.Helper()
+	solo := New(Config{Runners: []Runner{
+		NewSegment(segment.StrategyJaccardLouvain, segment.Options{}),
+		NewSummarize(summarize.AnomalyOptions{}),
+		NewCounterfactual(0, 0.8, 10),
+		NewPolicyChurn(segment.StrategyJaccardLouvain, segment.Options{}),
+	}})
+	solo.Replay(recs, ReplayOptions{Window: window})
 
 	p.mu.RLock()
 	retained := map[string][]uint64{}
@@ -232,6 +250,17 @@ func TestSharedSegmentationUnderDrops(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSharedSegmentationUnderDrops pins the segment/policy memo under the
+// bus's drop-oldest policy (stalledPolicyPlane): every answer retained
+// must equal solo runners byte for byte, and the memo must end holding
+// only the latest window.
+func TestSharedSegmentationUnderDrops(t *testing.T) {
+	recs := seededStream(t)
+	const window = 5 * time.Minute
+	p := stalledPolicyPlane(t, recs, window, nil)
+	assertMatchesSolo(t, p, recs, window)
 
 	seg, pol := p.runners[0].(*SegmentRunner), p.runners[3].(*PolicyChurnRunner)
 	if seg.memo == nil || seg.memo != pol.memo {
@@ -239,6 +268,84 @@ func TestSharedSegmentationUnderDrops(t *testing.T) {
 	}
 	if latest := p.Timeline().Latest().Window; seg.memo.cur == nil || seg.memo.cur.g != latest {
 		t.Fatal("the memo does not hold the latest window")
+	}
+}
+
+// held returns the windows whose views the memo retains.
+func (m *viewMemo) held() []*graph.Graph {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []*graph.Graph
+	for _, e := range m.entries {
+		if e != nil {
+			out = append(out, e.g)
+		}
+	}
+	return out
+}
+
+// TestViewMemoKeepsTwoMostRecent pins the memo's reuse rule: a window
+// among the last two asked for gets the view already built, whichever slot
+// holds it, and a third window evicts the least recently asked.
+func TestViewMemoKeepsTwoMostRecent(t *testing.T) {
+	g := make([]*graph.Graph, 3)
+	for i := range g {
+		g[i] = graph.New(graph.FacetIP)
+		g[i].AddNode(graphtest.Node(i))
+	}
+	m := new(viewMemo)
+	u0, u1 := m.view(g[0]), m.view(g[1])
+	if m.view(g[0]) != u0 || m.view(g[1]) != u1 || m.view(g[1]) != u1 {
+		t.Fatal("a view among the last two asked for was rebuilt")
+	}
+	m.view(g[0])
+	m.view(g[2]) // evicts g[1], the least recently asked
+	if m.view(g[0]) != u0 {
+		t.Fatal("the more recently asked view was evicted")
+	}
+	if m.view(g[1]) == u1 {
+		t.Fatal("three windows' views were retained")
+	}
+	if held := m.held(); len(held) != 2 || held[0] != g[0] || held[1] != g[1] {
+		t.Fatalf("memo holds %v, want the last two asked for", held)
+	}
+	var nilMemo *viewMemo
+	if nilMemo.view(g[0]) == nil {
+		t.Fatal("a nil memo must build the view")
+	}
+}
+
+// TestSharedViewUnderDrops pins the view memo all four default runners
+// share under the same drops: the policy consumer stalls while segment,
+// summarize and counterfactual advance and then races them for the last
+// windows. Every answer retained must equal solo runners byte for byte;
+// the plane must never hold more than two views, never two of one window,
+// and must end holding the latest window's.
+func TestSharedViewUnderDrops(t *testing.T) {
+	recs := seededStream(t)
+	const window = 5 * time.Minute
+	var views *viewMemo
+	check := func(p *Plane) {
+		if views == nil {
+			views = p.runners[1].(*SummarizeRunner).views
+		}
+		held := views.held()
+		if len(held) > 2 || (len(held) == 2 && held[0] == held[1]) {
+			t.Fatalf("the plane holds views of %d windows (%v)", len(held), held)
+		}
+	}
+	p := stalledPolicyPlane(t, recs, window, check)
+	check(p)
+	assertMatchesSolo(t, p, recs, window)
+
+	seg, sum := p.runners[0].(*SegmentRunner), p.runners[1].(*SummarizeRunner)
+	cf, pol := p.runners[2].(*CounterfactualRunner), p.runners[3].(*PolicyChurnRunner)
+	if views == nil || sum.views != views || cf.views != views || seg.memo.views != views || pol.memo.views != views {
+		t.Fatal("the default runners do not share one view memo")
+	}
+	held := views.held()
+	if latest := p.Timeline().Latest().Window; len(held) == 0 || held[len(held)-1] != latest {
+		t.Fatal("the view memo does not hold the latest window's view last")
 	}
 }
 

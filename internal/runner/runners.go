@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,20 +13,64 @@ import (
 )
 
 // DefaultRunners returns the paper's §2 analyses with default tuning —
-// what cloudgraphd puts online when -live is set. The segment and policy
-// runners segment every window the same way, so they share one segMemo:
-// each window is segmented once, by whichever of the two asks first.
+// what cloudgraphd puts online when -live is set. All four read each
+// window's undirected view, so they share one viewMemo: each window's view
+// is built once. The segment and policy runners segment every window the
+// same way, so they also share one segMemo: each window is segmented once,
+// by whichever of the two asks first.
 func DefaultRunners() []Runner {
-	memo := new(segMemo)
+	views := new(viewMemo)
+	segs := &segMemo{views: views}
 	seg := NewSegment(segment.StrategyJaccardLouvain, segment.Options{})
+	sum := NewSummarize(summarize.AnomalyOptions{})
+	cf := NewCounterfactual(0, 0.8, 10)
 	pol := NewPolicyChurn(segment.StrategyJaccardLouvain, segment.Options{})
-	seg.memo, pol.memo = memo, memo
-	return []Runner{
-		seg,
-		NewSummarize(summarize.AnomalyOptions{}),
-		NewCounterfactual(0, 0.8, 10),
-		pol,
+	seg.memo, pol.memo = segs, segs
+	sum.views, cf.views = views, views
+	return []Runner{seg, sum, cf, pol}
+}
+
+// viewMemo holds the undirected views of the last two windows asked for,
+// for the runners sharing it: each window's view is built once, and the
+// summarize runner's drift step finds the previous window's view still
+// there. Like segMemo it is locked only for the lookup — a view is built
+// under its entry's sync.Once — and what it hands out is read-only to
+// every runner. Two entries, most recently used last, bound what the plane
+// retains to about the current and previous windows' views; nothing is
+// cached on the graphs, which the timeline holds for much longer. A runner
+// lagging behind its peers just misses, builds the view and takes a slot.
+type viewMemo struct {
+	mu      sync.Mutex
+	entries [2]*viewEntry
+}
+
+// viewEntry is one memoised view, keyed by the window pointer.
+type viewEntry struct {
+	g    *graph.Graph
+	once sync.Once
+	u    *graph.Undirected
+}
+
+// view returns g.Undirected(), built once across the memo's runners. A nil
+// memo builds it directly.
+func (m *viewMemo) view(g *graph.Graph) *graph.Undirected {
+	if m == nil {
+		return g.Undirected()
 	}
+	m.mu.Lock()
+	e := m.entries[1]
+	switch {
+	case e != nil && e.g == g:
+	case m.entries[0] != nil && m.entries[0].g == g:
+		e = m.entries[0]
+		m.entries[0], m.entries[1] = m.entries[1], e
+	default:
+		e = &viewEntry{g: g}
+		m.entries[0], m.entries[1] = m.entries[1], e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.u = g.Undirected() })
+	return e.u
 }
 
 // segMemo holds the segmentation of one window for the runners sharing it.
@@ -34,10 +79,12 @@ func DefaultRunners() []Runner {
 // sync.Once, and a runner asking for the window being segmented waits for
 // that run instead of starting its own. It keeps only the latest entry
 // asked for, so a runner that lags behind its peer (the bus dropped
-// windows for one of them) just misses and segments for itself.
+// windows for one of them) just misses and segments for itself. It
+// segments the view its viewMemo hands out.
 type segMemo struct {
-	mu  sync.Mutex
-	cur *segEntry
+	views *viewMemo
+	mu    sync.Mutex
+	cur   *segEntry
 }
 
 // segEntry is one memoised segmentation, keyed by the window pointer and
@@ -65,7 +112,7 @@ func (m *segMemo) run(s segment.Strategy, g *graph.Graph, opts segment.Options) 
 		m.cur = e
 	}
 	m.mu.Unlock()
-	e.once.Do(func() { e.assign, e.err = segment.Run(s, g, opts) })
+	e.once.Do(func() { e.assign, e.err = segment.RunView(s, m.views.view(g), opts) })
 	return e.assign, e.err
 }
 
@@ -170,6 +217,7 @@ type SummarizeResult struct {
 // for the windows whose Result is asked for.
 type SummarizeRunner struct {
 	scorer  *summarize.Scorer
+	views   *viewMemo    // shared with the other runners by DefaultRunners
 	prev    *graph.Graph // latest window
 	epoch   uint64
 	score   summarize.WindowScore
@@ -185,7 +233,11 @@ func NewSummarize(opts summarize.AnomalyOptions) *SummarizeRunner {
 func (r *SummarizeRunner) Name() string { return "summarize" }
 
 func (r *SummarizeRunner) OnSnapshot(epoch uint64, g *graph.Graph) {
-	r.score = r.scorer.Step(r.prev, g)
+	var prev, cur *graph.Undirected
+	if r.prev != nil {
+		prev, cur = r.views.view(r.prev), r.views.view(g)
+	}
+	r.score = r.scorer.StepView(prev, cur)
 	r.prev, r.epoch, r.pending = g, epoch, true
 }
 
@@ -194,7 +246,7 @@ func (r *SummarizeRunner) Result() any {
 		return r.last
 	}
 	r.pending = false
-	s := summarize.Summarize(r.prev)
+	s := summarize.SummarizeView(r.prev, r.views.view(r.prev))
 	r.last = SummarizeResult{
 		Epoch:         r.epoch,
 		Headline:      s.Headline,
@@ -246,6 +298,7 @@ type CounterfactualRunner struct {
 	capacityPerMin float64
 	utilThreshold  float64
 	topPairs       int
+	views          *viewMemo // shared with the other runners by DefaultRunners
 	epoch          uint64
 	g              *graph.Graph // latest window, until Result plans it
 	last           CounterfactualResult
@@ -275,7 +328,7 @@ func (r *CounterfactualRunner) Result() any {
 }
 
 func (r *CounterfactualRunner) plan(epoch uint64, g *graph.Graph) CounterfactualResult {
-	plan := counterfactual.PlanCapacity(g, r.capacityPerMin, r.utilThreshold, r.topPairs)
+	plan := counterfactual.PlanCapacityView(g, r.views.view(g), r.capacityPerMin, r.utilThreshold, r.topPairs)
 	res := CounterfactualResult{Epoch: epoch}
 	for _, u := range plan.Upgrades {
 		res.Upgrades = append(res.Upgrades, NodeLoadJSON{
@@ -381,7 +434,7 @@ func (r *PolicyChurnRunner) churn(epoch uint64, g *graph.Graph) PolicyChurnResul
 	for n := range assign {
 		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Less(nodes[j]) })
+	slices.SortFunc(nodes, graph.Node.Compare)
 	for _, n := range nodes {
 		base, known := r.assign[n]
 		if !known {

@@ -111,8 +111,13 @@ func (o *Options) defaults() {
 
 // Run applies the named strategy to the graph and returns the segmentation.
 func Run(s Strategy, g *graph.Graph, opts Options) (Assignment, error) {
+	return RunView(s, g.Undirected(), opts)
+}
+
+// RunView is Run over a graph's undirected view, for callers that already
+// hold it.
+func RunView(s Strategy, u *graph.Undirected, opts Options) (Assignment, error) {
 	opts.defaults()
-	u := g.Undirected()
 	n := len(u.Nodes)
 	if n == 0 {
 		return Assignment{}, nil

@@ -4,18 +4,17 @@
 // per record; nothing else in the repository serializes a graph.
 //
 // EncodeGraph is canonical: it writes nodes in Node.Less order and directed
-// edges in (src, dst) node order whatever the graph's in-memory form — the
-// order of the frozen CSR arrays, which DecodeGraph therefore fills without
-// building a map graph. DecodeGraph also accepts the orders older encoders
-// wrote — map-form edges in random order, and zoned IPv6 nodes written
-// without their zone, which decode merged — so re-encoding what it decodes
-// reaches a fixed point after one step. Edge time series are not persisted
-// — the per-window graphs ARE the retained time series at window
-// granularity.
+// edges in (src, dst) node order whatever the graph's in-memory form — it
+// walks the frozen CSR arrays, and DecodeGraph adopts the same layout
+// without sorting or building a map graph. DecodeGraph also accepts the
+// orders older encoders wrote — map-form edges in random order, and zoned
+// IPv6 nodes written without their zone, which decode merged — so
+// re-encoding what it decodes reaches a fixed point after one step. Edge
+// time series are not persisted — the per-window graphs ARE the retained
+// time series at window granularity.
 package store
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"net/netip"
@@ -35,9 +34,12 @@ const (
 	kindName   = 2
 )
 
-// Smallest encodings of one node and one edge, used to reject counts the
-// remaining bytes cannot hold before anything is allocated for them.
+// Encoded sizes: the facet, times and node count before the node table,
+// and the smallest encodings of one node and one edge, which also reject
+// counts the remaining bytes cannot hold before anything is allocated for
+// them.
 const (
+	headerBytes  = 1 + 8 + 8 + 4
 	minNodeBytes = 1 + 16 + 1 + 2 + 2
 	edgeBytes    = 4 + 4 + 8 + 8 + 8
 )
@@ -52,23 +54,27 @@ const (
 //	    empty) for kinds 0 and 1
 //	u32 directed edge count, then per edge in (src, dst) order: u32 src,
 //	    u32 dst, u64 bytes, u64 packets, u64 conns
-func EncodeGraph(g *graph.Graph) []byte {
-	nodes := g.Nodes()
-	idx := make(map[graph.Node]uint32, len(nodes))
-	buf := make([]byte, 0, 64+len(nodes)*24)
+func EncodeGraph(g *graph.Graph) []byte { return AppendGraph(nil, g) }
+
+// AppendGraph appends EncodeGraph(g) to dst, growing it at most once. The
+// node table is the graph's sorted CSR node table and the edges are its CSR
+// rows walked in order (src = row, dst = column), so the bytes come
+// straight from the arrays; a map-form graph is encoded through a frozen
+// copy.
+func AppendGraph(dst []byte, g *graph.Graph) []byte {
+	nodes, rowOff, cols, edges := g.CSR()
+	size := headerBytes + 4 + len(edges)*edgeBytes
+	for _, n := range nodes {
+		_, text := nodeKind(n)
+		size += minNodeBytes + len(text)
+	}
+	buf := slices.Grow(dst, size)
 	buf = append(buf, byte(g.Facet))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.Start.Unix()))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.End.Unix()))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(nodes)))
-	for i, n := range nodes {
-		idx[n] = uint32(i)
-		kind, text := byte(kindIP), n.Addr.Zone()
-		switch {
-		case n.Name != "":
-			kind, text = kindName, n.Name
-		case n.Port != 0:
-			kind = kindIPPort
-		}
+	for _, n := range nodes {
+		kind, text := nodeKind(n)
 		buf = append(buf, kind)
 		a16 := n.Addr.As16()
 		if !n.Addr.IsValid() {
@@ -85,30 +91,30 @@ func EncodeGraph(g *graph.Graph) []byte {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(text)))
 		buf = append(buf, text...)
 	}
-	type edge struct {
-		src, dst uint32
-		c        graph.Counters
-	}
-	var edges []edge
-	g.EachOut(func(src, dst graph.Node, e *graph.Edge) {
-		edges = append(edges, edge{src: idx[src], dst: idx[dst], c: e.Counters})
-	})
-	if !g.Frozen() {
-		// Map-form iteration order is random; lay edges out in the order
-		// the CSR form iterates them.
-		slices.SortFunc(edges, func(a, b edge) int {
-			return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
-		})
-	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(edges)))
-	for _, e := range edges {
-		buf = binary.LittleEndian.AppendUint32(buf, e.src)
-		buf = binary.LittleEndian.AppendUint32(buf, e.dst)
-		buf = binary.LittleEndian.AppendUint64(buf, e.c.Bytes)
-		buf = binary.LittleEndian.AppendUint64(buf, e.c.Packets)
-		buf = binary.LittleEndian.AppendUint64(buf, e.c.Conns)
+	for src := range len(nodes) {
+		for k := rowOff[src]; k < rowOff[src+1]; k++ {
+			c := edges[k].Counters
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(src))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(cols[k]))
+			buf = binary.LittleEndian.AppendUint64(buf, c.Bytes)
+			buf = binary.LittleEndian.AppendUint64(buf, c.Packets)
+			buf = binary.LittleEndian.AppendUint64(buf, c.Conns)
+		}
 	}
 	return buf
+}
+
+// nodeKind returns a node's on-disk kind and its text field: the service
+// name for a name node, the IPv6 zone (usually empty) otherwise.
+func nodeKind(n graph.Node) (byte, string) {
+	switch {
+	case n.Name != "":
+		return kindName, n.Name
+	case n.Port != 0:
+		return kindIPPort, n.Addr.Zone()
+	}
+	return kindIP, n.Addr.Zone()
 }
 
 // DecodeGraph is the inverse of EncodeGraph. It rejects with ErrBadFormat

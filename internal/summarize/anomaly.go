@@ -60,12 +60,22 @@ func NewScorer(opts AnomalyOptions) *Scorer {
 // Step scores cur against prev, the window before it. The first window has
 // no predecessor (prev nil) and gets drift 0.
 func (s *Scorer) Step(prev, cur *graph.Graph) WindowScore {
+	if prev == nil {
+		return s.StepView(nil, nil)
+	}
+	return s.StepView(prev.Undirected(), cur.Undirected())
+}
+
+// StepView is Step over the two windows' undirected views, for callers
+// that already hold them; prev nil marks the first window, whose cur is
+// not read.
+func (s *Scorer) StepView(prev, cur *graph.Undirected) WindowScore {
 	score := WindowScore{Index: s.index}
 	s.index++
 	if prev == nil {
 		return score
 	}
-	d := graph.Diff(prev, cur)
+	d := graph.DiffView(prev, cur)
 	score.Drift = d.ByteChange
 	score.NewPairs = len(d.AddedPairs)
 	score.LostPairs = len(d.RemovedPairs)

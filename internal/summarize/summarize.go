@@ -269,8 +269,11 @@ type Summary struct {
 }
 
 // Summarize builds the full succinct summary of a graph.
-func Summarize(g *graph.Graph) Summary {
-	u := g.Undirected()
+func Summarize(g *graph.Graph) Summary { return SummarizeView(g, g.Undirected()) }
+
+// SummarizeView is Summarize for a caller that already holds u, g's
+// undirected view.
+func SummarizeView(g *graph.Graph, u *graph.Undirected) Summary {
 	s := Summary{Stats: g.ComputeStats()}
 	s.Hubs = hubs(u, s.Stats.Bytes, 0.5)
 	s.Cliques = chattyCliques(u, s.Stats.Bytes, 3, 0.5, 0.01)

@@ -1,6 +1,7 @@
 // Package timeline maintains a versioned in-memory timeline of completed
 // window graphs: bounded retention of the fine-resolution windows,
-// multi-resolution roll-ups built on the fly with graph.Merge, and
+// multi-resolution roll-ups folded on the fly in CSR form
+// (graph.FoldRollup), and
 // copy-on-write snapshots identified by epoch so concurrent readers get
 // repeatable queries while the stream keeps advancing.
 //
@@ -41,7 +42,8 @@ type Config struct {
 	// graphs held, approximate bytes retained, and roll-up seal latency.
 	Telemetry *telemetry.Registry
 	// Trace, when set, records a "timeline.rollup" span against every
-	// sampled record whose window folded into a sealed roll-up.
+	// sampled record whose window folded into a sealed roll-up, at the
+	// seal, lasting the bucket's accumulated fold time.
 	Trace *trace.Tracer
 }
 
@@ -87,8 +89,9 @@ type Timeline struct {
 	mu      sync.RWMutex
 	windows []*graph.Graph
 	rollups []*graph.Graph
-	bucket  *graph.Graph // in-progress roll-up accumulator, never exposed
-	history []*Snapshot  // bounded, oldest first
+	bucket  *graph.Graph  // in-progress roll-up accumulator, never exposed
+	fold    time.Duration // time spent folding members into bucket
+	history []*Snapshot   // bounded, oldest first
 	latest  *Snapshot
 
 	tracer      *trace.Tracer
@@ -197,25 +200,25 @@ func (t *Timeline) rollupLocked(g *graph.Graph) {
 	if t.bucket != nil && !t.bucket.Start.Equal(graph.RollupStart(g.Start, t.cfg.Rollup)) {
 		t.sealLocked()
 	}
+	start := time.Now()
 	t.bucket = graph.FoldRollup(t.bucket, g, t.cfg.Rollup)
+	t.fold += time.Since(start)
 	// Carry the members' sampled-record contexts so the seal can close
 	// their journeys with a "timeline.rollup" span.
 	t.bucket.Traces = append(t.bucket.Traces, g.Traces...)
 }
 
-// sealLocked freezes the in-progress bucket into the sealed roll-ups.
-// Caller holds t.mu.
+// sealLocked moves the in-progress bucket into the sealed roll-ups. The
+// bucket is already in its final CSR form (FoldRollup folds frozen), so
+// the seal only publishes it; the latency it reports is the bucket's
+// accumulated fold time plus the seal itself. Caller holds t.mu.
 func (t *Timeline) sealLocked() {
 	if t.bucket == nil {
 		return
 	}
 	start := time.Now()
-	sealed := t.bucket
-	t.bucket = nil
-	// The bucket accumulated in map form (Merge mutates it per member
-	// window); sealing is its last write, so drop it to the CSR form before
-	// it becomes reachable from snapshots.
-	sealed.Freeze()
+	sealed, fold := t.bucket, t.fold
+	t.bucket, t.fold = nil, 0
 	t.rollups = append(t.rollups, sealed)
 	t.approxBytes += approxGraphBytes(sealed)
 	if t.cfg.RollupRetention > 0 && len(t.rollups) > t.cfg.RollupRetention {
@@ -225,7 +228,7 @@ func (t *Timeline) sealLocked() {
 		}
 		t.rollups = append([]*graph.Graph(nil), t.rollups[len(t.rollups)-t.cfg.RollupRetention:]...)
 	}
-	d := time.Since(start)
+	d := fold + time.Since(start)
 	t.telRollup.Observe(d.Seconds())
 	t.telSeals.Add(1)
 	if t.tracer != nil && len(sealed.Traces) > 0 {

@@ -10,6 +10,8 @@ import (
 	"cloudgraph/internal/cluster"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/nicsim"
+	"cloudgraph/internal/store"
 	"cloudgraph/internal/telemetry"
 )
 
@@ -239,6 +241,129 @@ func TestRollupOverlappingWindowsEqualsDirectBuild(t *testing.T) {
 	if bad > 0 {
 		t.Fatalf("%d edges have duplicated or drifted series after overlapping merge", bad)
 	}
+}
+
+// k8spaasMinutes returns the first n one-minute windows of a k8spaas
+// cluster at scale 0.25 (≈160 nodes, ≈3K directed edges each), sealed as
+// the engine seals them: frozen, by a graph.Builder.
+func k8spaasMinutes(t *testing.T, n int) []*graph.Graph {
+	t.Helper()
+	spec, err := cluster.Preset("k8spaas", 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*graph.Graph
+	for i := 0; i < n; i++ {
+		var recs []flowlog.Record
+		start := t0.Add(time.Duration(i) * time.Minute)
+		if _, err := c.Run(start, 1, nicsim.CollectorFunc(func(batch []flowlog.Record) error {
+			recs = append(recs, batch...)
+			return nil
+		})); err != nil {
+			t.Fatal(err)
+		}
+		g := graph.Build(recs, graph.BuilderOptions{})
+		g.Start, g.End = start, start.Add(time.Minute)
+		out = append(out, g)
+	}
+	return out
+}
+
+// TestRollupNeverThaws pins that a roll-up bucket lives in CSR from its
+// first fold to its seal: after every append of a sealed k8spaas minute
+// window, the in-progress accumulator, every sealed roll-up and every
+// member window are frozen. A map-form accumulator (merged into, then
+// frozen at the seal) or a thaw anywhere on the path fails it, and so does
+// the per-append allocation count: ≈19 folding in CSR, ≈80 merging into a
+// map-form bucket, thousands rebuilding ≈3K edges as maps.
+func TestRollupNeverThaws(t *testing.T) {
+	const budget = 40
+	windows := k8spaasMinutes(t, 25)
+	tl := New(Config{Rollup: 10 * time.Minute})
+	for i, g := range windows[:20] {
+		s := tl.Append(uint64(i+1), g)
+		if !tl.bucket.Frozen() {
+			t.Fatalf("append %d: roll-up accumulator is in map form", i+1)
+		}
+		for _, r := range s.Rollups {
+			if !r.Frozen() {
+				t.Fatalf("append %d: a sealed roll-up is in map form", i+1)
+			}
+		}
+		for j, w := range windows[:i+1] {
+			if !w.Frozen() {
+				t.Fatalf("append %d: member window %d thawed", i+1, j+1)
+			}
+		}
+	}
+	if got := len(tl.Latest().Rollups); got != 1 {
+		t.Fatalf("20 minute windows sealed %d ten-minute roll-ups before the last bucket, want 1", got)
+	}
+	// Fold the remaining minutes into the open bucket, one per run.
+	next := 20
+	avg := testing.AllocsPerRun(4, func() {
+		tl.Append(uint64(next+1), windows[next])
+		next++
+	})
+	if avg > budget {
+		t.Fatalf("appending a k8spaas minute window into a roll-up bucket allocates %.0f times, budget %d", avg, budget)
+	}
+	t.Logf("roll-up append: %.0f allocs per window (budget %d)", avg, budget)
+	tl.Seal()
+	for _, r := range tl.Latest().Rollups {
+		if !r.Frozen() {
+			t.Fatal("Seal published a map-form roll-up")
+		}
+	}
+}
+
+// TestRollupSealObservesFoldTime pins what cloudgraph_timeline_rollup_seal_seconds
+// measures: the time folding a bucket's member windows, accumulated over
+// the bucket and observed when it seals — not only the seal itself, which
+// no longer does any work. A bucket of 60 k8spaas minute windows must
+// observe more than 10× what a one-window bucket does (the median of five,
+// so one slow fold cannot decide it).
+func TestRollupSealObservesFoldTime(t *testing.T) {
+	windows := k8spaasMinutes(t, 10)
+	reg := telemetry.NewRegistry()
+	tl := New(Config{Rollup: time.Hour, Retention: 4, History: 4, Telemetry: reg})
+	var epoch uint64
+	var sums []float64
+	appendAt := func(at time.Time, g *graph.Graph) {
+		// An independent copy of a window, moved to at.
+		cp, err := store.DecodeGraph(store.EncodeGraph(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.Start, cp.End = at, at.Add(time.Minute)
+		epoch++
+		tl.Append(epoch, cp)
+		sums = append(sums, tl.telRollup.Sum())
+	}
+	for i := 0; i < 60; i++ {
+		appendAt(t0.Add(time.Duration(i)*time.Minute), windows[i%len(windows)])
+	}
+	for h := 1; h <= 6; h++ {
+		appendAt(t0.Add(time.Duration(h)*time.Hour), windows[h%len(windows)])
+	}
+	// The first hour-1 append sealed the 60-window bucket; each later one
+	// sealed the one-window bucket before it.
+	full := sums[60]
+	var single []float64
+	for i := 61; i < len(sums); i++ {
+		single = append(single, sums[i]-sums[i-1])
+	}
+	sort.Float64s(single)
+	median := single[len(single)/2]
+	if full <= 10*median {
+		t.Fatalf("60-window bucket observed %.3gs, one-window bucket %.3gs (median of %d): want more than 10×",
+			full, median, len(single))
+	}
+	t.Logf("60-window bucket %.3gms, one-window bucket %.3gms", full*1e3, median*1e3)
 }
 
 // TestTimelineRetentionEdgeStaysQueryable pins the eviction boundary: with
