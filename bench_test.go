@@ -638,8 +638,8 @@ func gammaName(g float64) string {
 
 // --- the analysis plane: one default runner over one sealed window ---------
 
-// minuteWindows returns a preset cluster's first n one-minute windows,
-// frozen the way the engine seals them.
+// minuteWindows returns a preset cluster's first n one-minute windows, as
+// the engine seals them.
 func minuteWindows(tb testing.TB, preset string, scale float64, n int) []*graph.Graph {
 	tb.Helper()
 	spec, err := cluster.Preset(preset, scale)
@@ -652,10 +652,7 @@ func minuteWindows(tb testing.TB, preset string, scale float64, n int) []*graph.
 	}
 	var out []*graph.Graph
 	w := core.NewWindower(time.Minute, graph.BuilderOptions{})
-	w.OnComplete = func(g *graph.Graph) {
-		g.Freeze()
-		out = append(out, g)
-	}
+	w.OnComplete = func(g *graph.Graph) { out = append(out, g) }
 	_, err = c.Run(benchStart, n, nicsim.CollectorFunc(func(batch []flowlog.Record) error {
 		for _, r := range batch {
 			w.Add(r)

@@ -43,8 +43,9 @@
 // /healthz, profiling on /debug/pprof/, a tenant's latest window as an
 // adjacency heatmap on /graphz (?tenant=, the default tenant otherwise),
 // sampled record traces on /tracez, the flight recorder on /flightz,
-// per-tenant planes on /tenantz and the analysis plane on /analyz. SIGQUIT
-// dumps the flight ring to stderr without stopping the daemon.
+// per-tenant planes on /tenantz and a tenant's analysis plane on /analyz
+// (?tenant= as on /graphz). SIGQUIT dumps the flight ring to stderr
+// without stopping the daemon.
 package main
 
 import (
@@ -324,7 +325,7 @@ func main() {
 		ops.HandleView("/tenantz", realm.TenantzHandler(m))
 		views := "/metrics /healthz /debug/pprof/ /graphz /tracez /flightz /statusz /tenantz"
 		if *live {
-			ops.HandleView("/analyz", def.Plane().AnalyzHandler())
+			ops.HandleView("/analyz", analytics.AnalyzHandler(m))
 			views += " /analyz"
 		}
 		log.Printf("ops endpoint on http://%s (%s)", ops.Addr(), views)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 	"cloudgraph/internal/histstore"
 )
 
@@ -15,12 +16,12 @@ var t0 = time.Unix(1700000000, 0).UTC().Truncate(time.Hour)
 // hourWindow is a one-hour window starting h hours after t0 in which
 // 10.0.0.1 talks to 10.0.0.<peer>.
 func hourWindow(h int, peer byte, bytes uint64) *graph.Graph {
-	g := graph.New(graph.FacetIP)
-	g.Start = t0.Add(time.Duration(h) * time.Hour)
-	g.End = g.Start.Add(time.Hour)
-	g.AddEdge(graph.IPNode(netip.MustParseAddr("10.0.0.1")),
+	m := graphtest.NewModel(graph.FacetIP)
+	m.Start = t0.Add(time.Duration(h) * time.Hour)
+	m.End = m.Start.Add(time.Hour)
+	m.Add(graph.IPNode(netip.MustParseAddr("10.0.0.1")),
 		graph.IPNode(netip.AddrFrom4([4]byte{10, 0, 0, peer})), graph.Counters{Bytes: bytes})
-	return g
+	return m.Graph()
 }
 
 // farFuture bounds an all-time range load.

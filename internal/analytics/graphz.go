@@ -19,13 +19,8 @@ import (
 // instead, one pixel per node pair. GET/HEAD only, like every ops view.
 func GraphzHandler(m *realm.Manager) http.Handler {
 	return telemetry.GetOnly(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		name := req.URL.Query().Get("tenant")
-		if name == "" {
-			name = realm.DefaultTenant
-		}
-		r := m.Get(name)
+		r := opsTenant(w, m, req)
 		if r == nil {
-			http.Error(w, fmt.Sprintf("unknown tenant %q", name), http.StatusNotFound)
 			return
 		}
 		snap, err := latestWindow(r)
@@ -60,4 +55,37 @@ func GraphzHandler(m *realm.Manager) http.Handler {
 			return
 		}
 	}))
+}
+
+// AnalyzHandler serves a tenant's analysis plane on the ops endpoint (see
+// runner.Plane.AnalyzHandler). ?tenant= picks the tenant as on /graphz: the
+// default tenant when absent; an unknown or invalid name is a 404 and is
+// never admitted.
+func AnalyzHandler(m *realm.Manager) http.Handler {
+	return telemetry.GetOnly(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		r := opsTenant(w, m, req)
+		if r == nil {
+			return
+		}
+		if r.Plane() == nil {
+			http.Error(w, fmt.Sprintf("tenant %q has no analysis plane", r.Name()), http.StatusNotFound)
+			return
+		}
+		r.Plane().AnalyzHandler().ServeHTTP(w, req)
+	}))
+}
+
+// opsTenant resolves an ops view's ?tenant= through Manager.Get, which
+// never admits one: the default tenant when absent, else the admitted
+// tenant of that name. An unknown or invalid name answers 404 and nil.
+func opsTenant(w http.ResponseWriter, m *realm.Manager, req *http.Request) *realm.Realm {
+	name := req.URL.Query().Get("tenant")
+	if name == "" {
+		name = realm.DefaultTenant
+	}
+	r := m.Get(name)
+	if r == nil {
+		http.Error(w, fmt.Sprintf("unknown tenant %q", name), http.StatusNotFound)
+	}
+	return r
 }

@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -165,5 +166,66 @@ func TestGraphzHandler(t *testing.T) {
 	}
 	if n := len(m.Realms()); n != 2 {
 		t.Errorf("/graphz admitted tenants: %d realms, want 2", n)
+	}
+}
+
+// TestAnalyzTenant holds /analyz's ?tenant= to /graphz's contract: without
+// it the view is the default tenant's plane, byte for byte; with it, that
+// tenant's own plane answers; unknown and invalid names are 404s that
+// never admit a tenant.
+func TestAnalyzTenant(t *testing.T) {
+	_, m := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Live: true}, Options{})
+	h := AnalyzHandler(m)
+	get := func(h http.Handler, path string) (int, string) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		return rr.Code, rr.Body.String()
+	}
+
+	def := m.Default()
+	def.IngestTraced(hourOf(t, testCluster(t), t0), nil)
+	def.Flush()
+	acme, err := m.Realm("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// acme holds two windows to the default tenant's one, so every view
+	// tells the planes apart.
+	recs := testRecords(0, 50)
+	for _, r := range testRecords(0, 50) {
+		r.Time = r.Time.Add(time.Hour)
+		recs = append(recs, r)
+	}
+	acme.IngestTraced(recs, nil)
+	acme.Flush()
+
+	for _, q := range []string{"", "?analysis=segment", "?analysis=summarize&epoch=1"} {
+		code, want := get(def.Plane().AnalyzHandler(), "/analyz"+q)
+		if code != 200 {
+			t.Fatalf("plane %s: status %d", q, code)
+		}
+		if code, body := get(h, "/analyz"+q); code != 200 || body != want {
+			t.Errorf("default view %s: status %d, body differs from the default plane's", q, code)
+		}
+		sep := "?"
+		if q != "" {
+			sep = q + "&"
+		}
+		if code, body := get(h, "/analyz"+sep+"tenant=default"); code != 200 || body != want {
+			t.Errorf("tenant=default %s: status %d, body differs from the default plane's", q, code)
+		}
+		_, acmeWant := get(acme.Plane().AnalyzHandler(), "/analyz"+q)
+		if code, body := get(h, "/analyz"+sep+"tenant=acme"); code != 200 || body != acmeWant || body == want {
+			t.Errorf("tenant=acme %s: status %d, want 200 with acme's own plane", q, code)
+		}
+	}
+
+	for _, name := range []string{"nobody", "Bad%20Name", "diag"} {
+		if code, _ := get(h, "/analyz?analysis=segment&tenant="+name); code != 404 {
+			t.Errorf("tenant=%s: status = %d, want 404", name, code)
+		}
+	}
+	if n := len(m.Realms()); n != 2 {
+		t.Errorf("/analyz admitted tenants: %d realms, want 2", n)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"cloudgraph/internal/cluster"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 	"cloudgraph/internal/nicsim"
 	"cloudgraph/internal/policy"
 	"cloudgraph/internal/segment"
@@ -257,18 +258,18 @@ func TestEngineAsCollector(t *testing.T) {
 }
 
 func TestMonitorAlertsOnUnknownEndpoint(t *testing.T) {
-	base := graph.New(graph.FacetIP)
-	base.AddEdge(graph.IPNode(ipA), graph.IPNode(ipB), graph.Counters{Bytes: 1000, Conns: 1})
-	b, err := policy.LearnBaseline(segment.StrategyJaccardLouvain, base, segment.Options{})
+	base := graphtest.NewModel(graph.FacetIP)
+	base.Add(graph.IPNode(ipA), graph.IPNode(ipB), graph.Counters{Bytes: 1000, Conns: 1})
+	b, err := policy.LearnBaseline(segment.StrategyJaccardLouvain, base.Graph(), segment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// New window: ipA starts talking to a brand-new external endpoint.
-	next := graph.New(graph.FacetIP)
-	next.AddEdge(graph.IPNode(ipA), graph.IPNode(ipB), graph.Counters{Bytes: 1000, Conns: 1})
+	next := graphtest.NewModel(graph.FacetIP)
+	next.Add(graph.IPNode(ipA), graph.IPNode(ipB), graph.Counters{Bytes: 1000, Conns: 1})
 	c2 := graph.IPNode(netip.MustParseAddr("198.51.100.66"))
-	next.AddEdge(graph.IPNode(ipA), c2, graph.Counters{Bytes: 1 << 30, Conns: 1})
-	rep := b.Monitor(next)
+	next.Add(graph.IPNode(ipA), c2, graph.Counters{Bytes: 1 << 30, Conns: 1})
+	rep := b.Monitor(next.Graph())
 	if rep == nil || len(rep.Violations) != 1 {
 		t.Fatalf("violations = %+v", rep)
 	}
@@ -477,8 +478,9 @@ func TestMonitorBaselinePinnedAcrossTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	next := graph.New(graph.FacetIP)
-	next.AddEdge(graph.IPNode(ipA), graph.IPNode(ipB), graph.Counters{Bytes: 5000, Conns: 1})
+	m := graphtest.NewModel(graph.FacetIP)
+	m.Add(graph.IPNode(ipA), graph.IPNode(ipB), graph.Counters{Bytes: 5000, Conns: 1})
+	next := m.Graph()
 	before := base.Monitor(next)
 	if before == nil || len(before.Growth) == 0 {
 		t.Fatalf("no growth assessment before trim: %+v", before)
@@ -641,9 +643,6 @@ func TestEngineShardedMatchesWindower(t *testing.T) {
 				t.Fatalf("%s shards=%d: windows = %d, want %d", preset, shards, len(got), len(want))
 			}
 			for i := range want {
-				if !got[i].Frozen() {
-					t.Errorf("%s shards=%d window %d: published in map form", preset, shards, i)
-				}
 				if !bytes.Equal(store.EncodeGraph(got[i]), store.EncodeGraph(want[i])) {
 					t.Errorf("%s shards=%d window %d: store encoding differs from the single windower's", preset, shards, i)
 				}

@@ -247,11 +247,6 @@ func (e *Engine) onWindow(g *graph.Graph, traces []trace.Context) {
 		g = g.Collapse(e.cfg.Collapse)
 	}
 	g.Traces = traces
-	// A completed window is never mutated again (the bus and timeline
-	// contract), so every consumer holds the compact CSR form. Builders
-	// seal straight to it and the cross-shard merge keeps it, so this is a
-	// no-op unless Collapse just rebuilt the window as maps.
-	g.Freeze()
 	e.tel.windows.Add(1)
 	e.tracer.Eventf(trace.Context{}, "core", slog.LevelDebug,
 		"window %s completed: %d nodes, %d edges, %d sampled traces",

@@ -114,14 +114,14 @@ func TestFCTQuantiles(t *testing.T) {
 }
 
 func loadedGraph() *graph.Graph {
-	g := graph.New(graph.FacetIP)
-	g.Start = t0
-	g.End = t0.Add(time.Hour)
+	m := graphtest.NewModel(graph.FacetIP)
+	m.Start = t0
+	m.End = t0.Add(time.Hour)
 	hot := graph.IPNode(a)
-	g.AddEdge(hot, graph.IPNode(b), graph.Counters{Bytes: 60_000_000}) // 1MB/min
-	g.AddEdge(hot, graph.IPNode(netip.MustParseAddr("10.0.0.3")), graph.Counters{Bytes: 6_000_000})
-	g.AddEdge(graph.IPNode(netip.MustParseAddr("10.0.0.4")), graph.IPNode(netip.MustParseAddr("10.0.0.5")), graph.Counters{Bytes: 600_000})
-	return g
+	m.Add(hot, graph.IPNode(b), graph.Counters{Bytes: 60_000_000}) // 1MB/min
+	m.Add(hot, graph.IPNode(netip.MustParseAddr("10.0.0.3")), graph.Counters{Bytes: 6_000_000})
+	m.Add(graph.IPNode(netip.MustParseAddr("10.0.0.4")), graph.IPNode(netip.MustParseAddr("10.0.0.5")), graph.Counters{Bytes: 600_000})
+	return m.Graph()
 }
 
 func TestBottlenecksRanking(t *testing.T) {
@@ -186,31 +186,29 @@ func naivePlanCapacity(g *graph.Graph, capacityPerMin float64, utilThreshold flo
 }
 
 // TestPlanCapacityMatchesNaive drives the planner and the full-sort
-// reference over every generated shape in both representations (byte ties
-// are common there, self-loops and zero-byte pairs present): the same
+// reference over every generated shape (byte ties are common there,
+// self-loops and zero-byte pairs present): the same
 // proximity list for topPairs from 0 to past the pair count, and the same
 // upgrades over a capacity × threshold grid that includes zero and
 // negative values.
 func TestPlanCapacityMatchesNaive(t *testing.T) {
 	upgrades := 0
 	for seed := int64(1); seed <= 8; seed++ {
-		for _, cs := range [][]graphtest.Case{graphtest.Cases(seed), graphtest.FrozenCases(seed)} {
-			for _, c := range cs {
-				pairs := len(c.G.UndirectedEdges())
-				for _, top := range []int{0, 1, 10, pairs, pairs + 7} {
-					got, want := PlanCapacity(c.G, 0, 0.8, top), naivePlanCapacity(c.G, 0, 0.8, top)
-					if !slices.Equal(got.Proximity, want.Proximity) {
-						t.Fatalf("seed %d %s topPairs %d: proximity\n got: %v\nwant: %v", seed, c.Name, top, got.Proximity, want.Proximity)
-					}
+		for _, c := range graphtest.Cases(seed) {
+			pairs := len(c.G.UndirectedEdges())
+			for _, top := range []int{0, 1, 10, pairs, pairs + 7} {
+				got, want := PlanCapacity(c.G, 0, 0.8, top), naivePlanCapacity(c.G, 0, 0.8, top)
+				if !slices.Equal(got.Proximity, want.Proximity) {
+					t.Fatalf("seed %d %s topPairs %d: proximity\n got: %v\nwant: %v", seed, c.Name, top, got.Proximity, want.Proximity)
 				}
-				for _, capacity := range []float64{-1000, 0, 100, 5000, 1e9} {
-					for _, threshold := range []float64{-1, 0, 0.5, 1, 3} {
-						got, want := PlanCapacity(c.G, capacity, threshold, 3), naivePlanCapacity(c.G, capacity, threshold, 3)
-						if !slices.Equal(got.Upgrades, want.Upgrades) {
-							t.Fatalf("seed %d %s capacity %g threshold %g: upgrades\n got: %v\nwant: %v", seed, c.Name, capacity, threshold, got.Upgrades, want.Upgrades)
-						}
-						upgrades += len(want.Upgrades)
+			}
+			for _, capacity := range []float64{-1000, 0, 100, 5000, 1e9} {
+				for _, threshold := range []float64{-1, 0, 0.5, 1, 3} {
+					got, want := PlanCapacity(c.G, capacity, threshold, 3), naivePlanCapacity(c.G, capacity, threshold, 3)
+					if !slices.Equal(got.Upgrades, want.Upgrades) {
+						t.Fatalf("seed %d %s capacity %g threshold %g: upgrades\n got: %v\nwant: %v", seed, c.Name, capacity, threshold, got.Upgrades, want.Upgrades)
 					}
+					upgrades += len(want.Upgrades)
 				}
 			}
 		}
@@ -233,8 +231,9 @@ func TestPlanCapacityNonPositivePairs(t *testing.T) {
 }
 
 func TestBottlenecksDefaultWindow(t *testing.T) {
-	g := graph.New(graph.FacetIP) // zero Start/End: assumes an hour
-	g.AddEdge(graph.IPNode(a), graph.IPNode(b), graph.Counters{Bytes: 60})
+	m := graphtest.NewModel(graph.FacetIP) // zero Start/End: assumes an hour
+	m.Add(graph.IPNode(a), graph.IPNode(b), graph.Counters{Bytes: 60})
+	g := m.Graph()
 	loads := Bottlenecks(g, 0)
 	if loads[0].BytesPerMin != 1 {
 		t.Errorf("BytesPerMin = %v, want 1 (60 bytes / 60 min)", loads[0].BytesPerMin)

@@ -17,18 +17,17 @@ type Adjacency struct {
 
 // AdjacencyMatrix exports the graph as a dense matrix under metric m. Nodes
 // are ordered deterministically (sorted), which for the synthetic clusters
-// groups role peers together the way Figure 4's banded matrices do.
+// groups role peers together the way Figure 4's banded matrices do. Row i
+// is node id i's CSR row.
 func (g *Graph) AdjacencyMatrix(m Metric) *Adjacency {
-	order := g.Nodes()
-	idx := make(map[Node]int, len(order))
-	for i, n := range order {
-		idx[n] = i
+	fz := g.fz
+	n := len(fz.nodes)
+	a := &Adjacency{Order: g.Nodes(), N: n, M: make([]float64, n*n)}
+	for i := 0; i < n; i++ {
+		for k := fz.rowOff[i]; k < fz.rowOff[i+1]; k++ {
+			a.M[i*n+int(fz.cols[k])] = float64(fz.edges[k].Get(m))
+		}
 	}
-	n := len(order)
-	a := &Adjacency{Order: order, N: n, M: make([]float64, n*n)}
-	g.EachOut(func(src, dst Node, e *Edge) {
-		a.M[idx[src]*n+idx[dst]] = float64(e.Get(m))
-	})
 	return a
 }
 

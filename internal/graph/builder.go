@@ -63,8 +63,7 @@ type flowKey struct{ a, z endpoint }
 // the interval's flows in a pointer-free table keyed by endpoint pair,
 // endpoints interned to dense node ids under the facet, directed edges in
 // a slab indexed by (src id, dst id). Finish ranks the ids by Node.Less and
-// lays the slab out as the frozen CSR form directly; no Node-keyed map is
-// ever built.
+// lays the slab out as CSR directly; no Node-keyed map is ever built.
 //
 // Records are expected in roughly time order; a record more than one full
 // interval older than the newest seen so far may be double-counted.
@@ -334,13 +333,12 @@ func (b *Builder) addDirected(src, dst uint32, c Counters) {
 	}
 }
 
-// Finish flushes pending state and returns the completed graph, already in
-// the frozen CSR form, then resets the builder — tables emptied, capacity
-// kept — so it can build the next graph.
+// Finish flushes pending state and returns the completed graph, laid out
+// as CSR, then resets the builder — tables emptied, capacity kept — so it
+// can build the next graph.
 func (b *Builder) Finish() *Graph {
 	b.flush()
-	g := &Graph{Facet: b.opts.Facet, fz: b.seal()}
-	g.edges = g.fz.pairs()
+	g := newGraph(b.opts.Facet, b.seal())
 	if b.records > 0 {
 		g.Start = b.minStart
 		g.End = b.maxStart.Add(b.opts.Interval)

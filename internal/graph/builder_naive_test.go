@@ -1,26 +1,24 @@
 package graph_test
 
 import (
-	"bytes"
 	"fmt"
 	"net/netip"
-	"reflect"
 	"testing"
 	"time"
 
 	"cloudgraph/internal/cluster"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
-	"cloudgraph/internal/store"
+	"cloudgraph/internal/graph/graphtest"
 )
 
 // naiveBuilder is graph.Builder as it was before the open window moved to
 // index space: a FlowKey-keyed map of heap pairObs per interval, a
-// Node-pair-keyed interval map at every flush, and a map-form Graph
+// Node-pair-keyed interval map at every flush, and a graphtest model
 // underneath. Kept as the reference the builder is tested against.
 type naiveBuilder struct {
 	opts graph.BuilderOptions
-	g    *graph.Graph
+	m    *graphtest.Model
 
 	cur      map[flowlog.FlowKey]*naiveObs
 	curStart time.Time
@@ -38,7 +36,7 @@ func newNaiveBuilder(opts graph.BuilderOptions) *naiveBuilder {
 	if opts.Interval <= 0 {
 		opts.Interval = time.Minute
 	}
-	return &naiveBuilder{opts: opts, g: graph.New(opts.Facet), cur: make(map[flowlog.FlowKey]*naiveObs)}
+	return &naiveBuilder{opts: opts, m: graphtest.NewModel(opts.Facet), cur: make(map[flowlog.FlowKey]*naiveObs)}
 }
 
 func (b *naiveBuilder) add(rec flowlog.Record) {
@@ -128,22 +126,22 @@ func (b *naiveBuilder) flush() {
 		if c == (graph.Counters{}) {
 			continue
 		}
-		b.g.AddEdge(k.src, k.dst, c)
 		if b.opts.KeepSeries {
-			e := b.g.OutEdge(k.src, k.dst)
-			e.Series = append(e.Series, graph.Sample{Start: b.curStart, Counters: c})
+			b.m.Add(k.src, k.dst, c, graph.Sample{Start: b.curStart, Counters: c})
+		} else {
+			b.m.Add(k.src, k.dst, c)
 		}
 	}
 	clear(b.cur)
 }
 
-func (b *naiveBuilder) finish() *graph.Graph {
+func (b *naiveBuilder) finish() *graphtest.Model {
 	b.flush()
-	b.g.Start = b.minTime.Truncate(b.opts.Interval)
+	b.m.Start = b.minTime.Truncate(b.opts.Interval)
 	if !b.maxTime.IsZero() {
-		b.g.End = b.maxTime.Truncate(b.opts.Interval).Add(b.opts.Interval)
+		b.m.End = b.maxTime.Truncate(b.opts.Interval).Add(b.opts.Interval)
 	}
-	return b.g
+	return b.m
 }
 
 var (
@@ -219,34 +217,6 @@ func presetHour(t testing.TB, name string, scale float64) []flowlog.Record {
 	return recs
 }
 
-// sameGraph fails unless got and want are the same graph: empty Diff, equal
-// counts and window, equal counters and series on every directed edge, and
-// byte-equal store encodings (want is frozen for the last, the form the
-// engine hands the store).
-func sameGraph(t *testing.T, got, want *graph.Graph) {
-	t.Helper()
-	if d := graph.Diff(want, got); d.ByteChange != 0 || len(d.AddedNodes)+len(d.RemovedNodes)+len(d.AddedPairs)+len(d.RemovedPairs) != 0 {
-		t.Fatalf("Diff not empty: %+v", d)
-	}
-	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() || got.NumDirectedEdges() != want.NumDirectedEdges() {
-		t.Fatalf("got %d nodes, %d pairs, %d directed edges; want %d, %d, %d", got.NumNodes(), got.NumEdges(),
-			got.NumDirectedEdges(), want.NumNodes(), want.NumEdges(), want.NumDirectedEdges())
-	}
-	if got.Start != want.Start || got.End != want.End {
-		t.Fatalf("window [%v, %v), want [%v, %v)", got.Start, got.End, want.Start, want.End)
-	}
-	want.EachOut(func(src, dst graph.Node, e *graph.Edge) {
-		ge := got.OutEdge(src, dst)
-		if ge == nil || ge.Counters != e.Counters || !reflect.DeepEqual(ge.Series, e.Series) {
-			t.Fatalf("edge %v->%v: got %+v, want %+v", src, dst, ge, e)
-		}
-	})
-	want.Freeze()
-	if !bytes.Equal(store.EncodeGraph(got), store.EncodeGraph(want)) {
-		t.Fatal("store encodings differ")
-	}
-}
-
 // TestBuilderMatchesNaive drives the builder and its retired body over the
 // same records — preset hours and the hostile stream — under every facet,
 // with and without series.
@@ -286,11 +256,9 @@ func TestBuilderMatchesNaive(t *testing.T) {
 					if b.Records() != nb.records {
 						t.Fatalf("Records = %d, want %d", b.Records(), nb.records)
 					}
-					got := b.Finish()
-					if !got.Frozen() {
-						t.Fatal("Finish returned a map-form graph")
+					if err := nb.finish().Check(b.Finish()); err != nil {
+						t.Fatal(err)
 					}
-					sameGraph(t, got, nb.finish())
 
 					// A finished builder is empty: the same records build
 					// the same graph again.
@@ -301,7 +269,9 @@ func TestBuilderMatchesNaive(t *testing.T) {
 					for _, r := range in.recs {
 						nb.add(r)
 					}
-					sameGraph(t, b.Finish(), nb.finish())
+					if err := nb.finish().Check(b.Finish()); err != nil {
+						t.Fatal(err)
+					}
 				})
 			}
 		}

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // CollapseOptions configures heavy-hitter collapsing.
 type CollapseOptions struct {
 	// Threshold is the minimum share (of total bytes, packets or
@@ -24,33 +26,52 @@ func (g *Graph) Collapse(opts CollapseOptions) *Graph {
 	if opts.Threshold <= 0 {
 		opts.Threshold = DefaultCollapseThreshold
 	}
-	total := g.TotalTraffic()
-	keep := make(map[Node]bool, g.NumNodes())
-	g.EachNode(func(n Node) {
-		keep[n] = g.significant(n, total, opts)
-	})
-	out := New(g.Facet)
-	out.Start, out.End = g.Start, g.End
-	for n, k := range keep {
-		if k {
-			out.AddNode(n)
-		}
+	fz, total := g.fz, g.TotalTraffic()
+	keep := make([]bool, len(fz.nodes))
+	for i, n := range fz.nodes {
+		keep[i] = g.significant(n, total, opts)
 	}
-	mapNode := func(n Node) Node {
-		if keep[n] {
-			return n
+	mapped := func(i int32) Node {
+		if keep[i] {
+			return fz.nodes[i]
 		}
 		return Collapsed
 	}
-	g.EachOut(func(src, dst Node, e *Edge) {
-		ms, md := mapNode(src), mapNode(dst)
-		if ms == md {
-			// Traffic entirely inside the collapse bucket (or a
-			// self-loop) disappears, like the paper's aggregate node.
-			return
+	// Traffic entirely inside the collapse bucket (or a self-loop)
+	// disappears, like the paper's aggregate node. A node stays if it is
+	// kept, isolated or not, or if it is a collapsed end of an edge that
+	// stays.
+	used := slices.Clone(keep)
+	var keys []uint64
+	var edges []Edge
+	for i := range fz.nodes {
+		for k := fz.rowOff[i]; k < fz.rowOff[i+1]; k++ {
+			j := fz.cols[k]
+			if mapped(int32(i)) == mapped(j) {
+				continue
+			}
+			keys = append(keys, uint64(i)<<32|uint64(j))
+			edges = append(edges, Edge{Counters: fz.edges[k].Counters})
+			used[i], used[j] = true, true
 		}
-		out.addDirected(ms, md, e.Counters)
-	})
+	}
+	// Renumber onto the nodes that stay, each under its mapped node: the
+	// renumbering is monotone, so the keys stay ascending and distinct, and
+	// FromIndex merges the repeated Collapsed entries and sums the edges
+	// that then coincide.
+	id := make([]uint64, len(fz.nodes))
+	var nodes []Node
+	for i := range fz.nodes {
+		if used[i] {
+			id[i] = uint64(len(nodes))
+			nodes = append(nodes, mapped(int32(i)))
+		}
+	}
+	for e, k := range keys {
+		keys[e] = id[k>>32]<<32 | id[uint32(k)]
+	}
+	out, _ := FromIndex(g.Facet, nodes, keys, edges)
+	out.Start, out.End = g.Start, g.End
 	return out
 }
 

@@ -2,34 +2,31 @@ package graph_test
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/graph/graphtest"
 )
 
-// naiveDiff is Diff as it was before the merge-join: two pair tables over
-// sorted UndirectedEdges copies. Kept as the reference Diff is tested
-// against.
-func naiveDiff(old, new *graph.Graph) graph.Delta {
+// naiveDiff is Diff as it was before the merge-join — two pair tables over
+// sorted pair lists — read from the models' maps. Kept as the reference
+// Diff is tested against.
+func naiveDiff(old, new *graphtest.Model) graph.Delta {
 	var d graph.Delta
-	new.EachNode(func(n graph.Node) {
-		if !old.HasNode(n) {
+	for _, n := range sortedNodes(new) {
+		if !old.Nodes[n] {
 			d.AddedNodes = append(d.AddedNodes, n)
 		}
-	})
-	old.EachNode(func(n graph.Node) {
-		if !new.HasNode(n) {
+	}
+	for _, n := range sortedNodes(old) {
+		if !new.Nodes[n] {
 			d.RemovedNodes = append(d.RemovedNodes, n)
 		}
-	})
-	sort.Slice(d.AddedNodes, func(i, j int) bool { return d.AddedNodes[i].Less(d.AddedNodes[j]) })
-	sort.Slice(d.RemovedNodes, func(i, j int) bool { return d.RemovedNodes[i].Less(d.RemovedNodes[j]) })
+	}
 
 	type pair struct{ a, b graph.Node }
 	oldPairs := make(map[pair]uint64)
-	for _, e := range old.UndirectedEdges() {
+	for _, e := range undirectedEdges(old) {
 		oldPairs[pair{e.A, e.B}] = e.Bytes
 	}
 	var l1 float64
@@ -38,7 +35,7 @@ func naiveDiff(old, new *graph.Graph) graph.Delta {
 		oldTotal += float64(v)
 	}
 	seen := make(map[pair]bool)
-	for _, e := range new.UndirectedEdges() {
+	for _, e := range undirectedEdges(new) {
 		p := pair{e.A, e.B}
 		seen[p] = true
 		if oldBytes, ok := oldPairs[p]; ok {
@@ -52,7 +49,7 @@ func naiveDiff(old, new *graph.Graph) graph.Delta {
 			l1 += float64(e.Bytes)
 		}
 	}
-	for _, e := range old.UndirectedEdges() {
+	for _, e := range undirectedEdges(old) {
 		if !seen[pair{e.A, e.B}] {
 			d.RemovedPairs = append(d.RemovedPairs, e)
 			l1 += float64(e.Bytes)
@@ -66,18 +63,12 @@ func naiveDiff(old, new *graph.Graph) graph.Delta {
 }
 
 // TestUndirectedViewShapes drives the view over every generated shape —
-// self-loops, isolated nodes, one-way and zero-byte edges included: the map
-// form and the frozen form build the same struct, and it agrees with the
-// Node-keyed accessors.
+// self-loops, isolated nodes, one-way and zero-byte edges included — and
+// checks it against the Node-keyed accessors.
 func TestUndirectedViewShapes(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		asMap, asFrozen := graphtest.Cases(seed), graphtest.FrozenCases(seed)
-		for i, c := range asMap {
-			um, uf := c.G.Undirected(), asFrozen[i].G.Undirected()
-			if !reflect.DeepEqual(um, uf) {
-				t.Fatalf("seed %d %s: map-form and frozen-form views differ", seed, c.Name)
-			}
-			if err := graph.ViewAgrees(c.G, um); err != nil {
+		for _, c := range graphtest.Cases(seed) {
+			if err := viewAgrees(c.G, c.G.Undirected()); err != nil {
 				t.Fatalf("seed %d %s: %v", seed, c.Name, err)
 			}
 		}
@@ -85,27 +76,23 @@ func TestUndirectedViewShapes(t *testing.T) {
 }
 
 // TestDiffMatchesNaive diffs every ordered pair of generated shapes (they
-// share one address pool, so pairs are added, removed and changed) in every
-// combination of representations, against the naive reference.
+// share one address pool, so pairs are added, removed and changed), and
+// each shape against the empty graph both ways, against the naive
+// reference.
 func TestDiffMatchesNaive(t *testing.T) {
+	empty := graphtest.NewModel(graph.FacetIP)
 	for seed := int64(1); seed <= 10; seed++ {
-		asMap, asFrozen := graphtest.Cases(seed), graphtest.FrozenCases(seed)
-		empty := graph.New(graph.FacetIP)
-		for i, a := range asMap {
-			for j, b := range asMap {
-				want := naiveDiff(a.G, b.G)
-				for _, pair := range [][2]*graph.Graph{
-					{a.G, b.G}, {asFrozen[i].G, asFrozen[j].G}, {a.G, asFrozen[j].G}, {asFrozen[i].G, b.G},
-				} {
-					if got := graph.Diff(pair[0], pair[1]); !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d %s->%s: Diff diverges from naive\n got: %+v\nwant: %+v", seed, a.Name, b.Name, got, want)
-					}
+		cs := graphtest.Cases(seed)
+		for _, a := range cs {
+			for _, b := range cs {
+				if got, want := graph.Diff(a.G, b.G), naiveDiff(a.M, b.M); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d %s->%s: Diff diverges from naive\n got: %+v\nwant: %+v", seed, a.Name, b.Name, got, want)
 				}
 			}
-			if got, want := graph.Diff(empty, a.G), naiveDiff(empty, a.G); !reflect.DeepEqual(got, want) {
+			if got, want := graph.Diff(empty.Graph(), a.G), naiveDiff(empty, a.M); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d empty->%s: Diff diverges from naive", seed, a.Name)
 			}
-			if got, want := graph.Diff(asFrozen[i].G, empty), naiveDiff(a.G, empty); !reflect.DeepEqual(got, want) {
+			if got, want := graph.Diff(a.G, empty.Graph()), naiveDiff(a.M, empty); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d %s->empty: Diff diverges from naive", seed, a.Name)
 			}
 		}

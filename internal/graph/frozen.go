@@ -2,20 +2,16 @@ package graph
 
 import "sort"
 
-// frozen is the hypersparse CSR (compressed sparse row) form of a sealed
-// window graph. The map-backed representation costs two map entries plus a
-// heap-allocated Edge per directed edge, which does not survive the
-// ~100K-node subscriptions production windows reach. Once a window seals it
-// is never mutated again (the timeline and consumer-bus contract), so it is
-// held frozen: nodes are one sorted slice whose index is the node id,
-// out-edges are offset+column arrays with a parallel slab of per-edge
-// counter blocks, and the in-direction is a CSC mirror that shares the
-// slab. A Builder seals its window straight into this form, Merge of two
-// frozen graphs stays in it, FoldRollup accumulates roll-up buckets in it,
-// FromIndex assembles a decoded window into it, and Freeze converts a
-// map-form graph. Every read accessor answers from the arrays; mutation
-// thaws back to maps first (see Thaw), so the Graph API is unchanged either
-// side of the seal.
+// frozen is the hypersparse CSR (compressed sparse row) form every Graph
+// is held in. A window is written once and only read after that (the
+// timeline and consumer-bus contract), so the form is assembled from
+// tuples in one step and never mutated: nodes are one sorted slice whose
+// index is the node id, out-edges are offset+column arrays with a parallel
+// slab of per-edge counter blocks, and the in-direction is a CSC mirror
+// that shares the slab. A Builder seals its window straight into this
+// form, Merge merge-joins two of them, and FromIndex assembles one from
+// index-space tuples (a decoded window, a collapsed one); every read
+// accessor answers from the arrays.
 //
 // Layout, for n nodes and m directed edges:
 //
@@ -36,63 +32,16 @@ type frozen struct {
 	inEdge []int32
 }
 
-// Frozen reports whether the graph is in its immutable CSR form.
-func (g *Graph) Frozen() bool { return g.fz != nil }
-
-// Freeze converts a map-form graph to the CSR form, releasing the maps.
-// Idempotent, and a no-op on the graphs builders emit. Freeze is called by
-// the engine when a window completes (a collapsed window is rebuilt as
-// maps); read accessors are unchanged, and a later mutation (AddEdge, Merge
-// of a map-form graph into it) transparently thaws.
-func (g *Graph) Freeze() {
-	if g.fz != nil {
-		return
-	}
-	g.fz = g.csrForm()
-	g.out, g.in, g.nodes = nil, nil, nil
-}
-
 // CSR returns the graph's compressed-sparse-row arrays: nodes in Node.Less
 // order (index == node id), node i's out-edges at [rowOff[i], rowOff[i+1])
 // with destination ids cols[k], ascending within each row, and counter
-// blocks edges[k]. A frozen graph returns its own arrays, which the caller
-// must not modify; a map-form graph answers from a fresh frozen copy and is
-// left as it is. It is the index-space entry point of the window codec.
+// blocks edges[k]. They are the graph's own arrays, which the caller must
+// not modify. It is the index-space entry point of the window codec.
 func (g *Graph) CSR() (nodes []Node, rowOff, cols []int32, edges []Edge) {
-	fz := g.csrForm()
-	return fz.nodes, fz.rowOff, fz.cols, fz.edges
+	return g.fz.nodes, g.fz.rowOff, g.fz.cols, g.fz.edges
 }
 
-// csrForm returns g's CSR form: the graph's own on a frozen graph, a fresh
-// copy laid out from the maps otherwise (sharing the edges' series, and
-// leaving g in map form).
-func (g *Graph) csrForm() *frozen {
-	if g.fz != nil {
-		return g.fz
-	}
-	nodes := make([]Node, 0, len(g.nodes))
-	for node := range g.nodes {
-		nodes = append(nodes, node)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Less(nodes[j]) })
-	id := make(map[Node]uint64, len(nodes))
-	for i, node := range nodes {
-		id[node] = uint64(i)
-	}
-	m := g.NumDirectedEdges()
-	keys := make([]uint64, 0, m)
-	slab := make([]Edge, 0, m)
-	for src, row := range g.out {
-		for dst, e := range row {
-			keys = append(keys, id[src]<<32|id[dst])
-			slab = append(slab, *e)
-		}
-	}
-	keys, slab = sortEdges(len(nodes), keys, slab)
-	return csr(nodes, keys, slab)
-}
-
-// FromIndex assembles a frozen graph from an index form: nodes, and the
+// FromIndex assembles a graph from an index form: nodes, and the
 // directed edges keys[e] = src<<32|dst between positions in nodes, with
 // counter blocks edges[e]. Edges may come in any order but must not repeat
 // a key (FromIndex reports false if one does); nodes may come in any order
@@ -114,9 +63,7 @@ func FromIndex(facet Facet, nodes []Node, keys []uint64, edges []Edge) (*Graph, 
 			break
 		}
 	}
-	g := &Graph{Facet: facet, fz: csr(nodes, keys, edges)}
-	g.edges = g.fz.pairs()
-	return g, true
+	return newGraph(facet, csr(nodes, keys, edges)), true
 }
 
 // ascending reports whether keys strictly increase.
@@ -255,40 +202,6 @@ func (fz *frozen) pairs() int {
 	return twice / 2
 }
 
-// Thaw converts back to the mutable map form. Idempotent. Series slices are
-// carried over; the unordered-pair count is recomputed identically.
-func (g *Graph) Thaw() {
-	fz := g.fz
-	if fz == nil {
-		return
-	}
-	g.fz = nil
-	g.out = make(map[Node]map[Node]*Edge, len(fz.nodes))
-	g.in = make(map[Node]map[Node]*Edge, len(fz.nodes))
-	g.nodes = make(map[Node]struct{}, len(fz.nodes))
-	g.edges = 0
-	for _, nd := range fz.nodes {
-		g.nodes[nd] = struct{}{}
-	}
-	for i := range fz.nodes {
-		for k := fz.rowOff[i]; k < fz.rowOff[i+1]; k++ {
-			e := g.addDirected(fz.nodes[i], fz.nodes[fz.cols[k]], fz.edges[k].Counters)
-			e.Series = fz.edges[k].Series
-		}
-	}
-}
-
-// thawForWrite makes the graph mutable before a mutation lands. The daemon
-// never hits it — builders work in index space, and the cross-shard merge,
-// roll-up accumulators and the codec all stay in CSR — so it exists for the
-// map-form conveniences (AddEdge on a frozen graph in tests and
-// experiments), not speed.
-func (g *Graph) thawForWrite() {
-	if g.fz != nil {
-		g.Thaw()
-	}
-}
-
 // nodeID returns the id of n in the sorted node index, or (0, false).
 func (fz *frozen) nodeID(n Node) (int32, bool) {
 	lo, hi := 0, len(fz.nodes)
@@ -340,7 +253,7 @@ func (fz *frozen) outEdge(src, dst Node) *Edge {
 }
 
 // degree counts the distinct neighbors of node id i by merging its sorted
-// out-columns and in-sources — no allocation, unlike the map path.
+// out-columns and in-sources, without allocating.
 func (fz *frozen) degree(i int32) int {
 	out := fz.cols[fz.rowOff[i]:fz.rowOff[i+1]]
 	in := fz.inSrc[fz.inOff[i]:fz.inOff[i+1]]
@@ -358,16 +271,4 @@ func (fz *frozen) degree(i int32) int {
 		d++
 	}
 	return d
-}
-
-// memBytes returns the exact heap footprint of the CSR arrays (node index,
-// offsets, columns, edge slab, CSC mirror), excluding any edge series
-// backing arrays, which both representations share.
-func (fz *frozen) memBytes() int64 {
-	const nodeSize = 48 // netip.Addr(24) + port(2)+pad + string header(16)
-	const edgeSize = 48 // Counters(24) + series slice header(24)
-	return int64(len(fz.nodes))*nodeSize +
-		int64(len(fz.rowOff)+len(fz.inOff))*4 +
-		int64(len(fz.cols)+len(fz.inSrc)+len(fz.inEdge))*4 +
-		int64(len(fz.edges))*edgeSize
 }

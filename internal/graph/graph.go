@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"sort"
 	"time"
 
 	"cloudgraph/internal/trace"
@@ -48,15 +47,12 @@ type Edge struct {
 	Series []Sample
 }
 
-// Graph is a communication graph over one time window. Edges are stored
-// directed (out[src][dst] carries what src sent to dst); undirected views
-// are derived. The zero value is not usable; call New.
-//
-// A Graph has two representations behind one API: the mutable map-backed
-// form that AddEdge, Collapse and roll-up accumulators build, and the
-// immutable hypersparse CSR form (see Freeze) every sealed window is in —
-// a Builder emits it directly. Every read accessor works on both; mutation
-// on a frozen graph thaws it first.
+// Graph is a communication graph over one time window, held in the
+// hypersparse CSR form (see frozen): assembled from tuples once — by a
+// Builder, FromIndex, Merge, FoldRollup or Collapse — and only read after
+// that. Edges are stored directed (src's row carries what src sent to dst);
+// undirected views are derived. The zero value is not usable; call New for
+// an empty graph.
 type Graph struct {
 	Facet Facet
 	Start time.Time
@@ -67,135 +63,49 @@ type Graph struct {
 	// their own spans against the same trace IDs. Nil when tracing is off
 	// or no sampled record landed in the window; never serialized.
 	Traces []trace.Context
-	out    map[Node]map[Node]*Edge
-	in     map[Node]map[Node]*Edge
-	nodes  map[Node]struct{}
-	edges  int     // number of unordered connected pairs
-	fz     *frozen // non-nil iff the graph is in CSR form (maps are nil)
+	edges  int // number of unordered connected pairs
+	fz     *frozen
 }
 
-// New returns an empty graph with the given facet.
-func New(f Facet) *Graph {
-	return &Graph{
-		Facet: f,
-		out:   make(map[Node]map[Node]*Edge),
-		in:    make(map[Node]map[Node]*Edge),
-		nodes: make(map[Node]struct{}),
-	}
-}
+// New returns an empty graph with the given facet, which Merge can fold
+// graphs into.
+func New(f Facet) *Graph { return newGraph(f, csr(nil, nil, nil)) }
 
-// addDirected accumulates counters onto the directed edge src->dst, creating
-// nodes and the edge as needed, and returns the edge.
-func (g *Graph) addDirected(src, dst Node, c Counters) *Edge {
-	g.thawForWrite()
-	g.nodes[src] = struct{}{}
-	g.nodes[dst] = struct{}{}
-	m := g.out[src]
-	if m == nil {
-		m = make(map[Node]*Edge)
-		g.out[src] = m
-	}
-	e := m[dst]
-	if e == nil {
-		e = &Edge{}
-		m[dst] = e
-		im := g.in[dst]
-		if im == nil {
-			im = make(map[Node]*Edge)
-			g.in[dst] = im
-		}
-		im[src] = e
-		// A new unordered pair is connected iff the reverse edge did
-		// not already exist.
-		if rev := g.out[dst]; rev == nil || rev[src] == nil {
-			g.edges++
-		}
-	}
-	e.Counters.Add(c)
-	return e
-}
+func newGraph(f Facet, fz *frozen) *Graph { return &Graph{Facet: f, edges: fz.pairs(), fz: fz} }
 
-// AddEdge accumulates counters onto the directed edge src->dst. It is the
-// low-level mutation used by the builder and by tests.
-func (g *Graph) AddEdge(src, dst Node, c Counters) { g.addDirected(src, dst, c) }
-
-// AddNode ensures n exists even if isolated.
-func (g *Graph) AddNode(n Node) {
-	g.thawForWrite()
-	g.nodes[n] = struct{}{}
-}
+// Freeze does nothing.
+//
+// Deprecated: every Graph is built in CSR form; there is nothing to freeze.
+func (g *Graph) Freeze() {}
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int {
-	if g.fz != nil {
-		return len(g.fz.nodes)
-	}
-	return len(g.nodes)
-}
+func (g *Graph) NumNodes() int { return len(g.fz.nodes) }
 
 // NumEdges returns the number of unordered communicating pairs, the quantity
 // Table 1 reports.
 func (g *Graph) NumEdges() int { return g.edges }
 
 // NumDirectedEdges returns the number of directed edges.
-func (g *Graph) NumDirectedEdges() int {
-	if g.fz != nil {
-		return len(g.fz.edges)
-	}
-	var m int
-	for _, row := range g.out {
-		m += len(row)
-	}
-	return m
-}
+func (g *Graph) NumDirectedEdges() int { return len(g.fz.edges) }
 
 // HasNode reports whether n is in the graph.
 func (g *Graph) HasNode(n Node) bool {
-	if g.fz != nil {
-		_, ok := g.fz.nodeID(n)
-		return ok
-	}
-	_, ok := g.nodes[n]
+	_, ok := g.fz.nodeID(n)
 	return ok
 }
 
-// EachNode calls fn for every node. Iteration order is unspecified; use
-// Nodes when determinism matters.
+// EachNode calls fn for every node, in Node.Less order.
 func (g *Graph) EachNode(fn func(Node)) {
-	if g.fz != nil {
-		for _, n := range g.fz.nodes {
-			fn(n)
-		}
-		return
-	}
-	for n := range g.nodes {
+	for _, n := range g.fz.nodes {
 		fn(n)
 	}
 }
 
-// Nodes returns all nodes in deterministic order.
-func (g *Graph) Nodes() []Node {
-	if g.fz != nil {
-		return append([]Node(nil), g.fz.nodes...)
-	}
-	ns := make([]Node, 0, len(g.nodes))
-	for n := range g.nodes {
-		ns = append(ns, n)
-	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i].Less(ns[j]) })
-	return ns
-}
+// Nodes returns all nodes in Node.Less order, in a fresh slice.
+func (g *Graph) Nodes() []Node { return append([]Node(nil), g.fz.nodes...) }
 
 // OutEdge returns the directed edge src->dst, or nil.
-func (g *Graph) OutEdge(src, dst Node) *Edge {
-	if g.fz != nil {
-		return g.fz.outEdge(src, dst)
-	}
-	if m := g.out[src]; m != nil {
-		return m[dst]
-	}
-	return nil
-}
+func (g *Graph) OutEdge(src, dst Node) *Edge { return g.fz.outEdge(src, dst) }
 
 // PairCounters returns the total traffic between a and b in both directions.
 func (g *Graph) PairCounters(a, b Node) Counters {
@@ -213,64 +123,43 @@ func (g *Graph) PairCounters(a, b Node) Counters {
 // direction. The returned map is freshly allocated.
 func (g *Graph) Neighbors(n Node) map[Node]struct{} {
 	set := make(map[Node]struct{})
-	if g.fz != nil {
-		fz := g.fz
-		i, ok := fz.nodeID(n)
-		if !ok {
-			return set
-		}
-		for _, j := range fz.cols[fz.rowOff[i]:fz.rowOff[i+1]] {
-			set[fz.nodes[j]] = struct{}{}
-		}
-		for _, j := range fz.inSrc[fz.inOff[i]:fz.inOff[i+1]] {
-			set[fz.nodes[j]] = struct{}{}
-		}
+	fz := g.fz
+	i, ok := fz.nodeID(n)
+	if !ok {
 		return set
 	}
-	for dst := range g.out[n] {
-		set[dst] = struct{}{}
+	for _, j := range fz.cols[fz.rowOff[i]:fz.rowOff[i+1]] {
+		set[fz.nodes[j]] = struct{}{}
 	}
-	for src := range g.in[n] {
-		set[src] = struct{}{}
+	for _, j := range fz.inSrc[fz.inOff[i]:fz.inOff[i+1]] {
+		set[fz.nodes[j]] = struct{}{}
 	}
 	return set
 }
 
 // Degree returns the undirected degree of n.
 func (g *Graph) Degree(n Node) int {
-	if g.fz != nil {
-		i, ok := g.fz.nodeID(n)
-		if !ok {
-			return 0
-		}
-		return g.fz.degree(i)
+	i, ok := g.fz.nodeID(n)
+	if !ok {
+		return 0
 	}
-	return len(g.Neighbors(n))
+	return g.fz.degree(i)
 }
 
 // NodeStrength returns the total traffic n exchanges (sent + received) under
 // metric m — its row+column sum in the adjacency matrix.
 func (g *Graph) NodeStrength(n Node, m Metric) uint64 {
+	fz := g.fz
+	i, ok := fz.nodeID(n)
+	if !ok {
+		return 0
+	}
 	var total uint64
-	if g.fz != nil {
-		fz := g.fz
-		i, ok := fz.nodeID(n)
-		if !ok {
-			return 0
-		}
-		for k := fz.rowOff[i]; k < fz.rowOff[i+1]; k++ {
-			total += fz.edges[k].Get(m)
-		}
-		for _, k := range fz.inEdge[fz.inOff[i]:fz.inOff[i+1]] {
-			total += fz.edges[k].Get(m)
-		}
-		return total
+	for k := fz.rowOff[i]; k < fz.rowOff[i+1]; k++ {
+		total += fz.edges[k].Get(m)
 	}
-	for _, e := range g.out[n] {
-		total += e.Get(m)
-	}
-	for _, e := range g.in[n] {
-		total += e.Get(m)
+	for _, k := range fz.inEdge[fz.inOff[i]:fz.inOff[i+1]] {
+		total += fz.edges[k].Get(m)
 	}
 	return total
 }
@@ -278,16 +167,8 @@ func (g *Graph) NodeStrength(n Node, m Metric) uint64 {
 // TotalTraffic returns the summed edge counters over the whole graph.
 func (g *Graph) TotalTraffic() Counters {
 	var total Counters
-	if g.fz != nil {
-		for i := range g.fz.edges {
-			total.Add(g.fz.edges[i].Counters)
-		}
-		return total
-	}
-	for _, m := range g.out {
-		for _, e := range m {
-			total.Add(e.Counters)
-		}
+	for i := range g.fz.edges {
+		total.Add(g.fz.edges[i].Counters)
 	}
 	return total
 }
@@ -299,94 +180,31 @@ type UndirectedEdge struct {
 }
 
 // UndirectedEdges returns every unordered pair with combined counters, in
-// deterministic order.
+// (A, B) Node.Less order: the undirected view's entries on or right of the
+// diagonal, row by row. A self-loop is one pair with its counters doubled,
+// as in the view.
 func (g *Graph) UndirectedEdges() []UndirectedEdge {
+	u := g.Undirected()
 	edges := make([]UndirectedEdge, 0, g.edges)
-	if g.fz != nil {
-		fz := g.fz
-		for i := range fz.nodes {
-			for k := fz.rowOff[i]; k < fz.rowOff[i+1]; k++ {
-				j := fz.cols[k]
-				rev := fz.outIdx(j, int32(i))
-				if j < int32(i) && rev >= 0 {
-					continue // reverse edge will emit it
-				}
-				ue := UndirectedEdge{A: fz.nodes[i], B: fz.nodes[j], Counters: fz.edges[k].Counters}
-				if rev >= 0 {
-					ue.Counters.Add(fz.edges[rev].Counters)
-				}
-				if j < int32(i) {
-					ue.A, ue.B = ue.B, ue.A
-				}
-				edges = append(edges, ue)
-			}
-		}
-	} else {
-		for src, m := range g.out {
-			for dst, e := range m {
-				// Emit each unordered pair once: from the lesser node, or
-				// from src when the reverse edge doesn't exist.
-				if dst.Less(src) {
-					if rm := g.out[dst]; rm != nil && rm[src] != nil {
-						continue // reverse edge will emit it
-					}
-				}
-				ue := UndirectedEdge{A: src, B: dst, Counters: e.Counters}
-				if rev := g.OutEdge(dst, src); rev != nil {
-					ue.Counters.Add(rev.Counters)
-				}
-				if dst.Less(src) {
-					ue.A, ue.B = ue.B, ue.A
-				}
-				edges = append(edges, ue)
+	for i := range u.Nodes {
+		nbr, pair := u.Row(int32(i))
+		for k, j := range nbr {
+			if j >= int32(i) {
+				edges = append(edges, UndirectedEdge{A: u.Nodes[i], B: u.Nodes[j], Counters: pair[k]})
 			}
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A.Less(edges[j].A)
-		}
-		return edges[i].B.Less(edges[j].B)
-	})
 	return edges
 }
 
-// EachOut calls fn for every directed edge. Iteration order is unspecified
-// on the map form and deterministic on the frozen form; use
-// Nodes/UndirectedEdges when determinism matters.
+// EachOut calls fn for every directed edge, in (src, dst) Node.Less order.
 func (g *Graph) EachOut(fn func(src, dst Node, e *Edge)) {
-	if g.fz != nil {
-		fz := g.fz
-		for i := range fz.nodes {
-			for k := fz.rowOff[i]; k < fz.rowOff[i+1]; k++ {
-				fn(fz.nodes[i], fz.nodes[fz.cols[k]], &fz.edges[k])
-			}
-		}
-		return
-	}
-	for src, m := range g.out {
-		for dst, e := range m {
-			fn(src, dst, e)
+	fz := g.fz
+	for i := range fz.nodes {
+		for k := fz.rowOff[i]; k < fz.rowOff[i+1]; k++ {
+			fn(fz.nodes[i], fz.nodes[fz.cols[k]], &fz.edges[k])
 		}
 	}
-}
-
-// Subgraph returns the induced subgraph over keep (a fresh map-backed
-// graph; edge counters are copied, it is a view for analysis).
-func (g *Graph) Subgraph(keep map[Node]bool) *Graph {
-	sub := New(g.Facet)
-	sub.Start, sub.End = g.Start, g.End
-	g.EachNode(func(n Node) {
-		if keep[n] {
-			sub.AddNode(n)
-		}
-	})
-	g.EachOut(func(src, dst Node, e *Edge) {
-		if keep[src] && keep[dst] {
-			sub.addDirected(src, dst, e.Counters)
-		}
-	})
-	return sub
 }
 
 // Density returns edges / possible undirected pairs.
@@ -398,19 +216,15 @@ func (g *Graph) Density() float64 {
 	return float64(g.edges) / (float64(n) * float64(n-1) / 2)
 }
 
-// MemBytes returns the approximate heap footprint of the graph's edge
-// structure. For the frozen form it is an exact accounting of the CSR
-// arrays; for the map form it is the conventional per-entry estimate the
-// timeline's bytes-retained gauge has always used. Edge series backing
-// arrays are excluded (both forms share them).
+// MemBytes returns the heap footprint of the graph's CSR arrays (node index,
+// offsets, columns, edge slab, CSC mirror), excluding edge series backing
+// arrays.
 func (g *Graph) MemBytes() int64 {
-	if g.fz != nil {
-		return g.fz.memBytes()
-	}
-	// Map form: every node costs a set entry plus its inner-map headers;
-	// every directed edge costs an out entry, an in entry and the Edge
-	// allocation. Entry costs include average bucket overhead.
-	const nodeCost = 160 // nodes set + out/in inner map headers
-	const dirEdgeCost = 200
-	return int64(len(g.nodes))*nodeCost + int64(g.NumDirectedEdges())*dirEdgeCost
+	const nodeSize = 48 // netip.Addr(24) + port(2)+pad + string header(16)
+	const edgeSize = 48 // Counters(24) + series slice header(24)
+	fz := g.fz
+	return int64(len(fz.nodes))*nodeSize +
+		int64(len(fz.rowOff)+len(fz.inOff))*4 +
+		int64(len(fz.cols)+len(fz.inSrc)+len(fz.inEdge))*4 +
+		int64(len(fz.edges))*edgeSize
 }

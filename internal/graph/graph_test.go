@@ -1,4 +1,4 @@
-package graph
+package graph_test
 
 import (
 	"net/netip"
@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"cloudgraph/internal/flowlog"
+	. "cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 )
 
 var (
@@ -49,12 +51,13 @@ func TestNodeLessTotalOrder(t *testing.T) {
 	}
 }
 
-func TestAddEdgeAndCounts(t *testing.T) {
-	g := New(FacetIP)
+func TestGraphCounts(t *testing.T) {
+	m := graphtest.NewModel(FacetIP)
 	a, b, c := IPNode(ipA), IPNode(ipB), IPNode(ipC)
-	g.AddEdge(a, b, Counters{Bytes: 100, Packets: 10, Conns: 1})
-	g.AddEdge(b, a, Counters{Bytes: 50, Packets: 5})
-	g.AddEdge(a, c, Counters{Bytes: 7, Packets: 1, Conns: 1})
+	m.Add(a, b, Counters{Bytes: 100, Packets: 10, Conns: 1})
+	m.Add(b, a, Counters{Bytes: 50, Packets: 5})
+	m.Add(a, c, Counters{Bytes: 7, Packets: 1, Conns: 1})
+	g := m.Graph()
 
 	if g.NumNodes() != 3 {
 		t.Errorf("NumNodes = %d, want 3", g.NumNodes())
@@ -74,11 +77,11 @@ func TestAddEdgeAndCounts(t *testing.T) {
 }
 
 func TestUndirectedEdgesDedup(t *testing.T) {
-	g := New(FacetIP)
+	m := graphtest.NewModel(FacetIP)
 	a, b := IPNode(ipA), IPNode(ipB)
-	g.AddEdge(a, b, Counters{Bytes: 100})
-	g.AddEdge(b, a, Counters{Bytes: 40})
-	edges := g.UndirectedEdges()
+	m.Add(a, b, Counters{Bytes: 100})
+	m.Add(b, a, Counters{Bytes: 40})
+	edges := m.Graph().UndirectedEdges()
 	if len(edges) != 1 {
 		t.Fatalf("UndirectedEdges len = %d, want 1", len(edges))
 	}
@@ -91,10 +94,10 @@ func TestUndirectedEdgesDedup(t *testing.T) {
 }
 
 func TestUndirectedEdgesOneWay(t *testing.T) {
-	g := New(FacetIP)
+	m := graphtest.NewModel(FacetIP)
 	// Only b->a exists; it must still be emitted exactly once.
-	g.AddEdge(IPNode(ipB), IPNode(ipA), Counters{Bytes: 9})
-	edges := g.UndirectedEdges()
+	m.Add(IPNode(ipB), IPNode(ipA), Counters{Bytes: 9})
+	edges := m.Graph().UndirectedEdges()
 	if len(edges) != 1 || edges[0].Bytes != 9 {
 		t.Fatalf("one-way UndirectedEdges = %+v", edges)
 	}
@@ -211,14 +214,15 @@ func TestBuilderIgnoresInvalid(t *testing.T) {
 }
 
 func TestCollapseHeavyHitters(t *testing.T) {
-	g := New(FacetIP)
+	m := graphtest.NewModel(FacetIP)
 	hub := IPNode(ipA)
-	g.AddEdge(hub, IPNode(ipB), Counters{Bytes: 1_000_000, Packets: 1000, Conns: 10})
+	m.Add(hub, IPNode(ipB), Counters{Bytes: 1_000_000, Packets: 1000, Conns: 10})
 	// 2000 tiny remote clients, each well under 0.1% of total traffic.
 	for i := 0; i < 2000; i++ {
 		client := IPNode(netip.AddrFrom4([4]byte{198, 18, byte(i >> 8), byte(i)}))
-		g.AddEdge(client, hub, Counters{Bytes: 10, Packets: 1, Conns: 1})
+		m.Add(client, hub, Counters{Bytes: 10, Packets: 1, Conns: 1})
 	}
+	g := m.Graph()
 	c := g.Collapse(CollapseOptions{Threshold: DefaultCollapseThreshold})
 	// hub, B and the single collapse bucket should remain.
 	if c.NumNodes() != 3 {
@@ -238,11 +242,11 @@ func TestCollapseHeavyHitters(t *testing.T) {
 }
 
 func TestCollapseKeepsProtectedNodes(t *testing.T) {
-	g := New(FacetIP)
-	g.AddEdge(IPNode(ipA), IPNode(ipB), Counters{Bytes: 1_000_000})
+	m := graphtest.NewModel(FacetIP)
+	m.Add(IPNode(ipA), IPNode(ipB), Counters{Bytes: 1_000_000})
 	tiny := IPNode(ipC)
-	g.AddEdge(tiny, IPNode(ipA), Counters{Bytes: 1})
-	c := g.Collapse(CollapseOptions{Keep: func(n Node) bool { return n == tiny }})
+	m.Add(tiny, IPNode(ipA), Counters{Bytes: 1})
+	c := m.Graph().Collapse(CollapseOptions{Keep: func(n Node) bool { return n == tiny }})
 	if !c.HasNode(tiny) {
 		t.Error("protected node was collapsed")
 	}
@@ -252,21 +256,21 @@ func TestCollapseKeepsProtectedNodes(t *testing.T) {
 }
 
 func TestCollapseAnyMetricSuffices(t *testing.T) {
-	g := New(FacetIP)
-	g.AddEdge(IPNode(ipA), IPNode(ipB), Counters{Bytes: 1_000_000, Conns: 1})
+	m := graphtest.NewModel(FacetIP)
+	m.Add(IPNode(ipA), IPNode(ipB), Counters{Bytes: 1_000_000, Conns: 1})
 	// ipC has negligible bytes but is a big share of connections.
-	g.AddEdge(IPNode(ipC), IPNode(ipA), Counters{Bytes: 1, Conns: 50})
-	c := g.Collapse(CollapseOptions{Threshold: 0.01})
+	m.Add(IPNode(ipC), IPNode(ipA), Counters{Bytes: 1, Conns: 50})
+	c := m.Graph().Collapse(CollapseOptions{Threshold: 0.01})
 	if !c.HasNode(IPNode(ipC)) {
 		t.Error("node significant on connections should survive collapse")
 	}
 }
 
 func TestAdjacencyMatrix(t *testing.T) {
-	g := New(FacetIP)
-	g.AddEdge(IPNode(ipA), IPNode(ipB), Counters{Bytes: 100})
-	g.AddEdge(IPNode(ipB), IPNode(ipA), Counters{Bytes: 40})
-	a := g.AdjacencyMatrix(Bytes)
+	m := graphtest.NewModel(FacetIP)
+	m.Add(IPNode(ipA), IPNode(ipB), Counters{Bytes: 100})
+	m.Add(IPNode(ipB), IPNode(ipA), Counters{Bytes: 40})
+	a := m.Graph().AdjacencyMatrix(Bytes)
 	if a.N != 2 {
 		t.Fatalf("N = %d", a.N)
 	}
@@ -280,25 +284,15 @@ func TestAdjacencyMatrix(t *testing.T) {
 	}
 }
 
-func TestSubgraph(t *testing.T) {
-	g := New(FacetIP)
-	g.AddEdge(IPNode(ipA), IPNode(ipB), Counters{Bytes: 10})
-	g.AddEdge(IPNode(ipB), IPNode(ipC), Counters{Bytes: 20})
-	sub := g.Subgraph(map[Node]bool{IPNode(ipA): true, IPNode(ipB): true})
-	if sub.NumNodes() != 2 || sub.NumEdges() != 1 {
-		t.Errorf("subgraph = %d nodes / %d edges", sub.NumNodes(), sub.NumEdges())
-	}
-}
-
 func TestDiff(t *testing.T) {
-	old := New(FacetIP)
-	old.AddEdge(IPNode(ipA), IPNode(ipB), Counters{Bytes: 100})
-	old.AddEdge(IPNode(ipA), IPNode(ipC), Counters{Bytes: 50})
-	cur := New(FacetIP)
-	cur.AddEdge(IPNode(ipA), IPNode(ipB), Counters{Bytes: 150}) // changed
-	cur.AddEdge(IPNode(ipA), IPNode(ipX), Counters{Bytes: 30})  // new pair + node
+	old := graphtest.NewModel(FacetIP)
+	old.Add(IPNode(ipA), IPNode(ipB), Counters{Bytes: 100})
+	old.Add(IPNode(ipA), IPNode(ipC), Counters{Bytes: 50})
+	cur := graphtest.NewModel(FacetIP)
+	cur.Add(IPNode(ipA), IPNode(ipB), Counters{Bytes: 150}) // changed
+	cur.Add(IPNode(ipA), IPNode(ipX), Counters{Bytes: 30})  // new pair + node
 
-	d := Diff(old, cur)
+	d := Diff(old.Graph(), cur.Graph())
 	if len(d.AddedNodes) != 1 || d.AddedNodes[0] != IPNode(ipX) {
 		t.Errorf("AddedNodes = %v", d.AddedNodes)
 	}
@@ -316,8 +310,9 @@ func TestDiff(t *testing.T) {
 }
 
 func TestDiffIdentical(t *testing.T) {
-	g := New(FacetIP)
-	g.AddEdge(IPNode(ipA), IPNode(ipB), Counters{Bytes: 100})
+	m := graphtest.NewModel(FacetIP)
+	m.Add(IPNode(ipA), IPNode(ipB), Counters{Bytes: 100})
+	g := m.Graph()
 	d := Diff(g, g)
 	if d.ByteChange != 0 || len(d.AddedPairs)+len(d.RemovedPairs) != 0 {
 		t.Errorf("Diff(g,g) = %+v, want empty", d)
@@ -325,10 +320,10 @@ func TestDiffIdentical(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	g := New(FacetIP)
-	g.AddEdge(IPNode(ipA), IPNode(ipB), Counters{Bytes: 10, Packets: 1, Conns: 1})
-	g.AddEdge(IPNode(ipA), IPNode(ipC), Counters{Bytes: 20, Packets: 2, Conns: 1})
-	s := g.ComputeStats()
+	m := graphtest.NewModel(FacetIP)
+	m.Add(IPNode(ipA), IPNode(ipB), Counters{Bytes: 10, Packets: 1, Conns: 1})
+	m.Add(IPNode(ipA), IPNode(ipC), Counters{Bytes: 20, Packets: 2, Conns: 1})
+	s := m.Graph().ComputeStats()
 	if s.Nodes != 3 || s.Edges != 2 || s.MaxDeg != 2 || s.Bytes != 30 {
 		t.Errorf("Stats = %+v", s)
 	}
@@ -339,9 +334,10 @@ func TestStats(t *testing.T) {
 }
 
 func TestDOTDeterministic(t *testing.T) {
-	g := New(FacetIP)
-	g.AddEdge(IPNode(ipA), IPNode(ipB), Counters{Bytes: 10})
-	g.AddEdge(IPNode(ipC), IPNode(ipA), Counters{Bytes: 5})
+	m := graphtest.NewModel(FacetIP)
+	m.Add(IPNode(ipA), IPNode(ipB), Counters{Bytes: 10})
+	m.Add(IPNode(ipC), IPNode(ipA), Counters{Bytes: 5})
+	g := m.Graph()
 	d1 := g.DOT(Bytes, map[Node]int{IPNode(ipA): 0, IPNode(ipB): 1, IPNode(ipC): 1})
 	d2 := g.DOT(Bytes, map[Node]int{IPNode(ipA): 0, IPNode(ipB): 1, IPNode(ipC): 1})
 	if d1 != d2 {

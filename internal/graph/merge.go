@@ -6,23 +6,12 @@ import "slices"
 // series samples covering the same interval start are summed, the rest are
 // interleaved in start order. Both graphs must share a facet; the window
 // expands to cover both. Merge is how parallel partial aggregations
-// (internal/ingest, the engine's cross-shard fold) combine into one graph.
-// Two frozen graphs merge-join in CSR form and g stays frozen; otherwise g
-// thaws on first mutation. other is only read, and g never aliases its
-// series.
+// (the engine's cross-shard fold, roll-up buckets) combine into one graph:
+// a merge-join of the two CSR forms into a new one. other is only read, and
+// g never aliases its arrays or series.
 func (g *Graph) Merge(other *Graph) {
-	if g.fz != nil && other.fz != nil {
-		g.fz = mergeFrozen(g.fz, other.fz)
-		g.edges = g.fz.pairs()
-	} else {
-		other.EachNode(g.AddNode)
-		other.EachOut(func(src, dst Node, e *Edge) {
-			me := g.addDirected(src, dst, e.Counters)
-			if len(e.Series) > 0 {
-				me.Series = mergeSamples(me.Series, e.Series)
-			}
-		})
-	}
+	g.fz = mergeFrozen(g.fz, other.fz)
+	g.edges = g.fz.pairs()
 	if g.Start.IsZero() || (!other.Start.IsZero() && other.Start.Before(g.Start)) {
 		g.Start = other.Start
 	}
@@ -31,8 +20,8 @@ func (g *Graph) Merge(other *Graph) {
 	}
 }
 
-// mergeFrozen is Merge for two CSR graphs: a merge-join of the sorted node
-// tables, then of each node's sorted rows under the remapped ids (the
+// mergeFrozen is Merge's join of two CSR forms: a merge-join of the sorted
+// node tables, then of each node's sorted rows under the remapped ids (the
 // remaps are monotone, so rows stay sorted), linear in both graphs' size.
 func mergeFrozen(a, b *frozen) *frozen {
 	// The union sizes are known only after the join, so join into scratch

@@ -1,4 +1,4 @@
-package graph
+package graph_test
 
 import (
 	"math/rand"
@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cloudgraph/internal/flowlog"
+	. "cloudgraph/internal/graph"
 )
 
 // randRecords builds a random but valid batch of records within one hour,

@@ -15,21 +15,16 @@ func RollupStart(start time.Time, size time.Duration) time.Time {
 // least the whole bucket. Callers seal acc and open a new one when
 // RollupStart of the next window moves.
 //
-// The bucket is frozen from its first fold: every member merge-joins into
-// it in CSR (a map-form member through a frozen copy), so sealing it is
-// handing it over, and nothing thaws. acc must be nil or what the previous
-// call returned. It owns every array and series it holds — it never aliases
-// a member, which is only read.
+// Every member merge-joins into the bucket in CSR, so sealing it is handing
+// it over. acc must be nil or what the previous call returned. It owns
+// every array and series it holds — it never aliases a member, which is
+// only read.
 func FoldRollup(acc, g *Graph, size time.Duration) *Graph {
 	if acc == nil {
-		acc = &Graph{Facet: g.Facet, fz: csr(nil, nil, nil)}
+		acc = New(g.Facet)
 	}
-	acc.fz = mergeFrozen(acc.fz, g.csrForm())
-	acc.edges = acc.fz.pairs()
+	acc.Merge(g)
 	acc.Start = RollupStart(g.Start, size)
-	if g.End.After(acc.End) {
-		acc.End = g.End
-	}
 	if end := acc.Start.Add(size); acc.End.Before(end) {
 		acc.End = end
 	}

@@ -16,13 +16,12 @@ import (
 	"cloudgraph/internal/trace"
 )
 
-// naiveFoldRollup is graph.FoldRollup as it was before roll-up buckets
-// folded in CSR: a map-form accumulator every member merges into through
-// Graph.Merge, frozen by the caller when the bucket seals. Kept as the
-// reference FoldRollup is tested against.
-func naiveFoldRollup(acc, g *graph.Graph, size time.Duration) *graph.Graph {
+// naiveFoldRollup is graph.FoldRollup over graphtest models: the bucket
+// accumulates every member in its own maps. Kept as the reference
+// FoldRollup is tested against.
+func naiveFoldRollup(acc, g *graphtest.Model, size time.Duration) *graphtest.Model {
 	if acc == nil {
-		acc = graph.New(g.Facet)
+		acc = graphtest.NewModel(g.Facet)
 	}
 	acc.Merge(g)
 	acc.Start = graph.RollupStart(g.Start, size)
@@ -32,33 +31,22 @@ func naiveFoldRollup(acc, g *graph.Graph, size time.Duration) *graph.Graph {
 	return acc
 }
 
-// foldBuckets folds members in order with fold under the timeline's bucket
-// rule — seal and open a new bucket when RollupStart moves — and returns
-// the sealed buckets. check, when set, sees every intermediate accumulator.
-func foldBuckets(members []*graph.Graph, size time.Duration,
-	fold func(acc, g *graph.Graph, size time.Duration) *graph.Graph, check func(acc *graph.Graph)) []*graph.Graph {
-	var sealed []*graph.Graph
-	var acc *graph.Graph
-	for _, g := range members {
-		if acc != nil && !acc.Start.Equal(graph.RollupStart(g.Start, size)) {
-			sealed = append(sealed, acc)
-			acc = nil
+// buckets splits members, in order, under the timeline's bucket rule: a
+// member whose RollupStart differs from its predecessor's seals the bucket
+// and opens the next. It returns each bucket's [lo, hi) member range.
+func buckets(members []*graph.Graph, size time.Duration) [][2]int {
+	var out [][2]int
+	for i, g := range members {
+		if i == 0 || !graph.RollupStart(g.Start, size).Equal(graph.RollupStart(members[i-1].Start, size)) {
+			out = append(out, [2]int{i, i})
 		}
-		acc = fold(acc, g, size)
-		acc.Traces = append(acc.Traces, g.Traces...)
-		if check != nil {
-			check(acc)
-		}
+		out[len(out)-1][1] = i + 1
 	}
-	if acc != nil {
-		sealed = append(sealed, acc)
-	}
-	return sealed
+	return out
 }
 
 // memberState is what folding must leave unchanged in a member.
 type memberState struct {
-	frozen bool
 	bytes  []byte
 	series map[[2]graph.Node][]graph.Sample
 	traces []trace.Context
@@ -66,7 +54,6 @@ type memberState struct {
 
 func stateOf(g *graph.Graph) memberState {
 	st := memberState{
-		frozen: g.Frozen(),
 		bytes:  store.EncodeGraph(g),
 		series: make(map[[2]graph.Node][]graph.Sample),
 		traces: slices.Clone(g.Traces),
@@ -78,16 +65,14 @@ func stateOf(g *graph.Graph) memberState {
 }
 
 // backing returns the first element's address of every non-empty array a
-// graph holds — its CSR arrays when frozen and every edge's series — so two
-// graphs share storage iff their sets intersect.
+// graph holds — its CSR arrays and every edge's series — so two graphs
+// share storage iff their sets intersect.
 func backing(g *graph.Graph) map[any]bool {
 	out := make(map[any]bool)
-	if g.Frozen() {
-		nodes, rowOff, cols, edges := g.CSR()
-		for _, p := range []any{first(nodes), first(rowOff), first(cols), first(edges)} {
-			if p != nil {
-				out[p] = true
-			}
+	nodes, rowOff, cols, edges := g.CSR()
+	for _, p := range []any{first(nodes), first(rowOff), first(cols), first(edges)} {
+		if p != nil {
+			out[p] = true
 		}
 	}
 	g.EachOut(func(_, _ graph.Node, e *graph.Edge) {
@@ -108,13 +93,14 @@ func first[T any](s []T) any {
 	return &s[:1][0]
 }
 
-// withSeries gives every directed edge of a map-form graph a short series
-// whose starts come from a handful of minutes, so the same edge in two
-// members has colliding sample starts; a few series repeat a start.
-func withSeries(g *graph.Graph, rng *rand.Rand, t0 time.Time) {
-	for _, n := range g.Nodes() {
-		for _, m := range g.Nodes() {
-			e := g.OutEdge(n, m)
+// withSeries gives every directed edge of a model a short series whose
+// starts come from a handful of minutes, so the same edge in two members
+// has colliding sample starts; a few series repeat a start.
+func withSeries(m *graphtest.Model, rng *rand.Rand, t0 time.Time) {
+	nodes := sortedNodes(m)
+	for _, n := range nodes {
+		for _, o := range nodes {
+			e := m.Out[n][o]
 			if e == nil {
 				continue
 			}
@@ -135,31 +121,44 @@ func withSeries(g *graph.Graph, rng *rand.Rand, t0 time.Time) {
 }
 
 // rollupMembers returns graphtest's shapes over a few seeds as roll-up
-// members — map-form, frozen, or alternating — with series, traces and
-// starts spread over three hour buckets: several members share a start,
-// and one runs past its bucket's end.
-func rollupMembers(form string) []*graph.Graph {
-	var out []*graph.Graph
+// members with series, traces and starts spread over three hour buckets
+// (several members share a start, and one runs past its bucket's end),
+// beside the models they were built from. form picks where the members
+// come from: "map" assembles them from their models, "frozen" decodes
+// them from their stored bytes, as compaction reads them (no series), and
+// "mixed" alternates, as in a bucket that spans a restart.
+func rollupMembers(t *testing.T, form string) ([]*graph.Graph, []*graphtest.Model) {
+	var gs []*graph.Graph
+	var ms []*graphtest.Model
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for i, c := range graphtest.Cases(seed) {
-			g := c.G
-			withSeries(g, rng, naiveT0)
-			if form == "frozen" || (form == "mixed" && i%2 == 1) {
-				g.Freeze()
-			}
-			k := len(out)
-			g.Start = naiveT0.Add(time.Duration(k/6)*time.Hour + time.Duration(k%3)*20*time.Minute)
-			g.End = g.Start.Add(time.Minute)
+			m := c.M
+			withSeries(m, rng, naiveT0)
+			k := len(gs)
+			m.Start = naiveT0.Add(time.Duration(k/6)*time.Hour + time.Duration(k%3)*20*time.Minute)
+			m.End = m.Start.Add(time.Minute)
 			if k == 4 {
-				g.End = g.Start.Add(90 * time.Minute)
+				m.End = m.Start.Add(90 * time.Minute)
+			}
+			g := m.Graph()
+			if form == "frozen" || (form == "mixed" && i%2 == 1) {
+				var err error
+				if g, err = store.DecodeGraph(store.EncodeGraph(g)); err != nil {
+					t.Fatal(err)
+				}
+				for _, row := range m.Out {
+					for _, e := range row {
+						e.Series = nil
+					}
+				}
 			}
 			g.Traces = make([]trace.Context, 1, 4)
 			g.Traces[0] = trace.Context{TraceID: uint64(k + 1), SpanID: 1}
-			out = append(out, g)
+			gs, ms = append(gs, g), append(ms, m)
 		}
 	}
-	return out
+	return gs, ms
 }
 
 // minuteWindows builds a preset hour's records into one graph per minute,
@@ -186,57 +185,66 @@ func minuteWindows(recs []flowlog.Record, series bool) []*graph.Graph {
 }
 
 // TestFoldRollupMatchesNaive folds the same members with FoldRollup and
-// its retired map-form body — graphtest's shapes (self-loops, isolated
-// nodes, one-way and zero-byte edges) in map, frozen and mixed form with
-// colliding series starts, and a k8spaas hour's minute windows with and
-// without series — and requires the same sealed buckets: same nodes,
-// counters, series, window and EncodeGraph bytes. Every intermediate
-// accumulator must be frozen and share no array — CSR, series or traces —
-// with any member, and no member may change form, bytes, series or traces.
+// with the model reference — graphtest's shapes (self-loops, isolated
+// nodes, one-way and zero-byte edges) with colliding series starts,
+// assembled from their models, decoded from their stored bytes, or mixed,
+// and a k8spaas hour's minute windows with and without series — and
+// requires every sealed bucket to hold the model's nodes, counters, series
+// and window, and its members' traces in order. No intermediate
+// accumulator may share an array — CSR, series or traces — with any
+// member, and no member may change bytes, series or traces.
 func TestFoldRollupMatchesNaive(t *testing.T) {
 	k8s := presetHour(t, "k8spaas", 0.02)
-	inputs := map[string]func() []*graph.Graph{
-		"shapes/map":     func() []*graph.Graph { return rollupMembers("map") },
-		"shapes/frozen":  func() []*graph.Graph { return rollupMembers("frozen") },
-		"shapes/mixed":   func() []*graph.Graph { return rollupMembers("mixed") },
-		"k8spaas":        func() []*graph.Graph { return minuteWindows(k8s, false) },
-		"k8spaas/series": func() []*graph.Graph { return minuteWindows(k8s, true) },
+	windows := func(series bool) ([]*graph.Graph, []*graphtest.Model) {
+		gs := minuteWindows(k8s, series)
+		ms := make([]*graphtest.Model, len(gs))
+		for i, g := range gs {
+			ms[i] = graphtest.Of(g)
+		}
+		return gs, ms
+	}
+	inputs := map[string]func() ([]*graph.Graph, []*graphtest.Model){
+		"shapes/map":     func() ([]*graph.Graph, []*graphtest.Model) { return rollupMembers(t, "map") },
+		"shapes/frozen":  func() ([]*graph.Graph, []*graphtest.Model) { return rollupMembers(t, "frozen") },
+		"shapes/mixed":   func() ([]*graph.Graph, []*graphtest.Model) { return rollupMembers(t, "mixed") },
+		"k8spaas":        func() ([]*graph.Graph, []*graphtest.Model) { return windows(false) },
+		"k8spaas/series": func() ([]*graph.Graph, []*graphtest.Model) { return windows(true) },
 	}
 	for name, members := range inputs {
 		for _, size := range []time.Duration{time.Hour, 10 * time.Minute} {
 			t.Run(fmt.Sprintf("%s/%v", name, size), func(t *testing.T) {
-				in := members()
+				in, models := members()
 				before := make([]memberState, len(in))
+				memberArrays := make(map[any]bool)
 				for i, g := range in {
 					before[i] = stateOf(g)
-				}
-				memberArrays := make(map[any]bool)
-				for _, g := range in {
 					maps.Copy(memberArrays, backing(g))
 				}
-				got := foldBuckets(in, size, graph.FoldRollup, func(acc *graph.Graph) {
-					if !acc.Frozen() {
-						t.Fatal("FoldRollup returned a map-form accumulator")
-					}
-					for p := range backing(acc) {
-						if memberArrays[p] {
-							t.Fatal("the accumulator shares an array with a member")
+				for _, b := range buckets(in, size) {
+					var got *graph.Graph
+					var want *graphtest.Model
+					var traces []trace.Context
+					for i := b[0]; i < b[1]; i++ {
+						got = graph.FoldRollup(got, in[i], size)
+						got.Traces = append(got.Traces, in[i].Traces...)
+						for p := range backing(got) {
+							if memberArrays[p] {
+								t.Fatal("the accumulator shares an array with a member")
+							}
 						}
+						want = naiveFoldRollup(want, models[i], size)
+						traces = append(traces, in[i].Traces...)
 					}
-				})
+					if err := want.Check(got); err != nil {
+						t.Fatalf("bucket of members [%d, %d): %v", b[0], b[1], err)
+					}
+					if !slices.Equal(got.Traces, traces) {
+						t.Fatalf("bucket of members [%d, %d): traces %v, want %v", b[0], b[1], got.Traces, traces)
+					}
+				}
 				for i, g := range in {
 					if after := stateOf(g); !reflect.DeepEqual(after, before[i]) {
 						t.Fatalf("member %d changed while folding", i)
-					}
-				}
-				want := foldBuckets(members(), size, naiveFoldRollup, nil)
-				if len(got) != len(want) {
-					t.Fatalf("%d buckets, want %d", len(got), len(want))
-				}
-				for i := range got {
-					sameGraph(t, got[i], want[i])
-					if !reflect.DeepEqual(got[i].Traces, want[i].Traces) {
-						t.Fatalf("bucket %d traces differ", i)
 					}
 				}
 			})

@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // Undirected is a read-only index-space view of a graph's unordered
 // communicating pairs: the symmetric adjacency in CSR form, with the two
 // directions of every pair already combined. It is what the analysis
@@ -22,8 +20,8 @@ import "sort"
 // with Node.Less.
 //
 // A view is built per call and never cached on the Graph, so holding a
-// window in the timeline retains nothing extra. Nodes may alias the frozen
-// graph's node table; callers must not modify any of the slices.
+// window in the timeline retains nothing extra. Nodes aliases the graph's
+// node table; callers must not modify any of the slices.
 type Undirected struct {
 	Nodes []Node
 	Off   []int32
@@ -37,68 +35,35 @@ func (u *Undirected) Row(i int32) ([]int32, []Counters) {
 	return u.Nbr[lo:hi], u.Pair[lo:hi]
 }
 
-// Undirected builds the index-space undirected view. On a frozen graph it
-// is one linear merge of each node's CSR row with its CSC column; the map
-// form gathers and sorts each node's out- and in-maps into the same struct.
+// Undirected builds the index-space undirected view: one linear merge of
+// each node's CSR row with its CSC column.
 func (g *Graph) Undirected() *Undirected {
+	fz := g.fz
 	u := &Undirected{
-		Off:  make([]int32, 1, g.NumNodes()+1),
-		Nbr:  make([]int32, 0, 2*g.edges),
-		Pair: make([]Counters, 0, 2*g.edges),
+		Nodes: fz.nodes,
+		Off:   make([]int32, 1, len(fz.nodes)+1),
+		Nbr:   make([]int32, 0, 2*g.edges),
+		Pair:  make([]Counters, 0, 2*g.edges),
 	}
-	if fz := g.fz; fz != nil {
-		u.Nodes = fz.nodes
-		for i := range fz.nodes {
-			out, in := fz.rowOff[i], fz.inOff[i]
-			outEnd, inEnd := fz.rowOff[i+1], fz.inOff[i+1]
-			for out < outEnd || in < inEnd {
-				switch {
-				case in >= inEnd || (out < outEnd && fz.cols[out] < fz.inSrc[in]):
-					u.push(fz.cols[out], fz.edges[out].Counters)
-					out++
-				case out >= outEnd || fz.inSrc[in] < fz.cols[out]:
-					u.push(fz.inSrc[in], fz.edges[fz.inEdge[in]].Counters)
-					in++
-				default:
-					c := fz.edges[out].Counters
-					c.Add(fz.edges[fz.inEdge[in]].Counters)
-					u.push(fz.cols[out], c)
-					out++
-					in++
-				}
+	for i := range fz.nodes {
+		out, in := fz.rowOff[i], fz.inOff[i]
+		outEnd, inEnd := fz.rowOff[i+1], fz.inOff[i+1]
+		for out < outEnd || in < inEnd {
+			switch {
+			case in >= inEnd || (out < outEnd && fz.cols[out] < fz.inSrc[in]):
+				u.push(fz.cols[out], fz.edges[out].Counters)
+				out++
+			case out >= outEnd || fz.inSrc[in] < fz.cols[out]:
+				u.push(fz.inSrc[in], fz.edges[fz.inEdge[in]].Counters)
+				in++
+			default:
+				c := fz.edges[out].Counters
+				c.Add(fz.edges[fz.inEdge[in]].Counters)
+				u.push(fz.cols[out], c)
+				out++
+				in++
 			}
-			u.Off = append(u.Off, int32(len(u.Nbr)))
 		}
-		return u
-	}
-
-	u.Nodes = g.Nodes()
-	id := make(map[Node]int32, len(u.Nodes))
-	for i, n := range u.Nodes {
-		id[n] = int32(i)
-	}
-	var row viewRow
-	for _, n := range u.Nodes {
-		lo := len(u.Nbr)
-		for dst, e := range g.out[n] {
-			u.push(id[dst], e.Counters)
-		}
-		for src, e := range g.in[n] {
-			u.push(id[src], e.Counters)
-		}
-		row.nbr, row.pair = u.Nbr[lo:], u.Pair[lo:]
-		sort.Sort(&row)
-		// Coalesce the two directions of a pair, now adjacent.
-		w := 0
-		for k := range row.nbr {
-			if w > 0 && row.nbr[w-1] == row.nbr[k] {
-				row.pair[w-1].Add(row.pair[k])
-				continue
-			}
-			row.nbr[w], row.pair[w] = row.nbr[k], row.pair[k]
-			w++
-		}
-		u.Nbr, u.Pair = u.Nbr[:lo+w], u.Pair[:lo+w]
 		u.Off = append(u.Off, int32(len(u.Nbr)))
 	}
 	return u
@@ -107,17 +72,4 @@ func (g *Graph) Undirected() *Undirected {
 func (u *Undirected) push(j int32, c Counters) {
 	u.Nbr = append(u.Nbr, j)
 	u.Pair = append(u.Pair, c)
-}
-
-// viewRow sorts one view row by neighbour id, counters in step.
-type viewRow struct {
-	nbr  []int32
-	pair []Counters
-}
-
-func (r *viewRow) Len() int           { return len(r.nbr) }
-func (r *viewRow) Less(i, j int) bool { return r.nbr[i] < r.nbr[j] }
-func (r *viewRow) Swap(i, j int) {
-	r.nbr[i], r.nbr[j] = r.nbr[j], r.nbr[i]
-	r.pair[i], r.pair[j] = r.pair[j], r.pair[i]
 }

@@ -591,8 +591,8 @@ func (s *Store) epochAtKind(unix int64, kind byte) (uint64, bool) {
 	return 0, false
 }
 
-// Replay streams every window-resolution record to fn in epoch order,
-// frozen, and records the pass duration as the recovery gauge. Records
+// Replay streams every window-resolution record to fn in epoch order
+// and records the pass duration as the recovery gauge. Records
 // already folded into roll-ups are not replayed — they predate any
 // in-memory retention worth rebuilding.
 func (s *Store) Replay(fn func(epoch uint64, g *graph.Graph) error) error {

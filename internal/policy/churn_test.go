@@ -197,7 +197,7 @@ func TestChurnScalesWithPeersNotSegments(t *testing.T) {
 	// one VM between them touches all 2n-1 peers under per-IP rules but
 	// stays O(1) under tags.
 	const n = 50
-	g := graph.New(graph.FacetIP)
+	m := graphtest.NewModel(graph.FacetIP)
 	assign := make(map[graph.Node]int)
 	var a0 graph.Node
 	for i := 0; i < n; i++ {
@@ -208,8 +208,9 @@ func TestChurnScalesWithPeersNotSegments(t *testing.T) {
 		}
 		assign[a] = 0
 		assign[b] = 1
-		g.AddEdge(a, b, graph.Counters{Bytes: 10})
+		m.Add(a, b, graph.Counters{Bytes: 10})
 	}
+	g := m.Graph()
 	r := Learn(g, assign)
 	rep := r.ChurnOnMove(a0, 1)
 	if rep.IPRuleUpdates != 2*n {

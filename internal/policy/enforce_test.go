@@ -7,6 +7,7 @@ import (
 
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 )
 
 func recBetween(a, b netip.Addr, bytes uint64) flowlog.Record {
@@ -78,8 +79,9 @@ func TestEnforcerEndpointFacet(t *testing.T) {
 	// Endpoint-facet policy: clients may reach web:443 but not web:9100.
 	web := netip.MustParseAddr("10.5.0.1")
 	client := netip.MustParseAddr("10.5.0.9")
-	g := graph.New(graph.FacetEndpoint)
-	g.AddEdge(graph.IPNode(client), graph.IPPortNode(web, 443), graph.Counters{Bytes: 100, Conns: 1})
+	m := graphtest.NewModel(graph.FacetEndpoint)
+	m.Add(graph.IPNode(client), graph.IPPortNode(web, 443), graph.Counters{Bytes: 100, Conns: 1})
+	g := m.Graph()
 	assign := Learnable(g)
 	e := Enforcer{R: Learn(g, assign), Facet: graph.FacetEndpoint}
 

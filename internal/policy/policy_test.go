@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 	"cloudgraph/internal/segment"
 )
 
@@ -23,14 +24,15 @@ func fixture() (*graph.Graph, segment.Assignment, map[string]graph.Node) {
 		nodes["be1"]: 1, nodes["be2"]: 1,
 		nodes["db1"]: 2,
 	}
-	g := graph.New(graph.FacetIP)
+	m := graphtest.NewModel(graph.FacetIP)
 	c := graph.Counters{Bytes: 10_000, Packets: 10, Conns: 2}
-	g.AddEdge(nodes["fe1"], nodes["be1"], c)
-	g.AddEdge(nodes["fe1"], nodes["be2"], c)
-	g.AddEdge(nodes["fe2"], nodes["be1"], c)
-	g.AddEdge(nodes["fe2"], nodes["be2"], c)
-	g.AddEdge(nodes["be1"], nodes["db1"], c)
-	g.AddEdge(nodes["be2"], nodes["db1"], c)
+	m.Add(nodes["fe1"], nodes["be1"], c)
+	m.Add(nodes["fe1"], nodes["be2"], c)
+	m.Add(nodes["fe2"], nodes["be1"], c)
+	m.Add(nodes["fe2"], nodes["be2"], c)
+	m.Add(nodes["be1"], nodes["db1"], c)
+	m.Add(nodes["be2"], nodes["db1"], c)
+	g := m.Graph()
 	return g, assign, nodes
 }
 
@@ -61,9 +63,10 @@ func TestLearnAndAllows(t *testing.T) {
 func TestCheckGraphFindsViolations(t *testing.T) {
 	g, assign, nodes := fixture()
 	r := Learn(g, assign)
-	next := graph.New(graph.FacetIP)
-	next.AddEdge(nodes["fe1"], nodes["be1"], graph.Counters{Bytes: 1}) // allowed
-	next.AddEdge(nodes["fe1"], nodes["db1"], graph.Counters{Bytes: 9}) // violation
+	nextM := graphtest.NewModel(graph.FacetIP)
+	nextM.Add(nodes["fe1"], nodes["be1"], graph.Counters{Bytes: 1}) // allowed
+	nextM.Add(nodes["fe1"], nodes["db1"], graph.Counters{Bytes: 9}) // violation
+	next := nextM.Graph()
 	vs := r.CheckGraph(next)
 	if len(vs) != 1 {
 		t.Fatalf("violations = %d, want 1", len(vs))
@@ -99,9 +102,10 @@ func TestBlastRadiusSelfSegment(t *testing.T) {
 	// If a segment talks within itself, members reach each other.
 	a := graph.IPNode(netip.MustParseAddr("10.1.0.1"))
 	b := graph.IPNode(netip.MustParseAddr("10.1.0.2"))
-	g := graph.New(graph.FacetIP)
-	g.AddEdge(a, b, graph.Counters{Bytes: 1})
+	m := graphtest.NewModel(graph.FacetIP)
+	m.Add(a, b, graph.Counters{Bytes: 1})
 	assign := segment.Assignment{a: 0, b: 0}
+	g := m.Graph()
 	r := Learn(g, assign)
 	if got := r.BlastRadius(a); got != 1 {
 		t.Errorf("BlastRadius within own segment = %d, want 1", got)
@@ -131,7 +135,7 @@ func TestRuleExplosionQuadratic(t *testing.T) {
 	// Two segments of n VMs each that talk: IP rules per VM = n, total
 	// 2n², while tags stay at 1 rule per VM.
 	const n = 60
-	g := graph.New(graph.FacetIP)
+	m := graphtest.NewModel(graph.FacetIP)
 	assign := segment.Assignment{}
 	var segA, segB []graph.Node
 	for i := 0; i < n; i++ {
@@ -144,9 +148,10 @@ func TestRuleExplosionQuadratic(t *testing.T) {
 	}
 	for _, a := range segA {
 		for _, b := range segB {
-			g.AddEdge(a, b, graph.Counters{Bytes: 1})
+			m.Add(a, b, graph.Counters{Bytes: 1})
 		}
 	}
+	g := m.Graph()
 	r := Learn(g, assign)
 	ip := r.CompileIPRules(50) // tight budget
 	if ip.Max != n {
@@ -165,9 +170,10 @@ func TestSimilarityPolicySuppressesCohortChange(t *testing.T) {
 	g, assign, nodes := fixture()
 	r := Learn(g, assign)
 	// Code change: BOTH frontends start talking to the db.
-	next := graph.New(graph.FacetIP)
-	next.AddEdge(nodes["fe1"], nodes["db1"], graph.Counters{Bytes: 5})
-	next.AddEdge(nodes["fe2"], nodes["db1"], graph.Counters{Bytes: 5})
+	nextM := graphtest.NewModel(graph.FacetIP)
+	nextM.Add(nodes["fe1"], nodes["db1"], graph.Counters{Bytes: 5})
+	nextM.Add(nodes["fe2"], nodes["db1"], graph.Counters{Bytes: 5})
+	next := nextM.Graph()
 	changes := SimilarityPolicy{R: r, MinCohortFraction: 0.8}.Evaluate(next)
 	if len(changes) != 1 {
 		t.Fatalf("changes = %d, want 1", len(changes))
@@ -183,14 +189,16 @@ func TestSimilarityPolicySuppressesCohortChange(t *testing.T) {
 func TestSimilarityPolicyFlagsLoneDeviant(t *testing.T) {
 	g, assign, nodes := fixture()
 	// Enlarge segment 0 so one deviant is a small fraction.
+	m := graphtest.Of(g)
 	for i := 10; i < 18; i++ {
 		n := graph.IPNode(netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}))
 		assign[n] = 0
-		g.AddEdge(n, nodes["be1"], graph.Counters{Bytes: 1})
+		m.Add(n, nodes["be1"], graph.Counters{Bytes: 1})
 	}
-	r := Learn(g, assign)
-	next := graph.New(graph.FacetIP)
-	next.AddEdge(nodes["fe1"], nodes["db1"], graph.Counters{Bytes: 500_000})
+	r := Learn(m.Graph(), assign)
+	nextM := graphtest.NewModel(graph.FacetIP)
+	nextM.Add(nodes["fe1"], nodes["db1"], graph.Counters{Bytes: 500_000})
+	next := nextM.Graph()
 	changes := SimilarityPolicy{R: r}.Evaluate(next)
 	if len(changes) != 1 {
 		t.Fatalf("changes = %d, want 1", len(changes))
@@ -207,14 +215,15 @@ func TestProportionalityFlashCrowdNotFlagged(t *testing.T) {
 	g, assign, nodes := fixture()
 	r := Learn(g, assign)
 	// Flash crowd: everything x5.
-	next := graph.New(graph.FacetIP)
+	nextM := graphtest.NewModel(graph.FacetIP)
 	c := graph.Counters{Bytes: 50_000, Packets: 50, Conns: 10}
-	next.AddEdge(nodes["fe1"], nodes["be1"], c)
-	next.AddEdge(nodes["fe1"], nodes["be2"], c)
-	next.AddEdge(nodes["fe2"], nodes["be1"], c)
-	next.AddEdge(nodes["fe2"], nodes["be2"], c)
-	next.AddEdge(nodes["be1"], nodes["db1"], c)
-	next.AddEdge(nodes["be2"], nodes["db1"], c)
+	nextM.Add(nodes["fe1"], nodes["be1"], c)
+	nextM.Add(nodes["fe1"], nodes["be2"], c)
+	nextM.Add(nodes["fe2"], nodes["be1"], c)
+	nextM.Add(nodes["fe2"], nodes["be2"], c)
+	nextM.Add(nodes["be1"], nodes["db1"], c)
+	nextM.Add(nodes["be2"], nodes["db1"], c)
+	next := nextM.Graph()
 	for _, pg := range (ProportionalityPolicy{R: r}).Evaluate(g, next) {
 		if pg.Flagged {
 			t.Errorf("flash crowd flagged: %+v", pg)
@@ -226,14 +235,15 @@ func TestProportionalityUnilateralSurgeFlagged(t *testing.T) {
 	g, assign, nodes := fixture()
 	r := Learn(g, assign)
 	// Only be->db surges 100x while fe->be stays flat: exfil-like.
-	next := graph.New(graph.FacetIP)
+	nextM := graphtest.NewModel(graph.FacetIP)
 	base := graph.Counters{Bytes: 10_000, Packets: 10, Conns: 2}
-	next.AddEdge(nodes["fe1"], nodes["be1"], base)
-	next.AddEdge(nodes["fe1"], nodes["be2"], base)
-	next.AddEdge(nodes["fe2"], nodes["be1"], base)
-	next.AddEdge(nodes["fe2"], nodes["be2"], base)
-	next.AddEdge(nodes["be1"], nodes["db1"], graph.Counters{Bytes: 2_000_000, Packets: 2000, Conns: 3})
-	next.AddEdge(nodes["be2"], nodes["db1"], graph.Counters{Bytes: 2_000_000, Packets: 2000, Conns: 3})
+	nextM.Add(nodes["fe1"], nodes["be1"], base)
+	nextM.Add(nodes["fe1"], nodes["be2"], base)
+	nextM.Add(nodes["fe2"], nodes["be1"], base)
+	nextM.Add(nodes["fe2"], nodes["be2"], base)
+	nextM.Add(nodes["be1"], nodes["db1"], graph.Counters{Bytes: 2_000_000, Packets: 2000, Conns: 3})
+	nextM.Add(nodes["be2"], nodes["db1"], graph.Counters{Bytes: 2_000_000, Packets: 2000, Conns: 3})
+	next := nextM.Graph()
 	got := (ProportionalityPolicy{R: r}).Evaluate(g, next)
 	var flagged []PairGrowth
 	for _, pg := range got {
@@ -252,10 +262,11 @@ func TestProportionalityUnilateralSurgeFlagged(t *testing.T) {
 func TestProportionalityMinBytesFloor(t *testing.T) {
 	g, assign, nodes := fixture()
 	r := Learn(g, assign)
-	next := graph.New(graph.FacetIP)
-	next.AddEdge(nodes["fe1"], nodes["be1"], graph.Counters{Bytes: 10_000})
+	nextM := graphtest.NewModel(graph.FacetIP)
+	nextM.Add(nodes["fe1"], nodes["be1"], graph.Counters{Bytes: 10_000})
 	// Tiny pair grows 100x but is under the floor.
-	next.AddEdge(nodes["be1"], nodes["db1"], graph.Counters{Bytes: 900})
+	nextM.Add(nodes["be1"], nodes["db1"], graph.Counters{Bytes: 900})
+	next := nextM.Graph()
 	for _, pg := range (ProportionalityPolicy{R: r, MinBytes: 100_000}).Evaluate(g, next) {
 		if pg.Flagged {
 			t.Errorf("pair under MinBytes floor flagged: %+v", pg)

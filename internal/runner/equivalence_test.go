@@ -158,12 +158,14 @@ func TestOnlineBatchEquivalence(t *testing.T) {
 // one-slot queue, so the bus drops windows for it while the other three
 // consumers run ahead; once they have analysed every window published
 // before the flush, policy is released and the two groups race on the
-// shared memos for the last windows. watch, when set, runs repeatedly
-// while the others advance.
+// shared memos for the last windows. Ingest waits for policy to hold the
+// first window before publishing more, so that window is never the one
+// dropped and policy learns its baseline where the solo runner does. watch,
+// when set, runs repeatedly while the others advance.
 func stalledPolicyPlane(t *testing.T, recs []flowlog.Record, window time.Duration, watch func(*Plane)) *Plane {
 	t.Helper()
 	p := New(Config{})
-	release := make(chan struct{})
+	release, holding := make(chan struct{}), make(chan struct{})
 	specs := p.Consumers()
 	for i := range specs {
 		if specs[i].Name != "analysis.policy" {
@@ -174,6 +176,7 @@ func stalledPolicyPlane(t *testing.T, recs []flowlog.Record, window time.Duratio
 		specs[i].Fn = func(epoch uint64, g *graph.Graph) {
 			if !stalled {
 				stalled = true
+				close(holding)
 				<-release
 			}
 			fn(epoch, g)
@@ -185,8 +188,12 @@ func stalledPolicyPlane(t *testing.T, recs []flowlog.Record, window time.Duratio
 	// drain the stalled consumer.
 	unstall := sync.OnceFunc(func() { close(release) })
 	defer unstall()
-	for i := 0; i < len(recs); i += 512 {
+	for i, held := 0, false; i < len(recs); i += 512 {
 		e.Ingest(recs[i:min(i+512, len(recs))])
+		if !held && e.Epoch() > 0 {
+			<-holding
+			held = true
+		}
 	}
 	published := e.Epoch()
 	if published < 4 {
@@ -290,8 +297,9 @@ func (m *viewMemo) held() []*graph.Graph {
 func TestViewMemoKeepsTwoMostRecent(t *testing.T) {
 	g := make([]*graph.Graph, 3)
 	for i := range g {
-		g[i] = graph.New(graph.FacetIP)
-		g[i].AddNode(graphtest.Node(i))
+		m := graphtest.NewModel(graph.FacetIP)
+		m.Vertex(graphtest.Node(i))
+		g[i] = m.Graph()
 	}
 	m := new(viewMemo)
 	u0, u1 := m.view(g[0]), m.view(g[1])

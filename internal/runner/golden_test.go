@@ -21,7 +21,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/default_runners.golden from this build")
 
 // goldenWindows returns the first `minutes` one-minute windows of a preset
-// cluster, unfrozen, the way a shard windower hands them to the engine.
+// cluster, the way a shard windower hands them to the engine.
 func goldenWindows(t *testing.T, preset string, scale float64, minutes int) []*graph.Graph {
 	t.Helper()
 	spec, err := cluster.Preset(preset, scale)
@@ -70,27 +70,18 @@ func runDefaults(t *testing.T, buf *bytes.Buffer, preset string, windows []*grap
 // TestDefaultRunnersGolden pins the marshaled results of the four default
 // runners over 10 k8spaas and 10 microservicebench minute windows to the
 // bytes the pre-index-space kernels produced (the file was generated on the
-// commit before the analysis kernels moved onto graph.Undirected), on both
-// graph representations.
+// commit before the analysis kernels moved onto graph.Undirected).
 func TestDefaultRunnersGolden(t *testing.T) {
 	path := filepath.Join("testdata", "default_runners.golden")
-	var asMap, asFrozen bytes.Buffer
+	var buf bytes.Buffer
 	for _, ds := range []struct {
 		preset string
 		scale  float64
 	}{{"k8spaas", 0.25}, {"microservicebench", 0.25}} {
-		runDefaults(t, &asMap, ds.preset, goldenWindows(t, ds.preset, ds.scale, 10))
-		frozen := goldenWindows(t, ds.preset, ds.scale, 10)
-		for _, g := range frozen {
-			g.Freeze()
-		}
-		runDefaults(t, &asFrozen, ds.preset, frozen)
-	}
-	if !bytes.Equal(asMap.Bytes(), asFrozen.Bytes()) {
-		t.Fatal("map-form and frozen-form windows produce different runner results")
+		runDefaults(t, &buf, ds.preset, goldenWindows(t, ds.preset, ds.scale, 10))
 	}
 	if *updateGolden {
-		if err := os.WriteFile(path, asFrozen.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -99,8 +90,8 @@ func TestDefaultRunnersGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(asFrozen.Bytes(), want) {
-		got, exp := bytes.Split(asFrozen.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	if !bytes.Equal(buf.Bytes(), want) {
+		got, exp := bytes.Split(buf.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := range got {
 			if i >= len(exp) || !bytes.Equal(got[i], exp[i]) {
 				t.Fatalf("golden mismatch at line %d:\n got: %s\nwant: %s", i+1, got[i], exp[min(i, len(exp)-1)])
@@ -118,9 +109,6 @@ func TestDefaultRunnersGolden(t *testing.T) {
 func TestSummarizeAllocBudget(t *testing.T) {
 	const budget = 300
 	windows := goldenWindows(t, "k8spaas", 0.25, 3)
-	for _, g := range windows {
-		g.Freeze()
-	}
 	r := NewSummarize(summarize.AnomalyOptions{})
 	r.OnSnapshot(1, windows[0])
 	var epoch uint64 = 1
@@ -149,9 +137,6 @@ func TestSummarizeAllocBudget(t *testing.T) {
 func TestWindowAnalysisAllocBudget(t *testing.T) {
 	const budget = 1240
 	windows := goldenWindows(t, "k8spaas", 0.25, 3)
-	for _, g := range windows {
-		g.Freeze()
-	}
 	plane := New(Config{})
 	plane.Restore(1, windows[0])
 	var epoch uint64 = 1

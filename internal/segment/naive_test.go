@@ -65,32 +65,30 @@ func checkTopK(t *testing.T, label string, pairs []simPair, n, k int) {
 }
 
 // TestTopKMatchesNaive drives the selector and the global-sort reference
-// over the Jaccard cliques of every generated shape, in both graph
-// representations, and checks the fused Jaccard path against
+// over the Jaccard cliques of every generated shape, and checks the fused
+// Jaccard path against
 // naiveTopK(jaccardClique(…)): same pairs, same order, for k from 1 to
 // past the node count.
 func TestTopKMatchesNaive(t *testing.T) {
 	kept := 0
 	for seed := int64(1); seed <= 12; seed++ {
-		for _, cs := range [][]graphtest.Case{graphtest.Cases(seed), graphtest.FrozenCases(seed)} {
-			for _, c := range cs {
-				sets := neighborSets(c.G.Undirected())
-				n := len(sets)
-				for _, minScore := range []float64{1e-9, 0.02, 0.3} {
-					clique := jaccardClique(sets, minScore)
-					for _, k := range []int{1, 2, 6, n, n + 5} {
-						label := fmt.Sprintf("seed %d %s minScore %g", seed, c.Name, minScore)
-						checkTopK(t, label, clique, n, k)
-						// Offer order must not matter.
-						rev := slices.Clone(clique)
-						slices.Reverse(rev)
-						checkTopK(t, label+" reversed", rev, n, k)
-						want := naiveTopK(slices.Clone(clique), n, k)
-						if got := jaccardTopK(sets, minScore, k); !slices.Equal(got, want) {
-							t.Fatalf("%s k=%d: fused Jaccard path diverges\n got: %v\nwant: %v", label, k, got, want)
-						}
-						kept += len(want)
+		for _, c := range graphtest.Cases(seed) {
+			sets := neighborSets(c.G.Undirected())
+			n := len(sets)
+			for _, minScore := range []float64{1e-9, 0.02, 0.3} {
+				clique := jaccardClique(sets, minScore)
+				for _, k := range []int{1, 2, 6, n, n + 5} {
+					label := fmt.Sprintf("seed %d %s minScore %g", seed, c.Name, minScore)
+					checkTopK(t, label, clique, n, k)
+					// Offer order must not matter.
+					rev := slices.Clone(clique)
+					slices.Reverse(rev)
+					checkTopK(t, label+" reversed", rev, n, k)
+					want := naiveTopK(slices.Clone(clique), n, k)
+					if got := jaccardTopK(sets, minScore, k); !slices.Equal(got, want) {
+						t.Fatalf("%s k=%d: fused Jaccard path diverges\n got: %v\nwant: %v", label, k, got, want)
 					}
+					kept += len(want)
 				}
 			}
 		}
@@ -124,17 +122,13 @@ func TestTopKMatchesNaiveOnTies(t *testing.T) {
 }
 
 // TestJaccardCliqueMatchesNaive drives the kernel and the reference over
-// every generated shape, on both graph representations: same pairs, same
-// scores, same order — what topK and Louvain consume.
+// every generated shape: same pairs, same scores, same order — what topK
+// and Louvain consume.
 func TestJaccardCliqueMatchesNaive(t *testing.T) {
 	scored := 0
 	for seed := int64(1); seed <= 12; seed++ {
-		asMap, asFrozen := graphtest.Cases(seed), graphtest.FrozenCases(seed)
-		for i, c := range asMap {
+		for _, c := range graphtest.Cases(seed) {
 			sets := neighborSets(c.G.Undirected())
-			if !reflect.DeepEqual(sets, neighborSets(asFrozen[i].G.Undirected())) {
-				t.Fatalf("seed %d %s: neighbor sets differ between representations", seed, c.Name)
-			}
 			for _, minScore := range []float64{1e-9, 0.02, 0.3, 1} {
 				got, want := jaccardClique(sets, minScore), naiveJaccardClique(sets, minScore)
 				if !reflect.DeepEqual(got, want) {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 )
 
 func TestJaccard(t *testing.T) {
@@ -153,7 +154,7 @@ func TestEvidence(t *testing.T) {
 // with identical peer sets are indistinguishable by construction (one of
 // the paper's admitted "key mistakes").
 func roleGraph() (*graph.Graph, map[graph.Node]string) {
-	g := graph.New(graph.FacetIP)
+	m := graphtest.NewModel(graph.FacetIP)
 	truth := make(map[graph.Node]string)
 	rng := rand.New(rand.NewSource(42))
 	next := 1
@@ -180,7 +181,7 @@ func roleGraph() (*graph.Graph, map[graph.Node]string) {
 				fanout = len(dsts)
 			}
 			for _, di := range perm[:fanout] {
-				g.AddEdge(s, dsts[di], c)
+				m.Add(s, dsts[di], c)
 			}
 		}
 	}
@@ -191,6 +192,7 @@ func roleGraph() (*graph.Graph, map[graph.Node]string) {
 	connect(bes, dbs, 6, heavy)    // be -> most dbs
 	connect(bes, caches, 5, light) // be -> caches
 	connect(dbs, backups, 3, light)
+	g := m.Graph()
 	return g, truth
 }
 

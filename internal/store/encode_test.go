@@ -18,8 +18,8 @@ import (
 
 // naiveEncodeGraph is EncodeGraph as it was before it walked the CSR
 // arrays: a Node-keyed index map over Nodes(), two lookups per edge through
-// EachOut, and a sort of the edges of a map-form graph. Kept as the
-// reference the codec's bytes are pinned to.
+// EachOut, and a sort of the edges. Kept as the reference the codec's
+// bytes are pinned to.
 func naiveEncodeGraph(g *graph.Graph) []byte {
 	nodes := g.Nodes()
 	idx := make(map[graph.Node]uint32, len(nodes))
@@ -60,11 +60,9 @@ func naiveEncodeGraph(g *graph.Graph) []byte {
 	g.EachOut(func(src, dst graph.Node, e *graph.Edge) {
 		edges = append(edges, edge{src: idx[src], dst: idx[dst], c: e.Counters})
 	})
-	if !g.Frozen() {
-		slices.SortFunc(edges, func(a, b edge) int {
-			return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
-		})
-	}
+	slices.SortFunc(edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
+	})
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(edges)))
 	for _, e := range edges {
 		buf = binary.LittleEndian.AppendUint32(buf, e.src)
@@ -104,9 +102,9 @@ func k8spaasMinute(t *testing.T) *graph.Graph {
 }
 
 // TestEncodeGraphMatchesNaive: the CSR-walking encoder writes exactly the
-// bytes of its retired Node-map body, for map-form and frozen graphs —
-// every node kind, zoned IPv6 twins, graphtest's shapes, a k8spaas minute —
-// and AppendGraph appends those bytes after whatever dst already holds.
+// bytes of its retired Node-map body — every node kind, zoned IPv6 twins,
+// graphtest's shapes, a k8spaas minute — and AppendGraph appends those
+// bytes after whatever dst already holds.
 func TestEncodeGraphMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	gs := []*graph.Graph{graph.New(graph.FacetIPPort), k8spaasMinute(t)}
@@ -119,18 +117,13 @@ func TestEncodeGraphMatchesNaive(t *testing.T) {
 	}
 	prefix := []byte("frame header")
 	for i, g := range gs {
-		for _, form := range []string{"as built", "frozen"} {
-			if form == "frozen" {
-				g.Freeze()
-			}
-			want := naiveEncodeGraph(g)
-			if got := EncodeGraph(g); !bytes.Equal(got, want) {
-				t.Fatalf("graph %d (%s): EncodeGraph differs from the reference", i, form)
-			}
-			got := AppendGraph(slices.Clip(prefix), g)
-			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
-				t.Fatalf("graph %d (%s): AppendGraph differs from prefix + reference", i, form)
-			}
+		want := naiveEncodeGraph(g)
+		if got := EncodeGraph(g); !bytes.Equal(got, want) {
+			t.Fatalf("graph %d: EncodeGraph differs from the reference", i)
+		}
+		got := AppendGraph(slices.Clip(prefix), g)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("graph %d: AppendGraph differs from prefix + reference", i)
 		}
 	}
 }

@@ -4,9 +4,9 @@
 // per record; nothing else in the repository serializes a graph.
 //
 // EncodeGraph is canonical: it writes nodes in Node.Less order and directed
-// edges in (src, dst) node order whatever the graph's in-memory form — it
-// walks the frozen CSR arrays, and DecodeGraph adopts the same layout
-// without sorting or building a map graph. DecodeGraph also accepts the
+// edges in (src, dst) node order — it walks the graph's CSR arrays, and
+// DecodeGraph adopts the same layout without sorting or building a map
+// graph. DecodeGraph also accepts the
 // orders older encoders wrote — map-form edges in random order, and zoned
 // IPv6 nodes written without their zone, which decode merged — so
 // re-encoding what it decodes reaches a fixed point after one step. Edge
@@ -59,8 +59,7 @@ func EncodeGraph(g *graph.Graph) []byte { return AppendGraph(nil, g) }
 // AppendGraph appends EncodeGraph(g) to dst, growing it at most once. The
 // node table is the graph's sorted CSR node table and the edges are its CSR
 // rows walked in order (src = row, dst = column), so the bytes come
-// straight from the arrays; a map-form graph is encoded through a frozen
-// copy.
+// straight from the arrays.
 func AppendGraph(dst []byte, g *graph.Graph) []byte {
 	nodes, rowOff, cols, edges := g.CSR()
 	size := headerBytes + 4 + len(edges)*edgeBytes
@@ -121,9 +120,8 @@ func nodeKind(n graph.Node) (byte, string) {
 // truncated or trailing bytes, counts larger than the input can hold,
 // unknown node kinds, fields an address kind does not carry, edge
 // endpoints outside the node table and repeated edges. Nodes and edges may
-// come in any order. The returned graph is frozen: a canonical body lays
-// out as CSR directly, an older one goes through graph.FromIndex's
-// sort and merge.
+// come in any order. A canonical body lays out as CSR directly, an older
+// one goes through graph.FromIndex's sort and merge.
 func DecodeGraph(b []byte) (*graph.Graph, error) {
 	r := &byteReader{b: b}
 	facet := graph.Facet(r.u8())

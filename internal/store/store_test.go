@@ -17,15 +17,15 @@ import (
 var t0 = time.Unix(1700000000, 0).UTC().Truncate(time.Hour)
 
 func randomGraph(rng *rand.Rand, start time.Time) *graph.Graph {
-	g := graph.New(graph.FacetIP)
-	g.Start, g.End = start, start.Add(time.Hour)
+	m := graphtest.NewModel(graph.FacetIP)
+	m.Start, m.End = start, start.Add(time.Hour)
 	for i := 0; i < 20+rng.Intn(30); i++ {
 		a := graph.IPNode(netip.AddrFrom4([4]byte{10, 0, 0, byte(1 + rng.Intn(30))}))
 		b := graph.IPNode(netip.AddrFrom4([4]byte{10, 0, 1, byte(1 + rng.Intn(30))}))
 		if a == b {
 			continue
 		}
-		g.AddEdge(a, b, graph.Counters{
+		m.Add(a, b, graph.Counters{
 			Bytes:   uint64(rng.Intn(1_000_000)),
 			Packets: uint64(rng.Intn(1000)),
 			Conns:   uint64(1 + rng.Intn(10)),
@@ -33,12 +33,12 @@ func randomGraph(rng *rand.Rand, start time.Time) *graph.Graph {
 	}
 	// A few exotic nodes: IPv6, IP-port, service, collapsed, isolated, and
 	// scoped IPv6 nodes that differ only by zone.
-	g.AddEdge(graph.IPNode(netip.MustParseAddr("2001:db8::1")), graph.Collapsed, graph.Counters{Bytes: 7})
-	g.AddEdge(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.ServiceNode("svc"), graph.Counters{Bytes: 9, Conns: 1})
-	g.AddNode(graph.IPNode(netip.MustParseAddr("192.0.2.200")))
-	g.AddEdge(graph.IPNode(netip.MustParseAddr("fe80::1%eth0")), graph.IPNode(netip.MustParseAddr("fe80::1%eth1")), graph.Counters{Bytes: 11})
-	g.AddEdge(graph.IPPortNode(netip.MustParseAddr("fe80::1"), 22), graph.IPPortNode(netip.MustParseAddr("fe80::1%eth0"), 22), graph.Counters{Bytes: 13})
-	return g
+	m.Add(graph.IPNode(netip.MustParseAddr("2001:db8::1")), graph.Collapsed, graph.Counters{Bytes: 7})
+	m.Add(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.ServiceNode("svc"), graph.Counters{Bytes: 9, Conns: 1})
+	m.Vertex(graph.IPNode(netip.MustParseAddr("192.0.2.200")))
+	m.Add(graph.IPNode(netip.MustParseAddr("fe80::1%eth0")), graph.IPNode(netip.MustParseAddr("fe80::1%eth1")), graph.Counters{Bytes: 11})
+	m.Add(graph.IPPortNode(netip.MustParseAddr("fe80::1"), 22), graph.IPPortNode(netip.MustParseAddr("fe80::1%eth0"), 22), graph.Counters{Bytes: 13})
+	return m.Graph()
 }
 
 // ip parses a FacetIP node.
@@ -75,10 +75,9 @@ func sameGraph(t *testing.T, a, b *graph.Graph) {
 // TestRoundTrip: graphs with every node kind — IPv4, IPv6, ip:port,
 // service, the collapse bucket, an isolated node, IPv6 nodes that differ
 // only by zone — and the graphtest shapes (self-loops, one-way and
-// zero-byte edges) survive EncodeGraph→DecodeGraph, decoding straight to
-// the frozen form and matching the map reference; and the encoding is
-// canonical: the map form, its frozen form and the decoded graph all
-// encode to the same bytes.
+// zero-byte edges) survive EncodeGraph→DecodeGraph, matching the map
+// reference; and the encoding is canonical: the decoded graph re-encodes to
+// the same bytes.
 func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	var gs []*graph.Graph
@@ -100,22 +99,17 @@ func TestRoundTrip(t *testing.T) {
 		if re := EncodeGraph(got); !bytes.Equal(re, b) {
 			t.Fatalf("graph %d: decoded graph re-encodes to different bytes", i)
 		}
-		g.Freeze()
-		if fb := EncodeGraph(g); !bytes.Equal(fb, b) {
-			t.Fatalf("graph %d: frozen form encodes differently from map form", i)
-		}
 	}
 }
 
 // mapDecode is the reference decoder: it parses a body exactly as
-// DecodeGraph does but builds the graph node by node and edge by edge
-// through AddNode/AddEdge, the map form summing the edges of nodes that
-// decode equal.
-func mapDecode(b []byte) (*graph.Graph, error) {
+// DecodeGraph does but accumulates it node by node and edge by edge in a
+// graphtest model, which sums the edges of nodes that decode equal.
+func mapDecode(b []byte) (*graphtest.Model, error) {
 	r := &byteReader{b: b}
-	g := graph.New(graph.Facet(r.u8()))
-	g.Start = time.Unix(int64(r.u64()), 0).UTC()
-	g.End = time.Unix(int64(r.u64()), 0).UTC()
+	m := graphtest.NewModel(graph.Facet(r.u8()))
+	m.Start = time.Unix(int64(r.u64()), 0).UTC()
+	m.End = time.Unix(int64(r.u64()), 0).UTC()
 	nNodes := uint64(r.u32())
 	if r.err != nil || nNodes*minNodeBytes > uint64(len(r.b)) {
 		return nil, ErrBadFormat
@@ -127,7 +121,7 @@ func mapDecode(b []byte) (*graph.Graph, error) {
 			return nil, ErrBadFormat
 		}
 		nodes = append(nodes, n)
-		g.AddNode(n)
+		m.Vertex(n)
 	}
 	nEdges := uint64(r.u32())
 	if r.err != nil || nEdges*edgeBytes != uint64(len(r.b)) {
@@ -141,14 +135,13 @@ func mapDecode(b []byte) (*graph.Graph, error) {
 			return nil, ErrBadFormat
 		}
 		seen[[2]uint32{src, dst}] = true
-		g.AddEdge(nodes[src], nodes[dst], c)
+		m.Add(nodes[src], nodes[dst], c)
 	}
-	return g, nil
+	return m, nil
 }
 
 // assertMatchesMapReference checks that DecodeGraph accepts exactly what
-// mapDecode accepts and returns a frozen graph with no Diff from the map
-// reference that encodes to the reference's bytes.
+// mapDecode accepts and returns the reference model's graph.
 func assertMatchesMapReference(t *testing.T, b []byte) {
 	t.Helper()
 	got, err := DecodeGraph(b)
@@ -159,19 +152,8 @@ func assertMatchesMapReference(t *testing.T, b []byte) {
 	if err != nil {
 		return
 	}
-	if !got.Frozen() {
-		t.Fatal("DecodeGraph returned a map-form graph")
-	}
-	if got.Facet != ref.Facet || !got.Start.Equal(ref.Start) || !got.End.Equal(ref.End) ||
-		got.NumNodes() != ref.NumNodes() || got.NumEdges() != ref.NumEdges() {
-		t.Fatalf("decoded %v %d nodes %d pairs, map reference %v %d nodes %d pairs",
-			got.Facet, got.NumNodes(), got.NumEdges(), ref.Facet, ref.NumNodes(), ref.NumEdges())
-	}
-	if d := graph.Diff(ref, got); len(d.AddedNodes)+len(d.RemovedNodes)+len(d.AddedPairs)+len(d.RemovedPairs) > 0 || d.ByteChange != 0 {
-		t.Fatalf("decoded graph differs from the map reference: %+v", d)
-	}
-	if !bytes.Equal(EncodeGraph(got), EncodeGraph(ref)) {
-		t.Fatal("decoded graph and map reference encode differently")
+	if err := ref.Check(got); err != nil {
+		t.Fatalf("decoded graph differs from the map reference: %v", err)
 	}
 }
 
@@ -256,17 +238,18 @@ func TestDecodeMapFormRecord(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	want := graph.New(graph.FacetIP)
-	want.Start, want.End = t0, t0.Add(time.Hour)
-	want.AddEdge(ip("10.0.0.1"), ip("10.0.0.2"), graph.Counters{Bytes: 100, Packets: 2, Conns: 1})
-	want.AddEdge(ip("10.0.0.2"), ip("10.0.0.3"), graph.Counters{Bytes: 200, Packets: 3, Conns: 1})
-	want.AddEdge(ip("10.0.0.3"), ip("10.0.0.1"), graph.Counters{Bytes: 300, Packets: 4, Conns: 2})
-	want.AddEdge(ip("2001:db8::1"), ip("10.0.0.1"), graph.Counters{Bytes: 400, Packets: 5, Conns: 1})
-	want.AddEdge(ip("fe80::1"), ip("10.0.0.3"), graph.Counters{Bytes: 500, Packets: 6, Conns: 1})
-	want.AddEdge(ip("fe80::1"), ip("10.0.0.2"), graph.Counters{Bytes: 600, Packets: 7, Conns: 1})
-	want.AddEdge(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.ServiceNode("svc"), graph.Counters{Bytes: 9, Conns: 1})
-	want.AddEdge(ip("2001:db8::1"), graph.Collapsed, graph.Counters{Bytes: 7})
-	want.AddNode(ip("192.0.2.200"))
+	wantM := graphtest.NewModel(graph.FacetIP)
+	wantM.Start, wantM.End = t0, t0.Add(time.Hour)
+	wantM.Add(ip("10.0.0.1"), ip("10.0.0.2"), graph.Counters{Bytes: 100, Packets: 2, Conns: 1})
+	wantM.Add(ip("10.0.0.2"), ip("10.0.0.3"), graph.Counters{Bytes: 200, Packets: 3, Conns: 1})
+	wantM.Add(ip("10.0.0.3"), ip("10.0.0.1"), graph.Counters{Bytes: 300, Packets: 4, Conns: 2})
+	wantM.Add(ip("2001:db8::1"), ip("10.0.0.1"), graph.Counters{Bytes: 400, Packets: 5, Conns: 1})
+	wantM.Add(ip("fe80::1"), ip("10.0.0.3"), graph.Counters{Bytes: 500, Packets: 6, Conns: 1})
+	wantM.Add(ip("fe80::1"), ip("10.0.0.2"), graph.Counters{Bytes: 600, Packets: 7, Conns: 1})
+	wantM.Add(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.ServiceNode("svc"), graph.Counters{Bytes: 9, Conns: 1})
+	wantM.Add(ip("2001:db8::1"), graph.Collapsed, graph.Counters{Bytes: 7})
+	wantM.Vertex(ip("192.0.2.200"))
+	want := wantM.Graph()
 	sameGraph(t, want, got)
 	assertMatchesMapReference(t, b)
 	assertFixedPoint(t, got)
@@ -329,10 +312,11 @@ func TestDecodeRejectsImpossibleCounts(t *testing.T) {
 func FuzzDecodeGraph(f *testing.F) {
 	// Seeds stay small: the fuzzer minimizes every new-coverage input, at a
 	// cost quadratic in its length.
-	small := graph.New(graph.FacetIP)
-	small.Start, small.End = t0, t0.Add(time.Minute)
-	small.AddEdge(graph.IPNode(netip.MustParseAddr("10.0.0.1")), graph.IPNode(netip.MustParseAddr("2001:db8::1")), graph.Counters{Bytes: 7, Conns: 1})
-	small.AddEdge(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.Collapsed, graph.Counters{Packets: 2})
+	smallM := graphtest.NewModel(graph.FacetIP)
+	smallM.Start, smallM.End = t0, t0.Add(time.Minute)
+	smallM.Add(graph.IPNode(netip.MustParseAddr("10.0.0.1")), graph.IPNode(netip.MustParseAddr("2001:db8::1")), graph.Counters{Bytes: 7, Conns: 1})
+	smallM.Add(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.Collapsed, graph.Counters{Packets: 2})
+	small := smallM.Graph()
 	f.Add(EncodeGraph(small))
 	f.Add(EncodeGraph(graph.New(graph.FacetIPPort)))
 	f.Add(hostileNodeCount)

@@ -9,6 +9,7 @@ import (
 
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 )
 
 func node(i int) graph.Node {
@@ -17,13 +18,13 @@ func node(i int) graph.Node {
 
 // skewedGraph: one hub carries almost all traffic to many spokes.
 func skewedGraph(spokes int) *graph.Graph {
-	g := graph.New(graph.FacetIP)
+	m := graphtest.NewModel(graph.FacetIP)
 	hub := node(1)
 	for i := 0; i < spokes; i++ {
-		g.AddEdge(node(100+i), hub, graph.Counters{Bytes: 10, Packets: 1, Conns: 1})
+		m.Add(node(100+i), hub, graph.Counters{Bytes: 10, Packets: 1, Conns: 1})
 	}
-	g.AddEdge(hub, node(2), graph.Counters{Bytes: 1_000_000, Packets: 700, Conns: 3})
-	return g
+	m.Add(hub, node(2), graph.Counters{Bytes: 1_000_000, Packets: 700, Conns: 3})
+	return m.Graph()
 }
 
 func TestCCDFShape(t *testing.T) {
@@ -60,9 +61,10 @@ func TestCCDFEmpty(t *testing.T) {
 // bytes (connection-only edges) used to divide by zero and print a "NaN%"
 // headline; the curve is flat at 0 instead.
 func TestCCDFZeroTraffic(t *testing.T) {
-	g := graph.New(graph.FacetIP)
-	g.AddEdge(node(1), node(2), graph.Counters{Conns: 1})
-	g.AddEdge(node(2), node(3), graph.Counters{Conns: 2})
+	m := graphtest.NewModel(graph.FacetIP)
+	m.Add(node(1), node(2), graph.Counters{Conns: 1})
+	m.Add(node(2), node(3), graph.Counters{Conns: 2})
+	g := m.Graph()
 	pts := CCDF(g, graph.Bytes)
 	if len(pts) != 3 {
 		t.Fatalf("points = %d, want 3", len(pts))
@@ -95,25 +97,27 @@ func TestHubsDetection(t *testing.T) {
 }
 
 func TestHubsTinyGraph(t *testing.T) {
-	g := graph.New(graph.FacetIP)
-	g.AddEdge(node(1), node(2), graph.Counters{Bytes: 1})
+	m := graphtest.NewModel(graph.FacetIP)
+	m.Add(node(1), node(2), graph.Counters{Bytes: 1})
+	g := m.Graph()
 	if hubs := Hubs(g, 0.5); hubs != nil {
 		t.Errorf("2-node graph should have no hubs: %+v", hubs)
 	}
 }
 
 func TestChattyCliques(t *testing.T) {
-	g := graph.New(graph.FacetIP)
+	m := graphtest.NewModel(graph.FacetIP)
 	// A 5-clique exchanging heavy traffic.
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddEdge(node(i+1), node(j+1), graph.Counters{Bytes: 100_000, Packets: 70, Conns: 5})
+			m.Add(node(i+1), node(j+1), graph.Counters{Bytes: 100_000, Packets: 70, Conns: 5})
 		}
 	}
 	// Background noise.
 	for i := 0; i < 30; i++ {
-		g.AddEdge(node(200+i), node(300+i), graph.Counters{Bytes: 50, Packets: 1, Conns: 1})
+		m.Add(node(200+i), node(300+i), graph.Counters{Bytes: 50, Packets: 1, Conns: 1})
 	}
+	g := m.Graph()
 	cliques := ChattyCliques(g, 3, 0.5, 0.01)
 	if len(cliques) != 1 {
 		t.Fatalf("cliques = %d, want 1", len(cliques))
@@ -155,13 +159,13 @@ func TestSummarizeHeadline(t *testing.T) {
 
 func TestScoreWindowsFlagsSpike(t *testing.T) {
 	mk := func(extra uint64) *graph.Graph {
-		g := graph.New(graph.FacetIP)
-		g.AddEdge(node(1), node(2), graph.Counters{Bytes: 1000})
-		g.AddEdge(node(1), node(3), graph.Counters{Bytes: 1000})
+		m := graphtest.NewModel(graph.FacetIP)
+		m.Add(node(1), node(2), graph.Counters{Bytes: 1000})
+		m.Add(node(1), node(3), graph.Counters{Bytes: 1000})
 		if extra > 0 {
-			g.AddEdge(node(1), node(99), graph.Counters{Bytes: extra})
+			m.Add(node(1), node(99), graph.Counters{Bytes: extra})
 		}
-		return g
+		return m.Graph()
 	}
 	windows := []*graph.Graph{mk(0), mk(0), mk(0), mk(0), mk(0), mk(50_000)}
 	scores := ScoreWindows(windows, AnomalyOptions{})
@@ -180,10 +184,11 @@ func TestScoreWindowsFlagsSpike(t *testing.T) {
 }
 
 func TestScoreWindowsNoHistoryNoFlag(t *testing.T) {
-	g1 := graph.New(graph.FacetIP)
-	g1.AddEdge(node(1), node(2), graph.Counters{Bytes: 10})
-	g2 := graph.New(graph.FacetIP)
-	g2.AddEdge(node(1), node(9), graph.Counters{Bytes: 99999})
+	m1 := graphtest.NewModel(graph.FacetIP)
+	m1.Add(node(1), node(2), graph.Counters{Bytes: 10})
+	m2 := graphtest.NewModel(graph.FacetIP)
+	m2.Add(node(1), node(9), graph.Counters{Bytes: 99999})
+	g1, g2 := m1.Graph(), m2.Graph()
 	scores := ScoreWindows([]*graph.Graph{g1, g2}, AnomalyOptions{})
 	if scores[1].Anomalous {
 		t.Error("flagged without enough history")

@@ -150,11 +150,8 @@ func (t *Timeline) instrument(reg *telemetry.Registry) {
 		})
 }
 
-// approxGraphBytes is the bytes-retained gauge's per-graph cost. Frozen
-// graphs report their exact CSR footprint; map-backed ones a cardinality
-// estimate (see graph.MemBytes). The gauge's point is trend and relative
-// weight, not accounting — and since windows arrive frozen from the engine,
-// the trend now tracks real residency.
+// approxGraphBytes is the bytes-retained gauge's per-graph cost: the
+// graph's CSR footprint (see graph.MemBytes), edge series excluded.
 func approxGraphBytes(g *graph.Graph) int64 { return g.MemBytes() }
 
 // Append folds one completed window into the timeline under the given
@@ -209,7 +206,7 @@ func (t *Timeline) rollupLocked(g *graph.Graph) {
 }
 
 // sealLocked moves the in-progress bucket into the sealed roll-ups. The
-// bucket is already in its final CSR form (FoldRollup folds frozen), so
+// bucket is already in its final CSR form (FoldRollup merge-joins), so
 // the seal only publishes it; the latency it reports is the bucket's
 // accumulated fold time plus the seal itself. Caller holds t.mu.
 func (t *Timeline) sealLocked() {
