@@ -12,7 +12,7 @@
 //	graphctl pca        [-k 25] file.flows
 //	graphctl dot        file.flows
 //	graphctl plan       [-capacity 2e9] file.flows
-//	graphctl send       -addr host:port [-tenant name] file.flows
+//	graphctl send       -addr host:port [-tenant name] [-flush] file.flows
 //	graphctl query      [-addr host:port] [-tenant name] <analysis> [<epoch>|latest]
 //	graphctl diff       old.flows new.flows
 //	graphctl windows    [-window 1h] file.flows
@@ -384,7 +384,7 @@ func cmdSend(args []string) {
 	fs := flag.NewFlagSet("send", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7443", "cloudgraphd address")
 	batch := fs.Int("batch", 4096, "records per INGEST batch")
-	learn := fs.Bool("learn", false, "FLUSH and LEARN after sending")
+	flush := fs.Bool("flush", false, "FLUSH after sending and print the sealed epoch")
 	tenant := fs.String("tenant", "", "session tenant: untagged records land on this realm instead of the default")
 	file := parseArgs(fs, args)
 	// A .tflows capture (flowgen -tenants) carries per-record tenant tags
@@ -431,15 +431,12 @@ func cmdSend(args []string) {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "sent %d records in %v\n", len(recs), time.Since(start).Round(time.Millisecond))
-	if *learn {
-		if _, err := client.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		res, err := client.Learn()
+	if *flush {
+		epoch, err := client.Flush()
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("learned %d segments over %d nodes (%d allowed pairs)\n", res.Segments, res.Nodes, res.AllowedPairs)
+		fmt.Printf("flushed: sealed through epoch %d\n", epoch)
 	}
 	stats, err := client.Stats()
 	if err != nil {

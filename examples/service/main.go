@@ -1,10 +1,13 @@
 // Analytics-service walkthrough (Figure 8): run the SaaS-style analytics
 // endpoint in-process, stream two hours of telemetry to it over TCP exactly
-// as host agents would, and drive the operator workflow — stats, learn,
-// monitor, summary, anomalies — through the wire protocol.
+// as host agents would, and drive the operator workflow through the wire
+// protocol: STATS for the counts, then QUERY for every analysis the live
+// plane runs — segmentation, summary, capacity plan and policy churn at the
+// latest epoch, and the summary's drift score at every epoch.
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"log"
 	"time"
@@ -13,6 +16,7 @@ import (
 	"cloudgraph/internal/analytics"
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/realm"
+	"cloudgraph/internal/runner"
 )
 
 func main() {
@@ -79,30 +83,50 @@ func main() {
 	fmt.Printf("server state: %d records across %d windows (%.0f rec/s ingest)\n",
 		stats.Records, stats.Windows, stats.RecordsPerSec)
 
-	learn, err := client.Learn()
-	if err != nil {
-		log.Fatal(err)
+	for _, r := range runner.DefaultRunners() {
+		res, err := client.Query(r.Name(), 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("QUERY %s latest (epoch %d): %s\n", res.Analysis, res.Epoch, brief(res))
 	}
-	fmt.Printf("learned baseline: %d µsegments, %d allowed pairs\n", learn.Segments, learn.AllowedPairs)
+	for epoch := uint64(1); epoch <= uint64(stats.Windows); epoch++ {
+		res, err := client.Query("summarize", epoch)
+		if err != nil {
+			log.Fatal(err)
+		}
+		var sum runner.SummarizeResult
+		if err := json.Unmarshal(res.Result, &sum); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("epoch %d: drift %.3f (anomalous=%v)\n", epoch, sum.Score.Drift, sum.Score.Anomalous)
+	}
+}
 
-	mon, err := client.Monitor()
+// brief renders one QUERY answer as a line of its headline numbers.
+func brief(res analytics.QueryResult) string {
+	var err error
+	var out string
+	switch res.Analysis {
+	case "segment":
+		var r runner.SegmentResult
+		err = json.Unmarshal(res.Result, &r)
+		out = fmt.Sprintf("%d µsegments", r.NumSegments)
+	case "summarize":
+		var r runner.SummarizeResult
+		err = json.Unmarshal(res.Result, &r)
+		out = r.Headline
+	case "counterfactual":
+		var r runner.CounterfactualResult
+		err = json.Unmarshal(res.Result, &r)
+		out = fmt.Sprintf("%d SKU upgrades, %d proximity candidates", len(r.Upgrades), len(r.Proximity))
+	case "policy":
+		var r runner.PolicyChurnResult
+		err = json.Unmarshal(res.Result, &r)
+		out = fmt.Sprintf("%d segments, %d nodes moved vs the first window's baseline", r.Segments, r.Moved)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("monitor: %d violations, %d alerts\n", mon.Violations, mon.Alerts)
-
-	sum, err := client.Summary()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("summary:", sum.Headline)
-	fmt.Println("attribution:", sum.Attribution)
-
-	anomalies, err := client.Anomalies()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, a := range anomalies {
-		fmt.Printf("window %d: drift %.3f (anomalous=%v)\n", a.Window, a.Drift, a.Anomalous)
-	}
+	return out
 }

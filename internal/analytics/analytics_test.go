@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/netip"
@@ -13,6 +14,7 @@ import (
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/realm"
+	"cloudgraph/internal/runner"
 )
 
 var t0 = time.Unix(1700000000, 0).UTC().Truncate(time.Hour)
@@ -77,6 +79,20 @@ type collectorFunc func([]flowlog.Record) error
 
 func (f collectorFunc) Collect(r []flowlog.Record) error { return f(r) }
 
+// queryInto answers QUERY name at epoch (0 = latest) and decodes its
+// result into out.
+func queryInto(t *testing.T, c *Client, name string, epoch uint64, out any) QueryResult {
+	t.Helper()
+	res, err := c.Query(name, epoch)
+	if err != nil {
+		t.Fatalf("QUERY %s %d: %v", name, epoch, err)
+	}
+	if err := json.Unmarshal(res.Result, out); err != nil {
+		t.Fatalf("QUERY %s %d: result %s: %v", name, epoch, res.Result, err)
+	}
+	return res
+}
+
 func TestServerEndToEnd(t *testing.T) {
 	s := testServer(t)
 	c := testCluster(t)
@@ -99,81 +115,34 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if stats.Records != int64(len(recs)) || stats.Windows != 1 || stats.Nodes != 5 {
+	if stats.Records != int64(len(recs)) || stats.Windows != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
-	if stats.Headline == "" {
-		t.Error("missing headline")
+
+	var sum runner.SummarizeResult
+	if res := queryInto(t, client, "summarize", 0, &sum); res.Epoch != 1 {
+		t.Errorf("QUERY summarize latest answered epoch %d, want 1", res.Epoch)
+	}
+	if sum.Nodes != 5 || sum.Edges == 0 || sum.Headline == "" {
+		t.Errorf("summarize = %+v", sum)
 	}
 
-	windows, err := client.Windows()
-	if err != nil || len(windows) != 1 {
-		t.Fatalf("Windows = %v, %v", windows, err)
+	var seg runner.SegmentResult
+	queryInto(t, client, "segment", 1, &seg)
+	members := 0
+	for _, s := range seg.Segments {
+		members += len(s)
 	}
-	if windows[0].Nodes != 5 || windows[0].Bytes == 0 {
-		t.Errorf("window info = %+v", windows[0])
-	}
-
-	learn, err := client.Learn()
-	if err != nil {
-		t.Fatalf("Learn: %v", err)
-	}
-	if learn.Nodes != 5 || learn.Segments < 2 {
-		t.Errorf("learn = %+v", learn)
-	}
-	segs, err := client.Segments()
-	if err != nil || len(segs) != 5 {
-		t.Fatalf("Segments = %v, %v", segs, err)
+	if seg.NumSegments < 2 || members != 5 {
+		t.Errorf("segment = %+v", seg)
 	}
 
-	mon, err := client.Monitor()
-	if err != nil {
-		t.Fatalf("Monitor: %v", err)
-	}
-	if mon.Violations != 0 {
-		t.Errorf("clean window shows %d violations", mon.Violations)
-	}
-}
-
-func TestServerDetectsAttackWindow(t *testing.T) {
-	s := testServer(t)
-	c := testCluster(t)
-	client, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	if err := client.Ingest(hourOf(t, c, t0)); err != nil {
-		t.Fatal(err)
-	}
-	c.AddAttack(cluster.PortScan{
-		AttackerRole: "fe", AttackerIdx: 0, TargetRole: "fe",
-		PortsPerMin: 40, Start: t0.Add(time.Hour), Duration: time.Hour,
-	})
-	if err := client.Ingest(hourOf(t, c, t0.Add(time.Hour))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Learn on the latest (attack) window would bake the attack in; the
-	// protocol learns on latest, so for this test learn then monitor the
-	// same window: violations 0. Instead verify the full flow by learning
-	// after first flush in a fresh scenario is covered above; here check
-	// MONITOR errors without LEARN.
-	if _, err := client.Monitor(); err == nil {
-		t.Fatal("Monitor without LEARN should error")
-	}
-	if _, err := client.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	mon, err := client.Monitor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mon.Violations != 0 {
-		t.Errorf("learned-on window should self-check clean, got %d", mon.Violations)
+	// The policy runner learns its baseline on the first window, which
+	// therefore checks clean against itself.
+	var pol runner.PolicyChurnResult
+	queryInto(t, client, "policy", 1, &pol)
+	if !pol.Baseline || pol.Segments != seg.NumSegments || pol.Moved != 0 {
+		t.Errorf("policy = %+v", pol)
 	}
 }
 
@@ -191,10 +160,10 @@ func TestServerErrorsAndUnknownCommand(t *testing.T) {
 	if !strings.HasPrefix(line, "ERR") {
 		t.Errorf("unknown command response = %q", line)
 	}
-	fmt.Fprintf(conn, "LEARN\n")
+	fmt.Fprintf(conn, "QUERY segment latest\n")
 	line, _ = r.ReadString('\n')
 	if !strings.HasPrefix(line, "ERR") {
-		t.Errorf("LEARN without windows = %q", line)
+		t.Errorf("QUERY without windows = %q", line)
 	}
 	fmt.Fprintf(conn, "INGEST nope\n")
 	line, _ = r.ReadString('\n')
@@ -346,17 +315,13 @@ func TestServerConcurrentMixedCommands(t *testing.T) {
 				if _, err := c.Flush(); err != nil {
 					return err
 				}
-				// LEARN/MONITOR race against other clients' window churn;
-				// protocol-level errors (e.g. nothing to learn yet) are
+				// QUERYs race against other clients' window churn;
+				// protocol-level errors (e.g. no window analysed yet) are
 				// fine, transport desync is not.
-				if _, err := c.Learn(); err != nil && !strings.Contains(err.Error(), "analytics:") {
-					return err
-				}
-				if _, err := c.Monitor(); err != nil && !strings.Contains(err.Error(), "analytics:") {
-					return err
-				}
-				if _, err := c.Windows(); err != nil {
-					return err
+				for _, name := range []string{"segment", "summarize", "policy"} {
+					if _, err := c.Query(name, 0); err != nil && !strings.Contains(err.Error(), "analytics:") {
+						return err
+					}
 				}
 				return nil
 			}()
@@ -401,6 +366,8 @@ func TestClientDialFailure(t *testing.T) {
 	}
 }
 
+// TestServerSummaryAndAnomalies: the summary and the hour-over-hour drift
+// score are QUERY summarize's, one answer per epoch.
 func TestServerSummaryAndAnomalies(t *testing.T) {
 	s := testServer(t)
 	c := testCluster(t)
@@ -409,8 +376,8 @@ func TestServerSummaryAndAnomalies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Summary(); err == nil {
-		t.Error("SUMMARY without windows should error")
+	if _, err := client.Query("summarize", 0); err == nil {
+		t.Error("QUERY summarize without windows should error")
 	}
 	for h := 0; h < 2; h++ {
 		if err := client.Ingest(hourOf(t, c, t0.Add(time.Duration(h)*time.Hour))); err != nil {
@@ -420,22 +387,19 @@ func TestServerSummaryAndAnomalies(t *testing.T) {
 	if _, err := client.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := client.Summary()
-	if err != nil {
-		t.Fatalf("Summary: %v", err)
+	var sum runner.SummarizeResult
+	if res := queryInto(t, client, "summarize", 0, &sum); res.Epoch != 2 {
+		t.Fatalf("QUERY summarize latest answered epoch %d, want 2", res.Epoch)
 	}
-	if sum.Headline == "" || sum.Attribution == "" {
+	if sum.Headline == "" || sum.Hubs+sum.Cliques == 0 {
 		t.Errorf("summary = %+v", sum)
 	}
-	total := sum.CliquePct + sum.HubPct + sum.TailPct + sum.ScatterPct
-	if total < 99.9 || total > 100.1 {
-		t.Errorf("attribution pcts sum to %v", total)
+	var first runner.SummarizeResult
+	queryInto(t, client, "summarize", 1, &first)
+	if first.Score.Drift != 0 {
+		t.Errorf("first window drift = %v, want 0", first.Score.Drift)
 	}
-	an, err := client.Anomalies()
-	if err != nil || len(an) != 2 {
-		t.Fatalf("Anomalies = %v, %v", an, err)
-	}
-	if an[1].Drift <= 0 {
-		t.Error("second window should show some drift")
+	if sum.Score.Index != 1 || sum.Score.Drift <= 0 {
+		t.Errorf("second window score = %+v, want some drift", sum.Score)
 	}
 }

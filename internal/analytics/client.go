@@ -200,41 +200,6 @@ func (c *Client) Stats() (Stats, error) {
 	return s, err
 }
 
-// Windows lists completed windows.
-func (c *Client) Windows() ([]WindowInfo, error) {
-	var ws []WindowInfo
-	err := c.jsonCmd("WINDOWS", &ws)
-	return ws, err
-}
-
-// Learn segments the latest window and learns the policy baseline.
-func (c *Client) Learn() (LearnResult, error) {
-	var r LearnResult
-	err := c.jsonCmd("LEARN", &r)
-	return r, err
-}
-
-// Segments fetches the learned node-to-segment assignment.
-func (c *Client) Segments() (map[string]int, error) {
-	out := make(map[string]int)
-	err := c.jsonCmd("SEGMENTS", &out)
-	return out, err
-}
-
-// Monitor evaluates the latest window against the baseline.
-func (c *Client) Monitor() (MonitorResult, error) {
-	var r MonitorResult
-	err := c.jsonCmd("MONITOR", &r)
-	return r, err
-}
-
-// Summary fetches the latest window's succinct summary and attribution.
-func (c *Client) Summary() (SummaryResult, error) {
-	var r SummaryResult
-	err := c.jsonCmd("SUMMARY", &r)
-	return r, err
-}
-
 // Query fetches the named online analysis result at an epoch; epoch 0
 // sends the "latest" selector. Requires a server with an analysis plane
 // attached (cloudgraphd -live).
@@ -254,12 +219,5 @@ func (c *Client) QuerySelector(analysis, selector string) (QueryResult, error) {
 	}
 	var r QueryResult
 	err := c.jsonCmd(fmt.Sprintf("QUERY %s %s", analysis, selector), &r)
-	return r, err
-}
-
-// Anomalies fetches per-window drift scores.
-func (c *Client) Anomalies() ([]AnomalyResult, error) {
-	var r []AnomalyResult
-	err := c.jsonCmd("ANOMALIES", &r)
 	return r, err
 }

@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"cloudgraph/internal/heatmap"
 	"cloudgraph/internal/realm"
 	"cloudgraph/internal/telemetry"
+	"cloudgraph/internal/timeline"
 )
 
 // GraphzHandler serves a tenant's latest timeline window as an adjacency
@@ -55,6 +57,20 @@ func GraphzHandler(m *realm.Manager) http.Handler {
 			return
 		}
 	}))
+}
+
+// latestWindow returns a tenant's newest timeline snapshot, an error
+// without a plane or before the first window.
+func latestWindow(r *realm.Realm) (*timeline.Snapshot, error) {
+	p := r.Plane()
+	if p == nil {
+		return nil, errNoPlane
+	}
+	snap := p.Timeline().Latest()
+	if snap == nil {
+		return nil, errors.New("no completed window (FLUSH first?)")
+	}
+	return snap, nil
 }
 
 // AnalyzHandler serves a tenant's analysis plane on the ops endpoint (see

@@ -97,8 +97,8 @@ func TestQueryEndToEnd(t *testing.T) {
 }
 
 // TestQueryWithoutPlane pins the ERR for a server running without -live:
-// QUERY and every legacy command reading the timeline answer ERR, while
-// STATS still answers the engine's ingest counters.
+// QUERY answers ERR, while STATS still answers the engine's ingest
+// counters. The retired hand-written analysis commands are unknown.
 func TestQueryWithoutPlane(t *testing.T) {
 	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour, Shards: 2}}, Options{})
 	client, err := Dial(s.Addr())
@@ -116,9 +116,9 @@ func TestQueryWithoutPlane(t *testing.T) {
 	if _, err := client.Query("segment", 0); err == nil || !strings.Contains(err.Error(), "no analysis plane") {
 		t.Fatalf("err = %v, want a no-plane ERR", err)
 	}
-	for _, cmd := range []string{"WINDOWS", "SUMMARY", "ANOMALIES", "LEARN", "MONITOR"} {
-		if err := client.jsonCmd(cmd, &json.RawMessage{}); err == nil || !strings.Contains(err.Error(), "no analysis plane") {
-			t.Errorf("%s: err = %v, want a no-plane ERR", cmd, err)
+	for _, cmd := range []string{"WINDOWS", "LEARN", "SEGMENTS", "MONITOR", "SUMMARY", "ANOMALIES"} {
+		if err := client.jsonCmd(cmd, &json.RawMessage{}); err == nil || !strings.Contains(err.Error(), "unknown command") {
+			t.Errorf("%s: err = %v, want an unknown-command ERR", cmd, err)
 		}
 	}
 	st, err := client.Stats()

@@ -1,9 +1,14 @@
 package analytics
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,7 +20,8 @@ import (
 )
 
 func TestServerStalledConnTimesOut(t *testing.T) {
-	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Telemetry: telemetry.NewRegistry()},
+	reg := telemetry.NewRegistry()
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Telemetry: reg},
 		Options{IdleTimeout: 50 * time.Millisecond})
 
 	conn, err := net.Dial("tcp", s.Addr())
@@ -23,16 +29,27 @@ func TestServerStalledConnTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Send half a command and stall: the server must cut us off at the
-	// idle deadline rather than wait forever for the newline.
+	// A scripted session first, for the per-command meters: each command
+	// answers one line, ERRs included.
+	script := "STATS\nstats\nBOGUS\nQUERY segment latest\n"
+	if _, err := conn.Write([]byte(script)); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	for range strings.Count(script, "\n") {
+		if _, err := r.ReadString('\n'); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Then send half a command and stall: the server must cut us off at
+	// the idle deadline rather than wait forever for the newline.
 	if _, err := conn.Write([]byte("STA")); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	var buf [1]byte
-	if _, err := conn.Read(buf[:]); err == nil {
+	if _, err := r.ReadByte(); err == nil {
 		t.Fatal("read returned data; want connection closed by idle deadline")
 	}
 
@@ -45,6 +62,51 @@ func TestServerStalledConnTimesOut(t *testing.T) {
 	}
 	if got := s.tel.conns.Value(); got != 1 {
 		t.Errorf("connections counter = %d, want 1", got)
+	}
+	// The timeout fired after the last response was flushed, so every
+	// command's latency sample has landed too.
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for cmd, want := range map[string]int{"stats": 2, "unknown": 1, "query": 1, "ingest": 0, "flush": 0, "tenant": 0, "quit": 0} {
+		for _, series := range []string{
+			fmt.Sprintf(`cloudgraph_analytics_commands_total{command=%q} %d`, cmd, want),
+			fmt.Sprintf(`cloudgraph_analytics_command_seconds_count{command=%q} %d`, cmd, want),
+		} {
+			if !strings.Contains(prom.String(), series+"\n") {
+				t.Errorf("metrics lack %s", series)
+			}
+		}
+	}
+}
+
+// TestServerRejectsOverlongCommandLine: a peer streaming bytes with no
+// newline must not grow the server's command line without bound. Once the
+// read buffer fills, the server answers ERR and closes the connection.
+func TestServerRejectsOverlongCommandLine(t *testing.T) {
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}}, Options{})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		// The server closes mid-stream, so this write fails part way.
+		conn.Write(bytes.Repeat([]byte{'A'}, 1<<20))
+	}()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	line, err := r.ReadString('\n')
+	if err != nil || !strings.HasPrefix(line, "ERR command line too long") {
+		t.Fatalf("overlong line: got %q, %v; want an ERR line", line, err)
+	}
+	// Closed, not waiting: EOF, or a reset because the unread bytes the
+	// peer was still sending met the close.
+	if _, err := r.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("after the ERR line: %v; want the connection closed", err)
 	}
 }
 

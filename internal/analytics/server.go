@@ -8,27 +8,23 @@
 // The wire protocol is line-oriented commands with JSON responses. Every
 // command acts on the connection's session tenant (TENANT switches it; the
 // default tenant otherwise); the right-hand column names what each one
-// reads. "Timeline" is the tenant plane's one window history, the latest
-// timeline.Snapshot: without a plane (cloudgraphd -live=false) the
-// commands reading it answer ERR, as QUERY does.
+// reads. QUERY is the only analysis read: segmentations, summaries, drift
+// scores and policy churn are the plane's runner results, epoch-addressed
+// and served from disk once evicted from memory. Without a plane
+// (cloudgraphd -live=false) QUERY answers ERR and STATS reports no windows.
 //
-//	INGEST <n>\n + n binary flowlog frames    -> OK <n>                 engine ingest
-//	INGEST <n> T\n + n flagged frames         -> OK <n>                 per-frame tenant tags (wire.go)
-//	FLUSH                                     -> OK <epoch>             seal + drain; engine epoch
-//	STATS                                     -> JSON Stats             engine cost; timeline windows + summary
-//	WINDOWS                                   -> JSON []WindowInfo      timeline windows
-//	LEARN                                     -> JSON LearnResult       timeline latest -> tenant baseline
-//	SEGMENTS                                  -> JSON map[node]segment  tenant baseline
-//	MONITOR                                   -> JSON MonitorResult     timeline latest vs baseline
-//	SUMMARY                                   -> JSON SummaryResult     timeline latest
-//	ANOMALIES                                 -> JSON []AnomalyResult   timeline windows
-//	QUERY <analysis> [<epoch>|<time>|latest]  -> JSON QueryResult       runner results, then history
-//	TENANT <name>                             -> OK <name>              admits + binds the session tenant
+//	INGEST <n>\n + n binary flowlog frames    -> OK <n>            engine ingest
+//	INGEST <n> T\n + n flagged frames         -> OK <n>            per-frame tenant tags (wire.go)
+//	FLUSH                                     -> OK <epoch>        seal + drain; engine epoch
+//	STATS                                     -> JSON Stats        engine cost; timeline window count
+//	QUERY <analysis> [<epoch>|<time>|latest]  -> JSON QueryResult  runner results, then history
+//	TENANT <name>                             -> OK <name>         admits + binds the session tenant
 //	QUIT                                      -> connection closes
 //
-// Tagged frames (wire.go) route records per frame regardless of the
-// session tenant. A single-tenant deployment is simply a manager whose
-// default tenant carries all the traffic.
+// A command line longer than the connection's read buffer answers ERR and
+// closes the connection. Tagged frames (wire.go) route records per frame
+// regardless of the session tenant. A single-tenant deployment is simply a
+// manager whose default tenant carries all the traffic.
 package analytics
 
 import (
@@ -45,13 +41,8 @@ import (
 	"time"
 
 	"cloudgraph/internal/flowlog"
-	"cloudgraph/internal/model"
-	"cloudgraph/internal/policy"
 	"cloudgraph/internal/realm"
-	"cloudgraph/internal/segment"
-	"cloudgraph/internal/summarize"
 	"cloudgraph/internal/telemetry"
-	"cloudgraph/internal/timeline"
 	"cloudgraph/internal/trace"
 )
 
@@ -83,6 +74,27 @@ type serverMetrics struct {
 	frames    *telemetry.Counter
 	protoErrs *telemetry.Counter
 	timeouts  *telemetry.Counter
+	// cmds meters each word of wireCommands; unknown meters the rest.
+	cmds    map[string]cmdMeter
+	unknown cmdMeter
+}
+
+// wireCommands is the protocol's fixed command set.
+var wireCommands = []string{"INGEST", "FLUSH", "STATS", "QUERY", "TENANT", "QUIT"}
+
+// cmdMeter is one command's count and latency, from its line read to its
+// response flushed.
+type cmdMeter struct {
+	count   *telemetry.Counter
+	seconds *telemetry.Histogram
+}
+
+// command returns the meter of a command word, inert when telemetry is off.
+func (m *serverMetrics) command(cmd string) cmdMeter {
+	if c, ok := m.cmds[cmd]; ok {
+		return c
+	}
+	return m.unknown
 }
 
 func (m *serverMetrics) instrument(reg *telemetry.Registry) {
@@ -99,6 +111,20 @@ func (m *serverMetrics) instrument(reg *telemetry.Registry) {
 		"commands rejected with an ERR response")
 	m.timeouts = reg.Counter("cloudgraph_analytics_conn_timeouts_total",
 		"connections closed by the idle or write deadline")
+	meter := func(name string) cmdMeter {
+		label := telemetry.Label{Key: "command", Value: name}
+		return cmdMeter{
+			count: reg.Counter("cloudgraph_analytics_commands_total",
+				"wire commands served, by command word", label),
+			seconds: reg.Histogram("cloudgraph_analytics_command_seconds",
+				"wire command latency from line read to response flushed", telemetry.DurBuckets, label),
+		}
+	}
+	m.cmds = make(map[string]cmdMeter, len(wireCommands))
+	for _, cmd := range wireCommands {
+		m.cmds[cmd] = meter(strings.ToLower(cmd))
+	}
+	m.unknown = meter("unknown")
 }
 
 // Server is a running analytics service.
@@ -239,21 +265,31 @@ func (s *Server) handle(conn net.Conn) {
 		if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {
 			return
 		}
-		line, err := r.ReadString('\n')
-		if err != nil {
+		// ReadSlice bounds a command line by r's buffer: a peer streaming
+		// bytes with no newline cannot grow it past that.
+		line, err := r.ReadSlice('\n')
+		if err != nil && !errors.Is(err, bufio.ErrBufferFull) {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				s.tel.timeouts.Add(1)
 			}
 			return
 		}
-		fields := strings.Fields(strings.TrimSpace(line))
-		if len(fields) == 0 {
-			continue
+		var fields []string
+		var cmd string
+		if err == nil {
+			if fields = strings.Fields(string(line)); len(fields) == 0 {
+				continue
+			}
+			cmd = strings.ToUpper(fields[0])
 		}
-		cmd := strings.ToUpper(fields[0])
+		meter := s.tel.command(cmd)
+		meter.count.Add(1)
+		span := telemetry.StartSpan(meter.seconds)
 		var out any
 		var cmdErr error
 		switch cmd {
+		case "": // only a line that outgrew r's buffer leaves cmd empty
+			cmdErr = fmt.Errorf("command line too long (over %d bytes): %w", r.Size(), errDesync)
 		case "QUIT":
 			out = textResponse("OK bye")
 		case "INGEST":
@@ -263,18 +299,6 @@ func (s *Server) handle(conn net.Conn) {
 			out = textResponse(fmt.Sprintf("OK %d", ses.Engine().Epoch()))
 		case "STATS":
 			out = stats(ses)
-		case "WINDOWS":
-			out, cmdErr = cmdWindows(ses)
-		case "LEARN":
-			out, cmdErr = cmdLearn(ses)
-		case "SEGMENTS":
-			out, cmdErr = cmdSegments(ses)
-		case "MONITOR":
-			out, cmdErr = cmdMonitor(ses)
-		case "SUMMARY":
-			out, cmdErr = cmdSummary(ses)
-		case "ANOMALIES":
-			out, cmdErr = cmdAnomalies(ses)
 		case "QUERY":
 			out, cmdErr = cmdQuery(fields, ses)
 		case "TENANT":
@@ -296,6 +320,7 @@ func (s *Server) handle(conn net.Conn) {
 		if werr == nil {
 			werr = w.Flush()
 		}
+		span.End()
 		if werr != nil {
 			if errors.Is(werr, os.ErrDeadlineExceeded) {
 				s.tel.timeouts.Add(1)
@@ -572,16 +597,13 @@ func readBatch(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record, error
 	return batch, nil
 }
 
-// Stats is the STATS response.
+// Stats is the STATS response: counts only. Per-window answers are QUERY's.
 //
 //wire:schema
 type Stats struct {
 	Records       int64   `json:"records"`
 	RecordsPerSec float64 `json:"records_per_sec"`
 	Windows       int     `json:"windows"`
-	Nodes         int     `json:"nodes"`
-	Edges         int     `json:"edges"`
-	Headline      string  `json:"headline,omitempty"`
 	// Sharded hot-path observability: engine ingest width, per-shard
 	// work breakdown, and time spent merging partial windows.
 	Workers int         `json:"workers"`
@@ -598,32 +620,12 @@ type ShardInfo struct {
 	Depth   int     `json:"depth"`
 }
 
-// errNoPlane answers every command that reads the analysis plane of a
-// realm running without one.
+// errNoPlane answers every read of the analysis plane of a realm running
+// without one.
 var errNoPlane = errors.New("no analysis plane attached (start cloudgraphd with -live)")
 
-// latest returns a tenant's window history: its plane timeline's latest
-// snapshot, nil before the first window.
-func latest(r *realm.Realm) (*timeline.Snapshot, error) {
-	p := r.Plane()
-	if p == nil {
-		return nil, errNoPlane
-	}
-	return p.Timeline().Latest(), nil
-}
-
-// latestWindow is latest narrowed to its newest window, an error before
-// the first one.
-func latestWindow(r *realm.Realm) (*timeline.Snapshot, error) {
-	snap, err := latest(r)
-	if err == nil && snap == nil {
-		err = errors.New("no completed window (FLUSH first?)")
-	}
-	return snap, err
-}
-
 // stats answers STATS. The engine's ingest counters always answer; the
-// window fields read the timeline and stay zero without a plane.
+// window count reads the timeline and stays zero without a plane.
 func stats(ses *session) Stats {
 	cost := ses.Engine().Cost()
 	st := Stats{
@@ -639,186 +641,12 @@ func stats(ses *session) Stats {
 			Depth:   sh.Depth,
 		})
 	}
-	if snap, err := latest(ses.Realm); err == nil && snap != nil {
-		sum := summarize.Summarize(snap.Window)
-		st.Windows = len(snap.Windows)
-		st.Nodes = sum.Stats.Nodes
-		st.Edges = sum.Stats.Edges
-		st.Headline = sum.Headline
+	if p := ses.Plane(); p != nil {
+		if snap := p.Timeline().Latest(); snap != nil {
+			st.Windows = len(snap.Windows)
+		}
 	}
 	return st
-}
-
-// WindowInfo is one entry of the WINDOWS response.
-//
-//wire:schema
-type WindowInfo struct {
-	Start string `json:"start"`
-	End   string `json:"end"`
-	Nodes int    `json:"nodes"`
-	Edges int    `json:"edges"`
-	Bytes uint64 `json:"bytes"`
-}
-
-func cmdWindows(ses *session) (any, error) {
-	snap, err := latest(ses.Realm)
-	if err != nil {
-		return nil, err
-	}
-	out := []WindowInfo{}
-	if snap == nil {
-		return out, nil
-	}
-	for _, g := range snap.Windows {
-		st := g.ComputeStats()
-		out = append(out, WindowInfo{
-			Start: g.Start.UTC().Format("2006-01-02T15:04:05Z"),
-			End:   g.End.UTC().Format("2006-01-02T15:04:05Z"),
-			Nodes: st.Nodes, Edges: st.Edges, Bytes: st.Bytes,
-		})
-	}
-	return out, nil
-}
-
-// LearnResult is the LEARN response.
-//
-//wire:schema
-type LearnResult struct {
-	Segments     int `json:"segments"`
-	Nodes        int `json:"nodes"`
-	AllowedPairs int `json:"allowed_pairs"`
-}
-
-// cmdLearn learns the tenant's baseline on its latest window.
-func cmdLearn(ses *session) (any, error) {
-	snap, err := latestWindow(ses.Realm)
-	if err != nil {
-		return nil, err
-	}
-	b, err := policy.LearnBaseline(segment.StrategyJaccardLouvain, snap.Window, segment.Options{})
-	if err != nil {
-		return nil, err
-	}
-	ses.SetBaseline(b)
-	return LearnResult{
-		Segments:     b.Assign.NumSegments(),
-		Nodes:        len(b.Assign),
-		AllowedPairs: len(b.Reach.AllowedPairs()),
-	}, nil
-}
-
-// errNoBaseline answers commands that need a learned baseline.
-var errNoBaseline = errors.New("no baseline: LEARN first")
-
-func cmdSegments(ses *session) (any, error) {
-	b := ses.Baseline()
-	if b == nil {
-		return nil, errNoBaseline
-	}
-	out := make(map[string]int, len(b.Assign))
-	for n, seg := range b.Assign {
-		out[n.String()] = seg
-	}
-	return out, nil
-}
-
-// MonitorResult is the MONITOR response.
-//
-//wire:schema
-type MonitorResult struct {
-	Violations   int      `json:"violations"`
-	Alerts       int      `json:"alerts"`
-	Suppressed   int      `json:"suppressed_pairs"`
-	FlaggedPairs []string `json:"flagged_growth_pairs,omitempty"`
-}
-
-func cmdMonitor(ses *session) (any, error) {
-	snap, err := latestWindow(ses.Realm)
-	if err != nil {
-		return nil, err
-	}
-	rep := ses.Baseline().Monitor(snap.Window)
-	if rep == nil {
-		return nil, errNoBaseline
-	}
-	res := MonitorResult{Violations: len(rep.Violations), Alerts: rep.Alerts}
-	for _, c := range rep.Cohorts {
-		if c.Suppressed {
-			res.Suppressed++
-		}
-	}
-	for _, pg := range rep.Growth {
-		if pg.Flagged {
-			res.FlaggedPairs = append(res.FlaggedPairs, fmt.Sprintf("%d-%d", pg.Pair.A, pg.Pair.B))
-		}
-	}
-	return res, nil
-}
-
-// SummaryResult is the SUMMARY response: the succinct summary plus byte
-// attribution of the latest window.
-//
-//wire:schema
-type SummaryResult struct {
-	Headline    string  `json:"headline"`
-	Attribution string  `json:"attribution"`
-	Hubs        int     `json:"hubs"`
-	Cliques     int     `json:"cliques"`
-	CliquePct   float64 `json:"clique_bytes_pct"`
-	HubPct      float64 `json:"hub_bytes_pct"`
-	TailPct     float64 `json:"long_tail_bytes_pct"`
-	ScatterPct  float64 `json:"scatter_bytes_pct"`
-}
-
-func cmdSummary(ses *session) (any, error) {
-	snap, err := latestWindow(ses.Realm)
-	if err != nil {
-		return nil, err
-	}
-	g := snap.Window
-	sum := summarize.Summarize(g)
-	attr := model.Attribute(g)
-	return SummaryResult{
-		Headline:    sum.Headline,
-		Attribution: attr.Headline,
-		Hubs:        len(sum.Hubs),
-		Cliques:     len(sum.Cliques),
-		CliquePct:   100 * attr.CliqueShare,
-		HubPct:      100 * attr.HubShare,
-		TailPct:     100 * attr.CollapsedShare,
-		ScatterPct:  100 * attr.ScatterShare,
-	}, nil
-}
-
-// AnomalyResult is one window's drift score in the ANOMALIES response.
-//
-//wire:schema
-type AnomalyResult struct {
-	Window    int     `json:"window"`
-	Drift     float64 `json:"drift"`
-	NewPairs  int     `json:"new_pairs"`
-	LostPairs int     `json:"lost_pairs"`
-	Anomalous bool    `json:"anomalous"`
-}
-
-// cmdAnomalies scores the retained windows for hour-over-hour drift.
-func cmdAnomalies(ses *session) (any, error) {
-	snap, err := latest(ses.Realm)
-	if err != nil {
-		return nil, err
-	}
-	out := []AnomalyResult{}
-	if snap == nil {
-		return out, nil
-	}
-	for _, sc := range summarize.ScoreWindows(snap.Windows, summarize.AnomalyOptions{}) {
-		out = append(out, AnomalyResult{
-			Window: sc.Index, Drift: sc.Drift,
-			NewPairs: sc.NewPairs, LostPairs: sc.LostPairs,
-			Anomalous: sc.Anomalous,
-		})
-	}
-	return out, nil
 }
 
 // writeLine writes one text response line.

@@ -183,7 +183,7 @@ func TestEngineEndToEnd(t *testing.T) {
 
 func TestEngineMonitorBeforeLearn(t *testing.T) {
 	// An engine that has published nothing, and nothing learned: a nil
-	// policy.Baseline (a realm before LEARN) monitors nothing.
+	// policy.Baseline (nothing learned yet) monitors nothing.
 	e, published := collecting(Config{})
 	defer e.Close()
 	if ws := flushed(e, published); len(ws) != 0 || e.Epoch() != 0 {

@@ -1,12 +1,12 @@
 // Package realm multiplexes the whole analysis pipeline per tenant. The
 // paper's unit of analysis is a cloud *subscription*; a Realm is one
 // subscription's private pipeline plane — its own engine and consumer
-// bus, its own timeline/runner plane, its own security baseline, its own
-// durable history partition and watermark tracker — while the Manager
-// shares the machine between realms: a deficit-round-robin scheduler
-// (sched.go) meters every unit of per-tenant work through one worker
-// pool, and a COGS meter (cogs.go) accounts what each subscription costs
-// to serve.
+// bus, its own timeline/runner plane (whose policy runner keeps the
+// tenant's baseline), its own durable history partition and watermark
+// tracker — while the Manager shares the machine between realms: a
+// deficit-round-robin scheduler (sched.go) meters every unit of
+// per-tenant work through one worker pool, and a COGS meter (cogs.go)
+// accounts what each subscription costs to serve.
 //
 // Isolation contract, pinned by the tenant-equivalence tests: because a
 // realm owns every piece of per-tenant state and the scheduler only
@@ -23,14 +23,12 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/histstore"
-	"cloudgraph/internal/policy"
 	"cloudgraph/internal/runner"
 	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/timeline"
@@ -99,9 +97,6 @@ type Realm struct {
 	hist   *histstore.Store
 	wm     *watermark.Tracker
 	cogs   cogsMeter
-	// baseline is the tenant's learned security baseline (nil before the
-	// first LEARN); swapped whole, so readers never see a torn one.
-	baseline atomic.Pointer[policy.Baseline]
 
 	recovered   int // windows replayed at startup
 	stopCompact func()
@@ -387,13 +382,6 @@ func (r *Realm) Watermarks() *watermark.Tracker { return r.wm }
 
 // Recovered reports how many windows startup replayed for this tenant.
 func (r *Realm) Recovered() int { return r.recovered }
-
-// Baseline returns the tenant's learned security baseline, or nil before
-// SetBaseline.
-func (r *Realm) Baseline() *policy.Baseline { return r.baseline.Load() }
-
-// SetBaseline replaces the tenant's security baseline.
-func (r *Realm) SetBaseline(b *policy.Baseline) { r.baseline.Store(b) }
 
 // IngestTraced folds a batch into the tenant's engine once the
 // weighted-fair scheduler admits it. Borrow semantics pass through: recs
