@@ -1,20 +1,16 @@
 // Command cloudgraph-vet runs the project-specific analyzer suite over the
-// module: the concurrency, determinism and wire-schema invariants that
-// `go vet` cannot see but whose violations produced PR 1's bug crop.
+// whole module: the concurrency, determinism and wire-schema invariants
+// that `go vet` cannot see. The analyzers always load the full module, so
+// package arguments such as ./... are accepted and ignored.
 //
 // Usage:
 //
-//	go run ./cmd/cloudgraph-vet ./...            # whole module
-//	go run ./cmd/cloudgraph-vet ./internal/core  # one package subtree
-//	go run ./cmd/cloudgraph-vet -json ./...      # machine-readable findings
-//	go run ./cmd/cloudgraph-vet -sarif ./...     # SARIF 2.1.0 findings
-//	go run ./cmd/cloudgraph-vet -facts ./...     # dataflow facts (call graph,
-//	                                             # lock graph, borrow sites)
-//	go run ./cmd/cloudgraph-vet -dir path/to/pkg # standalone directory
+//	go run ./cmd/cloudgraph-vet ./...        # findings, one per line
+//	go run ./cmd/cloudgraph-vet -json ./...  # machine-readable findings
+//	go run ./cmd/cloudgraph-vet -list        # what each analyzer checks
 //
-// Per-line suppressions use `//lint:allow <analyzer> <justification>` on
-// the offending line or the line above it; per-path suppressions use
-// repeated -suppress analyzer:path/prefix flags.
+// Suppress a finding with `//lint:allow <analyzer> <justification>`
+// trailing the offending line, or alone on the line above it.
 //
 // Exit status: 0 clean, 1 findings, 2 load or usage error.
 package main
@@ -24,99 +20,42 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"cloudgraph/internal/analysis"
 )
 
-// suppressFlag collects repeated -suppress analyzer:pathprefix values.
-type suppressFlag []struct{ analyzer, prefix string }
-
-func (s *suppressFlag) String() string { return fmt.Sprint(*s) }
-
-func (s *suppressFlag) Set(v string) error {
-	name, prefix, ok := strings.Cut(v, ":")
-	if !ok || name == "" || prefix == "" {
-		return fmt.Errorf("want analyzer:path/prefix, got %q", v)
-	}
-	*s = append(*s, struct{ analyzer, prefix string }{name, prefix})
-	return nil
-}
-
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	factsOut := flag.Bool("facts", false, "emit dataflow facts (call graph, lock graph, borrow sites) as JSON and exit")
-	dir := flag.String("dir", "", "analyze a single standalone package directory instead of the module")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	var suppress suppressFlag
-	flag.Var(&suppress, "suppress", "suppress analyzer under a path prefix (repeatable, analyzer:path/prefix)")
 	flag.Parse()
 
 	analyzers := analysis.Suite()
 	if *list {
+		width := 0
 		for _, a := range analyzers {
-			fmt.Printf("%-11s %s\n", a.Name, a.Doc)
+			width = max(width, len(a.Name))
+		}
+		for _, a := range analyzers {
+			fmt.Printf("%-*s  %s\n", width, a.Name, a.Doc)
 		}
 		return
 	}
 
-	var pkgs []*analysis.Package
-	var root string
-	if *dir != "" {
-		pkg, err := analysis.LoadDir(*dir)
-		if err != nil {
-			fatalf("load %s: %v", *dir, err)
-		}
-		// Standalone directories get the full suite with no path gating.
-		for _, a := range analyzers {
-			a.Match = nil
-		}
-		pkgs = []*analysis.Package{pkg}
-	} else {
-		cwd, err := os.Getwd()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		root, err = analysis.FindModuleRoot(cwd)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		pkgs, err = analysis.LoadModule(root)
-		if err != nil {
-			fatalf("load module: %v", err)
-		}
+	cwd, err := os.Getwd()
+	if err != nil {
+		fatalf("%v", err)
 	}
-
-	if *factsOut {
-		facts := analysis.ComputeFacts(pkgs)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(facts); err != nil {
-			fatalf("encode facts: %v", err)
-		}
-		return
+	root, err := analysis.FindModuleRoot(cwd)
+	if err != nil {
+		fatalf("%v", err)
 	}
-
-	// The full module always feeds the analyzers — the dataflow analyzers
-	// need the whole call graph even for a subtree query — and findings are
-	// filtered to the requested packages afterwards.
+	pkgs, err := analysis.LoadModule(root)
+	if err != nil {
+		fatalf("load module: %v", err)
+	}
 	findings := analysis.Run(analyzers, pkgs)
-	findings = filterFindings(findings, root, flag.Args())
-	findings = applySuppressions(findings, suppress, root)
 
-	if *sarifOut {
-		docs := make(map[string]string, len(analyzers))
-		for _, a := range analyzers {
-			docs[a.Name] = a.Doc
-		}
-		data, err := analysis.ToSARIF(findings, docs)
-		if err != nil {
-			fatalf("sarif: %v", err)
-		}
-		fmt.Println(string(data))
-	} else if *jsonOut {
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if findings == nil {
@@ -136,87 +75,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// filterFindings restricts reporting to the requested patterns: "./..."
-// (or no argument) keeps everything, "./x/..." keeps the subtree, "./x"
-// keeps the one package. The analyzers always see the full module (the
-// dataflow engine's call graph must be whole); only the findings are
-// filtered, by the directory the finding's file lives in.
-func filterFindings(findings []analysis.Finding, root string, args []string) []analysis.Finding {
-	if len(args) == 0 || root == "" {
-		return findings
-	}
-	keepDir := func(dir string) bool {
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return true
-		}
-		rel = filepath.ToSlash(rel)
-		for _, arg := range args {
-			arg = filepath.ToSlash(arg)
-			arg = strings.TrimPrefix(arg, "./")
-			if arg == "..." || arg == "." {
-				return true
-			}
-			if sub, ok := strings.CutSuffix(arg, "/..."); ok {
-				if rel == sub || strings.HasPrefix(rel, sub+"/") {
-					return true
-				}
-				continue
-			}
-			if rel == strings.TrimSuffix(arg, "/") {
-				return true
-			}
-		}
-		return false
-	}
-	all := true
-	for _, arg := range args {
-		a := strings.TrimPrefix(filepath.ToSlash(arg), "./")
-		if a != "..." && a != "." {
-			all = false
-		}
-	}
-	if all {
-		return findings
-	}
-	var out []analysis.Finding
-	for _, f := range findings {
-		if keepDir(filepath.Dir(f.File)) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// applySuppressions drops findings matching -suppress analyzer:pathprefix
-// flags; prefixes are matched against the finding's path relative to the
-// module root.
-func applySuppressions(findings []analysis.Finding, suppress suppressFlag, root string) []analysis.Finding {
-	if len(suppress) == 0 {
-		return findings
-	}
-	var out []analysis.Finding
-	for _, f := range findings {
-		rel := f.File
-		if root != "" {
-			if r, err := filepath.Rel(root, f.File); err == nil {
-				rel = filepath.ToSlash(r)
-			}
-		}
-		drop := false
-		for _, s := range suppress {
-			if s.analyzer == f.Analyzer && strings.HasPrefix(rel, s.prefix) {
-				drop = true
-				break
-			}
-		}
-		if !drop {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 func fatalf(format string, args ...any) {

@@ -1,8 +1,8 @@
 // Package analysis is a dependency-free analyzer framework (stdlib
 // go/parser + go/types + go/importer only) plus the project-specific
 // analyzers behind cmd/cloudgraph-vet. Each analyzer encodes one invariant
-// of this codebase that `go vet` cannot see — the bug shapes PR 1 fixed at
-// runtime are rejected here at review time:
+// of this codebase that `go vet` cannot see and names the live sites it
+// guards (DESIGN.md, Static analysis). Six are per-file AST walks:
 //
 //   - lockscope:  no blocking call (channel send/receive, callback field
 //     invocation) while a sync.Mutex/RWMutex field is held
@@ -15,10 +15,8 @@
 //   - busconsumer: window consumers on the engine's fan-out bus must not
 //     re-enter the engine ingest or lifecycle path (Ingest, Flush, Close)
 //
-// On top of the per-file AST walks sits a dataflow engine (cfg.go,
-// defuse.go, index.go): per-function basic-block CFGs, reaching-definition
-// def-use chains, and a module-wide call graph with per-function summaries.
-// Three flow-sensitive analyzers run on it:
+// Two are module-wide and share an index (cfg.go, index.go): per-function
+// basic-block CFGs and a module-wide static call graph.
 //
 //   - borrowescape: values marked borrowed (//vet:borrowed params and
 //     results, sync.Pool.Get results) must not escape the borrowing call —
@@ -27,14 +25,12 @@
 //   - lockorder: the inter-procedural mutex acquisition graph must be
 //     acyclic, and no lock may be held across a call into the consumer
 //     bus's blocking surface (Bus.Drain, Bus.Close)
-//   - atomicmix: a field accessed through sync/atomic anywhere must be
-//     accessed through sync/atomic everywhere
 //
 // Findings can be suppressed per line with a justified inline comment:
 //
 //	//lint:allow <analyzer> <why this site is safe>
 //
-// on the offending line or alone on the line above it.
+// trailing the offending line, or alone on the line above it.
 package analysis
 
 import (
@@ -63,15 +59,13 @@ func (f Finding) String() string {
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Match restricts the analyzer to packages whose import path it
-	// accepts; nil means every package. Module-wide analyzers always see
-	// the full set (their facts are inter-procedural) and apply Match to
-	// the package a finding lands in.
+	// Match restricts a per-package analyzer to packages whose import path
+	// it accepts; nil means every package.
 	Match func(pkgPath string) bool
 	Run   func(p *Pass)
 	// RunModule, when set, marks a module-wide analyzer: it runs once per
-	// Run call with the shared dataflow index (CFGs, def-use chains, call
-	// graph) built over every loaded package.
+	// Run call with the shared index (CFGs, call graph) built over every
+	// loaded package.
 	RunModule func(p *ModulePass)
 }
 
@@ -103,7 +97,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // ModulePass is one module-wide analyzer applied to the full package set.
 type ModulePass struct {
 	Analyzer *Analyzer
-	// Index is the shared dataflow index over every loaded package.
+	// Index is the shared index over every loaded package.
 	Index *Index
 
 	findings []Finding
@@ -124,15 +118,33 @@ func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ..
 // Run applies the analyzers to every package, drops findings suppressed by
 // //lint:allow comments, and returns the rest ordered by file and line.
 // Per-package analyzers run once per package; module-wide analyzers run
-// once over the whole set with the shared dataflow index.
+// once over the whole set with the shared index.
 func Run(analyzers []*Analyzer, pkgs []*Package) []Finding {
-	var out []Finding
+	allowed := make(allowSet)
 	for _, pkg := range pkgs {
-		allowed := allowedLines(pkg.Fset, pkg.Files)
-		for _, a := range analyzers {
-			if a.RunModule != nil {
-				continue
+		allowed.add(pkg.Fset, pkg.Files)
+	}
+	var out []Finding
+	keep := func(findings []Finding) {
+		for _, f := range findings {
+			if !allowed.allows(f) {
+				out = append(out, f)
 			}
+		}
+	}
+
+	var idx *Index
+	for _, a := range analyzers {
+		if a.RunModule != nil {
+			if idx == nil {
+				idx = BuildIndex(pkgs)
+			}
+			pass := &ModulePass{Analyzer: a, Index: idx}
+			a.RunModule(pass)
+			keep(pass.findings)
+			continue
+		}
+		for _, pkg := range pkgs {
 			if a.Match != nil && !a.Match(pkg.Path) {
 				continue
 			}
@@ -145,41 +157,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Finding {
 				Path:     pkg.Path,
 			}
 			a.Run(pass)
-			for _, f := range pass.findings {
-				if !allowed.allows(f) {
-					out = append(out, f)
-				}
-			}
-		}
-	}
-
-	var idx *Index
-	var allowedAll allowSet
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		if idx == nil {
-			idx = BuildIndex(pkgs)
-			allowedAll = make(allowSet)
-			for _, pkg := range pkgs {
-				for file, lines := range allowedLines(pkg.Fset, pkg.Files) {
-					allowedAll[file] = lines
-				}
-			}
-		}
-		pass := &ModulePass{Analyzer: a, Index: idx}
-		a.RunModule(pass)
-		for _, f := range pass.findings {
-			if allowedAll.allows(f) {
-				continue
-			}
-			if a.Match != nil {
-				if pkg := idx.pkgOfFile(f.File); pkg != nil && !a.Match(pkg.Path) {
-					continue
-				}
-			}
-			out = append(out, f)
+			keep(pass.findings)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

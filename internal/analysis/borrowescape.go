@@ -517,23 +517,14 @@ func (bw *borrowWalk) assignTo(lhs ast.Expr, roots map[*types.Var]bool, info *ty
 }
 
 // storeInto classifies a store of a carrier into base's storage: mutation
-// when base carries the same borrow, propagation when base is a local
-// whose reaching definitions are all fresh allocations (the container
-// cannot outlive the frame unless it escapes itself, which its own carrier
-// tracking then catches), escape otherwise — in particular through pointer
-// parameters, which reach the caller's heap.
+// when base carries the same borrow, escape otherwise — in particular
+// through pointer parameters, which reach the caller's heap. A store into
+// a fresh local container is flagged too; proving the container never
+// leaves the frame would need reaching definitions, so such a site takes a
+// justified //lint:allow instead.
 func (bw *borrowWalk) storeInto(base ast.Expr, roots map[*types.Var]bool, pos token.Pos, what string) {
 	if bw.sameBorrow(bw.rootsOf(base), roots) {
 		return
-	}
-	info := bw.fi.Pkg.Info
-	if id, ok := ast.Unparen(base).(*ast.Ident); ok {
-		if v, ok := info.Uses[id].(*types.Var); ok && v.Parent() != v.Pkg().Scope() && !v.IsField() && freshBase(bw.fi, id) {
-			// Store into a fresh local container: the container becomes a
-			// carrier, and its own escapes carry the borrow onward.
-			bw.carriers[v] = unionRoots(bw.carriers[v], roots)
-			return
-		}
 	}
 	bw.escape(roots, pos, "borrowed value escapes: stored to heap-reachable %s", what)
 }

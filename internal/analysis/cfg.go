@@ -386,3 +386,21 @@ func (c *CFG) String() string {
 	}
 	return sb.String()
 }
+
+// inspectShallow walks n like ast.Inspect but does not descend into nested
+// statement blocks or function literals — exactly the parts of a CFG node
+// that belong to other blocks (a RangeStmt node carries its body; go and
+// defer carry closures).
+func inspectShallow(n ast.Node, f func(ast.Node) bool) {
+	ast.Inspect(n, func(c ast.Node) bool {
+		switch c.(type) {
+		case *ast.BlockStmt:
+			if c != n {
+				return false
+			}
+		case *ast.FuncLit:
+			return false
+		}
+		return f(c)
+	})
+}

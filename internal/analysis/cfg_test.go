@@ -219,7 +219,7 @@ default:
 	}
 }
 
-// writeTempPkg materializes a one-file package for index/def-use tests.
+// writeTempPkg materializes a one-file package for index tests.
 func writeTempPkg(t *testing.T, src string) *Package {
 	t.Helper()
 	dir := t.TempDir()
@@ -231,87 +231,6 @@ func writeTempPkg(t *testing.T, src string) *Package {
 		t.Fatalf("load: %v", err)
 	}
 	return pkg
-}
-
-func TestDefUseReachingDefs(t *testing.T) {
-	pkg := writeTempPkg(t, `package p
-
-func f(cond bool) int {
-	x := 1
-	if cond {
-		x = 2
-	}
-	return x
-}
-
-func g() int {
-	y := 1
-	y = 2
-	return y
-}
-`)
-	idx := BuildIndex([]*Package{pkg})
-	byName := make(map[string]*FuncInfo)
-	for _, fi := range idx.FuncsInOrder() {
-		byName[fi.Name()] = fi
-	}
-
-	// In f, the return's x has two reaching defs (the := and the branch =).
-	fi := byName["f"]
-	du := fi.DefUse()
-	var returnUse *ast.Ident
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if rs, ok := n.(*ast.ReturnStmt); ok {
-			returnUse = rs.Results[0].(*ast.Ident)
-		}
-		return true
-	})
-	defs, complete := du.DefsFor(returnUse)
-	if !complete {
-		t.Fatalf("f: x should have no external defs")
-	}
-	if len(defs) != 2 {
-		t.Fatalf("f: reaching defs of x = %d, want 2", len(defs))
-	}
-
-	// In g, the second assignment kills the first: one reaching def.
-	gi := byName["g"]
-	gdu := gi.DefUse()
-	ast.Inspect(gi.Decl.Body, func(n ast.Node) bool {
-		if rs, ok := n.(*ast.ReturnStmt); ok {
-			returnUse = rs.Results[0].(*ast.Ident)
-		}
-		return true
-	})
-	defs, complete = gdu.DefsFor(returnUse)
-	if !complete || len(defs) != 1 {
-		t.Fatalf("g: reaching defs of y = %d (complete=%v), want 1 strong kill", len(defs), complete)
-	}
-}
-
-func TestDefUseImpureVar(t *testing.T) {
-	pkg := writeTempPkg(t, `package p
-
-func h() int {
-	z := 1
-	p := &z
-	*p = 2
-	return z
-}
-`)
-	idx := BuildIndex([]*Package{pkg})
-	fi := idx.FuncsInOrder()[0]
-	du := fi.DefUse()
-	var returnUse *ast.Ident
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if rs, ok := n.(*ast.ReturnStmt); ok {
-			returnUse = rs.Results[0].(*ast.Ident)
-		}
-		return true
-	})
-	if _, complete := du.DefsFor(returnUse); complete {
-		t.Fatalf("z is address-taken; its defs must be marked incomplete")
-	}
 }
 
 func TestIndexBorrowAnnotations(t *testing.T) {

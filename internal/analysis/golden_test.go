@@ -55,11 +55,36 @@ func collectWants(t *testing.T, dir string) []*goldenWant {
 	return wants
 }
 
-// runGolden loads testdata/<name> as a standalone package, runs the
-// analyzer with path gating cleared, and matches findings against markers.
-func runGolden(t *testing.T, name string, a *Analyzer) {
-	t.Helper()
-	dir := filepath.Join("testdata", name)
+// TestGolden runs every suite analyzer over testdata/<name> — a
+// standalone package — with path gating cleared, and matches findings
+// against the markers. The suite and the spec directories must agree one
+// to one: an analyzer without a spec, or a spec naming no analyzer, fails.
+func TestGolden(t *testing.T) {
+	entries, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make(map[string]bool)
+	for _, e := range entries {
+		if e.IsDir() {
+			specs[e.Name()] = true
+		}
+	}
+	for _, a := range Suite() {
+		if !specs[a.Name] {
+			t.Errorf("analyzer %s has no testdata/%s spec", a.Name, a.Name)
+			continue
+		}
+		delete(specs, a.Name)
+		t.Run(a.Name, func(t *testing.T) { runGolden(t, a) })
+	}
+	for name := range specs {
+		t.Errorf("testdata/%s names no suite analyzer", name)
+	}
+}
+
+func runGolden(t *testing.T, a *Analyzer) {
+	dir := filepath.Join("testdata", a.Name)
 	pkg, err := LoadDir(dir)
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
@@ -90,21 +115,6 @@ func runGolden(t *testing.T, name string, a *Analyzer) {
 		}
 	}
 }
-
-func TestLockscopeGolden(t *testing.T)  { runGolden(t, "lockscope", Lockscope()) }
-func TestDetclockGolden(t *testing.T)   { runGolden(t, "detclock", Detclock()) }
-func TestWirestructGolden(t *testing.T) { runGolden(t, "wirestruct", Wirestruct()) }
-func TestErrdropGolden(t *testing.T)    { runGolden(t, "errdrop", Errdrop()) }
-func TestFloatcmpGolden(t *testing.T)   { runGolden(t, "floatcmp", Floatcmp()) }
-func TestTracectxGolden(t *testing.T)   { runGolden(t, "tracectx", Tracectx()) }
-
-func TestBusconsumerGolden(t *testing.T) { runGolden(t, "busconsumer", Busconsumer()) }
-
-// Dataflow-engine analyzers: module-wide passes run the same way — the
-// testdata directory is the whole "module" for the index.
-func TestBorrowescapeGolden(t *testing.T) { runGolden(t, "borrowescape", Borrowescape()) }
-func TestLockorderGolden(t *testing.T)    { runGolden(t, "lockorder", Lockorder()) }
-func TestAtomicmixGolden(t *testing.T)    { runGolden(t, "atomicmix", Atomicmix()) }
 
 // TestModuleClean runs the full suite over the real module, pinning the
 // tree to zero findings — the same gate CI applies via cmd/cloudgraph-vet.

@@ -10,8 +10,8 @@ import (
 // index.go builds the module-wide dataflow index every RunModule analyzer
 // shares: the table of declared functions with their packages, the static
 // call graph across package boundaries (one type-check per Run means
-// *types.Func identities agree module-wide), lazily built CFGs and def-use
-// chains, and the //vet:borrowed annotations.
+// *types.Func identities agree module-wide), lazily built CFGs, and the
+// //vet:borrowed annotations.
 //
 // Annotation grammar, placed in a function's doc comment:
 //
@@ -28,12 +28,9 @@ import (
 
 // Index is the shared dataflow index over one Run's package set.
 type Index struct {
-	Pkgs  []*Package
 	Funcs map[*types.Func]*FuncInfo
 
-	byDir map[string]*Package // package lookup by source directory
-
-	// callers is the reverse call graph, built on demand.
+	// funcsInOrder holds Funcs' values in (package path, position) order.
 	funcsInOrder []*FuncInfo
 }
 
@@ -53,7 +50,6 @@ type FuncInfo struct {
 	Calls []CallSite
 
 	cfg *CFG
-	du  *DefUse
 }
 
 // CallSite is one static call expression with its resolved target, when
@@ -70,14 +66,6 @@ func (fi *FuncInfo) CFG() *CFG {
 		fi.cfg = BuildCFG(fi.Decl.Body)
 	}
 	return fi.cfg
-}
-
-// DefUse returns the function's def-use chains, building them on first use.
-func (fi *FuncInfo) DefUse() *DefUse {
-	if fi.du == nil {
-		fi.du = buildDefUse(fi)
-	}
-	return fi.du
 }
 
 // paramFields returns the receiver, parameter and named-result fields.
@@ -121,13 +109,8 @@ func recvTypeName(e ast.Expr) string {
 
 // BuildIndex constructs the shared index over pkgs.
 func BuildIndex(pkgs []*Package) *Index {
-	idx := &Index{
-		Pkgs:  pkgs,
-		Funcs: make(map[*types.Func]*FuncInfo),
-		byDir: make(map[string]*Package, len(pkgs)),
-	}
+	idx := &Index{Funcs: make(map[*types.Func]*FuncInfo)}
 	for _, pkg := range pkgs {
-		idx.byDir[pkg.Dir] = pkg
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -150,7 +133,7 @@ func BuildIndex(pkgs []*Package) *Index {
 			}
 		}
 	}
-	// Stable iteration order for deterministic findings and facts.
+	// Stable iteration order for deterministic findings.
 	sort.Slice(idx.funcsInOrder, func(i, j int) bool {
 		a, b := idx.funcsInOrder[i], idx.funcsInOrder[j]
 		if a.Pkg.Path != b.Pkg.Path {
@@ -164,15 +147,6 @@ func BuildIndex(pkgs []*Package) *Index {
 // FuncsInOrder returns every indexed function in deterministic
 // (package path, position) order.
 func (idx *Index) FuncsInOrder() []*FuncInfo { return idx.funcsInOrder }
-
-// pkgOfFile resolves the package a finding's file belongs to.
-func (idx *Index) pkgOfFile(file string) *Package {
-	i := strings.LastIndexByte(file, '/')
-	if i < 0 {
-		return nil
-	}
-	return idx.byDir[file[:i]]
-}
 
 // parseBorrowed extracts //vet:borrowed names from a doc comment.
 func parseBorrowed(doc *ast.CommentGroup) map[string]bool {
@@ -247,12 +221,6 @@ func isInterfaceRecv(fn *types.Func) bool {
 		return false
 	}
 	return types.IsInterface(sig.Recv().Type())
-}
-
-// isExternalFunc reports whether fn is declared outside the indexed set.
-func (idx *Index) isExternalFunc(fn *types.Func) bool {
-	_, ok := idx.Funcs[fn]
-	return !ok
 }
 
 // funcPathName renders pkg-qualified names like "sync.(*Pool).Get" down to

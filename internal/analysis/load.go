@@ -17,9 +17,7 @@ import (
 // Package is one parsed and type-checked package of the module.
 type Package struct {
 	// Path is the import path ("cloudgraph/internal/core").
-	Path string
-	// Dir is the directory the sources were read from.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -33,9 +31,6 @@ func newInfo() *types.Info {
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 }
 
@@ -136,7 +131,7 @@ func LoadModule(root string) ([]*Package, error) {
 		if rel != "." {
 			importPath = module + "/" + filepath.ToSlash(rel)
 		}
-		byPath[importPath] = &Package{Path: importPath, Dir: path, Fset: fset, Files: files}
+		byPath[importPath] = &Package{Path: importPath, Fset: fset, Files: files}
 		return nil
 	})
 	if err != nil {
@@ -171,7 +166,7 @@ func LoadModule(root string) ([]*Package, error) {
 }
 
 // LoadDir parses and type-checks the single package in dir (stdlib imports
-// only) — used by the driver's -dir mode and the golden-file tests.
+// only) — the golden-file tests' loader.
 func LoadDir(dir string) (*Package, error) {
 	fset := token.NewFileSet()
 	files, err := parseDir(fset, dir)
@@ -188,7 +183,7 @@ func LoadDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", dir, err)
 	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // parseDir parses the non-test Go files directly in dir, in stable order.

@@ -52,13 +52,6 @@ type lockorderPass struct {
 }
 
 func runLockorder(p *ModulePass) {
-	lp := collectLockGraph(p)
-	lp.reportCycles()
-}
-
-// collectLockGraph runs the acquisition analysis and returns the pass with
-// its edges populated; facts export reuses it without the cycle reporting.
-func collectLockGraph(p *ModulePass) *lockorderPass {
 	lp := &lockorderPass{
 		ModulePass: p,
 		acquires:   make(map[*FuncInfo]map[string]bool),
@@ -69,7 +62,7 @@ func collectLockGraph(p *ModulePass) *lockorderPass {
 	for _, fi := range p.Index.FuncsInOrder() {
 		lp.scanFunc(fi)
 	}
-	return lp
+	lp.reportCycles()
 }
 
 // summarize computes the transitive may-acquire set of every function.

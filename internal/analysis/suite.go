@@ -13,17 +13,15 @@ func Suite() []*Analyzer {
 		),
 		Wirestruct(), // marker-driven, module wide
 		Errdrop("cloudgraph/internal"),
-		Tracectx(), // module wide: trace contexts copy, Handle errors surface
 		Floatcmp(
 			"cloudgraph/internal/matrix",
 			"cloudgraph/internal/summarize",
 		),
 		Busconsumer(), // module wide: consumer specs are built in core, runner, cmd and tests
 
-		// Dataflow-engine analyzers: these run once over the whole module
-		// with the shared index (CFGs, def-use chains, call graph).
+		// Module-wide analyzers: these run once over the whole module with
+		// the shared index (CFGs, call graph).
 		Borrowescape(),
 		Lockorder(),
-		Atomicmix(),
 	}
 }

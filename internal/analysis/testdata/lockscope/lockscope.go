@@ -102,3 +102,10 @@ func (d *Doer) suppressed() {
 	d.ch <- 6
 	d.mu.Unlock()
 }
+
+func (d *Doer) trailingSuppression() {
+	d.mu.Lock()
+	d.ch <- 7 //lint:allow lockscope a trailing directive covers its own line only
+	d.ch <- 8 // want "channel send while d.mu is held"
+	d.mu.Unlock()
+}

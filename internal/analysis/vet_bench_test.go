@@ -45,8 +45,8 @@ func BenchmarkVetModuleWithLoad(b *testing.B) {
 // full-module run (load + full suite). The measured cost on the CI class
 // of machine is well under a second; the ceiling leaves ~5x headroom for
 // slower runners while still catching an accidental quadratic blowup in
-// the dataflow engine (summaries iterate to fixed points — a bad meet
-// would show up as seconds, not milliseconds).
+// the module-wide analyzers (summaries iterate to fixed points — a bad
+// meet would show up as seconds, not milliseconds).
 const vetModuleBudget = 20 * time.Second
 
 // TestVetModuleBudget fails when a full end-to-end run exceeds the pinned
@@ -66,6 +66,6 @@ func TestVetModuleBudget(t *testing.T) {
 	elapsed := time.Since(start)
 	t.Logf("full-module vet: %d packages, %d findings in %v (budget %v)", len(pkgs), len(findings), elapsed, vetModuleBudget)
 	if elapsed > vetModuleBudget {
-		t.Fatalf("full-module vet took %v, over the %v budget — the dataflow engine regressed", elapsed, vetModuleBudget)
+		t.Fatalf("full-module vet took %v, over the %v budget — a module-wide analyzer regressed", elapsed, vetModuleBudget)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/heatmap"
 	"cloudgraph/internal/realm"
-	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/timeline"
 )
 
@@ -18,9 +17,9 @@ import (
 // tenant (default tenant when absent; an unknown or invalid name is a 404
 // and is never admitted). The default is ASCII art sized by ?size= (at most
 // size characters wide, default 64); ?format=pgm returns a binary PGM image
-// instead, one pixel per node pair. GET/HEAD only, like every ops view.
+// instead, one pixel per node pair.
 func GraphzHandler(m *realm.Manager) http.Handler {
-	return telemetry.GetOnly(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		r := opsTenant(w, m, req)
 		if r == nil {
 			return
@@ -56,7 +55,7 @@ func GraphzHandler(m *realm.Manager) http.Handler {
 		if _, err := w.Write([]byte(header + heatmap.ASCII(adj.M, adj.N, size))); err != nil {
 			return
 		}
-	}))
+	})
 }
 
 // latestWindow returns a tenant's newest timeline snapshot, an error
@@ -78,7 +77,7 @@ func latestWindow(r *realm.Realm) (*timeline.Snapshot, error) {
 // default tenant when absent; an unknown or invalid name is a 404 and is
 // never admitted.
 func AnalyzHandler(m *realm.Manager) http.Handler {
-	return telemetry.GetOnly(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		r := opsTenant(w, m, req)
 		if r == nil {
 			return
@@ -88,7 +87,7 @@ func AnalyzHandler(m *realm.Manager) http.Handler {
 			return
 		}
 		r.Plane().AnalyzHandler().ServeHTTP(w, req)
-	}))
+	})
 }
 
 // opsTenant resolves an ops view's ?tenant= through Manager.Get, which

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-
-	"cloudgraph/internal/telemetry"
 )
 
 // analyzIndex is the /analyz overview: which analyses are online and what
@@ -31,9 +29,9 @@ type analyzEntry struct {
 // AnalyzHandler serves the plane over the ops endpoint: GET /analyz lists
 // the online analyses and their retained epoch ranges; ?analysis=<name>
 // returns that analysis's latest result; &epoch=<n> pins a specific
-// epoch. GET/HEAD only, like every ops view.
+// epoch.
 func (p *Plane) AnalyzHandler() http.Handler {
-	return telemetry.GetOnly(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		name := req.URL.Query().Get("analysis")
 		if name == "" {
@@ -76,5 +74,5 @@ func (p *Plane) AnalyzHandler() http.Handler {
 		if err := json.NewEncoder(w).Encode(out); err != nil {
 			return
 		}
-	}))
+	})
 }

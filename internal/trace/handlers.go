@@ -10,24 +10,8 @@ import (
 	"strings"
 )
 
-// The ops-endpoint views. Both handlers follow the same HTTP contract as
-// the rest of the ops surface: GET and HEAD only (405 otherwise, with an
-// Allow header) and an explicit Content-Type.
-
-// allowGetHead gates a handler to GET/HEAD; it reports whether the request
-// may proceed. (Kept local so the trace package stays dependency-free;
-// telemetry.GetOnly is the shared wrapper for handlers registered on the
-// ops mux.)
-func allowGetHead(w http.ResponseWriter, r *http.Request) bool {
-	switch r.Method {
-	case http.MethodGet, http.MethodHead:
-		return true
-	default:
-		w.Header().Set("Allow", "GET, HEAD")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return false
-	}
-}
+// The ops-endpoint views. Both set an explicit Content-Type; the GET/HEAD
+// method gate is the registrar's job (telemetry.OpsServer.HandleView).
 
 // tracezTrace is the JSON shape of one trace in the /tracez list.
 type tracezTrace struct {
@@ -41,9 +25,6 @@ type tracezTrace struct {
 // view to a JSON document.
 func TracezHandler(rec *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !allowGetHead(w, r) {
-			return
-		}
 		if rec == nil {
 			http.Error(w, "tracing disabled", http.StatusNotFound)
 			return
@@ -146,9 +127,6 @@ func writeText(w http.ResponseWriter, body []byte) {
 // default, ?format=json for the raw entries.
 func FlightzHandler(f *Flight) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !allowGetHead(w, r) {
-			return
-		}
 		if f == nil {
 			http.Error(w, "flight recorder disabled", http.StatusNotFound)
 			return

@@ -16,8 +16,9 @@ func tracezReq(t *testing.T, h http.Handler, method, target string) *httptest.Re
 	return w
 }
 
-// TestTracezHandler covers the ops contract (GET/HEAD only, Content-Type)
-// and the three views: list, waterfall, JSON.
+// TestTracezHandler covers the Content-Type contract and the three views:
+// list, waterfall, JSON. The method gate belongs to the registrar and is
+// pinned by telemetry's TestViewMethodContract.
 func TestTracezHandler(t *testing.T) {
 	rec := NewRecorder(0)
 	ctx := Context{TraceID: 0xbeef, SpanID: 1}
@@ -25,12 +26,6 @@ func TestTracezHandler(t *testing.T) {
 	rec.Record(ctx, "nicsim.pull", start, time.Millisecond, "records=3")
 	rec.Record(ctx, "store.append", start.Add(5*time.Millisecond), time.Millisecond, "")
 	h := TracezHandler(rec)
-
-	if w := tracezReq(t, h, http.MethodPost, "/tracez"); w.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST: code %d, want 405", w.Code)
-	} else if allow := w.Header().Get("Allow"); allow != "GET, HEAD" {
-		t.Fatalf("POST: Allow = %q", allow)
-	}
 
 	w := tracezReq(t, h, http.MethodGet, "/tracez")
 	if w.Code != http.StatusOK {
@@ -77,15 +72,12 @@ func TestTracezHandler(t *testing.T) {
 	}
 }
 
-// TestFlightzHandler: text dump, JSON entries, and the method gate.
+// TestFlightzHandler: text dump and JSON entries.
 func TestFlightzHandler(t *testing.T) {
 	f := NewFlight(8, nil, 0)
 	f.Add(Event{Time: time.Unix(1700000000, 0).UTC(), Component: "analytics", Kind: "trip", Msg: "protocol error"})
 	h := FlightzHandler(f)
 
-	if w := tracezReq(t, h, http.MethodDelete, "/flightz"); w.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("DELETE: code %d, want 405", w.Code)
-	}
 	w := tracezReq(t, h, http.MethodGet, "/flightz")
 	if w.Code != http.StatusOK {
 		t.Fatalf("dump: code %d", w.Code)

@@ -22,8 +22,8 @@ const componentKey = "component"
 
 // flightHandler tees records into the flight ring, then delegates.
 // slog.Handler.Handle returns an error and dropping it would hide a dead
-// log sink, so Handle propagates the base handler's result (enforced
-// module-wide by cloudgraph-vet).
+// log sink, so Handle propagates the base handler's result (enforced by
+// cloudgraph-vet's errdrop).
 //
 // The flight ring accepts every level — a post-hoc fault view wants the
 // debug detail the live log suppresses — so Enabled is always true and the

@@ -33,7 +33,7 @@ import "sync/atomic"
 //
 // Context is a small value type and must be passed by value — sharing one
 // *Context between pipeline stages that run on different goroutines is a
-// data race (enforced by cloudgraph-vet's tracectx analyzer).
+// data race.
 type Context struct {
 	TraceID uint64
 	SpanID  uint64
