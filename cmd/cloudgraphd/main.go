@@ -12,9 +12,9 @@
 //	printf 'STATS\n' | nc 127.0.0.1 7443
 //
 // With -live (the default) the daemon also runs the online analysis
-// plane: every completed window is appended to a versioned timeline
-// (minute-or-whatever windows rolled up into -rollup buckets, -retention
-// windows kept) and analyzed in place by the §2 runners — segmentation,
+// plane: every completed window is appended to the timeline (the latest
+// window, and the extents of the last -retention windows for time
+// resolution) and analyzed in place by the §2 runners — segmentation,
 // succinct summary with anomaly score, counterfactual capacity plan and
 // policy churn. Results are served over QUERY (`graphctl query segment
 // latest`) and the /analyz ops view, pinned to the epoch that produced
@@ -72,7 +72,6 @@ import (
 	"cloudgraph/internal/realm"
 	"cloudgraph/internal/statusz"
 	"cloudgraph/internal/telemetry"
-	"cloudgraph/internal/timeline"
 	"cloudgraph/internal/trace"
 	"cloudgraph/internal/watermark"
 )
@@ -135,8 +134,7 @@ func main() {
 		flightN     = flag.Int("flight-events", trace.DefaultFlightEvents, "flight recorder ring capacity (events and spans retained for /flightz and crash dumps)")
 		logLevel    = flag.String("log-level", "info", "structured event log level: debug, info, warn or error")
 		live        = flag.Bool("live", true, "run the online analysis plane (timeline + runners) on each tenant's consumer bus")
-		rollup      = flag.Duration("rollup", time.Hour, "timeline roll-up bucket size (0 disables roll-ups)")
-		retention   = flag.Int("retention", 96, "timeline window snapshots retained per tenant")
+		retention   = flag.Int("retention", 96, "windows each tenant's analysis plane retains in memory (QUERY results and RFC3339 time resolution); older epochs are served from -data-dir")
 		dataDir     = flag.String("data-dir", "", "durable history directory: completed windows are appended to a per-tenant epoch-indexed segment store under <data-dir>/<tenant>/, replayed on restart, and served by QUERY past the in-memory retention (empty disables)")
 		histRet     = flag.Duration("history-retention", 24*time.Hour, "how long the history store keeps window-resolution records before compacting them into hour roll-ups")
 		freshSLO    = flag.Duration("freshness-slo", 5*time.Second, "per-window freshness target: seal-to-analyzed (and seal-to-durable) latency beyond this burns the SLO budget (0 disables SLO accounting; watermarks stay on)")
@@ -180,11 +178,6 @@ func main() {
 		cfg.Collapse = graph.CollapseOptions{Threshold: *collapse}
 	}
 
-	tcfg := timeline.Config{Retention: *retention, Rollup: *rollup}
-	if *rollup == 0 {
-		tcfg.Rollup = -1
-	}
-
 	// Every per-tenant watermark tracker observes its realm's per-stage
 	// epoch progress: the engine marks windows sealed, the plane's
 	// consumers advance published/analyzed stages, the history consumer
@@ -199,7 +192,7 @@ func main() {
 	rcfg := realm.Config{
 		Engine:     cfg,
 		Live:       *live,
-		Timeline:   tcfg,
+		Retention:  *retention,
 		Watermark:  watermark.Config{FreshnessTarget: *freshSLO, Trip: *burnTrip},
 		DataDir:    *dataDir,
 		Hist:       histstore.Options{Retention: *histRet},
@@ -228,7 +221,7 @@ func main() {
 	def.Watermarks().Instrument(reg)
 
 	if *live {
-		log.Printf("analysis plane on: %v (rollup=%v retention=%d)", def.Plane().Runners(), *rollup, *retention)
+		log.Printf("analysis plane on: %v (retention=%d)", def.Plane().Runners(), *retention)
 	}
 
 	if *dataDir != "" {

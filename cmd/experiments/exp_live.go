@@ -8,7 +8,6 @@ import (
 
 	"cloudgraph/internal/cluster"
 	"cloudgraph/internal/runner"
-	"cloudgraph/internal/timeline"
 )
 
 // expLive drives the online analysis plane offline: the same Runner
@@ -43,7 +42,7 @@ func expLive(e *env) {
 		log.Fatal(err)
 	}
 
-	p := runner.New(runner.Config{Timeline: timeline.Config{Rollup: time.Hour}})
+	p := runner.New(runner.Config{})
 	windows := p.Replay(recs, runner.ReplayOptions{Window: 5 * time.Minute})
 	fmt.Printf("\n%d five-minute windows analyzed by %v\n\n", len(windows), p.Runners())
 
@@ -68,9 +67,8 @@ func expLive(e *env) {
 	fmt.Printf("\ncounterfactual @ latest: %d SKU upgrade candidate(s), %d proximity pair(s)\n",
 		len(plan.Upgrades), len(plan.Proximity))
 
-	snap := p.Timeline().Latest()
-	fmt.Printf("timeline: epoch %d, %d window snapshot(s), %d sealed hourly roll-up(s)\n",
-		snap.Epoch, len(snap.Windows), len(snap.Rollups))
+	oldest, newest := p.Timeline().Epochs()
+	fmt.Printf("timeline: epochs %d..%d retained\n", oldest, newest)
 	fmt.Println("\nShape check: policy churn prices the scan-driven re-segmentation while the attack runs (epochs 3-4), with per-IP rule updates well above tag updates; quiet epochs stay flat.")
 }
 

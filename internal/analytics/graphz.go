@@ -9,7 +9,6 @@ import (
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/heatmap"
 	"cloudgraph/internal/realm"
-	"cloudgraph/internal/timeline"
 )
 
 // GraphzHandler serves a tenant's latest timeline window as an adjacency
@@ -24,12 +23,11 @@ func GraphzHandler(m *realm.Manager) http.Handler {
 		if r == nil {
 			return
 		}
-		snap, err := latestWindow(r)
+		g, err := latestWindow(r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		g := snap.Window
 		adj := g.AdjacencyMatrix(graph.Bytes)
 		if req.URL.Query().Get("format") == "pgm" {
 			w.Header().Set("Content-Type", "image/x-portable-graymap")
@@ -58,18 +56,18 @@ func GraphzHandler(m *realm.Manager) http.Handler {
 	})
 }
 
-// latestWindow returns a tenant's newest timeline snapshot, an error
+// latestWindow returns a tenant's newest timeline window, an error
 // without a plane or before the first window.
-func latestWindow(r *realm.Realm) (*timeline.Snapshot, error) {
+func latestWindow(r *realm.Realm) (*graph.Graph, error) {
 	p := r.Plane()
 	if p == nil {
 		return nil, errNoPlane
 	}
-	snap := p.Timeline().Latest()
-	if snap == nil {
+	g := p.Timeline().Latest()
+	if g == nil {
 		return nil, errors.New("no completed window (FLUSH first?)")
 	}
-	return snap, nil
+	return g, nil
 }
 
 // AnalyzHandler serves a tenant's analysis plane on the ops endpoint (see

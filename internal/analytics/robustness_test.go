@@ -170,7 +170,7 @@ func TestGraphzHandler(t *testing.T) {
 
 	def := m.Default()
 	def.IngestTraced(hourOf(t, testCluster(t), t0), nil)
-	def.Flush()
+	def.Engine().Flush()
 
 	rr = httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/graphz?size=16", nil))
@@ -211,7 +211,7 @@ func TestGraphzHandler(t *testing.T) {
 		t.Errorf("tenant without windows: status = %d, want 404", rr.Code)
 	}
 	acme.IngestTraced(testRecords(0, 50), nil)
-	acme.Flush()
+	acme.Engine().Flush()
 	rr = httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/graphz?size=16&tenant=acme", nil))
 	if rr.Code != 200 || rr.Body.String() == body {
@@ -246,7 +246,7 @@ func TestAnalyzTenant(t *testing.T) {
 
 	def := m.Default()
 	def.IngestTraced(hourOf(t, testCluster(t), t0), nil)
-	def.Flush()
+	def.Engine().Flush()
 	acme, err := m.Realm("acme")
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestAnalyzTenant(t *testing.T) {
 		recs = append(recs, r)
 	}
 	acme.IngestTraced(recs, nil)
-	acme.Flush()
+	acme.Engine().Flush()
 
 	for _, q := range []string{"", "?analysis=segment", "?analysis=summarize&epoch=1"} {
 		code, want := get(def.Plane().AnalyzHandler(), "/analyz"+q)

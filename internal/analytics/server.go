@@ -295,7 +295,9 @@ func (s *Server) handle(conn net.Conn) {
 		case "INGEST":
 			out, cmdErr = s.cmdIngest(fields, r, sc, ses)
 		case "FLUSH":
-			ses.Flush()
+			// Not under a scheduler slot: the bus consumers the flush
+			// drains wait on slots themselves.
+			ses.Engine().Flush()
 			out = textResponse(fmt.Sprintf("OK %d", ses.Engine().Epoch()))
 		case "STATS":
 			out = stats(ses)
@@ -642,9 +644,7 @@ func stats(ses *session) Stats {
 		})
 	}
 	if p := ses.Plane(); p != nil {
-		if snap := p.Timeline().Latest(); snap != nil {
-			st.Windows = len(snap.Windows)
-		}
+		st.Windows = p.Timeline().Len()
 	}
 	return st
 }

@@ -9,7 +9,6 @@ import (
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/realm"
-	"cloudgraph/internal/timeline"
 )
 
 // tenantCluster builds a deterministic per-tenant workload; the seed and
@@ -39,9 +38,8 @@ func tenantCluster(t *testing.T, seed int64, fe, be int) *cluster.Cluster {
 func realmServer(t *testing.T, window time.Duration) (*Server, *realm.Manager) {
 	t.Helper()
 	return serve(t, realm.Config{
-		Engine:   core.Config{Window: window, Shards: 4},
-		Live:     true,
-		Timeline: timeline.Config{Rollup: time.Hour},
+		Engine: core.Config{Window: window, Shards: 4},
+		Live:   true,
 		// Two slots for four-plus planes: admission is contended, so the
 		// scheduler is actually in the loop for every window.
 		Workers: 2,

@@ -26,9 +26,10 @@ func (g *Graph) Merge(other *Graph) {
 func mergeFrozen(a, b *frozen) *frozen {
 	// The union sizes are known only after the join, so join into scratch
 	// sized for the worst case and keep exact-size arrays: a sealed window
-	// is retained for as long as the timeline holds it. The edge join
-	// records where each merged edge comes from instead of copying counter
-	// blocks, so its scratch is pointer-free and the slab is laid out once.
+	// is retained long after the merge (by the bus, the timeline and the
+	// runners). The edge join records where each merged edge comes from
+	// instead of copying counter blocks, so its scratch is pointer-free and
+	// the slab is laid out once.
 	out := &frozen{nodes: make([]Node, 0, len(a.nodes)+len(b.nodes))}
 	idA, idB := make([]int32, len(a.nodes)), make([]int32, len(b.nodes))
 	// rowA/rowB name each merged node's row in a and b, -1 when absent.

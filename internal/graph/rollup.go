@@ -8,11 +8,10 @@ func RollupStart(start time.Time, size time.Duration) time.Time {
 	return start.Truncate(size).UTC()
 }
 
-// FoldRollup is the one roll-up bucket rule, shared by the in-memory
-// timeline and histstore compaction so that compacted history mirrors the
-// in-memory buckets: merge window g into the bucket acc (nil opens a fresh
-// one), pin Start to g's bucket boundary, and widen End to cover g and at
-// least the whole bucket. Callers seal acc and open a new one when
+// FoldRollup is the one roll-up bucket rule, which histstore compaction
+// folds aged windows with: merge window g into the bucket acc (nil opens a
+// fresh one), pin Start to g's bucket boundary, and widen End to cover g
+// and at least the whole bucket. Callers seal acc and open a new one when
 // RollupStart of the next window moves.
 //
 // Every member merge-joins into the bucket in CSR, so sealing it is handing

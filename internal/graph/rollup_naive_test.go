@@ -31,7 +31,7 @@ func naiveFoldRollup(acc, g *graphtest.Model, size time.Duration) *graphtest.Mod
 	return acc
 }
 
-// buckets splits members, in order, under the timeline's bucket rule: a
+// buckets splits members, in order, under compaction's bucket rule: a
 // member whose RollupStart differs from its predecessor's seals the bucket
 // and opens the next. It returns each bucket's [lo, hi) member range.
 func buckets(members []*graph.Graph, size time.Duration) [][2]int {

@@ -20,7 +20,7 @@ type CompactStats struct {
 }
 
 // Compact folds sealed window segments whose data has aged past the
-// retention horizon into hour roll-up records with the timeline's own
+// retention horizon into hour roll-up records with the one roll-up
 // bucket rule (graph.RollupStart keys, graph.FoldRollup accumulation),
 // and retires the inputs under an atomic manifest swap. The horizon is
 // data-relative: cutoff = newest window End − Retention, so a bucket
@@ -66,13 +66,13 @@ func (s *Store) Compact() (CompactStats, error) {
 	// A bucket is complete only when no unsealed segment can still hold a
 	// member: cap the horizon at the active segment's bucket boundary.
 	if activeMin >= 0 {
-		cutoff = min(cutoff, bucketStart(activeMin, s.opts.RollupBucket))
+		cutoff = min(cutoff, bucketStart(activeMin))
 	}
 	// Trim candidates to those that contribute at least one complete
 	// bucket; a segment whose every record is inside the horizon stays.
 	trimmed := cands[:0]
 	for _, si := range cands {
-		if bucketStart(si.minStart, s.opts.RollupBucket)+int64(s.opts.RollupBucket/time.Second) <= cutoff {
+		if bucketStart(si.minStart)+int64(rollupBucket/time.Second) <= cutoff {
 			trimmed = append(trimmed, si)
 		}
 	}
@@ -231,9 +231,8 @@ func (c *compaction) consumeSegment(path string, records int) error {
 		}
 		off = nextOff
 		c.stats.RecordsIn++
-		ru := c.s.opts.RollupBucket
-		k := graph.RollupStart(rec.g.Start, ru).Unix()
-		if k+int64(ru/time.Second) > c.cutoff {
+		k := bucketStart(rec.g.Start.Unix())
+		if k+int64(rollupBucket/time.Second) > c.cutoff {
 			// Bucket still inside the horizon: keep at window resolution.
 			if err := c.writeOut(&c.residue, kindWindow, rec.epochLo, rec.epochHi, rec.g); err != nil {
 				return err
@@ -249,7 +248,7 @@ func (c *compaction) consumeSegment(path string, records int) error {
 		if c.bucket == nil {
 			c.bucketLo = rec.epochLo
 		}
-		c.bucket = graph.FoldRollup(c.bucket, rec.g, ru)
+		c.bucket = graph.FoldRollup(c.bucket, rec.g, rollupBucket)
 		c.bucketHi = rec.epochHi
 	}
 	return nil

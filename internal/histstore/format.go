@@ -1,10 +1,10 @@
 // Package histstore is the durable, epoch-indexed graph history store —
 // the repository's one on-disk window format — and the crash-recoverable
-// backing of the in-memory timeline. The paper
+// backing of the live analysis plane. The paper
 // motivates it directly — operators need "up-to-date views while also
 // being able to do historical analysis such as 'what changed?' or 'what
 // happened during that (past) event?'" (§1) — and at cloud scale that
-// history must survive the process and span days, not the timeline's
+// history must survive the process and span days, not the plane's
 // in-memory retention.
 //
 // Layout on disk: a directory of segment files plus one MANIFEST. Each
@@ -13,7 +13,7 @@
 // epoch index block so point lookups touch one frame chain, not the file.
 // A background compactor rolls minute-window segments whose data has aged
 // past the retention horizon into hour roll-up segments via
-// graph.FoldRollup — the timeline's own bucket rule — and retires
+// graph.FoldRollup — the one roll-up bucket rule — and retires
 // the originals under an atomic manifest swap. Opening the store replays
 // the manifest, rolls forward interrupted compactions, adopts segments
 // orphaned by a crash, and truncates any torn tail record, so a kill -9
@@ -220,7 +220,10 @@ func sparsify(entries []indexEntry, stride int) []indexEntry {
 	return out
 }
 
+// rollupBucket is the roll-up granularity compaction folds windows into.
+const rollupBucket = time.Hour
+
 // bucketStart truncates t (unix seconds) to its roll-up bucket start.
-func bucketStart(unix int64, bucket time.Duration) int64 {
-	return graph.RollupStart(time.Unix(unix, 0), bucket).Unix()
+func bucketStart(unix int64) int64 {
+	return graph.RollupStart(time.Unix(unix, 0), rollupBucket).Unix()
 }

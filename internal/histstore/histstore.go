@@ -18,8 +18,8 @@ import (
 )
 
 // Options configures a Store. The zero value is usable: 64 windows per
-// segment, index stride 8, 24h retention at window resolution, 1h roll-up
-// buckets, fsync on every append.
+// segment, index stride 8, 24h retention at window resolution, fsync on
+// every append. Compaction folds into 1h roll-up buckets.
 type Options struct {
 	// SegmentWindows is how many window records a segment holds before it
 	// is sealed and a fresh one started.
@@ -33,10 +33,6 @@ type Options struct {
 	// the data (newest window End), not the wall clock, so replayed
 	// historical streams compact deterministically.
 	Retention time.Duration
-	// RollupBucket is the roll-up granularity. A realm derives it from
-	// its timeline's Rollup so compacted history mirrors the in-memory
-	// buckets.
-	RollupBucket time.Duration
 	// NoSync skips the per-append fsync (tests and benchmarks).
 	NoSync bool
 }
@@ -50,9 +46,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Retention <= 0 {
 		o.Retention = 24 * time.Hour
-	}
-	if o.RollupBucket <= 0 {
-		o.RollupBucket = time.Hour
 	}
 	return o
 }
@@ -412,7 +405,7 @@ func (s *Store) Append(epoch uint64, g *graph.Graph) error {
 	s.lastEpoch = epoch
 	s.telAppended.Add(1)
 	if len(g.Traces) > 0 {
-		bk := bucketStart(ent.start, s.opts.RollupBucket)
+		bk := bucketStart(ent.start)
 		if tcs := s.pendTraces[bk]; len(tcs) < maxTracesPerBucket {
 			s.pendTraces[bk] = append(tcs, g.Traces...)
 		}

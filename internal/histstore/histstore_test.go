@@ -14,7 +14,6 @@ import (
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/graph/graphtest"
 	"cloudgraph/internal/telemetry"
-	"cloudgraph/internal/timeline"
 )
 
 var t0 = time.Unix(1700000000, 0).UTC().Truncate(time.Hour)
@@ -358,7 +357,7 @@ func TestCompactionReducesBytesAndPreservesHistory(t *testing.T) {
 	// Retention shorter than the data span: the whole hour of minute
 	// windows ages out, but only complete buckets compact. Append a
 	// sentinel window two hours later so the hour bucket closes.
-	s, err := Open(dir, Options{SegmentWindows: 6, Retention: 30 * time.Minute, RollupBucket: time.Hour, NoSync: true})
+	s, err := Open(dir, Options{SegmentWindows: 6, Retention: 30 * time.Minute, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +485,7 @@ func TestCompactionSurvivesRestart(t *testing.T) {
 	_, wins := clusterWindows(t)
 	dir := t.TempDir()
 	open := func() *Store {
-		s, err := Open(dir, Options{SegmentWindows: 6, Retention: 30 * time.Minute, RollupBucket: time.Hour, NoSync: true})
+		s, err := Open(dir, Options{SegmentWindows: 6, Retention: 30 * time.Minute, NoSync: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,10 +533,24 @@ func TestCompactionSurvivesRestart(t *testing.T) {
 	}
 }
 
+// foldHour folds windows, in order, into one hour roll-up with the
+// bucket rule compaction uses.
+func foldHour(t *testing.T, windows []*graph.Graph) *graph.Graph {
+	t.Helper()
+	var acc *graph.Graph
+	for _, g := range windows {
+		if acc != nil && !acc.Start.Equal(graph.RollupStart(g.Start, rollupBucket)) {
+			t.Fatalf("window at %s leaves the hour bucket at %s", g.Start, acc.Start)
+		}
+		acc = graph.FoldRollup(acc, g, rollupBucket)
+	}
+	return acc
+}
+
 // TestReplayRollupEqualsUninterrupted is the restart half of the
-// TestRollupEqualsDirectBuild property: a timeline rebuilt by replaying
-// the store after a crash must seal the same hour buckets as one that
-// lived through the stream uninterrupted.
+// TestRollupEqualsDirectBuild property: the windows replayed from the
+// store after a crash must fold into the same hour roll-up as the
+// windows that were appended before it.
 func TestReplayRollupEqualsUninterrupted(t *testing.T) {
 	_, wins := clusterWindows(t)
 	dir := t.TempDir()
@@ -545,16 +558,12 @@ func TestReplayRollupEqualsUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	uninterrupted := timeline.New(timeline.Config{Rollup: time.Hour, Retention: -1})
 	for i, g := range wins {
 		if err := s.Append(uint64(i+1), g); err != nil {
 			t.Fatal(err)
 		}
-		uninterrupted.Append(uint64(i+1), g)
 	}
-	uninterrupted.Seal()
-	if err := s.Close(); err != nil { // crash point: in-memory timeline is gone
+	if err := s.Close(); err != nil { // crash point: only the store survives
 		t.Fatal(err)
 	}
 
@@ -563,28 +572,25 @@ func TestReplayRollupEqualsUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	rebuilt := timeline.New(timeline.Config{Rollup: time.Hour, Retention: -1})
+	var replayed []*graph.Graph
 	if err := s2.Replay(func(ep uint64, g *graph.Graph) error {
-		rebuilt.Append(ep, g)
+		if ep != uint64(len(replayed)+1) {
+			t.Fatalf("replayed epoch %d after %d windows", ep, len(replayed))
+		}
+		replayed = append(replayed, g)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt.Seal()
+	if len(replayed) != len(wins) {
+		t.Fatalf("replayed %d windows, appended %d", len(replayed), len(wins))
+	}
 
-	a, b := uninterrupted.Latest(), rebuilt.Latest()
-	if a.Epoch != b.Epoch {
-		t.Fatalf("rebuilt epoch %d != uninterrupted %d", b.Epoch, a.Epoch)
+	a, b := foldHour(t, wins), foldHour(t, replayed)
+	if d := graph.Diff(a, b); !diffEmpty(d) {
+		t.Fatal("rollup differs after replay rebuild")
 	}
-	if len(a.Rollups) != len(b.Rollups) {
-		t.Fatalf("rebuilt %d rollups != uninterrupted %d", len(b.Rollups), len(a.Rollups))
-	}
-	for i := range a.Rollups {
-		if d := graph.Diff(a.Rollups[i], b.Rollups[i]); !diffEmpty(d) {
-			t.Fatalf("rollup %d differs after replay rebuild", i)
-		}
-		if d := graph.Diff(b.Rollups[i], a.Rollups[i]); !diffEmpty(d) {
-			t.Fatalf("rollup %d differs after replay rebuild (reverse)", i)
-		}
+	if d := graph.Diff(b, a); !diffEmpty(d) {
+		t.Fatal("rollup differs after replay rebuild (reverse)")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
-	"cloudgraph/internal/timeline"
 	"cloudgraph/internal/watermark"
 )
 
@@ -20,9 +19,9 @@ import (
 // kept every scheduler slot contended. Run under -race in CI.
 func TestNoisyNeighborQoS(t *testing.T) {
 	m, err := NewManager(Config{
-		Engine:   core.Config{Window: time.Minute, Shards: 2},
-		Live:     true,
-		Timeline: timeline.Config{Rollup: -1, Retention: 64},
+		Engine:    core.Config{Window: time.Minute, Shards: 2},
+		Live:      true,
+		Retention: 64,
 		// A generous target by interactive standards, brutal while a
 		// flood owns the pool: each small window must go seal-to-analyzed
 		// within 5s of wall clock or the budget burns.
@@ -65,7 +64,7 @@ func TestNoisyNeighborQoS(t *testing.T) {
 			}
 			flood.IngestTraced(batch, nil)
 		}
-		flood.Flush()
+		flood.Engine().Flush()
 	}()
 
 	// The small streaming tenant: one window at a time, sealed as it
@@ -79,10 +78,10 @@ func TestNoisyNeighborQoS(t *testing.T) {
 		}
 		small.IngestTraced(batch, nil)
 		if w > 0 {
-			small.Flush()
+			small.Engine().Flush()
 		}
 	}
-	small.Flush()
+	small.Engine().Flush()
 	wg.Wait()
 
 	// Everything the small tenant sealed must be analyzed within the

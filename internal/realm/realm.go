@@ -31,7 +31,6 @@ import (
 	"cloudgraph/internal/histstore"
 	"cloudgraph/internal/runner"
 	"cloudgraph/internal/telemetry"
-	"cloudgraph/internal/timeline"
 	"cloudgraph/internal/trace"
 	"cloudgraph/internal/watermark"
 )
@@ -46,8 +45,9 @@ type Config struct {
 	Engine core.Config
 	// Live runs the per-tenant analysis plane (timeline + runners).
 	Live bool
-	// Timeline configures each tenant plane's timeline.
-	Timeline timeline.Config
+	// Retention bounds the windows each tenant plane retains in memory:
+	// its timeline and per-runner results (runner.Config.History).
+	Retention int
 	// Watermark parameterizes each tenant's tracker. Its OnBurn is
 	// ignored; set Config.OnBurn to observe burns with the tenant name.
 	Watermark watermark.Config
@@ -56,9 +56,7 @@ type Config struct {
 	// DataDir, when set, partitions durable history per tenant under
 	// DataDir/<tenant>/ with per-tenant recovery and compaction.
 	DataDir string
-	// Hist configures each tenant's history store. Its RollupBucket
-	// follows Timeline.Rollup whenever that is positive, so compacted
-	// history mirrors the in-memory roll-ups.
+	// Hist configures each tenant's history store.
 	Hist histstore.Options
 	// CompactEvery starts a per-tenant compactor loop (0 disables).
 	CompactEvery time.Duration
@@ -111,9 +109,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = 64
-	}
-	if cfg.Timeline.Rollup > 0 {
-		cfg.Hist.RollupBucket = cfg.Timeline.Rollup
 	}
 	m := &Manager{
 		cfg:    cfg,
@@ -242,7 +237,7 @@ func (m *Manager) create(name string) (*Realm, error) {
 	var consumers []core.ConsumerSpec
 	if m.cfg.Live {
 		r.plane = runner.New(runner.Config{
-			Timeline:   m.cfg.Timeline,
+			History:    m.cfg.Retention,
 			Telemetry:  m.cfg.Telemetry,
 			Trace:      m.cfg.Trace,
 			Watermarks: r.wm,
@@ -400,16 +395,6 @@ func (r *Realm) IngestTraced(recs []flowlog.Record, tcs []trace.Context) {
 	r.engine.IngestTraced(recs, tcs)
 	r.cogs.timeIngest(start)
 	r.cogs.addBatch(len(recs))
-}
-
-// Flush closes the tenant's open windows, drains its bus, and seals its
-// roll-up bucket. It must not hold a scheduler slot: the bus consumers
-// it drains are themselves waiting on slots.
-func (r *Realm) Flush() {
-	r.engine.Flush()
-	if r.plane != nil {
-		r.plane.Seal()
-	}
 }
 
 // diskBytes is the tenant's durable footprint (0 without a store).

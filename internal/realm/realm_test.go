@@ -101,8 +101,8 @@ func TestRealmIngestIsolation(t *testing.T) {
 	a.IngestTraced(batch, nil)
 	// Seal the open minute for tenant a only.
 	a.IngestTraced([]flowlog.Record{testRecord(0, t0.Add(5*time.Minute))}, nil)
-	a.Flush()
-	b.Flush()
+	a.Engine().Flush()
+	b.Engine().Flush()
 	if got := a.Engine().Epoch(); got == 0 {
 		t.Fatal("tenant a has no windows")
 	}
@@ -148,7 +148,7 @@ func TestManagerRecoversTenantDirs(t *testing.T) {
 	}
 	a.IngestTraced(recs, nil)
 	a.IngestTraced([]flowlog.Record{testRecord(0, t0.Add(10*time.Minute))}, nil)
-	a.Flush()
+	a.Engine().Flush()
 	sealedBefore := a.Watermarks().SealedEpoch()
 	if sealedBefore == 0 {
 		t.Fatal("no epoch sealed before close")

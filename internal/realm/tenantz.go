@@ -1,11 +1,12 @@
 package realm
 
 import (
-	"encoding/json"
 	"fmt"
 	"html/template"
 	"net/http"
 	"time"
+
+	"cloudgraph/internal/telemetry"
 )
 
 // tenantzRow is one tenant's line in the /tenantz view: its COGS
@@ -101,12 +102,7 @@ func TenantzHandler(m *Manager) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		page := m.tenantzSnapshot()
 		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(page); err != nil {
-				return // client went away mid-response
-			}
+			telemetry.WriteJSON(w, page)
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")

@@ -4,13 +4,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+
+	"cloudgraph/internal/telemetry"
 )
 
 // analyzIndex is the /analyz overview: which analyses are online and what
 // epoch range each retains.
 type analyzIndex struct {
 	Analyses []analyzEntry `json:"analyses"`
-	// TimelineOldest/Newest are the timeline's addressable epoch range.
+	// TimelineOldest/Newest are the timeline's retained epoch range.
 	TimelineOldest uint64 `json:"timeline_oldest"`
 	TimelineNewest uint64 `json:"timeline_newest"`
 	// HistoryOldest/Newest are the durable store's replayable window
@@ -32,7 +34,6 @@ type analyzEntry struct {
 // epoch.
 func (p *Plane) AnalyzHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
 		name := req.URL.Query().Get("analysis")
 		if name == "" {
 			idx := analyzIndex{}
@@ -47,9 +48,7 @@ func (p *Plane) AnalyzHandler() http.Handler {
 				e.Oldest, e.Newest = p.Epochs(n)
 				idx.Analyses = append(idx.Analyses, e)
 			}
-			if err := json.NewEncoder(w).Encode(idx); err != nil {
-				return
-			}
+			telemetry.WriteJSON(w, idx)
 			return
 		}
 		var epoch uint64
@@ -66,13 +65,10 @@ func (p *Plane) AnalyzHandler() http.Handler {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		out := struct {
+		telemetry.WriteJSON(w, struct {
 			Analysis string          `json:"analysis"`
 			Epoch    uint64          `json:"epoch"`
 			Result   json.RawMessage `json:"result"`
-		}{Analysis: name, Epoch: at, Result: res}
-		if err := json.NewEncoder(w).Encode(out); err != nil {
-			return
-		}
+		}{Analysis: name, Epoch: at, Result: res})
 	})
 }

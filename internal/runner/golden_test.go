@@ -126,14 +126,14 @@ func TestSummarizeAllocBudget(t *testing.T) {
 }
 
 // TestWindowAnalysisAllocBudget gates what the whole default analysis plane
-// allocates per sealed k8spaas minute window: timeline append (and so the
-// roll-up fold) plus all four runners' OnSnapshot, Result and marshal,
-// through Plane.Restore. The count is deterministic up to map growth:
-// segmenting each window once (shared by the segment and policy runners)
-// and ranking only the pairs the kNN filter keeps took it from ≈2.37K to
-// ≈1.27K; folding the roll-up in CSR, one shared undirected view per
-// window and churn without member lists took it to ≈1.19K (≈1.21K under
-// the race detector).
+// allocates per sealed k8spaas minute window: timeline append plus all
+// four runners' OnSnapshot, Result and marshal, through Plane.Restore. The
+// count is deterministic up to map growth: segmenting each window once
+// (shared by the segment and policy runners) and ranking only the pairs
+// the kNN filter keeps took it from ≈2.37K to ≈1.27K; folding the roll-up
+// in CSR, one shared undirected view per window and churn without member
+// lists took it to ≈1.19K; a timeline without roll-ups or snapshot copies
+// took it to ≈1.17K (≈1.18K under the race detector).
 func TestWindowAnalysisAllocBudget(t *testing.T) {
 	const budget = 1240
 	windows := goldenWindows(t, "k8spaas", 0.25, 3)

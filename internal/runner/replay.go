@@ -48,6 +48,5 @@ func (p *Plane) Replay(recs []flowlog.Record, opts ReplayOptions) []*graph.Graph
 		w.Add(rec)
 	}
 	w.Flush()
-	p.tl.Seal()
 	return windows
 }

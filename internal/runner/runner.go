@@ -51,14 +51,13 @@ type Runner interface {
 
 // Config parameterizes a Plane.
 type Config struct {
-	// Timeline configures the versioned window timeline behind the plane.
-	Timeline timeline.Config
 	// Runners are the online analyses. Defaults to DefaultRunners().
 	Runners []Runner
-	// History bounds per-runner retained epoch results (default 96).
+	// History bounds the windows the plane retains in memory (default
+	// 96): per-runner epoch results and the timeline's window extents, so
+	// in-memory QUERY and time resolution cover the same epochs.
 	History int
-	// Telemetry, when set, receives per-analysis run latency histograms
-	// and the timeline's metrics.
+	// Telemetry, when set, receives per-analysis run latency histograms.
 	Telemetry *telemetry.Registry
 	// Trace, when set, records an "analysis.<name>" span against every
 	// sampled record riding an analyzed window, continuing the record's
@@ -97,7 +96,7 @@ type Plane struct {
 	wmAnalyzed  map[string]*watermark.Stage
 }
 
-// New builds a Plane. The zero Config is usable: default timeline,
+// New builds a Plane. The zero Config is usable: default retention,
 // default runners.
 func New(cfg Config) *Plane {
 	if cfg.History <= 0 {
@@ -106,10 +105,8 @@ func New(cfg Config) *Plane {
 	if cfg.Runners == nil {
 		cfg.Runners = DefaultRunners()
 	}
-	cfg.Timeline.Telemetry = cfg.Telemetry
-	cfg.Timeline.Trace = cfg.Trace
 	p := &Plane{
-		tl:      timeline.New(cfg.Timeline),
+		tl:      timeline.New(timeline.Config{Retention: cfg.History}),
 		runners: cfg.Runners,
 		history: cfg.History,
 		tracer:  cfg.Trace,
@@ -134,7 +131,7 @@ func New(cfg Config) *Plane {
 	return p
 }
 
-// Timeline exposes the plane's versioned timeline.
+// Timeline exposes the plane's window timeline.
 func (p *Plane) Timeline() *timeline.Timeline { return p.tl }
 
 // Runners returns the registered analysis names, sorted.
@@ -206,10 +203,6 @@ func (p *Plane) step(r Runner, epoch uint64, g *graph.Graph) {
 	// stops when the promise holds, not when the computation does.
 	p.wmAnalyzed[name].Advance(epoch)
 }
-
-// Seal closes the timeline's in-progress roll-up bucket; call once the
-// stream has been flushed so partial-bucket roll-ups become readable.
-func (p *Plane) Seal() { p.tl.Seal() }
 
 // Query returns the result of the named analysis at the given epoch (0
 // means latest). The returned epoch identifies which snapshot answered,

@@ -23,6 +23,7 @@ import (
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/diag"
 	"cloudgraph/internal/histstore"
+	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/trace"
 	"cloudgraph/internal/watermark"
 )
@@ -208,12 +209,7 @@ func Handler(s Sources) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		st := s.Collect()
 		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(st); err != nil {
-				return // client went away mid-response
-			}
+			telemetry.WriteJSON(w, st)
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"io"
 	"log"
 	"math"
@@ -131,6 +132,17 @@ func GetOnly(h http.Handler) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
 	})
+}
+
+// WriteJSON answers an ops view with v as indented JSON — the one writer
+// behind every JSON view. A client that went away mid-response is ignored.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return // client went away mid-response
+	}
 }
 
 // registerProcessMetrics adds the process-level gauges every ops endpoint

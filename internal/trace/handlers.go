@@ -2,12 +2,13 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
+
+	"cloudgraph/internal/telemetry"
 )
 
 // The ops-endpoint views. Both set an explicit Content-Type; the GET/HEAD
@@ -42,7 +43,7 @@ func TracezHandler(rec *Recorder) http.Handler {
 				return
 			}
 			if wantJSON {
-				writeJSON(w, tracezTrace{TraceID: fmt.Sprintf("%016x", id), Spans: spans})
+				telemetry.WriteJSON(w, tracezTrace{TraceID: fmt.Sprintf("%016x", id), Spans: spans})
 				return
 			}
 			writeText(w, waterfall(id, spans))
@@ -54,7 +55,7 @@ func TracezHandler(rec *Recorder) http.Handler {
 			for _, id := range ids {
 				out = append(out, tracezTrace{TraceID: fmt.Sprintf("%016x", id), Spans: rec.Trace(id)})
 			}
-			writeJSON(w, out)
+			telemetry.WriteJSON(w, out)
 			return
 		}
 		var buf bytes.Buffer
@@ -132,7 +133,7 @@ func FlightzHandler(f *Flight) http.Handler {
 			return
 		}
 		if r.URL.Query().Get("format") == "json" {
-			writeJSON(w, f.Snapshot())
+			telemetry.WriteJSON(w, f.Snapshot())
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -140,13 +141,4 @@ func FlightzHandler(f *Flight) http.Handler {
 			return // scraper went away mid-dump; nothing to clean up
 		}
 	})
-}
-
-// writeJSON emits one JSON document with the right Content-Type.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		return // client went away mid-response
-	}
 }
