@@ -28,7 +28,7 @@
 // -max-tenants. A deficit-round-robin scheduler shares -sched-workers
 // execution slots between realms in proportion to -tenant-weight, and a
 // per-tenant COGS meter (records, bytes, graph memory, analysis seconds,
-// disk) is served on /tenantz, /statusz and the tenant-labeled metrics.
+// disk) heads each tenant's /statusz row and the tenant-labeled metrics.
 //
 // With -data-dir the daemon is crash-recoverable: every completed window
 // is appended to a durable epoch-indexed segment store partitioned per
@@ -42,10 +42,11 @@
 // views of the running daemon: Prometheus metrics on /metrics, liveness on
 // /healthz, profiling on /debug/pprof/, a tenant's latest window as an
 // adjacency heatmap on /graphz (?tenant=, the default tenant otherwise),
-// sampled record traces on /tracez, the flight recorder on /flightz,
-// per-tenant planes on /tenantz and a tenant's analysis plane on /analyz
-// (?tenant= as on /graphz). SIGQUIT dumps the flight ring to stderr
-// without stopping the daemon.
+// sampled record traces on /tracez, the flight recorder on /flightz, one
+// status row per tenant plane beside the scheduler on /statusz (also
+// served as /tenantz) and a tenant's analysis plane on /analyz (?tenant=
+// as on /graphz). The startup log line lists every view. SIGQUIT dumps
+// the flight ring to stderr without stopping the daemon.
 package main
 
 import (
@@ -119,6 +120,28 @@ func (f weightFlag) Set(s string) error {
 	return nil
 }
 
+// statusSources wires /statusz to the realm manager: one row source per
+// admitted tenant, in admission order, and the shared scheduler.
+func statusSources(m *realm.Manager) statusz.Sources {
+	return statusz.Sources{
+		Scheduler: m.Scheduler(),
+		Tenants: func() []statusz.TenantSources {
+			realms := m.Realms()
+			out := make([]statusz.TenantSources, 0, len(realms))
+			for _, r := range realms {
+				out = append(out, statusz.TenantSources{
+					Cost:       r.Cost(),
+					Recovered:  r.Recovered(),
+					Watermarks: r.Watermarks(),
+					Bus:        r.Engine().Bus(),
+					Hist:       r.Hist(),
+				})
+			}
+			return out
+		},
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cloudgraphd: ")
@@ -129,7 +152,7 @@ func main() {
 		collapse    = flag.Float64("collapse", 0, "heavy-hitter collapse threshold (0 disables; paper uses 0.001)")
 		facet       = flag.String("facet", "ip", "graph facet: ip or ip-port")
 		workers     = flag.Int("workers", runtime.NumCPU(), "ingest shards: concurrent connections fold records in parallel, one flow-key shard per worker")
-		opsAddr     = flag.String("ops", "127.0.0.1:9443", "ops HTTP address serving /metrics, /healthz, /debug/pprof/, /graphz, /tracez, /flightz and /tenantz (empty disables)")
+		opsAddr     = flag.String("ops", "127.0.0.1:9443", "ops HTTP address serving the metrics, profiling and status views (empty disables)")
 		traceSample = flag.Int("trace-sample", 0, "trace one in N ingested records end to end (0 disables span sampling)")
 		flightN     = flag.Int("flight-events", trace.DefaultFlightEvents, "flight recorder ring capacity (events and spans retained for /flightz and crash dumps)")
 		logLevel    = flag.String("log-level", "info", "structured event log level: debug, info, warn or error")
@@ -216,8 +239,8 @@ func main() {
 	defer m.Close()
 	def := m.Default()
 	// The unlabeled cloudgraph_watermark_* series keep tracking the
-	// default tenant, like every other single-plane surface; per-tenant
-	// visibility rides the tenant-labeled COGS gauges and /tenantz.
+	// default tenant; per-tenant visibility rides the tenant-labeled COGS
+	// gauges and the /statusz tenant rows.
 	def.Watermarks().Instrument(reg)
 
 	if *live {
@@ -269,38 +292,10 @@ func main() {
 	log.Printf("listening on %s (window=%v facet=%s collapse=%g workers=%d trace-sample=%d)",
 		srv.Addr(), *window, *facet, *collapse, *workers, *traceSample)
 
-	sources := statusz.Sources{
-		Watermarks: def.Watermarks(),
-		Bus:        def.Engine().Bus(),
-		Hist:       def.Hist(),
-		Flight:     tr.Flight(),
-		Diag:       diagM,
-		Start:      time.Now(),
-		Tenants: func() []statusz.TenantSources {
-			realms := m.Realms()
-			out := make([]statusz.TenantSources, 0, len(realms))
-			for _, r := range realms {
-				c := r.Cost()
-				out = append(out, statusz.TenantSources{
-					Tenant:     r.Name(),
-					Watermarks: r.Watermarks(),
-					Bus:        r.Engine().Bus(),
-					Hist:       r.Hist(),
-					Cost: statusz.TenantCost{
-						Weight:          c.Weight,
-						Records:         c.Records,
-						WireBytes:       c.WireBytes,
-						GraphBytes:      c.GraphBytes,
-						IngestSeconds:   c.IngestSeconds,
-						AnalysisSeconds: c.AnalysisSeconds,
-						DiskBytes:       c.DiskBytes,
-						QueueDepth:      c.QueueDepth,
-					},
-				})
-			}
-			return out
-		},
-	}
+	sources := statusSources(m)
+	sources.Flight = tr.Flight()
+	sources.Diag = diagM
+	sources.Start = time.Now()
 	statusSrc.Store(&sources)
 
 	if *opsAddr != "" {
@@ -314,14 +309,13 @@ func main() {
 		ops.HandleView("/graphz", analytics.GraphzHandler(m))
 		ops.HandleView("/tracez", trace.TracezHandler(tr.Recorder()))
 		ops.HandleView("/flightz", trace.FlightzHandler(tr.Flight()))
-		ops.HandleView("/statusz", statusz.Handler(sources))
-		ops.HandleView("/tenantz", realm.TenantzHandler(m))
-		views := "/metrics /healthz /debug/pprof/ /graphz /tracez /flightz /statusz /tenantz"
+		status := statusz.Handler(sources)
+		ops.HandleView("/statusz", status)
+		ops.HandleView("/tenantz", status)
 		if *live {
 			ops.HandleView("/analyz", analytics.AnalyzHandler(m))
-			views += " /analyz"
 		}
-		log.Printf("ops endpoint on http://%s (%s)", ops.Addr(), views)
+		log.Printf("ops endpoint on http://%s (%s)", ops.Addr(), strings.Join(ops.Views(), " "))
 	}
 
 	// SIGQUIT dumps the flight recorder — the last N events and spans

@@ -118,7 +118,7 @@ func expFig8(e *env) {
 		fmt.Printf("| %d | %v | %.0f | %v | %d | %.4f | %.2g | %.2g%% |\n",
 			shards, wall.Round(time.Millisecond), float64(len(recs))/wall.Seconds(),
 			report.Merge.Round(time.Millisecond), eng.Epoch(),
-			cores, vms, 100*vms/1000)
+			cores, vms, report.SurchargePct(live1000, 1000, 8))
 	}
 	fmt.Println("\nShape check: realtime graph construction for a 1000-VM subscription needs a small fraction of one VM — far below the paper's 0.5% viability bar; with Config.Shards > 1 the engine sustains that rate across concurrent connections instead of serializing them on one lock.")
 }

@@ -15,10 +15,11 @@ import (
 )
 
 // cmdTop is the live pipeline dashboard: it polls a daemon's
-// /statusz?format=json and redraws the watermark, bus and SLO state each
-// interval — `watch` for the freshness of the analysis plane. -n bounds
-// the iterations (0 = until interrupted); -plain suppresses the ANSI
-// clear-screen for logs and tests.
+// /statusz?format=json and redraws the tenant table, each tenant's
+// watermark, bus and SLO state each interval — `watch` for the freshness
+// of the analysis plane. -n bounds the iterations (0 = until
+// interrupted); -plain suppresses the ANSI clear-screen for logs and
+// tests.
 func cmdTop(args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	ops := fs.String("ops", "127.0.0.1:9443", "cloudgraphd ops address (the -ops flag it was started with)")
@@ -71,13 +72,51 @@ func renderTop(w io.Writer, st statusz.Status, url string) {
 	}
 	fmt.Fprintf(w, "cloudgraph top — %s — %s%s\n\n", url, st.Time.Format("15:04:05"), uptime)
 
-	if wm := st.Watermarks; wm != nil {
+	if len(st.Tenants) > 0 {
+		fmt.Fprintf(w, "%-18s %3s %10s %10s %10s %8s %9s %5s %7s %5s %6s %7s\n",
+			"tenant", "w", "records", "graph", "disk", "ingest", "analysis", "queue", "sealed", "lag", "burned", "budget")
+		for _, t := range st.Tenants {
+			fmt.Fprintf(w, " %-17s %3d %10d %10s %10s %7.2fs %8.2fs %5d %7d %5d %6d %6.1f%%\n",
+				t.Tenant, t.Weight, t.Records,
+				statusz.HumanBytes(t.GraphBytes), statusz.HumanBytes(t.DiskBytes),
+				t.IngestSeconds, t.AnalysisSeconds,
+				t.QueueDepth, t.SealedEpoch, t.LagWindows, t.BurnedWindows, t.BudgetRemaining*100)
+		}
+		fmt.Fprintln(w)
+	}
+
+	for _, t := range st.Tenants {
+		renderTenant(w, t)
+	}
+	if f := st.Flight; f != nil {
+		fmt.Fprintf(w, "flight: %d trips", f.Trips)
+		if len(f.RecentTrips) > 0 {
+			last := f.RecentTrips[0]
+			fmt.Fprintf(w, " (last: %s %s: %s)", last.Time.UTC().Format("15:04:05"), last.Component, last.Msg)
+		}
+		fmt.Fprintln(w)
+	}
+	if d := st.Diag; d != nil {
+		fmt.Fprintf(w, "diag: %d bundles written, %d suppressed", d.Written, d.Dropped)
+		if len(d.Bundles) > 0 {
+			fmt.Fprintf(w, " (newest: %s)", d.Bundles[0].Name)
+		}
+		fmt.Fprintln(w)
+	}
+	if strings.TrimSpace(uptime) == "" && len(st.Tenants) == 0 {
+		fmt.Fprintln(w, "(empty status — is this a cloudgraphd ops endpoint?)")
+	}
+}
+
+// renderTenant draws one tenant's stage and bus tables and history line.
+func renderTenant(w io.Writer, t statusz.TenantStatus) {
+	if wm := t.Watermarks; wm != nil {
 		target := ""
 		if wm.Target > 0 {
 			target = fmt.Sprintf(" · freshness target %s", wm.Target)
 		}
-		fmt.Fprintf(w, "pipeline: ingesting epoch %d, sealed %d (%d windows)%s · SLO budget %.1f%%\n",
-			wm.Ingested, wm.Sealed, wm.Windows, target, wm.BudgetRemaining*100)
+		fmt.Fprintf(w, "%s: ingesting epoch %d, sealed %d (%d windows)%s · SLO budget %.1f%%\n",
+			t.Tenant, wm.Ingested, wm.Sealed, wm.Windows, target, wm.BudgetRemaining*100)
 		fmt.Fprintf(w, "%-26s %10s %6s %12s %8s %12s %6s\n",
 			"stage", "epoch", "lag", "staleness", "burned", "consecutive", "trips")
 		for _, s := range wm.Stages {
@@ -95,13 +134,11 @@ func renderTop(w io.Writer, st statusz.Status, url string) {
 				s.Burned, s.Consecutive, s.Trips)
 		}
 		fmt.Fprintln(w)
-	} else {
-		fmt.Fprintln(w, "pipeline: no watermark data (daemon started without watermarks?)")
 	}
 
-	if len(st.Bus) > 0 {
+	if len(t.Bus) > 0 {
 		fmt.Fprintf(w, "%-26s %8s %8s %12s %10s\n", "bus consumer", "depth", "cap", "delivered", "dropped")
-		for _, c := range st.Bus {
+		for _, c := range t.Bus {
 			mark := ""
 			if c.Dropped > 0 {
 				mark = " !"
@@ -111,58 +148,8 @@ func renderTop(w io.Writer, st statusz.Status, url string) {
 		fmt.Fprintln(w)
 	}
 
-	if len(st.Tenants) > 0 {
-		fmt.Fprintf(w, "%-18s %3s %10s %10s %10s %8s %9s %5s %7s %7s\n",
-			"tenant", "w", "records", "graph", "disk", "ingest", "analysis", "queue", "sealed", "budget")
-		for _, t := range st.Tenants {
-			sealed := uint64(0)
-			budget := 1.0
-			if t.Watermarks != nil {
-				sealed = t.Watermarks.Sealed
-				budget = t.Watermarks.BudgetRemaining
-			}
-			fmt.Fprintf(w, " %-17s %3d %10d %10s %10s %7.2fs %8.2fs %5d %7d %6.1f%%\n",
-				t.Tenant, t.Cost.Weight, t.Cost.Records,
-				humanBytes(t.Cost.GraphBytes), humanBytes(t.Cost.DiskBytes),
-				t.Cost.IngestSeconds, t.Cost.AnalysisSeconds,
-				t.Cost.QueueDepth, sealed, budget*100)
-		}
-		fmt.Fprintln(w)
-	}
-
-	if h := st.Hist; h != nil {
-		fmt.Fprintf(w, "histstore: epochs %d–%d · %d segments · %d bytes · %d window + %d rollup records\n",
+	if h := t.Hist; h != nil {
+		fmt.Fprintf(w, "histstore: epochs %d–%d · %d segments · %d bytes · %d window + %d rollup records\n\n",
 			h.OldestEpoch, h.NewestEpoch, h.Segments, h.Bytes, h.WindowRecords, h.RollupRecords)
 	}
-	if f := st.Flight; f != nil {
-		fmt.Fprintf(w, "flight: %d trips", f.Trips)
-		if len(f.RecentTrips) > 0 {
-			last := f.RecentTrips[0]
-			fmt.Fprintf(w, " (last: %s %s: %s)", last.Time.UTC().Format("15:04:05"), last.Component, last.Msg)
-		}
-		fmt.Fprintln(w)
-	}
-	if d := st.Diag; d != nil {
-		fmt.Fprintf(w, "diag: %d bundles written, %d suppressed", d.Written, d.Dropped)
-		if len(d.Bundles) > 0 {
-			fmt.Fprintf(w, " (newest: %s)", d.Bundles[0].Name)
-		}
-		fmt.Fprintln(w)
-	}
-	if strings.TrimSpace(uptime) == "" && st.Watermarks == nil && len(st.Bus) == 0 {
-		fmt.Fprintln(w, "(empty status — is this a cloudgraphd ops endpoint?)")
-	}
-}
-
-// humanBytes renders a byte count with a binary unit suffix.
-func humanBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1fGiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%dB", n)
 }

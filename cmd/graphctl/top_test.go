@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/statusz"
 	"cloudgraph/internal/watermark"
 )
@@ -23,12 +24,11 @@ func TestTopFetchAndRender(t *testing.T) {
 	wm.Sealed(2, time.Now())
 
 	srv := httptest.NewServer(statusz.Handler(statusz.Sources{
-		Watermarks: wm,
-		Start:      time.Now().Add(-90 * time.Second),
+		Start: time.Now().Add(-90 * time.Second),
 		Tenants: func() []statusz.TenantSources {
 			return []statusz.TenantSources{{
-				Tenant: "acme",
-				Cost:   statusz.TenantCost{Weight: 4, Records: 1234, GraphBytes: 2048, DiskBytes: 1 << 21},
+				Cost:       realm.Cost{Tenant: "acme", Weight: 4, Records: 1234, GraphBytes: 2048, DiskBytes: 1 << 21},
+				Watermarks: wm,
 			}}
 		},
 	}))
@@ -38,16 +38,16 @@ func TestTopFetchAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fetchStatus: %v", err)
 	}
-	if st.Watermarks == nil || st.Watermarks.Sealed != 2 {
-		t.Fatalf("decoded watermarks = %+v, want sealed epoch 2", st.Watermarks)
+	if len(st.Tenants) != 1 || st.Tenants[0].Tenant != "acme" {
+		t.Fatalf("decoded tenants = %+v, want one acme row", st.Tenants)
+	}
+	if wm := st.Tenants[0].Watermarks; wm == nil || wm.Sealed != 2 {
+		t.Fatalf("decoded watermarks = %+v, want sealed epoch 2", wm)
 	}
 
 	var buf strings.Builder
 	renderTop(&buf, st, srv.URL)
 	out := buf.String()
-	if len(st.Tenants) != 1 || st.Tenants[0].Tenant != "acme" {
-		t.Fatalf("decoded tenants = %+v, want one acme row", st.Tenants)
-	}
 	for _, want := range []string{"sealed 2", "analyzed.segment", "SLO budget", "lag", "acme", "2.0KiB", "2.0MiB"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dashboard frame missing %q:\n%s", want, out)

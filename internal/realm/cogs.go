@@ -32,8 +32,9 @@ func (c *cogsMeter) timeAnalysis(start time.Time) {
 	c.analysisNS.Add(int64(time.Since(start)))
 }
 
-// Cost is one tenant's COGS snapshot — the /tenantz row, the `graphctl
-// top` tenant columns, and bench's realm.cogs_* layer rows.
+// Cost is one tenant's COGS snapshot. Embedded flat, it is the head of
+// the tenant's /statusz row (the document /tenantz serves too), hence the
+// `graphctl top` tenant columns and bench's realm.cogs_* layer rows.
 type Cost struct {
 	Tenant string `json:"tenant"`
 	Weight int64  `json:"weight"`
@@ -53,10 +54,6 @@ type Cost struct {
 	DiskBytes int64 `json:"disk_bytes"`
 	// QueueDepth is the tenant's backlog in the weighted-fair scheduler.
 	QueueDepth int `json:"queue_depth"`
-	// SealedEpoch is the tenant pipeline's newest sealed window.
-	SealedEpoch uint64 `json:"sealed_epoch"`
-	// BudgetRemaining mirrors the tenant's freshness SLO budget.
-	BudgetRemaining float64 `json:"budget_remaining"`
 }
 
 // instrument registers the tenant-labeled COGS series. All handles read

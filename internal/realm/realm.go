@@ -149,7 +149,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Scheduler exposes the shared admission gate (for /tenantz and tests).
+// Scheduler exposes the shared admission gate (for /statusz's scheduler
+// section and tests).
 func (m *Manager) Scheduler() *Scheduler { return m.sched }
 
 // Telemetry returns the registry shared by every realm (nil when off).
@@ -416,12 +417,7 @@ func (r *Realm) Cost() Cost {
 		AnalysisSeconds: time.Duration(r.cogs.analysisNS.Load()).Seconds(),
 		DiskBytes:       r.diskBytes(),
 		QueueDepth:      r.m.sched.Depth(r.name),
-		SealedEpoch:     r.wm.SealedEpoch(),
-		BudgetRemaining: 1,
 	}
 	c.WireBytes = c.Records * flowlog.WireSize
-	if r.wm != nil {
-		c.BudgetRemaining = r.wm.Snapshot().BudgetRemaining
-	}
 	return c
 }

@@ -211,6 +211,9 @@ func (s *Scheduler) Stats() []QueueStat {
 	return out
 }
 
+// Slots returns the configured pool width.
+func (s *Scheduler) Slots() int { return s.slots }
+
 // Depth returns one tenant's queued (not yet granted) task count.
 func (s *Scheduler) Depth(tenant string) int {
 	if s == nil {

@@ -1,15 +1,17 @@
-// Package statusz renders the daemon's one-page operational status: the
-// pipeline watermarks and freshness SLO budget from internal/watermark,
-// per-consumer bus depth and drop totals, the history store's durable
-// epoch range, flight-recorder trips and retained diagnostic bundles.
-// It is the "is the pipeline keeping up, and if not where" view — every
-// number also exists as a Prometheus series on /metrics, but /statusz
-// joins them into one consistent snapshot an operator (or graphctl top)
-// reads in one request.
+// Package statusz renders the daemon's one-page operational status: one
+// row per tenant plane — its COGS meter, pipeline watermarks and
+// freshness SLO budget from internal/watermark, per-consumer bus depth
+// and drop totals, the history store's durable epoch range — beside the
+// shared scheduler, flight-recorder trips and retained diagnostic
+// bundles. It is the "is the pipeline keeping up, and if not where"
+// view — every number also exists as a Prometheus series on /metrics,
+// but /statusz joins them into one consistent snapshot an operator (or
+// graphctl top) reads in one request.
 //
 // The handler serves HTML by default and the same snapshot as JSON with
-// ?format=json; graphctl top and the diagnostic-bundle status.json member
-// decode the JSON form (the Status type is the wire contract).
+// ?format=json; graphctl top, the benchmark and the diagnostic-bundle
+// status.json member decode the JSON form (the Status type is the wire
+// contract).
 package statusz
 
 import (
@@ -23,6 +25,7 @@ import (
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/diag"
 	"cloudgraph/internal/histstore"
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/trace"
 	"cloudgraph/internal/watermark"
@@ -32,70 +35,65 @@ import (
 // is optional — a nil source simply omits its section, so the handler
 // works on a partially-assembled daemon (and in tests).
 type Sources struct {
-	// Watermarks is the pipeline's stage-progress tracker.
-	Watermarks *watermark.Tracker
-	// Bus is the engine's fan-out bus (per-consumer depth/drops).
-	Bus *core.Bus
-	// Hist is the durable history store (segment totals, epoch range).
-	Hist *histstore.Store
+	// Tenants lists one row source per tenant plane, in display order.
+	Tenants func() []TenantSources
+	// Scheduler is the weighted-fair gate the tenant planes share.
+	Scheduler *realm.Scheduler
 	// Flight contributes trip counts and the recent trip events.
 	Flight *trace.Flight
 	// Diag lists retained diagnostic bundles.
 	Diag *diag.Manager
 	// Start anchors the uptime figure (zero omits it).
 	Start time.Time
-	// Tenants, when set, lists one source set per tenant realm — the
-	// multi-plane registry. The single-plane fields above keep working
-	// unchanged (a multi-tenant daemon points them at its default
-	// tenant), so single-tenant callers and old JSON consumers never see
-	// a difference; nil omits the tenants section like any other source.
-	Tenants func() []TenantSources
 }
 
-// TenantSources is one tenant's slice of the multi-plane registry. The
-// same all-nil-safe contract as Sources applies per field.
+// TenantSources is one tenant plane's row source. Each nil pointer omits
+// its part of the row, so a bare engine fills one from its watermark
+// tracker and bus.
 type TenantSources struct {
-	Tenant     string
+	// Cost is the tenant's COGS snapshot; Cost.Tenant names the row.
+	Cost realm.Cost
+	// Recovered counts the windows startup replayed for the tenant.
+	Recovered  int
 	Watermarks *watermark.Tracker
 	Bus        *core.Bus
 	Hist       *histstore.Store
-	// Cost is the tenant's COGS snapshot, prepared by the caller (the
-	// realm layer); statusz treats it as opaque display data.
-	Cost TenantCost
 }
 
-// TenantCost mirrors the realm COGS meter without importing it (statusz
-// must stay importable from the realm layer's callers).
-type TenantCost struct {
-	Weight          int64   `json:"weight"`
-	Records         int64   `json:"records"`
-	WireBytes       int64   `json:"wire_bytes"`
-	GraphBytes      int64   `json:"graph_bytes"`
-	IngestSeconds   float64 `json:"ingest_seconds"`
-	AnalysisSeconds float64 `json:"analysis_seconds"`
-	DiskBytes       int64   `json:"disk_bytes"`
-	QueueDepth      int     `json:"queue_depth"`
-}
-
-// TenantStatus is one tenant's row in the Status document.
+// TenantStatus is one tenant's row in the Status document: the COGS
+// snapshot (flat in JSON), the progress figures an operator triages by,
+// and the watermark, bus and history sections they were derived from.
+// SealedEpoch and BudgetRemaining come from the row's own Watermarks.
 type TenantStatus struct {
-	Tenant     string              `json:"tenant"`
-	Watermarks *watermark.Snapshot `json:"watermarks,omitempty"`
-	Bus        []core.ConsumerStat `json:"bus,omitempty"`
-	Hist       *HistStatus         `json:"histstore,omitempty"`
-	Cost       TenantCost          `json:"cost"`
+	realm.Cost
+	SealedEpoch     uint64  `json:"sealed_epoch"`
+	BudgetRemaining float64 `json:"budget_remaining"`
+	// LagWindows and StalenessSec are the worst stage's; BurnedWindows
+	// sums every stage's SLO burns.
+	LagWindows      uint64              `json:"lag_windows"`
+	StalenessSec    float64             `json:"staleness_seconds"`
+	BurnedWindows   uint64              `json:"burned_windows"`
+	RecoveredEpochs int                 `json:"recovered_epochs"`
+	Watermarks      *watermark.Snapshot `json:"watermarks,omitempty"`
+	Bus             []core.ConsumerStat `json:"bus,omitempty"`
+	Hist            *HistStatus         `json:"histstore,omitempty"`
 }
 
 // Status is the JSON document /statusz?format=json serves.
 type Status struct {
-	Time          time.Time           `json:"time"`
-	UptimeSeconds float64             `json:"uptime_seconds,omitempty"`
-	Watermarks    *watermark.Snapshot `json:"watermarks,omitempty"`
-	Bus           []core.ConsumerStat `json:"bus,omitempty"`
-	Hist          *HistStatus         `json:"histstore,omitempty"`
-	Flight        *FlightStatus       `json:"flight,omitempty"`
-	Diag          *DiagStatus         `json:"diag,omitempty"`
-	Tenants       []TenantStatus      `json:"tenants,omitempty"`
+	Time          time.Time      `json:"time"`
+	UptimeSeconds float64        `json:"uptime_seconds,omitempty"`
+	Tenants       []TenantStatus `json:"tenants,omitempty"`
+	Scheduler     *SchedStatus   `json:"scheduler,omitempty"`
+	Flight        *FlightStatus  `json:"flight,omitempty"`
+	Diag          *DiagStatus    `json:"diag,omitempty"`
+}
+
+// SchedStatus summarizes the weighted-fair scheduler: its slot count and
+// each tenant queue's weight, depth and lifetime grants.
+type SchedStatus struct {
+	Slots  int               `json:"slots"`
+	Queues []realm.QueueStat `json:"queues"`
 }
 
 // HistStatus summarizes the history store for the status page.
@@ -132,31 +130,13 @@ func (s Sources) Collect() Status {
 	if !s.Start.IsZero() {
 		st.UptimeSeconds = time.Since(s.Start).Seconds()
 	}
-	if s.Watermarks != nil {
-		snap := s.Watermarks.Snapshot()
-		st.Watermarks = &snap
-	}
-	if s.Bus != nil {
-		st.Bus = s.Bus.Stats()
-	}
-	if s.Hist != nil {
-		st.Hist = histStatus(s.Hist)
-	}
 	if s.Tenants != nil {
 		for _, ts := range s.Tenants() {
-			row := TenantStatus{Tenant: ts.Tenant, Cost: ts.Cost}
-			if ts.Watermarks != nil {
-				snap := ts.Watermarks.Snapshot()
-				row.Watermarks = &snap
-			}
-			if ts.Bus != nil {
-				row.Bus = ts.Bus.Stats()
-			}
-			if ts.Hist != nil {
-				row.Hist = histStatus(ts.Hist)
-			}
-			st.Tenants = append(st.Tenants, row)
+			st.Tenants = append(st.Tenants, tenantStatus(ts))
 		}
+	}
+	if s.Scheduler != nil {
+		st.Scheduler = &SchedStatus{Slots: s.Scheduler.Slots(), Queues: s.Scheduler.Stats()}
 	}
 	if s.Flight != nil {
 		fs := &FlightStatus{Trips: s.Flight.Trips()}
@@ -173,6 +153,33 @@ func (s Sources) Collect() Status {
 		st.Diag = &DiagStatus{Written: w, Dropped: d, Bundles: s.Diag.Bundles()}
 	}
 	return st
+}
+
+// tenantStatus builds one tenant's row. A nil tracker snapshots as an
+// untouched budget, so a row without watermarks reads sealed 0, budget 1.
+func tenantStatus(ts TenantSources) TenantStatus {
+	snap := ts.Watermarks.Snapshot()
+	row := TenantStatus{
+		Cost:            ts.Cost,
+		SealedEpoch:     snap.Sealed,
+		BudgetRemaining: snap.BudgetRemaining,
+		RecoveredEpochs: ts.Recovered,
+	}
+	for _, st := range snap.Stages {
+		row.LagWindows = max(row.LagWindows, st.Lag)
+		row.StalenessSec = max(row.StalenessSec, st.StalenessSeconds)
+		row.BurnedWindows += st.Burned
+	}
+	if ts.Watermarks != nil {
+		row.Watermarks = &snap
+	}
+	if ts.Bus != nil {
+		row.Bus = ts.Bus.Stats()
+	}
+	if ts.Hist != nil {
+		row.Hist = histStatus(ts.Hist)
+	}
+	return row
 }
 
 // histStatus summarizes one history store for the status page.
@@ -203,8 +210,8 @@ func (s Sources) JSON() ([]byte, error) {
 }
 
 // Handler serves the status page: HTML by default, the Status JSON with
-// ?format=json. Method gating is the registrar's job (telemetry.GetOnly),
-// matching the rest of the ops views.
+// ?format=json. Method gating is the registrar's job (OpsServer.HandleView
+// wraps every ops view in the same GET/HEAD contract).
 func Handler(s Sources) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		st := s.Collect()
@@ -213,64 +220,37 @@ func Handler(s Sources) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := page.Execute(w, pageData(st)); err != nil {
+		if err := page.Execute(w, st); err != nil {
 			return // client went away mid-response
 		}
 	})
 }
 
-// pageModel adapts Status for the HTML template: durations pre-formatted,
-// budget classified for styling.
-type pageModel struct {
-	Status
-	Uptime      string
-	Target      string
-	BudgetPct   string
-	BudgetClass string
-	SealedAge   string
-}
-
-func pageData(st Status) pageModel {
-	m := pageModel{Status: st}
-	if st.UptimeSeconds > 0 {
-		m.Uptime = time.Duration(st.UptimeSeconds * float64(time.Second)).Round(time.Second).String()
+// HumanBytes renders a byte count with a binary unit suffix — the one
+// byte formatter behind the status page and graphctl top.
+func HumanBytes(n int64) string {
+	switch {
+	case n >= 1<<30:
+		return fmt.Sprintf("%.1fGiB", float64(n)/(1<<30))
+	case n >= 1<<20:
+		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
+	case n >= 1<<10:
+		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
 	}
-	if wm := st.Watermarks; wm != nil {
-		if wm.Target > 0 {
-			m.Target = wm.Target.String()
-		}
-		m.BudgetPct = fmt.Sprintf("%.1f%%", wm.BudgetRemaining*100)
-		switch {
-		case wm.BudgetRemaining <= 0:
-			m.BudgetClass = "bad"
-		case wm.BudgetRemaining < 0.5:
-			m.BudgetClass = "warn"
-		default:
-			m.BudgetClass = "ok"
-		}
-		if !wm.SealedAt.IsZero() {
-			m.SealedAge = time.Since(wm.SealedAt).Round(time.Millisecond).String()
-		}
-	}
-	return m
+	return fmt.Sprintf("%dB", n)
 }
 
 var page = template.Must(template.New("statusz").Funcs(template.FuncMap{
 	"secs": func(v float64) string {
 		return (time.Duration(v * float64(time.Second))).Round(time.Millisecond).String()
 	},
-	"bytes": func(v int64) string {
-		const unit = 1024
-		if v < unit {
-			return fmt.Sprintf("%d B", v)
-		}
-		div, exp := int64(unit), 0
-		for n := v / unit; n >= unit; n /= unit {
-			div *= unit
-			exp++
-		}
-		return fmt.Sprintf("%.1f %ciB", float64(v)/float64(div), "KMGTPE"[exp])
+	"uptime": func(v float64) string {
+		return (time.Duration(v * float64(time.Second))).Round(time.Second).String()
 	},
+	"ago": func(t time.Time) string {
+		return time.Since(t).Round(time.Millisecond).String()
+	},
+	"bytes": HumanBytes,
 	"utc": func(t time.Time) string {
 		if t.IsZero() {
 			return "—"
@@ -278,6 +258,15 @@ var page = template.Must(template.New("statusz").Funcs(template.FuncMap{
 		return t.UTC().Format("15:04:05.000")
 	},
 	"pct": func(v float64) float64 { return v * 100 },
+	"budgetClass": func(v float64) string {
+		switch {
+		case v <= 0:
+			return "bad"
+		case v < 0.5:
+			return "warn"
+		}
+		return "ok"
+	},
 }).Parse(`<!doctype html>
 <html><head><title>cloudgraph /statusz</title><style>
 body { font: 14px/1.4 monospace; margin: 2em; color: #222; }
@@ -290,11 +279,20 @@ h1 { font-size: 1.2em; } h2 { font-size: 1em; margin-bottom: 0; }
 .meta { color: #666; }
 </style></head><body>
 <h1>cloudgraph /statusz</h1>
-<p class="meta">{{.Time.Format "2006-01-02T15:04:05Z"}}{{if .Uptime}} · up {{.Uptime}}{{end}} · <a href="/statusz?format=json">json</a> · <a href="/metrics">metrics</a> · <a href="/flightz">flightz</a> · <a href="/tracez">tracez</a> · <a href="/analyz">analyz</a></p>
+<p class="meta">{{.Time.Format "2006-01-02T15:04:05Z"}}{{if .UptimeSeconds}} · up {{uptime .UptimeSeconds}}{{end}} · <a href="/statusz?format=json">json</a> · <a href="/metrics">metrics</a> · <a href="/flightz">flightz</a> · <a href="/tracez">tracez</a> · <a href="/analyz">analyz</a></p>
 
+{{with .Tenants}}
+<h2>tenants</h2>
+<table>
+<tr><th>tenant</th><th>weight</th><th>records</th><th>wire</th><th>graph</th><th>disk</th><th>ingest</th><th>analysis</th><th>queue</th><th>sealed</th><th>lag</th><th>burned</th><th>recovered</th><th>budget</th></tr>
+{{range .}}<tr><td>{{.Tenant}}</td><td>{{.Weight}}</td><td>{{.Records}}</td><td>{{bytes .WireBytes}}</td><td>{{bytes .GraphBytes}}</td><td>{{bytes .DiskBytes}}</td><td>{{secs .IngestSeconds}}</td><td>{{secs .AnalysisSeconds}}</td><td{{if gt .QueueDepth 0}} class="warn"{{end}}>{{.QueueDepth}}</td><td>{{.SealedEpoch}}</td><td{{if gt .LagWindows 1}} class="warn"{{end}}>{{.LagWindows}}</td><td{{if gt .BurnedWindows 0}} class="bad"{{end}}>{{.BurnedWindows}}</td><td>{{.RecoveredEpochs}}</td><td class="{{budgetClass .BudgetRemaining}}">{{printf "%.0f%%" (pct .BudgetRemaining)}}</td></tr>
+{{end}}</table>
+{{end}}
+
+{{range $t := .Tenants}}
 {{with .Watermarks}}
-<h2>watermarks</h2>
-<p class="meta">ingested epoch {{.Ingested}} · sealed epoch {{.Sealed}}{{with $.SealedAge}} ({{.}} ago){{end}} · {{.Windows}} windows sealed{{with $.Target}} · freshness target {{.}}{{end}} · SLO budget <span class="{{$.BudgetClass}}">{{$.BudgetPct}}</span></p>
+<h2>{{$t.Tenant}} watermarks</h2>
+<p class="meta">ingested epoch {{.Ingested}} · sealed epoch {{.Sealed}}{{if not .SealedAt.IsZero}} ({{ago .SealedAt}} ago){{end}} · {{.Windows}} windows sealed{{if .Target}} · freshness target {{.Target}}{{end}} · SLO budget <span class="{{budgetClass .BudgetRemaining}}">{{printf "%.1f%%" (pct .BudgetRemaining)}}</span></p>
 <table>
 <tr><th>stage</th><th>epoch</th><th>lag</th><th>staleness</th><th>slo</th><th>burned</th><th>consecutive</th><th>trips</th><th>last advance</th></tr>
 {{range .Stages}}<tr><td>{{.Name}}</td><td>{{.Epoch}}</td><td{{if gt .Lag 1}} class="warn"{{end}}>{{.Lag}}</td><td>{{secs .StalenessSeconds}}</td><td>{{if .SLO}}yes{{else}}–{{end}}</td><td{{if gt .Burned 0}} class="warn"{{end}}>{{.Burned}}</td><td{{if gt .Consecutive 0}} class="warn"{{end}}>{{.Consecutive}}</td><td{{if gt .Trips 0}} class="bad"{{end}}>{{.Trips}}</td><td>{{utc .LastAdvance}}</td></tr>
@@ -302,7 +300,7 @@ h1 { font-size: 1.2em; } h2 { font-size: 1em; margin-bottom: 0; }
 {{end}}
 
 {{with .Bus}}
-<h2>bus consumers</h2>
+<h2>{{$t.Tenant}} bus consumers</h2>
 <table>
 <tr><th>consumer</th><th>depth</th><th>capacity</th><th>delivered</th><th>dropped</th></tr>
 {{range .}}<tr><td>{{.Name}}</td><td{{if gt .Depth 0}} class="warn"{{end}}>{{.Depth}}</td><td>{{.Capacity}}</td><td>{{.Delivered}}</td><td{{if gt .Dropped 0}} class="bad"{{end}}>{{.Dropped}}</td></tr>
@@ -310,15 +308,17 @@ h1 { font-size: 1.2em; } h2 { font-size: 1em; margin-bottom: 0; }
 {{end}}
 
 {{with .Hist}}
-<h2>history store</h2>
+<h2>{{$t.Tenant}} history store</h2>
 <p class="meta">epochs {{.OldestEpoch}}–{{.NewestEpoch}} · {{.Segments}} segments · {{bytes .Bytes}} · {{.WindowRecords}} window + {{.RollupRecords}} rollup records</p>
 {{end}}
+{{end}}
 
-{{with .Tenants}}
-<h2>tenants</h2>
+{{with .Scheduler}}
+<h2>scheduler</h2>
+<p class="meta">{{.Slots}} slots</p>
 <table>
-<tr><th>tenant</th><th>weight</th><th>records</th><th>graph</th><th>disk</th><th>ingest</th><th>analysis</th><th>queue</th><th>sealed</th><th>budget</th></tr>
-{{range .}}<tr><td>{{.Tenant}}</td><td>{{.Cost.Weight}}</td><td>{{.Cost.Records}}</td><td>{{bytes .Cost.GraphBytes}}</td><td>{{bytes .Cost.DiskBytes}}</td><td>{{secs .Cost.IngestSeconds}}</td><td>{{secs .Cost.AnalysisSeconds}}</td><td{{if gt .Cost.QueueDepth 0}} class="warn"{{end}}>{{.Cost.QueueDepth}}</td><td>{{with .Watermarks}}{{.Sealed}}{{else}}–{{end}}</td><td>{{with .Watermarks}}{{printf "%.0f%%" (pct .BudgetRemaining)}}{{else}}–{{end}}</td></tr>
+<tr><th>tenant</th><th>weight</th><th>depth</th><th>granted</th></tr>
+{{range .Queues}}<tr><td>{{.Tenant}}</td><td>{{.Weight}}</td><td{{if gt .Depth 0}} class="warn"{{end}}>{{.Depth}}</td><td>{{.Granted}}</td></tr>
 {{end}}</table>
 {{end}}
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cloudgraph/internal/diag"
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/trace"
 	"cloudgraph/internal/watermark"
 )
@@ -33,10 +34,12 @@ func testSources(t *testing.T) Sources {
 	}
 
 	return Sources{
-		Watermarks: wm,
-		Flight:     fl,
-		Diag:       dm,
-		Start:      time.Now().Add(-time.Minute),
+		Tenants: func() []TenantSources {
+			return []TenantSources{{Cost: realm.Cost{Tenant: realm.DefaultTenant}, Watermarks: wm}}
+		},
+		Flight: fl,
+		Diag:   dm,
+		Start:  time.Now().Add(-time.Minute),
 	}
 }
 
@@ -54,11 +57,15 @@ func TestHandlerJSON(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatalf("decoding /statusz JSON: %v", err)
 	}
-	if st.Watermarks == nil || st.Watermarks.Sealed != 1 || st.Watermarks.Ingested != 2 {
-		t.Errorf("watermarks = %+v, want sealed 1 / ingested 2", st.Watermarks)
+	if len(st.Tenants) != 1 {
+		t.Fatalf("tenants = %+v, want one row", st.Tenants)
 	}
-	if len(st.Watermarks.Stages) != 1 || st.Watermarks.Stages[0].Name != "published" {
-		t.Errorf("stages = %+v", st.Watermarks.Stages)
+	wm := st.Tenants[0].Watermarks
+	if wm == nil || wm.Sealed != 1 || wm.Ingested != 2 {
+		t.Errorf("watermarks = %+v, want sealed 1 / ingested 2", wm)
+	}
+	if len(wm.Stages) != 1 || wm.Stages[0].Name != "published" {
+		t.Errorf("stages = %+v", wm.Stages)
 	}
 	if st.Flight == nil || st.Flight.Trips != 1 || len(st.Flight.RecentTrips) != 1 {
 		t.Errorf("flight = %+v, want 1 trip echoed", st.Flight)
@@ -104,7 +111,7 @@ func TestEmptySourcesStillServe(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatalf("empty status JSON: %v", err)
 	}
-	if st.Watermarks != nil || st.Bus != nil || st.Hist != nil {
+	if st.Tenants != nil || st.Scheduler != nil {
 		t.Errorf("empty sources produced sections: %+v", st)
 	}
 }
@@ -119,7 +126,7 @@ func TestJSONMatchesHandler(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("Sources.JSON not decodable: %v", err)
 	}
-	if st.Watermarks == nil || st.Diag == nil {
+	if len(st.Tenants) != 1 || st.Tenants[0].Watermarks == nil || st.Diag == nil {
 		t.Errorf("Sources.JSON missing sections: %+v", st)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // OpsServer is the daemon's operational HTTP endpoint: /metrics in
 // Prometheus text format, /healthz for liveness probes, and the stdlib
 // /debug/pprof profiles. Extra views (cloudgraphd's /graphz heatmap)
-// attach via Handle.
+// attach via HandleView.
 type OpsServer struct {
 	ln  net.Listener
 	mux *http.ServeMux
@@ -83,17 +83,11 @@ func (o *OpsServer) serve() {
 // Addr returns the bound listen address (useful with ":0").
 func (o *OpsServer) Addr() string { return o.ln.Addr().String() }
 
-// Handle attaches an extra handler under pattern with no method gating —
-// for routes with their own method contract (pprof). Read-only views
-// belong on HandleView. Safe to call while the server runs; panics if
-// pattern is already taken (http.ServeMux rules).
-func (o *OpsServer) Handle(pattern string, h http.Handler) {
-	o.mux.Handle(pattern, h)
-}
-
 // HandleView attaches a read-only view under pattern: the handler is
 // wrapped in GetOnly, so every view shares the GET/HEAD-or-405 contract,
 // and the pattern is recorded so Views can enumerate the ops surface.
+// Safe to call while the server runs; panics if pattern is already taken
+// (http.ServeMux rules).
 func (o *OpsServer) HandleView(pattern string, h http.Handler) {
 	o.mux.Handle(pattern, GetOnly(h))
 	o.viewMu.Lock()

@@ -75,7 +75,7 @@ func TestOpsServerEndpoints(t *testing.T) {
 	}
 
 	// Extra views attach while the server runs.
-	o.Handle("/extra", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	o.HandleView("/extra", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		if _, err := io.WriteString(w, "extra-view"); err != nil {
 			return
 		}

@@ -15,6 +15,7 @@ import (
 	"cloudgraph/internal/diag"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/statusz"
 	"cloudgraph/internal/watermark"
 )
@@ -145,10 +146,11 @@ func TestStatuszStalledConsumerEndToEnd(t *testing.T) {
 
 	// /statusz must agree with the ground truth read directly above.
 	srv := httptest.NewServer(statusz.Handler(statusz.Sources{
-		Watermarks: wm,
-		Bus:        e.Bus(),
-		Diag:       dm,
-		Start:      time.Now(),
+		Tenants: func() []statusz.TenantSources {
+			return []statusz.TenantSources{{Cost: realm.Cost{Tenant: realm.DefaultTenant}, Watermarks: wm, Bus: e.Bus()}}
+		},
+		Diag:  dm,
+		Start: time.Now(),
 	}))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/statusz?format=json")
@@ -160,13 +162,17 @@ func TestStatuszStalledConsumerEndToEnd(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatalf("decoding /statusz: %v", err)
 	}
-	if status.Watermarks == nil || status.Watermarks.Sealed != sealed {
-		t.Errorf("/statusz sealed = %+v, engine epoch %d", status.Watermarks, sealed)
+	if len(status.Tenants) != 1 {
+		t.Fatalf("/statusz tenants = %+v, want the engine's one row", status.Tenants)
 	}
-	if len(status.Bus) != 1 || status.Bus[0].Name != "analysis.stalled" {
-		t.Fatalf("/statusz bus = %+v", status.Bus)
+	row := status.Tenants[0]
+	if row.Watermarks == nil || row.Watermarks.Sealed != sealed {
+		t.Errorf("/statusz sealed = %+v, engine epoch %d", row.Watermarks, sealed)
 	}
-	bus := status.Bus[0]
+	if len(row.Bus) != 1 || row.Bus[0].Name != "analysis.stalled" {
+		t.Fatalf("/statusz bus = %+v", row.Bus)
+	}
+	bus := row.Bus[0]
 	if bus.Delivered == 0 {
 		t.Error("/statusz shows no deliveries for the stalled consumer")
 	}
