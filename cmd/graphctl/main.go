@@ -383,7 +383,7 @@ func cmdPlan(args []string) {
 func cmdSend(args []string) {
 	fs := flag.NewFlagSet("send", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7443", "cloudgraphd address")
-	batch := fs.Int("batch", 4096, "records per INGEST batch")
+	batch := fs.Int("batch", 4096, fmt.Sprintf("records per INGEST batch, at most %d (the server's limit; a larger batch is sent as several)", analytics.MaxIngestBatch))
 	flush := fs.Bool("flush", false, "FLUSH after sending and print the sealed epoch")
 	tenant := fs.String("tenant", "", "session tenant: untagged records land on this realm instead of the default")
 	file := parseArgs(fs, args)

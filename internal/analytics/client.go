@@ -67,8 +67,25 @@ func (c *Client) readLine() (string, error) {
 	return line, nil
 }
 
-// Ingest streams a batch of records.
+// inBatches calls send once per consecutive range [lo, hi) of n records,
+// each at most MaxIngestBatch long, so one call of the Ingest methods may
+// send several INGEST commands; n == 0 still sends one, empty.
+func inBatches(n int, send func(lo, hi int) error) error {
+	for lo := 0; ; lo += MaxIngestBatch {
+		hi := min(lo+MaxIngestBatch, n)
+		if err := send(lo, hi); err != nil || hi == n {
+			return err
+		}
+	}
+}
+
+// Ingest streams records, in INGEST batches the server accepts.
 func (c *Client) Ingest(recs []flowlog.Record) error {
+	return inBatches(len(recs), func(lo, hi int) error { return c.ingest(recs[lo:hi]) })
+}
+
+// ingest streams one batch of records.
+func (c *Client) ingest(recs []flowlog.Record) error {
 	if _, err := fmt.Fprintf(c.w, "INGEST %d\n", len(recs)); err != nil {
 		return err
 	}
@@ -99,17 +116,19 @@ func (c *Client) IngestTraced(recs []flowlog.Record, tcs []trace.Context) error 
 	if !sampled {
 		return c.Ingest(recs)
 	}
-	if _, err := fmt.Fprintf(c.w, "INGEST %d T\n", len(recs)); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 1+flowlog.WireSize+traceFieldSize)
-	for i, r := range recs {
-		buf = appendFlaggedFrame(buf[:0], r, tcs[i])
-		if _, err := c.w.Write(buf); err != nil {
+	return inBatches(len(recs), func(lo, hi int) error {
+		if _, err := fmt.Fprintf(c.w, "INGEST %d T\n", hi-lo); err != nil {
 			return err
 		}
-	}
-	return c.finishIngest(len(recs))
+		buf := make([]byte, 0, 1+flowlog.WireSize+traceFieldSize)
+		for i, r := range recs[lo:hi] {
+			buf = appendFlaggedFrame(buf[:0], r, tcs[lo+i])
+			if _, err := c.w.Write(buf); err != nil {
+				return err
+			}
+		}
+		return c.finishIngest(hi - lo)
+	})
 }
 
 // Tenant switches the connection's session tenant: every later command
@@ -134,21 +153,23 @@ func (c *Client) IngestTagged(recs []flowlog.Record, tcs []trace.Context, tenant
 	if len(tenants) != len(recs) {
 		return fmt.Errorf("tenants not parallel: %d tags for %d records", len(tenants), len(recs))
 	}
-	if _, err := fmt.Fprintf(c.w, "INGEST %d T\n", len(recs)); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 1+flowlog.WireSize+traceFieldSize+1+64)
-	for i, r := range recs {
-		var tc trace.Context
-		if tcs != nil {
-			tc = tcs[i]
-		}
-		buf = appendTaggedFrame(buf[:0], r, tc, tenants[i])
-		if _, err := c.w.Write(buf); err != nil {
+	return inBatches(len(recs), func(lo, hi int) error {
+		if _, err := fmt.Fprintf(c.w, "INGEST %d T\n", hi-lo); err != nil {
 			return err
 		}
-	}
-	return c.finishIngest(len(recs))
+		buf := make([]byte, 0, 1+flowlog.WireSize+traceFieldSize+1+64)
+		for i := lo; i < hi; i++ {
+			var tc trace.Context
+			if tcs != nil {
+				tc = tcs[i]
+			}
+			buf = appendTaggedFrame(buf[:0], recs[i], tc, tenants[i])
+			if _, err := c.w.Write(buf); err != nil {
+				return err
+			}
+		}
+		return c.finishIngest(hi - lo)
+	})
 }
 
 // finishIngest flushes a written batch and checks the OK response.

@@ -110,6 +110,48 @@ func TestServerRejectsOverlongCommandLine(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedIngest: an INGEST declaring more than
+// MaxIngestBatch records, plain or flagged, answers ERR before any frame is
+// read and closes the connection, so no connection's batch buffer grows
+// toward the count a peer declares. The client splits a longer slice into
+// batches the server accepts.
+func TestServerRejectsOversizedIngest(t *testing.T) {
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}}, Options{})
+	for _, header := range []string{"INGEST %d\n", "INGEST %d T\n"} {
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := fmt.Fprintf(conn, header, MaxIngestBatch+1); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(conn)
+		line, err := r.ReadString('\n')
+		if err != nil || !strings.HasPrefix(line, "ERR batch of") {
+			t.Fatalf("%q: got %q, %v; want an ERR line", strings.TrimSpace(header), line, err)
+		}
+		if _, err := r.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%q: after the ERR line: %v; want the connection closed", strings.TrimSpace(header), err)
+		}
+	}
+
+	client, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Ingest(testRecords(0, MaxIngestBatch+1)); err != nil {
+		t.Fatalf("client ingest over the limit: %v", err)
+	}
+	if st, err := client.Stats(); err != nil || st.Records != MaxIngestBatch+1 {
+		t.Fatalf("STATS after the split ingest: %+v, %v; want %d records", st, err, MaxIngestBatch+1)
+	}
+}
+
 func TestServerCloseUnblocksStalledConn(t *testing.T) {
 	// The leak scenario: with default (minutes-long) deadlines a stalled
 	// peer would pin its handler goroutine long past Close unless Close

@@ -409,6 +409,11 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 	if err != nil || n < 0 {
 		return nil, errors.New("bad count")
 	}
+	if n > MaxIngestBatch {
+		// The frames that follow stay unread, so the stream cannot be
+		// re-aligned to the next command.
+		return nil, fmt.Errorf("batch of %d records over the limit of %d: %w", n, MaxIngestBatch, errDesync)
+	}
 	if !traced {
 		tr := ses.Engine().Tracer()
 		var start time.Time
@@ -554,6 +559,12 @@ func (s *Server) ingestTagged(ses *session, sc *connScratch, batch []flowlog.Rec
 	}
 	return nil
 }
+
+// MaxIngestBatch is the most records one INGEST may declare: 16 times the
+// 4096-record batches graphctl send and the benchmark write. A larger
+// count answers ERR and closes the connection before any frame is read, so
+// a connection's reused batch buffer never grows past this many records.
+const MaxIngestBatch = 1 << 16
 
 // readBatch reads a declared batch of n binary flowlog frames into sc's
 // reused buffer, decoding each run of whole frames in place from r's own

@@ -9,9 +9,10 @@ import "sort"
 // index is the node id, out-edges are offset+column arrays with a parallel
 // slab of per-edge counter blocks, and the in-direction is a CSC mirror
 // that shares the slab. A Builder seals its window straight into this
-// form, Merge merge-joins two of them, and FromIndex assembles one from
-// index-space tuples (a decoded window, a collapsed one); every read
-// accessor answers from the arrays.
+// form, Merge merge-joins two of them, FromIndex assembles one from
+// index-space tuples (a collapsed window, a v1 history record) and FromCSR
+// adopts the arrays of a decoded v2 history record; every read accessor
+// answers from the arrays.
 //
 // Layout, for n nodes and m directed edges:
 //
@@ -41,15 +42,27 @@ func (g *Graph) CSR() (nodes []Node, rowOff, cols []int32, edges []Edge) {
 	return g.fz.nodes, g.fz.rowOff, g.fz.cols, g.fz.edges
 }
 
+// FromCSR adopts arrays already in the CSR layout CSR returns — nodes
+// strictly ascending by Node.Less, rowOff the n+1 row offsets from 0 to
+// len(cols), each row's cols strictly ascending and below n, edges parallel
+// to cols — and builds only the in-direction mirror. It is the window
+// codec's decode entry point, whose canonical body is this layout; the
+// caller guarantees every invariant.
+func FromCSR(facet Facet, nodes []Node, rowOff, cols []int32, edges []Edge) *Graph {
+	fz := &frozen{nodes: nodes, rowOff: rowOff, cols: cols, edges: edges}
+	fz.mirror()
+	return newGraph(facet, fz)
+}
+
 // FromIndex assembles a graph from an index form: nodes, and the
 // directed edges keys[e] = src<<32|dst between positions in nodes, with
 // counter blocks edges[e]. Edges may come in any order but must not repeat
 // a key (FromIndex reports false if one does); nodes may come in any order
 // and repeat, and equal nodes become one node whose coinciding edges sum.
 // Nodes in strictly ascending Node.Less order with strictly ascending keys —
-// the order the CSR form, and so EncodeGraph, lays them out in — are adopted
-// without sorting. FromIndex takes ownership of all three slices; the caller
-// guarantees every key indexes into nodes.
+// the order the CSR form lays them out in — are adopted without sorting.
+// FromIndex takes ownership of all three slices; the caller guarantees
+// every key indexes into nodes.
 func FromIndex(facet Facet, nodes []Node, keys []uint64, edges []Edge) (*Graph, bool) {
 	if !ascending(keys) {
 		keys, edges = sortEdges(len(nodes), keys, edges)

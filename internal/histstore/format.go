@@ -103,12 +103,15 @@ type record struct {
 //	u32 bodyLen
 //	u32 crc32c(body)
 //	body: u64 epochLo, u64 epochHi, i64 startUnix, i64 endUnix,
-//	      graph bytes (store.EncodeGraph — the frozen-CSR window codec)
+//	      graph bytes (store.EncodeGraph — the v2 window codec)
 //
 // The times duplicate the graph's Start/End so index scans and time
 // lookups decode a 32-byte prefix instead of the whole graph. The body is
 // encoded in place after a reserved header, so a reused dst makes the
-// append allocation-free.
+// append allocation-free. Every record written is v2, compaction's
+// roll-ups and residue included, so compacting history written by an
+// older version as v1 migrates it; decodeRecord reads either version, each
+// record marking its own.
 func encodeRecord(dst []byte, epochLo, epochHi uint64, g *graph.Graph) []byte {
 	head := len(dst)
 	dst = append(dst, make([]byte, 8)...)

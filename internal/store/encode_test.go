@@ -16,41 +16,48 @@ import (
 	"cloudgraph/internal/nicsim"
 )
 
-// naiveEncodeGraph is EncodeGraph as it was before it walked the CSR
-// arrays: a Node-keyed index map over Nodes(), two lookups per edge through
-// EachOut, and a sort of the edges. Kept as the reference the codec's
-// bytes are pinned to.
+// naiveEncodeGraph is the v2 layout written the plain way, sharing no
+// code with the encoder: a Node-keyed index map over Nodes(), two lookups
+// per edge through EachOut, a sort of the edges, and the rows counted from
+// the sorted list. Kept as the reference the codec's bytes are pinned to.
 func naiveEncodeGraph(g *graph.Graph) []byte {
 	nodes := g.Nodes()
 	idx := make(map[graph.Node]uint32, len(nodes))
-	buf := make([]byte, 0, 64+len(nodes)*24)
-	buf = append(buf, byte(g.Facet))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.Start.Unix()))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.End.Unix()))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(nodes)))
+	text := func(buf []byte, s string) []byte {
+		return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+	}
+	buf := []byte{0x82, byte(g.Facet)}
+	buf = binary.AppendVarint(buf, g.Start.Unix())
+	buf = binary.AppendVarint(buf, g.End.Unix()-g.Start.Unix())
+	buf = binary.AppendUvarint(buf, uint64(len(nodes)))
 	for i, n := range nodes {
 		idx[n] = uint32(i)
-		kind, text := byte(kindIP), n.Addr.Zone()
 		switch {
 		case n.Name != "":
-			kind, text = kindName, n.Name
+			buf = text(append(buf, 2), n.Name)
+			continue
 		case n.Port != 0:
-			kind = kindIPPort
-		}
-		buf = append(buf, kind)
-		a16 := n.Addr.As16()
-		if !n.Addr.IsValid() {
-			a16 = [16]byte{}
-		}
-		buf = append(buf, a16[:]...)
-		if n.Addr.Is4() {
 			buf = append(buf, 1)
-		} else {
+		default:
 			buf = append(buf, 0)
 		}
-		buf = binary.LittleEndian.AppendUint16(buf, n.Port)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(text)))
-		buf = append(buf, text...)
+		if n.Addr.Is4() {
+			buf[len(buf)-1] |= 0x04
+			a4 := n.Addr.As4()
+			buf = append(buf, a4[:]...)
+		} else {
+			if n.Addr.Zone() != "" {
+				buf[len(buf)-1] |= 0x08
+			}
+			a16 := n.Addr.As16()
+			buf = append(buf, a16[:]...)
+		}
+		if n.Port != 0 {
+			buf = binary.AppendUvarint(buf, uint64(n.Port))
+		}
+		if z := n.Addr.Zone(); z != "" {
+			buf = text(buf, z)
+		}
 	}
 	type edge struct {
 		src, dst uint32
@@ -63,13 +70,23 @@ func naiveEncodeGraph(g *graph.Graph) []byte {
 	slices.SortFunc(edges, func(a, b edge) int {
 		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
 	})
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(edges)))
-	for _, e := range edges {
-		buf = binary.LittleEndian.AppendUint32(buf, e.src)
-		buf = binary.LittleEndian.AppendUint32(buf, e.dst)
-		buf = binary.LittleEndian.AppendUint64(buf, e.c.Bytes)
-		buf = binary.LittleEndian.AppendUint64(buf, e.c.Packets)
-		buf = binary.LittleEndian.AppendUint64(buf, e.c.Conns)
+	buf = binary.AppendUvarint(buf, uint64(len(edges)))
+	for src := range uint32(len(nodes)) {
+		var row []edge
+		for _, e := range edges {
+			if e.src == src {
+				row = append(row, e)
+			}
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(row)))
+		prev := int64(-1)
+		for _, e := range row {
+			buf = binary.AppendUvarint(buf, uint64(int64(e.dst)-prev-1))
+			buf = binary.AppendUvarint(buf, e.c.Bytes)
+			buf = binary.AppendUvarint(buf, e.c.Packets)
+			buf = binary.AppendUvarint(buf, e.c.Conns)
+			prev = int64(e.dst)
+		}
 	}
 	return buf
 }
@@ -102,9 +119,9 @@ func k8spaasMinute(t *testing.T) *graph.Graph {
 }
 
 // TestEncodeGraphMatchesNaive: the CSR-walking encoder writes exactly the
-// bytes of its retired Node-map body — every node kind, zoned IPv6 twins,
-// graphtest's shapes, a k8spaas minute — and AppendGraph appends those
-// bytes after whatever dst already holds.
+// v2 bytes of the plain Node-map reference — every node kind, zoned IPv6
+// twins, graphtest's shapes, a k8spaas minute — and AppendGraph appends
+// those bytes after whatever dst already holds.
 func TestEncodeGraphMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	gs := []*graph.Graph{graph.New(graph.FacetIPPort), k8spaasMinute(t)}

@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"net/netip"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/graph/graphtest"
+	"cloudgraph/internal/store/storetest"
 )
 
 var t0 = time.Unix(1700000000, 0).UTC().Truncate(time.Hour)
@@ -77,7 +79,8 @@ func sameGraph(t *testing.T, a, b *graph.Graph) {
 // only by zone — and the graphtest shapes (self-loops, one-way and
 // zero-byte edges) survive EncodeGraph→DecodeGraph, matching the map
 // reference; and the encoding is canonical: the decoded graph re-encodes to
-// the same bytes.
+// the same bytes. Their v1 bodies, as older versions wrote them, decode to
+// the same graphs.
 func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	var gs []*graph.Graph
@@ -99,6 +102,12 @@ func TestRoundTrip(t *testing.T) {
 		if re := EncodeGraph(got); !bytes.Equal(re, b) {
 			t.Fatalf("graph %d: decoded graph re-encodes to different bytes", i)
 		}
+		v1 := storetest.EncodeV1(g)
+		if got, err = DecodeGraph(v1); err != nil {
+			t.Fatalf("graph %d as v1: %v", i, err)
+		}
+		sameGraph(t, g, got)
+		assertMatchesMapReference(t, v1)
 	}
 }
 
@@ -106,17 +115,20 @@ func TestRoundTrip(t *testing.T) {
 // DecodeGraph does but accumulates it node by node and edge by edge in a
 // graphtest model, which sums the edges of nodes that decode equal.
 func mapDecode(b []byte) (*graphtest.Model, error) {
+	if len(b) > 0 && b[0] == version2 {
+		return mapDecodeV2(b[1:])
+	}
 	r := &byteReader{b: b}
 	m := graphtest.NewModel(graph.Facet(r.u8()))
 	m.Start = time.Unix(int64(r.u64()), 0).UTC()
 	m.End = time.Unix(int64(r.u64()), 0).UTC()
 	nNodes := uint64(r.u32())
-	if r.err != nil || nNodes*minNodeBytes > uint64(len(r.b)) {
+	if r.err != nil || nNodes*minNodeBytes > uint64(r.rest()) {
 		return nil, ErrBadFormat
 	}
 	var nodes []graph.Node
 	for i := uint64(0); i < nNodes; i++ {
-		n, ok := r.node()
+		n, ok := r.nodeV1()
 		if !ok {
 			return nil, ErrBadFormat
 		}
@@ -124,7 +136,7 @@ func mapDecode(b []byte) (*graphtest.Model, error) {
 		m.Vertex(n)
 	}
 	nEdges := uint64(r.u32())
-	if r.err != nil || nEdges*edgeBytes != uint64(len(r.b)) {
+	if r.err != nil || nEdges*edgeBytes != uint64(r.rest()) {
 		return nil, ErrBadFormat
 	}
 	seen := make(map[[2]uint32]bool)
@@ -136,6 +148,52 @@ func mapDecode(b []byte) (*graphtest.Model, error) {
 		}
 		seen[[2]uint32{src, dst}] = true
 		m.Add(nodes[src], nodes[dst], c)
+	}
+	return m, nil
+}
+
+// mapDecodeV2 is mapDecode for a v2 body after its version byte: the edges
+// of each row go into the model by destination node, each destination
+// after the one before.
+func mapDecodeV2(b []byte) (*graphtest.Model, error) {
+	r := &byteReader{b: b}
+	m := graphtest.NewModel(graph.Facet(r.u8()))
+	start := r.varint()
+	m.Start = time.Unix(start, 0).UTC()
+	m.End = time.Unix(start+r.varint(), 0).UTC()
+	nNodes := r.count(minNodeBytesV2)
+	var nodes []graph.Node
+	for i := 0; i < nNodes && r.err == nil; i++ {
+		n, ok := r.nodeV2()
+		if !ok || (i > 0 && !nodes[i-1].Less(n)) {
+			return nil, ErrBadFormat
+		}
+		nodes = append(nodes, n)
+		m.Vertex(n)
+	}
+	nEdges := r.count(minEdgeBytesV2)
+	if r.err != nil || r.rest() < nNodes+nEdges*minEdgeBytesV2 {
+		return nil, ErrBadFormat
+	}
+	edges := 0
+	for _, src := range nodes {
+		rowLen := r.uvarint()
+		if rowLen > uint64(nEdges-edges) {
+			return nil, ErrBadFormat
+		}
+		dst := -1
+		for range rowLen {
+			dst += 1 + int(min(r.uvarint(), uint64(nNodes)))
+			c := graph.Counters{Bytes: r.uvarint(), Packets: r.uvarint(), Conns: r.uvarint()}
+			if dst >= nNodes {
+				return nil, ErrBadFormat
+			}
+			m.Add(src, nodes[dst], c)
+			edges++
+		}
+	}
+	if r.err != nil || edges != nEdges || r.rest() != 0 {
+		return nil, ErrBadFormat
 	}
 	return m, nil
 }
@@ -158,20 +216,50 @@ func assertMatchesMapReference(t *testing.T, b []byte) {
 }
 
 // TestTruncatedWindow: a body cut short anywhere — mid-node, mid-edge, or
-// exactly at a field boundary — is ErrBadFormat, never a partial graph.
+// exactly at a field boundary — is ErrBadFormat, never a partial graph, in
+// either version.
 func TestTruncatedWindow(t *testing.T) {
-	b := EncodeGraph(randomGraph(rand.New(rand.NewSource(2)), t0))
-	for n := 0; n < len(b); n++ {
-		if g, err := DecodeGraph(b[:n]); !errors.Is(err, ErrBadFormat) || g != nil {
-			t.Fatalf("truncated to %d/%d bytes: graph %v, err %v", n, len(b), g, err)
+	g := randomGraph(rand.New(rand.NewSource(2)), t0)
+	for _, b := range [][]byte{EncodeGraph(g), storetest.EncodeV1(g)} {
+		for n := 0; n < len(b); n++ {
+			if g, err := DecodeGraph(b[:n]); !errors.Is(err, ErrBadFormat) || g != nil {
+				t.Fatalf("truncated to %d/%d bytes: graph %v, err %v", n, len(b), g, err)
+			}
 		}
 	}
 }
 
-// TestOpenErrors: foreign and malformed bodies are ErrBadFormat.
+// v2Body assembles a v2 body by hand: the header of an empty hour window
+// at t0 up to its node count, then parts verbatim — node count, node
+// entries, edge count, rows.
+func v2Body(parts ...[]byte) []byte {
+	empty := graph.New(graph.FacetIP)
+	empty.Start, empty.End = t0, t0.Add(time.Hour)
+	b := EncodeGraph(empty)
+	b = b[:len(b)-2] // drop the zero node and edge counts
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
+// Hand-written v2 parts: counts or row lengths of one and zero, an IPv4
+// node, the port 443, and an edge to the row's first node (destination
+// delta 0, then bytes, packets and conns).
+var (
+	one     = []byte{1}
+	zero    = []byte{0}
+	v4Node  = []byte{kindIP | flagV4, 10, 0, 0, 1}
+	port443 = []byte{0xBB, 0x03}
+	edge0   = []byte{0, 7, 1, 1}
+)
+
+// TestOpenErrors: foreign and malformed bodies are ErrBadFormat — v1
+// bodies with a field mutated, and v2 bodies that are malformed or not
+// canonical, whose valid neighbours are checked to decode first.
 func TestOpenErrors(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(3)), t0)
-	valid := EncodeGraph(g)
+	valid := storetest.EncodeV1(g)
 	// Offsets of the first node's kind byte (after facet and two times)
 	// and of the edge count (before the edge table).
 	const node0 = 1 + 8 + 8 + 4
@@ -179,6 +267,22 @@ func TestOpenErrors(t *testing.T) {
 	edges0 := len(valid) - nEdges*edgeBytes
 	mutate := func(f func(b []byte) []byte) []byte {
 		return f(append([]byte(nil), valid...))
+	}
+	ipPort := func(port ...byte) []byte {
+		return append([]byte{kindIPPort | flagV4, 10, 9, 9, 9}, port...)
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	v2 := EncodeGraph(g)
+	for name, b := range map[string][]byte{
+		"v2 randomGraph":  v2,
+		"v2 one node":     v2Body(one, v4Node, zero, zero),
+		"v2 ip:port node": v2Body(one, ipPort(port443...), zero, zero),
+		"v2 self-loop":    v2Body(one, v4Node, one, one, edge0),
+		"v2 zoned":        v2Body(one, cat([]byte{kindIP | flagZoned}, make([]byte, 16), []byte{1, 'z'}), zero, zero),
+	} {
+		if _, err := DecodeGraph(b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 	cases := map[string][]byte{
 		"empty":         nil,
@@ -198,6 +302,25 @@ func TestOpenErrors(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[edges0-4:], uint32(nEdges+1))
 			return append(b, b[len(b)-edgeBytes:]...)
 		}),
+
+		"v2 version only":        {version2},
+		"v2 trailing byte":       append(append([]byte(nil), v2...), 0),
+		"v2 unknown flag":        v2Body(one, []byte{kindIP | 0x10, 10, 0, 0, 1}, zero, zero),
+		"v2 unknown kind":        v2Body(one, []byte{3 | flagV4, 10, 0, 0, 1}, zero, zero),
+		"v2 v4 and zoned":        v2Body(one, []byte{kindIP | flagV4 | flagZoned, 10, 0, 0, 1, 1, 'z'}, zero, zero),
+		"v2 empty zone":          v2Body(one, cat([]byte{kindIP | flagZoned}, make([]byte, 16), zero), zero, zero),
+		"v2 name with v4 flag":   v2Body(one, []byte{kindName | flagV4, 1, 's'}, zero, zero),
+		"v2 empty name":          v2Body(one, []byte{kindName, 0}, zero, zero),
+		"v2 zero port":           v2Body(one, ipPort(0), zero, zero),
+		"v2 port over 65535":     v2Body(one, ipPort(0x80, 0x80, 0x04), zero, zero),
+		"v2 non-minimal port":    v2Body(one, ipPort(0xBB, 0x83, 0x00), zero, zero),
+		"v2 non-minimal count":   v2Body([]byte{0x81, 0x00}, v4Node, zero, zero),
+		"v2 non-minimal counter": v2Body(one, v4Node, one, one, []byte{0, 0x87, 0x00, 1, 1}),
+		"v2 nodes out of order":  v2Body([]byte{2}, []byte{kindIP | flagV4, 10, 0, 0, 2}, v4Node, zero, zero, zero),
+		"v2 repeated node":       v2Body([]byte{2}, v4Node, v4Node, zero, zero, zero),
+		"v2 edge out of range":   v2Body(one, v4Node, one, one, []byte{1, 7, 1, 1}),
+		"v2 row past edge count": v2Body(one, v4Node, one, []byte{2}, edge0, edge0),
+		"v2 rows short of count": v2Body(one, v4Node, []byte{2}, one, edge0, edge0),
 	}
 	for name, b := range cases {
 		if g, err := DecodeGraph(b); !errors.Is(err, ErrBadFormat) || g != nil {
@@ -206,12 +329,12 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
-// TestDecodeAcceptsUnsortedEdges: the edge table may come in any order —
+// TestDecodeAcceptsUnsortedEdges: a v1 edge table may come in any order —
 // map-form graphs were once encoded in map iteration order — and decodes
 // to the same graph.
 func TestDecodeAcceptsUnsortedEdges(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(4)), t0)
-	b := EncodeGraph(g)
+	b := storetest.EncodeV1(g)
 	edges0 := len(b) - g.NumDirectedEdges()*edgeBytes
 	first := append([]byte(nil), b[edges0:edges0+edgeBytes]...)
 	copy(b[edges0:], b[edges0+edgeBytes:edges0+2*edgeBytes])
@@ -294,21 +417,85 @@ var hostileNodeCount = []byte{
 	0, 0, 0, 0,
 }
 
+// TestDecodeRejectsImpossibleCounts: a node count, edge count or v2 row
+// length the remaining bytes cannot hold is ErrBadFormat, and a hostile
+// body under 32 bytes allocates nothing for the count it declares: at most
+// the few bytes its real entries need.
 func TestDecodeRejectsImpossibleCounts(t *testing.T) {
-	if _, err := DecodeGraph(hostileNodeCount); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("hostile node count: err %v, want ErrBadFormat", err)
+	huge := binary.AppendUvarint(nil, 0xFFFFFFF0)
+	pad := []byte{0, 0, 0, 0}
+	for name, b := range map[string][]byte{
+		"v1 node count": hostileNodeCount,
+		// An edge count past the remaining bytes, after an empty node table.
+		"v1 edge count": append(hostileNodeCount[:17:17], 0, 0, 0, 0, 0xF0, 0xFF, 0xFF, 0xFF),
+		"v2 node count": v2Body(huge, pad),
+		"v2 edge count": v2Body(zero, huge, pad),
+		"v2 row length": v2Body(one, v4Node, one, huge, pad),
+	} {
+		if len(b) >= 32 {
+			t.Fatalf("%s: %d-byte input, want under 32", name, len(b))
+		}
+		if _, err := DecodeGraph(b); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("%s: err %v, want ErrBadFormat", name, err)
+		}
+		if n := bytesPerRun(100, func() { DecodeGraph(b) }); n > 1<<10 {
+			t.Fatalf("%s: rejecting allocates %d bytes", name, n)
+		}
 	}
-	// An edge count past the remaining bytes, after an empty node table.
-	b := append(hostileNodeCount[:17:17], 0, 0, 0, 0, 0xF0, 0xFF, 0xFF, 0xFF)
-	if _, err := DecodeGraph(b); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("hostile edge count: err %v, want ErrBadFormat", err)
+}
+
+// bytesPerRun is the average number of bytes f allocates per call.
+func bytesPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
 	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestDecodeGolden pins the v2 writer to a checked-in body holding every
+// node kind — IPv4, IPv6, zoned IPv6, ip:port, service and the collapse
+// bucket — with a self-loop and an isolated node: the body decodes to the
+// graph it was written from, and that graph encodes to the body byte for
+// byte.
+func TestDecodeGolden(t *testing.T) {
+	b, err := os.ReadFile("testdata/v2_every_kind.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := everyKind()
+	got, err := DecodeGraph(b)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	sameGraph(t, want, got)
+	assertMatchesMapReference(t, b)
+	if enc := EncodeGraph(want); !bytes.Equal(enc, b) {
+		t.Fatalf("EncodeGraph writes %x, golden body is %x", enc, b)
+	}
+}
+
+// everyKind is the graph testdata/v2_every_kind.bin holds.
+func everyKind() *graph.Graph {
+	m := graphtest.NewModel(graph.FacetIP)
+	m.Start, m.End = t0, t0.Add(time.Minute)
+	m.Add(ip("10.0.0.1"), ip("2001:db8::1"), graph.Counters{Bytes: 1500, Packets: 3, Conns: 1})
+	m.Add(ip("2001:db8::1"), ip("10.0.0.1"), graph.Counters{Bytes: 300, Packets: 2, Conns: 1})
+	m.Add(ip("fe80::1%eth0"), ip("10.0.0.1"), graph.Counters{Bytes: 64, Packets: 1})
+	m.Add(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.ServiceNode("svc"), graph.Counters{Bytes: 1 << 40, Packets: 1 << 20, Conns: 70000})
+	m.Add(ip("10.0.0.1"), graph.Collapsed, graph.Counters{Bytes: 7, Packets: 1, Conns: 1})
+	m.Add(graph.ServiceNode("svc"), graph.ServiceNode("svc"), graph.Counters{Bytes: 9, Packets: 1, Conns: 1})
+	m.Vertex(ip("192.0.2.200"))
+	return m.Graph()
 }
 
 // FuzzDecodeGraph: DecodeGraph never panics (nor allocates past what its
 // input can describe), accepts exactly what the map reference accepts and
 // decodes it to the same graph, and the encoding of whatever it accepts is
-// a fixed point: it decodes and re-encodes to itself.
+// a fixed point: it decodes and re-encodes to itself. An accepted v2 input
+// is that encoding: v2 is canonical, so it re-encodes to exactly itself.
 func FuzzDecodeGraph(f *testing.F) {
 	// Seeds stay small: the fuzzer minimizes every new-coverage input, at a
 	// cost quadratic in its length.
@@ -317,12 +504,17 @@ func FuzzDecodeGraph(f *testing.F) {
 	smallM.Add(graph.IPNode(netip.MustParseAddr("10.0.0.1")), graph.IPNode(netip.MustParseAddr("2001:db8::1")), graph.Counters{Bytes: 7, Conns: 1})
 	smallM.Add(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.Collapsed, graph.Counters{Packets: 2})
 	small := smallM.Graph()
-	f.Add(EncodeGraph(small))
-	f.Add(EncodeGraph(graph.New(graph.FacetIPPort)))
+	for _, g := range []*graph.Graph{small, graph.New(graph.FacetIPPort)} {
+		f.Add(EncodeGraph(g))
+		f.Add(storetest.EncodeV1(g))
+	}
 	f.Add(hostileNodeCount)
+	f.Add(v2Body(one, v4Node, one, binary.AppendUvarint(nil, 0xFFFFFFF0), []byte{0, 0, 0, 0}))
 	f.Add([]byte("not a store file at all"))
-	if b, err := os.ReadFile("testdata/mapform_unsorted_zoned.bin"); err == nil {
-		f.Add(b)
+	for _, file := range []string{"testdata/mapform_unsorted_zoned.bin", "testdata/v2_every_kind.bin"} {
+		if b, err := os.ReadFile(file); err == nil {
+			f.Add(b)
+		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		g, err := DecodeGraph(b)
@@ -334,5 +526,8 @@ func FuzzDecodeGraph(f *testing.F) {
 		}
 		assertMatchesMapReference(t, b)
 		assertFixedPoint(t, g)
+		if b[0] == version2 && !bytes.Equal(EncodeGraph(g), b) {
+			t.Fatalf("accepted v2 input %x re-encodes to different bytes", b)
+		}
 	})
 }
