@@ -220,8 +220,10 @@ func BenchmarkNICFlowTable(b *testing.B) {
 
 func BenchmarkNICHostPull(b *testing.B) {
 	h := nicsim.NewHost(4 * time.Minute)
+	var vnics []*nicsim.VNIC
 	for vm := 0; vm < 16; vm++ {
 		v := h.PlaceVM(netip.AddrFrom4([4]byte{10, 0, 0, byte(vm + 1)}))
+		vnics = append(vnics, v)
 		for f := 0; f < 200; f++ {
 			v.Observe(uint16(30000+f), netip.AddrPortFrom(netip.MustParseAddr("203.0.113.1"), 443), 1, 1, 100, 100, benchStart)
 		}
@@ -233,8 +235,8 @@ func BenchmarkNICHostPull(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Re-touch one flow per VM so subsequent pulls emit records.
-		for _, addr := range h.VMs() {
-			h.VNIC(addr).Observe(30000, netip.AddrPortFrom(netip.MustParseAddr("203.0.113.1"), 443), 1, 1, 100, 100, benchStart)
+		for _, v := range vnics {
+			v.Observe(30000, netip.AddrPortFrom(netip.MustParseAddr("203.0.113.1"), 443), 1, 1, 100, 100, benchStart)
 		}
 	}
 }
@@ -482,7 +484,6 @@ func BenchmarkEngineIngestDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src.Reset(wire)
-		rd.Reset(src)
 		for {
 			n, err := rd.ReadBatch(buf)
 			if n > 0 {

@@ -1,6 +1,8 @@
 package cloudgraph
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -209,5 +211,109 @@ func TestEndpointFacetSeparatesColocatedServices(t *testing.T) {
 	gi := BuildGraph(recs, GraphOptions{Facet: FacetIP})
 	if gi.HasNode(n443) {
 		t.Error("IP facet should not key by port")
+	}
+}
+
+// nsgExport is a minimal version-2 Azure NSG flow log: one outbound flow's
+// continuation tuple and an inbound begin tuple, which carries no counters
+// and so yields no record.
+const nsgExport = `{"records": [{"time": "2018-11-13T12:00:35Z", "properties": {"Version": 2,
+  "flows": [{"rule": "DefaultRule_AllowInternetOutBound", "flows": [{"mac": "000D3AF87856",
+    "flowTuples": ["1542110437,10.0.0.4,13.67.143.118,44931,443,T,O,A,C,25,4096,12,2500",
+                   "1542110402,10.0.0.5,10.0.0.4,51831,8080,T,I,A,B,,,,"]}]}]}}]}`
+
+// TestFacadeWrappers drives, once each on a small input, the facade
+// wrappers that no other test, example or experiment exercises.
+func TestFacadeWrappers(t *testing.T) {
+	recs, err := tinyPreset(t).CollectHour(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := BuildGraph(recs, GraphOptions{})
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"Fingerprint", func(t *testing.T) {
+			fp := Fingerprint(g)
+			if len(fp) == 0 {
+				t.Fatal("empty fingerprint")
+			}
+			for i, v := range fp {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Errorf("feature %d = %v", i, v)
+				}
+			}
+		}},
+		{"TrainClassifier", func(t *testing.T) {
+			if _, err := TrainClassifier(nil); err == nil {
+				t.Error("training on no samples should fail")
+			}
+			empty := Fingerprint(BuildGraph(nil, GraphOptions{}))
+			clf, err := TrainClassifier([]ModelSample{{Label: "usvc", FP: Fingerprint(g)}, {Label: "empty", FP: empty}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if label, _ := clf.Classify(Fingerprint(g)); label != "usvc" {
+				t.Errorf("a training graph classifies as %q, want usvc", label)
+			}
+		}},
+		{"Attribute", func(t *testing.T) {
+			a := Attribute(g)
+			if sum := a.CliqueShare + a.HubShare + a.CollapsedShare + a.ScatterShare; math.Abs(sum-1) > 1e-9 || a.Headline == "" {
+				t.Errorf("shares sum to %v, headline %q: %+v", sum, a.Headline, a)
+			}
+		}},
+		{"NewPCA", func(t *testing.T) {
+			p, err := NewPCA(g, Bytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.N != g.NumNodes() || p.ReconErr(p.N) > 1e-6 || p.ReconErr(0) < p.ReconErr(p.N) {
+				t.Errorf("N = %d (graph %d nodes), error at rank 0 %v, at full rank %v",
+					p.N, g.NumNodes(), p.ReconErr(0), p.ReconErr(p.N))
+			}
+		}},
+		{"ParseAzureNSG", func(t *testing.T) {
+			got, err := ParseAzureNSG(strings.NewReader(nsgExport))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || got[0].LocalIP.String() != "10.0.0.4" || got[0].RemotePort != 443 ||
+				got[0].BytesSent != 4096 || got[0].BytesRcvd != 2500 || got[0].Time.Unix() != 1542110437 {
+				t.Errorf("parsed %+v, want the one outbound flow", got)
+			}
+		}},
+		{"OpenHistory", func(t *testing.T) {
+			dir := t.TempDir()
+			h, err := OpenHistory(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Append(1, g); err != nil {
+				t.Fatal(err)
+			}
+			check := func(h *History, when string) {
+				got, err := h.Get(1)
+				if err != nil {
+					t.Fatalf("%s: Get(1): %v", when, err)
+				}
+				if got.NumNodes() != g.NumNodes() || got.NumEdges() != g.NumEdges() || got.TotalTraffic() != g.TotalTraffic() {
+					t.Errorf("%s: history returned %d nodes, %d edges, want %d, %d",
+						when, got.NumNodes(), got.NumEdges(), g.NumNodes(), g.NumEdges())
+				}
+				if err := h.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(h, "after append")
+			if h, err = OpenHistory(dir); err != nil {
+				t.Fatal(err)
+			}
+			check(h, "after reopen")
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, c.run)
 	}
 }

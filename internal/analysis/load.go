@@ -165,27 +165,6 @@ func LoadModule(root string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadDir parses and type-checks the single package in dir (stdlib imports
-// only) — the golden-file tests' loader.
-func LoadDir(dir string) (*Package, error) {
-	fset := token.NewFileSet()
-	files, err := parseDir(fset, dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	path := files[0].Name.Name
-	info := newInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-check %s: %w", dir, err)
-	}
-	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
 // parseDir parses the non-test Go files directly in dir, in stable order.
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)

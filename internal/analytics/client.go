@@ -99,38 +99,6 @@ func (c *Client) ingest(recs []flowlog.Record) error {
 	return c.finishIngest(len(recs))
 }
 
-// IngestTraced streams a batch with its out-of-band trace contexts using
-// the flagged-frame variant of INGEST. tcs must be nil or parallel to
-// recs; with no sampled context (or nil tcs) it falls back to the legacy
-// framing, so an untraced caller never pays the flag bytes.
-func (c *Client) IngestTraced(recs []flowlog.Record, tcs []trace.Context) error {
-	sampled := false
-	if len(tcs) == len(recs) {
-		for _, tc := range tcs {
-			if tc.Sampled() {
-				sampled = true
-				break
-			}
-		}
-	}
-	if !sampled {
-		return c.Ingest(recs)
-	}
-	return inBatches(len(recs), func(lo, hi int) error {
-		if _, err := fmt.Fprintf(c.w, "INGEST %d T\n", hi-lo); err != nil {
-			return err
-		}
-		buf := make([]byte, 0, 1+flowlog.WireSize+traceFieldSize)
-		for i, r := range recs[lo:hi] {
-			buf = appendFlaggedFrame(buf[:0], r, tcs[lo+i])
-			if _, err := c.w.Write(buf); err != nil {
-				return err
-			}
-		}
-		return c.finishIngest(hi - lo)
-	})
-}
-
 // Tenant switches the connection's session tenant: every later command
 // reads and ingests that tenant's pipeline plane. The server admits the
 // realm on first use; invalid names or the tenant cap answer ERR.

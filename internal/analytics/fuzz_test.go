@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cloudgraph/internal/flowlog"
+	"cloudgraph/internal/graph/graphtest"
 	"cloudgraph/internal/trace"
 )
 
@@ -33,7 +34,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		BytesRcvd:   512,
 	}
 	valid := flowlog.AppendBinary(nil, rec)
-	valid = flowlog.AppendBinary(valid, rec.Reverse())
+	valid = flowlog.AppendBinary(valid, graphtest.Reverse(rec))
 	f.Add(uint8(2), valid)
 	// A zeroed middle frame decodes with an error (unspecified address):
 	// the PR-1 path where the rest of the batch must still be drained.
@@ -140,17 +141,17 @@ func FuzzDecodeFlaggedFrame(f *testing.F) {
 		BytesRcvd:   512,
 	}
 	valid := appendFlaggedFrame(nil, rec, trace.Context{TraceID: 0xabc, SpanID: 0xdef})
-	valid = appendFlaggedFrame(valid, rec.Reverse(), trace.Context{})
+	valid = appendFlaggedFrame(valid, graphtest.Reverse(rec), trace.Context{})
 	f.Add(uint8(2), valid)
 	// Tagged frames: traced+tagged, then tagged only.
 	tagged := appendTaggedFrame(nil, rec, trace.Context{TraceID: 0xabc, SpanID: 0xdef}, "acme")
-	tagged = appendTaggedFrame(tagged, rec.Reverse(), trace.Context{}, "globex-prod")
+	tagged = appendTaggedFrame(tagged, graphtest.Reverse(rec), trace.Context{}, "globex-prod")
 	f.Add(uint8(2), tagged)
 	// A tagged frame whose name is well-framed but invalid (uppercase):
 	// recoverable, must drain.
 	badName := appendTaggedFrame(nil, rec, trace.Context{}, "acme")
 	badName[1+flowlog.WireSize+1] = 'A'
-	badName = appendTaggedFrame(badName, rec.Reverse(), trace.Context{}, "acme")
+	badName = appendTaggedFrame(badName, graphtest.Reverse(rec), trace.Context{}, "acme")
 	f.Add(uint8(2), badName)
 	// A tenant length byte with the continuation bit: desync.
 	badLen := appendTaggedFrame(nil, rec, trace.Context{}, "acme")

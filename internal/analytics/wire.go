@@ -56,21 +56,11 @@ const (
 	frameFlagMax = frameFlagTraced | frameFlagTenant
 	// traceFieldSize is the trace ID + span ID appendix.
 	traceFieldSize = 16
-	// maxFlaggedFrame is the longest well-framed flagged frame: flag,
-	// record, trace field, tenant length byte and a 0x7f-byte name.
-	maxFlaggedFrame = 1 + flowlog.WireSize + traceFieldSize + 1 + 0x7f
 )
 
 // errDesync marks framing errors after which the byte stream cannot be
 // re-synchronized; the server reports ERR and closes the connection.
 var errDesync = errors.New("stream desynchronized")
-
-// appendFlaggedFrame encodes one flagged frame for rec with no tenant
-// tag. A zero (unsampled) context emits the plain flag and no trace
-// field.
-func appendFlaggedFrame(buf []byte, rec flowlog.Record, tc trace.Context) []byte {
-	return appendTaggedFrame(buf, rec, tc, "")
-}
 
 // appendTaggedFrame encodes one flagged frame carrying rec, an optional
 // trace context, and an optional tenant tag ("" emits no tag: the frame
@@ -121,7 +111,8 @@ func internTenant(sc *connScratch, name []byte) string {
 // reused buffers, returning the records with their parallel trace
 // contexts (zero Context on plain frames) and tenant tags ("" on
 // untagged frames). Like readBatch it decodes in place from r's own
-// buffer, which must hold the largest frame (maxFlaggedFrame), and it
+// buffer, which must hold the largest frame (flag, record, trace field,
+// tenant length byte and a 0x7f-byte name), and it
 // keeps readBatch's drain invariant for every recoverable error: once a
 // frame's flag byte and tenant length byte fix its length, the remaining
 // frames of the batch are consumed even when a record or tenant name

@@ -369,3 +369,10 @@ func TestReadBatchSpansBufferRefills(t *testing.T) {
 		}
 	}
 }
+
+// appendFlaggedFrame encodes one flagged frame for rec with no tenant
+// tag. A zero (unsampled) context emits the plain flag and no trace
+// field.
+func appendFlaggedFrame(buf []byte, rec flowlog.Record, tc trace.Context) []byte {
+	return appendTaggedFrame(buf, rec, tc, "")
+}

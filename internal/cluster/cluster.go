@@ -351,14 +351,6 @@ func (c *Cluster) MonitoredIPs() int {
 	return n
 }
 
-// RoleOf returns the role name of addr, or "" if unknown.
-func (c *Cluster) RoleOf(addr netip.Addr) string {
-	if inst, ok := c.byAddr[addr]; ok {
-		return inst.role.Name
-	}
-	return ""
-}
-
 // Monitored reports whether addr belongs to a monitored VM.
 func (c *Cluster) Monitored(addr netip.Addr) bool {
 	inst, ok := c.byAddr[addr]
@@ -395,12 +387,6 @@ func (c *Cluster) GroundTruthEndpoints() map[graph.Node]string {
 		}
 	}
 	return gt
-}
-
-// Labeler returns a graph.Labeler mapping addresses to role names, for
-// FacetService graphs.
-func (c *Cluster) Labeler() graph.Labeler {
-	return func(a netip.Addr) string { return c.RoleOf(a) }
 }
 
 // Addresses returns the instance addresses of a role (nil if unknown).

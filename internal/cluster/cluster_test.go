@@ -7,6 +7,7 @@ import (
 
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 	"cloudgraph/internal/nicsim"
 )
 
@@ -68,8 +69,8 @@ func TestRolesAndMonitoring(t *testing.T) {
 	if len(fes) != 3 {
 		t.Fatalf("fe addresses = %v", fes)
 	}
-	if c.RoleOf(fes[0]) != "fe" {
-		t.Errorf("RoleOf(fe[0]) = %q", c.RoleOf(fes[0]))
+	if inst := c.byAddr[fes[0]]; inst == nil || inst.role.Name != "fe" {
+		t.Errorf("fe[0] is not an fe instance: %+v", inst)
 	}
 	if !c.Monitored(fes[0]) {
 		t.Error("fe instance should be monitored")
@@ -116,7 +117,7 @@ func TestTrafficFollowsLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := graph.Build(recs, graph.BuilderOptions{Facet: graph.FacetIP})
+	g := graphtest.Of(graph.Build(recs, graph.BuilderOptions{Facet: graph.FacetIP}))
 	// fe <-> be must be fully connected (fanout -1, high rate).
 	for _, fe := range c.Addresses("fe") {
 		for _, be := range c.Addresses("be") {

@@ -30,13 +30,13 @@ type ConsumerSpec struct {
 	Name string
 	// Fn receives each completed window.
 	Fn WindowConsumer
-	// Buffer overrides Config.ConsumerBuffer for this consumer (0 keeps
-	// the config-wide default).
+	// Buffer is this consumer's queue capacity (0 keeps the default,
+	// 64 windows).
 	Buffer int
 }
 
-// defaultConsumerBuffer is the per-consumer queue capacity when neither
-// Config.ConsumerBuffer nor ConsumerSpec.Buffer sets one.
+// defaultConsumerBuffer is the per-consumer queue capacity when
+// ConsumerSpec.Buffer sets none.
 const defaultConsumerBuffer = 64
 
 // busItem is one queued window delivery.
@@ -72,10 +72,8 @@ type busConsumer struct {
 	deliveredN atomic.Uint64
 }
 
-func newBusConsumer(spec ConsumerSpec, buffer int) *busConsumer {
-	if spec.Buffer > 0 {
-		buffer = spec.Buffer
-	}
+func newBusConsumer(spec ConsumerSpec) *busConsumer {
+	buffer := spec.Buffer
 	if buffer <= 0 {
 		buffer = defaultConsumerBuffer
 	}
@@ -163,25 +161,24 @@ func (c *busConsumer) close() {
 // inside each Engine; the engine's close path is its only publisher, so
 // every consumer observes windows in epoch order.
 //
-// Slow-consumer policy: each consumer has a bounded queue (ConsumerSpec
-// .Buffer / Config.ConsumerBuffer, default 64 windows). Publishing never
-// blocks the merge path; when a queue is full the oldest undelivered
-// window is dropped and counted in
-// cloudgraph_core_bus_dropped_total{consumer=...}. A drop skips epochs
-// for that consumer only — the store, the timeline and every analysis
-// degrade independently instead of backpressuring graph construction.
+// Slow-consumer policy: each consumer has a bounded queue
+// (ConsumerSpec.Buffer, default 64 windows). Publishing never blocks the
+// merge path; when a queue is full the oldest undelivered window is
+// dropped and counted in cloudgraph_core_bus_dropped_total{consumer=...}.
+// A drop skips epochs for that consumer only — the store, the timeline
+// and every analysis degrade independently instead of backpressuring
+// graph construction.
 type Bus struct {
 	mu        sync.Mutex
 	consumers []*busConsumer
 	wg        sync.WaitGroup
 	closed    bool
-	buffer    int
 	reg       *telemetry.Registry
 	tracer    *trace.Tracer
 }
 
-func newBus(buffer int, reg *telemetry.Registry, tracer *trace.Tracer) *Bus {
-	return &Bus{buffer: buffer, reg: reg, tracer: tracer}
+func newBus(reg *telemetry.Registry, tracer *trace.Tracer) *Bus {
+	return &Bus{reg: reg, tracer: tracer}
 }
 
 // Subscribe registers a consumer and starts its delivery goroutine.
@@ -191,7 +188,7 @@ func (b *Bus) Subscribe(spec ConsumerSpec) {
 	if spec.Fn == nil {
 		return
 	}
-	c := newBusConsumer(spec, b.buffer)
+	c := newBusConsumer(spec)
 	if b.reg != nil {
 		label := telemetry.Label{Key: "consumer", Value: c.name}
 		c.depth = b.reg.Gauge("cloudgraph_core_bus_depth",

@@ -210,3 +210,7 @@ func TestBusLateSubscribe(t *testing.T) {
 		t.Fatal("late subscriber saw nothing")
 	}
 }
+
+// Subscribe registers an additional bus consumer. Consumers added after
+// windows completed miss the earlier epochs.
+func (e *Engine) Subscribe(spec ConsumerSpec) { e.bus.Subscribe(spec) }

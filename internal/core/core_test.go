@@ -360,7 +360,7 @@ func engineRecords(t *testing.T, hours int) []flowlog.Record {
 				}
 				recs = append(recs, r)
 				if i%2 == 0 {
-					recs = append(recs, r.Reverse()) // second NIC's report
+					recs = append(recs, graphtest.Reverse(r)) // second NIC's report
 				}
 			}
 		}
@@ -690,3 +690,6 @@ func TestEngineIngestAllocBudget(t *testing.T) {
 		t.Errorf("steady-state ingest allocates %.4f times per record, budget 0.01", perRec)
 	}
 }
+
+// Retained returns the number of completed graphs held for the next Flush.
+func (w *Windower) Retained() int { return len(w.done) }

@@ -41,11 +41,8 @@ type Config struct {
 	// window together with its epoch — the engine keeps no window history
 	// of its own, so a caller that needs the windows subscribes one. See
 	// WindowConsumer for the contract and Bus for the slow-consumer
-	// policy. More can be added later with Engine.Subscribe.
+	// policy.
 	Consumers []ConsumerSpec
-	// ConsumerBuffer is the per-consumer queue capacity before the bus
-	// drops the oldest undelivered window (default 64).
-	ConsumerBuffer int
 	// Telemetry, when set, receives the engine's metrics: per-shard
 	// ingest counts, window merge latency, open and pending-merge window
 	// gauges, and the shared ingest counters.
@@ -203,16 +200,12 @@ func NewEngine(cfg Config) *Engine {
 		e.shards = append(e.shards, &engineShard{windower: w})
 	}
 	e.instrument(cfg.Telemetry)
-	e.bus = newBus(cfg.ConsumerBuffer, cfg.Telemetry, cfg.Trace)
+	e.bus = newBus(cfg.Telemetry, cfg.Trace)
 	for _, spec := range cfg.Consumers {
 		e.bus.Subscribe(spec)
 	}
 	return e
 }
-
-// Subscribe registers an additional bus consumer. Consumers added after
-// windows completed miss the earlier epochs.
-func (e *Engine) Subscribe(spec ConsumerSpec) { e.bus.Subscribe(spec) }
 
 // Bus exposes the engine's fan-out bus for introspection (consumer
 // names, queue depths).
@@ -502,13 +495,6 @@ func (e *Engine) mergePending(cutoff time.Time, all bool) uint64 {
 // end of the collection path of Figure 7.
 func (e *Engine) Collect(recs []flowlog.Record) error {
 	e.Ingest(recs)
-	return nil
-}
-
-// CollectTraced implements nicsim.TracedCollector, carrying host agents'
-// sampled contexts straight into the traced ingest path.
-func (e *Engine) CollectTraced(recs []flowlog.Record, tcs []trace.Context) error {
-	e.IngestTraced(recs, tcs)
 	return nil
 }
 

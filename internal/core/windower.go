@@ -173,6 +173,3 @@ func (w *Windower) Flush() []*graph.Graph {
 
 // Pending returns the number of still-open windows.
 func (w *Windower) Pending() int { return len(w.builders) }
-
-// Retained returns the number of completed graphs held for the next Flush.
-func (w *Windower) Retained() int { return len(w.done) }

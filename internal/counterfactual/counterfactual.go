@@ -68,15 +68,6 @@ func (d *Dist) Quantile(p float64) float64 {
 	return d.xs[i]
 }
 
-// Sample returns the i-th smallest observation (for iterating the CDF).
-func (d *Dist) Sample(i int) float64 {
-	if !d.sorted {
-		sort.Float64s(d.xs)
-		d.sorted = true
-	}
-	return d.xs[i]
-}
-
 // FlowSizes aggregates records by flow key and returns the distribution of
 // total bytes per flow.
 func FlowSizes(recs []flowlog.Record) *Dist {

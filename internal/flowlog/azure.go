@@ -144,31 +144,3 @@ func parseNSGTuple(tuple string) (Record, bool, error) {
 	}
 	return r, true, nil
 }
-
-// AppendAzureNSG renders records as a version-2 NSG flow log export, the
-// inverse of ParseAzureNSG (all under one synthetic rule and MAC). Useful
-// for integration tests and for feeding tools that expect the cloud format.
-func AppendAzureNSG(records []Record) ([]byte, error) {
-	tuples := make([]string, 0, len(records))
-	for _, r := range records {
-		tuples = append(tuples, fmt.Sprintf("%d,%s,%s,%d,%d,T,O,A,E,%d,%d,%d,%d",
-			r.Time.Unix(), r.LocalIP, r.RemoteIP, r.LocalPort, r.RemotePort,
-			r.PacketsSent, r.BytesSent, r.PacketsRcvd, r.BytesRcvd))
-	}
-	env := map[string]any{
-		"records": []map[string]any{{
-			"time": time.Unix(0, 0).UTC().Format(time.RFC3339),
-			"properties": map[string]any{
-				"Version": 2,
-				"flows": []map[string]any{{
-					"rule": "cloudgraph-export",
-					"flows": []map[string]any{{
-						"mac":        "000D3AF87856",
-						"flowTuples": tuples,
-					}},
-				}},
-			},
-		}},
-	}
-	return json.Marshal(env)
-}

@@ -2,9 +2,12 @@ package flowlog
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
+	"time"
 )
 
 const sampleNSG = `{
@@ -130,4 +133,31 @@ func TestAzureNSGRoundTrip(t *testing.T) {
 func mustAddrT(t *testing.T, s string) netip.Addr {
 	t.Helper()
 	return mustAddr(t, s)
+}
+
+// AppendAzureNSG renders records as a version-2 NSG flow log export, the
+// inverse of ParseAzureNSG (all under one synthetic rule and MAC).
+func AppendAzureNSG(records []Record) ([]byte, error) {
+	tuples := make([]string, 0, len(records))
+	for _, r := range records {
+		tuples = append(tuples, fmt.Sprintf("%d,%s,%s,%d,%d,T,O,A,E,%d,%d,%d,%d",
+			r.Time.Unix(), r.LocalIP, r.RemoteIP, r.LocalPort, r.RemotePort,
+			r.PacketsSent, r.BytesSent, r.PacketsRcvd, r.BytesRcvd))
+	}
+	env := map[string]any{
+		"records": []map[string]any{{
+			"time": time.Unix(0, 0).UTC().Format(time.RFC3339),
+			"properties": map[string]any{
+				"Version": 2,
+				"flows": []map[string]any{{
+					"rule": "cloudgraph-export",
+					"flows": []map[string]any{{
+						"mac":        "000D3AF87856",
+						"flowTuples": tuples,
+					}},
+				}},
+			},
+		}},
+	}
+	return json.Marshal(env)
 }

@@ -85,35 +85,6 @@ func DecodeBinaryInto(r *Record, b []byte) error {
 	return nil
 }
 
-// Writer streams records in the binary wire format onto an io.Writer,
-// buffering internally. Call Flush before relying on the output.
-type Writer struct {
-	w   *bufio.Writer
-	buf []byte
-	n   int
-}
-
-// NewWriter returns a Writer emitting onto w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 64<<10), buf: make([]byte, 0, WireSize)}
-}
-
-// Write encodes and buffers one record.
-func (w *Writer) Write(r Record) error {
-	w.buf = AppendBinary(w.buf[:0], r)
-	if _, err := w.w.Write(w.buf); err != nil {
-		return err
-	}
-	w.n++
-	return nil
-}
-
-// Count returns the number of records written so far.
-func (w *Writer) Count() int { return w.n }
-
-// Flush flushes buffered frames to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
 // Reader streams records in the binary wire format from an io.Reader.
 type Reader struct {
 	r   *bufio.Reader
@@ -172,7 +143,3 @@ func (r *Reader) ReadBatch(dst []Record) (int, error) {
 	}
 	return len(dst), nil
 }
-
-// Reset redirects the Reader to a new stream, reusing its buffer — the
-// per-connection pooling hook for servers.
-func (r *Reader) Reset(rd io.Reader) { r.r.Reset(rd) }

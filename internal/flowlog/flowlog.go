@@ -51,28 +51,8 @@ func (r Record) Valid() bool {
 	return r.LocalIP.IsValid() && r.RemoteIP.IsValid() && !r.Time.IsZero()
 }
 
-// Reverse returns the record as the remote side would have logged it, with
-// the endpoints and the directional counters swapped. This is how the second
-// copy of an intra-subscription flow appears in the stream.
-func (r Record) Reverse() Record {
-	return Record{
-		Time:        r.Time,
-		LocalIP:     r.RemoteIP,
-		LocalPort:   r.RemotePort,
-		RemoteIP:    r.LocalIP,
-		RemotePort:  r.LocalPort,
-		PacketsSent: r.PacketsRcvd,
-		PacketsRcvd: r.PacketsSent,
-		BytesSent:   r.BytesRcvd,
-		BytesRcvd:   r.BytesSent,
-	}
-}
-
 // TotalBytes returns the bytes exchanged in both directions.
 func (r Record) TotalBytes() uint64 { return r.BytesSent + r.BytesRcvd }
-
-// TotalPackets returns the packets exchanged in both directions.
-func (r Record) TotalPackets() uint64 { return r.PacketsSent + r.PacketsRcvd }
 
 // FlowKey identifies the flow a record summarizes, directionless: the lower
 // endpoint sorts first so the key is identical regardless of which side

@@ -119,51 +119,14 @@ func TestParseCSVErrors(t *testing.T) {
 	}
 }
 
-func TestReverseInvolution(t *testing.T) {
-	f := func(r Record) bool { return r.Reverse().Reverse() == r }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReverseSwapsCounters(t *testing.T) {
-	r := sampleRecord(t)
-	rev := r.Reverse()
-	if rev.LocalIP != r.RemoteIP || rev.RemoteIP != r.LocalIP {
-		t.Error("Reverse did not swap endpoints")
-	}
-	if rev.BytesSent != r.BytesRcvd || rev.BytesRcvd != r.BytesSent {
-		t.Error("Reverse did not swap byte counters")
-	}
-	if rev.PacketsSent != r.PacketsRcvd || rev.PacketsRcvd != r.PacketsSent {
-		t.Error("Reverse did not swap packet counters")
-	}
-}
-
-func TestKeyDirectionless(t *testing.T) {
-	f := func(r Record) bool { return r.Key() == r.Reverse().Key() }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWriterReaderStream(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	want := make([]Record, 0, 100)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 100; i++ {
 		r := Record{}.Generate(rng, 0).Interface().(Record)
 		want = append(want, r)
-		if err := w.Write(r); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	if w.Count() != 100 {
-		t.Errorf("Count = %d, want 100", w.Count())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+		buf.Write(AppendBinary(nil, r))
 	}
 	rd := NewReader(&buf)
 	for i, wantRec := range want {

@@ -150,3 +150,7 @@ func FuzzDecodeBinaryReuse(f *testing.F) {
 		}
 	})
 }
+
+// Reset redirects the Reader to a new stream, reusing its buffer, so a
+// decode loop can replay one stream without allocating.
+func (r *Reader) Reset(rd io.Reader) { r.r.Reset(rd) }

@@ -31,9 +31,6 @@ func (g *Graph) AdjacencyMatrix(m Metric) *Adjacency {
 	return a
 }
 
-// At returns entry (i, j).
-func (a *Adjacency) At(i, j int) float64 { return a.M[i*a.N+j] }
-
 // Symmetrized returns (M + Mᵀ)/2 as a flat slice, the form the PCA analysis
 // consumes (eigendecomposition M = EDEᵀ assumes symmetry).
 func (a *Adjacency) Symmetrized() []float64 {

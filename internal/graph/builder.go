@@ -107,18 +107,8 @@ func NewBuilder(opts BuilderOptions) *Builder {
 	return &Builder{opts: opts, seed: [3]uint64{rand.Uint64(), rand.Uint64(), rand.Uint64()}}
 }
 
-// Records returns how many records have been added since the last Finish.
-func (b *Builder) Records() int { return b.records }
-
-// Add ingests one connection summary, ignoring it unless Valid.
-func (b *Builder) Add(rec flowlog.Record) {
-	if rec.Valid() {
-		b.AddValid(&rec)
-	}
-}
-
-// AddValid is Add for a record the caller has already checked Valid, by
-// pointer: the per-record entry point of the windower, which validates once
+// AddValid ingests one connection summary the caller has already checked
+// Valid, by pointer: the per-record entry point of the windower, which validates once
 // for both layers. The record is only read.
 //
 //vet:borrowed rec

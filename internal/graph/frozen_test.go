@@ -105,9 +105,9 @@ func checkAccessors(g *Graph, m *graphtest.Model) error {
 
 	var total Counters
 	for _, n := range nodes {
-		nbr := neighbors(m, n)
-		if !g.HasNode(n) || g.Degree(n) != len(nbr) || !reflect.DeepEqual(g.Neighbors(n), nbr) {
-			return fmt.Errorf("%v: HasNode %v, Degree %d, Neighbors %v; model %d %v", n, g.HasNode(n), g.Degree(n), g.Neighbors(n), len(nbr), nbr)
+		nbr := m.Neighbors(n)
+		if !g.HasNode(n) || g.Degree(n) != len(nbr) {
+			return fmt.Errorf("%v: HasNode %v, Degree %d; model %d %v", n, g.HasNode(n), g.Degree(n), len(nbr), nbr)
 		}
 		for _, met := range []Metric{Bytes, Packets, Conns} {
 			if got, want := g.NodeStrength(n, met), strength(m, n, met); got != want {
@@ -115,9 +115,6 @@ func checkAccessors(g *Graph, m *graphtest.Model) error {
 			}
 		}
 		for _, o := range nodes {
-			if got, want := g.PairCounters(n, o), pairCounters(m, n, o); got != want {
-				return fmt.Errorf("PairCounters(%v, %v) %+v, model %+v", n, o, got, want)
-			}
 			if (g.OutEdge(n, o) == nil) != (m.Out[n][o] == nil) {
 				return fmt.Errorf("OutEdge(%v, %v) presence differs from the model", n, o)
 			}
@@ -127,7 +124,7 @@ func checkAccessors(g *Graph, m *graphtest.Model) error {
 		}
 	}
 	absent := IPNode(netip.MustParseAddr("192.0.2.99"))
-	if g.HasNode(absent) || g.Degree(absent) != 0 || len(g.Neighbors(absent)) != 0 ||
+	if g.HasNode(absent) || g.Degree(absent) != 0 ||
 		g.NodeStrength(absent, Bytes) != 0 || len(nodes) > 0 && g.OutEdge(absent, nodes[0]) != nil {
 		return fmt.Errorf("an absent node answers as present")
 	}
@@ -162,19 +159,6 @@ func sortedNodes(m *graphtest.Model) []Node {
 
 // neighbors is every node n sends to or receives from, itself included
 // when it has a self-loop.
-func neighbors(m *graphtest.Model, n Node) map[Node]struct{} {
-	set := make(map[Node]struct{})
-	for dst := range m.Out[n] {
-		set[dst] = struct{}{}
-	}
-	for src, row := range m.Out {
-		if row[n] != nil {
-			set[src] = struct{}{}
-		}
-	}
-	return set
-}
-
 // strength sums n's row and column, so a self-loop counts twice.
 func strength(m *graphtest.Model, n Node, met Metric) uint64 {
 	var s uint64
@@ -191,24 +175,13 @@ func strength(m *graphtest.Model, n Node, met Metric) uint64 {
 
 // pairCounters sums both directions between a and b, so a self-loop counts
 // twice.
-func pairCounters(m *graphtest.Model, a, b Node) Counters {
-	var c Counters
-	if e := m.Out[a][b]; e != nil {
-		c.Add(e.Counters)
-	}
-	if e := m.Out[b][a]; e != nil {
-		c.Add(e.Counters)
-	}
-	return c
-}
-
 func undirectedEdges(m *graphtest.Model) []UndirectedEdge {
 	var out []UndirectedEdge
 	nodes := sortedNodes(m)
 	for i, a := range nodes {
 		for _, b := range nodes[i:] {
 			if m.Out[a][b] != nil || m.Out[b][a] != nil {
-				out = append(out, UndirectedEdge{A: a, B: b, Counters: pairCounters(m, a, b)})
+				out = append(out, UndirectedEdge{A: a, B: b, Counters: m.PairCounters(a, b)})
 			}
 		}
 	}
@@ -233,7 +206,7 @@ func stats(m *graphtest.Model) Stats {
 	s := Stats{Facet: m.Facet, Nodes: len(m.Nodes)}
 	sum, loops := 0, 0
 	for _, n := range sortedNodes(m) {
-		d := len(neighbors(m, n))
+		d := len(m.Neighbors(n))
 		sum += d
 		s.MaxDeg = max(s.MaxDeg, d)
 		if m.Out[n][n] != nil {
@@ -296,31 +269,33 @@ func collapseModel(m *graphtest.Model, opts CollapseOptions) *graphtest.Model {
 
 // viewAgrees checks an Undirected view against the graph it was built
 // from: nodes in sorted order, rows strictly ascending (so no neighbour —
-// and no self-loop — is listed twice), every row equal to Neighbors, Degree,
-// NodeStrength and PairCounters, and the entry count equal to two per
+// and no self-loop — is listed twice), every row equal to the graph's
+// Degree and NodeStrength and to the model's neighbours and pair counters
+// (graphtest.Of), and the entry count equal to two per
 // unordered pair plus one per self-loop (NumEdges counts pairs of distinct
 // nodes only).
 func viewAgrees(g *Graph, u *Undirected) error {
 	if !reflect.DeepEqual(u.Nodes, g.Nodes()) || len(u.Off) != len(u.Nodes)+1 || len(u.Nbr) != len(u.Pair) {
 		return fmt.Errorf("view shape: %d nodes, %d offsets, %d nbr, %d pair", len(u.Nodes), len(u.Off), len(u.Nbr), len(u.Pair))
 	}
+	m := graphtest.Of(g)
 	selfLoops := 0
 	for i, n := range u.Nodes {
 		nbr, pair := u.Row(int32(i))
 		if len(nbr) != g.Degree(n) {
 			return fmt.Errorf("%v: row has %d entries, Degree %d", n, len(nbr), g.Degree(n))
 		}
-		want := g.Neighbors(n)
+		want := m.Neighbors(n)
 		var strength Counters
 		for k, j := range nbr {
 			if k > 0 && nbr[k-1] >= j {
 				return fmt.Errorf("%v: row not strictly ascending at %d", n, k)
 			}
 			if _, ok := want[u.Nodes[j]]; !ok {
-				return fmt.Errorf("%v: row lists %v, Neighbors does not", n, u.Nodes[j])
+				return fmt.Errorf("%v: row lists %v, the model does not", n, u.Nodes[j])
 			}
-			if pair[k] != g.PairCounters(n, u.Nodes[j]) {
-				return fmt.Errorf("%v-%v: pair %+v, PairCounters %+v", n, u.Nodes[j], pair[k], g.PairCounters(n, u.Nodes[j]))
+			if want := m.PairCounters(n, u.Nodes[j]); pair[k] != want {
+				return fmt.Errorf("%v-%v: pair %+v, model %+v", n, u.Nodes[j], pair[k], want)
 			}
 			if int(j) == i {
 				selfLoops++

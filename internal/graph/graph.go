@@ -107,36 +107,6 @@ func (g *Graph) Nodes() []Node { return append([]Node(nil), g.fz.nodes...) }
 // OutEdge returns the directed edge src->dst, or nil.
 func (g *Graph) OutEdge(src, dst Node) *Edge { return g.fz.outEdge(src, dst) }
 
-// PairCounters returns the total traffic between a and b in both directions.
-func (g *Graph) PairCounters(a, b Node) Counters {
-	var c Counters
-	if e := g.OutEdge(a, b); e != nil {
-		c.Add(e.Counters)
-	}
-	if e := g.OutEdge(b, a); e != nil {
-		c.Add(e.Counters)
-	}
-	return c
-}
-
-// Neighbors returns the set of nodes n exchanges traffic with in either
-// direction. The returned map is freshly allocated.
-func (g *Graph) Neighbors(n Node) map[Node]struct{} {
-	set := make(map[Node]struct{})
-	fz := g.fz
-	i, ok := fz.nodeID(n)
-	if !ok {
-		return set
-	}
-	for _, j := range fz.cols[fz.rowOff[i]:fz.rowOff[i+1]] {
-		set[fz.nodes[j]] = struct{}{}
-	}
-	for _, j := range fz.inSrc[fz.inOff[i]:fz.inOff[i+1]] {
-		set[fz.nodes[j]] = struct{}{}
-	}
-	return set
-}
-
 // Degree returns the undirected degree of n.
 func (g *Graph) Degree(n Node) int {
 	i, ok := g.fz.nodeID(n)

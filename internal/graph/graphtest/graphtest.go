@@ -1,8 +1,9 @@
 // Package graphtest is the test side of package graph: Model, a plain-map
 // graph that tests build their inputs in and check graph's CSR form
-// against, and seeded random graphs in the shapes the analysis kernels
-// treat differently, for differential tests that drive a kernel and its
-// naive reference over the same input.
+// against, seeded random graphs in the shapes the analysis kernels treat
+// differently, for differential tests that drive a kernel and its naive
+// reference over the same input, and Reverse, which builds the second
+// report of a flow between two monitored VMs.
 package graphtest
 
 import (
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"time"
 
+	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 )
 
@@ -122,6 +124,50 @@ func Of(g *graph.Graph) *Model {
 	g.EachNode(m.Vertex)
 	g.EachOut(func(src, dst graph.Node, e *graph.Edge) { m.Add(src, dst, e.Counters, e.Series...) })
 	return m
+}
+
+// PairCounters returns the traffic between a and b in both directions: the
+// edges a->b and b->a summed, so a self-loop counts twice.
+func (m *Model) PairCounters(a, b graph.Node) graph.Counters {
+	var c graph.Counters
+	if e := m.Out[a][b]; e != nil {
+		c.Add(e.Counters)
+	}
+	if e := m.Out[b][a]; e != nil {
+		c.Add(e.Counters)
+	}
+	return c
+}
+
+// Neighbors returns the set of nodes n has an edge to or from.
+func (m *Model) Neighbors(n graph.Node) map[graph.Node]struct{} {
+	set := make(map[graph.Node]struct{})
+	for dst := range m.Out[n] {
+		set[dst] = struct{}{}
+	}
+	for src, row := range m.Out {
+		if row[n] != nil {
+			set[src] = struct{}{}
+		}
+	}
+	return set
+}
+
+// Reverse returns r as the remote side would have logged it, with the
+// endpoints and the directional counters swapped: the second copy of an
+// intra-subscription flow in the stream.
+func Reverse(r flowlog.Record) flowlog.Record {
+	return flowlog.Record{
+		Time:        r.Time,
+		LocalIP:     r.RemoteIP,
+		LocalPort:   r.RemotePort,
+		RemoteIP:    r.LocalIP,
+		RemotePort:  r.LocalPort,
+		PacketsSent: r.PacketsRcvd,
+		PacketsRcvd: r.PacketsSent,
+		BytesSent:   r.BytesRcvd,
+		BytesRcvd:   r.BytesSent,
+	}
 }
 
 // Check reports how g differs from the model — facet, window, node set,

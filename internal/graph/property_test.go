@@ -10,6 +10,7 @@ import (
 
 	"cloudgraph/internal/flowlog"
 	. "cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 )
 
 // randRecords builds a random but valid batch of records within one hour,
@@ -34,7 +35,7 @@ func randRecords(rng *rand.Rand) []flowlog.Record {
 		}
 		recs = append(recs, r)
 		if rng.Intn(3) == 0 {
-			recs = append(recs, r.Reverse())
+			recs = append(recs, graphtest.Reverse(r))
 		}
 	}
 	return recs
@@ -115,7 +116,7 @@ func TestPropertyDoubleReportingNeverInflates(t *testing.T) {
 		}
 		doubled := make([]flowlog.Record, 0, len(clean)*2)
 		for _, r := range clean {
-			doubled = append(doubled, r, r.Reverse())
+			doubled = append(doubled, r, graphtest.Reverse(r))
 		}
 		sortByTime(clean)
 		sortByTime(doubled)

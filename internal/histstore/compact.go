@@ -306,11 +306,11 @@ func (c *compaction) sealOutputs() ([]*segmentInfo, error) {
 		if o.kind == kindWindow {
 			id = c.residueID
 		}
-		size, err := o.w.seal(sparsify(o.entries, c.s.opts.IndexStride))
+		size, err := o.w.seal(sparsify(o.entries))
 		if err != nil {
 			return nil, err
 		}
-		si := newSegmentInfo(segName(id), o.kind, o.entries, size, true, c.s.opts.IndexStride)
+		si := newSegmentInfo(segName(id), o.kind, o.entries, size, true)
 		out = append(out, si)
 	}
 	c.rollup, c.residue = nil, nil

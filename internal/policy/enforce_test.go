@@ -8,6 +8,7 @@ import (
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/graph/graphtest"
+	"cloudgraph/internal/segment"
 )
 
 func recBetween(a, b netip.Addr, bytes uint64) flowlog.Record {
@@ -93,4 +94,14 @@ func TestEnforcerEndpointFacet(t *testing.T) {
 	if e.Allow(bad) {
 		t.Error("client->web:9100 should be blocked (endpoint unknown)")
 	}
+}
+
+// Learnable builds the trivial per-node segmentation of a graph — every
+// node its own segment — for exact-pair policies.
+func Learnable(g *graph.Graph) segment.Assignment {
+	assign := segment.Assignment{}
+	for i, n := range g.Nodes() {
+		assign[n] = i
+	}
+	return assign
 }

@@ -154,13 +154,3 @@ func (r *Reachability) MeanBlastRadius() float64 {
 	}
 	return total / float64(len(r.Assign))
 }
-
-// Learnable builds the trivial per-node segmentation of a graph — every
-// node its own segment — useful for exact-pair policies and tests.
-func Learnable(g *graph.Graph) segment.Assignment {
-	assign := segment.Assignment{}
-	for i, n := range g.Nodes() {
-		assign[n] = i
-	}
-	return assign
-}

@@ -62,8 +62,6 @@ type Config struct {
 	CompactEvery time.Duration
 	// Workers is the shared pool width the scheduler grants (default 4).
 	Workers int
-	// Quantum overrides the scheduler's DRR quantum (0 = default).
-	Quantum int64
 	// MaxTenants caps admitted tenants (default 64).
 	MaxTenants int
 	// Weights seeds per-tenant scheduler weights (default 1 each).
@@ -112,7 +110,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:    cfg,
-		sched:  NewScheduler(cfg.Workers, cfg.Quantum),
+		sched:  NewScheduler(cfg.Workers, defaultQuantum),
 		realms: make(map[string]*Realm),
 	}
 	for tenant, w := range cfg.Weights {

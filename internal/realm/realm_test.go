@@ -149,7 +149,7 @@ func TestManagerRecoversTenantDirs(t *testing.T) {
 	a.IngestTraced(recs, nil)
 	a.IngestTraced([]flowlog.Record{testRecord(0, t0.Add(10*time.Minute))}, nil)
 	a.Engine().Flush()
-	sealedBefore := a.Watermarks().SealedEpoch()
+	sealedBefore := a.Watermarks().Snapshot().Sealed
 	if sealedBefore == 0 {
 		t.Fatal("no epoch sealed before close")
 	}
@@ -176,7 +176,7 @@ func TestManagerRecoversTenantDirs(t *testing.T) {
 	if r.Recovered() == 0 {
 		t.Fatal("no windows replayed for recovered tenant")
 	}
-	if got := r.Watermarks().SealedEpoch(); got != sealedBefore {
+	if got := r.Watermarks().Snapshot().Sealed; got != sealedBefore {
 		t.Fatalf("resumed epoch = %d, want %d", got, sealedBefore)
 	}
 	if got := r.Engine().Epoch(); got != sealedBefore {

@@ -12,17 +12,12 @@ import (
 type ReplayOptions struct {
 	// Window is the graph window size (default one hour).
 	Window time.Duration
-	// Builder configures facet/labeling/series, like core.Config.
-	Builder graph.BuilderOptions
-	// Collapse, when Threshold > 0 or Keep set, collapses each window
-	// exactly as the engine would.
-	Collapse graph.CollapseOptions
 }
 
 // Replay drives this plane's runners over a recorded stream, offline:
-// records are windowed with the same Windower the engine shards use,
-// collapsed the same way, appended to the timeline and analyzed in epoch
-// order on the calling goroutine. It is the batch path of
+// records are windowed with the same Windower the engine shards use
+// (default facet, no collapse), appended to the timeline and analyzed in
+// epoch order on the calling goroutine. It is the batch path of
 // cmd/experiments — one code path for online and offline, so the figures
 // a replay produces are the figures the daemon serves. Returns the
 // completed windows.
@@ -32,11 +27,8 @@ func (p *Plane) Replay(recs []flowlog.Record, opts ReplayOptions) []*graph.Graph
 	}
 	var windows []*graph.Graph
 	var epoch uint64
-	w := core.NewWindower(opts.Window, opts.Builder)
+	w := core.NewWindower(opts.Window, graph.BuilderOptions{})
 	w.OnComplete = func(g *graph.Graph) {
-		if opts.Collapse.Threshold > 0 || opts.Collapse.Keep != nil {
-			g = g.Collapse(opts.Collapse)
-		}
 		epoch++
 		windows = append(windows, g)
 		p.tl.Append(epoch, g)

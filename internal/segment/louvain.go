@@ -184,34 +184,3 @@ func aggregate(g *wgraph, comm []int, nComm int) *wgraph {
 	}
 	return out
 }
-
-// modularity computes Newman modularity Q of an assignment on g.
-func modularity(g *wgraph, comm []int) float64 {
-	m := g.totalWeight()
-	if m == 0 {
-		return 0
-	}
-	nc := 0
-	for _, c := range comm {
-		if c+1 > nc {
-			nc = c + 1
-		}
-	}
-	in := make([]float64, nc)  // intra-community weight
-	tot := make([]float64, nc) // community strength
-	for i := 0; i < g.n; i++ {
-		ci := comm[i]
-		tot[ci] += g.strength(i)
-		in[ci] += 2 * g.self[i]
-		for _, e := range g.adj[i] {
-			if comm[e.to] == ci {
-				in[ci] += e.w
-			}
-		}
-	}
-	var q float64
-	for c := 0; c < nc; c++ {
-		q += in[c]/(2*m) - (tot[c]/(2*m))*(tot[c]/(2*m))
-	}
-	return q
-}

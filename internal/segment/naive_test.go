@@ -142,3 +142,44 @@ func TestJaccardCliqueMatchesNaive(t *testing.T) {
 		t.Fatalf("only %d scored pairs across all cases", scored)
 	}
 }
+
+// Jaccard returns |a∩b| / |a∪b| for sorted id slices. Two empty sets have
+// similarity 0 (an isolated pair tells us nothing about shared role).
+func Jaccard(a, b []int32) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 0
+	}
+	inter := common(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
+}
+
+// modularity computes Newman modularity Q of an assignment on g.
+func modularity(g *wgraph, comm []int) float64 {
+	m := g.totalWeight()
+	if m == 0 {
+		return 0
+	}
+	nc := 0
+	for _, c := range comm {
+		if c+1 > nc {
+			nc = c + 1
+		}
+	}
+	in := make([]float64, nc)  // intra-community weight
+	tot := make([]float64, nc) // community strength
+	for i := 0; i < g.n; i++ {
+		ci := comm[i]
+		tot[ci] += g.strength(i)
+		in[ci] += 2 * g.self[i]
+		for _, e := range g.adj[i] {
+			if comm[e.to] == ci {
+				in[ci] += e.w
+			}
+		}
+	}
+	var q float64
+	for c := 0; c < nc; c++ {
+		q += in[c]/(2*m) - (tot[c]/(2*m))*(tot[c]/(2*m))
+	}
+	return q
+}

@@ -256,27 +256,3 @@ func compact(nodes []graph.Node, comm []int) Assignment {
 	}
 	return out
 }
-
-// Restrict returns the assignment limited to nodes for which keep is true
-// (e.g. monitored VMs only), with ids re-compacted.
-func (a Assignment) Restrict(keep func(graph.Node) bool) Assignment {
-	nodes := make([]graph.Node, 0, len(a))
-	for n := range a {
-		if keep(n) {
-			nodes = append(nodes, n)
-		}
-	}
-	slices.SortFunc(nodes, graph.Node.Compare)
-	relabel := make(map[int]int)
-	out := make(Assignment, len(nodes))
-	for _, n := range nodes {
-		c := a[n]
-		id, ok := relabel[c]
-		if !ok {
-			id = len(relabel)
-			relabel[c] = id
-		}
-		out[n] = id
-	}
-	return out
-}

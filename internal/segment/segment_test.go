@@ -337,10 +337,6 @@ func TestAssignmentHelpers(t *testing.T) {
 	if len(segs) != 2 || len(segs[0]) != 2 || len(segs[1]) != 1 {
 		t.Errorf("Segments = %v", segs)
 	}
-	r := a.Restrict(func(n graph.Node) bool { return n.Name != "b" })
-	if len(r) != 2 || r.NumSegments() != 2 {
-		t.Errorf("Restrict = %v", r)
-	}
 }
 
 func TestSegmentationDeterministic(t *testing.T) {

@@ -43,16 +43,6 @@ func common(a, b []int32) int {
 	return inter
 }
 
-// Jaccard returns |a∩b| / |a∪b| for sorted id slices. Two empty sets have
-// similarity 0 (an isolated pair tells us nothing about shared role).
-func Jaccard(a, b []int32) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	inter := common(a, b)
-	return float64(inter) / float64(len(a)+len(b)-inter)
-}
-
 // simPair is one scored node pair of the similarity clique.
 type simPair struct {
 	a, b int

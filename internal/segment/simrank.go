@@ -18,8 +18,6 @@ type SimRankOptions struct {
 	C float64
 	// Iterations bounds the fixed-point iteration; 5 is usually enough.
 	Iterations int
-	// Metric selects the edge weights used by SimRank++.
-	Metric graph.Metric
 }
 
 func (o *SimRankOptions) defaults() {
@@ -68,8 +66,8 @@ func simRankScores(sets [][]int32, opts SimRankOptions) []float64 {
 
 // simRankPPScores runs SimRank++ (Antonellis et al.): SimRank extended with
 // an evidence factor — pairs sharing more neighbors are trusted more — and
-// edge-weight-aware propagation, so heavy conversations influence
-// similarity more than trickles.
+// edge-weight-aware propagation, so heavy conversations (by bytes)
+// influence similarity more than trickles.
 func simRankPPScores(u *graph.Undirected, sets [][]int32, opts SimRankOptions) []float64 {
 	opts.defaults()
 	n := len(sets)
@@ -83,7 +81,7 @@ func simRankPPScores(u *graph.Undirected, sets [][]int32, opts SimRankOptions) [
 		var total float64
 		_, pair := u.Row(int32(i))
 		for k, c := range pair {
-			w := float64(c.Get(opts.Metric))
+			w := float64(c.Bytes)
 			ws[k] = w
 			total += w
 		}

@@ -18,6 +18,7 @@ func naiveChattyCliques(g *graph.Graph, minSize int, minDensity, minByteShare fl
 		minSize = 3
 	}
 	total := float64(g.TotalTraffic().Bytes)
+	mod := graphtest.Of(g)
 	if total == 0 {
 		return nil
 	}
@@ -42,7 +43,7 @@ func naiveChattyCliques(g *graph.Graph, minSize int, minDensity, minByteShare fl
 			best, bestBytes := graph.Node{}, uint64(0)
 			candidates := make(map[graph.Node]bool)
 			for m := range members {
-				for c := range g.Neighbors(m) {
+				for c := range mod.Neighbors(m) {
 					if !members[c] && !used[c] {
 						candidates[c] = true
 					}
@@ -52,7 +53,7 @@ func naiveChattyCliques(g *graph.Graph, minSize int, minDensity, minByteShare fl
 				var toMembers uint64
 				links := 0
 				for m := range members {
-					c := g.PairCounters(cand, m)
+					c := mod.PairCounters(cand, m)
 					if c.Bytes > 0 {
 						toMembers += c.Bytes
 						links++
@@ -61,7 +62,7 @@ func naiveChattyCliques(g *graph.Graph, minSize int, minDensity, minByteShare fl
 				// Candidate must connect to enough members to keep the
 				// grown set dense.
 				newPairs := len(members) * (len(members) + 1) / 2
-				if float64(naivePairsFilled(g, members)+links)/float64(newPairs) < minDensity {
+				if float64(naivePairsFilled(mod, members)+links)/float64(newPairs) < minDensity {
 					continue
 				}
 				if toMembers > bestBytes || (toMembers == bestBytes && toMembers > 0 && cand.Less(best)) {
@@ -76,7 +77,7 @@ func naiveChattyCliques(g *graph.Graph, minSize int, minDensity, minByteShare fl
 		if len(members) < minSize {
 			continue
 		}
-		cl := naiveMaterialize(g, members, total)
+		cl := naiveMaterialize(mod, members, total)
 		if cl.ByteShare < minByteShare || cl.Density < minDensity {
 			continue
 		}
@@ -90,7 +91,7 @@ func naiveChattyCliques(g *graph.Graph, minSize int, minDensity, minByteShare fl
 }
 
 // naivePairsFilled counts member pairs with traffic.
-func naivePairsFilled(g *graph.Graph, members map[graph.Node]bool) int {
+func naivePairsFilled(mod *graphtest.Model, members map[graph.Node]bool) int {
 	ms := make([]graph.Node, 0, len(members))
 	for m := range members {
 		ms = append(ms, m)
@@ -98,7 +99,7 @@ func naivePairsFilled(g *graph.Graph, members map[graph.Node]bool) int {
 	filled := 0
 	for i := 0; i < len(ms); i++ {
 		for j := i + 1; j < len(ms); j++ {
-			if g.PairCounters(ms[i], ms[j]).Bytes > 0 {
+			if mod.PairCounters(ms[i], ms[j]).Bytes > 0 {
 				filled++
 			}
 		}
@@ -107,7 +108,7 @@ func naivePairsFilled(g *graph.Graph, members map[graph.Node]bool) int {
 }
 
 // naiveMaterialize computes a Clique's stats.
-func naiveMaterialize(g *graph.Graph, members map[graph.Node]bool, totalBytes float64) Clique {
+func naiveMaterialize(mod *graphtest.Model, members map[graph.Node]bool, totalBytes float64) Clique {
 	ms := make([]graph.Node, 0, len(members))
 	for m := range members {
 		ms = append(ms, m)
@@ -117,7 +118,7 @@ func naiveMaterialize(g *graph.Graph, members map[graph.Node]bool, totalBytes fl
 	filled := 0
 	for i := 0; i < len(ms); i++ {
 		for j := i + 1; j < len(ms); j++ {
-			c := g.PairCounters(ms[i], ms[j])
+			c := mod.PairCounters(ms[i], ms[j])
 			internal += c.Bytes
 			if c.Bytes > 0 {
 				filled++

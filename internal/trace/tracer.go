@@ -20,16 +20,12 @@ type Options struct {
 	MaxTraces int
 	// FlightEvents is the flight ring capacity (DefaultFlightEvents when 0).
 	FlightEvents int
-	// LogOutput receives structured events as slog text lines; nil keeps
-	// events flight-only.
+	// LogOutput receives structured events as slog text lines, and the
+	// anomaly flight dumps (at most one per 5s); nil keeps events
+	// flight-only and records trips without dumping.
 	LogOutput io.Writer
 	// LogLevel gates the text output (the flight ring keeps all levels).
 	LogLevel slog.Level
-	// TripOutput receives anomaly flight dumps; nil falls back to
-	// LogOutput, so a quiet tracer records trips without dumping.
-	TripOutput io.Writer
-	// TripMinGap rate-limits anomaly dumps (default 5s).
-	TripMinGap time.Duration
 }
 
 // Tracer bundles the three causal-observability pieces — sampler,
@@ -47,11 +43,7 @@ type Tracer struct {
 
 // New builds a Tracer from opts.
 func New(opts Options) *Tracer {
-	tripOut := opts.TripOutput
-	if tripOut == nil {
-		tripOut = opts.LogOutput
-	}
-	flight := NewFlight(opts.FlightEvents, tripOut, opts.TripMinGap)
+	flight := NewFlight(opts.FlightEvents, opts.LogOutput, 0)
 	return &Tracer{
 		sampler: NewSampler(opts.SampleEvery, opts.Seed),
 		rec:     NewRecorder(opts.MaxTraces),

@@ -51,9 +51,6 @@ type Config struct {
 	FreshnessTarget time.Duration
 	// Trip is how many consecutive burned windows fire OnBurn (default 3).
 	Trip int
-	// BudgetRatio is the fraction of windows allowed to miss the target
-	// before the budget state reports exhausted (default 0.01).
-	BudgetRatio float64
 	// OnBurn, when set, is called (on the advancing consumer's goroutine)
 	// each time a stage reaches Trip consecutive burned windows. Handlers
 	// that do real work — writing a diagnostic bundle — must hand off to
@@ -61,12 +58,13 @@ type Config struct {
 	OnBurn func(stage string, epoch uint64, consecutive uint64)
 }
 
+// budgetRatio is the fraction of windows allowed to miss the freshness
+// target before a stage's budget reports exhausted.
+const budgetRatio = 0.01
+
 func (c *Config) defaults() {
 	if c.Trip <= 0 {
 		c.Trip = 3
-	}
-	if c.BudgetRatio <= 0 {
-		c.BudgetRatio = 0.01
 	}
 }
 
@@ -191,14 +189,6 @@ func (t *Tracker) Resume(epoch uint64) {
 	}
 }
 
-// SealedEpoch returns the newest sealed epoch.
-func (t *Tracker) SealedEpoch() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.sealed.Load()
-}
-
 // sealTime returns when epoch sealed, if the ring still holds it.
 func (t *Tracker) sealTime(epoch uint64) (time.Time, bool) {
 	e := t.seals[epoch%sealRingSize].Load()
@@ -290,14 +280,6 @@ func (s *Stage) account(old, epoch uint64, now time.Time) {
 	}
 }
 
-// Epoch returns the stage's current watermark.
-func (s *Stage) Epoch() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.epoch.Load()
-}
-
 // StageStatus is one stage's row in a Snapshot.
 type StageStatus struct {
 	Name  string `json:"name"`
@@ -372,7 +354,7 @@ func (t *Tracker) Snapshot() Snapshot {
 			}
 		}
 		if t.cfg.FreshnessTarget > 0 && s.slo && snap.Windows > 0 {
-			allowed := t.cfg.BudgetRatio * float64(snap.Windows)
+			allowed := budgetRatio * float64(snap.Windows)
 			if allowed > 0 {
 				if rem := 1 - float64(st.Burned)/allowed; rem < snap.BudgetRemaining {
 					snap.BudgetRemaining = rem

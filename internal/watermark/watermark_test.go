@@ -262,3 +262,19 @@ func TestNilTrackerIsNoOp(t *testing.T) {
 	}
 	tr.Instrument(telemetry.NewRegistry())
 }
+
+// SealedEpoch returns the newest sealed epoch.
+func (t *Tracker) SealedEpoch() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.sealed.Load()
+}
+
+// Epoch returns the stage's current watermark.
+func (s *Stage) Epoch() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.epoch.Load()
+}
