@@ -27,7 +27,7 @@ func testServer(t *testing.T) *Server {
 
 // serve starts a server over a fresh realm manager built from cfg; both
 // close at cleanup. Single-tenant tests use the manager's default tenant.
-func serve(t *testing.T, cfg realm.Config, opts Options) (*Server, *realm.Manager) {
+func serve(t testing.TB, cfg realm.Config, opts Options) (*Server, *realm.Manager) {
 	t.Helper()
 	m, err := realm.NewManager(cfg)
 	if err != nil {

@@ -174,7 +174,7 @@ func FuzzDecodeFlaggedFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, count uint8, data []byte) {
 		n := int(count % 17)
 		r := newWireReader(data)
-		batch, tcs, tenants, err := readBatchFlagged(r.Reader, n, new(connScratch))
+		batch, tcs, runs, err := readBatchFlagged(r.Reader, n, new(connScratch))
 		consumed := len(data) - r.Len()
 		if size, ok := scanFlaggedFrames(data, n); ok {
 			if consumed != size {
@@ -190,26 +190,35 @@ func FuzzDecodeFlaggedFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(batch) != n || len(tcs) != n || len(tenants) != n {
+		tenants := runTags(runs)
+		if len(batch) != n || (tcs != nil && len(tcs) != n) || len(tenants) != n {
 			t.Fatalf("n=%d: got %d records, %d contexts, %d tenants", n, len(batch), len(tcs), len(tenants))
+		}
+		// Runs are maximal: neighbours never share a tag.
+		for i := 1; i < len(runs); i++ {
+			if runs[i].name == runs[i-1].name || runs[i].end <= runs[i-1].end {
+				t.Fatalf("n=%d: runs %d and %d not maximal: %+v", n, i-1, i, runs)
+			}
 		}
 		// Successful decodes re-encode canonically: a traced flag with a
 		// zero trace ID decodes as unsampled and re-encodes plain, so
 		// compare by re-decoding the canonical bytes.
 		var enc []byte
 		for i := range batch {
-			enc = appendTaggedFrame(enc, batch[i], tcs[i], tenants[i])
+			enc = appendTaggedFrame(enc, batch[i], contextAt(tcs, i), tenants[i])
 		}
-		batch2, tcs2, tenants2, err := readBatchFlagged(newWireReader(enc).Reader, n, new(connScratch))
+		batch2, tcs2, runs2, err := readBatchFlagged(newWireReader(enc).Reader, n, new(connScratch))
 		if err != nil {
 			t.Fatalf("n=%d: canonical re-decode failed: %v", n, err)
 		}
+		tenants2 := runTags(runs2)
 		for i := range batch {
 			if batch[i] != batch2[i] {
 				t.Fatalf("n=%d record %d: round-trip mismatch", n, i)
 			}
-			if tcs[i].Sampled() != tcs2[i].Sampled() || (tcs[i].Sampled() && tcs[i] != tcs2[i]) {
-				t.Fatalf("n=%d context %d: round-trip mismatch %+v vs %+v", n, i, tcs[i], tcs2[i])
+			tc, tc2 := contextAt(tcs, i), contextAt(tcs2, i)
+			if tc.Sampled() != tc2.Sampled() || (tc.Sampled() && tc != tc2) {
+				t.Fatalf("n=%d context %d: round-trip mismatch %+v vs %+v", n, i, tc, tc2)
 			}
 			if tenants[i] != tenants2[i] {
 				t.Fatalf("n=%d tenant %d: round-trip mismatch %q vs %q", n, i, tenants[i], tenants2[i])

@@ -35,6 +35,7 @@ import (
 	"log/slog"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -231,7 +232,6 @@ type textResponse string
 // this connection reads and writes. The TENANT command rebinds it, and
 // per-frame tenant tags override it record by record on the ingest path.
 type session struct {
-	tenant string
 	*realm.Realm
 }
 
@@ -245,7 +245,7 @@ func (s *Server) cmdTenant(fields []string, ses *session) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	*ses = session{tenant: fields[1], Realm: r}
+	*ses = session{Realm: r}
 	return textResponse("OK " + fields[1]), nil
 }
 
@@ -257,7 +257,7 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 256<<10)
 	w := bufio.NewWriter(conn)
 	sc := new(connScratch)
-	ses := &session{tenant: realm.DefaultTenant, Realm: s.realms.Default()}
+	ses := &session{Realm: s.realms.Default()}
 	for {
 		// The read deadline is absolute, so it also bounds the binary
 		// batch an INGEST command goes on to read: a peer that stalls
@@ -362,21 +362,48 @@ func writeResponse(w *bufio.Writer, out any, cmdErr error) error {
 // records in place — the whole decode path allocates nothing per batch in
 // the steady state.
 type connScratch struct {
-	batch   []flowlog.Record
-	tcs     []trace.Context
-	tenants []string
-	// names interns wire tenant tags so a steady tagged stream allocates
-	// each distinct name once per connection.
-	names map[string]string
-	// groups are the reused per-tenant regroup buffers for mixed-tenant
-	// batches (the slow path; uniform batches ingest the borrowed slice).
-	groups map[string]*tenantGroup
+	batch []flowlog.Record
+	tcs   []trace.Context
+	runs  []tenantRun
+	// tenants maps each tenant name admitted on this connection to its
+	// realm. Entries are added only after realm.Manager.Realm admits the
+	// tenant, so the table never outgrows the tenant cap (plus the
+	// session tenant); it is never pruned because realms are never
+	// evicted, so an entry's realm stays the tenant's for the life of
+	// the daemon.
+	tenants map[string]*connTenant
+	// seq numbers routed batches; a connTenant counted in the current
+	// batch carries the current seq.
+	seq uint64
+	// order lists the current batch's tenants by first appearance; sorted
+	// and sortedTcs are the counting sort's output for batches that split
+	// a tenant across runs.
+	order     []*connTenant
+	sorted    []flowlog.Record
+	sortedTcs []trace.Context
 }
 
-// tenantGroup is one tenant's slice of a regrouped mixed batch.
-type tenantGroup struct {
-	recs []flowlog.Record
-	tcs  []trace.Context
+// connTenant is one admitted tenant in a connection's table, with the
+// router's per-batch counts.
+type connTenant struct {
+	realm *realm.Realm
+	seq   uint64 // the batch that last counted this tenant
+	n     int    // its records in that batch
+	off   int    // its next slot in the counting sort
+}
+
+// tenant returns the table entry for an admitted realm, adding it on
+// first sight.
+func (sc *connScratch) tenant(r *realm.Realm) *connTenant {
+	t := sc.tenants[r.Name()]
+	if t == nil {
+		if sc.tenants == nil {
+			sc.tenants = make(map[string]*connTenant, 4)
+		}
+		t = &connTenant{realm: r}
+		sc.tenants[r.Name()] = t
+	}
+	return t
 }
 
 // nextSlot extends batch by one reusable slot, growing the backing array
@@ -450,7 +477,7 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 		return textResponse(fmt.Sprintf("OK %d", n)), nil
 	}
 	start := time.Now()
-	batch, tcs, tenants, err := readBatchFlagged(r, n, sc)
+	batch, tcs, runs, err := readBatchFlagged(r, n, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -465,99 +492,105 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 			}
 		}
 	}
-	if err := s.ingestTagged(ses, sc, batch, tcs, tenants); err != nil {
+	if err := s.ingestTagged(ses, sc, batch, tcs, runs); err != nil {
 		return nil, err
 	}
 	s.tel.frames.Add(int64(n))
 	return textResponse(fmt.Sprintf("OK %d", n)), nil
 }
 
-// ingestTagged routes a flagged batch by per-frame tenant tag (""
-// meaning the session tenant). The overwhelmingly common case — every
-// frame bound for one tenant — ingests the borrowed slice directly; a
-// genuinely mixed batch regroups into sc's per-tenant buffers, copying
-// each record exactly once. An unadmittable tag (tenant cap) rejects the
-// whole batch before any record lands, so a batch is all-or-nothing.
+// ingestTagged routes a flagged batch to its tenants' realms by tenant
+// run. Every run resolves first — untagged runs to the session tenant,
+// new names through realm admission into sc's table — so an unadmittable
+// tag (tenant cap) rejects the whole batch before any record lands: a
+// batch is all-or-nothing. Runs are keyed by the resolved tenant, so
+// untagged frames and frames tagged with the session's own name are one
+// tenant. Each tenant then gets one IngestTraced call per batch with its
+// records in wire order: a sub-slice of the borrowed batch when each
+// tenant occupies one stretch of it (uniform and tenant-sorted batches,
+// no copy), otherwise a stable counting sort into sc's reused buffer
+// (one copy per record).
 //
 //vet:borrowed batch tcs
-func (s *Server) ingestTagged(ses *session, sc *connScratch, batch []flowlog.Record, tcs []trace.Context, tenants []string) error {
-	if len(tenants) == 0 {
+func (s *Server) ingestTagged(ses *session, sc *connScratch, batch []flowlog.Record, tcs []trace.Context, runs []tenantRun) error {
+	if len(batch) == 0 {
 		return nil // empty declared batch
 	}
-	// Effective tenant per frame is its tag, or the session tenant when
-	// untagged; the batch is uniform when every frame resolves the same.
-	first := tenants[0]
-	if first == "" {
-		first = ses.tenant
-	}
-	mixed := false
-	for _, t := range tenants[1:] {
-		if t == "" {
-			t = ses.tenant
-		}
-		if t != first {
-			mixed = true
-			break
-		}
-	}
-	if !mixed {
-		target := ses.Realm
-		if first != ses.tenant {
-			r, err := s.realms.Realm(first)
-			if err != nil {
-				return err
-			}
-			target = r
-		}
-		target.IngestTraced(batch, tcs)
-		return nil
-	}
-	// Mixed batch: resolve every realm first (all-or-nothing), then
-	// regroup per tenant preserving each tenant's record order.
-	if sc.groups == nil {
-		sc.groups = make(map[string]*tenantGroup, 4)
-	}
-	for _, g := range sc.groups {
-		g.recs, g.tcs = g.recs[:0], g.tcs[:0]
-	}
-	realms := make(map[string]*realm.Realm, 4)
-	for _, t := range tenants {
-		if t == "" {
-			t = ses.tenant
-		}
-		if realms[t] == nil {
-			r := s.realms.Get(t)
-			if r == nil {
-				var err error
-				if r, err = s.realms.Realm(t); err != nil {
+	sc.seq++
+	own := sc.tenant(ses.Realm)
+	order := sc.order[:0]
+	split := false
+	start := 0
+	for i := range runs {
+		t := runs[i].t
+		switch {
+		case runs[i].name == "":
+			t = own
+		case t == nil:
+			if t = sc.tenants[runs[i].name]; t == nil {
+				r, err := s.realms.Realm(runs[i].name)
+				if err != nil {
 					return err
 				}
+				t = sc.tenant(r)
 			}
-			realms[t] = r
 		}
+		runs[i].t = t
+		if t.seq != sc.seq {
+			t.seq, t.n = sc.seq, 0
+			order = append(order, t)
+		} else if runs[i-1].t != t {
+			split = true
+		}
+		t.n += runs[i].end - start
+		start = runs[i].end
 	}
-	for i, rec := range batch {
-		t := tenants[i]
-		if t == "" {
-			t = ses.tenant
+	sc.order = order
+	if !split {
+		start = 0
+		for i, run := range runs {
+			if i+1 < len(runs) && runs[i+1].t == run.t {
+				continue // the next run extends this tenant's stretch
+			}
+			run.t.realm.IngestTraced(batch[start:run.end], subContexts(tcs, start, run.end))
+			start = run.end
 		}
-		g := sc.groups[t]
-		if g == nil {
-			g = &tenantGroup{}
-			sc.groups[t] = g
-		}
-		g.recs = append(g.recs, rec)
+		return nil
+	}
+	off := 0
+	for _, t := range order {
+		t.off = off
+		off += t.n
+	}
+	sorted := slices.Grow(sc.sorted[:0], len(batch))[:len(batch)]
+	sc.sorted = sorted
+	var sortedTcs []trace.Context
+	if tcs != nil {
+		sortedTcs = slices.Grow(sc.sortedTcs[:0], len(tcs))[:len(tcs)]
+		sc.sortedTcs = sortedTcs
+	}
+	start = 0
+	for _, run := range runs {
+		t := run.t
+		copy(sorted[t.off:], batch[start:run.end])
 		if tcs != nil {
-			g.tcs = append(g.tcs, tcs[i])
+			copy(sortedTcs[t.off:], tcs[start:run.end])
 		}
+		t.off += run.end - start
+		start = run.end
 	}
-	for t, g := range sc.groups {
-		if len(g.recs) == 0 {
-			continue
-		}
-		realms[t].IngestTraced(g.recs, g.tcs)
+	for _, t := range order {
+		t.realm.IngestTraced(sorted[t.off-t.n:t.off], subContexts(sortedTcs, t.off-t.n, t.off))
 	}
 	return nil
+}
+
+// subContexts is tcs[lo:hi], or nil when the batch carries no contexts.
+func subContexts(tcs []trace.Context, lo, hi int) []trace.Context {
+	if tcs == nil {
+		return nil
+	}
+	return tcs[lo:hi]
 }
 
 // MaxIngestBatch is the most records one INGEST may declare: 16 times the

@@ -38,7 +38,7 @@ func ReadTagged(r io.Reader) ([]flowlog.Record, []string, error) {
 		if _, err := br.Peek(1); err == io.EOF {
 			return recs, tenants, nil
 		}
-		batch, _, tags, err := readBatchFlagged(br, 1, &sc)
+		batch, _, runs, err := readBatchFlagged(br, 1, &sc)
 		if err != nil {
 			if errors.Is(err, io.ErrUnexpectedEOF) {
 				return nil, nil, fmt.Errorf("frame %d: truncated tagged stream", i)
@@ -46,9 +46,6 @@ func ReadTagged(r io.Reader) ([]flowlog.Record, []string, error) {
 			return nil, nil, fmt.Errorf("frame %d: %w", i, err)
 		}
 		recs = append(recs, batch[0])
-		tenants = append(tenants, tags[0])
-		sc.batch = sc.batch[:0]
-		sc.tcs = sc.tcs[:0]
-		sc.tenants = sc.tenants[:0]
+		tenants = append(tenants, runs[0].name)
 	}
 }

@@ -24,6 +24,8 @@ package analytics
 // treated as desync. Untagged frames (bit 0x02 clear) belong to the
 // connection's session tenant — realm.DefaultTenant unless a TENANT
 // command changed it — so single-tenant clients never pay the tag byte.
+// Consecutive frames with the same tag form a tenant run, the unit the
+// server validates, resolves and routes (readBatchFlagged, ingestTagged).
 //
 // Any flag above 0x03 is unrecoverable: the frame length is unknowable,
 // so the reader cannot drain to the next command boundary and the
@@ -91,26 +93,29 @@ func appendTaggedFrame(buf []byte, rec flowlog.Record, tc trace.Context, tenant 
 	return buf
 }
 
-// internTenant returns the canonical string for a wire tenant name,
-// reusing the per-connection table so a steady stream of tagged frames
-// allocates each distinct name once. The map lookup keyed by
-// string(name) does not allocate on the hit path.
-func internTenant(sc *connScratch, name []byte) string {
-	if s, ok := sc.names[string(name)]; ok {
-		return s
-	}
-	if sc.names == nil {
-		sc.names = make(map[string]string, 4)
-	}
-	s := string(name)
-	sc.names[s] = s
-	return s
+// tenantRun is a maximal run of consecutive frames in a decoded flagged
+// batch that carry the same tenant tag. Runs tile the batch in order: a
+// run starts where the previous one ends.
+type tenantRun struct {
+	// end is the run's exclusive end index into the batch.
+	end int
+	// name is the run's tag; "" marks untagged frames, which belong to
+	// the session tenant (no writer emits an empty tag).
+	name string
+	// t is the tenant's entry in the connection's table: set by the
+	// decoder when the tag names a tenant already admitted on this
+	// connection, and by ingestTagged once every run is resolved.
+	t *connTenant
 }
 
 // readBatchFlagged reads a declared batch of n flagged frames into sc's
-// reused buffers, returning the records with their parallel trace
-// contexts (zero Context on plain frames) and tenant tags ("" on
-// untagged frames). Like readBatch it decodes in place from r's own
+// reused buffers, returning the records, their parallel trace contexts
+// (nil unless some frame carries a trace field; a zero Context marks an
+// untraced frame) and the batch's tenant runs. A frame whose tag bytes
+// equal the current run's extends it with one comparison; only a frame
+// that starts a run looks its tag up in the connection's table of
+// admitted tenants, and only a miss there validates the name and
+// allocates its string. Like readBatch it decodes in place from r's own
 // buffer, which must hold the largest frame (flag, record, trace field,
 // tenant length byte and a 0x7f-byte name), and it
 // keeps readBatch's drain invariant for every recoverable error: once a
@@ -121,14 +126,15 @@ func internTenant(sc *connScratch, name []byte) string {
 // leave the stream mid-batch, and all end the connection.
 //
 //vet:borrowed sc return
-func readBatchFlagged(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record, []trace.Context, []string, error) {
+func readBatchFlagged(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record, []trace.Context, []tenantRun, error) {
 	if sc.batch == nil {
 		pre := min(n, 4096) // don't let a huge declared count pre-allocate unboundedly
 		sc.batch = make([]flowlog.Record, 0, pre)
 	}
-	batch, tcs, tenants := sc.batch[:0], sc.tcs[:0], sc.tenants[:0]
+	batch, tcs, runs := sc.batch[:0], sc.tcs[:0], sc.runs[:0]
 	var decodeErr, failErr error
 	failAt := -1
+	traced := false
 	// Mid-batch failures save the scratch inline rather than through a
 	// helper closure: the buffers are borrowed, and a closure capturing
 	// them would pin them heap-reachable past the call.
@@ -173,40 +179,49 @@ func readBatchFlagged(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record
 			failAt, failErr = i, errors.New("short ingest stream")
 			break
 		}
+		// An untagged frame's name is empty, matching an untagged run.
 		name := frame[nameAt:]
-		switch {
-		case decodeErr != nil:
-			// Draining the declared batch after a bad record.
-		case flag&frameFlagTenant != 0 && !realm.ValidNameBytes(name):
-			decodeErr = fmt.Errorf("record %d: invalid tenant tag %q", i, name)
-		default:
+		if decodeErr == nil && (len(runs) == 0 || string(name) != runs[len(runs)-1].name) {
+			runs = append(runs, tenantRun{end: len(batch)})
+			run := &runs[len(runs)-1]
+			if len(name) > 0 {
+				if t := sc.tenants[string(name)]; t != nil {
+					run.name, run.t = t.realm.Name(), t
+				} else if realm.ValidNameBytes(name) {
+					run.name = string(name)
+				} else {
+					decodeErr = fmt.Errorf("record %d: invalid tenant tag %q", i, name)
+				}
+			}
+		}
+		if decodeErr == nil {
 			batch = nextSlot(batch)
 			if err := flowlog.DecodeBinaryInto(&batch[len(batch)-1], frame[1:1+flowlog.WireSize]); err != nil {
 				batch = batch[:len(batch)-1]
 				decodeErr = fmt.Errorf("record %d: %v", i, err)
-				break
+			} else {
+				runs[len(runs)-1].end = len(batch)
+				var tc trace.Context
+				if flag&frameFlagTraced != 0 {
+					traced = true
+					tc.TraceID = binary.LittleEndian.Uint64(frame[1+flowlog.WireSize:])
+					tc.SpanID = binary.LittleEndian.Uint64(frame[1+flowlog.WireSize+8:])
+				}
+				tcs = append(tcs, tc)
 			}
-			var tc trace.Context
-			if flag&frameFlagTraced != 0 {
-				tc.TraceID = binary.LittleEndian.Uint64(frame[1+flowlog.WireSize:])
-				tc.SpanID = binary.LittleEndian.Uint64(frame[1+flowlog.WireSize+8:])
-			}
-			tcs = append(tcs, tc)
-			tenant := ""
-			if flag&frameFlagTenant != 0 {
-				tenant = internTenant(sc, name)
-			}
-			tenants = append(tenants, tenant)
 		}
 		//lint:allow errdrop Discard of bytes just Peeked cannot fail
 		r.Discard(size)
 	}
-	sc.batch, sc.tcs, sc.tenants = batch, tcs, tenants
+	sc.batch, sc.tcs, sc.runs = batch, tcs, runs
 	if failErr != nil {
 		return nil, nil, nil, fmt.Errorf("record %d: %w", failAt, failErr)
 	}
 	if decodeErr != nil {
 		return nil, nil, nil, decodeErr
 	}
-	return batch, tcs, tenants, nil
+	if !traced {
+		tcs = nil
+	}
+	return batch, tcs, runs, nil
 }

@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"cloudgraph/internal/flowlog"
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/trace"
 )
 
@@ -63,13 +64,14 @@ func TestFlaggedRoundTrip(t *testing.T) {
 		t.Fatalf("encoded %d bytes, want %d", len(buf), wantLen)
 	}
 	r := newWireReader(buf)
-	gotRecs, gotTcs, gotTenants, err := readBatchFlagged(r.Reader, 3, new(connScratch))
+	gotRecs, gotTcs, runs, err := readBatchFlagged(r.Reader, 3, new(connScratch))
 	if err != nil {
 		t.Fatalf("readBatchFlagged: %v", err)
 	}
 	if r.Len() != 0 {
 		t.Fatalf("left %d bytes unread", r.Len())
 	}
+	gotTenants := runTags(runs)
 	if len(gotRecs) != 3 || len(gotTcs) != 3 || len(gotTenants) != 3 {
 		t.Fatalf("got %d records, %d contexts, %d tenants", len(gotRecs), len(gotTcs), len(gotTenants))
 	}
@@ -161,9 +163,9 @@ func TestOldFormatHasNoTraceField(t *testing.T) {
 		if gotOld[i] != gotNew[i] {
 			t.Errorf("record %d: legacy %+v != flagged %+v", i, gotOld[i], gotNew[i])
 		}
-		if tcs[i].Sampled() {
-			t.Errorf("record %d: plain frame produced a sampled context %+v", i, tcs[i])
-		}
+	}
+	if tcs != nil {
+		t.Errorf("plain frames produced trace contexts %+v", tcs)
 	}
 }
 
@@ -184,13 +186,14 @@ func TestTaggedRoundTrip(t *testing.T) {
 		t.Fatalf("encoded %d bytes, want %d", len(buf), wantLen)
 	}
 	r := newWireReader(buf)
-	gotRecs, gotTcs, gotTenants, err := readBatchFlagged(r.Reader, 3, new(connScratch))
+	gotRecs, gotTcs, runs, err := readBatchFlagged(r.Reader, 3, new(connScratch))
 	if err != nil {
 		t.Fatalf("readBatchFlagged: %v", err)
 	}
 	if r.Len() != 0 {
 		t.Fatalf("left %d bytes unread", r.Len())
 	}
+	gotTenants := runTags(runs)
 	for i := range recs {
 		if gotRecs[i] != recs[i] {
 			t.Errorf("record %d: got %+v want %+v", i, gotRecs[i], recs[i])
@@ -204,23 +207,43 @@ func TestTaggedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTaggedInterning: the same tenant tag decoded many times on one
-// connection must return one canonical string (the interning that keeps
-// the tagged hot path allocation-free).
+// TestTaggedInterning: frames carrying the same tenant tag decode as one
+// run, and once the tenant is admitted on the connection its tag resolves
+// through the connection's table to the realm and the realm's own name
+// string (the lookup that keeps the tagged hot path allocation-free).
 func TestTaggedInterning(t *testing.T) {
 	var buf []byte
 	for i := 0; i < 4; i++ {
 		buf = appendTaggedFrame(buf, wireTestRecord(i), trace.Context{}, "acme")
 	}
-	_, _, tenants, err := readBatchFlagged(newWireReader(buf).Reader, 4, new(connScratch))
+	sc := new(connScratch)
+	_, _, runs, err := readBatchFlagged(newWireReader(buf).Reader, 4, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(tenants); i++ {
-		// Same backing string, not merely equal bytes.
-		if unsafeStringData(tenants[i]) != unsafeStringData(tenants[0]) {
-			t.Fatalf("tenant %d not interned", i)
-		}
+	if len(runs) != 1 || runs[0].end != 4 || runs[0].name != "acme" || runs[0].t != nil {
+		t.Fatalf("runs = %+v, want one unresolved acme run of 4", runs)
+	}
+	m, err := realm.NewManager(realm.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	r, err := m.Realm("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.tenant(r)
+	_, _, runs, err = readBatchFlagged(newWireReader(buf).Reader, 4, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 || runs[0].t == nil || runs[0].t.realm != r {
+		t.Fatalf("runs = %+v, want one run resolved to the admitted realm", runs)
+	}
+	// Same backing string, not merely equal bytes.
+	if unsafeStringData(runs[0].name) != unsafeStringData(r.Name()) {
+		t.Fatal("run name not interned to the realm's name")
 	}
 }
 
@@ -370,9 +393,31 @@ func TestReadBatchSpansBufferRefills(t *testing.T) {
 	}
 }
 
+// contextAt is frame i's trace context in a decoded batch's contexts,
+// which are nil when no frame carried a trace field.
+func contextAt(tcs []trace.Context, i int) trace.Context {
+	if tcs == nil {
+		return trace.Context{}
+	}
+	return tcs[i]
+}
+
 // appendFlaggedFrame encodes one flagged frame for rec with no tenant
 // tag. A zero (unsampled) context emits the plain flag and no trace
 // field.
 func appendFlaggedFrame(buf []byte, rec flowlog.Record, tc trace.Context) []byte {
 	return appendTaggedFrame(buf, rec, tc, "")
+}
+
+// runTags expands a decoded batch's tenant runs back into one tag per
+// record.
+func runTags(runs []tenantRun) []string {
+	var tags []string
+	start := 0
+	for _, run := range runs {
+		for ; start < run.end; start++ {
+			tags = append(tags, run.name)
+		}
+	}
+	return tags
 }
