@@ -5,18 +5,23 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"os"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"cloudgraph/internal/core"
+	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/realm"
 	"cloudgraph/internal/telemetry"
+	"cloudgraph/internal/trace"
 )
 
 func TestServerStalledConnTimesOut(t *testing.T) {
@@ -78,6 +83,94 @@ func TestServerStalledConnTimesOut(t *testing.T) {
 				t.Errorf("metrics lack %s", series)
 			}
 		}
+	}
+}
+
+// TestServerSlowDripIngestTimesOut: a peer that sends an INGEST header and
+// then drips its frames a byte at a time must not hold the connection past
+// IdleTimeout. The read deadline is absolute, so it bounds the batch too:
+// the server answers one ERR, closes the connection, counts one timeout
+// and ingests nothing. The frames hold 0x0a bytes (address 10.0.0.10,
+// port 0x0a0a), so a server that went back to reading commands after the
+// cut batch would answer the rest of the drip as command lines.
+func TestServerSlowDripIngestTimesOut(t *testing.T) {
+	const (
+		idle   = 100 * time.Millisecond
+		frames = 8
+		every  = 5 * time.Millisecond // the whole drip takes ≈3 s
+	)
+	rec := flowlog.Record{
+		Time:    time.Unix(1700000000, 0).UTC(),
+		LocalIP: netip.MustParseAddr("10.0.0.10"), LocalPort: 0x0a0a,
+		RemoteIP: netip.MustParseAddr("10.0.0.1"), RemotePort: 443,
+		PacketsSent: 10, BytesSent: 1000,
+	}
+	for _, c := range []struct {
+		name, header string
+		frame        func([]byte) []byte
+	}{
+		{"plain", "INGEST %d\n", func(b []byte) []byte { return flowlog.AppendBinary(b, rec) }},
+		{"flagged", "INGEST %d T\n", func(b []byte) []byte { return appendTaggedFrame(b, rec, trace.Context{}, "") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, m := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Telemetry: telemetry.NewRegistry()},
+				Options{IdleTimeout: idle})
+			var body []byte
+			for range frames {
+				body = c.frame(body)
+			}
+			// The server arms its read deadline after accepting the
+			// connection, so after this clock starts.
+			start := time.Now()
+			conn, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fmt.Fprintf(conn, c.header, frames); err != nil {
+				t.Fatal(err)
+			}
+			dripped := make(chan struct{})
+			go func() {
+				defer close(dripped)
+				for i := range body {
+					if _, err := conn.Write(body[i : i+1]); err != nil {
+						return // the server cut the connection
+					}
+					time.Sleep(every)
+				}
+			}()
+			defer func() {
+				conn.Close()
+				<-dripped
+			}()
+
+			if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			out, err := io.ReadAll(conn)
+			closed := time.Since(start)
+			if err != nil && !errors.Is(err, syscall.ECONNRESET) {
+				t.Fatalf("reading until the server closes: %v (after %v, read %q)", err, closed, out)
+			}
+			if lines := strings.SplitAfter(string(out), "\n"); len(lines) != 2 || lines[1] != "" ||
+				!strings.HasPrefix(lines[0], "ERR ") || !strings.Contains(lines[0], "short ingest stream") {
+				t.Fatalf("server answered %q; want one ERR line for the cut batch, then the close", out)
+			}
+			if drip := time.Duration(len(body)) * every; closed < idle || closed >= drip {
+				t.Errorf("connection closed after %v; want between IdleTimeout %v and the drip's %v", closed, idle, drip)
+			}
+
+			deadline := time.Now().Add(5 * time.Second)
+			for s.tel.timeouts.Value() == 0 && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := s.tel.timeouts.Value(); got != 1 {
+				t.Errorf("timeout counter = %d, want 1", got)
+			}
+			if got := m.Default().Cost().Records; got != 0 {
+				t.Errorf("realm ingested %d records from the cut batch, want 0", got)
+			}
+		})
 	}
 }
 

@@ -308,7 +308,12 @@ func (s *Server) handle(conn net.Conn) {
 		default:
 			cmdErr = fmt.Errorf("unknown command %q", cmd)
 		}
-		if cmdErr != nil {
+		switch {
+		case errors.Is(cmdErr, os.ErrDeadlineExceeded):
+			// A batch the read deadline cut off: a stalled peer, not a
+			// malformed stream.
+			s.tel.timeouts.Add(1)
+		case cmdErr != nil:
 			s.tel.protoErrs.Add(1)
 			if tr := ses.Engine().Tracer(); tr != nil {
 				tr.Eventf(trace.Context{}, "analytics", slog.LevelWarn, "protocol error: %v", cmdErr)
@@ -443,8 +448,9 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 	}
 	if !traced {
 		tr := ses.Engine().Tracer()
+		sampling := tr.Sampling()
 		var start time.Time
-		if tr != nil {
+		if sampling {
 			start = time.Now()
 		}
 		batch, err := readBatch(r, n, sc)
@@ -454,10 +460,10 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 		// Legacy batches carry no upstream contexts, so the server samples
 		// here: that makes the daemon's -trace-sample useful for
 		// file-driven ingest (graphctl send), with journeys starting at
-		// the wire instead of the NIC. With sampling off, Sample is a
-		// branch per record.
+		// the wire instead of the NIC. With sampling off the batch skips
+		// the sampler altogether.
 		var tcs []trace.Context
-		if tr != nil {
+		if sampling {
 			d := time.Since(start)
 			note := "frames=" + strconv.Itoa(n)
 			for i := range batch {
@@ -606,8 +612,9 @@ const MaxIngestBatch = 1 << 16
 // invariant: once the INGEST header promised n frames, exactly n*WireSize
 // bytes are consumed from r even when a frame fails to decode — leaving
 // unread frames in the stream would desync the protocol, parsing leftover
-// binary bytes as commands. Only a short read (fewer bytes than promised)
-// may leave the stream mid-batch, and that already ends the connection.
+// binary bytes as commands. Only a short read (fewer bytes than promised:
+// the peer closed, or the read deadline passed mid-batch) may leave the
+// stream mid-batch; it is errDesync, so the connection ends.
 //
 //vet:borrowed sc return
 func readBatch(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record, error) {
@@ -622,7 +629,7 @@ func readBatch(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record, error
 		buf, err := r.Peek(run * flowlog.WireSize)
 		if err != nil {
 			sc.batch = batch
-			return nil, fmt.Errorf("short ingest stream at record %d", i+len(buf)/flowlog.WireSize)
+			return nil, fmt.Errorf("record %d: %w", i+len(buf)/flowlog.WireSize, shortStream(err))
 		}
 		// After a bad frame the rest of the declared batch is only drained.
 		for k := 0; k < run && decodeErr == nil; k++ {

@@ -64,6 +64,14 @@ const (
 // re-synchronized; the server reports ERR and closes the connection.
 var errDesync = errors.New("stream desynchronized")
 
+// shortStream reports a batch whose frames stopped arriving: the peer
+// closed, or the connection's read deadline passed mid-batch. The rest of
+// the batch is unread, so the stream is lost (errDesync); err stays in the
+// chain so the server can count a deadline as a timeout.
+func shortStream(err error) error {
+	return fmt.Errorf("short ingest stream (%w): %w", err, errDesync)
+}
+
 // appendTaggedFrame encodes one flagged frame carrying rec, an optional
 // trace context, and an optional tenant tag ("" emits no tag: the frame
 // belongs to the receiver's session tenant). The tenant must already be
@@ -122,8 +130,8 @@ type tenantRun struct {
 // frame's flag byte and tenant length byte fix its length, the remaining
 // frames of the batch are consumed even when a record or tenant name
 // fails validation, so the stream stays command-aligned. Only short
-// reads, unknown flag bytes, and unframeable tenant lengths (errDesync)
-// leave the stream mid-batch, and all end the connection.
+// reads, unknown flag bytes, and unframeable tenant lengths leave the
+// stream mid-batch; all are errDesync and end the connection.
 //
 //vet:borrowed sc return
 func readBatchFlagged(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record, []trace.Context, []tenantRun, error) {
@@ -141,7 +149,7 @@ func readBatchFlagged(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record
 	for i := 0; i < n; i++ {
 		hdr, err := r.Peek(1)
 		if err != nil {
-			failAt, failErr = i, errors.New("short ingest stream")
+			failAt, failErr = i, shortStream(err)
 			break
 		}
 		flag := hdr[0]
@@ -158,7 +166,7 @@ func readBatchFlagged(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record
 		if flag&frameFlagTenant != 0 {
 			hdr, err = r.Peek(size + 1)
 			if err != nil {
-				failAt, failErr = i, errors.New("short ingest stream")
+				failAt, failErr = i, shortStream(err)
 				break
 			}
 			// A continuation bit would mean a multi-byte varint length; no
@@ -176,7 +184,7 @@ func readBatchFlagged(r *bufio.Reader, n int, sc *connScratch) ([]flowlog.Record
 		}
 		frame, err := r.Peek(size)
 		if err != nil {
-			failAt, failErr = i, errors.New("short ingest stream")
+			failAt, failErr = i, shortStream(err)
 			break
 		}
 		// An untagged frame's name is empty, matching an untagged run.

@@ -29,11 +29,13 @@ import (
 func AppendBinary(dst []byte, r Record) []byte {
 	var buf [WireSize]byte
 	binary.LittleEndian.PutUint64(buf[0:], uint64(r.Time.Unix()))
-	a16 := r.LocalIP.As16()
-	copy(buf[8:], a16[:])
+	hi, lo := AddrWords(r.LocalIP)
+	binary.BigEndian.PutUint64(buf[8:], hi)
+	binary.BigEndian.PutUint64(buf[16:], lo)
 	binary.LittleEndian.PutUint16(buf[24:], r.LocalPort)
-	b16 := r.RemoteIP.As16()
-	copy(buf[26:], b16[:])
+	hi, lo = AddrWords(r.RemoteIP)
+	binary.BigEndian.PutUint64(buf[26:], hi)
+	binary.BigEndian.PutUint64(buf[34:], lo)
 	binary.LittleEndian.PutUint16(buf[42:], r.RemotePort)
 	binary.LittleEndian.PutUint64(buf[44:], r.PacketsSent)
 	binary.LittleEndian.PutUint64(buf[52:], r.PacketsRcvd)

@@ -158,8 +158,8 @@ func (b *Builder) enterInterval(t time.Time) {
 
 // endpoint packs one side of a record.
 func (b *Builder) endpoint(ip netip.Addr, port uint16) endpoint {
-	a := ip.As16()
-	e := endpoint{hi: binary.BigEndian.Uint64(a[:8]), lo: binary.BigEndian.Uint64(a[8:]), port: port}
+	hi, lo := flowlog.AddrWords(ip)
+	e := endpoint{hi: hi, lo: lo, port: port}
 	if !ip.Is4() {
 		e.fam = famV6
 		if z := ip.Zone(); z != "" {

@@ -1,12 +1,10 @@
 // Package ingest holds the streaming-side building blocks of the analytics
 // system (§3.2) that sit beside the engine's sharded hot path: the flow-key
-// shard function both reports of a flow agree on, a space-saving sketch
-// tracking heavy-hitter nodes online, and a meter accounting for the COGS
-// the paper argues must stay below roughly a 0.5% surcharge.
+// shard function both reports of a flow agree on, and a meter accounting
+// for the COGS the paper argues must stay below roughly a 0.5% surcharge.
 package ingest
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"net/netip"
 
@@ -38,9 +36,9 @@ func ShardOfRecord(r *flowlog.Record, n int) int {
 // 64-bit halves and the port — a multiply and a rotate each, where FNV-1a
 // took a dependent multiply per byte.
 func endpointHash(ip netip.Addr, port uint16) uint64 {
-	a := ip.As16()
-	h := (binary.BigEndian.Uint64(a[:8]) ^ shardSeed) * 0x9e3779b97f4a7c15
-	h = (bits.RotateLeft64(h, 32) ^ binary.BigEndian.Uint64(a[8:])) * 0xbf58476d1ce4e5b9
+	hi, lo := flowlog.AddrWords(ip)
+	h := (hi ^ shardSeed) * 0x9e3779b97f4a7c15
+	h = (bits.RotateLeft64(h, 32) ^ lo) * 0xbf58476d1ce4e5b9
 	return (bits.RotateLeft64(h, 32) ^ uint64(port)) * 0x94d049bb133111eb
 }
 

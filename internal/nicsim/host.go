@@ -93,8 +93,9 @@ func (h *Host) Pull(intervalStart time.Time, c Collector) (int, error) {
 	h.mu.Unlock()
 	sort.Slice(vnics, func(i, j int) bool { return vnics[i].local.Compare(vnics[j].local) < 0 })
 
+	sampling := tracer.Sampling()
 	var drainStart time.Time
-	if tracer != nil {
+	if sampling {
 		//lint:allow detclock span timestamps are observability-only and never reach the record stream
 		drainStart = time.Now()
 	}
@@ -110,7 +111,7 @@ func (h *Host) Pull(intervalStart time.Time, c Collector) (int, error) {
 	// stored in the records themselves, so replay streams stay
 	// byte-identical whether or not a tracer is attached.
 	var tcs []trace.Context
-	if tracer != nil {
+	if sampling {
 		for i := range batch {
 			if ctx := tracer.Sample(); ctx.Sampled() {
 				if tcs == nil {

@@ -321,3 +321,34 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 	log.Info("discarded")
 }
+
+// TestTracerSampling: Sampling is false exactly when Sample can never
+// return a sampled context — a nil tracer, or SampleEvery 0 or below —
+// and true at one in N, where Sample then emits on every Nth draw.
+func TestTracerSampling(t *testing.T) {
+	var nilTr *Tracer
+	if nilTr.Sampling() {
+		t.Error("nil tracer reports sampling")
+	}
+	for _, every := range []int{0, -1} {
+		tr := New(Options{SampleEvery: every})
+		if tr.Sampling() {
+			t.Errorf("SampleEvery %d reports sampling", every)
+		}
+		for range 100 {
+			if c := tr.Sample(); c.Sampled() {
+				t.Fatalf("SampleEvery %d sampled %+v", every, c)
+			}
+		}
+	}
+	const every = 4
+	tr := New(Options{SampleEvery: every, Seed: 1})
+	if !tr.Sampling() {
+		t.Fatalf("SampleEvery %d does not report sampling", every)
+	}
+	for i := 1; i <= 3*every; i++ {
+		if got, want := tr.Sample().Sampled(), i%every == 0; got != want {
+			t.Fatalf("draw %d: sampled %v, want %v", i, got, want)
+		}
+	}
+}

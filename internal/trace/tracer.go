@@ -61,6 +61,13 @@ func (t *Tracer) Sample() Context {
 	return t.sampler.Next()
 }
 
+// Sampling reports whether Sample can ever return a sampled context: false
+// on a nil tracer and at SampleEvery 0. A per-record loop that only samples
+// tests it once per batch instead of calling Sample for every record.
+func (t *Tracer) Sampling() bool {
+	return t != nil && t.sampler.every != 0
+}
+
 // Record stores one completed span for ctx and mirrors it into the flight
 // ring. A nil tracer or unsampled context is a single-branch no-op.
 func (t *Tracer) Record(ctx Context, stage string, start time.Time, d time.Duration, note string) {
