@@ -582,7 +582,6 @@ func archiveWindows(dir string, gs []*graph.Graph) error {
 	for _, g := range gs {
 		epoch++
 		if err := hs.Append(epoch, g); err != nil {
-			//lint:allow errdrop best-effort close; the Append error is the one the caller needs
 			hs.Close()
 			return err
 		}

@@ -10,15 +10,23 @@ import (
 // files, from //lint:allow comments.
 type allowSet map[string]map[int][]string
 
-// add scans the files' comments for suppression directives:
+// allowDirective is one //lint:allow comment: the analyzer it names and
+// the lines of its file it covers.
+type allowDirective struct {
+	name  string
+	file  string
+	lines []int
+}
+
+// allowDirectives scans the files' comments for suppression directives:
 //
 //	//lint:allow <analyzer> <justification>
 //
-// A directive suppresses the named analyzer on its own line. A directive
-// alone on its line — so a long justification can sit above a long
-// statement — also covers the line immediately below it; a trailing one
-// does not.
-func (s allowSet) add(fset *token.FileSet, files []*ast.File) {
+// A directive covers its own line. A directive alone on its line — so a
+// long justification can sit above a long statement — also covers the
+// line immediately below it; a trailing one does not.
+func allowDirectives(fset *token.FileSet, files []*ast.File) []allowDirective {
+	var out []allowDirective
 	for _, f := range files {
 		var codeLines map[int]bool // built on the file's first directive
 		for _, cg := range f.Comments {
@@ -32,19 +40,30 @@ func (s allowSet) add(fset *token.FileSet, files []*ast.File) {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				byLine := s[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int][]string)
-					s[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = append(byLine[pos.Line], name)
+				d := allowDirective{name: name, file: pos.Filename, lines: []int{pos.Line}}
 				if codeLines == nil {
 					codeLines = nodeLines(fset, f)
 				}
 				if !codeLines[pos.Line] {
-					byLine[pos.Line+1] = append(byLine[pos.Line+1], name)
+					d.lines = append(d.lines, pos.Line+1)
 				}
+				out = append(out, d)
 			}
+		}
+	}
+	return out
+}
+
+// add records the files' directives.
+func (s allowSet) add(fset *token.FileSet, files []*ast.File) {
+	for _, d := range allowDirectives(fset, files) {
+		byLine := s[d.file]
+		if byLine == nil {
+			byLine = make(map[int][]string)
+			s[d.file] = byLine
+		}
+		for _, line := range d.lines {
+			byLine[line] = append(byLine[line], d.name)
 		}
 	}
 }

@@ -2,29 +2,30 @@
 // go/parser + go/types + go/importer only) plus the project-specific
 // analyzers behind cmd/cloudgraph-vet. Each analyzer encodes one invariant
 // of this codebase that `go vet` cannot see and names the live sites it
-// guards (DESIGN.md, Static analysis). Six are per-file AST walks:
+// guards (DESIGN.md, Static analysis). Four are per-package AST walks:
 //
-//   - lockscope:  no blocking call (channel send/receive, callback field
-//     invocation) while a sync.Mutex/RWMutex field is held
 //   - detclock:   no ambient clock or global RNG in the deterministic
 //     simulation packages; map-order-dependent accumulation must sort
 //   - wirestruct: wire-schema structs are built with keyed literals only,
 //     and their codecs must reference every field
 //   - errdrop:    error returns may not be silently discarded
 //   - floatcmp:   no ==/!= on floating-point values
-//   - busconsumer: window consumers on the engine's fan-out bus must not
-//     re-enter the engine ingest or lifecycle path (Ingest, Flush, Close)
 //
-// Two are module-wide and share an index (cfg.go, index.go): per-function
+// Three are module-wide and share an index (cfg.go, index.go): per-function
 // basic-block CFGs and a module-wide static call graph.
 //
+//   - busconsumer: window consumers on the engine's fan-out bus must not
+//     re-enter the engine ingest or lifecycle path (Ingest, Flush, Close),
+//     directly or through any module function
 //   - borrowescape: values marked borrowed (//vet:borrowed params and
 //     results, sync.Pool.Get results) must not escape the borrowing call —
 //     no stores to heap-reachable locations, closure/goroutine captures,
 //     channel sends, undeclared returns, or uses after sync.Pool.Put
 //   - lockorder: the inter-procedural mutex acquisition graph must be
-//     acyclic, and no lock may be held across a call into the consumer
-//     bus's blocking surface (Bus.Drain, Bus.Close)
+//     acyclic, and nothing that may block (channel send/receive, select
+//     without default, callback invocation, sync waits, Bus.Drain and
+//     Bus.Close, or a module call reaching one) may run while a mutex is
+//     held
 //
 // Findings can be suppressed per line with a justified inline comment:
 //
@@ -125,14 +126,18 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Finding {
 		allowed.add(pkg.Fset, pkg.Files)
 	}
 	var out []Finding
-	keep := func(findings []Finding) {
-		for _, f := range findings {
-			if !allowed.allows(f) {
-				out = append(out, f)
-			}
+	for _, f := range runAll(analyzers, pkgs) {
+		if !allowed.allows(f) {
+			out = append(out, f)
 		}
 	}
+	return out
+}
 
+// runAll is Run without the //lint:allow filter: every finding, ordered
+// by file and line.
+func runAll(analyzers []*Analyzer, pkgs []*Package) []Finding {
+	var out []Finding
 	var idx *Index
 	for _, a := range analyzers {
 		if a.RunModule != nil {
@@ -141,7 +146,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Finding {
 			}
 			pass := &ModulePass{Analyzer: a, Index: idx}
 			a.RunModule(pass)
-			keep(pass.findings)
+			out = append(out, pass.findings...)
 			continue
 		}
 		for _, pkg := range pkgs {
@@ -157,7 +162,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Finding {
 				Path:     pkg.Path,
 			}
 			a.Run(pass)
-			keep(pass.findings)
+			out = append(out, pass.findings...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -198,7 +198,7 @@ func (be *borrowEngine) isPoolGet(info *types.Info, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	fn := staticCallee(info, call)
+	fn := staticCallee(info, call.Fun)
 	return fn != nil && fn.Name() == "Get" && funcPathName(fn) == "sync.Get"
 }
 
@@ -209,7 +209,7 @@ func (be *borrowEngine) isBorrowedReturnCall(info *types.Info, e ast.Expr) bool 
 	if !ok {
 		return false
 	}
-	fn := staticCallee(info, call)
+	fn := staticCallee(info, call.Fun)
 	if fn == nil {
 		return false
 	}
@@ -328,7 +328,7 @@ func (bw *borrowWalk) callResultRoots(call *ast.CallExpr) map[*types.Var]bool {
 			return nil
 		}
 	}
-	fn := staticCallee(info, call)
+	fn := staticCallee(info, call.Fun)
 	if fn == nil {
 		return nil
 	}
@@ -609,7 +609,7 @@ func (bw *borrowWalk) returnStmt(rs *ast.ReturnStmt) {
 // callees are assumed non-retaining (documented optimism).
 func (bw *borrowWalk) callArgs(call *ast.CallExpr) {
 	info := bw.fi.Pkg.Info
-	fn := staticCallee(info, call)
+	fn := staticCallee(info, call.Fun)
 	if fn == nil {
 		return
 	}
@@ -731,7 +731,7 @@ func (be *borrowEngine) checkUseAfterPut(p *ModulePass, fi *FuncInfo, pool map[*
 							"use of %s after sync.Pool.Put returned it to the pool", c.Name)
 					}
 				case *ast.CallExpr:
-					if fn := staticCallee(info, c); fn != nil && fn.Name() == "Put" && funcPathName(fn) == "sync.Put" {
+					if fn := staticCallee(info, c.Fun); fn != nil && fn.Name() == "Put" && funcPathName(fn) == "sync.Put" {
 						for _, arg := range c.Args {
 							if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
 								if v, ok := info.Uses[id].(*types.Var); ok && pool[v] {
@@ -828,4 +828,21 @@ func sameVarSet(a, b map[*types.Var]bool) bool {
 		}
 	}
 	return true
+}
+
+// exprText renders a selector chain like e.cfg.buf; unrenderable
+// expressions get a stable placeholder.
+func exprText(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return exprText(e.X) + "." + e.Sel.Name
+	case *ast.ParenExpr:
+		return exprText(e.X)
+	case *ast.StarExpr:
+		return exprText(e.X)
+	default:
+		return "(expr)"
+	}
 }

@@ -24,11 +24,11 @@ var forbiddenEngineMethods = map[string]string{
 // consumer (any function installed as a ConsumerSpec.Fn) runs on a bus
 // delivery goroutine, so it must not call back into the engine's ingest
 // or lifecycle path — Engine.Ingest, IngestTraced, Collect, CollectTraced,
-// Flush or Close — directly or through same-package helpers. Ingest calls
-// re-enter the pipeline that publishes to the bus; Flush blocks until the
-// bus drains, which includes the consumer making the call; Close joins the
-// consumer's own goroutine. All three shapes are livelocks or deadlocks
-// that only fire under load, never in a quick test.
+// Flush or Close — directly or through module functions, in any package.
+// Ingest calls re-enter the pipeline that publishes to the bus; Flush
+// blocks until the bus drains, which includes the consumer making the
+// call; Close joins the consumer's own goroutine. All three shapes are
+// livelocks or deadlocks that only fire under load, never in a quick test.
 //
 // Matching is name-based (a named struct type ConsumerSpec with a
 // function-typed Fn field; a named receiver type Engine) so the golden
@@ -39,96 +39,85 @@ func Busconsumer() *Analyzer {
 		Name: "busconsumer",
 		Doc:  "flag bus consumers that re-enter the engine ingest or lifecycle path",
 	}
-	a.Run = runBusconsumer
+	a.RunModule = runBusconsumer
 	return a
 }
 
-func runBusconsumer(p *Pass) {
-	// Index every function declaration so the walk can follow
-	// same-package calls transitively.
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-				decls[obj] = fd
-			}
-		}
-	}
-
-	// Roots: every expression installed as a ConsumerSpec Fn field, in
-	// keyed or positional literals.
-	var roots []consumerRoot
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if !ok {
-				return true
-			}
-			st, fields := consumerSpecStruct(p, lit)
-			if st == nil {
-				return true
-			}
-			for i, elt := range lit.Elts {
-				switch e := elt.(type) {
-				case *ast.KeyValueExpr:
-					if id, ok := e.Key.(*ast.Ident); ok && id.Name == "Fn" {
-						roots = append(roots, consumerRoot{expr: e.Value, name: specName(lit)})
+func runBusconsumer(p *ModulePass) {
+	// One reported set for the module: a helper reachable from several
+	// consumers is flagged once.
+	reported := map[ast.Node]bool{}
+	for _, pkg := range p.Index.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.CompositeLit)
+				if !ok {
+					return true
+				}
+				fields := consumerSpecFields(pkg.Info, lit)
+				if fields == nil {
+					return true
+				}
+				// The root is the expression installed as the Fn field,
+				// in a keyed or a positional literal.
+				for i, root := range lit.Elts {
+					if kv, ok := root.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); !ok || id.Name != "Fn" {
+							continue
+						}
+						root = kv.Value
+					} else if i >= len(fields) || fields[i] != "Fn" {
+						continue
 					}
-				default:
-					if i < len(fields) && fields[i] == "Fn" {
-						roots = append(roots, consumerRoot{expr: elt, name: specName(lit)})
+					w := &consumerWalk{ModulePass: p, label: "bus consumer", seen: map[*FuncInfo]bool{}, reported: reported}
+					if name := specName(lit); name != "" {
+						w.label += " " + name
+					}
+					if fl, ok := ast.Unparen(root).(*ast.FuncLit); ok {
+						w.scan(pkg, fl.Body)
+					} else {
+						w.follow(staticCallee(pkg.Info, root))
 					}
 				}
-			}
-			return true
-		})
-	}
-
-	reported := map[ast.Node]bool{}
-	for _, root := range roots {
-		p.walkConsumer(root, root.expr, decls, map[*types.Func]bool{}, reported)
+				return true
+			})
+		}
 	}
 }
 
-// consumerRoot is one Fn expression found in a ConsumerSpec literal.
-type consumerRoot struct {
-	expr ast.Expr
-	name string
+// consumerWalk follows one consumer root through the module. seen breaks
+// recursion cycles; reported dedupes sites reachable from several roots.
+type consumerWalk struct {
+	*ModulePass
+	label    string // "bus consumer replayer"
+	seen     map[*FuncInfo]bool
+	reported map[ast.Node]bool
 }
 
-// consumerSpecStruct returns the struct type and ordered field names when
-// lit is a composite literal of a named type ConsumerSpec whose Fn field
-// has a function type.
-func consumerSpecStruct(p *Pass, lit *ast.CompositeLit) (*types.Struct, []string) {
-	t := p.Info.TypeOf(lit)
-	if t == nil {
-		return nil, nil
-	}
-	named, ok := t.(*types.Named)
+// consumerSpecFields returns the ordered field names when lit is a
+// composite literal of a named type ConsumerSpec whose Fn field has a
+// function type, and nil otherwise.
+func consumerSpecFields(info *types.Info, lit *ast.CompositeLit) []string {
+	named, ok := info.TypeOf(lit).(*types.Named)
 	if !ok || named.Obj().Name() != "ConsumerSpec" {
-		return nil, nil
+		return nil
 	}
 	st, ok := named.Underlying().(*types.Struct)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	fields := make([]string, st.NumFields())
 	hasFn := false
 	for i := 0; i < st.NumFields(); i++ {
 		fields[i] = st.Field(i).Name()
 		if fields[i] == "Fn" {
-			_, isFunc := st.Field(i).Type().Underlying().(*types.Signature)
-			hasFn = isFunc
+			_, hasFn = st.Field(i).Type().Underlying().(*types.Signature)
 		}
 	}
 	if !hasFn {
-		return nil, nil
+		return nil
 	}
-	return st, fields
+	return fields
 }
 
 // specName extracts the literal's Name field value when it is a constant
@@ -150,47 +139,18 @@ func specName(lit *ast.CompositeLit) string {
 	return ""
 }
 
-// walkConsumer scans the function behind expr for forbidden engine calls,
-// following function literals inline and same-package callees
-// transitively. seen breaks recursion cycles; reported dedupes sites
-// reachable from several roots.
-func (p *Pass) walkConsumer(root consumerRoot, expr ast.Expr, decls map[*types.Func]*ast.FuncDecl, seen map[*types.Func]bool, reported map[ast.Node]bool) {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.FuncLit:
-		p.scanConsumerBody(root, e.Body, decls, seen, reported)
-	case *ast.Ident, *ast.SelectorExpr:
-		if fn := referencedFunc(p, e); fn != nil && !seen[fn] {
-			seen[fn] = true
-			if fd, ok := decls[fn]; ok {
-				p.scanConsumerBody(root, fd.Body, decls, seen, reported)
-			}
-		}
+// follow scans the body of the module function fn, once per root.
+func (w *consumerWalk) follow(fn *types.Func) {
+	if fi := w.Index.Funcs[fn]; fi != nil && !w.seen[fi] {
+		w.seen[fi] = true
+		w.scan(fi.Pkg, fi.Decl.Body)
 	}
 }
 
-// referencedFunc resolves an identifier or selector to the function it
-// names, when it names one.
-func referencedFunc(p *Pass, expr ast.Expr) *types.Func {
-	var id *ast.Ident
-	switch e := expr.(type) {
-	case *ast.Ident:
-		id = e
-	case *ast.SelectorExpr:
-		id = e.Sel
-	default:
-		return nil
-	}
-	fn, _ := p.Info.Uses[id].(*types.Func)
-	return fn
-}
-
-// scanConsumerBody reports forbidden engine calls in body and recurses
-// into same-package callees and nested function literals that the
-// consumer invokes on its own goroutine.
-func (p *Pass) scanConsumerBody(root consumerRoot, body ast.Node, decls map[*types.Func]*ast.FuncDecl, seen map[*types.Func]bool, reported map[ast.Node]bool) {
-	if body == nil {
-		return
-	}
+// scan reports forbidden engine calls in body, which belongs to pkg, and
+// follows module callees and nested function literals that the consumer
+// invokes on its own goroutine.
+func (w *consumerWalk) scan(pkg *Package, body ast.Node) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		// A goroutine the consumer spawns is not on the delivery path;
 		// blocking there does not stall the bus.
@@ -201,23 +161,14 @@ func (p *Pass) scanConsumerBody(root consumerRoot, body ast.Node, decls map[*typ
 		if !ok {
 			return true
 		}
-		if method, why := engineMethodCall(p, call); method != "" {
-			if !reported[call] {
-				reported[call] = true
-				label := "bus consumer"
-				if root.name != "" {
-					label = "bus consumer " + root.name
-				}
-				p.Reportf(call.Pos(), "%s calls Engine.%s: %s; consumers must never re-enter the engine", label, method, why)
+		if method, why := engineMethodCall(pkg.Info, call); method != "" {
+			if !w.reported[call] {
+				w.reported[call] = true
+				w.Reportf(pkg, call.Pos(), "%s calls Engine.%s: %s; consumers must never re-enter the engine", w.label, method, why)
 			}
 			return true
 		}
-		if fn := referencedFunc(p, call.Fun); fn != nil && !seen[fn] {
-			seen[fn] = true
-			if fd, ok := decls[fn]; ok {
-				p.scanConsumerBody(root, fd.Body, decls, seen, reported)
-			}
-		}
+		w.follow(staticCallee(pkg.Info, call.Fun))
 		return true
 	})
 }
@@ -225,7 +176,7 @@ func (p *Pass) scanConsumerBody(root consumerRoot, body ast.Node, decls map[*typ
 // engineMethodCall reports the forbidden method name and rationale when
 // call invokes one of the engine's re-entrancy-unsafe methods on a value
 // whose named type is Engine (pointer or value receiver).
-func engineMethodCall(p *Pass, call *ast.CallExpr) (method, why string) {
+func engineMethodCall(info *types.Info, call *ast.CallExpr) (method, why string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", ""
@@ -234,7 +185,7 @@ func engineMethodCall(p *Pass, call *ast.CallExpr) (method, why string) {
 	if !forbidden {
 		return "", ""
 	}
-	t := p.Info.TypeOf(sel.X)
+	t := info.TypeOf(sel.X)
 	if t == nil {
 		return "", ""
 	}

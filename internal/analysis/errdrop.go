@@ -164,12 +164,9 @@ func isBuilderType(t types.Type) bool {
 }
 
 func callName(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return exprText(fun.X) + "." + fun.Sel.Name
-	default:
-		return "call"
+	switch call.Fun.(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+		return types.ExprString(call.Fun)
 	}
+	return "call"
 }

@@ -140,6 +140,126 @@ func TestModuleClean(t *testing.T) {
 	}
 }
 
+// TestModuleAllowsAreLive pins every //lint:allow in the module to a
+// finding it suppresses: the directive must name a suite analyzer, and
+// that analyzer, run with suppressions off, must report on a line the
+// directive covers. A directive outliving its site, or naming a renamed
+// or ungated analyzer, fails here instead of silently suppressing nothing.
+func TestModuleAllowsAreLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module type-check is slow under -short")
+	}
+	pkgs := loadModulePkgs(t)
+	suite := make(map[string]bool)
+	for _, a := range Suite() {
+		suite[a.Name] = true
+	}
+	type site struct {
+		analyzer, file string
+		line           int
+	}
+	found := make(map[site]bool)
+	for _, f := range runAll(Suite(), pkgs) {
+		found[site{f.Analyzer, f.File, f.Line}] = true
+	}
+	for _, pkg := range pkgs {
+		for _, d := range allowDirectives(pkg.Fset, pkg.Files) {
+			if !suite[d.name] {
+				t.Errorf("%s:%d: //lint:allow %s names no suite analyzer", d.file, d.lines[0], d.name)
+				continue
+			}
+			live := false
+			for _, line := range d.lines {
+				live = live || found[site{d.name, d.file, line}]
+			}
+			if !live {
+				t.Errorf("%s:%d: //lint:allow %s suppresses no %s finding", d.file, d.lines[0], d.name, d.name)
+			}
+		}
+	}
+}
+
+// TestCrossPackageFindings runs the suite over a two-package module: the
+// blocking call under a lock and the consumer's engine re-entry each sit
+// one package away from where they start, so only an analyzer walking the
+// module-wide call graph sees them.
+func TestCrossPackageFindings(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module xmod\n\ngo 1.24\n",
+		"core/core.go": `package core
+
+type Engine struct{}
+
+func (e *Engine) Flush() {}
+
+type ConsumerSpec struct {
+	Name string
+	Fn   func()
+}
+
+// Send blocks until a receiver takes v.
+func Send(ch chan int, v int) { ch <- v }
+
+// Settle re-enters the engine: harmless on its own.
+func Settle(e *Engine) {
+	e.Flush()
+}
+`,
+		"app/app.go": `package app
+
+import (
+	"sync"
+
+	"xmod/core"
+)
+
+type S struct {
+	mu sync.Mutex
+	ch chan int
+}
+
+func (s *S) notify() {
+	s.mu.Lock()
+	core.Send(s.ch, 1)
+	s.mu.Unlock()
+}
+
+func consumer(e *core.Engine) core.ConsumerSpec {
+	return core.ConsumerSpec{Name: "settler", Fn: func() { core.Settle(e) }}
+}
+`,
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := LoadModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range Run(Suite(), pkgs) {
+		rel, err := filepath.Rel(dir, f.File)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("%s:%d: %s: %s", filepath.ToSlash(rel), f.Line, f.Analyzer, f.Message))
+	}
+	want := []string{
+		"app/app.go:16: lockorder: call to Send while S.mu is held: Send sends on a channel",
+		"core/core.go:17: busconsumer: bus consumer settler calls Engine.Flush: drains the bus and would wait on this consumer forever; consumers must never re-enter the engine",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // LoadDir parses and type-checks the single package in dir (stdlib imports
 // only) — the golden-file tests' loader.
 func LoadDir(dir string) (*Package, error) {

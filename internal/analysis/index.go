@@ -28,6 +28,8 @@ import (
 
 // Index is the shared dataflow index over one Run's package set.
 type Index struct {
+	// Pkgs is the package set the index was built over.
+	Pkgs  []*Package
 	Funcs map[*types.Func]*FuncInfo
 
 	// funcsInOrder holds Funcs' values in (package path, position) order.
@@ -109,7 +111,7 @@ func recvTypeName(e ast.Expr) string {
 
 // BuildIndex constructs the shared index over pkgs.
 func BuildIndex(pkgs []*Package) *Index {
-	idx := &Index{Funcs: make(map[*types.Func]*FuncInfo)}
+	idx := &Index{Pkgs: pkgs, Funcs: make(map[*types.Func]*FuncInfo)}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
@@ -135,13 +137,17 @@ func BuildIndex(pkgs []*Package) *Index {
 	}
 	// Stable iteration order for deterministic findings.
 	sort.Slice(idx.funcsInOrder, func(i, j int) bool {
-		a, b := idx.funcsInOrder[i], idx.funcsInOrder[j]
-		if a.Pkg.Path != b.Pkg.Path {
-			return a.Pkg.Path < b.Pkg.Path
-		}
-		return a.Decl.Pos() < b.Decl.Pos()
+		return declaredBefore(idx.funcsInOrder[i], idx.funcsInOrder[j])
 	})
 	return idx
+}
+
+// declaredBefore orders functions by (package path, position).
+func declaredBefore(a, b *FuncInfo) bool {
+	if a.Pkg.Path != b.Pkg.Path {
+		return a.Pkg.Path < b.Pkg.Path
+	}
+	return a.Decl.Pos() < b.Decl.Pos()
 }
 
 // FuncsInOrder returns every indexed function in deterministic
@@ -180,17 +186,17 @@ func collectCalls(pkg *Package, fd *ast.FuncDecl) []CallSite {
 		if !ok {
 			return true
 		}
-		out = append(out, CallSite{Call: call, Callee: staticCallee(pkg.Info, call)})
+		out = append(out, CallSite{Call: call, Callee: staticCallee(pkg.Info, call.Fun)})
 		return true
 	})
 	return out
 }
 
-// staticCallee resolves the named function or method a call targets, or
-// nil for dynamic calls (function values, interface methods) and
-// conversions.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+// staticCallee resolves the named function or method that fun — a call's
+// Fun, or a function value such as a method value — denotes, or nil for
+// dynamic calls (function values, interface methods) and conversions.
+func staticCallee(info *types.Info, fun ast.Expr) *types.Func {
+	switch fun := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
 			return fn

@@ -10,26 +10,33 @@ import (
 
 // Lockorder derives the module's mutex acquisition graph and reports
 // cycles in it — the deadlock shape two goroutines produce by taking the
-// same two locks in opposite orders — plus calls into the consumer bus's
-// blocking surface (Bus.Drain, Bus.Close) made while any lock is held.
+// same two locks in opposite orders — plus every operation that may block
+// while a lock is held: channel sends and receives, selects without a
+// default case, known-blocking stdlib calls (WaitGroup.Wait, Cond.Wait,
+// time.Sleep), invocations of function-typed struct fields (callbacks,
+// whose bodies the lock holder does not control), calls into the consumer
+// bus's blocking surface (Bus.Drain, Bus.Close), and calls to module
+// functions that transitively do any of those. The last is the engine's
+// classic deadlock: a window callback invoked under the engine lock that
+// calls back into the engine (Go mutexes are not reentrant).
 //
 // A lock's identity is its declaration site, not its instance: every
 // Engine.mu is one node, every engineShard.mu another. Edges A -> B mean
 // "some path acquires B while A is held", found by tracking may-held lock
 // sets across each function's CFG and extending them through the static
-// call graph with per-function acquisition summaries, so a lock taken in
-// core and a lock taken three calls away in telemetry still order against
-// each other. RLock counts as an acquisition: a read lock deadlocks
-// against a waiting writer just as hard.
+// call graph with per-function acquisition and may-block summaries, so a
+// lock taken in core and a lock taken three calls away in telemetry still
+// order against each other. RLock counts as an acquisition: a read lock
+// deadlocks against a waiting writer just as hard.
 //
 // Known optimism: calls through function values and interfaces are not
-// followed (lockscope and busconsumer own the callback-under-lock shapes),
-// and function-local mutexes are skipped — ordering is only meaningful for
-// locks that outlive a call.
+// followed (the callback check and busconsumer own those shapes), and a
+// function-local mutex only takes part in the blocking check — ordering is
+// only meaningful for locks that outlive a call.
 func Lockorder() *Analyzer {
 	a := &Analyzer{
 		Name: "lockorder",
-		Doc:  "derive the inter-procedural mutex acquisition graph; flag cycles and lock-held calls into the consumer bus",
+		Doc:  "derive the inter-procedural mutex acquisition graph; flag cycles and blocking operations made while a lock is held",
 	}
 	a.RunModule = runLockorder
 	return a
@@ -42,20 +49,38 @@ type lockEdge struct {
 	pos      token.Pos
 }
 
+// blockOp is one operation that may block the goroutine running it.
+type blockOp struct {
+	pos  token.Pos
+	what string // the finding's subject: "channel send"
+	desc string // the same as a summary clause: "sends on a channel"
+	why  string // appended to the finding
+}
+
 type lockorderPass struct {
 	*ModulePass
 	// acquires maps each function to the lock IDs it may take,
 	// transitively through module callees.
 	acquires map[*FuncInfo]map[string]bool
-	labels   map[string]string // lock ID -> short diagnostic label
-	edges    map[[2]string]*lockEdge
+	// blocks maps each function that may block, directly or through
+	// module callees, to why: "calls emit, which invokes the OnComplete
+	// callback".
+	blocks map[*FuncInfo]string
+	// comms maps each select clause's channel operation to its select.
+	comms  map[ast.Node]*ast.SelectStmt
+	labels map[string]string // lock ID -> short diagnostic label
+	local  map[string]bool   // function-local lock IDs: held, never ordered
+	edges  map[[2]string]*lockEdge
 }
 
 func runLockorder(p *ModulePass) {
 	lp := &lockorderPass{
 		ModulePass: p,
 		acquires:   make(map[*FuncInfo]map[string]bool),
+		blocks:     make(map[*FuncInfo]string),
+		comms:      make(map[ast.Node]*ast.SelectStmt),
 		labels:     make(map[string]string),
+		local:      make(map[string]bool),
 		edges:      make(map[[2]string]*lockEdge),
 	}
 	lp.summarize()
@@ -65,24 +90,29 @@ func runLockorder(p *ModulePass) {
 	lp.reportCycles()
 }
 
-// summarize computes the transitive may-acquire set of every function.
+// summarize computes, in one fixed point over the call graph, every
+// function's transitive may-acquire set and may-block reason. A reason
+// follows the shortest call chain to a blocking operation; among equally
+// short chains, the callee declared first.
 func (lp *lockorderPass) summarize() {
 	funcs := lp.Index.FuncsInOrder()
 	for _, fi := range funcs {
 		set := make(map[string]bool)
 		for _, cs := range fi.Calls {
-			if id, method := lp.mutexOp(fi, cs.Call); id != "" && isAcquire(method) {
+			if id, method := lp.mutexOp(fi, cs.Call); id != "" && isAcquire(method) && !lp.local[id] {
 				set[id] = true
 			}
 		}
 		lp.acquires[fi] = set
+		lp.blocks[fi] = lp.firstBlock(fi)
 	}
 	for changed := true; changed; {
 		changed = false
+		via := make(map[*FuncInfo]*FuncInfo) // newly blocking function -> callee
 		for _, fi := range funcs {
 			set := lp.acquires[fi]
 			for _, cs := range fi.Calls {
-				callee := lp.calleeInfo(cs)
+				callee := lp.Index.Funcs[cs.Callee]
 				if callee == nil {
 					continue
 				}
@@ -92,16 +122,17 @@ func (lp *lockorderPass) summarize() {
 						changed = true
 					}
 				}
+				if lp.blocks[fi] == "" && lp.blocks[callee] != "" &&
+					(via[fi] == nil || declaredBefore(callee, via[fi])) {
+					via[fi] = callee
+				}
 			}
 		}
+		for fi, callee := range via {
+			lp.blocks[fi] = "calls " + callee.Fn.Name() + ", which " + lp.blocks[callee]
+			changed = true
+		}
 	}
-}
-
-func (lp *lockorderPass) calleeInfo(cs CallSite) *FuncInfo {
-	if cs.Callee == nil {
-		return nil
-	}
-	return lp.Index.Funcs[cs.Callee]
 }
 
 func isAcquire(method string) bool {
@@ -112,8 +143,112 @@ func isAcquire(method string) bool {
 	return false
 }
 
+// firstBlock describes the first operation in fi's own body, in source
+// order, that may block ("" when none does), and registers the body's
+// select clauses on the way. Function literals are skipped: their bodies
+// run later, typically on another goroutine.
+func (lp *lockorderPass) firstBlock(fi *FuncInfo) string {
+	var first string
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.SelectStmt:
+			for _, c := range n.Body.List {
+				if comm := c.(*ast.CommClause).Comm; comm != nil {
+					lp.comms[commOp(comm)] = n
+				}
+			}
+		}
+		if op, ok := lp.blockingOp(fi, n); ok && first == "" {
+			first = op.desc
+		}
+		return true
+	})
+	return first
+}
+
+// blockingOp classifies n when it may block the goroutine running it.
+func (lp *lockorderPass) blockingOp(fi *FuncInfo, n ast.Node) (blockOp, bool) {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		return lp.chanOp(n, blockOp{pos: n.Pos(), what: "channel send", desc: "sends on a channel"})
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return lp.chanOp(n, blockOp{pos: n.Pos(), what: "channel receive", desc: "receives from a channel"})
+		}
+	case *ast.CallExpr:
+		return blockingCall(fi.Pkg.Info, n)
+	}
+	return blockOp{}, false
+}
+
+// chanOp judges a channel operation: on its own it blocks; as a select
+// clause it belongs to its select, which is judged once, at its first
+// clause, and blocks only without a default case.
+func (lp *lockorderPass) chanOp(n ast.Node, op blockOp) (blockOp, bool) {
+	sel := lp.comms[n]
+	if sel == nil {
+		return op, true
+	}
+	if commOp(sel.Body.List[0].(*ast.CommClause).Comm) != n {
+		return blockOp{}, false
+	}
+	for _, c := range sel.Body.List {
+		if c.(*ast.CommClause).Comm == nil {
+			return blockOp{}, false
+		}
+	}
+	return blockOp{pos: sel.Pos(), what: "blocking select", desc: "selects without a default case"}, true
+}
+
+// commOp returns the channel operation of a select clause's statement: the
+// send itself, or the receive expression.
+func commOp(comm ast.Stmt) ast.Node {
+	switch s := comm.(type) {
+	case *ast.ExprStmt:
+		return ast.Unparen(s.X)
+	case *ast.AssignStmt:
+		return ast.Unparen(s.Rhs[0])
+	}
+	return comm
+}
+
+// blockingCall matches the calls that block by themselves: a callback
+// stored in a struct field, the stdlib waits (WaitGroup.Wait and Cond.Wait
+// both resolve to sync.Wait), and Drain and Close on a named type Bus —
+// the consumer bus's blocking surface. Bus matching is name-based, like
+// busconsumer's, so the golden testdata exercises the real code path.
+func blockingCall(info *types.Info, call *ast.CallExpr) (blockOp, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return blockOp{}, false
+	}
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		if _, isFunc := s.Type().Underlying().(*types.Signature); isFunc {
+			what := "invokes the " + sel.Sel.Name + " callback"
+			return blockOp{pos: call.Pos(), what: what, desc: what}, true
+		}
+	}
+	switch name := funcPathName(staticCallee(info, sel)); name {
+	case "sync.Wait", "time.Sleep":
+		return blockOp{pos: call.Pos(), what: "calls " + name, desc: "calls " + name}, true
+	}
+	if sel.Sel.Name == "Drain" || sel.Sel.Name == "Close" {
+		if named := namedTypeOf(info.TypeOf(sel.X)); named != nil && named.Obj().Name() == "Bus" {
+			return blockOp{
+				pos:  call.Pos(),
+				what: "call into the consumer bus (Bus." + sel.Sel.Name + ")",
+				desc: "calls Bus." + sel.Sel.Name,
+				why:  ": draining blocks on consumer progress, and a consumer may need that lock",
+			}, true
+		}
+	}
+	return blockOp{}, false
+}
+
 // scanFunc runs the may-held dataflow over fi's CFG and collects
-// acquisition-order edges and bus-blocking findings.
+// acquisition-order edges and blocking findings.
 func (lp *lockorderPass) scanFunc(fi *FuncInfo) {
 	cfg := fi.CFG()
 	in := make([]map[string]bool, len(cfg.Blocks))
@@ -148,51 +283,50 @@ func (lp *lockorderPass) transferBlock(fi *FuncInfo, blk *Block, held map[string
 		case *ast.DeferStmt:
 			// A deferred Unlock keeps the lock held through the rest of
 			// the function; a deferred anything-else runs at return and is
-			// out of acquisition-order scope.
+			// out of scope.
 			continue
 		case *ast.GoStmt:
 			// The spawned goroutine does not inherit the caller's locks.
 			continue
 		}
 		inspectShallow(n, func(c ast.Node) bool {
-			call, ok := c.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if id, method := lp.mutexOp(fi, call); id != "" {
-				switch {
-				case isAcquire(method):
-					if report && len(held) > 0 {
-						for from := range held {
-							lp.edge(from, id, fi.Pkg, call.Pos())
-						}
-					}
-					held[id] = true
-				case method == "Unlock" || method == "RUnlock":
-					delete(held, id)
-				}
-				return true
-			}
-			if len(held) > 0 && report {
-				if busCall := busBlockingCall(fi.Pkg.Info, call); busCall != "" {
-					lp.Reportf(fi.Pkg, call.Pos(),
-						"call into the consumer bus (%s) while %s is held: draining blocks on consumer progress, and a consumer may need that lock",
-						busCall, joinHeld(held, lp.labels))
-				}
-			}
-			if callee := lp.calleeInfo(CallSite{Callee: staticCallee(fi.Pkg.Info, call)}); callee != nil {
-				if len(held) > 0 {
-					var ids []string
-					for id := range lp.acquires[callee] {
-						ids = append(ids, id)
-					}
-					sort.Strings(ids)
-					for _, id := range ids {
+			call, isCall := c.(*ast.CallExpr)
+			if isCall {
+				if id, method := lp.mutexOp(fi, call); id != "" {
+					switch {
+					case isAcquire(method):
 						if report {
 							for from := range held {
 								lp.edge(from, id, fi.Pkg, call.Pos())
 							}
 						}
+						held[id] = true
+					case method == "Unlock" || method == "RUnlock":
+						delete(held, id)
+					}
+					return true
+				}
+			}
+			if !report || len(held) == 0 {
+				return true
+			}
+			op, blocking := lp.blockingOp(fi, c)
+			var callee *FuncInfo
+			if isCall {
+				callee = lp.Index.Funcs[staticCallee(fi.Pkg.Info, call.Fun)]
+			}
+			if !blocking && callee != nil && lp.blocks[callee] != "" {
+				name := callee.Fn.Name()
+				op = blockOp{pos: call.Pos(), what: "call to " + name, why: ": " + name + " " + lp.blocks[callee]}
+				blocking = true
+			}
+			if blocking {
+				lp.Reportf(fi.Pkg, op.pos, "%s while %s is held%s", op.what, joinHeld(held, lp.labels), op.why)
+			}
+			if callee != nil {
+				for id := range lp.acquires[callee] {
+					for from := range held {
+						lp.edge(from, id, fi.Pkg, call.Pos())
 					}
 				}
 			}
@@ -205,14 +339,14 @@ func (lp *lockorderPass) transferBlock(fi *FuncInfo, blk *Block, held map[string
 // edge records the first witness of from -> to.
 func (lp *lockorderPass) edge(from, to string, pkg *Package, pos token.Pos) {
 	key := [2]string{from, to}
-	if _, ok := lp.edges[key]; ok {
+	if _, ok := lp.edges[key]; ok || lp.local[from] || lp.local[to] {
 		return
 	}
 	lp.edges[key] = &lockEdge{from: from, to: to, pkg: pkg, pos: pos}
 }
 
 // mutexOp classifies call as a sync.Mutex/RWMutex Lock-family method and
-// returns the lock's declaration identity.
+// returns the lock's identity.
 func (lp *lockorderPass) mutexOp(fi *FuncInfo, call *ast.CallExpr) (id, method string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -224,52 +358,40 @@ func (lp *lockorderPass) mutexOp(fi *FuncInfo, call *ast.CallExpr) (id, method s
 	}
 	switch fn.Name() {
 	case "Lock", "RLock", "Unlock", "RUnlock", "TryLock", "TryRLock":
-	default:
-		return "", ""
+		return lp.lockIdentity(fi, sel.X), fn.Name()
 	}
-	id = lp.lockIdentity(fi, sel.X)
-	if id == "" {
-		return "", ""
-	}
-	return id, fn.Name()
+	return "", ""
 }
 
 // lockIdentity names the lock a method-call receiver denotes: a struct
-// field as owner-type.field, a package-level var as pkg.var, an embedded
-// mutex as the embedding type. Function-local mutexes return "".
+// field as owner-type.field, a package-level var as pkg.var. Any other
+// receiver — a function-local mutex, one embedded in a parameter — is a
+// lock of this function alone, named by its source text: it is held for
+// the blocking check but orders against nothing across calls.
 func (lp *lockorderPass) lockIdentity(fi *FuncInfo, expr ast.Expr) string {
 	info := fi.Pkg.Info
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.SelectorExpr:
 		// x.mu — the field's owner type qualifies it.
 		obj, ok := info.Uses[e.Sel].(*types.Var)
-		if !ok || !obj.IsField() {
-			return ""
+		if owner := namedTypeOf(info.TypeOf(e.X)); ok && obj.IsField() && owner != nil {
+			id := typeID(owner) + "." + obj.Name()
+			lp.labels[id] = owner.Obj().Name() + "." + obj.Name()
+			return id
 		}
-		owner := namedTypeOf(info.TypeOf(e.X))
-		if owner == nil {
-			return ""
-		}
-		id := typeID(owner) + "." + obj.Name()
-		lp.labels[id] = owner.Obj().Name() + "." + obj.Name()
-		return id
 	case *ast.Ident:
 		obj, ok := info.Uses[e].(*types.Var)
-		if !ok {
-			return ""
-		}
-		if obj.IsField() {
-			// Embedded mutex promoted to the enclosing literal scope.
-			return ""
-		}
-		if obj.Parent() == obj.Pkg().Scope() {
+		if ok && !obj.IsField() && obj.Parent() == obj.Pkg().Scope() {
 			id := obj.Pkg().Path() + "." + obj.Name()
 			lp.labels[id] = obj.Pkg().Name() + "." + obj.Name()
 			return id
 		}
-		return "" // function-local lock: no cross-call ordering
 	}
-	return ""
+	label := types.ExprString(expr)
+	id := "local " + label
+	lp.labels[id] = label
+	lp.local[id] = true
+	return id
 }
 
 func namedTypeOf(t types.Type) *types.Named {
@@ -291,24 +413,6 @@ func typeID(n *types.Named) string {
 		return n.Obj().Name()
 	}
 	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
-}
-
-// busBlockingCall matches Drain and Close methods on a named type Bus —
-// the consumer bus's blocking surface. Matching is name-based, like
-// busconsumer's, so the golden testdata exercises the real code path.
-func busBlockingCall(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if sel.Sel.Name != "Drain" && sel.Sel.Name != "Close" {
-		return ""
-	}
-	named := namedTypeOf(info.TypeOf(sel.X))
-	if named == nil || named.Obj().Name() != "Bus" {
-		return ""
-	}
-	return "Bus." + sel.Sel.Name
 }
 
 // reportCycles finds every acquisition edge that lies on a cycle and

@@ -5,7 +5,6 @@ package analysis
 // the module-level regression test asserts it stays green on the tree.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		Lockscope(), // every package: locks are everywhere on the hot path
 		Detclock(
 			"cloudgraph/internal/cluster",
 			"cloudgraph/internal/nicsim",
@@ -17,10 +16,10 @@ func Suite() []*Analyzer {
 			"cloudgraph/internal/matrix",
 			"cloudgraph/internal/summarize",
 		),
-		Busconsumer(), // module wide: consumer specs are built in core, runner, cmd and tests
 
 		// Module-wide analyzers: these run once over the whole module with
 		// the shared index (CFGs, call graph).
+		Busconsumer(), // consumer specs are built in core, runner, cmd and tests
 		Borrowescape(),
 		Lockorder(),
 	}

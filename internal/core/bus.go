@@ -116,7 +116,7 @@ func (c *busConsumer) loop() {
 	for {
 		c.mu.Lock()
 		for len(c.queue) == 0 && !c.closed {
-			//lint:allow lockscope Cond.Wait atomically releases c.mu while parked; nothing is held
+			//lint:allow lockorder Cond.Wait atomically releases c.mu while parked; nothing is held
 			c.cond.Wait()
 		}
 		if len(c.queue) == 0 {
@@ -143,7 +143,7 @@ func (c *busConsumer) loop() {
 func (c *busConsumer) drain() {
 	c.mu.Lock()
 	for len(c.queue) > 0 || c.busy {
-		//lint:allow lockscope Cond.Wait atomically releases c.mu while parked; nothing is held
+		//lint:allow lockorder Cond.Wait atomically releases c.mu while parked; nothing is held
 		c.cond.Wait()
 	}
 	c.mu.Unlock()

@@ -144,7 +144,7 @@ func (sh *engineShard) add(recs []flowlog.Record) time.Time {
 	start := time.Now()
 	late := sh.windower.Late()
 	for i := range recs {
-		//lint:allow lockscope OnComplete here is always Engine.addPartial, which only takes the leaf lock pendMu; partials must queue before the shard lock releases so a window closes atomically per shard
+		//lint:allow lockorder OnComplete here is always Engine.addPartial, which only takes the leaf lock pendMu; partials must queue before the shard lock releases so a window closes atomically per shard
 		sh.windower.add(&recs[i])
 	}
 	sh.busy += time.Since(start)
@@ -165,7 +165,7 @@ func (sh *engineShard) addFiltered(recs []flowlog.Record, ids []uint8, s uint8, 
 	late := sh.windower.Late()
 	for i := range recs {
 		if ids[i] == s {
-			//lint:allow lockscope OnComplete here is always Engine.addPartial (leaf lock pendMu only); see add
+			//lint:allow lockorder OnComplete here is always Engine.addPartial (leaf lock pendMu only); see add
 			sh.windower.add(&recs[i])
 		}
 	}
@@ -381,7 +381,7 @@ func (e *Engine) advance(maxStart time.Time) {
 		return
 	}
 	e.maxStartNS.Store(ns)
-	//lint:allow lockscope closeMu serializes window closes so windows publish in epoch order; it is taken only by Ingest/Flush, which a bus consumer must not reenter (documented on WindowConsumer)
+	//lint:allow lockorder closeMu serializes window closes so windows publish in epoch order; it is taken only by Ingest/Flush, which a bus consumer must not reenter (documented on WindowConsumer)
 	e.closeShards(maxStart, false)
 }
 
@@ -393,10 +393,10 @@ func (e *Engine) closeShards(cutoff time.Time, flush bool) {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		if flush {
-			//lint:allow lockscope OnComplete is Engine.addPartial (leaf lock pendMu only); see add
+			//lint:allow lockorder OnComplete is Engine.addPartial (leaf lock pendMu only); see add
 			sh.windower.Flush()
 		} else {
-			//lint:allow lockscope OnComplete is Engine.addPartial (leaf lock pendMu only); see add
+			//lint:allow lockorder OnComplete is Engine.addPartial (leaf lock pendMu only); see add
 			sh.windower.CloseUpTo(cutoff)
 		}
 		sh.mu.Unlock()
@@ -509,7 +509,7 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 // ones.
 func (e *Engine) Flush() {
 	e.closeMu.Lock()
-	//lint:allow lockscope closeMu keeps window publication ordered; see advance
+	//lint:allow lockorder closeMu keeps window publication ordered; see advance
 	e.closeShards(time.Time{}, true)
 	e.closeMu.Unlock()
 	e.bus.Drain()
