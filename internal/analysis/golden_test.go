@@ -59,10 +59,16 @@ func collectWants(t *testing.T, dir string) []*goldenWant {
 	return wants
 }
 
+// extraSpecs maps a spec directory that pins one half of an analyzer to
+// that analyzer: testdata/lockscope holds lockorder's blocking-under-lock
+// cases, apart from its acquisition-order ones in testdata/lockorder.
+var extraSpecs = map[string]string{"lockscope": "lockorder"}
+
 // TestGolden runs every suite analyzer over testdata/<name> — a
 // standalone package — with path gating cleared, and matches findings
-// against the markers. The suite and the spec directories must agree one
-// to one: an analyzer without a spec, or a spec naming no analyzer, fails.
+// against the markers; an extraSpecs directory runs as its own subtest.
+// The suite and the spec directories must agree: an analyzer without a
+// spec, or a spec naming no analyzer, fails.
 func TestGolden(t *testing.T) {
 	entries, err := os.ReadDir("testdata")
 	if err != nil {
@@ -80,15 +86,21 @@ func TestGolden(t *testing.T) {
 			continue
 		}
 		delete(specs, a.Name)
-		t.Run(a.Name, func(t *testing.T) { runGolden(t, a) })
+		t.Run(a.Name, func(t *testing.T) { runGolden(t, a, a.Name) })
+		for spec, name := range extraSpecs {
+			if name == a.Name && specs[spec] {
+				delete(specs, spec)
+				t.Run(spec, func(t *testing.T) { runGolden(t, a, spec) })
+			}
+		}
 	}
 	for name := range specs {
 		t.Errorf("testdata/%s names no suite analyzer", name)
 	}
 }
 
-func runGolden(t *testing.T, a *Analyzer) {
-	dir := filepath.Join("testdata", a.Name)
+func runGolden(t *testing.T, a *Analyzer, spec string) {
+	dir := filepath.Join("testdata", spec)
 	pkg, err := LoadDir(dir)
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)

@@ -1,7 +1,7 @@
-// The blocking half of the lockorder spec: operations that may block while
-// a mutex is held, the shapes of the engine's first deadlocks and races.
-
-package lockorder
+// Package lockscope is the blocking half of the lockorder spec: operations
+// that may block while a mutex is held, the shapes of the engine's first
+// deadlocks and races.
+package lockscope
 
 import "sync"
 
