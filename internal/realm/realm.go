@@ -285,10 +285,10 @@ func (m *Manager) create(name string) (*Realm, error) {
 		}
 	}
 
-	// Every bus consumer — timeline append, each analysis, the durable
-	// history append — admits through the weighted-fair scheduler before
-	// touching the window, costed by the graph's fold size. The consumer
-	// keeps its own goroutine and epoch order; only its start time moves.
+	// Every bus consumer — the analysis plane, the durable history append
+	// — admits through the weighted-fair scheduler before touching the
+	// window, costed by the graph's fold size. The consumer keeps its own
+	// goroutine and epoch order; only its start time moves.
 	for i := range consumers {
 		inner := consumers[i].Fn
 		consumers[i].Fn = func(epoch uint64, g *graph.Graph) {

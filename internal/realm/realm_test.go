@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -197,5 +198,46 @@ func TestManagerRecoversTenantDirs(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestTenantGoroutines pins what admitting a tenant costs in goroutines
+// with Live, DataDir and CompactEvery: one per bus consumer ("analysis",
+// "history", "cogs") plus the history compactor, and Manager.Close returns
+// every one of them.
+func TestTenantGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	m, err := NewManager(Config{
+		Engine:       core.Config{Window: time.Minute},
+		Live:         true,
+		DataDir:      t.TempDir(),
+		Hist:         histstore.Options{NoSync: true},
+		CompactEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if _, err := m.Realm("acme"); err != nil {
+		m.Close()
+		t.Fatal(err)
+	}
+	if added := runtime.NumGoroutine() - before; added != 4 {
+		buf := make([]byte, 1<<20)
+		m.Close()
+		t.Fatalf("admitting a tenant started %d goroutines, want 4\n%s", added, buf[:runtime.Stack(buf, true)])
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close waits for each goroutine to finish its work; the exits
+	// themselves land just after.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > start {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("goroutines leaked past Close: %d -> %d\n%s", start, got, buf[:runtime.Stack(buf, true)])
 	}
 }

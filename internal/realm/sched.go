@@ -6,8 +6,8 @@ import (
 
 // Scheduler is the weighted-fair admission gate in front of the shared
 // worker pool: every unit of per-tenant pipeline work — an ingest batch
-// folding into the tenant's engine, a timeline append, one analysis run,
-// a durable history append — passes through Run, which blocks until
+// folding into the tenant's engine, one analysis plane run per window, a
+// durable history append — passes through Run, which blocks until
 // deficit round-robin over the tenant weights grants one of the pool's
 // slots. The work itself executes on the caller's own goroutine, so the
 // ordering contracts of the consumer bus (epoch order, one goroutine per

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
 	"time"
 
@@ -152,78 +151,14 @@ func TestOnlineBatchEquivalence(t *testing.T) {
 	}
 }
 
-// stalledPolicyPlane drives the stream through a 4-shard engine into a
-// default plane whose policy consumer stalls on its first window behind a
-// one-slot queue, so the bus drops windows for it while the other three
-// consumers run ahead; once they have analysed every window published
-// before the flush, policy is released and the two groups race on the
-// shared memos for the last windows. Ingest waits for policy to hold the
-// first window before publishing more, so that window is never the one
-// dropped and policy learns its baseline where the solo runner does. watch,
-// when set, runs repeatedly while the others advance.
-func stalledPolicyPlane(t *testing.T, recs []flowlog.Record, window time.Duration, watch func(*Plane)) *Plane {
-	t.Helper()
-	p := New(Config{})
-	release, holding := make(chan struct{}), make(chan struct{})
-	specs := p.Consumers()
-	for i := range specs {
-		if specs[i].Name != "analysis.policy" {
-			continue
-		}
-		fn, stalled := specs[i].Fn, false
-		specs[i].Buffer = 1
-		specs[i].Fn = func(epoch uint64, g *graph.Graph) {
-			if !stalled {
-				stalled = true
-				close(holding)
-				<-release
-			}
-			fn(epoch, g)
-		}
-	}
-	e := core.NewEngine(core.Config{Window: window, Shards: 4, Consumers: specs})
-	defer e.Close()
-	// Released first on every exit, a failing one included, so Close can
-	// drain the stalled consumer.
-	unstall := sync.OnceFunc(func() { close(release) })
-	defer unstall()
-	for i, held := 0, false; i < len(recs); i += 512 {
-		e.Ingest(recs[i:min(i+512, len(recs))])
-		if !held && e.Epoch() > 0 {
-			<-holding
-			held = true
-		}
-	}
-	published := e.Epoch()
-	if published < 4 {
-		t.Fatalf("only %d windows published before the flush; nothing to drop", published)
-	}
-	caughtUp := func() bool {
-		for _, name := range []string{"segment", "summarize", "counterfactual"} {
-			if _, newest := p.Epochs(name); newest != published {
-				return false
-			}
-		}
-		return true
-	}
-	for deadline := time.Now().Add(time.Minute); !caughtUp(); time.Sleep(time.Millisecond) {
-		if watch != nil {
-			watch(p)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("the unstalled consumers did not reach epoch %d", published)
-		}
-	}
-	unstall()
-	e.Flush()
-	return p
-}
-
-// assertMatchesSolo requires the bus to have dropped windows for policy and
-// every answer the plane retained to equal the same analysis built solo —
-// no shared memo — over the same stream, byte for byte.
-func assertMatchesSolo(t *testing.T, p *Plane, recs []flowlog.Record, window time.Duration) {
-	t.Helper()
+// TestSharedMemosMatchSolo pins the memos DefaultRunners share: a plane
+// stepping them together, every view and segmentation built once per
+// window, answers byte for byte what the same analyses built alone — no
+// memo — answer over the same stream.
+func TestSharedMemosMatchSolo(t *testing.T) {
+	recs := seededStream(t)
+	const window = 5 * time.Minute
+	shared := runBatch(recs, window, nil)
 	solo := New(Config{Runners: []Runner{
 		NewSegment(segment.StrategyJaccardLouvain, segment.Options{}),
 		NewSummarize(summarize.AnomalyOptions{}),
@@ -231,59 +166,15 @@ func assertMatchesSolo(t *testing.T, p *Plane, recs []flowlog.Record, window tim
 		NewPolicyChurn(segment.StrategyJaccardLouvain, segment.Options{}),
 	}})
 	solo.Replay(recs, ReplayOptions{Window: window})
-
-	p.mu.RLock()
-	retained := map[string][]uint64{}
-	for name, order := range p.order {
-		retained[name] = append([]uint64(nil), order...)
-	}
-	p.mu.RUnlock()
-	if len(retained["policy"]) >= len(retained["segment"]) {
-		t.Fatalf("policy retained %d epochs, segment %d: the bus dropped nothing", len(retained["policy"]), len(retained["segment"]))
-	}
-	for name, epochs := range retained {
-		for _, ep := range epochs {
-			_, got, err := p.Query(name, ep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, want, err := solo.Query(name, ep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(want) {
-				t.Errorf("%s@%d diverges from the solo runner:\n  shared: %s\n  solo:   %s", name, ep, got, want)
-			}
-		}
-	}
-}
-
-// TestSharedSegmentationUnderDrops pins the segment/policy memo under the
-// bus's drop-oldest policy (stalledPolicyPlane): every answer retained
-// must equal solo runners byte for byte, and the memo must end holding
-// only the latest window.
-func TestSharedSegmentationUnderDrops(t *testing.T) {
-	recs := seededStream(t)
-	const window = 5 * time.Minute
-	p := stalledPolicyPlane(t, recs, window, nil)
-	assertMatchesSolo(t, p, recs, window)
-
-	seg, pol := p.runners[0].(*SegmentRunner), p.runners[3].(*PolicyChurnRunner)
-	if seg.memo == nil || seg.memo != pol.memo {
-		t.Fatal("segment and policy runners do not share a memo")
-	}
-	if latest := p.Timeline().Latest(); seg.memo.cur == nil || seg.memo.cur.g != latest {
-		t.Fatal("the memo does not hold the latest window")
-	}
+	_, epochs := solo.Epochs("segment")
+	comparePlanes(t, "shared-vs-solo", shared, solo, epochs)
 }
 
 // held returns the windows whose views the memo retains.
 func (m *viewMemo) held() []*graph.Graph {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var out []*graph.Graph
 	for _, e := range m.entries {
-		if e != nil {
+		if e.g != nil {
 			out = append(out, e.g)
 		}
 	}
@@ -319,40 +210,6 @@ func TestViewMemoKeepsTwoMostRecent(t *testing.T) {
 	var nilMemo *viewMemo
 	if nilMemo.view(g[0]) == nil {
 		t.Fatal("a nil memo must build the view")
-	}
-}
-
-// TestSharedViewUnderDrops pins the view memo all four default runners
-// share under the same drops: the policy consumer stalls while segment,
-// summarize and counterfactual advance and then races them for the last
-// windows. Every answer retained must equal solo runners byte for byte;
-// the plane must never hold more than two views, never two of one window,
-// and must end holding the latest window's.
-func TestSharedViewUnderDrops(t *testing.T) {
-	recs := seededStream(t)
-	const window = 5 * time.Minute
-	var views *viewMemo
-	check := func(p *Plane) {
-		if views == nil {
-			views = p.runners[1].(*SummarizeRunner).views
-		}
-		held := views.held()
-		if len(held) > 2 || (len(held) == 2 && held[0] == held[1]) {
-			t.Fatalf("the plane holds views of %d windows (%v)", len(held), held)
-		}
-	}
-	p := stalledPolicyPlane(t, recs, window, check)
-	check(p)
-	assertMatchesSolo(t, p, recs, window)
-
-	seg, sum := p.runners[0].(*SegmentRunner), p.runners[1].(*SummarizeRunner)
-	cf, pol := p.runners[2].(*CounterfactualRunner), p.runners[3].(*PolicyChurnRunner)
-	if views == nil || sum.views != views || cf.views != views || seg.memo.views != views || pol.memo.views != views {
-		t.Fatal("the default runners do not share one view memo")
-	}
-	held := views.held()
-	if latest := p.Timeline().Latest(); len(held) == 0 || held[len(held)-1] != latest {
-		t.Fatal("the view memo does not hold the latest window's view last")
 	}
 }
 

@@ -133,11 +133,13 @@ func TestSummarizeAllocBudget(t *testing.T) {
 // the kNN filter keeps took it from ≈2.37K to ≈1.27K; folding the roll-up
 // in CSR, one shared undirected view per window and churn without member
 // lists took it to ≈1.19K; a timeline without roll-ups or snapshot copies
-// took it to ≈1.17K (≈1.18K under the race detector).
+// took it to ≈1.17K (≈1.18K under the race detector). The plane retains
+// fewer windows than the loop runs, so result and timeline eviction are
+// inside the measured loop.
 func TestWindowAnalysisAllocBudget(t *testing.T) {
 	const budget = 1240
 	windows := goldenWindows(t, "k8spaas", 0.25, 3)
-	plane := New(Config{})
+	plane := New(Config{History: 8})
 	plane.Restore(1, windows[0])
 	var epoch uint64 = 1
 	avg := testing.AllocsPerRun(20, func() {

@@ -49,17 +49,6 @@ func (p *Plane) History() HistorySource {
 	return p.hist
 }
 
-// Restore replays one recovered window into the plane synchronously:
-// timeline append plus every runner's step, exactly what the bus
-// consumers would have done online. Call it from the startup recovery
-// loop, before the engine starts publishing.
-func (p *Plane) Restore(epoch uint64, g *graph.Graph) {
-	p.tl.Append(epoch, g)
-	for _, r := range p.runners {
-		p.step(r, epoch, g)
-	}
-}
-
 // ResolveTime maps a wall-clock instant to the epoch that covers it,
 // preferring the in-memory timeline and falling back to the history
 // index.

@@ -14,13 +14,13 @@ type ReplayOptions struct {
 	Window time.Duration
 }
 
-// Replay drives this plane's runners over a recorded stream, offline:
-// records are windowed with the same Windower the engine shards use
-// (default facet, no collapse), appended to the timeline and analyzed in
-// epoch order on the calling goroutine. It is the batch path of
-// cmd/experiments — one code path for online and offline, so the figures
-// a replay produces are the figures the daemon serves. Returns the
-// completed windows.
+// Replay drives this plane over a recorded stream, offline: records are
+// windowed with the same Windower the engine shards use (default facet, no
+// collapse) and each completed window goes through Restore, in epoch
+// order, on the calling goroutine. It is the batch path of cmd/experiments
+// — the function the online consumer runs, so the figures a replay
+// produces are the figures the daemon serves. Returns the completed
+// windows.
 func (p *Plane) Replay(recs []flowlog.Record, opts ReplayOptions) []*graph.Graph {
 	if opts.Window <= 0 {
 		opts.Window = time.Hour
@@ -31,10 +31,7 @@ func (p *Plane) Replay(recs []flowlog.Record, opts ReplayOptions) []*graph.Graph
 	w.OnComplete = func(g *graph.Graph) {
 		epoch++
 		windows = append(windows, g)
-		p.tl.Append(epoch, g)
-		for _, r := range p.runners {
-			p.step(r, epoch, g)
-		}
+		p.Restore(epoch, g)
 	}
 	for _, rec := range recs {
 		w.Add(rec)

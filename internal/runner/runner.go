@@ -1,11 +1,11 @@
 // Package runner is the online analysis plane: one Runner interface that
 // every §2 analysis (auto micro-segmentation, succinct summaries,
 // counterfactual capacity planning, policy churn) implements so the same
-// code runs both online inside cloudgraphd — as consumers on the engine's
+// code runs both online inside cloudgraphd — one consumer on the engine's
 // fan-out bus — and offline in cmd/experiments, driven by Replay over a
-// recorded stream. Because both paths execute the identical runner over
-// the identical window sequence, online and batch results cannot drift;
-// the equivalence test pins this per epoch, byte for byte.
+// recorded stream. Online, startup recovery and Replay all hand each
+// window to Plane.Restore, so online and batch results cannot drift; the
+// equivalence test pins this per epoch, byte for byte.
 package runner
 
 import (
@@ -25,7 +25,7 @@ import (
 
 // Runner is one online analysis. The plane invokes OnSnapshot once per
 // completed window, in epoch order, always from the same goroutine (the
-// analysis's bus consumer), and reads Result immediately after — a Runner
+// plane's bus consumer), and reads Result immediately after — a Runner
 // therefore needs no internal locking.
 //
 // OnSnapshot only advances the state later windows depend on (a drift
@@ -39,10 +39,11 @@ import (
 //
 // Runners of one set may share work derived from the same window:
 // DefaultRunners' segment and policy runners share one segmentation per
-// window (segMemo). Whatever is shared is read-only to every runner that
-// receives it — the segment.Assignment included, which the policy runner
-// also keeps as its baseline — because the sharers run on different
-// goroutines.
+// window (segMemo). The shared state is unlocked, so every runner of one
+// set must be driven from one goroutine — as the plane does, stepping them
+// window by window in Config.Runners order. Whatever is shared is
+// read-only to every runner that receives it — the segment.Assignment
+// included, which the policy runner also keeps as its baseline.
 type Runner interface {
 	Name() string
 	OnSnapshot(epoch uint64, g *graph.Graph)
@@ -51,7 +52,8 @@ type Runner interface {
 
 // Config parameterizes a Plane.
 type Config struct {
-	// Runners are the online analyses. Defaults to DefaultRunners().
+	// Runners are the online analyses, stepped in this order on every
+	// window. Defaults to DefaultRunners().
 	Runners []Runner
 	// History bounds the windows the plane retains in memory (default
 	// 96): per-runner epoch results and the timeline's window extents, so
@@ -80,8 +82,7 @@ type Plane struct {
 
 	mu      sync.RWMutex
 	results map[string]map[uint64]json.RawMessage // runner -> epoch -> result
-	order   map[string][]uint64                   // insertion order, for eviction
-	latest  map[string]uint64
+	order   map[string][]uint64                   // retained epochs, oldest first
 	// hist, when set, backs queries for epochs evicted from (or never in)
 	// the in-memory result maps; histRunners mints the throwaway runner a
 	// disk replay drives. See SetHistory.
@@ -112,7 +113,6 @@ func New(cfg Config) *Plane {
 		tracer:  cfg.Trace,
 		results: make(map[string]map[uint64]json.RawMessage),
 		order:   make(map[string][]uint64),
-		latest:  make(map[string]uint64),
 		telRun:  make(map[string]*telemetry.Histogram),
 
 		wmPublished: cfg.Watermarks.Stage("published", false),
@@ -144,27 +144,25 @@ func (p *Plane) Runners() []string {
 	return out
 }
 
-// Consumers returns the bus subscriptions that put this plane online: the
-// timeline ingest plus one consumer per analysis. Pass them to
-// core.Config.Consumers (or Engine.Subscribe). Each analysis rides its
-// own consumer so a slow one degrades alone under the bus's drop-oldest
-// policy instead of stalling its peers.
+// Consumers returns the bus subscription that puts this plane online: one
+// "analysis" consumer running Restore on every window. Pass it to
+// core.Config.Consumers (or Engine.Subscribe). The whole plane is one
+// lane, so a slow analysis degrades the plane as a whole under the bus's
+// drop-oldest policy, never the merge path or other consumers.
 func (p *Plane) Consumers() []core.ConsumerSpec {
-	specs := []core.ConsumerSpec{{
-		Name: "timeline",
-		Fn: func(epoch uint64, g *graph.Graph) {
-			p.tl.Append(epoch, g)
-			p.wmPublished.Advance(epoch)
-		},
-	}}
+	return []core.ConsumerSpec{{Name: "analysis", Fn: p.Restore}}
+}
+
+// Restore hands one window to the plane: timeline append, then every
+// runner's step in Config.Runners order. It is the plane's one entry: the
+// bus consumer runs it online, startup recovery on each recovered window
+// before the engine publishes, and Replay on each replayed window.
+func (p *Plane) Restore(epoch uint64, g *graph.Graph) {
+	p.tl.Append(epoch, g)
+	p.wmPublished.Advance(epoch)
 	for _, r := range p.runners {
-		r := r
-		specs = append(specs, core.ConsumerSpec{
-			Name: "analysis." + r.Name(),
-			Fn:   func(epoch uint64, g *graph.Graph) { p.step(r, epoch, g) },
-		})
+		p.step(r, epoch, g)
 	}
-	return specs
 }
 
 // step runs one analysis over one window and retains its marshaled
@@ -187,16 +185,13 @@ func (p *Plane) step(r Runner, epoch uint64, g *graph.Graph) {
 	}
 	p.mu.Lock()
 	name := r.Name()
-	p.results[name][epoch] = res
-	p.order[name] = append(p.order[name], epoch)
-	if len(p.order[name]) > p.history {
-		n := len(p.order[name]) - p.history
-		for _, old := range p.order[name][:n] {
-			delete(p.results[name], old)
-		}
-		p.order[name] = append([]uint64(nil), p.order[name][n:]...)
+	ord := p.order[name]
+	if len(ord) == p.history {
+		delete(p.results[name], ord[0])
+		ord = ord[:copy(ord, ord[1:])]
 	}
-	p.latest[name] = epoch
+	p.order[name] = append(ord, epoch)
+	p.results[name][epoch] = res
 	p.mu.Unlock()
 	// Advance only after the result is queryable: the analyzed watermark
 	// promises "QUERY at this epoch answers", and the freshness clock
@@ -218,11 +213,12 @@ func (p *Plane) Query(name string, epoch uint64) (uint64, json.RawMessage, error
 		return 0, nil, fmt.Errorf("unknown analysis %q (have %v)", name, p.Runners())
 	}
 	if epoch == 0 {
-		epoch, ok = p.latest[name], p.latest[name] != 0
-		if !ok {
+		ord := p.order[name]
+		if len(ord) == 0 {
 			p.mu.RUnlock()
 			return 0, nil, fmt.Errorf("analysis %q has no completed window yet", name)
 		}
+		epoch = ord[len(ord)-1]
 	}
 	res, ok := byEpoch[epoch]
 	p.mu.RUnlock()

@@ -3,7 +3,6 @@ package runner
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"cloudgraph/internal/counterfactual"
 	"cloudgraph/internal/graph"
@@ -17,7 +16,8 @@ import (
 // window's undirected view, so they share one viewMemo: each window's view
 // is built once. The segment and policy runners segment every window the
 // same way, so they also share one segMemo: each window is segmented once,
-// by whichever of the two asks first.
+// by whichever of the two asks first. The memos are unlocked, so the
+// returned set must be driven from one goroutine, as the plane drives it.
 func DefaultRunners() []Runner {
 	views := new(viewMemo)
 	segs := &segMemo{views: views}
@@ -33,22 +33,18 @@ func DefaultRunners() []Runner {
 // viewMemo holds the undirected views of the last two windows asked for,
 // for the runners sharing it: each window's view is built once, and the
 // summarize runner's drift step finds the previous window's view still
-// there. Like segMemo it is locked only for the lookup — a view is built
-// under its entry's sync.Once — and what it hands out is read-only to
-// every runner. Two entries, most recently used last, bound what the plane
-// retains to about the current and previous windows' views; nothing is
-// cached on the graphs, which the timeline holds for much longer. A runner
-// lagging behind its peers just misses, builds the view and takes a slot.
+// there. What it hands out is read-only to every runner. Two entries, most
+// recently asked last, bound what the plane retains to the current and
+// previous windows' views; nothing is cached on the graphs, which the
+// timeline holds for much longer.
 type viewMemo struct {
-	mu      sync.Mutex
-	entries [2]*viewEntry
+	entries [2]viewEntry
 }
 
 // viewEntry is one memoised view, keyed by the window pointer.
 type viewEntry struct {
-	g    *graph.Graph
-	once sync.Once
-	u    *graph.Undirected
+	g *graph.Graph
+	u *graph.Undirected
 }
 
 // view returns g.Undirected(), built once across the memo's runners. A nil
@@ -57,43 +53,25 @@ func (m *viewMemo) view(g *graph.Graph) *graph.Undirected {
 	if m == nil {
 		return g.Undirected()
 	}
-	m.mu.Lock()
-	e := m.entries[1]
-	switch {
-	case e != nil && e.g == g:
-	case m.entries[0] != nil && m.entries[0].g == g:
-		e = m.entries[0]
-		m.entries[0], m.entries[1] = m.entries[1], e
+	switch g {
+	case m.entries[1].g:
+	case m.entries[0].g:
+		m.entries[0], m.entries[1] = m.entries[1], m.entries[0]
 	default:
-		e = &viewEntry{g: g}
-		m.entries[0], m.entries[1] = m.entries[1], e
+		m.entries[0], m.entries[1] = m.entries[1], viewEntry{g: g, u: g.Undirected()}
 	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.u = g.Undirected() })
-	return e.u
+	return m.entries[1].u
 }
 
-// segMemo holds the segmentation of one window for the runners sharing it.
-// They run on separate bus consumers, so the memo is locked, but the lock
-// covers only the lookup: the segmentation itself runs under the entry's
-// sync.Once, and a runner asking for the window being segmented waits for
-// that run instead of starting its own. It keeps only the latest entry
-// asked for, so a runner that lags behind its peer (the bus dropped
-// windows for one of them) just misses and segments for itself. It
-// segments the view its viewMemo hands out.
+// segMemo holds the segmentation of the latest window asked for, keyed by
+// the window pointer and the segmentation parameters, for the runners
+// sharing it: whichever asks first segments the view its viewMemo hands
+// out, and the other reuses the Assignment.
 type segMemo struct {
-	views *viewMemo
-	mu    sync.Mutex
-	cur   *segEntry
-}
-
-// segEntry is one memoised segmentation, keyed by the window pointer and
-// the segmentation parameters.
-type segEntry struct {
+	views    *viewMemo
 	g        *graph.Graph
 	strategy segment.Strategy
 	opts     segment.Options
-	once     sync.Once
 	assign   segment.Assignment
 	err      error
 }
@@ -105,15 +83,11 @@ func (m *segMemo) run(s segment.Strategy, g *graph.Graph, opts segment.Options) 
 	if m == nil {
 		return segment.Run(s, g, opts)
 	}
-	m.mu.Lock()
-	e := m.cur
-	if e == nil || e.g != g || e.strategy != s || e.opts != opts {
-		e = &segEntry{g: g, strategy: s, opts: opts}
-		m.cur = e
+	if m.g != g || m.strategy != s || m.opts != opts {
+		m.g, m.strategy, m.opts = g, s, opts
+		m.assign, m.err = segment.RunView(s, m.views.view(g), opts)
 	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.assign, e.err = segment.RunView(s, m.views.view(g), opts) })
-	return e.assign, e.err
+	return m.assign, m.err
 }
 
 // ---- segment ----

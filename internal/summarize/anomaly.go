@@ -41,9 +41,14 @@ type AnomalyOptions struct {
 // calls, so the online score of window i equals the batch score over
 // windows [0..i].
 type Scorer struct {
-	opts    AnomalyOptions
-	history []float64 // drifts of the non-anomalous windows so far
-	index   int
+	opts AnomalyOptions
+	// n, mean and m2 are the running count, mean and sum of squared
+	// deviations (Welford) of the non-anomalous windows' drifts so far:
+	// the baseline in constant space.
+	n     int
+	mean  float64
+	m2    float64
+	index int
 }
 
 // NewScorer returns a Scorer with opts' defaults applied.
@@ -79,16 +84,29 @@ func (s *Scorer) StepView(prev, cur *graph.Undirected) WindowScore {
 	score.Drift = d.ByteChange
 	score.NewPairs = len(d.AddedPairs)
 	score.LostPairs = len(d.RemovedPairs)
-	if len(s.history) >= s.opts.MinHistory {
-		mean, sd := meanStd(s.history)
-		score.Anomalous = score.Drift > mean+s.opts.Sigma*sd
+	if s.n >= s.opts.MinHistory {
+		score.Anomalous = score.Drift > s.mean+s.opts.Sigma*s.std()
 	}
 	if !score.Anomalous {
 		// Only normal windows update the baseline, so a sustained
 		// attack doesn't poison its own detector.
-		s.history = append(s.history, score.Drift)
+		s.observe(score.Drift)
 	}
 	return score
+}
+
+// observe adds one drift to the baseline.
+func (s *Scorer) observe(x float64) {
+	s.n++
+	d := x - s.mean
+	s.mean += d / float64(s.n)
+	s.m2 += d * (x - s.mean)
+}
+
+// std is the baseline's population standard deviation, floored so a
+// perfectly steady baseline still allows slack.
+func (s *Scorer) std() float64 {
+	return max(math.Sqrt(s.m2/float64(s.n)), 1e-3)
 }
 
 // ScoreWindows scores consecutive graphs.
@@ -101,19 +119,4 @@ func ScoreWindows(windows []*graph.Graph, opts AnomalyOptions) []WindowScore {
 		prev = g
 	}
 	return out
-}
-
-func meanStd(xs []float64) (mean, sd float64) {
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		sd += (x - mean) * (x - mean)
-	}
-	sd = math.Sqrt(sd / float64(len(xs)))
-	if sd < 1e-3 {
-		sd = 1e-3 // floor: perfectly steady baselines still allow slack
-	}
-	return mean, sd
 }

@@ -199,16 +199,21 @@ func TestScoreWindowsNoHistoryNoFlag(t *testing.T) {
 }
 
 func TestMeanStdFloor(t *testing.T) {
-	mean, sd := meanStd([]float64{0.5, 0.5, 0.5})
-	if mean != 0.5 {
-		t.Errorf("mean = %v", mean)
+	steady := NewScorer(AnomalyOptions{})
+	for range 3 {
+		steady.observe(0.5)
 	}
-	if sd != 1e-3 {
+	if steady.mean != 0.5 {
+		t.Errorf("mean = %v", steady.mean)
+	}
+	if sd := steady.std(); sd != 1e-3 {
 		t.Errorf("sd floor = %v, want 1e-3", sd)
 	}
-	_, sd2 := meanStd([]float64{0, 10})
-	if math.Abs(sd2-5) > 1e-9 {
-		t.Errorf("sd = %v, want 5", sd2)
+	spread := NewScorer(AnomalyOptions{})
+	spread.observe(0)
+	spread.observe(10)
+	if sd := spread.std(); math.Abs(sd-5) > 1e-9 {
+		t.Errorf("sd = %v, want 5", sd)
 	}
 }
 
