@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -238,6 +239,59 @@ func BenchmarkNICHostPull(b *testing.B) {
 		for _, v := range vnics {
 			v.Observe(30000, netip.AddrPortFrom(netip.MustParseAddr("203.0.113.1"), 443), 1, 1, 100, 100, benchStart)
 		}
+	}
+}
+
+// genWarmMinutes is how long BenchmarkGenerateMinute runs a cluster before
+// timing it: one minute past the fabric's 4-minute idle timeout, so the
+// flow tables hold what they hold in steady state (bench's set-up, flowgen)
+// and the first evictions have happened.
+const genWarmMinutes = 5
+
+// BenchmarkGenerateMinute times one simulated minute of a preset per op —
+// the cluster's Tick into the fabric plus every host agent's pull, the
+// path behind bench's set-up and flowgen — after genWarmMinutes of warm-up.
+// ns/record and allocs/record divide by the records the minutes emitted.
+// -short skips kquery: KQuery×1 warms up for about 20 s and peaks near
+// 2 GB RSS.
+func BenchmarkGenerateMinute(b *testing.B) {
+	for _, ds := range []struct {
+		preset string
+		scale  float64
+	}{{"microservicebench", 0.25}, {"k8spaas", 0.25}, {"kquery", 1}} {
+		b.Run(ds.preset, func(b *testing.B) {
+			if ds.preset == "kquery" && testing.Short() {
+				b.Skip("KQuery×1 generation is too large for -short")
+			}
+			spec, err := cluster.Preset(ds.preset, ds.scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := cluster.New(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			recs := 0
+			sink := nicsim.CollectorFunc(func(batch []flowlog.Record) error { recs += len(batch); return nil })
+			if _, err := c.Run(benchStart, genWarmMinutes, sink); err != nil {
+				b.Fatal(err)
+			}
+			recs = 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := c.Run(benchStart.Add(genWarmMinutes*time.Minute), b.N, sink); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if recs == 0 {
+				b.Fatal("no records generated")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recs), "ns/record")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(recs), "allocs/record")
+		})
 	}
 }
 

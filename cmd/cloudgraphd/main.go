@@ -239,8 +239,8 @@ func main() {
 	defer m.Close()
 	def := m.Default()
 	// The unlabeled cloudgraph_watermark_* series keep tracking the
-	// default tenant; per-tenant visibility rides the tenant-labeled COGS
-	// gauges and the /statusz tenant rows.
+	// default tenant; realm instruments every named tenant's under
+	// tenant=<name>.
 	def.Watermarks().Instrument(reg)
 
 	if *live {

@@ -8,6 +8,8 @@ import (
 	"net/netip"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -270,4 +272,46 @@ func TestStatuszWatermarksSurviveRestart(t *testing.T) {
 		t.Error("no durable stage in /statusz watermarks")
 	}
 	b.stop(t)
+}
+
+// TestNamedTenantWatermarkSeries: two named tenants ingest and flush
+// through one daemon, and /metrics carries each one's seal-to-durable
+// latency histogram under its tenant label, beside the default tenant's
+// unlabeled series that dashboards and bench read.
+func TestNamedTenantWatermarkSeries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and drives a real daemon")
+	}
+	bin := buildDaemon(t)
+	d := startDaemon(t, bin, filepath.Join(t.TempDir(), "hist"), 0, withOps)
+	tenants := []string{"acme", "globex"}
+	for i, tenant := range tenants {
+		recs := tenantStream(t, int64(3+4*i), 2, 2)
+		recs = recs[:sort.Search(len(recs), func(j int) bool { return !recs[j].Time.Before(streamStart.Add(10 * time.Minute)) })]
+		tags := make([]string, len(recs))
+		for j := range tags {
+			tags[j] = tenant
+		}
+		feedTagged(t, d.addr, recs, tags, []string{tenant})
+	}
+	metrics := string(getJSON(t, "http://"+d.opsAddr+"/metrics"))
+	count := func(series string) (float64, bool) {
+		for _, line := range strings.Split(metrics, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				return f, err == nil
+			}
+		}
+		return 0, false
+	}
+	for _, tenant := range tenants {
+		series := `cloudgraph_watermark_latency_seconds_count{stage="durable",tenant="` + tenant + `"}`
+		if n, ok := count(series); !ok || n <= 0 {
+			t.Errorf("%s = %v (present %v), want > 0", series, n, ok)
+		}
+	}
+	if _, ok := count(`cloudgraph_watermark_latency_seconds_count{stage="durable"}`); !ok {
+		t.Error("the default tenant's unlabeled durable series is gone")
+	}
+	d.stop(t)
 }

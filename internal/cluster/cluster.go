@@ -112,6 +112,9 @@ type instance struct {
 	rateMul float64
 	// nextEphemeral cycles the ephemeral port range per instance.
 	nextEphemeral uint16
+	// vnic is the fabric VNIC at addr, resolved once by New (nil when
+	// addr is not monitored).
+	vnic *nicsim.VNIC
 }
 
 // role is the materialized form of a RoleSpec.
@@ -167,6 +170,7 @@ func New(spec Spec) (*Cluster, error) {
 		attackKeys: make(map[flowlog.FlowKey]bool),
 	}
 	intNext, extNext := spec.InternalNet.Addr(), spec.ExternalNet.Addr()
+	var all []*instance
 	for i := range spec.Roles {
 		rs := spec.Roles[i]
 		if _, dup := c.roles[rs.Name]; dup {
@@ -215,12 +219,16 @@ func New(spec Spec) (*Cluster, error) {
 				inst.rateMul = math.Exp(sigma*c.rng.NormFloat64() - sigma*sigma/2)
 			}
 			r.instances = append(r.instances, inst)
+			all = append(all, inst)
 			c.byAddr[addr] = inst
 			if !rs.External {
 				c.fabric.AddVM(addr)
 			}
 		}
 		c.roles[rs.Name] = r
+	}
+	for _, inst := range all {
+		inst.vnic = c.fabric.VNIC(inst.addr)
 	}
 	for i := range spec.Links {
 		ls := spec.Links[i]
@@ -454,7 +462,7 @@ func (c *Cluster) tickLink(l *link, t time.Time) {
 			}
 			fwdBytes := c.lognormal(l.FwdBytes)
 			revBytes := c.lognormal(l.RevBytes)
-			c.fabric.ObserveFlow(
+			nicsim.ObservePair(src.vnic, dst.vnic,
 				netip.AddrPortFrom(src.addr, sport),
 				netip.AddrPortFrom(dst.addr, l.dst.Port),
 				packetsFor(fwdBytes), packetsFor(revBytes),

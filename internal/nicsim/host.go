@@ -3,7 +3,7 @@ package nicsim
 import (
 	"log/slog"
 	"net/netip"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -51,8 +51,11 @@ func forward(c Collector, recs []flowlog.Record, tcs []trace.Context) error {
 // any guest, so customers cannot tamper with collection and telemetry stays
 // usable even when VMs are breached (§3.1).
 type Host struct {
-	mu    sync.Mutex
-	vnics map[netip.Addr]*VNIC
+	mu sync.Mutex
+	// vnics holds the host's VNICs in address order, the order Pull
+	// forwards their records in. PlaceVM replaces the slice instead of
+	// inserting in place, so a Pull still reading the old one is unaffected.
+	vnics []*VNIC
 
 	idleTimeout time.Duration
 
@@ -64,7 +67,7 @@ type Host struct {
 
 // NewHost returns an empty host whose VNICs use the given idle timeout.
 func NewHost(idleTimeout time.Duration) *Host {
-	return &Host{vnics: make(map[netip.Addr]*VNIC), idleTimeout: idleTimeout}
+	return &Host{idleTimeout: idleTimeout}
 }
 
 // PlaceVM attaches a VNIC for a VM with the given address, returning the
@@ -72,26 +75,25 @@ func NewHost(idleTimeout time.Duration) *Host {
 func (h *Host) PlaceVM(addr netip.Addr) *VNIC {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if v, ok := h.vnics[addr]; ok {
-		return v
+	i, ok := slices.BinarySearchFunc(h.vnics, addr, func(v *VNIC, a netip.Addr) int { return v.local.Compare(a) })
+	if ok {
+		return h.vnics[i]
 	}
 	v := NewVNIC(addr, h.idleTimeout)
-	h.vnics[addr] = v
+	h.vnics = slices.Insert(slices.Clip(h.vnics), i, v)
 	return v
 }
 
 // Pull is the agent's periodic action: drain every VNIC for the interval
 // starting at intervalStart and forward the combined batch to the collector.
-// It returns the number of records forwarded.
+// The batch holds the VNICs' records in VNIC address order and is sized
+// from the flows they saw this interval. It returns the number of records
+// forwarded.
 func (h *Host) Pull(intervalStart time.Time, c Collector) (int, error) {
 	h.mu.Lock()
 	tracer := h.tracer
-	vnics := make([]*VNIC, 0, len(h.vnics))
-	for _, v := range h.vnics {
-		vnics = append(vnics, v)
-	}
+	vnics := h.vnics
 	h.mu.Unlock()
-	sort.Slice(vnics, func(i, j int) bool { return vnics[i].local.Compare(vnics[j].local) < 0 })
 
 	sampling := tracer.Sampling()
 	var drainStart time.Time
@@ -99,9 +101,13 @@ func (h *Host) Pull(intervalStart time.Time, c Collector) (int, error) {
 		//lint:allow detclock span timestamps are observability-only and never reach the record stream
 		drainStart = time.Now()
 	}
-	var batch []flowlog.Record
+	pending := 0
 	for _, v := range vnics {
-		batch = append(batch, v.Drain(intervalStart)...)
+		pending += v.pending()
+	}
+	batch := make([]flowlog.Record, 0, pending)
+	for _, v := range vnics {
+		batch = v.appendDrain(batch, intervalStart)
 	}
 	if len(batch) == 0 {
 		return 0, nil
@@ -180,6 +186,15 @@ func (f *Fabric) AddVM(addr netip.Addr) {
 	f.byVM[addr] = h.PlaceVM(addr)
 }
 
+// VNIC returns the VNIC of the monitored VM at addr, or nil if addr is not
+// monitored. Callers that observe many flows between known VMs resolve
+// their VNICs once and pass them to ObservePair.
+func (f *Fabric) VNIC(addr netip.Addr) *VNIC {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.byVM[addr]
+}
+
 // Hosts returns the fabric's hosts.
 func (f *Fabric) Hosts() []*Host {
 	f.mu.Lock()
@@ -197,6 +212,15 @@ func (f *Fabric) ObserveFlow(src netip.AddrPort, dst netip.AddrPort, fwdPkts, re
 	sv := f.byVM[src.Addr()]
 	dv := f.byVM[dst.Addr()]
 	f.mu.Unlock()
+	ObservePair(sv, dv, src, dst, fwdPkts, revPkts, fwdBytes, revBytes, now)
+}
+
+// ObservePair records one interval's traffic on the flow src -> dst, with
+// counters from the sender's perspective as in ObserveFlow, at sv (src's
+// VNIC) and at dv (dst's VNIC); a nil VNIC is an unmonitored side. Callers
+// that resolved both VNICs once (Fabric.VNIC) use it to skip ObserveFlow's
+// fabric lock and address lookups.
+func ObservePair(sv, dv *VNIC, src, dst netip.AddrPort, fwdPkts, revPkts, fwdBytes, revBytes uint64, now time.Time) {
 	if sv != nil {
 		sv.Observe(src.Port(), dst, fwdPkts, revPkts, fwdBytes, revBytes, now)
 	}

@@ -1,7 +1,10 @@
 package nicsim
 
 import (
+	"math"
+	"math/rand"
 	"net/netip"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -207,5 +210,270 @@ func TestMemoryProportionalToConcurrentFlows(t *testing.T) {
 	}
 	if got := v.MemoryFootprint() - base; got != 100*EntrySize {
 		t.Errorf("memory delta = %d, want %d (proportional to flows)", got, 100*EntrySize)
+	}
+}
+
+// naiveVNIC is the flow table as first written — one heap-allocated
+// counter block per flow in a map keyed by netip.AddrPort, drained by
+// walking the whole map and sorting the records — kept as the oracle the
+// slot table must match exactly.
+type naiveVNIC struct {
+	mu          sync.Mutex
+	local       netip.Addr
+	flows       map[naiveFlowKey]*naiveFlowState
+	idleTimeout time.Duration
+}
+
+type naiveFlowKey struct {
+	localPort uint16
+	remote    netip.AddrPort
+}
+
+type naiveFlowState struct {
+	pktsSent, pktsRcvd   uint64
+	bytesSent, bytesRcvd uint64
+	lastSeen             time.Time
+}
+
+func newNaiveVNIC(local netip.Addr, idleTimeout time.Duration) *naiveVNIC {
+	return &naiveVNIC{local: local, flows: make(map[naiveFlowKey]*naiveFlowState), idleTimeout: idleTimeout}
+}
+
+func (v *naiveVNIC) Observe(localPort uint16, remote netip.AddrPort, pktsSent, pktsRcvd, bytesSent, bytesRcvd uint64, now time.Time) {
+	k := naiveFlowKey{localPort: localPort, remote: remote}
+	v.mu.Lock()
+	st, ok := v.flows[k]
+	if !ok {
+		st = &naiveFlowState{}
+		v.flows[k] = st
+	}
+	st.pktsSent += pktsSent
+	st.pktsRcvd += pktsRcvd
+	st.bytesSent += bytesSent
+	st.bytesRcvd += bytesRcvd
+	st.lastSeen = now
+	v.mu.Unlock()
+}
+
+func (v *naiveVNIC) Drain(intervalStart time.Time) []flowlog.Record {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	recs := make([]flowlog.Record, 0, len(v.flows))
+	for k, st := range v.flows {
+		if st.pktsSent+st.pktsRcvd > 0 {
+			recs = append(recs, flowlog.Record{
+				Time:        intervalStart,
+				LocalIP:     v.local,
+				LocalPort:   k.localPort,
+				RemoteIP:    k.remote.Addr(),
+				RemotePort:  k.remote.Port(),
+				PacketsSent: st.pktsSent,
+				PacketsRcvd: st.pktsRcvd,
+				BytesSent:   st.bytesSent,
+				BytesRcvd:   st.bytesRcvd,
+			})
+		}
+		if v.idleTimeout > 0 && intervalStart.Sub(st.lastSeen) >= v.idleTimeout {
+			delete(v.flows, k)
+			continue
+		}
+		*st = naiveFlowState{lastSeen: st.lastSeen}
+	}
+	sort.Slice(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
+		if c := a.RemoteIP.Compare(b.RemoteIP); c != 0 {
+			return c < 0
+		}
+		if a.RemotePort != b.RemotePort {
+			return a.RemotePort < b.RemotePort
+		}
+		return a.LocalPort < b.LocalPort
+	})
+	return recs
+}
+
+func (v *naiveVNIC) ActiveFlows() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.flows)
+}
+
+// Operand pools of the schedule driver. Small pools make flows recur:
+// ports come back inside the idle window, and a remote's IPv4, 4-in-6 and
+// zoned forms share address words.
+var (
+	schedRemotes = []netip.Addr{
+		ext,
+		vmB,
+		netip.MustParseAddr("::ffff:203.0.113.7"),
+		netip.MustParseAddr("2001:db8::1"),
+		netip.MustParseAddr("2001:db8::1%eth0"),
+		netip.MustParseAddr("2001:db8::1%eth1"),
+		netip.MustParseAddr("fe80::1%eth0"),
+		netip.MustParseAddr("::"),
+		netip.MustParseAddr("0.0.0.0"),
+		netip.MustParseAddr("ffff::1"),
+		{},
+	}
+	schedPorts  = []uint16{0, 1, 443, 32768, 65535}
+	schedCounts = []uint64{0, 1, 2, 1460, 1 << 63, math.MaxUint64}
+	schedSteps  = []time.Duration{0, time.Nanosecond, time.Second, 30 * time.Second, time.Minute, -time.Second}
+	schedIdle   = []time.Duration{0, time.Nanosecond, time.Minute, 4 * time.Minute, -time.Minute}
+)
+
+// schedule reads a byte string as a sequence of table operations; bytes
+// past the end read as zero.
+type schedule struct{ b []byte }
+
+func (s *schedule) next() int {
+	if len(s.b) == 0 {
+		return 0
+	}
+	c := s.b[0]
+	s.b = s.b[1:]
+	return int(c)
+}
+
+// observation is one Observe call's arguments.
+type observation struct {
+	localPort                                uint16
+	remote                                   netip.AddrPort
+	pktsSent, pktsRcvd, bytesSent, bytesRcvd uint64
+}
+
+func (s *schedule) observation() observation {
+	return observation{
+		localPort: schedPorts[s.next()%len(schedPorts)],
+		remote:    netip.AddrPortFrom(schedRemotes[s.next()%len(schedRemotes)], schedPorts[s.next()%len(schedPorts)]),
+		pktsSent:  schedCounts[s.next()%len(schedCounts)],
+		pktsRcvd:  schedCounts[s.next()%len(schedCounts)],
+		bytesSent: schedCounts[s.next()%len(schedCounts)],
+		bytesRcvd: schedCounts[s.next()%len(schedCounts)],
+	}
+}
+
+// runSchedule drives a VNIC and the naive oracle with the same operations
+// and fails at the first step where a drain's records or the resident flow
+// count differ. Operations: observe one flow and step the clock; drain at
+// the clock, at one nanosecond before, at or after the last observation's
+// idle deadline, or a minute on; observe a batch of flows from four
+// goroutines at once (at one timestamp, so last-seen does not depend on
+// the interleaving); step the clock.
+func runSchedule(t *testing.T, idle time.Duration, ops []byte) {
+	t.Helper()
+	v, ref := NewVNIC(vmA, idle), newNaiveVNIC(vmA, idle)
+	s := &schedule{b: ops}
+	now, lastObs := t0, t0
+	for step := 0; len(s.b) > 0; step++ {
+		switch s.next() % 4 {
+		case 0:
+			o := s.observation()
+			v.Observe(o.localPort, o.remote, o.pktsSent, o.pktsRcvd, o.bytesSent, o.bytesRcvd, now)
+			ref.Observe(o.localPort, o.remote, o.pktsSent, o.pktsRcvd, o.bytesSent, o.bytesRcvd, now)
+			lastObs = now
+			now = now.Add(schedSteps[s.next()%len(schedSteps)])
+		case 1:
+			at := [...]time.Time{now, lastObs.Add(idle - time.Nanosecond), lastObs.Add(idle), lastObs.Add(idle + time.Nanosecond), now.Add(time.Minute)}[s.next()%5]
+			got, want := v.Drain(at), ref.Drain(at)
+			if len(got) != len(want) {
+				t.Fatalf("step %d: Drain(%v) = %d records, oracle %d\ngot  %+v\nwant %+v", step, at, len(got), len(want), got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("step %d: Drain(%v) record %d = %+v, oracle %+v", step, at, i, got[i], want[i])
+				}
+			}
+			now = at
+		case 2:
+			batch := make([]observation, 1+s.next()%8)
+			for i := range batch {
+				batch[i] = s.observation()
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, o := range batch {
+						v.Observe(o.localPort, o.remote, o.pktsSent, o.pktsRcvd, o.bytesSent, o.bytesRcvd, now)
+						ref.Observe(o.localPort, o.remote, o.pktsSent, o.pktsRcvd, o.bytesSent, o.bytesRcvd, now)
+					}
+				}()
+			}
+			wg.Wait()
+			lastObs = now
+		case 3:
+			now = now.Add(schedSteps[s.next()%len(schedSteps)])
+		}
+		if got, want := v.ActiveFlows(), ref.ActiveFlows(); got != want {
+			t.Fatalf("step %d: ActiveFlows = %d, oracle %d", step, got, want)
+		}
+	}
+}
+
+// seededSchedule returns n random schedule bytes from seed.
+func seededSchedule(seed int64, n int) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(b)
+	return b
+}
+
+// TestVNICMatchesNaive runs seeded schedules through the slot table and
+// the naive map-of-pointers table and requires identical drains and flow
+// counts after every step, for every idle timeout of the driver (zero,
+// one nanosecond, one and four minutes, negative).
+func TestVNICMatchesNaive(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		ops := seededSchedule(seed, 600)
+		for _, idle := range schedIdle {
+			runSchedule(t, idle, ops)
+		}
+	}
+}
+
+// FuzzVNICSchedule is TestVNICMatchesNaive over arbitrary schedules.
+func FuzzVNICSchedule(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(byte(seed), seededSchedule(seed, 200))
+	}
+	f.Fuzz(func(t *testing.T, idle byte, ops []byte) {
+		runSchedule(t, schedIdle[int(idle)%len(schedIdle)], ops)
+	})
+}
+
+// TestVNICSteadyStateAllocs pins the table's allocation budget once its
+// slices have grown: observing a resident flow allocates nothing, and a
+// drain or a host pull allocates the returned batch and nothing else.
+func TestVNICSteadyStateAllocs(t *testing.T) {
+	h := NewHost(4 * time.Minute)
+	v := h.PlaceVM(vmA)
+	h.PlaceVM(vmB)
+	observeAll := func() {
+		for p := uint16(0); p < 64; p++ {
+			v.Observe(40000+p, netip.AddrPortFrom(ext, 443), 1, 1, 100, 100, t0)
+		}
+	}
+	observeAll()
+	v.Drain(t0)
+	if n := testing.AllocsPerRun(100, func() { v.Observe(40000, netip.AddrPortFrom(ext, 443), 1, 1, 100, 100, t0) }); n != 0 {
+		t.Errorf("Observe of a resident flow: %.1f allocs, want 0", n)
+	}
+	v.Drain(t0)
+	if n := testing.AllocsPerRun(100, func() {
+		observeAll()
+		if recs := v.Drain(t0); len(recs) != 64 {
+			t.Fatalf("Drain = %d records, want 64", len(recs))
+		}
+	}); n > 1 {
+		t.Errorf("observe + Drain: %.1f allocs, want at most the batch", n)
+	}
+	sink := CollectorFunc(func([]flowlog.Record) error { return nil })
+	if n := testing.AllocsPerRun(100, func() {
+		observeAll()
+		if n, err := h.Pull(t0, sink); err != nil || n != 64 {
+			t.Fatalf("Pull = %d, %v; want 64 records", n, err)
+		}
+	}); n > 1 {
+		t.Errorf("observe + Pull: %.1f allocs, want at most the batch", n)
 	}
 }

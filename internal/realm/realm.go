@@ -309,6 +309,12 @@ func (m *Manager) create(name string) (*Realm, error) {
 	ecfg.Consumers = consumers
 	r.engine = core.NewEngine(ecfg)
 	r.instrument(m.cfg.Telemetry)
+	// Every stage now exists. The default tenant's tracker keeps the
+	// unlabeled cloudgraph_watermark_* series its owner instruments;
+	// a named tenant's carry its name.
+	if name != DefaultTenant {
+		r.wm.Instrument(m.cfg.Telemetry, telemetry.Label{Key: "tenant", Value: name})
+	}
 	return r, nil
 }
 

@@ -368,16 +368,20 @@ func (t *Tracker) Snapshot() Snapshot {
 
 // Instrument registers the tracker's metric families in reg and attaches
 // the per-stage latency histograms. Call after every Stage has registered
-// (cloudgraphd wires stages at startup, then instruments). A nil registry
-// or tracker is a no-op.
-func (t *Tracker) Instrument(reg *telemetry.Registry) {
+// (cloudgraphd wires stages at startup, then instruments). Every series
+// carries labels after its stage label, so several trackers (one per
+// tenant) can share a registry. A nil registry or tracker is a no-op.
+func (t *Tracker) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) {
 	if t == nil || reg == nil {
 		return
+	}
+	stageLabels := func(name string) []telemetry.Label {
+		return append([]telemetry.Label{{Key: "stage", Value: name}}, labels...)
 	}
 	gaugeStage := func(name string, fn func() float64) {
 		reg.GaugeFunc("cloudgraph_watermark_epoch",
 			"per-stage pipeline epoch watermark",
-			fn, telemetry.Label{Key: "stage", Value: name})
+			fn, stageLabels(name)...)
 	}
 	gaugeStage(StageIngested, func() float64 { return float64(t.ingested.Load()) })
 	gaugeStage(StageSealed, func() float64 { return float64(t.sealed.Load()) })
@@ -386,7 +390,7 @@ func (t *Tracker) Instrument(reg *telemetry.Registry) {
 	t.mu.Unlock()
 	for _, s := range stages {
 		s := s
-		label := telemetry.Label{Key: "stage", Value: s.name}
+		label := stageLabels(s.name)
 		gaugeStage(s.name, func() float64 { return float64(s.epoch.Load()) })
 		reg.GaugeFunc("cloudgraph_watermark_lag_windows",
 			"sealed windows not yet processed by the stage",
@@ -396,26 +400,26 @@ func (t *Tracker) Instrument(reg *telemetry.Registry) {
 					return 0
 				}
 				return float64(sealed - cur)
-			}, label)
+			}, label...)
 		reg.GaugeFunc("cloudgraph_watermark_staleness_seconds",
 			"age of the oldest sealed window the stage has not processed",
-			func() float64 { return s.staleness(time.Now()) }, label)
+			func() float64 { return s.staleness(time.Now()) }, label...)
 		s.latency = reg.Histogram("cloudgraph_watermark_latency_seconds",
 			"seal-to-stage latency per window",
-			telemetry.DurBuckets, label)
+			telemetry.DurBuckets, label...)
 		if s.slo {
 			reg.GaugeFunc("cloudgraph_watermark_slo_burned_windows",
 				"windows that missed the freshness target per stage",
-				func() float64 { return float64(s.burned.Load()) }, label)
+				func() float64 { return float64(s.burned.Load()) }, label...)
 		}
 	}
 	if t.cfg.FreshnessTarget > 0 {
 		reg.GaugeFunc("cloudgraph_watermark_freshness_target_seconds",
 			"configured freshness SLO target",
-			func() float64 { return t.cfg.FreshnessTarget.Seconds() })
+			func() float64 { return t.cfg.FreshnessTarget.Seconds() }, labels...)
 		reg.GaugeFunc("cloudgraph_watermark_slo_budget_remaining",
 			"freshness error budget remaining (1 = untouched, <=0 = exhausted)",
-			func() float64 { return t.Snapshot().BudgetRemaining })
+			func() float64 { return t.Snapshot().BudgetRemaining }, labels...)
 	}
 }
 
