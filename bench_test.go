@@ -744,3 +744,32 @@ func BenchmarkRunnerWindow(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlaneWindow times the default analysis plane as the daemon runs
+// it: one shared DefaultRunners() set behind runner.Plane.Restore (timeline
+// append, then every runner's OnSnapshot, Result and marshal), so the
+// segment and policy runners segment each window once and the summarize
+// runner's drift step reuses the shared views. BenchmarkRunnerWindow times
+// each runner standalone instead. One op is one window: ~170-node k8spaas
+// and 33-node µserviceBench minutes at ×0.25, and ~570-node KQuery×0.3
+// minutes, which -short skips (generation takes tens of seconds).
+func BenchmarkPlaneWindow(b *testing.B) {
+	for _, ds := range []struct {
+		name, preset string
+		scale        float64
+		minutes      int
+	}{{"k8spaas", "k8spaas", 0.25, 10}, {"usvc", "microservicebench", 0.25, 10}, {"kquery", "kquery", 0.3, 3}} {
+		if ds.name == "kquery" && testing.Short() {
+			b.Run(ds.name, func(b *testing.B) { b.Skip("KQuery×0.3 generation is too slow for -short") })
+			continue
+		}
+		windows := minuteWindows(b, ds.preset, ds.scale, ds.minutes)
+		b.Run(ds.name, func(b *testing.B) {
+			plane := runner.New(runner.Config{History: 8})
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				plane.Restore(uint64(n+1), windows[n%len(windows)])
+			}
+		})
+	}
+}

@@ -107,10 +107,17 @@ func (q QueryResult) writeLine(w *bufio.Writer) error {
 	return err
 }
 
+// noAnswer marks the ERR of a well-formed QUERY that has no answer: no
+// plane, no such analysis, or no window at the epoch or time asked about
+// (yet, or any more). It is counted like every rejected command, but it
+// is not a protocol fault, so it does not trip the flight recorder: a
+// poller that starts before the first seal is not an anomaly.
+type noAnswer struct{ error }
+
 func cmdQuery(fields []string, ses *session) (any, error) {
 	plane := ses.Plane()
 	if plane == nil {
-		return nil, errNoPlane
+		return nil, noAnswer{errNoPlane}
 	}
 	name, sel, err := parseQuery(fields)
 	if err != nil {
@@ -120,13 +127,13 @@ func cmdQuery(fields []string, ses *session) (any, error) {
 	if !sel.at.IsZero() {
 		ep, ok := plane.ResolveTime(sel.at)
 		if !ok {
-			return nil, fmt.Errorf("no window covers %s (in memory or on disk)", sel.at.Format(time.RFC3339))
+			return nil, noAnswer{fmt.Errorf("no window covers %s (in memory or on disk)", sel.at.Format(time.RFC3339))}
 		}
 		epoch = ep
 	}
 	at, res, err := plane.Query(name, epoch)
 	if err != nil {
-		return nil, err
+		return nil, noAnswer{err}
 	}
 	return QueryResult{Analysis: name, Epoch: at, Result: res}, nil
 }

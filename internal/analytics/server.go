@@ -315,7 +315,7 @@ func (s *Server) handle(conn net.Conn) {
 			s.tel.timeouts.Add(1)
 		case cmdErr != nil:
 			s.tel.protoErrs.Add(1)
-			if tr := ses.Engine().Tracer(); tr != nil {
+			if tr := ses.Engine().Tracer(); tr != nil && !errors.As(cmdErr, new(noAnswer)) {
 				tr.Eventf(trace.Context{}, "analytics", slog.LevelWarn, "protocol error: %v", cmdErr)
 				tr.Trip("analytics", "protocol error: "+cmdErr.Error())
 			}

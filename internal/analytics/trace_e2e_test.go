@@ -13,6 +13,7 @@ import (
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/realm"
+	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/trace"
 )
 
@@ -233,4 +234,66 @@ func (c *Client) IngestTraced(recs []flowlog.Record, tcs []trace.Context) error 
 		}
 		return c.finishIngest(hi - lo)
 	})
+}
+
+// TestQueryMissDoesNotTrip pins what a QUERY with no answer costs: on a
+// live daemon with no sealed window, QUERY answers ERR and counts as a
+// rejected command, but leaves no trip in the flight ring (with -data-dir
+// set, a trip writes a diagnostic bundle), and the connection stays
+// usable. A malformed QUERY is still a protocol fault and trips.
+func TestQueryMissDoesNotTrip(t *testing.T) {
+	tr := trace.New(trace.Options{FlightEvents: 1 << 8})
+	s, _ := serve(t, realm.Config{
+		Engine:    core.Config{Window: time.Hour},
+		Live:      true,
+		Trace:     tr,
+		Telemetry: telemetry.NewRegistry(),
+	}, Options{})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	roundTrip := func(cmd string) string {
+		t.Helper()
+		if _, err := conn.Write([]byte(cmd + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("%s: %v", cmd, err)
+		}
+		return line
+	}
+	trips := func() (n int) {
+		for _, ev := range tr.Flight().Snapshot() {
+			if ev.Kind == "trip" {
+				n++
+			}
+		}
+		return n
+	}
+
+	for _, cmd := range []string{"QUERY segment latest", "QUERY summarize 7", "QUERY nosuch latest", "QUERY policy 2023-11-14T22:00:00Z"} {
+		if line := roundTrip(cmd); !strings.HasPrefix(line, "ERR ") {
+			t.Fatalf("%s: want ERR, got %q", cmd, line)
+		}
+	}
+	if n := trips(); n != 0 || tr.Flight().Trips() != 0 {
+		t.Fatalf("QUERY misses tripped the flight recorder: %d trips in the ring, %d counted", n, tr.Flight().Trips())
+	}
+	if got := s.tel.protoErrs.Value(); got != 4 {
+		t.Fatalf("protocol_errors_total = %d after four QUERY misses, want 4", got)
+	}
+	if line := roundTrip("STATS"); !strings.HasPrefix(line, "{") {
+		t.Fatalf("STATS after the misses: got %q, want a JSON document", line)
+	}
+
+	if line := roundTrip("QUERY segment 0"); !strings.HasPrefix(line, "ERR ") {
+		t.Fatalf("malformed QUERY: want ERR, got %q", line)
+	}
+	if n := trips(); n != 1 {
+		t.Fatalf("a malformed QUERY left %d trips in the ring, want 1", n)
+	}
 }

@@ -92,13 +92,13 @@ func (g *Graph) ComputeStats() Stats {
 	t := g.TotalTraffic()
 	s.Bytes, s.Packets, s.Conns = t.Bytes, t.Packets, t.Conns
 	var sum int
-	g.EachNode(func(n Node) {
-		d := g.Degree(n)
+	for i := range g.fz.nodes {
+		d := g.fz.degree(int32(i))
 		sum += d
 		if d > s.MaxDeg {
 			s.MaxDeg = d
 		}
-	})
+	}
 	if s.Nodes > 0 {
 		s.MeanDeg = float64(sum) / float64(s.Nodes)
 	}

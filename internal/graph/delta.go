@@ -23,17 +23,53 @@ func Diff(old, new *Graph) Delta { return DiffView(old.Undirected(), new.Undirec
 // already hold them.
 func DiffView(uo, un *Undirected) Delta {
 	var d Delta
-	rankOld := make([]int32, len(uo.Nodes))
-	rankNew := make([]int32, len(un.Nodes))
+	_, _, d.ByteChange = diff(uo, un, make([]int32, len(uo.Nodes)), make([]int32, len(un.Nodes)), &d)
+	return d
+}
+
+// A Differ diffs views down to counts: the walk DiffView makes, without
+// Delta's node and pair lists, reusing its rank scratch across calls. Not
+// safe for concurrent use.
+type Differ struct {
+	rankOld, rankNew []int32
+}
+
+// Count returns len(AddedPairs), len(RemovedPairs) and ByteChange of
+// DiffView(uo, un): the same walk in the same order, so byteChange is
+// bit-equal to DiffView's.
+func (df *Differ) Count(uo, un *Undirected) (added, removed int, byteChange float64) {
+	df.rankOld = resize(df.rankOld, len(uo.Nodes))
+	df.rankNew = resize(df.rankNew, len(un.Nodes))
+	return diff(uo, un, df.rankOld, df.rankNew, nil)
+}
+
+// resize returns s with length n, reusing its array when it is big enough.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// diff is the merge-join behind DiffView and Differ.Count: it ranks every
+// node in the union of the two tables into rankOld and rankNew (one slot
+// per node of each view), walks the two pair streams and returns the
+// added and removed pair counts and ByteChange. When d is set it also
+// fills d's node and pair lists.
+func diff(uo, un *Undirected, rankOld, rankNew []int32, d *Delta) (added, removed int, byteChange float64) {
 	var rank int32
 	for i, j := 0, 0; i < len(uo.Nodes) || j < len(un.Nodes); rank++ {
 		switch {
 		case j >= len(un.Nodes) || (i < len(uo.Nodes) && uo.Nodes[i].Less(un.Nodes[j])):
-			d.RemovedNodes = append(d.RemovedNodes, uo.Nodes[i])
+			if d != nil {
+				d.RemovedNodes = append(d.RemovedNodes, uo.Nodes[i])
+			}
 			rankOld[i] = rank
 			i++
 		case i >= len(uo.Nodes) || un.Nodes[j].Less(uo.Nodes[i]):
-			d.AddedNodes = append(d.AddedNodes, un.Nodes[j])
+			if d != nil {
+				d.AddedNodes = append(d.AddedNodes, un.Nodes[j])
+			}
 			rankNew[j] = rank
 			j++
 		default:
@@ -48,15 +84,20 @@ func DiffView(uo, un *Undirected) Delta {
 	for po.ok || pn.ok {
 		switch {
 		case !pn.ok || (po.ok && po.key < pn.key):
-			e := po.edge()
-			d.RemovedPairs = append(d.RemovedPairs, e)
-			oldTotal += float64(e.Bytes)
-			l1 += float64(e.Bytes)
+			b := float64(uo.Pair[po.k].Bytes)
+			if d != nil {
+				d.RemovedPairs = append(d.RemovedPairs, po.edge())
+			}
+			removed++
+			oldTotal += b
+			l1 += b
 			po.next()
 		case !po.ok || pn.key < po.key:
-			e := pn.edge()
-			d.AddedPairs = append(d.AddedPairs, e)
-			l1 += float64(e.Bytes)
+			if d != nil {
+				d.AddedPairs = append(d.AddedPairs, pn.edge())
+			}
+			added++
+			l1 += float64(un.Pair[pn.k].Bytes)
 			pn.next()
 		default:
 			ob, nb := float64(uo.Pair[po.k].Bytes), float64(un.Pair[pn.k].Bytes)
@@ -73,8 +114,7 @@ func DiffView(uo, un *Undirected) Delta {
 	if oldTotal < 1 {
 		oldTotal = 1
 	}
-	d.ByteChange = l1 / oldTotal
-	return d
+	return added, removed, l1 / oldTotal
 }
 
 // pairWalk streams a view's unordered pairs — each row's entries at or
@@ -89,8 +129,8 @@ type pairWalk struct {
 	ok   bool
 }
 
-func newPairWalk(u *Undirected, rank []int32) *pairWalk {
-	w := &pairWalk{u: u, rank: rank, k: -1}
+func newPairWalk(u *Undirected, rank []int32) pairWalk {
+	w := pairWalk{u: u, rank: rank, k: -1}
 	w.next()
 	return w
 }

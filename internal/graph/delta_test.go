@@ -1,6 +1,8 @@
 package graph_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -95,6 +97,36 @@ func TestDiffMatchesNaive(t *testing.T) {
 			if got, want := graph.Diff(a.G, empty.Graph()), naiveDiff(a.M, empty); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d %s->empty: Diff diverges from naive", seed, a.Name)
 			}
+		}
+	}
+}
+
+// TestDiffCountMatchesDiffView pins the counting walk the drift score
+// uses: over every ordered pair of generated shapes, and each shape
+// against the empty graph both ways, Differ.Count returns DiffView's pair
+// counts and a bit-equal ByteChange. One Differ serves every call, so its
+// reused rank scratch is exercised across graphs of different sizes.
+func TestDiffCountMatchesDiffView(t *testing.T) {
+	empty := graphtest.NewModel(graph.FacetIP).Graph().Undirected()
+	var df graph.Differ
+	check := func(label string, uo, un *graph.Undirected) {
+		t.Helper()
+		d := graph.DiffView(uo, un)
+		added, removed, change := df.Count(uo, un)
+		if added != len(d.AddedPairs) || removed != len(d.RemovedPairs) || math.Float64bits(change) != math.Float64bits(d.ByteChange) {
+			t.Fatalf("%s: Count = (%d, %d, %v), DiffView has (%d, %d, %v)", label, added, removed, change,
+				len(d.AddedPairs), len(d.RemovedPairs), d.ByteChange)
+		}
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		cs := graphtest.Cases(seed)
+		for _, a := range cs {
+			ua := a.G.Undirected()
+			for _, b := range cs {
+				check(fmt.Sprintf("seed %d %s->%s", seed, a.Name, b.Name), ua, b.G.Undirected())
+			}
+			check(fmt.Sprintf("seed %d empty->%s", seed, a.Name), empty, ua)
+			check(fmt.Sprintf("seed %d %s->empty", seed, a.Name), ua, empty)
 		}
 	}
 }

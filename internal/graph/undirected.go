@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Undirected is a read-only index-space view of a graph's unordered
 // communicating pairs: the symmetric adjacency in CSR form, with the two
 // directions of every pair already combined. It is what the analysis
@@ -37,13 +39,21 @@ func (u *Undirected) Row(i int32) ([]int32, []Counters) {
 
 // Undirected builds the index-space undirected view: one linear merge of
 // each node's CSR row with its CSC column.
-func (g *Graph) Undirected() *Undirected {
+func (g *Graph) Undirected() *Undirected { return g.UndirectedReuse(nil) }
+
+// UndirectedReuse is Undirected built in old's arrays, growing them only
+// when they are too small, for a caller that retires one view as it builds
+// the next. Whoever held old must no longer read it. old may be nil.
+func (g *Graph) UndirectedReuse(old *Undirected) *Undirected {
 	fz := g.fz
+	if old == nil {
+		old = new(Undirected)
+	}
 	u := &Undirected{
 		Nodes: fz.nodes,
-		Off:   make([]int32, 1, len(fz.nodes)+1),
-		Nbr:   make([]int32, 0, 2*g.edges),
-		Pair:  make([]Counters, 0, 2*g.edges),
+		Off:   append(slices.Grow(old.Off[:0], len(fz.nodes)+1), 0),
+		Nbr:   slices.Grow(old.Nbr[:0], 2*g.edges),
+		Pair:  slices.Grow(old.Pair[:0], 2*g.edges),
 	}
 	for i := range fz.nodes {
 		out, in := fz.rowOff[i], fz.inOff[i]

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"slices"
 	"sort"
 
 	"cloudgraph/internal/counterfactual"
@@ -33,10 +32,12 @@ func DefaultRunners() []Runner {
 // viewMemo holds the undirected views of the last two windows asked for,
 // for the runners sharing it: each window's view is built once, and the
 // summarize runner's drift step finds the previous window's view still
-// there. What it hands out is read-only to every runner. Two entries, most
-// recently asked last, bound what the plane retains to the current and
-// previous windows' views; nothing is cached on the graphs, which the
-// timeline holds for much longer.
+// there. What it hands out is read-only to every runner, and valid until
+// the memo evicts it: a third window's view is built in the arrays of the
+// view it evicts, so no runner may keep a view past the call it was asked
+// for in. Two entries, most recently asked last, bound what the plane
+// retains to the current and previous windows' views; nothing is cached on
+// the graphs, which the timeline holds for much longer.
 type viewMemo struct {
 	entries [2]viewEntry
 }
@@ -58,7 +59,7 @@ func (m *viewMemo) view(g *graph.Graph) *graph.Undirected {
 	case m.entries[0].g:
 		m.entries[0], m.entries[1] = m.entries[1], m.entries[0]
 	default:
-		m.entries[0], m.entries[1] = m.entries[1], viewEntry{g: g, u: g.Undirected()}
+		m.entries[0], m.entries[1] = m.entries[1], viewEntry{g: g, u: g.UndirectedReuse(m.entries[0].u)}
 	}
 	return m.entries[1].u
 }
@@ -138,25 +139,29 @@ func (r *SegmentRunner) segment(epoch uint64, g *graph.Graph) SegmentResult {
 		res.Error = err.Error()
 		return res
 	}
-	res.NumSegments = assign.NumSegments()
-	res.Segments = segmentNames(assign)
+	res.Segments = segmentNames(g, assign)
+	res.NumSegments = len(res.Segments)
 	return res
 }
 
-// segmentNames renders an assignment as sorted member-name lists, the
-// stable wire form (graph.Node maps cannot marshal as JSON keys).
-func segmentNames(assign segment.Assignment) [][]string {
-	segs := assign.Segments()
-	out := make([][]string, 0, len(segs))
+// segmentNames renders g's assignment as sorted member-name lists, the
+// stable wire form (graph.Node maps cannot marshal as JSON keys): each
+// segment's members in node order, which g's node table already is, and
+// the segments ordered by their first member's name.
+func segmentNames(g *graph.Graph, assign segment.Assignment) [][]string {
+	var segs [][]string // by segment id
+	g.EachNode(func(n graph.Node) {
+		c := assign[n]
+		for len(segs) <= c {
+			segs = append(segs, nil)
+		}
+		segs[c] = append(segs[c], n.String())
+	})
+	out := segs[:0]
 	for _, seg := range segs {
-		if len(seg) == 0 {
-			continue
+		if len(seg) > 0 {
+			out = append(out, seg)
 		}
-		names := make([]string, len(seg))
-		for i, n := range seg {
-			names[i] = n.String()
-		}
-		out = append(out, names)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
@@ -191,6 +196,7 @@ type SummarizeResult struct {
 // for the windows whose Result is asked for.
 type SummarizeRunner struct {
 	scorer  *summarize.Scorer
+	sum     summarize.Summarizer
 	views   *viewMemo    // shared with the other runners by DefaultRunners
 	prev    *graph.Graph // latest window
 	epoch   uint64
@@ -220,7 +226,7 @@ func (r *SummarizeRunner) Result() any {
 		return r.last
 	}
 	r.pending = false
-	s := summarize.SummarizeView(r.prev, r.views.view(r.prev))
+	s := r.sum.View(r.prev, r.views.view(r.prev))
 	r.last = SummarizeResult{
 		Epoch:         r.epoch,
 		Headline:      s.Headline,
@@ -403,27 +409,23 @@ func (r *PolicyChurnRunner) churn(epoch uint64, g *graph.Graph) PolicyChurnResul
 	}
 	res.Segments = assign.NumSegments()
 	mapped := alignSegments(assign, r.assign)
-	// Deterministic iteration: price moves in node order.
-	nodes := make([]graph.Node, 0, len(assign))
-	for n := range assign {
-		nodes = append(nodes, n)
-	}
-	slices.SortFunc(nodes, graph.Node.Compare)
-	for _, n := range nodes {
+	// Deterministic iteration: price moves in node order, the order of
+	// g's node table (assign's keys are g's nodes).
+	g.EachNode(func(n graph.Node) {
 		base, known := r.assign[n]
 		if !known {
 			res.NewNodes++
-			continue
+			return
 		}
 		to, ok := mapped[assign[n]]
 		if !ok || to == base {
-			continue
+			return
 		}
 		res.Moved++
 		rep := r.reach.ChurnOnMove(n, to)
 		res.IPRuleUpdates += rep.IPRuleUpdates
 		res.TagUpdates += rep.TagUpdates
-	}
+	})
 	return res
 }
 

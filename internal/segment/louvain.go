@@ -17,9 +17,24 @@ type wedge struct {
 	w  float64
 }
 
-// newWGraph builds a wgraph from scored pairs.
+// newWGraph builds a wgraph from scored pairs. Every node's list is cut
+// from one slab sized by a counting pass, and filled in pair order.
 func newWGraph(n int, pairs []simPair) *wgraph {
 	g := &wgraph{n: n, adj: make([][]wedge, n), self: make([]float64, n)}
+	deg := make([]int, n+1)
+	for _, p := range pairs {
+		if p.a != p.b {
+			deg[p.a+1]++
+			deg[p.b+1]++
+		}
+	}
+	for v := range n {
+		deg[v+1] += deg[v]
+	}
+	slab := make([]wedge, deg[n])
+	for v := range g.adj {
+		g.adj[v] = slab[deg[v]:deg[v]:deg[v+1]]
+	}
 	for _, p := range pairs {
 		if p.a == p.b {
 			g.self[p.a] += p.w
@@ -100,9 +115,11 @@ func louvain(g *wgraph, minGain, gamma float64) []int {
 func localMove(g *wgraph, minGain, gamma float64) (comm []int, movedAny bool) {
 	comm = make([]int, g.n)
 	commTot := make([]float64, g.n) // Σ strength per community
+	str := make([]float64, g.n)     // each node's strength, summed once
 	for i := 0; i < g.n; i++ {
 		comm[i] = i
-		commTot[i] = g.strength(i)
+		str[i] = g.strength(i)
+		commTot[i] = str[i]
 	}
 	m := g.totalWeight()
 	if m == 0 {
@@ -117,7 +134,7 @@ func localMove(g *wgraph, minGain, gamma float64) (comm []int, movedAny bool) {
 	for pass := 0; pass < 128; pass++ {
 		movedThisPass := false
 		for i := 0; i < g.n; i++ {
-			ki := g.strength(i)
+			ki := str[i]
 			ci := comm[i]
 			// Gather weights to neighboring communities.
 			touched = touched[:0]

@@ -2,9 +2,11 @@ package segment
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/radix"
 	"cloudgraph/internal/topk"
 )
 
@@ -205,21 +207,40 @@ func newKNN(n, k int) *knn {
 
 // offer hands one scored pair to both endpoints' heaps. Order of offers
 // does not matter: rank is total, so each heap ends with its node's k
-// first pairs whatever order they arrive in.
+// first pairs whatever order they arrive in. A pair that does not beat a
+// full heap's root is turned away here, before the call: most offers are.
 func (s *knn) offer(p simPair) {
-	s.rows[p.a] = topk.Offer(s.rows[p.a], s.k, p, rank)
-	s.rows[p.b] = topk.Offer(s.rows[p.b], s.k, p, rank)
+	if h := s.rows[p.a]; len(h) < s.k || ahead(p, h[0]) {
+		s.rows[p.a] = topk.Offer(h, s.k, p, rank)
+	}
+	if h := s.rows[p.b]; len(h) < s.k || ahead(p, h[0]) {
+		s.rows[p.b] = topk.Offer(h, s.k, p, rank)
+	}
+}
+
+// ahead is rank(x, y) < 0, small enough to inline.
+func ahead(x, y simPair) bool {
+	return x.w > y.w || (x.w == y.w && (x.a < y.a || (x.a == y.a && x.b < y.b)))
 }
 
 // pairs returns the union of every node's kept pairs, in rank order. A
-// pair kept by both endpoints sorts next to its twin and is dropped once.
+// pair kept by both endpoints is taken from its lower endpoint's heap
+// only. The rank order is a radix sort by (a, b), then stably by weight
+// descending: weights are positive, so their bits order as they do, and
+// ^bits orders them descending.
 func (s *knn) pairs() []simPair {
 	out := make([]simPair, 0, len(s.rows)*s.k)
-	for _, row := range s.rows {
-		out = append(out, row...)
+	for v, row := range s.rows {
+		for _, p := range row {
+			if p.a == v || !slices.Contains(s.rows[p.a], p) {
+				out = append(out, p)
+			}
+		}
 	}
-	slices.SortFunc(out, rank)
-	return slices.CompactFunc(out, func(x, y simPair) bool { return x.a == y.a && x.b == y.b })
+	var sorter radix.Sorter[simPair]
+	sorter.Sort(out, func(p simPair) uint64 { return uint64(p.a)<<32 | uint64(p.b) })
+	sorter.Sort(out, func(p simPair) uint64 { return ^math.Float64bits(p.w) })
+	return out
 }
 
 // commPairs converts the communication graph itself into weighted pairs —

@@ -9,6 +9,7 @@
 package segment
 
 import (
+	"math/bits"
 	"slices"
 
 	"cloudgraph/internal/graph"
@@ -55,17 +56,23 @@ type simPair struct {
 // intersections |N(i)∩N(j)| are counted in a dense scratch array by walking
 // the rows of i's neighbors — sets must be symmetric, as a view's rows are.
 // It then calls row(i, hits, inter): hits holds every j > i sharing a
-// neighbor with i, in discovery order, and inter[j] is |N(i)∩N(j)|. row may
-// reorder hits but not retain either slice. The cost is Σ deg².
+// neighbor with i, in discovery order, and inter[j] is |N(i)∩N(j)| for
+// each of them. row may reorder hits but not retain either slice. Each row
+// keeps a cursor to its first id above i, which only moves forward as i
+// grows, so ids at or below i are skipped, not tested: the cost is
+// Σ deg·(deg−1)/2 plus Σ deg.
 func jaccardRows(sets [][]int32, row func(i int, hits, inter []int32)) {
 	inter := make([]int32, len(sets))
+	next := make([]int32, len(sets)) // next[m]: sets[m]'s first index with id > i
 	var hits []int32
 	for i := range sets {
 		for _, m := range sets[i] {
-			for _, j := range sets[m] {
-				if int(j) <= i {
-					continue
-				}
+			nbr, k := sets[m], next[m]
+			for int(k) < len(nbr) && int(nbr[k]) <= i {
+				k++
+			}
+			next[m] = k
+			for _, j := range nbr[k:] {
 				if inter[j] == 0 {
 					hits = append(hits, j)
 				}
@@ -78,6 +85,59 @@ func jaccardRows(sets [][]int32, row func(i int, hits, inter []int32)) {
 		}
 		hits = hits[:0]
 	}
+}
+
+// jaccardBits counts the same intersections as jaccardRows by bitset and
+// calls row the same way, hits ascending: each row becomes ⌈n/64⌉ words
+// (n·⌈n/64⌉·8 bytes in all), and every pair i < j ANDs and popcounts its
+// two rows. The cost is n(n−1)/2·⌈n/64⌉ word operations whatever the
+// degrees.
+func jaccardBits(sets [][]int32, row func(i int, hits, inter []int32)) {
+	n := len(sets)
+	w := (n + 63) / 64
+	rows := make([]uint64, n*w)
+	for i, s := range sets {
+		r := rows[i*w : i*w+w]
+		for _, m := range s {
+			r[m>>6] |= 1 << (m & 63)
+		}
+	}
+	inter := make([]int32, n)
+	hits := make([]int32, n)
+	for i := 0; i < n; i++ {
+		h := 0
+		if len(sets[i]) > 0 {
+			ri := rows[i*w : i*w+w]
+			for j := i + 1; j < n; j++ {
+				rj := rows[j*w : j*w+w]
+				rj = rj[:len(ri)] // lets the compiler drop rj's bounds checks
+				c := 0
+				for k, x := range ri {
+					c += bits.OnesCount64(x & rj[k])
+				}
+				// Written for every j, kept only when c > 0: the row
+				// reads inter only at hits.
+				inter[j], hits[h] = int32(c), int32(j)
+				if c > 0 {
+					h++
+				}
+			}
+		}
+		row(i, hits[:h], inter)
+	}
+}
+
+// bitsCheaper reports whether jaccardBits costs fewer word operations than
+// jaccardRows on sets: n(n−1)/2·⌈n/64⌉ against Σ deg·(deg−1)/2, both known
+// from the window's own counts before either runs. Both kernels count the
+// same intersections, so the choice changes cost, never a score.
+func bitsCheaper(sets [][]int32) bool {
+	n := len(sets)
+	walk := 0
+	for _, s := range sets {
+		walk += len(s) * (len(s) - 1)
+	}
+	return n*(n-1)*((n+63)/64) < walk
 }
 
 // jaccardOf is the Jaccard score of nodes i and j sharing c neighbors.
@@ -103,10 +163,23 @@ func jaccardClique(sets [][]int32, minScore float64) []simPair {
 
 // jaccardTopK is topK(jaccardClique(sets, minScore), len(sets), k) without
 // the clique: every scored pair goes straight to the kNN selector, so
-// neither the full pair slice nor the per-node sort of hits is built.
+// neither the full pair slice nor the per-node sort of hits is built. The
+// intersections come from whichever kernel bitsCheaper picks.
 func jaccardTopK(sets [][]int32, minScore float64, k int) []simPair {
+	return jaccardTopKBy(sets, minScore, k, bitsCheaper(sets))
+}
+
+// jaccardTopKBy is jaccardTopK with the counting kernel chosen by the
+// caller: jaccardBits when useBits is set, jaccardRows otherwise. The
+// selector's result does not depend on the order pairs are offered in, so
+// the two agree exactly.
+func jaccardTopKBy(sets [][]int32, minScore float64, k int, useBits bool) []simPair {
 	sel := newKNN(len(sets), k)
-	jaccardRows(sets, func(i int, hits, inter []int32) {
+	counts := jaccardRows
+	if useBits {
+		counts = jaccardBits
+	}
+	counts(sets, func(i int, hits, inter []int32) {
 		for _, j := range hits {
 			if w := jaccardOf(sets, i, j, inter[j]); w >= minScore {
 				sel.offer(simPair{a: i, b: int(j), w: w})

@@ -49,6 +49,7 @@ type Scorer struct {
 	mean  float64
 	m2    float64
 	index int
+	diff  graph.Differ
 }
 
 // NewScorer returns a Scorer with opts' defaults applied.
@@ -80,10 +81,7 @@ func (s *Scorer) StepView(prev, cur *graph.Undirected) WindowScore {
 	if prev == nil {
 		return score
 	}
-	d := graph.DiffView(prev, cur)
-	score.Drift = d.ByteChange
-	score.NewPairs = len(d.AddedPairs)
-	score.LostPairs = len(d.RemovedPairs)
+	score.NewPairs, score.LostPairs, score.Drift = s.diff.Count(prev, cur)
 	if s.n >= s.opts.MinHistory {
 		score.Anomalous = score.Drift > s.mean+s.opts.Sigma*s.std()
 	}

@@ -7,12 +7,12 @@
 package summarize
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/radix"
 )
 
 // CCDFPoint is one point of Figure 6: after sorting nodes by traffic
@@ -45,7 +45,8 @@ func ccdf(u *graph.Undirected, m graph.Metric) []CCDFPoint {
 		}
 		total += float64(strengths[i])
 	}
-	sort.Slice(strengths, func(i, j int) bool { return strengths[i] > strengths[j] })
+	slices.Sort(strengths)
+	slices.Reverse(strengths)
 	out := make([]CCDFPoint, n)
 	var cum float64
 	for i, s := range strengths {
@@ -138,7 +139,25 @@ const maxCliqueSize = 64
 // smaller than minSize or below minByteShare are dropped. The greedy
 // approach mirrors how the banded blocks of Figure 4 pop out visually.
 func ChattyCliques(g *graph.Graph, minSize int, minDensity, minByteShare float64) []Clique {
-	return chattyCliques(g.Undirected(), g.TotalTraffic().Bytes, minSize, minDensity, minByteShare)
+	return chattyCliques(g.Undirected(), g.TotalTraffic().Bytes, minSize, minDensity, minByteShare, new(cliqueScratch))
+}
+
+// cliqueScratch holds chattyCliques' seed buffers and per-node state
+// between calls.
+type cliqueScratch struct {
+	seeds            []seed
+	sorter           radix.Sorter[seed]
+	nodes            []cliqueNode
+	members, touched []int32
+}
+
+// cliqueNode is one node's state in the chatty-clique search. links is -1
+// once the node is a member, of the growing seed or of a kept clique: out
+// of reach of later growth either way.
+type cliqueNode struct {
+	toMembers uint64 // bytes it exchanges with the current members
+	links     int32  // how many members those bytes reach
+	at        int32  // its index in touched, while it is a candidate
 }
 
 // chattyCliques grows each seed incrementally in index space. Per
@@ -148,18 +167,14 @@ func ChattyCliques(g *graph.Graph, minSize int, minDensity, minByteShare float64
 // member's row alone, and the members' own filled-pair count and internal
 // bytes are the running sums of the links/toMembers each member had when it
 // joined. A seed therefore costs O(Σ deg(members) + steps·|touched|).
-func chattyCliques(u *graph.Undirected, totalBytes uint64, minSize int, minDensity, minByteShare float64) []Clique {
+func chattyCliques(u *graph.Undirected, totalBytes uint64, minSize int, minDensity, minByteShare float64, sc *cliqueScratch) []Clique {
 	if minSize < 3 {
 		minSize = 3
 	}
 	if totalBytes == 0 {
 		return nil
 	}
-	type seed struct {
-		a, b  int32
-		bytes uint64
-	}
-	seeds := make([]seed, 0, len(u.Nbr)/2+1)
+	seeds := sc.seeds[:0]
 	for a := int32(0); int(a) < len(u.Nodes); a++ {
 		nbr, pair := u.Row(a)
 		for k, b := range nbr {
@@ -168,44 +183,51 @@ func chattyCliques(u *graph.Undirected, totalBytes uint64, minSize int, minDensi
 			}
 		}
 	}
-	slices.SortFunc(seeds, func(x, y seed) int {
-		switch {
-		case x.bytes != y.bytes:
-			return cmp.Compare(y.bytes, x.bytes)
-		case x.a != y.a:
-			return cmp.Compare(x.a, y.a)
-		}
-		return cmp.Compare(x.b, y.b)
-	})
+	// Seeds are appended in (a, b) order, so a stable sort on bytes
+	// descending is the (bytes desc, a, b) order: a radix sort on ^bytes.
+	sc.seeds = seeds
+	sc.sorter.Sort(seeds, func(s seed) uint64 { return ^s.bytes })
 
-	n := len(u.Nodes)
-	used, member := make([]bool, n), make([]bool, n)
-	toMembers, links := make([]uint64, n), make([]int32, n)
-	var members, touched []int32 // touched: every candidate of this seed
-	var filled int               // member pairs with traffic
-	var internal uint64          // bytes among members
+	if cap(sc.nodes) < len(u.Nodes) {
+		sc.nodes = make([]cliqueNode, len(u.Nodes))
+	}
+	nodes := sc.nodes[:len(u.Nodes)]
+	clear(nodes)
+	// touched holds this seed's candidates: every non-member with bytes to
+	// some member, candidate c at touched[nodes[c].at]. A candidate that
+	// joins leaves it.
+	members, touched := sc.members[:0], sc.touched[:0]
+	var filled int      // member pairs with traffic
+	var internal uint64 // bytes among members
 	add := func(x int32) {
-		member[x] = true
+		nx := &nodes[x]
+		if nx.links > 0 {
+			last := touched[len(touched)-1]
+			touched[nx.at], nodes[last].at = last, nx.at
+			touched = touched[:len(touched)-1]
+		}
 		members = append(members, x)
-		filled += int(links[x])
-		internal += toMembers[x]
+		filled += int(nx.links)
+		internal += nx.toMembers
+		nx.links = -1
 		nbr, pair := u.Row(x)
 		for k, y := range nbr {
-			b := pair[k].Bytes
-			if b == 0 || member[y] || used[y] {
+			b, ny := pair[k].Bytes, &nodes[y]
+			if b == 0 || ny.links < 0 {
 				continue
 			}
-			if links[y] == 0 {
+			if ny.links == 0 {
+				ny.at = int32(len(touched))
 				touched = append(touched, y)
 			}
-			toMembers[y] += b
-			links[y]++
+			ny.toMembers += b
+			ny.links++
 		}
 	}
 
 	var out []Clique
 	for _, s := range seeds {
-		if used[s.a] || used[s.b] {
+		if nodes[s.a].links < 0 || nodes[s.b].links < 0 {
 			continue
 		}
 		filled, internal = 0, 0
@@ -218,11 +240,19 @@ func chattyCliques(u *graph.Undirected, totalBytes uint64, minSize int, minDensi
 			// go to the lesser node.
 			best, bestBytes := int32(-1), uint64(0)
 			grownPairs := float64(len(members) * (len(members) + 1) / 2)
+			// The density test is monotone in a candidate's links, so it
+			// holds from the fewest links that pass it, found with the
+			// same float expression; no candidate has more links than
+			// there are members.
+			need := int32(sort.Search(len(members)+1, func(l int) bool {
+				return !(float64(filled+l)/grownPairs < minDensity)
+			}))
 			for _, c := range touched {
-				if member[c] || float64(filled+int(links[c]))/grownPairs < minDensity {
+				nc := &nodes[c]
+				if nc.links < need {
 					continue
 				}
-				if t := toMembers[c]; t > bestBytes || (t == bestBytes && c < best) {
+				if t := nc.toMembers; t > bestBytes || (t == bestBytes && c < best) {
 					best, bestBytes = c, t
 				}
 			}
@@ -231,32 +261,42 @@ func chattyCliques(u *graph.Undirected, totalBytes uint64, minSize int, minDensi
 			}
 			add(best)
 		}
+		kept := false
 		if len(members) >= minSize {
 			cl := Clique{
 				InternalBytes: internal,
 				Density:       float64(filled) / float64(len(members)*(len(members)-1)/2),
 				ByteShare:     float64(internal) / float64(totalBytes),
 			}
-			if cl.ByteShare >= minByteShare && cl.Density >= minDensity {
+			if kept = cl.ByteShare >= minByteShare && cl.Density >= minDensity; kept {
 				slices.Sort(members)
 				cl.Members = make([]graph.Node, len(members))
 				for i, m := range members {
 					cl.Members[i] = u.Nodes[m]
-					used[m] = true
 				}
 				out = append(out, cl)
 			}
 		}
-		for _, x := range members {
-			member[x], toMembers[x], links[x] = false, 0, 0
+		if !kept {
+			// The members of a kept clique stay out of reach.
+			for _, x := range members {
+				nodes[x] = cliqueNode{}
+			}
 		}
 		for _, x := range touched {
-			toMembers[x], links[x] = 0, 0
+			nodes[x] = cliqueNode{}
 		}
 		members, touched = members[:0], touched[:0]
 	}
+	sc.members, sc.touched = members, touched
 	sort.Slice(out, func(i, j int) bool { return out[i].InternalBytes > out[j].InternalBytes })
 	return out
+}
+
+// seed is a chattyCliques seed: a pair and the bytes between them.
+type seed struct {
+	a, b  int32
+	bytes uint64
 }
 
 // Summary is an executive summary of one graph window.
@@ -269,14 +309,21 @@ type Summary struct {
 }
 
 // Summarize builds the full succinct summary of a graph.
-func Summarize(g *graph.Graph) Summary { return SummarizeView(g, g.Undirected()) }
+func Summarize(g *graph.Graph) Summary { return new(Summarizer).View(g, g.Undirected()) }
 
-// SummarizeView is Summarize for a caller that already holds u, g's
-// undirected view.
-func SummarizeView(g *graph.Graph, u *graph.Undirected) Summary {
+// A Summarizer builds summaries window after window, keeping the
+// chatty-clique search's buffers from one to the next. Not safe for
+// concurrent use; the zero value is ready.
+type Summarizer struct {
+	cliques cliqueScratch
+}
+
+// View is Summarize for a caller that already holds u, g's undirected
+// view.
+func (sz *Summarizer) View(g *graph.Graph, u *graph.Undirected) Summary {
 	s := Summary{Stats: g.ComputeStats()}
 	s.Hubs = hubs(u, s.Stats.Bytes, 0.5)
-	s.Cliques = chattyCliques(u, s.Stats.Bytes, 3, 0.5, 0.01)
+	s.Cliques = chattyCliques(u, s.Stats.Bytes, 3, 0.5, 0.01, &sz.cliques)
 	s.CCDF = ccdf(u, graph.Bytes)
 	top10 := 1 - ccdfAt(s.CCDF, 0.1)
 	var patternBytes float64
