@@ -184,8 +184,6 @@ type GraphOptions struct {
 	Facet Facet
 	// Label maps addresses to service names for FacetService.
 	Label graph.Labeler
-	// KeepSeries records per-interval time series on edges.
-	KeepSeries bool
 	// CollapseThreshold, when positive, merges nodes below this traffic
 	// share into one (the paper uses 0.001). Keep protects nodes from
 	// collapsing (typically the monitored VMs).
@@ -197,11 +195,7 @@ type GraphOptions struct {
 // deduplicating double-reported intra-subscription flows and optionally
 // collapsing heavy-hitter tails.
 func BuildGraph(recs []Record, opts GraphOptions) *Graph {
-	g := graph.Build(recs, graph.BuilderOptions{
-		Facet:      opts.Facet,
-		Label:      opts.Label,
-		KeepSeries: opts.KeepSeries,
-	})
+	g := graph.Build(recs, graph.BuilderOptions{Facet: opts.Facet, Label: opts.Label})
 	if opts.CollapseThreshold > 0 || opts.Keep != nil {
 		g = g.Collapse(graph.CollapseOptions{Threshold: opts.CollapseThreshold, Keep: opts.Keep})
 	}

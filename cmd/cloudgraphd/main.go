@@ -11,8 +11,8 @@
 //
 //	printf 'STATS\n' | nc 127.0.0.1 7443
 //
-// With -live (the default) the daemon also runs the online analysis
-// plane: every completed window is appended to the timeline (the latest
+// Every tenant also runs the online analysis plane: every completed
+// window is appended to the timeline (the latest
 // window, and the extents of the last -retention windows for time
 // resolution) and analyzed in place by the §2 runners — segmentation,
 // succinct summary with anomaly score, counterfactual capacity plan and
@@ -156,7 +156,6 @@ func main() {
 		traceSample = flag.Int("trace-sample", 0, "trace one in N ingested records end to end (0 disables span sampling)")
 		flightN     = flag.Int("flight-events", trace.DefaultFlightEvents, "flight recorder ring capacity (events and spans retained for /flightz and crash dumps)")
 		logLevel    = flag.String("log-level", "info", "structured event log level: debug, info, warn or error")
-		live        = flag.Bool("live", true, "run the online analysis plane (timeline + runners) on each tenant's consumer bus")
 		retention   = flag.Int("retention", 96, "windows each tenant's analysis plane retains in memory (QUERY results and RFC3339 time resolution); older epochs are served from -data-dir")
 		dataDir     = flag.String("data-dir", "", "durable history directory: completed windows are appended to a per-tenant epoch-indexed segment store under <data-dir>/<tenant>/, replayed on restart, and served by QUERY past the in-memory retention (empty disables)")
 		histRet     = flag.Duration("history-retention", 24*time.Hour, "how long the history store keeps window-resolution records before compacting them into hour roll-ups")
@@ -186,7 +185,7 @@ func main() {
 	reg := telemetry.NewRegistry()
 	telemetry.BuildInfo(reg,
 		telemetry.Label{Key: "shards", Value: strconv.Itoa(*workers)},
-		telemetry.Label{Key: "flags", Value: fmt.Sprintf("window=%v collapse=%g facet=%s live=%v freshness-slo=%v", *window, *collapse, *facet, *live, *freshSLO)})
+		telemetry.Label{Key: "flags", Value: fmt.Sprintf("window=%v collapse=%g facet=%s freshness-slo=%v", *window, *collapse, *facet, *freshSLO)})
 
 	cfg := core.Config{Window: *window, Shards: *workers}
 	switch *facet {
@@ -214,7 +213,6 @@ func main() {
 	var statusSrc atomic.Pointer[statusz.Sources]
 	rcfg := realm.Config{
 		Engine:     cfg,
-		Live:       *live,
 		Retention:  *retention,
 		Watermark:  watermark.Config{FreshnessTarget: *freshSLO, Trip: *burnTrip},
 		DataDir:    *dataDir,
@@ -243,9 +241,7 @@ func main() {
 	// tenant=<name>.
 	def.Watermarks().Instrument(reg)
 
-	if *live {
-		log.Printf("analysis plane on: %v (retention=%d)", def.Plane().Runners(), *retention)
-	}
+	log.Printf("analysis plane on: %v (retention=%d)", def.Plane().Runners(), *retention)
 
 	if *dataDir != "" {
 		realms := m.Realms()
@@ -312,9 +308,7 @@ func main() {
 		status := statusz.Handler(sources)
 		ops.HandleView("/statusz", status)
 		ops.HandleView("/tenantz", status)
-		if *live {
-			ops.HandleView("/analyz", analytics.AnalyzHandler(m))
-		}
+		ops.HandleView("/analyz", analytics.AnalyzHandler(m))
 		log.Printf("ops endpoint on http://%s (%s)", ops.Addr(), strings.Join(ops.Views(), " "))
 	}
 

@@ -66,7 +66,6 @@ func TestStatuszTenantRows(t *testing.T) {
 	const workers = 3
 	m, err := realm.NewManager(realm.Config{
 		Engine:    core.Config{Window: time.Minute, Shards: 2},
-		Live:      true,
 		Retention: 8,
 		Watermark: watermark.Config{FreshnessTarget: time.Hour},
 		DataDir:   t.TempDir(),

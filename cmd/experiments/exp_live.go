@@ -11,7 +11,7 @@ import (
 )
 
 // expLive drives the online analysis plane offline: the same Runner
-// implementations cloudgraphd -live executes on the consumer bus are
+// implementations cloudgraphd executes on the consumer bus are
 // replayed here over a recorded stream via Plane.Replay, so the table
 // below is produced by the exact code path that answers `graphctl query`.
 // A port scan injected mid-hour should surface in the summarize runner's

@@ -23,8 +23,9 @@ func main() {
 	log.SetFlags(0)
 
 	// Start the service on an ephemeral port: one realm manager whose
-	// default tenant runs the live analysis plane, as cloudgraphd does.
-	m, err := realm.NewManager(realm.Config{Engine: core.Config{Window: time.Hour}, Live: true})
+	// default tenant runs its analysis plane, as every cloudgraphd tenant
+	// does.
+	m, err := realm.NewManager(realm.Config{Engine: core.Config{Window: time.Hour}})
 	if err != nil {
 		log.Fatal(err)
 	}

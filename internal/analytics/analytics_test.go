@@ -21,7 +21,7 @@ var t0 = time.Unix(1700000000, 0).UTC().Truncate(time.Hour)
 
 func testServer(t *testing.T) *Server {
 	t.Helper()
-	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Live: true}, Options{})
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}}, Options{})
 	return s
 }
 
@@ -286,7 +286,7 @@ func TestServerConcurrentMixedCommands(t *testing.T) {
 	// Several clients hammer one sharded server with the full command mix
 	// concurrently (run with -race): every response must stay coherent
 	// and no records may be lost.
-	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour, Shards: 4}, Live: true}, Options{})
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour, Shards: 4}}, Options{})
 
 	const clients = 6
 	const flows = 200

@@ -190,8 +190,7 @@ func (c *Client) Stats() (Stats, error) {
 }
 
 // Query fetches the named online analysis result at an epoch; epoch 0
-// sends the "latest" selector. Requires a server with an analysis plane
-// attached (cloudgraphd -live).
+// sends the "latest" selector.
 func (c *Client) Query(analysis string, epoch uint64) (QueryResult, error) {
 	if epoch > 0 {
 		return c.QuerySelector(analysis, strconv.FormatUint(epoch, 10))

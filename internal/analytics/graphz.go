@@ -57,13 +57,9 @@ func GraphzHandler(m *realm.Manager) http.Handler {
 }
 
 // latestWindow returns a tenant's newest timeline window, an error
-// without a plane or before the first window.
+// before the first window.
 func latestWindow(r *realm.Realm) (*graph.Graph, error) {
-	p := r.Plane()
-	if p == nil {
-		return nil, errNoPlane
-	}
-	g := p.Timeline().Latest()
+	g := r.Plane().Timeline().Latest()
 	if g == nil {
 		return nil, errors.New("no completed window (FLUSH first?)")
 	}
@@ -78,10 +74,6 @@ func AnalyzHandler(m *realm.Manager) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		r := opsTenant(w, m, req)
 		if r == nil {
-			return
-		}
-		if r.Plane() == nil {
-			http.Error(w, fmt.Sprintf("tenant %q has no analysis plane", r.Name()), http.StatusNotFound)
 			return
 		}
 		r.Plane().AnalyzHandler().ServeHTTP(w, req)

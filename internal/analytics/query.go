@@ -108,22 +108,18 @@ func (q QueryResult) writeLine(w *bufio.Writer) error {
 }
 
 // noAnswer marks the ERR of a well-formed QUERY that has no answer: no
-// plane, no such analysis, or no window at the epoch or time asked about
+// such analysis, or no window at the epoch or time asked about
 // (yet, or any more). It is counted like every rejected command, but it
 // is not a protocol fault, so it does not trip the flight recorder: a
 // poller that starts before the first seal is not an anomaly.
 type noAnswer struct{ error }
 
 func cmdQuery(fields []string, ses *session) (any, error) {
-	plane := ses.Plane()
-	if plane == nil {
-		return nil, noAnswer{errNoPlane}
-	}
 	name, sel, err := parseQuery(fields)
 	if err != nil {
 		return nil, err
 	}
-	epoch := sel.epoch
+	plane, epoch := ses.Plane(), sel.epoch
 	if !sel.at.IsZero() {
 		ep, ok := plane.ResolveTime(sel.at)
 		if !ok {

@@ -6,13 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"cloudgraph/internal/core"
-	"cloudgraph/internal/realm"
 	"cloudgraph/internal/runner"
 )
 
-// liveServer starts a one-tenant realm server the way cloudgraphd -live
-// runs: the default tenant's plane on its engine bus. It returns that
+// liveServer starts a one-tenant realm server the way cloudgraphd runs:
+// the default tenant's plane on its engine bus. It returns that
 // plane for in-process cross-checks.
 func liveServer(t *testing.T, window time.Duration) (*Server, *runner.Plane) {
 	t.Helper()
@@ -90,42 +88,22 @@ func TestQueryEndToEnd(t *testing.T) {
 			t.Fatalf("%q: err = %v, want %q", bad.cmd, err, bad.wantErr)
 		}
 	}
-	// The connection survived the ERRs: latest still answers.
-	if _, err := client.Query("summarize", 0); err != nil {
-		t.Fatalf("connection unusable after ERR responses: %v", err)
-	}
-}
-
-// TestQueryWithoutPlane pins the ERR for a server running without -live:
-// QUERY answers ERR, while STATS still answers the engine's ingest
-// counters. The retired hand-written analysis commands are unknown.
-func TestQueryWithoutPlane(t *testing.T) {
-	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour, Shards: 2}}, Options{})
-	client, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	recs := hourOf(t, testCluster(t), t0)
-	if err := client.Ingest(recs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Query("segment", 0); err == nil || !strings.Contains(err.Error(), "no analysis plane") {
-		t.Fatalf("err = %v, want a no-plane ERR", err)
-	}
+	// The retired hand-written analysis commands are unknown.
 	for _, cmd := range []string{"WINDOWS", "LEARN", "SEGMENTS", "MONITOR", "SUMMARY", "ANOMALIES"} {
 		if err := client.jsonCmd(cmd, &json.RawMessage{}); err == nil || !strings.Contains(err.Error(), "unknown command") {
 			t.Errorf("%s: err = %v, want an unknown-command ERR", cmd, err)
 		}
 	}
+	// The connection survived the ERRs: latest still answers, and STATS
+	// counts the records and the windows the timeline retains.
+	if _, err := client.Query("summarize", 0); err != nil {
+		t.Fatalf("connection unusable after ERR responses: %v", err)
+	}
 	st, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Records != int64(len(recs)) || st.Workers != 2 || st.Windows != 0 {
-		t.Errorf("stats = %+v, want %d records over 2 workers and no windows", st, len(recs))
+	if st.Records != int64(len(recs)) || st.Windows != plane.Timeline().Len() || st.Windows == 0 {
+		t.Errorf("stats = %+v, want %d records and the timeline's %d windows", st, len(recs), plane.Timeline().Len())
 	}
 }

@@ -294,7 +294,7 @@ func TestServerCloseUnblocksStalledConn(t *testing.T) {
 }
 
 func TestGraphzHandler(t *testing.T) {
-	_, m := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Live: true}, Options{})
+	_, m := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}}, Options{})
 	h := GraphzHandler(m)
 
 	rr := httptest.NewRecorder()
@@ -371,7 +371,7 @@ func TestGraphzHandler(t *testing.T) {
 // tenant's own plane answers; unknown and invalid names are 404s that
 // never admit a tenant.
 func TestAnalyzTenant(t *testing.T) {
-	_, m := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Live: true}, Options{})
+	_, m := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}}, Options{})
 	h := AnalyzHandler(m)
 	get := func(h http.Handler, path string) (int, string) {
 		rr := httptest.NewRecorder()

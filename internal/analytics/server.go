@@ -10,8 +10,8 @@
 // default tenant otherwise); the right-hand column names what each one
 // reads. QUERY is the only analysis read: segmentations, summaries, drift
 // scores and policy churn are the plane's runner results, epoch-addressed
-// and served from disk once evicted from memory. Without a plane
-// (cloudgraphd -live=false) QUERY answers ERR and STATS reports no windows.
+// and served from disk once evicted from memory. Every tenant runs its
+// analysis plane, so QUERY and STATS windows are answered for every tenant.
 //
 //	INGEST <n>\n + n binary flowlog frames    -> OK <n>            engine ingest
 //	INGEST <n> T\n + n flagged frames         -> OK <n>            per-frame tenant tags (wire.go)
@@ -673,15 +673,12 @@ type ShardInfo struct {
 	Depth   int     `json:"depth"`
 }
 
-// errNoPlane answers every read of the analysis plane of a realm running
-// without one.
-var errNoPlane = errors.New("no analysis plane attached (start cloudgraphd with -live)")
-
-// stats answers STATS. The engine's ingest counters always answer; the
-// window count reads the timeline and stays zero without a plane.
+// stats answers STATS: the engine's ingest counters and the number of
+// windows the tenant's timeline retains.
 func stats(ses *session) Stats {
 	cost := ses.Engine().Cost()
 	st := Stats{
+		Windows:       ses.Plane().Timeline().Len(),
 		Records:       cost.Records,
 		RecordsPerSec: cost.RecordsPerSec,
 		Workers:       cost.Workers,
@@ -693,9 +690,6 @@ func stats(ses *session) Stats {
 			BusyMS:  float64(sh.Busy.Microseconds()) / 1e3,
 			Depth:   sh.Depth,
 		})
-	}
-	if p := ses.Plane(); p != nil {
-		st.Windows = p.Timeline().Len()
 	}
 	return st
 }

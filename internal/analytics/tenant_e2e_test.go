@@ -39,7 +39,6 @@ func realmServer(t *testing.T, window time.Duration) (*Server, *realm.Manager) {
 	t.Helper()
 	return serve(t, realm.Config{
 		Engine: core.Config{Window: window, Shards: 4},
-		Live:   true,
 		// Two slots for four-plus planes: admission is contended, so the
 		// scheduler is actually in the loop for every window.
 		Workers: 2,

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,16 +27,64 @@ func (t tracedClientCollector) CollectTraced(recs []flowlog.Record, tcs []trace.
 	return t.c.IngestTraced(recs, tcs)
 }
 
-// pipelineStages is the Figure 8 journey a sampled record's trace must
-// cover, in causal order.
-var pipelineStages = []string{"nicsim.pull", "wire.ingest", "core.shard", "core.merge", "histstore.append"}
+// pipelineStages is the Figure 8 journey a sampled record's trace covers
+// up to its window's seal, in causal order.
+var pipelineStages = []string{"nicsim.pull", "wire.ingest", "core.shard", "core.merge"}
+
+// analysisStages names the span every runner of the tenant's plane records
+// against each sampled record of an analyzed window.
+func analysisStages(m *realm.Manager) []string {
+	var out []string
+	for _, name := range m.Default().Plane().Runners() {
+		out = append(out, "analysis."+name)
+	}
+	return out
+}
+
+// checkJourneys requires every trace that reached core.merge to be one
+// complete journey under its own trace ID: exactly the ordered stages, in
+// order, then exactly the sealed window's consumer stages in any order —
+// the history append and the analysis plane run on separate bus
+// goroutines. It returns one complete trace's ID, and fails when there is
+// none.
+func checkJourneys(t *testing.T, rec *trace.Recorder, ordered, consumers []string) uint64 {
+	t.Helper()
+	var full uint64
+	for _, id := range rec.TraceIDs() {
+		spans := rec.Trace(id) // start order
+		stages := make([]string, len(spans))
+		for i, sp := range spans {
+			if sp.TraceID != id {
+				t.Fatalf("trace %016x holds a span with trace ID %016x", id, sp.TraceID)
+			}
+			stages[i] = sp.Stage
+		}
+		if !slices.Contains(stages, "core.merge") {
+			continue
+		}
+		n := min(len(ordered), len(stages))
+		got, want := slices.Clone(stages[n:]), slices.Clone(consumers)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(stages[:n], ordered) || !slices.Equal(got, want) {
+			t.Fatalf("trace %016x covers %v, want %v then %v in any order", id, stages, ordered, consumers)
+		}
+		full = id
+	}
+	if full == 0 {
+		t.Fatalf("no trace reached core.merge (retained %d traces)", len(rec.TraceIDs()))
+	}
+	return full
+}
 
 // TestTraceEndToEnd runs the whole pipeline — simulated NICs, the wire
-// protocol, the windowing engine, the durable history — under one tracer
-// with sampling on, and asserts a sampled record leaves exactly one span per
-// stage, in order, under a single trace ID, retrievable from /tracez. It
-// then injects a protocol fault and asserts /flightz serves the pre-fault
-// window with the trip.
+// protocol, the windowing engine, the durable history, the analysis plane
+// — under one tracer with sampling on, and asserts every sampled record
+// that reached its window's merge leaves exactly one span per stage under
+// a single trace ID: the ingest stages in order, then the history append
+// and each runner's analysis, retrievable from /tracez. It then injects a
+// protocol fault and asserts /flightz serves the pre-fault window with the
+// trip.
 func TestTraceEndToEnd(t *testing.T) {
 	tr := trace.New(trace.Options{
 		SampleEvery:  1, // sample everything: the test wants complete journeys
@@ -44,7 +93,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		FlightEvents: 1 << 12,
 	})
 
-	s, _ := serve(t, realm.Config{
+	s, m := serve(t, realm.Config{
 		Engine:  core.Config{Window: time.Hour},
 		Trace:   tr,
 		DataDir: t.TempDir(),
@@ -61,38 +110,16 @@ func TestTraceEndToEnd(t *testing.T) {
 	if _, err := c.Run(t0, 5, tracedClientCollector{cl}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Flush(); err != nil { // close the window: merge + history append
+	if _, err := cl.Flush(); err != nil { // close the window: merge, history append, analyses
 		t.Fatal(err)
 	}
 
-	// Find a trace covering the full journey. With sampling at 1-in-1 and
-	// no eviction, every sampled record that landed in the flushed window
-	// must have one; finding none means a stage dropped its context.
+	// With sampling at 1-in-1 and no eviction, every sampled record that
+	// landed in the flushed window carries the full journey; a short one
+	// means a stage dropped its context.
 	rec := tr.Recorder()
-	var full uint64
-	for _, id := range rec.TraceIDs() {
-		spans := rec.Trace(id)
-		if len(spans) != len(pipelineStages) {
-			continue
-		}
-		ok := true
-		for i, sp := range spans { // rec.Trace returns start order
-			if sp.Stage != pipelineStages[i] {
-				ok = false
-				break
-			}
-			if sp.TraceID != id {
-				t.Fatalf("trace %016x holds a span with trace ID %016x", id, sp.TraceID)
-			}
-		}
-		if ok {
-			full = id
-			break
-		}
-	}
-	if full == 0 {
-		t.Fatalf("no trace covers all stages %v (retained %d traces)", pipelineStages, len(rec.TraceIDs()))
-	}
+	consumers := append([]string{"histstore.append"}, analysisStages(m)...)
+	full := checkJourneys(t, rec, pipelineStages, consumers)
 
 	// The journey must be retrievable from /tracez.
 	hw := httptest.NewRecorder()
@@ -101,7 +128,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if hw.Code != http.StatusOK {
 		t.Fatalf("/tracez: code %d body %s", hw.Code, hw.Body.String())
 	}
-	for _, stage := range pipelineStages {
+	for _, stage := range append(slices.Clone(pipelineStages), consumers...) {
 		if !strings.Contains(hw.Body.String(), stage) {
 			t.Fatalf("/tracez waterfall missing stage %q:\n%s", stage, hw.Body.String())
 		}
@@ -147,10 +174,11 @@ func TestTraceEndToEnd(t *testing.T) {
 
 // TestTraceLegacyIngestSamplesServerSide: legacy INGEST batches carry no
 // contexts, so the server samples them itself — the daemon's -trace-sample
-// must trace file-driven ingest too, with journeys starting at the wire.
+// must trace file-driven ingest too, with journeys starting at the wire
+// and, without a data directory, ending in the analysis plane.
 func TestTraceLegacyIngestSamplesServerSide(t *testing.T) {
 	tr := trace.New(trace.Options{SampleEvery: 1, Seed: 3, MaxTraces: 1 << 16})
-	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Trace: tr}, Options{})
+	s, m := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Trace: tr}, Options{})
 	cl, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -166,25 +194,7 @@ func TestTraceLegacyIngestSamplesServerSide(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wireStages := []string{"wire.ingest", "core.shard", "core.merge", "histstore.append"}
-	for _, id := range tr.Recorder().TraceIDs() {
-		spans := tr.Recorder().Trace(id)
-		if len(spans) != len(wireStages)-1 { // no -data-dir history: 3 stages
-			continue
-		}
-		ok := true
-		for i, sp := range spans {
-			if sp.Stage != wireStages[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return
-		}
-	}
-	t.Fatalf("no server-sampled trace covers %v (retained %d traces)",
-		wireStages[:3], len(tr.Recorder().TraceIDs()))
+	checkJourneys(t, tr.Recorder(), pipelineStages[1:], analysisStages(m))
 }
 
 func hexID(id uint64) string {
@@ -245,7 +255,6 @@ func TestQueryMissDoesNotTrip(t *testing.T) {
 	tr := trace.New(trace.Options{FlightEvents: 1 << 8})
 	s, _ := serve(t, realm.Config{
 		Engine:    core.Config{Window: time.Hour},
-		Live:      true,
 		Trace:     tr,
 		Telemetry: telemetry.NewRegistry(),
 	}, Options{})

@@ -28,8 +28,6 @@ type Config struct {
 	// Collapse configures heavy-hitter collapsing applied to each
 	// completed window (Threshold 0 disables).
 	Collapse graph.CollapseOptions
-	// KeepSeries records per-interval time series on edges.
-	KeepSeries bool
 	// Shards is the width of the ingest hot path: records are hashed by
 	// flow key onto Shards independent windowers, each behind its own
 	// lock, so concurrent Ingest calls touching different flows proceed
@@ -189,11 +187,7 @@ func NewEngine(cfg Config) *Engine {
 	}
 	e.maxStartNS.Store(math.MinInt64)
 	e.epoch.Store(cfg.StartEpoch)
-	opts := graph.BuilderOptions{
-		Facet:      cfg.Facet,
-		Label:      cfg.Label,
-		KeepSeries: cfg.KeepSeries,
-	}
+	opts := graph.BuilderOptions{Facet: cfg.Facet, Label: cfg.Label}
 	for i := 0; i < cfg.Shards; i++ {
 		w := NewWindower(cfg.Window, opts)
 		w.OnComplete = e.addPartial

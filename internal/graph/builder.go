@@ -16,10 +16,9 @@ type BuilderOptions struct {
 	// Facet selects node granularity. Default FacetIP.
 	Facet Facet
 	// Interval is the telemetry aggregation interval used to bucket
-	// deduplication state and time series. Default one minute.
+	// deduplication state: a flow reported in one interval counts once.
+	// Default one minute.
 	Interval time.Duration
-	// KeepSeries records a per-interval Sample on every directed edge.
-	KeepSeries bool
 	// Label maps addresses to service names; required for FacetService.
 	Label Labeler
 }
@@ -303,24 +302,14 @@ func (b *Builder) flush() {
 	b.obs = b.obs[:0]
 }
 
-// addDirected accumulates one flow's contribution onto the edge src->dst
-// and, with KeepSeries, onto the edge's sample for the open interval.
+// addDirected accumulates one flow's contribution onto the edge src->dst.
 func (b *Builder) addDirected(src, dst uint32, c Counters) {
 	key := uint64(src)<<32 | uint64(dst)
 	i, added := b.edgeIdx.findOrAdd(mix(key^b.seed[0], b.seed[1]|1), key)
 	if added {
 		b.edges = append(b.edges, Edge{})
 	}
-	e := &b.edges[i]
-	e.Counters.Add(c)
-	if !b.opts.KeepSeries {
-		return
-	}
-	if n := len(e.Series); n > 0 && e.Series[n-1].Start.Equal(b.curStart) {
-		e.Series[n-1].Counters.Add(c)
-	} else {
-		e.Series = append(e.Series, Sample{Start: b.curStart, Counters: c})
-	}
+	b.edges[i].Counters.Add(c)
 }
 
 // Finish flushes pending state and returns the completed graph, laid out
@@ -381,7 +370,6 @@ func (b *Builder) reset() {
 	b.zones = b.zones[:0]
 	clear(b.zoneFam)
 	b.edgeIdx.reset()
-	clear(b.edges) // the sealed graph owns the series now
 	b.edges = b.edges[:0]
 	b.records = 0
 }

@@ -20,8 +20,7 @@ const DefaultCollapseThreshold = 0.001
 // threshold is merged into the single Collapsed node. This is the paper's
 // mitigation for the many-remote-IPs problem: "remote IPs and ephemeral
 // ports that do not individually account for a sizable share of traffic are
-// collapsed together" (§3.2). Edge time series are not preserved on the
-// collapsed graph.
+// collapsed together" (§3.2).
 func (g *Graph) Collapse(opts CollapseOptions) *Graph {
 	if opts.Threshold <= 0 {
 		opts.Threshold = DefaultCollapseThreshold
@@ -51,7 +50,7 @@ func (g *Graph) Collapse(opts CollapseOptions) *Graph {
 				continue
 			}
 			keys = append(keys, uint64(i)<<32|uint64(j))
-			edges = append(edges, Edge{Counters: fz.edges[k].Counters})
+			edges = append(edges, fz.edges[k])
 			used[i], used[j] = true, true
 		}
 	}

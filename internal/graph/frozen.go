@@ -19,7 +19,7 @@ import "sort"
 //	nodes  [n]Node    sorted by Node.Less; index == node id
 //	rowOff [n+1]int32 row i's out-edges live at [rowOff[i], rowOff[i+1])
 //	cols   [m]int32   destination ids, ascending within each row
-//	edges  [m]Edge    counter block (+series header) per directed edge
+//	edges  [m]Edge    24-byte counter block per directed edge, pointer-free
 //	inOff  [n+1]int32 column j's in-edges live at [inOff[j], inOff[j+1])
 //	inSrc  [m]int32   source ids, ascending within each column
 //	inEdge [m]int32   index into edges for the mirrored directed edge

@@ -17,17 +17,15 @@ import (
 
 // TestFrozenEquivalence is the accessor-vs-model oracle: graphs assembled
 // from graphtest models — every shape, with self-loops, isolated nodes,
-// one-way and zero-byte edges and per-edge series — must answer every read
+// one-way and zero-byte edges — must answer every read
 // accessor, and the Undirected, AdjacencyMatrix, ComputeStats, Collapse,
 // Diff and Merge analyses built on them, exactly as the model's own maps
 // do. The model side reads only its maps, never a graph it assembled, so a
 // bug in the CSR layout or an accessor cannot hide behind a shared path.
 func TestFrozenEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		from := graphtest.Cases(seed + 100)
 		for i, c := range graphtest.Cases(seed) {
-			withSeries(c.M, rng, naiveT0)
 			c.M.Start, c.M.End = naiveT0, naiveT0.Add(time.Hour)
 			g := c.M.Graph()
 			if err := checkAccessors(g, c.M); err != nil {
@@ -343,13 +341,13 @@ func heapAlloc() uint64 {
 
 // TestFrozenBytesPerEdge pins the CSR form's memory budget: on a 100K-node
 // synthetic subscription, the measured heap per directed edge — node
-// table, offsets, columns, counter slab and CSC mirror, ≈105 B — stays
-// within 128 B.
+// table, offsets, columns, counter slab and CSC mirror, ≈81 B — stays
+// within 96 B.
 func TestFrozenBytesPerEdge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap measurement on a 100K-node graph")
 	}
-	const budget = 128
+	const budget = 96
 	base := heapAlloc()
 	g := synthSubscription(100_000)
 	used := int64(heapAlloc() - base)

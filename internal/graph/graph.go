@@ -32,19 +32,11 @@ func (c Counters) Get(m Metric) uint64 {
 	}
 }
 
-// Sample is one aggregation interval of an edge's time series.
-type Sample struct {
-	Start time.Time
-	Counters
-}
-
-// Edge is the directed traffic from one node to another, with the summed
-// counters and, when the builder is configured to keep them, the
-// per-interval time series (§1: "embed timeseries in the node and edge
-// attributes of one graph").
+// Edge is the directed traffic from one node to another: its summed
+// counters over the window, nothing more, so an edge slab is pointer-free
+// and costs the GC nothing to scan.
 type Edge struct {
 	Counters
-	Series []Sample
 }
 
 // Graph is a communication graph over one time window, held in the
@@ -187,14 +179,15 @@ func (g *Graph) Density() float64 {
 }
 
 // MemBytes returns the heap footprint of the graph's CSR arrays (node index,
-// offsets, columns, edge slab, CSC mirror), excluding edge series backing
-// arrays.
+// offsets, columns, edge slab, CSC mirror).
 func (g *Graph) MemBytes() int64 {
 	const nodeSize = 48 // netip.Addr(24) + port(2)+pad + string header(16)
-	const edgeSize = 48 // Counters(24) + series slice header(24)
 	fz := g.fz
 	return int64(len(fz.nodes))*nodeSize +
 		int64(len(fz.rowOff)+len(fz.inOff))*4 +
 		int64(len(fz.cols)+len(fz.inSrc)+len(fz.inEdge))*4 +
 		int64(len(fz.edges))*edgeSize
 }
+
+// edgeSize is the bytes of one Edge in the slab: its Counters.
+const edgeSize = 24

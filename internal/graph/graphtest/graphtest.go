@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"slices"
 	"time"
 
 	"cloudgraph/internal/flowlog"
@@ -37,9 +36,8 @@ func NewModel(f graph.Facet) *Model {
 }
 
 // Add accumulates c onto the directed edge src->dst, creating the nodes
-// and the edge as needed, and merges series (sorted by start) into the
-// edge's: samples sharing a start sum, the rest interleave in start order.
-func (m *Model) Add(src, dst graph.Node, c graph.Counters, series ...graph.Sample) {
+// and the edge as needed.
+func (m *Model) Add(src, dst graph.Node, c graph.Counters) {
 	m.Vertex(src)
 	m.Vertex(dst)
 	row := m.Out[src]
@@ -53,21 +51,6 @@ func (m *Model) Add(src, dst graph.Node, c graph.Counters, series ...graph.Sampl
 		row[dst] = e
 	}
 	e.Counters.Add(c)
-	var merged []graph.Sample
-	a, b := e.Series, series
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0].Start.Before(b[0].Start):
-			merged, a = append(merged, a[0]), a[1:]
-		case b[0].Start.Before(a[0].Start):
-			merged, b = append(merged, b[0]), b[1:]
-		default:
-			s := a[0]
-			s.Counters.Add(b[0].Counters)
-			merged, a, b = append(merged, s), a[1:], b[1:]
-		}
-	}
-	e.Series = append(append(merged, a...), b...)
 }
 
 // Vertex adds n, which may stay isolated.
@@ -81,7 +64,7 @@ func (m *Model) Merge(o *Model) {
 	}
 	for src, row := range o.Out {
 		for dst, e := range row {
-			m.Add(src, dst, e.Counters, e.Series...)
+			m.Add(src, dst, e.Counters)
 		}
 	}
 	if m.Start.IsZero() || (!o.Start.IsZero() && o.Start.Before(m.Start)) {
@@ -93,7 +76,7 @@ func (m *Model) Merge(o *Model) {
 }
 
 // Graph assembles the model's tuples, in map order, through
-// graph.FromIndex. The graph owns copies of the series.
+// graph.FromIndex.
 func (m *Model) Graph() *graph.Graph {
 	nodes := make([]graph.Node, 0, len(m.Nodes))
 	id := make(map[graph.Node]uint64, len(m.Nodes))
@@ -106,7 +89,7 @@ func (m *Model) Graph() *graph.Graph {
 	for src, row := range m.Out {
 		for dst, e := range row {
 			keys = append(keys, id[src]<<32|id[dst])
-			edges = append(edges, graph.Edge{Counters: e.Counters, Series: slices.Clone(e.Series)})
+			edges = append(edges, *e)
 		}
 	}
 	g, ok := graph.FromIndex(m.Facet, nodes, keys, edges)
@@ -122,7 +105,7 @@ func Of(g *graph.Graph) *Model {
 	m := NewModel(g.Facet)
 	m.Start, m.End = g.Start, g.End
 	g.EachNode(m.Vertex)
-	g.EachOut(func(src, dst graph.Node, e *graph.Edge) { m.Add(src, dst, e.Counters, e.Series...) })
+	g.EachOut(func(src, dst graph.Node, e *graph.Edge) { m.Add(src, dst, e.Counters) })
 	return m
 }
 
@@ -171,7 +154,7 @@ func Reverse(r flowlog.Record) flowlog.Record {
 }
 
 // Check reports how g differs from the model — facet, window, node set,
-// pair count, or a directed edge's counters or series — or nil if it
+// pair count, or a directed edge's counters — or nil if it
 // holds the same graph.
 func (m *Model) Check(g *graph.Graph) error {
 	if g.Facet != m.Facet || !g.Start.Equal(m.Start) || !g.End.Equal(m.End) {
@@ -196,7 +179,7 @@ func (m *Model) Check(g *graph.Graph) error {
 				pairs[[2]graph.Node{a, b}] = true
 			}
 			ge := g.OutEdge(src, dst)
-			if ge == nil || ge.Counters != e.Counters || !sameSeries(ge.Series, e.Series) {
+			if ge == nil || *ge != *e {
 				return fmt.Errorf("edge %v->%v: graph %+v, model %+v", src, dst, ge, e)
 			}
 		}
@@ -206,10 +189,6 @@ func (m *Model) Check(g *graph.Graph) error {
 			g.NumDirectedEdges(), g.NumEdges(), directed, len(pairs))
 	}
 	return nil
-}
-
-func sameSeries(a, b []graph.Sample) bool {
-	return slices.EqualFunc(a, b, func(x, y graph.Sample) bool { return x.Start.Equal(y.Start) && x.Counters == y.Counters })
 }
 
 // Case is one generated graph: the model it was built in and the graph

@@ -2,13 +2,12 @@ package graph
 
 import "slices"
 
-// Merge folds other's nodes, edges and series into g. Counters accumulate;
-// series samples covering the same interval start are summed, the rest are
-// interleaved in start order. Both graphs must share a facet; the window
-// expands to cover both. Merge is how parallel partial aggregations
-// (the engine's cross-shard fold, roll-up buckets) combine into one graph:
-// a merge-join of the two CSR forms into a new one. other is only read, and
-// g never aliases its arrays or series.
+// Merge folds other's nodes and edges into g; the counters of an edge in
+// both accumulate. Both graphs must share a facet; the window expands to
+// cover both. Merge is how parallel partial aggregations (the engine's
+// cross-shard fold, roll-up buckets) combine into one graph: a merge-join
+// of the two CSR forms into a new one. other is only read, and
+// g never aliases its arrays.
 func (g *Graph) Merge(other *Graph) {
 	g.fz = mergeFrozen(g.fz, other.fz)
 	g.edges = g.fz.pairs()
@@ -95,50 +94,13 @@ func mergeFrozen(a, b *frozen) *frozen {
 		case kb < 0:
 			out.edges[k] = a.edges[ka]
 		case ka < 0:
-			out.edges[k] = Edge{Counters: b.edges[kb].Counters, Series: mergeSamples(nil, b.edges[kb].Series)}
+			out.edges[k] = b.edges[kb]
 		default:
 			e := a.edges[ka]
 			e.Counters.Add(b.edges[kb].Counters)
-			if len(b.edges[kb].Series) > 0 {
-				e.Series = mergeSamples(e.Series, b.edges[kb].Series)
-			}
 			out.edges[k] = e
 		}
 	}
 	out.mirror()
-	return out
-}
-
-// mergeSamples merges two per-edge series sorted by interval start into one.
-// Samples whose Start buckets collide are summed, not duplicated: sharded
-// partials of the same window both carry the same directed edge's interval,
-// and concatenating them would double the sample count while Diff against a
-// serial build stays empty only if the buckets fold. Both inputs must be
-// sorted ascending by Start (the builder emits them that way); the result is
-// too.
-func mergeSamples(a, b []Sample) []Sample {
-	if len(a) == 0 {
-		return append([]Sample(nil), b...)
-	}
-	out := make([]Sample, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Start.Before(b[j].Start):
-			out = append(out, a[i])
-			i++
-		case b[j].Start.Before(a[i].Start):
-			out = append(out, b[j])
-			j++
-		default:
-			s := a[i]
-			s.Counters.Add(b[j].Counters)
-			out = append(out, s)
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
 	return out
 }

@@ -1,9 +1,9 @@
 // Package graph implements the paper's central data structure: complete,
 // dynamic, multi-faceted communication graphs built from connection-summary
 // telemetry. Nodes can be IP addresses, {IP, port} tuples, or services
-// (§1, "Multi-faceted"); edges carry byte, packet and connection counters
-// plus an optional per-interval time series, so one graph embeds the
-// dynamics of the communication it summarizes.
+// (§1, "Multi-faceted"); edges carry byte, packet and connection counters.
+// A window's dynamics over time live in the sequence of its graphs (the
+// timeline and history store), not inside any one edge.
 package graph
 
 import (

@@ -16,8 +16,7 @@ func RollupStart(start time.Time, size time.Duration) time.Time {
 //
 // Every member merge-joins into the bucket in CSR, so sealing it is handing
 // it over. acc must be nil or what the previous call returned. It owns
-// every array and series it holds — it never aliases a member, which is
-// only read.
+// every array it holds — it never aliases a member, which is only read.
 func FoldRollup(acc, g *Graph, size time.Duration) *Graph {
 	if acc == nil {
 		acc = New(g.Facet)

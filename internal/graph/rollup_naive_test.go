@@ -3,7 +3,6 @@ package graph_test
 import (
 	"fmt"
 	"maps"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -48,25 +47,16 @@ func buckets(members []*graph.Graph, size time.Duration) [][2]int {
 // memberState is what folding must leave unchanged in a member.
 type memberState struct {
 	bytes  []byte
-	series map[[2]graph.Node][]graph.Sample
 	traces []trace.Context
 }
 
 func stateOf(g *graph.Graph) memberState {
-	st := memberState{
-		bytes:  store.EncodeGraph(g),
-		series: make(map[[2]graph.Node][]graph.Sample),
-		traces: slices.Clone(g.Traces),
-	}
-	g.EachOut(func(src, dst graph.Node, e *graph.Edge) {
-		st.series[[2]graph.Node{src, dst}] = slices.Clone(e.Series)
-	})
-	return st
+	return memberState{bytes: store.EncodeGraph(g), traces: slices.Clone(g.Traces)}
 }
 
 // backing returns the first element's address of every non-empty array a
-// graph holds — its CSR arrays and every edge's series — so two graphs
-// share storage iff their sets intersect.
+// graph holds — its CSR arrays and traces — so two graphs share storage
+// iff their sets intersect.
 func backing(g *graph.Graph) map[any]bool {
 	out := make(map[any]bool)
 	nodes, rowOff, cols, edges := g.CSR()
@@ -75,11 +65,6 @@ func backing(g *graph.Graph) map[any]bool {
 			out[p] = true
 		}
 	}
-	g.EachOut(func(_, _ graph.Node, e *graph.Edge) {
-		if p := first(e.Series); p != nil {
-			out[p] = true
-		}
-	})
 	if p := first(g.Traces); p != nil {
 		out[p] = true
 	}
@@ -93,48 +78,19 @@ func first[T any](s []T) any {
 	return &s[:1][0]
 }
 
-// withSeries gives every directed edge of a model a short series whose
-// starts come from a handful of minutes, so the same edge in two members
-// has colliding sample starts; a few series repeat a start.
-func withSeries(m *graphtest.Model, rng *rand.Rand, t0 time.Time) {
-	nodes := sortedNodes(m)
-	for _, n := range nodes {
-		for _, o := range nodes {
-			e := m.Out[n][o]
-			if e == nil {
-				continue
-			}
-			var series []graph.Sample
-			for min := 0; min < 4; min++ {
-				if rng.Intn(2) == 0 {
-					continue
-				}
-				s := graph.Sample{Start: t0.Add(time.Duration(min) * time.Minute), Counters: graph.Counters{Bytes: uint64(rng.Intn(50)), Packets: 1}}
-				series = append(series, s)
-				if rng.Intn(8) == 0 {
-					series = append(series, s)
-				}
-			}
-			e.Series = series
-		}
-	}
-}
-
 // rollupMembers returns graphtest's shapes over a few seeds as roll-up
-// members with series, traces and starts spread over three hour buckets
-// (several members share a start, and one runs past its bucket's end),
-// beside the models they were built from. form picks where the members
-// come from: "map" assembles them from their models, "frozen" decodes
-// them from their stored bytes, as compaction reads them (no series), and
-// "mixed" alternates, as in a bucket that spans a restart.
+// members with traces and starts spread over three hour buckets (several
+// members share a start, and one runs past its bucket's end), beside the
+// models they were built from. form picks where the members come from:
+// "map" assembles them from their models, "frozen" decodes them from their
+// stored bytes, as compaction reads them, and "mixed" alternates, as in a
+// bucket that spans a restart.
 func rollupMembers(t *testing.T, form string) ([]*graph.Graph, []*graphtest.Model) {
 	var gs []*graph.Graph
 	var ms []*graphtest.Model
 	for seed := int64(1); seed <= 3; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		for i, c := range graphtest.Cases(seed) {
 			m := c.M
-			withSeries(m, rng, naiveT0)
 			k := len(gs)
 			m.Start = naiveT0.Add(time.Duration(k/6)*time.Hour + time.Duration(k%3)*20*time.Minute)
 			m.End = m.Start.Add(time.Minute)
@@ -147,11 +103,6 @@ func rollupMembers(t *testing.T, form string) ([]*graph.Graph, []*graphtest.Mode
 				if g, err = store.DecodeGraph(store.EncodeGraph(g)); err != nil {
 					t.Fatal(err)
 				}
-				for _, row := range m.Out {
-					for _, e := range row {
-						e.Series = nil
-					}
-				}
 			}
 			g.Traces = make([]trace.Context, 1, 4)
 			g.Traces[0] = trace.Context{TraceID: uint64(k + 1), SpanID: 1}
@@ -163,7 +114,7 @@ func rollupMembers(t *testing.T, form string) ([]*graph.Graph, []*graphtest.Mode
 
 // minuteWindows builds a preset hour's records into one graph per minute,
 // in time order: the windows an engine would seal.
-func minuteWindows(recs []flowlog.Record, series bool) []*graph.Graph {
+func minuteWindows(recs []flowlog.Record) []*graph.Graph {
 	byMinute := make(map[int64][]flowlog.Record)
 	var minutes []int64
 	for _, r := range recs {
@@ -176,7 +127,7 @@ func minuteWindows(recs []flowlog.Record, series bool) []*graph.Graph {
 	slices.Sort(minutes)
 	var out []*graph.Graph
 	for _, k := range minutes {
-		g := graph.Build(byMinute[k], graph.BuilderOptions{KeepSeries: series})
+		g := graph.Build(byMinute[k], graph.BuilderOptions{})
 		g.Start = time.Unix(k, 0).UTC()
 		g.End = g.Start.Add(time.Minute)
 		out = append(out, g)
@@ -186,17 +137,16 @@ func minuteWindows(recs []flowlog.Record, series bool) []*graph.Graph {
 
 // TestFoldRollupMatchesNaive folds the same members with FoldRollup and
 // with the model reference — graphtest's shapes (self-loops, isolated
-// nodes, one-way and zero-byte edges) with colliding series starts,
-// assembled from their models, decoded from their stored bytes, or mixed,
-// and a k8spaas hour's minute windows with and without series — and
-// requires every sealed bucket to hold the model's nodes, counters, series
-// and window, and its members' traces in order. No intermediate
-// accumulator may share an array — CSR, series or traces — with any
-// member, and no member may change bytes, series or traces.
+// nodes, one-way and zero-byte edges), assembled from their models,
+// decoded from their stored bytes, or mixed, and a k8spaas hour's minute
+// windows — and requires every sealed bucket to hold the model's nodes,
+// counters and window, and its members' traces in order. No intermediate
+// accumulator may share an array — CSR or traces — with any member, and
+// no member may change bytes or traces.
 func TestFoldRollupMatchesNaive(t *testing.T) {
 	k8s := presetHour(t, "k8spaas", 0.02)
-	windows := func(series bool) ([]*graph.Graph, []*graphtest.Model) {
-		gs := minuteWindows(k8s, series)
+	windows := func() ([]*graph.Graph, []*graphtest.Model) {
+		gs := minuteWindows(k8s)
 		ms := make([]*graphtest.Model, len(gs))
 		for i, g := range gs {
 			ms[i] = graphtest.Of(g)
@@ -204,11 +154,10 @@ func TestFoldRollupMatchesNaive(t *testing.T) {
 		return gs, ms
 	}
 	inputs := map[string]func() ([]*graph.Graph, []*graphtest.Model){
-		"shapes/map":     func() ([]*graph.Graph, []*graphtest.Model) { return rollupMembers(t, "map") },
-		"shapes/frozen":  func() ([]*graph.Graph, []*graphtest.Model) { return rollupMembers(t, "frozen") },
-		"shapes/mixed":   func() ([]*graph.Graph, []*graphtest.Model) { return rollupMembers(t, "mixed") },
-		"k8spaas":        func() ([]*graph.Graph, []*graphtest.Model) { return windows(false) },
-		"k8spaas/series": func() ([]*graph.Graph, []*graphtest.Model) { return windows(true) },
+		"shapes/map":    func() ([]*graph.Graph, []*graphtest.Model) { return rollupMembers(t, "map") },
+		"shapes/frozen": func() ([]*graph.Graph, []*graphtest.Model) { return rollupMembers(t, "frozen") },
+		"shapes/mixed":  func() ([]*graph.Graph, []*graphtest.Model) { return rollupMembers(t, "mixed") },
+		"k8spaas":       windows,
 	}
 	for name, members := range inputs {
 		for _, size := range []time.Duration{time.Hour, 10 * time.Minute} {

@@ -7,6 +7,7 @@ import (
 	"cloudgraph/internal/cluster"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
+	"cloudgraph/internal/graph/graphtest"
 )
 
 // diffEmpty reports whether d records no structural or traffic change.
@@ -52,7 +53,7 @@ func usvcHour(t *testing.T) []flowlog.Record {
 // lossless re-aggregations, not approximations.
 func TestRollupEqualsDirectBuild(t *testing.T) {
 	recs := usvcHour(t)
-	windows := minuteWindows(recs, false)
+	windows := minuteWindows(recs)
 	if len(windows) < 2 {
 		t.Fatalf("replay spans %d minute windows; property needs several", len(windows))
 	}
@@ -73,9 +74,7 @@ func TestRollupEqualsDirectBuild(t *testing.T) {
 // TestRollupOverlappingWindowsEqualsDirectBuild extends the roll-up
 // property to overlapping-interval inputs: two window graphs spanning the
 // same hour (the shape sharded ingest partials take) must fold into a
-// roll-up identical to the direct build — including per-edge time series,
-// where samples whose interval starts collide must sum rather than
-// duplicate.
+// roll-up identical to the direct build, its colliding edges summed.
 func TestRollupOverlappingWindowsEqualsDirectBuild(t *testing.T) {
 	recs := usvcHour(t)
 	// Split the stream by flow key into two halves covering the same
@@ -89,8 +88,8 @@ func TestRollupOverlappingWindowsEqualsDirectBuild(t *testing.T) {
 			b = append(b, r)
 		}
 	}
-	ga := graph.Build(a, graph.BuilderOptions{KeepSeries: true})
-	gb := graph.Build(b, graph.BuilderOptions{KeepSeries: true})
+	ga := graph.Build(a, graph.BuilderOptions{})
+	gb := graph.Build(b, graph.BuilderOptions{})
 
 	rollups := fold([]*graph.Graph{ga, gb}, time.Hour)
 	if len(rollups) != 1 {
@@ -98,7 +97,7 @@ func TestRollupOverlappingWindowsEqualsDirectBuild(t *testing.T) {
 	}
 	roll := rollups[0]
 
-	direct := graph.Build(recs, graph.BuilderOptions{KeepSeries: true})
+	direct := graph.Build(recs, graph.BuilderOptions{})
 	if d := graph.Diff(direct, roll); !diffEmpty(d) {
 		t.Fatalf("rollup != direct build: +%d/-%d nodes, +%d/-%d pairs, drift %g",
 			len(d.AddedNodes), len(d.RemovedNodes), len(d.AddedPairs), len(d.RemovedPairs), d.ByteChange)
@@ -106,23 +105,10 @@ func TestRollupOverlappingWindowsEqualsDirectBuild(t *testing.T) {
 	if d := graph.Diff(roll, direct); !diffEmpty(d) {
 		t.Fatal("rollup != direct build in reverse direction")
 	}
-	// The series must fold, not concatenate: every directed edge of the
-	// roll-up carries exactly the direct build's samples.
-	bad := 0
-	direct.EachOut(func(src, dst graph.Node, e *graph.Edge) {
-		re := roll.OutEdge(src, dst)
-		if re == nil || len(re.Series) != len(e.Series) {
-			bad++
-			return
-		}
-		for i := range e.Series {
-			if re.Series[i] != e.Series[i] {
-				bad++
-				return
-			}
-		}
-	})
-	if bad > 0 {
-		t.Fatalf("%d edges have duplicated or drifted series after overlapping merge", bad)
+	// Every directed edge the two partials share must sum, not repeat.
+	want := graphtest.Of(direct)
+	want.Start, want.End = roll.Start, roll.End
+	if err := want.Check(roll); err != nil {
+		t.Fatalf("rollup != direct build: %v", err)
 	}
 }

@@ -17,7 +17,6 @@ type cogsMeter struct {
 	records    atomic.Int64
 	ingestNS   atomic.Int64
 	analysisNS atomic.Int64
-	graphBytes atomic.Int64 // latest sealed window's in-memory size
 }
 
 func (c *cogsMeter) addBatch(n int) {
@@ -43,7 +42,8 @@ type Cost struct {
 	// protocol overhead, not tenant payload).
 	Records   int64 `json:"records"`
 	WireBytes int64 `json:"wire_bytes"`
-	// GraphBytes is the latest sealed window's in-memory graph size.
+	// GraphBytes is the in-memory size of the latest window graph in the
+	// tenant's timeline: 0 before the first.
 	GraphBytes int64 `json:"graph_bytes"`
 	// IngestSeconds and AnalysisSeconds split scheduled compute between
 	// the merge path and the analysis plane.
@@ -72,8 +72,8 @@ func (r *Realm) instrument(reg *telemetry.Registry) {
 		"wire bytes of records ingested into the tenant's realm",
 		func() float64 { return float64(c.records.Load() * flowlog.WireSize) }, label)
 	reg.GaugeFunc("cloudgraph_tenant_graph_bytes",
-		"in-memory size of the tenant's latest sealed window graph",
-		func() float64 { return float64(c.graphBytes.Load()) }, label)
+		"in-memory size of the latest window graph in the tenant's timeline",
+		func() float64 { return float64(r.graphBytes()) }, label)
 	reg.GaugeFunc("cloudgraph_tenant_ingest_seconds_total",
 		"scheduled merge-path compute spent on the tenant",
 		func() float64 { return time.Duration(c.ingestNS.Load()).Seconds() }, label)

@@ -20,7 +20,6 @@ import (
 func TestNoisyNeighborQoS(t *testing.T) {
 	m, err := NewManager(Config{
 		Engine:    core.Config{Window: time.Minute, Shards: 2},
-		Live:      true,
 		Retention: 64,
 		// A generous target by interactive standards, brutal while a
 		// flood owns the pool: each small window must go seal-to-analyzed

@@ -43,8 +43,6 @@ type Config struct {
 	// identically (identical configs are what make the isolation
 	// equivalence well-defined).
 	Engine core.Config
-	// Live runs the per-tenant analysis plane (timeline + runners).
-	Live bool
 	// Retention bounds the windows each tenant plane retains in memory:
 	// its timeline and per-runner results (runner.Config.History).
 	Retention int
@@ -233,16 +231,13 @@ func (m *Manager) create(name string) (*Realm, error) {
 	ecfg.Consumers = nil
 	ecfg.StartEpoch = 0
 
-	var consumers []core.ConsumerSpec
-	if m.cfg.Live {
-		r.plane = runner.New(runner.Config{
-			History:    m.cfg.Retention,
-			Telemetry:  m.cfg.Telemetry,
-			Trace:      m.cfg.Trace,
-			Watermarks: r.wm,
-		})
-		consumers = r.plane.Consumers()
-	}
+	r.plane = runner.New(runner.Config{
+		History:    m.cfg.Retention,
+		Telemetry:  m.cfg.Telemetry,
+		Trace:      m.cfg.Trace,
+		Watermarks: r.wm,
+	})
+	consumers := r.plane.Consumers()
 
 	if m.cfg.DataDir != "" {
 		hs, err := histstore.Open(filepath.Join(m.cfg.DataDir, name), m.cfg.Hist)
@@ -252,18 +247,16 @@ func (m *Manager) create(name string) (*Realm, error) {
 		r.hist = hs
 		hs.Trace(m.cfg.Trace)
 		hs.Instrument(m.cfg.Telemetry, telemetry.Label{Key: "tenant", Value: name})
-		if r.plane != nil {
-			if err := hs.Replay(func(ep uint64, g *graph.Graph) error {
-				r.plane.Restore(ep, g)
-				r.recovered++
-				return nil
-			}); err != nil {
-				//lint:allow errdrop best-effort teardown; the replay error is the one the caller needs
-				hs.Close()
-				return nil, fmt.Errorf("tenant history replay: %w", err)
-			}
-			r.plane.SetHistory(hs, nil)
+		if err := hs.Replay(func(ep uint64, g *graph.Graph) error {
+			r.plane.Restore(ep, g)
+			r.recovered++
+			return nil
+		}); err != nil {
+			//lint:allow errdrop best-effort teardown; the replay error is the one the caller needs
+			hs.Close()
+			return nil, fmt.Errorf("tenant history replay: %w", err)
 		}
+		r.plane.SetHistory(hs, nil)
 		ecfg.StartEpoch = hs.LastEpoch()
 		wmDurable := r.wm.Stage("durable", true)
 		r.wm.Resume(ecfg.StartEpoch)
@@ -299,13 +292,6 @@ func (m *Manager) create(name string) (*Realm, error) {
 			})
 		}
 	}
-	// The COGS seal probe rides the bus unscheduled: one atomic store.
-	consumers = append(consumers, core.ConsumerSpec{
-		Name: "cogs",
-		Fn: func(epoch uint64, g *graph.Graph) {
-			r.cogs.graphBytes.Store(int64(g.MemBytes()))
-		},
-	})
 	ecfg.Consumers = consumers
 	r.engine = core.NewEngine(ecfg)
 	r.instrument(m.cfg.Telemetry)
@@ -371,7 +357,7 @@ func (r *Realm) Name() string { return r.name }
 // Engine exposes the tenant's engine.
 func (r *Realm) Engine() *core.Engine { return r.engine }
 
-// Plane exposes the tenant's analysis plane (nil when Live is off).
+// Plane exposes the tenant's analysis plane.
 func (r *Realm) Plane() *runner.Plane { return r.plane }
 
 // Hist exposes the tenant's durable history store (nil without DataDir).
@@ -410,13 +396,22 @@ func (r *Realm) diskBytes() int64 {
 	return r.hist.Stats().Bytes
 }
 
+// graphBytes is the in-memory size of the latest window graph in the
+// tenant's timeline (0 before the first).
+func (r *Realm) graphBytes() int64 {
+	if g := r.plane.Timeline().Latest(); g != nil {
+		return g.MemBytes()
+	}
+	return 0
+}
+
 // Cost snapshots the tenant's COGS meter.
 func (r *Realm) Cost() Cost {
 	c := Cost{
 		Tenant:          r.name,
 		Weight:          r.m.weight(r.name),
 		Records:         r.cogs.records.Load(),
-		GraphBytes:      r.cogs.graphBytes.Load(),
+		GraphBytes:      r.graphBytes(),
 		IngestSeconds:   time.Duration(r.cogs.ingestNS.Load()).Seconds(),
 		AnalysisSeconds: time.Duration(r.cogs.analysisNS.Load()).Seconds(),
 		DiskBytes:       r.diskBytes(),

@@ -125,6 +125,36 @@ func TestRealmIngestIsolation(t *testing.T) {
 	}
 }
 
+// TestCostGraphBytesIsLatestWindow: a tenant's COGS graph bytes are the
+// in-memory size of the latest window its plane holds — 0 before the
+// first window seals, that window's MemBytes once Flush has drained it
+// into the plane.
+func TestCostGraphBytesIsLatestWindow(t *testing.T) {
+	m, err := NewManager(Config{Engine: core.Config{Window: time.Minute}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	r := m.Default()
+	t0 := time.Unix(1700000000, 0)
+	var recs []flowlog.Record
+	for i := 0; i < 40; i++ {
+		recs = append(recs, testRecord(i, t0.Add(time.Duration(i)*time.Second)))
+	}
+	r.IngestTraced(recs, nil)
+	if got := r.Cost().GraphBytes; got != 0 {
+		t.Fatalf("graph bytes = %d with no window sealed, want 0", got)
+	}
+	r.Engine().Flush()
+	latest := r.Plane().Timeline().Latest()
+	if latest == nil {
+		t.Fatal("Flush left the plane without a window")
+	}
+	if got, want := r.Cost().GraphBytes, latest.MemBytes(); got != want || got == 0 {
+		t.Fatalf("graph bytes = %d, want the latest window's %d", got, want)
+	}
+}
+
 // TestManagerRecoversTenantDirs: a manager over a data dir containing
 // tenant partitions re-admits each tenant and resumes its epochs, and each
 // tenant's history metrics, recovery replay included, reach the registry
@@ -133,7 +163,6 @@ func TestManagerRecoversTenantDirs(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Engine:  core.Config{Window: time.Minute},
-		Live:    true,
 		DataDir: dir,
 		Hist:    histstore.Options{NoSync: true},
 	}
@@ -202,14 +231,13 @@ func TestManagerRecoversTenantDirs(t *testing.T) {
 }
 
 // TestTenantGoroutines pins what admitting a tenant costs in goroutines
-// with Live, DataDir and CompactEvery: one per bus consumer ("analysis",
-// "history", "cogs") plus the history compactor, and Manager.Close returns
-// every one of them.
+// with DataDir and CompactEvery: three — the "analysis" and "history" bus
+// consumers and the history compactor — and Manager.Close returns every
+// one of them.
 func TestTenantGoroutines(t *testing.T) {
 	start := runtime.NumGoroutine()
 	m, err := NewManager(Config{
 		Engine:       core.Config{Window: time.Minute},
-		Live:         true,
 		DataDir:      t.TempDir(),
 		Hist:         histstore.Options{NoSync: true},
 		CompactEvery: time.Hour,
@@ -222,10 +250,10 @@ func TestTenantGoroutines(t *testing.T) {
 		m.Close()
 		t.Fatal(err)
 	}
-	if added := runtime.NumGoroutine() - before; added != 4 {
+	if added := runtime.NumGoroutine() - before; added != 3 {
 		buf := make([]byte, 1<<20)
 		m.Close()
-		t.Fatalf("admitting a tenant started %d goroutines, want 4\n%s", added, buf[:runtime.Stack(buf, true)])
+		t.Fatalf("admitting a tenant started %d goroutines, want 3\n%s", added, buf[:runtime.Stack(buf, true)])
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ func (p *Plane) Runners() []string {
 
 // Consumers returns the bus subscription that puts this plane online: one
 // "analysis" consumer running Restore on every window. Pass it to
-// core.Config.Consumers (or Engine.Subscribe). The whole plane is one
+// core.Config.Consumers. The whole plane is one
 // lane, so a slow analysis degrades the plane as a whole under the bus's
 // drop-oldest policy, never the merge path or other consumers.
 func (p *Plane) Consumers() []core.ConsumerSpec {

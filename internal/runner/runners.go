@@ -11,7 +11,7 @@ import (
 )
 
 // DefaultRunners returns the paper's §2 analyses with default tuning —
-// what cloudgraphd puts online when -live is set. All four read each
+// what cloudgraphd puts online for every tenant. All four read each
 // window's undirected view, so they share one viewMemo: each window's view
 // is built once. The segment and policy runners segment every window the
 // same way, so they also share one segMemo: each window is segmented once,

@@ -15,8 +15,8 @@
 // one segment may hold both. It accepts the orders older v1 encoders
 // wrote — map-form edges in random order, and zoned IPv6 nodes written
 // without their zone, which decode merged — and re-encoding a v1 body as
-// v2 reaches a fixed point in one step. Edge time series are not
-// persisted — the per-window graphs ARE the retained time series at window
+// v2 reaches a fixed point in one step. An edge is its counters; the
+// sequence of per-window graphs is the retained time series, at window
 // granularity.
 package store
 
