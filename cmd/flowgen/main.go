@@ -26,6 +26,7 @@ import (
 	"log"
 	"net/netip"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,62 +36,96 @@ import (
 	"cloudgraph/internal/nicsim"
 )
 
+// options are flowgen's flags.
+type options struct {
+	dataset  string
+	scale    float64
+	hours    int
+	out      string
+	format   string
+	provider string
+	attack   string
+	start    int64
+	seed     int64
+	tenants  int
+	skew     string
+}
+
+// attacks are the scenario names -attack accepts (addAttack wires them).
+var attacks = []string{"scan", "lateral", "exfil", "beacon"}
+
+// check rejects flag values that would only fail once a cluster has been
+// built and simulated, or that would quietly write nothing.
+func (o *options) check() error {
+	if o.format != "binary" && o.format != "csv" {
+		return fmt.Errorf("unknown format %q (binary or csv)", o.format)
+	}
+	if o.hours < 1 {
+		return fmt.Errorf("-hours %d: need at least one hour", o.hours)
+	}
+	if o.skew != "zipf" && o.skew != "uniform" {
+		return fmt.Errorf("unknown tenant skew %q (zipf or uniform)", o.skew)
+	}
+	if _, err := providerProfile(o.provider); err != nil {
+		return err
+	}
+	if o.attack != "" && !slices.Contains(attacks, o.attack) {
+		return fmt.Errorf("unknown attack %q (%s)", o.attack, strings.Join(attacks, ", "))
+	}
+	if o.tenants > 1 && o.format != "binary" {
+		return fmt.Errorf("-tenants needs binary output (tagged frames), not %q", o.format)
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("flowgen: ")
-	var (
-		dataset  = flag.String("dataset", "microservicebench", "dataset preset: portal, microservicebench, k8spaas, kquery")
-		scale    = flag.Float64("scale", 0.25, "dataset scale in (0, 1]")
-		hours    = flag.Int("hours", 1, "hours of telemetry to generate")
-		out      = flag.String("out", "-", "output file (- for stdout)")
-		format   = flag.String("format", "binary", "output format: binary or csv")
-		provider = flag.String("provider", "", "apply a provider sampling profile: azure, aws or gcp")
-		attack   = flag.String("attack", "", "inject an attack in the final hour: scan, lateral, exfil or beacon")
-		start    = flag.Int64("start", 1700000000, "unix start time (seconds)")
-		seed     = flag.Int64("seed", 0, "override the preset's deterministic seed")
-		tenants  = flag.Int("tenants", 1, "simulate this many tenant subscriptions and interleave them into a tagged-frame capture (1 = untagged single-tenant output)")
-		skew     = flag.String("tenant-skew", "zipf", "multi-tenant volume skew: zipf (tenant i carries 1/(i+1) of its records) or uniform")
-	)
+	var o options
+	flag.StringVar(&o.dataset, "dataset", "microservicebench", "dataset preset: portal, microservicebench, k8spaas, kquery")
+	flag.Float64Var(&o.scale, "scale", 0.25, "dataset scale in (0, 1]")
+	flag.IntVar(&o.hours, "hours", 1, "hours of telemetry to generate")
+	flag.StringVar(&o.out, "out", "-", "output file (- for stdout)")
+	flag.StringVar(&o.format, "format", "binary", "output format: binary or csv")
+	flag.StringVar(&o.provider, "provider", "", "apply a provider sampling profile: azure, aws or gcp")
+	flag.StringVar(&o.attack, "attack", "", "inject an attack in the final hour: scan, lateral, exfil or beacon")
+	flag.Int64Var(&o.start, "start", 1700000000, "unix start time (seconds)")
+	flag.Int64Var(&o.seed, "seed", 0, "override the preset's deterministic seed")
+	flag.IntVar(&o.tenants, "tenants", 1, "simulate this many tenant subscriptions and interleave them into a tagged-frame capture (1 = untagged single-tenant output)")
+	flag.StringVar(&o.skew, "tenant-skew", "zipf", "multi-tenant volume skew: zipf (tenant i carries 1/(i+1) of its records) or uniform")
 	flag.Parse()
+	if err := o.check(); err != nil {
+		log.Fatal(err)
+	}
 
-	spec, err := cluster.Preset(*dataset, *scale)
+	spec, err := cluster.Preset(o.dataset, o.scale)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *seed != 0 {
-		spec.Seed = *seed
+	if o.seed != 0 {
+		spec.Seed = o.seed
 	}
-	t0 := time.Unix(*start, 0).UTC().Truncate(time.Minute)
-	if *tenants > 1 {
-		genTenants(spec, t0, *tenants, *skew, *hours, *format, *out, *provider, *attack)
+	t0 := time.Unix(o.start, 0).UTC().Truncate(time.Minute)
+	if o.tenants > 1 {
+		genTenants(spec, t0, &o)
 		return
 	}
 	c, err := cluster.New(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *attack != "" {
-		if err := addAttack(c, *attack, t0.Add(time.Duration(*hours-1)*time.Hour)); err != nil {
+	if o.attack != "" {
+		if err := addAttack(c, o.attack, t0.Add(time.Duration(o.hours-1)*time.Hour)); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	var w *os.File
-	if *out == "-" {
-		w = os.Stdout
-	} else {
-		w, err = os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer w.Close()
-	}
+	w := create(o.out)
 	bw := bufio.NewWriterSize(w, 1<<20)
-	defer bw.Flush()
-
-	sampler := newSampler(*provider, spec.Seed)
+	sampler := newSampler(o.provider, spec.Seed)
 
 	written := 0
+	var frame []byte
 	emit := func(recs []flowlog.Record) error {
 		for _, r := range recs {
 			if sampler != nil {
@@ -99,18 +134,15 @@ func main() {
 					continue
 				}
 			}
-			switch *format {
-			case "binary":
-				frame := flowlog.AppendBinary(nil, r)
-				if _, err := bw.Write(frame); err != nil {
-					return err
-				}
-			case "csv":
-				if _, err := fmt.Fprintln(bw, r.MarshalCSV()); err != nil {
-					return err
-				}
-			default:
-				log.Fatalf("unknown format %q", *format)
+			var err error
+			if o.format == "binary" {
+				frame = flowlog.AppendBinary(frame[:0], r)
+				_, err = bw.Write(frame)
+			} else {
+				_, err = fmt.Fprintln(bw, r.MarshalCSV())
+			}
+			if err != nil {
+				return err
 			}
 			written++
 		}
@@ -118,46 +150,74 @@ func main() {
 	}
 
 	genStart := time.Now()
-	if _, err := c.Run(t0, *hours*60, nicsim.CollectorFunc(emit)); err != nil {
+	if _, err := c.Run(t0, o.hours*60, nicsim.CollectorFunc(emit)); err != nil {
 		log.Fatal(err)
 	}
+	finish(bw, w)
+	fmt.Fprintf(os.Stderr, "flowgen: %s scale=%.2f: %d records over %dh (%d monitored VMs) in %v\n",
+		spec.Name, o.scale, written, o.hours, c.MonitoredIPs(), time.Since(genStart).Round(time.Millisecond))
+}
+
+// create opens the output: stdout for "-", else a new file.
+func create(out string) *os.File {
+	if out == "-" {
+		return os.Stdout
+	}
+	w, err := os.Create(out)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return w
+}
+
+// finish flushes bw and closes w unless it is stdout, failing on either
+// error: a write the kernel defers can surface only at Close.
+func finish(bw *bufio.Writer, w *os.File) {
 	if err := bw.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "flowgen: %s scale=%.2f: %d records over %dh (%d monitored VMs) in %v\n",
-		spec.Name, *scale, written, *hours, c.MonitoredIPs(), time.Since(genStart).Round(time.Millisecond))
+	if w == os.Stdout {
+		return
+	}
+	if err := w.Close(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// providerProfile returns the named provider sampling profile, the zero
+// Provider for "" (no sampling).
+func providerProfile(provider string) (flowlog.Provider, error) {
+	switch strings.ToLower(provider) {
+	case "":
+		return flowlog.Provider{}, nil
+	case "azure":
+		return flowlog.Azure, nil
+	case "aws":
+		return flowlog.AWS, nil
+	case "gcp":
+		return flowlog.GCP, nil
+	}
+	return flowlog.Provider{}, fmt.Errorf("unknown provider %q (azure, aws or gcp)", provider)
 }
 
 // newSampler builds the named provider sampling profile, nil for none.
+// The name has passed options.check.
 func newSampler(provider string, seed int64) *flowlog.Sampler {
-	switch strings.ToLower(provider) {
-	case "":
+	if provider == "" {
 		return nil
-	case "azure":
-		return flowlog.NewSampler(flowlog.Azure, uint64(seed))
-	case "aws":
-		return flowlog.NewSampler(flowlog.AWS, uint64(seed))
-	case "gcp":
-		return flowlog.NewSampler(flowlog.GCP, uint64(seed))
 	}
-	log.Fatalf("unknown provider %q", provider)
-	return nil
+	p, _ := providerProfile(provider)
+	return flowlog.NewSampler(p, uint64(seed))
 }
 
-// genTenants simulates n independent tenant subscriptions — one
+// genTenants simulates o.tenants independent tenant subscriptions — one
 // deterministic cluster each, seeded preset.Seed+i — and interleaves
 // their records chronologically into one tagged-frame capture.
-func genTenants(spec cluster.Spec, t0 time.Time, n int, skew string, hours int, format, out, provider, attack string) {
-	if format != "binary" {
-		log.Fatalf("-tenants needs binary output (tagged frames), not %q", format)
-	}
+func genTenants(spec cluster.Spec, t0 time.Time, o *options) {
+	n, hours := o.tenants, o.hours
 	keepEvery := func(i int) int { return 1 }
-	switch skew {
-	case "uniform":
-	case "zipf":
+	if o.skew == "zipf" {
 		keepEvery = func(i int) int { return i + 1 }
-	default:
-		log.Fatalf("unknown tenant skew %q (zipf or uniform)", skew)
 	}
 	names := make([]string, n)
 	streams := make([][]flowlog.Record, n)
@@ -171,14 +231,14 @@ func genTenants(spec cluster.Spec, t0 time.Time, n int, skew string, hours int, 
 		if err != nil {
 			log.Fatal(err)
 		}
-		if attack != "" && i == 0 {
+		if o.attack != "" && i == 0 {
 			// The attack lands on the dominant tenant only: the breach
 			// one subscription suffers that its neighbors must not see.
-			if err := addAttack(c, attack, t0.Add(time.Duration(hours-1)*time.Hour)); err != nil {
+			if err := addAttack(c, o.attack, t0.Add(time.Duration(hours-1)*time.Hour)); err != nil {
 				log.Fatal(err)
 			}
 		}
-		sampler := newSampler(provider, s.Seed)
+		sampler := newSampler(o.provider, s.Seed)
 		keep := keepEvery(i)
 		seen := 0
 		collect := func(recs []flowlog.Record) error {
@@ -202,15 +262,7 @@ func genTenants(spec cluster.Spec, t0 time.Time, n int, skew string, hours int, 
 		total += len(streams[i])
 	}
 
-	w := os.Stdout
-	if out != "-" {
-		var err error
-		w, err = os.Create(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer w.Close()
-	}
+	w := create(o.out)
 	bw := bufio.NewWriterSize(w, 1<<20)
 
 	// K-way chronological merge: each stream is already time-ordered, so
@@ -238,11 +290,9 @@ func genTenants(spec cluster.Spec, t0 time.Time, n int, skew string, hours int, 
 		}
 		idx[best]++
 	}
-	if err := bw.Flush(); err != nil {
-		log.Fatal(err)
-	}
+	finish(bw, w)
 	fmt.Fprintf(os.Stderr, "flowgen: %s x%d tenants (%s skew): %d tagged records over %dh in %v\n",
-		spec.Name, n, skew, total, hours, time.Since(genStart).Round(time.Millisecond))
+		spec.Name, n, o.skew, total, hours, time.Since(genStart).Round(time.Millisecond))
 }
 
 // addAttack wires a named attack scenario starting at attackStart.

@@ -132,6 +132,8 @@ type link struct {
 	// persistentPort[i*len(dst)+j] caches the ephemeral port of the
 	// long-lived flow between src i and dst j (0 = not yet opened).
 	persistentPort []uint16
+	// fwd and rev draw the per-flow request and response sizes.
+	fwd, rev sizeDist
 }
 
 // Cluster is a runnable synthetic workload.
@@ -240,7 +242,7 @@ func New(spec Spec) (*Cluster, error) {
 		if !ok {
 			return nil, fmt.Errorf("link %d: unknown dst role %q", i, ls.Dst)
 		}
-		l := &link{LinkSpec: ls, src: src, dst: dst}
+		l := &link{LinkSpec: ls, src: src, dst: dst, fwd: newSizeDist(ls.FwdBytes), rev: newSizeDist(ls.RevBytes)}
 		l.peers = make([][]int, len(src.instances))
 		for s := range src.instances {
 			l.peers[s] = c.pickPeers(len(dst.instances), ls.Fanout)
@@ -279,6 +281,7 @@ func New(spec Spec) (*Cluster, error) {
 				RevBytes:    ms.RevBytes,
 			},
 			src: union, dst: union,
+			fwd: newSizeDist(ms.FwdBytes), rev: newSizeDist(ms.RevBytes),
 		}
 		l.peers = make([][]int, len(members))
 		for s := range members {
@@ -460,8 +463,8 @@ func (c *Cluster) tickLink(l *link, t time.Time) {
 			} else {
 				sport = src.ephemeral()
 			}
-			fwdBytes := c.lognormal(l.FwdBytes)
-			revBytes := c.lognormal(l.RevBytes)
+			fwdBytes := c.lognormal(l.fwd)
+			revBytes := c.lognormal(l.rev)
 			nicsim.ObservePair(src.vnic, dst.vnic,
 				netip.AddrPortFrom(src.addr, sport),
 				netip.AddrPortFrom(dst.addr, l.dst.Port),
@@ -496,15 +499,30 @@ func (c *Cluster) poisson(mean float64) int {
 	}
 }
 
-// lognormal samples a log-normal variate with the given mean (σ=0.5 in log
-// space), floored at 64 bytes.
-func (c *Cluster) lognormal(mean float64) uint64 {
+// sizeSigma is the log-space σ of the flow size distributions.
+const sizeSigma = 0.5
+
+// sizeDist is a log-normal flow size distribution with a given mean,
+// floored at 64 bytes; a non-positive mean always draws 0. Its log-space
+// location mu is computed once, when the link is built.
+type sizeDist struct {
+	mu   float64
+	zero bool
+}
+
+func newSizeDist(mean float64) sizeDist {
 	if mean <= 0 {
+		return sizeDist{zero: true}
+	}
+	return sizeDist{mu: math.Log(mean) - sizeSigma*sizeSigma/2}
+}
+
+// lognormal samples d; a zero distribution draws no random number.
+func (c *Cluster) lognormal(d sizeDist) uint64 {
+	if d.zero {
 		return 0
 	}
-	const sigma = 0.5
-	mu := math.Log(mean) - sigma*sigma/2
-	v := math.Exp(mu + sigma*c.rng.NormFloat64())
+	v := math.Exp(d.mu + sizeSigma*c.rng.NormFloat64())
 	if v < 64 {
 		v = 64
 	}

@@ -2,12 +2,12 @@ package graph
 
 import (
 	"encoding/binary"
-	"math/bits"
 	"math/rand/v2"
 	"net/netip"
 	"sort"
 	"time"
 
+	"cloudgraph/internal/denseindex"
 	"cloudgraph/internal/flowlog"
 )
 
@@ -74,7 +74,7 @@ type Builder struct {
 	seed [3]uint64
 
 	// The open interval: flows first seen in insertion order, obs parallel.
-	flows    denseIndex[flowKey]
+	flows    denseindex.Index[flowKey]
 	obs      []pairObs
 	curStart time.Time
 	// [curLo, curHi) is the open interval in Unix nanoseconds, empty when
@@ -85,13 +85,13 @@ type Builder struct {
 	// ignores it); epNode maps an endpoint's id to its node id, which
 	// differ only under FacetService, where byName folds the addresses of
 	// one service together. edgeIdx keys the edge slab by src<<32|dst.
-	eps     denseIndex[endpoint]
+	eps     denseindex.Index[endpoint]
 	epNode  []uint32
 	nodes   []Node
 	byName  map[string]uint32
 	zones   []string
 	zoneFam map[string]uint32
-	edgeIdx denseIndex[uint64]
+	edgeIdx denseindex.Index[uint64]
 	edges   []Edge
 
 	records            int
@@ -124,7 +124,7 @@ func (b *Builder) AddValid(rec *flowlog.Record) {
 		k.a, k.z = k.z, k.a
 		fwdPkts, fwdBytes, revPkts, revBytes = revPkts, revBytes, fwdPkts, fwdBytes
 	}
-	i, added := b.flows.findOrAdd(mix(b.hashEndpoint(k.a)^b.seed[2], b.hashEndpoint(k.z)|1), k)
+	i, added := b.flows.FindOrAdd(denseindex.Mix(b.hashEndpoint(k.a)^b.seed[2], b.hashEndpoint(k.z)|1), k)
 	if added {
 		b.obs = append(b.obs, pairObs{})
 	}
@@ -221,15 +221,8 @@ func (b *Builder) zone(fam uint32) string {
 	return b.zones[fam-famZone]
 }
 
-// mix folds two words through a 128-bit product; every input bit reaches
-// the high bits denseIndex reads.
-func mix(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	return hi ^ lo
-}
-
 func (b *Builder) hashEndpoint(e endpoint) uint64 {
-	return mix(e.hi^b.seed[0], e.lo^b.seed[1]) ^ mix(uint64(e.fam)<<16^uint64(e.port)^b.seed[1], b.seed[0]|1)
+	return denseindex.Mix(e.hi^b.seed[0], e.lo^b.seed[1]) ^ denseindex.Mix(uint64(e.fam)<<16^uint64(e.port)^b.seed[1], b.seed[0]|1)
 }
 
 // nodeIDs maps both endpoints of a flow to node ids under the facet.
@@ -253,7 +246,7 @@ func (b *Builder) nodeIDs(k flowKey) (a, z uint32) {
 // nodeID interns one endpoint, building its Node the first time the window
 // sees it.
 func (b *Builder) nodeID(e endpoint) uint32 {
-	i, added := b.eps.findOrAdd(b.hashEndpoint(e), e)
+	i, added := b.eps.FindOrAdd(b.hashEndpoint(e), e)
 	if !added {
 		return b.epNode[i]
 	}
@@ -284,7 +277,7 @@ func (b *Builder) nodeID(e endpoint) uint32 {
 
 // flush folds the open interval's deduplicated flows into the edge slab.
 func (b *Builder) flush() {
-	for i, k := range b.flows.keys {
+	for i, k := range b.flows.Keys() {
 		a, z := b.nodeIDs(k)
 		if a == z {
 			// Facet merged both endpoints (e.g. two ports of one IP in
@@ -298,14 +291,14 @@ func (b *Builder) flush() {
 			b.addDirected(z, a, Counters{Bytes: o.revBytes, Packets: o.revPkts})
 		}
 	}
-	b.flows.reset()
+	b.flows.Reset()
 	b.obs = b.obs[:0]
 }
 
 // addDirected accumulates one flow's contribution onto the edge src->dst.
 func (b *Builder) addDirected(src, dst uint32, c Counters) {
 	key := uint64(src)<<32 | uint64(dst)
-	i, added := b.edgeIdx.findOrAdd(mix(key^b.seed[0], b.seed[1]|1), key)
+	i, added := b.edgeIdx.FindOrAdd(denseindex.Mix(key^b.seed[0], b.seed[1]|1), key)
 	if added {
 		b.edges = append(b.edges, Edge{})
 	}
@@ -330,7 +323,7 @@ func (b *Builder) Finish() *Graph {
 // edge by Node.Less, renumber the edge keys by rank, and sort the slab into
 // (src, dst) order (sortEdges copies it, so the builder keeps its slab).
 func (b *Builder) seal() *frozen {
-	keys := b.edgeIdx.keys
+	keys := b.edgeIdx.Keys()
 	used := make([]bool, len(b.nodes))
 	for _, k := range keys {
 		used[k>>32], used[uint32(k)] = true, true
@@ -362,14 +355,14 @@ func (b *Builder) seal() *frozen {
 // every endpoint it ever saw.
 func (b *Builder) reset() {
 	b.curStart, b.curLo, b.curHi = time.Time{}, 0, 0
-	b.eps.reset()
+	b.eps.Reset()
 	b.epNode = b.epNode[:0]
 	clear(b.nodes) // drop service-name strings
 	b.nodes = b.nodes[:0]
 	clear(b.byName)
 	b.zones = b.zones[:0]
 	clear(b.zoneFam)
-	b.edgeIdx.reset()
+	b.edgeIdx.Reset()
 	b.edges = b.edges[:0]
 	b.records = 0
 }

@@ -84,6 +84,13 @@ func (h *Host) PlaceVM(addr netip.Addr) *VNIC {
 	return v
 }
 
+// vms returns how many VMs the host holds.
+func (h *Host) vms() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.vnics)
+}
+
 // Pull is the agent's periodic action: drain every VNIC for the interval
 // starting at intervalStart and forward the combined batch to the collector.
 // The batch holds the VNICs' records in VNIC address order and is sized
@@ -174,7 +181,7 @@ func (f *Fabric) AddVM(addr netip.Addr) {
 		return
 	}
 	var h *Host
-	if n := len(f.hosts); n > 0 && len(f.hosts[n-1].vnics) < f.perVM {
+	if n := len(f.hosts); n > 0 && f.hosts[n-1].vms() < f.perVM {
 		h = f.hosts[n-1]
 	} else {
 		h = NewHost(f.idleTO)

@@ -11,7 +11,6 @@
 package nicsim
 
 import (
-	"cmp"
 	"encoding/binary"
 	"net/netip"
 	"slices"
@@ -19,7 +18,9 @@ import (
 	"sync"
 	"time"
 
+	"cloudgraph/internal/denseindex"
 	"cloudgraph/internal/flowlog"
+	"cloudgraph/internal/radix"
 )
 
 // Address kinds of a flowKey. The words of an IPv4 address and of its
@@ -35,8 +36,8 @@ const (
 // flowKey identifies one direction-normalized flow on a VNIC: the local
 // endpoint is fixed (the VM the VNIC serves), so the key is the local port
 // plus the remote endpoint. It holds no pointer — the remote address is
-// its two words (flowlog.AddrWords) and a kind — so neither the table's
-// map nor its key slice is scanned by the garbage collector.
+// its two words (flowlog.AddrWords) and a kind — so the table's index is
+// not scanned by the garbage collector.
 type flowKey struct {
 	hi, lo     uint64
 	kind       uint32
@@ -59,6 +60,14 @@ type counters struct {
 	bytesSent, bytesRcvd uint64
 }
 
+// hashKey0 and hashKey1 key the flow hash: fixed odd constants, so the
+// simulation draws no randomness of its own. Nothing observable depends on
+// them: slots are ids in insertion order, and drains sort.
+const (
+	hashKey0 = 0x9e3779b97f4a7c15
+	hashKey1 = 0xbf58476d1ce4e5b9
+)
+
 // EntrySize is the modelled per-flow memory footprint in bytes: the key
 // (local port + remote IP:port) plus four counters and a timestamp. It is
 // the hardware table's footprint, used for the memory-proportionality
@@ -71,25 +80,28 @@ const EntrySize = 2 + 18 + 8*5
 // longer than the idle timeout are evicted at the next Drain (their final
 // counters are still reported).
 //
-// Every resident flow owns a dense slot: slot maps its key to the slot,
-// and keys and seen hold the slot's key and last-seen time. Only the flows
-// observed since the last drain have counters: live, in first-observation
-// order, with touched naming their slots. Drain therefore costs what this
-// interval's flows cost — it sorts and emits touched — plus a sequential
-// sweep of seen for idle slots.
+// Every resident flow owns a dense slot: flows indexes the keys, its id
+// for a key is the slot, and seen holds the slot's last-seen time. Only the
+// flows observed since the last drain have counters: live, in
+// first-observation order, with touched naming their slots. Drain
+// therefore costs what this interval's flows cost — it radix-sorts and
+// emits touched — plus a sequential sweep of seen for idle slots.
 type VNIC struct {
 	mu    sync.Mutex
 	local netip.Addr
 
-	slot    map[flowKey]int32
-	keys    []flowKey
+	flows   denseindex.Index[flowKey]
 	seen    []lastSeen
 	live    []counters
 	touched []int32
+	order   radix.Sorter[int32]
 
-	// zones interns the zone names of zoned IPv6 remotes (kindZoned+i).
-	zones  []string
-	zoneOf map[string]uint32
+	// zones interns the zone names of zoned IPv6 remotes (kindZoned+i);
+	// zoneRank[i] is 1 + zone i's rank among the names, for the drain
+	// order (kindV6, with no zone, ranks 0).
+	zones    []string
+	zoneOf   map[string]uint32
+	zoneRank []uint32
 
 	// IdleTimeout evicts flows not seen for this long at Drain time.
 	// Zero means never evict between drains (flows are always flushed
@@ -102,7 +114,6 @@ type VNIC struct {
 func NewVNIC(local netip.Addr, idleTimeout time.Duration) *VNIC {
 	return &VNIC{
 		local:       local,
-		slot:        make(map[flowKey]int32),
 		idleTimeout: idleTimeout,
 	}
 }
@@ -115,20 +126,21 @@ func (v *VNIC) Observe(localPort uint16, remote netip.AddrPort, pktsSent, pktsRc
 	addr := remote.Addr()
 	hi, lo := flowlog.AddrWords(addr)
 	k := flowKey{hi: hi, lo: lo, remotePort: remote.Port(), localPort: localPort}
+	// The hash leaves the kind out: the kinds that share address words
+	// (an IPv4 address and its 4-in-6 form, zones) only share a probe
+	// sequence.
+	h := denseindex.Mix(hi^hashKey0, lo^hashKey1) ^ denseindex.Mix(uint64(k.remotePort)<<16^uint64(localPort)^hashKey1, hashKey0)
 	sec, nsec := now.Unix(), int32(now.Nanosecond())
 	v.mu.Lock()
 	k.kind = v.kindOf(addr)
-	s, ok := v.slot[k]
-	if !ok {
-		s = int32(len(v.keys))
-		v.slot[k] = s
-		v.keys = append(v.keys, k)
+	s, added := v.flows.FindOrAdd(h, k)
+	if added {
 		v.seen = append(v.seen, lastSeen{})
 	}
 	st := &v.seen[s]
 	st.sec, st.nsec = sec, nsec
 	if st.live == 0 {
-		v.touched = append(v.touched, s)
+		v.touched = append(v.touched, int32(s))
 		v.live = append(v.live, counters{})
 		st.live = int32(len(v.live))
 	}
@@ -185,38 +197,42 @@ func (v *VNIC) remoteAddr(k *flowKey) netip.Addr {
 
 // family ranks a kind as netip.Addr.Compare ranks bit lengths: invalid,
 // then IPv4, then IPv6 (zoned or not).
-func family(kind uint32) uint32 { return min(kind, kindV6) }
+func family(kind uint32) uint64 { return uint64(min(kind, kindV6)) }
 
-// compareSlots orders two slots as Drain emits them: remote address (in
-// netip.Addr.Compare order), remote port, local port.
-func (v *VNIC) compareSlots(a, b int32) int {
-	ka, kb := &v.keys[a], &v.keys[b]
-	if c := cmp.Compare(family(ka.kind), family(kb.kind)); c != 0 {
-		return c
+// rankZones brings zoneRank up to date with zones. v.mu is held.
+func (v *VNIC) rankZones() {
+	if len(v.zoneRank) == len(v.zones) {
+		return
 	}
-	if c := cmp.Compare(ka.hi, kb.hi); c != 0 {
-		return c
+	byName := make([]uint32, len(v.zones))
+	for i := range byName {
+		byName[i] = uint32(i)
 	}
-	if c := cmp.Compare(ka.lo, kb.lo); c != 0 {
-		return c
+	slices.SortFunc(byName, func(a, b uint32) int { return strings.Compare(v.zones[a], v.zones[b]) })
+	v.zoneRank = make([]uint32, len(v.zones))
+	for r, i := range byName {
+		v.zoneRank[i] = uint32(r + 1)
 	}
-	if ka.kind != kb.kind { // two IPv6 remotes in different zones
-		if c := strings.Compare(v.zoneName(ka.kind), v.zoneName(kb.kind)); c != 0 {
-			return c
-		}
-	}
-	if c := cmp.Compare(ka.remotePort, kb.remotePort); c != 0 {
-		return c
-	}
-	return cmp.Compare(ka.localPort, kb.localPort)
 }
 
-// zoneName returns the zone of an IPv6 kind ("" for kindV6).
-func (v *VNIC) zoneName(kind uint32) string {
-	if kind < kindZoned {
-		return ""
-	}
-	return v.zones[kind-kindZoned]
+// sortTouched orders the touched slots as Drain emits them — remote
+// address in netip.Addr.Compare order (family, the address words, zone
+// name), then remote port, then local port — by stable radix passes from
+// the least significant key up. v.mu is held.
+func (v *VNIC) sortTouched() {
+	keys := v.flows.Keys()
+	v.rankZones()
+	v.order.Sort(v.touched, func(s int32) uint64 {
+		k := &keys[s]
+		var zone uint64
+		if k.kind >= kindZoned {
+			zone = uint64(v.zoneRank[k.kind-kindZoned])
+		}
+		return zone<<32 | uint64(k.remotePort)<<16 | uint64(k.localPort)
+	})
+	v.order.Sort(v.touched, func(s int32) uint64 { return keys[s].lo })
+	v.order.Sort(v.touched, func(s int32) uint64 { return keys[s].hi })
+	v.order.Sort(v.touched, func(s int32) uint64 { return family(keys[s].kind) })
 }
 
 // Drain emits one connection summary per active flow for the interval
@@ -242,7 +258,8 @@ func (v *VNIC) pending() int {
 func (v *VNIC) appendDrain(dst []flowlog.Record, intervalStart time.Time) []flowlog.Record {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	slices.SortFunc(v.touched, v.compareSlots)
+	v.sortTouched()
+	keys := v.flows.Keys()
 	for _, s := range v.touched {
 		st := &v.seen[s]
 		c := v.live[st.live-1]
@@ -250,7 +267,7 @@ func (v *VNIC) appendDrain(dst []flowlog.Record, intervalStart time.Time) []flow
 		if c.pktsSent+c.pktsRcvd == 0 {
 			continue
 		}
-		k := &v.keys[s]
+		k := &keys[s]
 		dst = append(dst, flowlog.Record{
 			Time:        intervalStart,
 			LocalIP:     v.local,
@@ -271,9 +288,10 @@ func (v *VNIC) appendDrain(dst []flowlog.Record, intervalStart time.Time) []flow
 }
 
 // evict removes every flow last seen at or before cutoff — those with
-// intervalStart.Sub(lastSeen) >= idleTimeout — in one pass over seen,
-// moving the last slot into each freed one. No flow is live (drain has
-// just reset them all), so only the key and the time move.
+// intervalStart.Sub(lastSeen) >= idleTimeout — in one pass over seen; the
+// index moves the last slot's key into each freed one, and seen follows.
+// No flow is live (drain has just reset them all), so only the key and the
+// time move.
 func (v *VNIC) evict(cutoff time.Time) {
 	csec, cnsec := cutoff.Unix(), int32(cutoff.Nanosecond())
 	for i := 0; i < len(v.seen); {
@@ -282,13 +300,10 @@ func (v *VNIC) evict(cutoff time.Time) {
 			i++
 			continue
 		}
-		delete(v.slot, v.keys[i])
+		v.flows.Remove(i)
 		last := len(v.seen) - 1
-		if i < last {
-			v.keys[i], v.seen[i] = v.keys[last], v.seen[last]
-			v.slot[v.keys[i]] = int32(i)
-		}
-		v.keys, v.seen = v.keys[:last], v.seen[:last]
+		v.seen[i] = v.seen[last]
+		v.seen = v.seen[:last]
 	}
 }
 
@@ -296,7 +311,7 @@ func (v *VNIC) evict(cutoff time.Time) {
 func (v *VNIC) ActiveFlows() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return len(v.keys)
+	return len(v.seen)
 }
 
 // MemoryFootprint returns the modelled NIC memory in bytes currently used

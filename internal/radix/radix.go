@@ -1,9 +1,9 @@
 // Package radix sorts by an unsigned integer key in linear time: a stable
 // least-significant-digit sort, one counting pass per key byte, that skips
-// every byte position holding the same value in all keys. The analysis
-// kernels use it where a comparator sort of many small records by a
-// number would dominate (the kNN survivors of segmentation, the seed
-// order of the chatty-clique search). A sort by several keys is several
+// every byte position holding the same value in all keys. It is used where
+// a comparator sort of many small records by a number would dominate: the
+// kNN survivors of segmentation, the seed order of the chatty-clique
+// search, a NIC flow table's drain. A sort by several keys is several
 // calls, least significant key first.
 package radix
 
@@ -16,8 +16,9 @@ type Sorter[T any] struct {
 }
 
 // Sort sorts xs in place by key ascending, stably. key is called once per
-// item; the passes then move items and keys between xs and the Sorter's
-// buffers.
+// item; a first pass finds the byte positions where the keys differ, and
+// one counting pass per such position then moves items and keys between
+// xs and the Sorter's buffers.
 func (s *Sorter[T]) Sort(xs []T, key func(T) uint64) {
 	n := len(xs)
 	if n < 2 {
@@ -27,18 +28,21 @@ func (s *Sorter[T]) Sort(xs []T, key func(T) uint64) {
 		s.keys, s.kbuf, s.buf = make([]uint64, n), make([]uint64, n), make([]T, n)
 	}
 	keys, kbuf, src, dst := s.keys[:n], s.kbuf[:n], xs, s.buf[:n]
-	var count [8][256]int
+	or, and := uint64(0), ^uint64(0)
 	for i, x := range xs {
 		k := key(x)
 		keys[i] = k
-		for d := range count {
-			count[d][byte(k>>(8*d))]++
-		}
+		or |= k
+		and &= k
 	}
-	for d := range count {
-		digit, shift := &count[d], 8*d
-		if digit[byte(keys[0]>>shift)] == n {
+	differ := or ^ and // a bit is set where two keys differ
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(differ>>shift) == 0 {
 			continue
+		}
+		var digit [256]int
+		for _, k := range keys {
+			digit[byte(k>>shift)]++
 		}
 		off := 0
 		for v, c := range digit {

@@ -67,9 +67,10 @@ func (m *viewMemo) view(g *graph.Graph) *graph.Undirected {
 // segMemo holds the segmentation of the latest window asked for, keyed by
 // the window pointer and the segmentation parameters, for the runners
 // sharing it: whichever asks first segments the view its viewMemo hands
-// out, and the other reuses the Assignment.
+// out, in the memo's segment.Scratch, and the other reuses the Assignment.
 type segMemo struct {
 	views    *viewMemo
+	scratch  segment.Scratch
 	g        *graph.Graph
 	strategy segment.Strategy
 	opts     segment.Options
@@ -86,7 +87,7 @@ func (m *segMemo) run(s segment.Strategy, g *graph.Graph, opts segment.Options) 
 	}
 	if m.g != g || m.strategy != s || m.opts != opts {
 		m.g, m.strategy, m.opts = g, s, opts
-		m.assign, m.err = segment.RunView(s, m.views.view(g), opts)
+		m.assign, m.err = m.scratch.RunView(s, m.views.view(g), opts)
 	}
 	return m.assign, m.err
 }

@@ -5,6 +5,8 @@ package segment
 // repeated until modularity stops improving. It is deterministic — nodes
 // are visited in index order — so segmentations are reproducible.
 
+import "slices"
+
 // wgraph is an undirected weighted multigraph in adjacency-list form.
 type wgraph struct {
 	n    int
@@ -17,11 +19,16 @@ type wedge struct {
 	w  float64
 }
 
-// newWGraph builds a wgraph from scored pairs. Every node's list is cut
-// from one slab sized by a counting pass, and filled in pair order.
-func newWGraph(n int, pairs []simPair) *wgraph {
-	g := &wgraph{n: n, adj: make([][]wedge, n), self: make([]float64, n)}
-	deg := make([]int, n+1)
+// newWGraph builds a wgraph from scored pairs in the Scratch's buffers.
+// Every node's list is cut from one slab sized by a counting pass, and
+// filled in pair order. The graph is the Scratch's own, valid until its
+// next newWGraph.
+func (sc *Scratch) newWGraph(n int, pairs []simPair) *wgraph {
+	g := &sc.wg
+	g.n = n
+	g.adj = slices.Grow(g.adj[:0], n)[:n]
+	g.self = growZero(&g.self, n)
+	deg := growZero(&sc.deg, n+1)
 	for _, p := range pairs {
 		if p.a != p.b {
 			deg[p.a+1]++
@@ -31,7 +38,8 @@ func newWGraph(n int, pairs []simPair) *wgraph {
 	for v := range n {
 		deg[v+1] += deg[v]
 	}
-	slab := make([]wedge, deg[n])
+	slab := slices.Grow(sc.slab[:0], deg[n])[:deg[n]]
+	sc.slab = slab
 	for v := range g.adj {
 		g.adj[v] = slab[deg[v]:deg[v]:deg[v+1]]
 	}

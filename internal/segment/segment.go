@@ -119,6 +119,28 @@ func Run(s Strategy, g *graph.Graph, opts Options) (Assignment, error) {
 // RunView is Run over a graph's undirected view, for callers that already
 // hold it.
 func RunView(s Strategy, u *graph.Undirected, opts Options) (Assignment, error) {
+	return new(Scratch).RunView(s, u, opts)
+}
+
+// Scratch holds the buffers one segmentation leaves for the next: the
+// neighbour rows, the Jaccard counting kernels' arrays, the kNN heaps, the
+// survivor slice and its radix buffers, and Louvain's input graph. A
+// caller segmenting window after window (the analysis plane) keeps one, so
+// a window's segmentation allocates little beyond its Assignment. The zero
+// value is ready; a Scratch is not safe for concurrent use. Nothing RunView
+// returns aliases it.
+type Scratch struct {
+	sets              [][]int32
+	inter, next, hits []int32
+	bits              []uint64
+	sel               knn
+	wg                wgraph
+	deg               []int
+	slab              []wedge
+}
+
+// RunView is the package's RunView, in the Scratch's buffers.
+func (sc *Scratch) RunView(s Strategy, u *graph.Undirected, opts Options) (Assignment, error) {
 	opts.defaults()
 	n := len(u.Nodes)
 	if n == 0 {
@@ -127,19 +149,20 @@ func RunView(s Strategy, u *graph.Undirected, opts Options) (Assignment, error) 
 	var pairs []simPair
 	switch s {
 	case StrategyJaccardLouvain:
+		sc.sets = appendNeighborSets(sc.sets[:0], u)
 		if opts.TopK > 0 {
-			pairs = jaccardTopK(neighborSets(u), opts.MinScore, opts.TopK)
+			pairs = sc.jaccardTopK(sc.sets, opts.MinScore, opts.TopK)
 		} else {
-			pairs = jaccardClique(neighborSets(u), opts.MinScore)
+			pairs = sc.jaccardClique(sc.sets, opts.MinScore)
 		}
 	case StrategyMinHashLouvain:
-		pairs = topK(minhashClique(neighborSets(u), opts.MinHashK, opts.MinScore), n, opts.TopK)
+		pairs = sc.topK(minhashClique(neighborSets(u), opts.MinHashK, opts.MinScore), n, opts.TopK)
 	case StrategySimRank:
 		scores := simRankScores(neighborSets(u), opts.SimRank)
-		pairs = topK(scoresToPairs(scores, n, opts.MinScore), n, opts.TopK)
+		pairs = sc.topK(scoresToPairs(scores, n, opts.MinScore), n, opts.TopK)
 	case StrategySimRankPP:
 		scores := simRankPPScores(u, neighborSets(u), opts.SimRank)
-		pairs = topK(scoresToPairs(scores, n, opts.MinScore), n, opts.TopK)
+		pairs = sc.topK(scoresToPairs(scores, n, opts.MinScore), n, opts.TopK)
 	case StrategyModularityConn:
 		pairs = commPairs(u, graph.Conns)
 	case StrategyModularityBytes:
@@ -147,7 +170,7 @@ func RunView(s Strategy, u *graph.Undirected, opts Options) (Assignment, error) 
 	default:
 		return nil, fmt.Errorf("segment: unknown strategy %q", s)
 	}
-	comm := louvain(newWGraph(n, pairs), 1e-9, opts.Resolution)
+	comm := louvain(sc.newWGraph(n, pairs), 1e-9, opts.Resolution)
 	return compact(u.Nodes, comm), nil
 }
 
@@ -167,13 +190,14 @@ func rank(x, y simPair) int {
 
 // topK sparsifies a similarity clique over n nodes to a mutual-or kNN
 // graph: a pair survives iff it is among the k first pairs of either
-// endpoint under rank, and the survivors come back in rank order. k <= 0
-// returns pairs unfiltered. Pairs must have a < b.
-func topK(pairs []simPair, n, k int) []simPair {
+// endpoint under rank, and the survivors come back in rank order, in the
+// Scratch's survivor slice. k <= 0 returns pairs unfiltered. Pairs must
+// have a < b.
+func (sc *Scratch) topK(pairs []simPair, n, k int) []simPair {
 	if k <= 0 {
 		return pairs
 	}
-	sel := newKNN(n, k)
+	sel := sc.newKNN(n, k)
 	for _, p := range pairs {
 		sel.offer(p)
 	}
@@ -188,21 +212,28 @@ func topK(pairs []simPair, n, k int) []simPair {
 // heap of the pairs offered to it, and only the ≤ n·k heap contents are
 // sorted at the end. Cost: O(P log k) for P offered pairs plus
 // O(nk log nk), against O(P log P) for a sort of every pair.
+//
+// A knn lives in a Scratch and keeps its heap slots, survivor slice and
+// sort buffers from one selection to the next.
 type knn struct {
-	k    int
-	rows [][]simPair // node v's heap, capacity k
+	k      int
+	rows   [][]simPair // node v's heap, capacity k
+	slots  []simPair   // the heaps' storage, n·k
+	out    []simPair
+	sorter radix.Sorter[simPair]
 }
 
-// newKNN returns a selector over n nodes. A node has at most n-1 pairs, so
-// k is capped at n.
-func newKNN(n, k int) *knn {
-	k = min(k, n)
-	slots := make([]simPair, n*k)
-	rows := make([][]simPair, n)
-	for v := range rows {
-		rows[v] = slots[v*k : v*k : v*k+k]
+// newKNN resets the Scratch's selector to n nodes of k slots each. A node
+// has at most n-1 pairs, so k is capped at n.
+func (sc *Scratch) newKNN(n, k int) *knn {
+	s := &sc.sel
+	s.k = min(k, n)
+	s.slots = slices.Grow(s.slots[:0], n*s.k)[:n*s.k]
+	s.rows = slices.Grow(s.rows[:0], n)[:n]
+	for v := range s.rows {
+		s.rows[v] = s.slots[v*s.k : v*s.k : v*s.k+s.k]
 	}
-	return &knn{k: k, rows: rows}
+	return s
 }
 
 // offer hands one scored pair to both endpoints' heaps. Order of offers
@@ -229,7 +260,7 @@ func ahead(x, y simPair) bool {
 // descending: weights are positive, so their bits order as they do, and
 // ^bits orders them descending.
 func (s *knn) pairs() []simPair {
-	out := make([]simPair, 0, len(s.rows)*s.k)
+	out := s.out[:0]
 	for v, row := range s.rows {
 		for _, p := range row {
 			if p.a == v || !slices.Contains(s.rows[p.a], p) {
@@ -237,9 +268,9 @@ func (s *knn) pairs() []simPair {
 			}
 		}
 	}
-	var sorter radix.Sorter[simPair]
-	sorter.Sort(out, func(p simPair) uint64 { return uint64(p.a)<<32 | uint64(p.b) })
-	sorter.Sort(out, func(p simPair) uint64 { return ^math.Float64bits(p.w) })
+	s.sorter.Sort(out, func(p simPair) uint64 { return uint64(p.a)<<32 | uint64(p.b) })
+	s.sorter.Sort(out, func(p simPair) uint64 { return ^math.Float64bits(p.w) })
+	s.out = out
 	return out
 }
 

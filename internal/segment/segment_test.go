@@ -3,6 +3,7 @@ package segment
 import (
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -366,5 +367,36 @@ func TestResolutionControlsGranularity(t *testing.T) {
 	if fine.NumSegments() < coarse.NumSegments() {
 		t.Errorf("higher resolution should not yield fewer segments: %d < %d",
 			fine.NumSegments(), coarse.NumSegments())
+	}
+}
+
+// TestScratchReuseMatchesFresh segments a run of graphs of different sizes
+// and shapes through one Scratch, every strategy and both kNN settings,
+// and requires each Assignment to equal a fresh segmentation's: nothing a
+// Scratch keeps from one graph may leak into the next.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	var sc Scratch
+	role, _ := roleGraph()
+	graphs := []*graph.Graph{role}
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, c := range graphtest.Cases(seed) {
+			graphs = append(graphs, c.G)
+		}
+	}
+	graphs = append(graphs, role)
+	for _, opts := range []Options{{}, {TopK: -1}, {TopK: 2, MinScore: 0.3}} {
+		for _, s := range Strategies() {
+			for i, g := range graphs {
+				u := g.Undirected()
+				got, err := sc.RunView(s, u, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := RunView(s, u, opts)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %+v graph %d: reused Scratch gives %v, fresh %v", s, opts, i, got, want)
+				}
+			}
+		}
 	}
 }

@@ -18,9 +18,15 @@ import (
 // neighborSets returns each node's undirected neighbor ids, ascending: the
 // rows of the graph's index-space view, shared, not copied.
 func neighborSets(u *graph.Undirected) [][]int32 {
-	sets := make([][]int32, len(u.Nodes))
-	for i := range sets {
-		sets[i], _ = u.Row(int32(i))
+	return appendNeighborSets(nil, u)
+}
+
+// appendNeighborSets is neighborSets appending to sets.
+func appendNeighborSets(sets [][]int32, u *graph.Undirected) [][]int32 {
+	sets = slices.Grow(sets, len(u.Nodes))
+	for i := range u.Nodes {
+		row, _ := u.Row(int32(i))
+		sets = append(sets, row)
 	}
 	return sets
 }
@@ -60,11 +66,12 @@ type simPair struct {
 // each of them. row may reorder hits but not retain either slice. Each row
 // keeps a cursor to its first id above i, which only moves forward as i
 // grows, so ids at or below i are skipped, not tested: the cost is
-// Σ deg·(deg−1)/2 plus Σ deg.
-func jaccardRows(sets [][]int32, row func(i int, hits, inter []int32)) {
-	inter := make([]int32, len(sets))
-	next := make([]int32, len(sets)) // next[m]: sets[m]'s first index with id > i
-	var hits []int32
+// Σ deg·(deg−1)/2 plus Σ deg. Its arrays are the Scratch's.
+func (sc *Scratch) jaccardRows(sets [][]int32, row func(i int, hits, inter []int32)) {
+	n := len(sets)
+	inter := growZero(&sc.inter, n)
+	next := growZero(&sc.next, n) // next[m]: sets[m]'s first index with id > i
+	hits := sc.hits[:0]
 	for i := range sets {
 		for _, m := range sets[i] {
 			nbr, k := sets[m], next[m]
@@ -85,25 +92,37 @@ func jaccardRows(sets [][]int32, row func(i int, hits, inter []int32)) {
 		}
 		hits = hits[:0]
 	}
+	sc.hits = hits
+}
+
+// growZero returns (*buf)[:n] with every element zero, growing *buf when it
+// is short.
+func growZero[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	s := (*buf)[:n]
+	clear(s)
+	return s
 }
 
 // jaccardBits counts the same intersections as jaccardRows by bitset and
 // calls row the same way, hits ascending: each row becomes ⌈n/64⌉ words
 // (n·⌈n/64⌉·8 bytes in all), and every pair i < j ANDs and popcounts its
 // two rows. The cost is n(n−1)/2·⌈n/64⌉ word operations whatever the
-// degrees.
-func jaccardBits(sets [][]int32, row func(i int, hits, inter []int32)) {
+// degrees. Its arrays are the Scratch's.
+func (sc *Scratch) jaccardBits(sets [][]int32, row func(i int, hits, inter []int32)) {
 	n := len(sets)
 	w := (n + 63) / 64
-	rows := make([]uint64, n*w)
+	rows := growZero(&sc.bits, n*w)
 	for i, s := range sets {
 		r := rows[i*w : i*w+w]
 		for _, m := range s {
 			r[m>>6] |= 1 << (m & 63)
 		}
 	}
-	inter := make([]int32, n)
-	hits := make([]int32, n)
+	inter := growZero(&sc.inter, n)
+	hits := growZero(&sc.hits, n)
 	for i := 0; i < n; i++ {
 		h := 0
 		if len(sets[i]) > 0 {
@@ -148,9 +167,9 @@ func jaccardOf(sets [][]int32, i int, j int32, c int32) float64 {
 // jaccardClique returns every node pair whose neighbor-set Jaccard overlap
 // is at or above minScore (which must be positive), ascending by (a, b).
 // Each node's two-hop hits are sorted to give that order.
-func jaccardClique(sets [][]int32, minScore float64) []simPair {
+func (sc *Scratch) jaccardClique(sets [][]int32, minScore float64) []simPair {
 	var pairs []simPair
-	jaccardRows(sets, func(i int, hits, inter []int32) {
+	sc.jaccardRows(sets, func(i int, hits, inter []int32) {
 		slices.Sort(hits)
 		for _, j := range hits {
 			if w := jaccardOf(sets, i, j, inter[j]); w >= minScore {
@@ -165,19 +184,19 @@ func jaccardClique(sets [][]int32, minScore float64) []simPair {
 // the clique: every scored pair goes straight to the kNN selector, so
 // neither the full pair slice nor the per-node sort of hits is built. The
 // intersections come from whichever kernel bitsCheaper picks.
-func jaccardTopK(sets [][]int32, minScore float64, k int) []simPair {
-	return jaccardTopKBy(sets, minScore, k, bitsCheaper(sets))
+func (sc *Scratch) jaccardTopK(sets [][]int32, minScore float64, k int) []simPair {
+	return sc.jaccardTopKBy(sets, minScore, k, bitsCheaper(sets))
 }
 
 // jaccardTopKBy is jaccardTopK with the counting kernel chosen by the
 // caller: jaccardBits when useBits is set, jaccardRows otherwise. The
 // selector's result does not depend on the order pairs are offered in, so
 // the two agree exactly.
-func jaccardTopKBy(sets [][]int32, minScore float64, k int, useBits bool) []simPair {
-	sel := newKNN(len(sets), k)
-	counts := jaccardRows
+func (sc *Scratch) jaccardTopKBy(sets [][]int32, minScore float64, k int, useBits bool) []simPair {
+	sel := sc.newKNN(len(sets), k)
+	counts := sc.jaccardRows
 	if useBits {
-		counts = jaccardBits
+		counts = sc.jaccardBits
 	}
 	counts(sets, func(i int, hits, inter []int32) {
 		for _, j := range hits {
