@@ -623,23 +623,6 @@ func thName(th float64) string {
 	}
 }
 
-// BenchmarkAblationMinhash compares exact Jaccard scoring against the
-// MinHash sketch — the paper's open issue about super-quadratic cost.
-func BenchmarkAblationMinhash(b *testing.B) {
-	loadFixtures(b)
-	g := fixK8s.graph
-	b.Run("exact", func(b *testing.B) { benchSegmentOn(b, g, segment.StrategyJaccardLouvain) })
-	b.Run("minhash", func(b *testing.B) { benchSegmentOn(b, g, segment.StrategyMinHashLouvain) })
-}
-
-func benchSegmentOn(b *testing.B, g *graph.Graph, s segment.Strategy) {
-	for i := 0; i < b.N; i++ {
-		if _, err := segment.Run(s, g, segment.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationBatch sweeps the ingest minibatch size.
 func BenchmarkAblationBatch(b *testing.B) {
 	for _, batch := range []int{256, 4096, 65536} {

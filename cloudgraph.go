@@ -87,7 +87,6 @@ type (
 const (
 	FacetIP       = graph.FacetIP
 	FacetIPPort   = graph.FacetIPPort
-	FacetService  = graph.FacetService
 	FacetEndpoint = graph.FacetEndpoint
 
 	Bytes   = graph.Bytes
@@ -140,7 +139,6 @@ type (
 // Segmentation strategies (Figures 1 and 3).
 const (
 	JaccardLouvain  = segment.StrategyJaccardLouvain
-	MinHashLouvain  = segment.StrategyMinHashLouvain
 	SimRank         = segment.StrategySimRank
 	SimRankPP       = segment.StrategySimRankPP
 	ModularityConn  = segment.StrategyModularityConn
@@ -182,8 +180,6 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) { return cluster.New(spec) }
 type GraphOptions struct {
 	// Facet selects node granularity (default FacetIP).
 	Facet Facet
-	// Label maps addresses to service names for FacetService.
-	Label graph.Labeler
 	// CollapseThreshold, when positive, merges nodes below this traffic
 	// share into one (the paper uses 0.001). Keep protects nodes from
 	// collapsing (typically the monitored VMs).
@@ -195,7 +191,7 @@ type GraphOptions struct {
 // deduplicating double-reported intra-subscription flows and optionally
 // collapsing heavy-hitter tails.
 func BuildGraph(recs []Record, opts GraphOptions) *Graph {
-	g := graph.Build(recs, graph.BuilderOptions{Facet: opts.Facet, Label: opts.Label})
+	g := graph.Build(recs, graph.BuilderOptions{Facet: opts.Facet})
 	if opts.CollapseThreshold > 0 || opts.Keep != nil {
 		g = g.Collapse(graph.CollapseOptions{Threshold: opts.CollapseThreshold, Keep: opts.Keep})
 	}

@@ -134,7 +134,7 @@ func TestSegmentWithStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := BuildGraph(recs, GraphOptions{})
-	for _, s := range []Strategy{JaccardLouvain, MinHashLouvain, ModularityConn, ModularityBytes} {
+	for _, s := range []Strategy{JaccardLouvain, ModularityConn, ModularityBytes} {
 		a, err := SegmentWith(s, g, SegmentOptions{})
 		if err != nil || len(a) == 0 {
 			t.Errorf("%s: %v", s, err)

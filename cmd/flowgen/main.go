@@ -5,9 +5,10 @@
 //
 // With -tenants N (N > 1) flowgen simulates N independent subscriptions
 // — one deterministic cluster per tenant, seeded from the preset — and
-// interleaves their records chronologically into one tagged-frame
-// capture (a .tflows file: each frame carries its tenant tag, the same
-// framing `graphctl send` replays and cloudgraphd's decoder trusts).
+// interleaves their records chronologically, minute by minute, into one
+// tagged-frame capture (a .tflows file: each frame carries its tenant
+// tag, the same framing `graphctl send` replays and cloudgraphd's decoder
+// trusts).
 // -tenant-skew zipf thins tenant i to 1/(i+1) of its records, so
 // tenant-00 dominates the stream the way one hot subscription dominates
 // a region; uniform keeps every tenant at full volume.
@@ -63,6 +64,9 @@ func (o *options) check() error {
 	if o.hours < 1 {
 		return fmt.Errorf("-hours %d: need at least one hour", o.hours)
 	}
+	if o.tenants < 1 {
+		return fmt.Errorf("-tenants %d: need at least one tenant", o.tenants)
+	}
 	if o.skew != "zipf" && o.skew != "uniform" {
 		return fmt.Errorf("unknown tenant skew %q (zipf or uniform)", o.skew)
 	}
@@ -106,56 +110,7 @@ func main() {
 		spec.Seed = o.seed
 	}
 	t0 := time.Unix(o.start, 0).UTC().Truncate(time.Minute)
-	if o.tenants > 1 {
-		genTenants(spec, t0, &o)
-		return
-	}
-	c, err := cluster.New(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if o.attack != "" {
-		if err := addAttack(c, o.attack, t0.Add(time.Duration(o.hours-1)*time.Hour)); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	w := create(o.out)
-	bw := bufio.NewWriterSize(w, 1<<20)
-	sampler := newSampler(o.provider, spec.Seed)
-
-	written := 0
-	var frame []byte
-	emit := func(recs []flowlog.Record) error {
-		for _, r := range recs {
-			if sampler != nil {
-				var ok bool
-				if r, ok = sampler.Sample(r); !ok {
-					continue
-				}
-			}
-			var err error
-			if o.format == "binary" {
-				frame = flowlog.AppendBinary(frame[:0], r)
-				_, err = bw.Write(frame)
-			} else {
-				_, err = fmt.Fprintln(bw, r.MarshalCSV())
-			}
-			if err != nil {
-				return err
-			}
-			written++
-		}
-		return nil
-	}
-
-	genStart := time.Now()
-	if _, err := c.Run(t0, o.hours*60, nicsim.CollectorFunc(emit)); err != nil {
-		log.Fatal(err)
-	}
-	finish(bw, w)
-	fmt.Fprintf(os.Stderr, "flowgen: %s scale=%.2f: %d records over %dh (%d monitored VMs) in %v\n",
-		spec.Name, o.scale, written, o.hours, c.MonitoredIPs(), time.Since(genStart).Round(time.Millisecond))
+	generate(spec, t0, &o)
 }
 
 // create opens the output: stdout for "-", else a new file.
@@ -210,21 +165,42 @@ func newSampler(provider string, seed int64) *flowlog.Sampler {
 	return flowlog.NewSampler(p, uint64(seed))
 }
 
-// genTenants simulates o.tenants independent tenant subscriptions — one
-// deterministic cluster each, seeded preset.Seed+i — and interleaves
-// their records chronologically into one tagged-frame capture.
-func genTenants(spec cluster.Spec, t0 time.Time, o *options) {
-	n, hours := o.tenants, o.hours
-	keepEvery := func(i int) int { return 1 }
-	if o.skew == "zipf" {
-		keepEvery = func(i int) int { return i + 1 }
+// tenant is one simulated subscription: its cluster, sampler and zipf
+// thinning, and the records of the minute being generated.
+type tenant struct {
+	name    string
+	c       *cluster.Cluster
+	sampler *flowlog.Sampler
+	keep    int // keep every keep-th sampled record
+	seen    int // sampled records so far
+	minute  []flowlog.Record
+}
+
+// collect samples and thins one batch into the tenant's minute.
+func (tn *tenant) collect(recs []flowlog.Record) error {
+	for _, r := range recs {
+		if tn.sampler != nil {
+			var ok bool
+			if r, ok = tn.sampler.Sample(r); !ok {
+				continue
+			}
+		}
+		if tn.seen%tn.keep == 0 {
+			tn.minute = append(tn.minute, r)
+		}
+		tn.seen++
 	}
-	names := make([]string, n)
-	streams := make([][]flowlog.Record, n)
-	total := 0
-	genStart := time.Now()
-	for i := range n {
-		names[i] = fmt.Sprintf("tenant-%02d", i)
+	return nil
+}
+
+// generate simulates o.tenants independent subscriptions — one
+// deterministic cluster each, tenant i seeded preset.Seed+i — minute by
+// minute, and writes each minute's records merged chronologically. One
+// tenant writes untagged frames or CSV; several write one tagged-frame
+// capture. Only one minute of records is held at a time.
+func generate(spec cluster.Spec, t0 time.Time, o *options) {
+	tenants := make([]*tenant, o.tenants)
+	for i := range tenants {
 		s := spec
 		s.Seed = spec.Seed + int64(i)
 		c, err := cluster.New(s)
@@ -234,65 +210,80 @@ func genTenants(spec cluster.Spec, t0 time.Time, o *options) {
 		if o.attack != "" && i == 0 {
 			// The attack lands on the dominant tenant only: the breach
 			// one subscription suffers that its neighbors must not see.
-			if err := addAttack(c, o.attack, t0.Add(time.Duration(hours-1)*time.Hour)); err != nil {
+			if err := addAttack(c, o.attack, t0.Add(time.Duration(o.hours-1)*time.Hour)); err != nil {
 				log.Fatal(err)
 			}
 		}
-		sampler := newSampler(o.provider, s.Seed)
-		keep := keepEvery(i)
-		seen := 0
-		collect := func(recs []flowlog.Record) error {
-			for _, r := range recs {
-				if sampler != nil {
-					var ok bool
-					if r, ok = sampler.Sample(r); !ok {
-						continue
-					}
-				}
-				if seen%keep == 0 {
-					streams[i] = append(streams[i], r)
-				}
-				seen++
+		tn := &tenant{c: c, sampler: newSampler(o.provider, s.Seed), keep: 1}
+		if o.tenants > 1 {
+			tn.name = fmt.Sprintf("tenant-%02d", i)
+			if o.skew == "zipf" {
+				tn.keep = i + 1
 			}
-			return nil
 		}
-		if _, err := c.Run(t0, hours*60, nicsim.CollectorFunc(collect)); err != nil {
-			log.Fatal(err)
-		}
-		total += len(streams[i])
+		tenants[i] = tn
 	}
 
 	w := create(o.out)
 	bw := bufio.NewWriterSize(w, 1<<20)
-
-	// K-way chronological merge: each stream is already time-ordered, so
-	// the capture interleaves tenants the way one region's collector sees
-	// their NICs report. Ties go to the lower tenant index — fully
-	// deterministic, so a capture regenerates byte-identically.
-	idx := make([]int, n)
+	written := 0
 	var buf []byte
-	for {
-		best := -1
-		for i := range n {
-			if idx[i] >= len(streams[i]) {
-				continue
-			}
-			if best < 0 || streams[i][idx[i]].Time.Before(streams[best][idx[best]].Time) {
-				best = i
-			}
+	write := func(tn *tenant, r flowlog.Record) {
+		var err error
+		switch {
+		case tn.name != "":
+			buf = analytics.AppendTagged(buf[:0], r, tn.name)
+			_, err = bw.Write(buf)
+		case o.format == "binary":
+			buf = flowlog.AppendBinary(buf[:0], r)
+			_, err = bw.Write(buf)
+		default:
+			_, err = fmt.Fprintln(bw, r.MarshalCSV())
 		}
-		if best < 0 {
-			break
-		}
-		buf = analytics.AppendTagged(buf[:0], streams[best][idx[best]], names[best])
-		if _, err := bw.Write(buf); err != nil {
+		if err != nil {
 			log.Fatal(err)
 		}
-		idx[best]++
+		written++
+	}
+
+	genStart := time.Now()
+	idx := make([]int, len(tenants))
+	for m := range o.hours * 60 {
+		t := t0.Add(time.Duration(m) * time.Minute)
+		for i, tn := range tenants {
+			tn.minute = tn.minute[:0]
+			if _, err := tn.c.Run(t, 1, nicsim.CollectorFunc(tn.collect)); err != nil {
+				log.Fatal(err)
+			}
+			idx[i] = 0
+		}
+		// K-way chronological merge: each tenant's minute is already
+		// time-ordered, so the capture interleaves tenants the way one
+		// region's collector sees their NICs report. Ties go to the lower
+		// tenant index — fully deterministic, so a capture regenerates
+		// byte-identically. Every record of a minute carries that
+		// minute's start, so merging minute by minute is merging the
+		// whole streams.
+		for {
+			best := -1
+			for i, tn := range tenants {
+				if idx[i] >= len(tn.minute) {
+					continue
+				}
+				if best < 0 || tn.minute[idx[i]].Time.Before(tenants[best].minute[idx[best]].Time) {
+					best = i
+				}
+			}
+			if best < 0 {
+				break
+			}
+			write(tenants[best], tenants[best].minute[idx[best]])
+			idx[best]++
+		}
 	}
 	finish(bw, w)
-	fmt.Fprintf(os.Stderr, "flowgen: %s x%d tenants (%s skew): %d tagged records over %dh in %v\n",
-		spec.Name, n, o.skew, total, hours, time.Since(genStart).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "flowgen: %s scale=%.2f x%d tenants (%s skew): %d records over %dh (%d monitored VMs each) in %v\n",
+		spec.Name, o.scale, len(tenants), o.skew, written, o.hours, tenants[0].c.MonitoredIPs(), time.Since(genStart).Round(time.Millisecond))
 }
 
 // addAttack wires a named attack scenario starting at attackStart.

@@ -24,6 +24,7 @@ func TestOptionsCheck(t *testing.T) {
 		{"format", func(o *options) { o.format = "bin" }, `"bin"`},
 		{"zero hours", func(o *options) { o.hours = 0 }, "-hours 0"},
 		{"negative hours", func(o *options) { o.hours = -2 }, "-hours -2"},
+		{"zero tenants", func(o *options) { o.tenants = 0 }, "-tenants 0"},
 		{"skew", func(o *options) { o.skew = "zipfian" }, `"zipfian"`},
 		{"unknown provider", func(o *options) { o.provider = "oracle" }, `"oracle"`},
 		{"unknown attack", func(o *options) { o.attack = "ddos" }, `"ddos"`},

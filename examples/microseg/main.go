@@ -37,13 +37,12 @@ func main() {
 	engine.Flush()
 	baseline, nextHour := windows[0], windows[1]
 
-	// Figure 1 vs Figure 3: same graph, five strategies, quality vs the
+	// Figure 1 vs Figure 3: same graph, three strategies, quality vs the
 	// generator's ground-truth roles.
 	truth := cl.GroundTruth()
 	fmt.Println("strategy            segments   ARI     NMI     purity")
 	for _, s := range []cloudgraph.Strategy{
-		cloudgraph.JaccardLouvain, cloudgraph.MinHashLouvain,
-		cloudgraph.ModularityConn, cloudgraph.ModularityBytes,
+		cloudgraph.JaccardLouvain, cloudgraph.ModularityConn, cloudgraph.ModularityBytes,
 	} {
 		assign, err := cloudgraph.SegmentWith(s, baseline, cloudgraph.SegmentOptions{})
 		if err != nil {

@@ -23,8 +23,6 @@ type Config struct {
 	Window time.Duration
 	// Facet selects node granularity for the graphs. Default FacetIP.
 	Facet graph.Facet
-	// Label maps addresses to services for FacetService graphs.
-	Label graph.Labeler
 	// Collapse configures heavy-hitter collapsing applied to each
 	// completed window (Threshold 0 disables).
 	Collapse graph.CollapseOptions
@@ -187,7 +185,7 @@ func NewEngine(cfg Config) *Engine {
 	}
 	e.maxStartNS.Store(math.MinInt64)
 	e.epoch.Store(cfg.StartEpoch)
-	opts := graph.BuilderOptions{Facet: cfg.Facet, Label: cfg.Label}
+	opts := graph.BuilderOptions{Facet: cfg.Facet}
 	for i := 0; i < cfg.Shards; i++ {
 		w := NewWindower(cfg.Window, opts)
 		w.OnComplete = e.addPartial

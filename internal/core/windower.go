@@ -1,8 +1,8 @@
 // Package core is the heart of the system: it turns the continuous
 // connection-summary stream into the time series of communication graphs
 // the paper's analyses consume ("we can generate a time-series of graphs",
-// §1), and orchestrates those analyses — segmentation, policy monitoring,
-// succinct summaries and anomaly detection — over the windows.
+// §1). It only produces windows: each completed window is published to
+// the consumers its caller subscribes, and the analyses run there.
 package core
 
 import (

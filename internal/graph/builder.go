@@ -19,8 +19,6 @@ type BuilderOptions struct {
 	// deduplication state: a flow reported in one interval counts once.
 	// Default one minute.
 	Interval time.Duration
-	// Label maps addresses to service names; required for FacetService.
-	Label Labeler
 }
 
 // pairObs merges the (up to two) reports of one flow during one interval:
@@ -82,13 +80,10 @@ type Builder struct {
 	curLo, curHi int64
 
 	// The open window. eps interns endpoints (port zeroed where the facet
-	// ignores it); epNode maps an endpoint's id to its node id, which
-	// differ only under FacetService, where byName folds the addresses of
-	// one service together. edgeIdx keys the edge slab by src<<32|dst.
+	// ignores it); an endpoint's intern id is its node id, and nodes holds
+	// its Node. edgeIdx keys the edge slab by src<<32|dst.
 	eps     denseindex.Index[endpoint]
-	epNode  []uint32
 	nodes   []Node
-	byName  map[string]uint32
 	zones   []string
 	zoneFam map[string]uint32
 	edgeIdx denseindex.Index[uint64]
@@ -244,35 +239,13 @@ func (b *Builder) nodeIDs(k flowKey) (a, z uint32) {
 }
 
 // nodeID interns one endpoint, building its Node the first time the window
-// sees it.
+// sees it. The intern id is the node id.
 func (b *Builder) nodeID(e endpoint) uint32 {
 	i, added := b.eps.FindOrAdd(b.hashEndpoint(e), e)
-	if !added {
-		return b.epNode[i]
+	if added {
+		b.nodes = append(b.nodes, Node{Addr: b.addr(e), Port: e.port})
 	}
-	id := uint32(len(b.nodes))
-	n := Node{Addr: b.addr(e), Port: e.port}
-	if b.opts.Facet == FacetService {
-		name := ""
-		if b.opts.Label != nil {
-			name = b.opts.Label(n.Addr)
-		}
-		if name == "" {
-			name = n.Addr.String()
-		}
-		if known, ok := b.byName[name]; ok {
-			b.epNode = append(b.epNode, known)
-			return known
-		}
-		if b.byName == nil {
-			b.byName = make(map[string]uint32)
-		}
-		b.byName[name] = id
-		n = ServiceNode(name)
-	}
-	b.nodes = append(b.nodes, n)
-	b.epNode = append(b.epNode, id)
-	return id
+	return uint32(i)
 }
 
 // flush folds the open interval's deduplicated flows into the edge slab.
@@ -280,8 +253,8 @@ func (b *Builder) flush() {
 	for i, k := range b.flows.Keys() {
 		a, z := b.nodeIDs(k)
 		if a == z {
-			// Facet merged both endpoints (e.g. two ports of one IP in
-			// a FacetService graph): keep as a self-loop-free no-op.
+			// Facet merged both endpoints (e.g. two ports of one IP in a
+			// FacetIP graph): keep as a self-loop-free no-op.
 			continue
 		}
 		o := &b.obs[i]
@@ -356,10 +329,8 @@ func (b *Builder) seal() *frozen {
 func (b *Builder) reset() {
 	b.curStart, b.curLo, b.curHi = time.Time{}, 0, 0
 	b.eps.Reset()
-	b.epNode = b.epNode[:0]
-	clear(b.nodes) // drop service-name strings
+	clear(b.nodes) // drop zone handles
 	b.nodes = b.nodes[:0]
-	clear(b.byName)
 	b.zones = b.zones[:0]
 	clear(b.zoneFam)
 	b.edgeIdx.Reset()

@@ -79,13 +79,6 @@ func (b *naiveBuilder) node(ap netip.AddrPort) graph.Node {
 	switch b.opts.Facet {
 	case graph.FacetIPPort:
 		return graph.IPPortNode(ap.Addr(), ap.Port())
-	case graph.FacetService:
-		if b.opts.Label != nil {
-			if name := b.opts.Label(ap.Addr()); name != "" {
-				return graph.ServiceNode(name)
-			}
-		}
-		return graph.ServiceNode(ap.Addr().String())
 	default:
 		return graph.IPNode(ap.Addr())
 	}
@@ -231,18 +224,10 @@ func TestBuilderMatchesNaive(t *testing.T) {
 		{"hostile", hostileRecords()},
 		{"empty", nil},
 	}
-	// Label names the low half of usvc's addresses by /28, so several IPs
-	// fold into one service node and some flows have a == z.
-	label := func(a netip.Addr) string {
-		if b := a.As16(); a.Is4() && b[15] < 128 {
-			return fmt.Sprintf("svc-%d", b[15]>>4)
-		}
-		return ""
-	}
 	for _, in := range inputs {
-		for _, facet := range []graph.Facet{graph.FacetIP, graph.FacetIPPort, graph.FacetService, graph.FacetEndpoint} {
+		for _, facet := range []graph.Facet{graph.FacetIP, graph.FacetIPPort, graph.FacetEndpoint} {
 			t.Run(fmt.Sprintf("%s/%v/series=false", in.name, facet), func(t *testing.T) {
-				opts := graph.BuilderOptions{Facet: facet, Label: label}
+				opts := graph.BuilderOptions{Facet: facet}
 				b, nb := graph.NewBuilder(opts), newNaiveBuilder(opts)
 				for _, r := range in.recs {
 					if r.Valid() {

@@ -25,7 +25,7 @@ func TestNodeString(t *testing.T) {
 	}{
 		{IPNode(ipA), "10.0.0.1"},
 		{IPPortNode(ipA, 443), "10.0.0.1:443"},
-		{ServiceNode("frontend"), "frontend"},
+		{Node{Name: "frontend"}, "frontend"},
 		{Collapsed, "(other)"},
 		{Node{}, "(invalid)"},
 	}
@@ -37,7 +37,7 @@ func TestNodeString(t *testing.T) {
 }
 
 func TestNodeLessTotalOrder(t *testing.T) {
-	ns := []Node{IPNode(ipA), IPNode(ipB), IPPortNode(ipA, 1), IPPortNode(ipA, 2), ServiceNode("a"), ServiceNode("b")}
+	ns := []Node{IPNode(ipA), IPNode(ipB), IPPortNode(ipA, 1), IPPortNode(ipA, 2), Node{Name: "a"}, Node{Name: "b"}}
 	for i := range ns {
 		for j := range ns {
 			li, lj := ns[i].Less(ns[j]), ns[j].Less(ns[i])
@@ -174,26 +174,6 @@ func TestBuilderFacetIPPort(t *testing.T) {
 	}
 	if !g.HasNode(IPPortNode(ipA, 443)) {
 		t.Error("missing IP-port node 10.0.0.1:443")
-	}
-}
-
-func TestBuilderFacetService(t *testing.T) {
-	label := func(a netip.Addr) string {
-		switch a {
-		case ipA:
-			return "frontend"
-		case ipB:
-			return "backend"
-		}
-		return ""
-	}
-	g := Build(buildRecords(), BuilderOptions{Facet: FacetService, Label: label})
-	if !g.HasNode(ServiceNode("frontend")) || !g.HasNode(ServiceNode("backend")) {
-		t.Fatal("service nodes missing")
-	}
-	// Unlabeled external collapses to its IP string.
-	if !g.HasNode(ServiceNode(ipX.String())) {
-		t.Error("unlabeled external should key by address string")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package graph implements the paper's central data structure: complete,
 // dynamic, multi-faceted communication graphs built from connection-summary
-// telemetry. Nodes can be IP addresses, {IP, port} tuples, or services
-// (§1, "Multi-faceted"); edges carry byte, packet and connection counters.
+// telemetry. Nodes can be IP addresses, {IP, port} tuples, or a service
+// endpoint's {IP, port} beside its clients' IPs (§1, "Multi-faceted");
+// edges carry byte, packet and connection counters.
 // A window's dynamics over time live in the sequence of its graphs (the
 // timeline and history store), not inside any one edge.
 package graph
@@ -22,14 +23,14 @@ const (
 	// FacetIPPort keys nodes by {IP, port} tuple; these graphs are at
 	// least an order of magnitude larger (§2.1 footnote).
 	FacetIPPort
-	// FacetService keys nodes by service name via a Labeler.
-	FacetService
 	// FacetEndpoint keys the service side of each flow by {IP, port} and
 	// the client side by IP alone (the side with the lower port is taken
 	// as the service). It separates multiple services co-located on one
 	// VM — §2.1's "resources may have multiple roles" concern — without
-	// the full IP-port graph's ephemeral-port explosion.
-	FacetEndpoint
+	// the full IP-port graph's ephemeral-port explosion. Every stored
+	// window carries its facet's value, so the values never change: 2,
+	// a retired service facet, stays unused.
+	FacetEndpoint Facet = 3
 )
 
 // String returns the facet name.
@@ -39,8 +40,6 @@ func (f Facet) String() string {
 		return "ip"
 	case FacetIPPort:
 		return "ip-port"
-	case FacetService:
-		return "service"
 	case FacetEndpoint:
 		return "endpoint"
 	}
@@ -49,8 +48,8 @@ func (f Facet) String() string {
 
 // Node identifies one vertex of a communication graph. It is comparable and
 // used directly as a map key. Exactly the fields relevant to the facet are
-// set: Addr for FacetIP; Addr+Port for FacetIPPort; Name for FacetService
-// and for synthetic nodes such as the heavy-hitter collapse bucket.
+// set: Addr for FacetIP; Addr+Port for FacetIPPort; Name for synthetic
+// nodes such as the heavy-hitter collapse bucket.
 type Node struct {
 	Addr netip.Addr
 	Port uint16
@@ -62,9 +61,6 @@ func IPNode(addr netip.Addr) Node { return Node{Addr: addr} }
 
 // IPPortNode returns the FacetIPPort node for addr:port.
 func IPPortNode(addr netip.Addr, port uint16) Node { return Node{Addr: addr, Port: port} }
-
-// ServiceNode returns the FacetService node for a named service.
-func ServiceNode(name string) Node { return Node{Name: name} }
 
 // Collapsed is the synthetic node that absorbs every peer below the
 // heavy-hitter threshold (§3.2: IPs contributing less than 0.1% of bytes,
@@ -100,10 +96,6 @@ func (n Node) Compare(m Node) int {
 	}
 	return cmp.Compare(n.Port, m.Port)
 }
-
-// Labeler maps an address to a service name for FacetService graphs.
-// Returning "" leaves the node keyed by its address string.
-type Labeler func(addr netip.Addr) string
 
 // Metric selects which edge counter an analysis weighs by.
 type Metric int

@@ -93,7 +93,7 @@ func TestBlastRadius(t *testing.T) {
 	if mean != want {
 		t.Errorf("MeanBlastRadius = %v, want %v", mean, want)
 	}
-	if r.BlastRadius(graph.ServiceNode("unknown")) != 0 {
+	if r.BlastRadius(graph.Node{Name: "unknown"}) != 0 {
 		t.Error("unknown node should have zero radius")
 	}
 }

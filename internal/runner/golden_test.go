@@ -102,6 +102,28 @@ func TestDefaultRunnersGolden(t *testing.T) {
 	}
 }
 
+// TestRepeatRunsAgree drives fresh default runners over the golden
+// stream 21 times and requires every run's answers to be byte-equal to the
+// first: no analysis may depend on map iteration order.
+func TestRepeatRunsAgree(t *testing.T) {
+	streams := [][]*graph.Graph{
+		goldenWindows(t, "k8spaas", 0.25, 10),
+		goldenWindows(t, "microservicebench", 0.25, 10),
+	}
+	var first []byte
+	for run := range 21 {
+		var buf bytes.Buffer
+		for i, ws := range streams {
+			runDefaults(t, &buf, fmt.Sprint(i), ws)
+		}
+		if run == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("run %d answers differ from run 0", run)
+		}
+	}
+}
+
 // TestSummarizeAllocBudget gates the summarize runner's allocations per
 // sealed k8spaas minute window — OnSnapshot plus the marshal of its result,
 // as Plane.step runs it. The count is deterministic (the Node-keyed kernels

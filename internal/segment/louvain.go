@@ -5,7 +5,10 @@ package segment
 // repeated until modularity stops improving. It is deterministic — nodes
 // are visited in index order — so segmentations are reproducible.
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // wgraph is an undirected weighted multigraph in adjacency-list form.
 type wgraph struct {
@@ -183,7 +186,10 @@ func localMove(g *wgraph, minGain, gamma float64) (comm []int, movedAny bool) {
 }
 
 // aggregate builds the level-up graph: one supernode per community, edge
-// weights summed, intra-community weight becoming self-loops.
+// weights summed, intra-community weight becoming self-loops. The summed
+// pairs are laid out in (a, b) order, so every row of the level-up graph
+// is ascending and the next level's local moves see the same adjacency on
+// every run.
 func aggregate(g *wgraph, comm []int, nComm int) *wgraph {
 	out := &wgraph{n: nComm, adj: make([][]wedge, nComm), self: make([]float64, nComm)}
 	type pairKey struct{ a, b int }
@@ -203,7 +209,15 @@ func aggregate(g *wgraph, comm []int, nComm int) *wgraph {
 			}
 		}
 	}
-	for k, w := range acc {
+	keys := make([]pairKey, 0, len(acc))
+	for k := range acc {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(x, y pairKey) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+	})
+	for _, k := range keys {
+		w := acc[k]
 		out.adj[k.a] = append(out.adj[k.a], wedge{to: k.b, w: w})
 		out.adj[k.b] = append(out.adj[k.b], wedge{to: k.a, w: w})
 	}

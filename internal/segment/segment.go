@@ -49,9 +49,6 @@ const (
 	// StrategyJaccardLouvain is the paper's own method (Figure 1):
 	// Jaccard neighbor-overlap scores, Louvain on the scored clique.
 	StrategyJaccardLouvain Strategy = "jaccard-louvain"
-	// StrategyMinHashLouvain is the sketched variant addressing the
-	// super-quadratic cost called out as an open issue.
-	StrategyMinHashLouvain Strategy = "minhash-louvain"
 	// StrategySimRank clusters plain SimRank scores (Figure 3a).
 	StrategySimRank Strategy = "simrank"
 	// StrategySimRankPP clusters SimRank++ scores (Figure 3b).
@@ -66,17 +63,18 @@ const (
 // Strategies lists all implemented strategies in figure order.
 func Strategies() []Strategy {
 	return []Strategy{
-		StrategyJaccardLouvain, StrategyMinHashLouvain,
+		StrategyJaccardLouvain,
 		StrategySimRank, StrategySimRankPP,
 		StrategyModularityConn, StrategyModularityBytes,
 	}
 }
 
+// minScore drops similarity-clique edges below this weight, keeping the
+// clique sparse.
+const minScore = 0.02
+
 // Options tunes segmentation.
 type Options struct {
-	// MinScore drops similarity-clique edges below this weight; keeps
-	// the clique sparse. Default 0.02.
-	MinScore float64
 	// TopK keeps, for each node, only the edges to its TopK most similar
 	// peers. The exact rule: rank the scored pairs by weight descending,
 	// ties by the pair's lower node, then its higher node, in sorted node
@@ -93,21 +91,11 @@ type Options struct {
 	// leaves the ideal segmentation granularity as an open question, so
 	// this is the knob an operator would tune per subscription.
 	Resolution float64
-	// MinHashK is the sketch width for StrategyMinHashLouvain.
-	MinHashK int
-	// SimRank carries SimRank/SimRank++ parameters.
-	SimRank SimRankOptions
 }
 
 func (o *Options) defaults() {
-	if o.MinScore <= 0 {
-		o.MinScore = 0.02
-	}
 	if o.TopK == 0 {
 		o.TopK = 6
-	}
-	if o.MinHashK <= 0 {
-		o.MinHashK = MinHashSize
 	}
 }
 
@@ -151,18 +139,16 @@ func (sc *Scratch) RunView(s Strategy, u *graph.Undirected, opts Options) (Assig
 	case StrategyJaccardLouvain:
 		sc.sets = appendNeighborSets(sc.sets[:0], u)
 		if opts.TopK > 0 {
-			pairs = sc.jaccardTopK(sc.sets, opts.MinScore, opts.TopK)
+			pairs = sc.jaccardTopK(sc.sets, minScore, opts.TopK)
 		} else {
-			pairs = sc.jaccardClique(sc.sets, opts.MinScore)
+			pairs = sc.jaccardClique(sc.sets, minScore)
 		}
-	case StrategyMinHashLouvain:
-		pairs = sc.topK(minhashClique(neighborSets(u), opts.MinHashK, opts.MinScore), n, opts.TopK)
 	case StrategySimRank:
-		scores := simRankScores(neighborSets(u), opts.SimRank)
-		pairs = sc.topK(scoresToPairs(scores, n, opts.MinScore), n, opts.TopK)
+		scores := simRankScores(neighborSets(u))
+		pairs = sc.topK(scoresToPairs(scores, n), n, opts.TopK)
 	case StrategySimRankPP:
-		scores := simRankPPScores(u, neighborSets(u), opts.SimRank)
-		pairs = sc.topK(scoresToPairs(scores, n, opts.MinScore), n, opts.TopK)
+		scores := simRankPPScores(u, neighborSets(u))
+		pairs = sc.topK(scoresToPairs(scores, n), n, opts.TopK)
 	case StrategyModularityConn:
 		pairs = commPairs(u, graph.Conns)
 	case StrategyModularityBytes:

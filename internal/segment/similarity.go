@@ -207,63 +207,3 @@ func (sc *Scratch) jaccardTopKBy(sets [][]int32, minScore float64, k int, useBit
 	})
 	return sel.pairs()
 }
-
-// MinHashSize is the default sketch width for approximate Jaccard.
-const MinHashSize = 64
-
-// minhashSig computes a k-permutation MinHash signature of a set of ids.
-// Estimated Jaccard = fraction of colliding signature slots; this is the
-// sketching mitigation (à la SuperMinHash) for the quadratic scoring cost.
-func minhashSig(set []int32, k int) []uint64 {
-	sig := make([]uint64, k)
-	for i := range sig {
-		sig[i] = ^uint64(0)
-	}
-	for _, v := range set {
-		x := uint64(v) + 1
-		for i := 0; i < k; i++ {
-			h := splitmix64(x + uint64(i)*0x9e3779b97f4a7c15)
-			if h < sig[i] {
-				sig[i] = h
-			}
-		}
-	}
-	return sig
-}
-
-// splitmix64 is a strong 64-bit mixer, deterministic across runs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// minhashEstimate returns the estimated Jaccard of two signatures.
-func minhashEstimate(a, b []uint64) float64 {
-	match := 0
-	for i := range a {
-		if a[i] == b[i] && a[i] != ^uint64(0) {
-			match++
-		}
-	}
-	return float64(match) / float64(len(a))
-}
-
-// minhashClique is jaccardClique with sketched scores.
-func minhashClique(sets [][]int32, k int, minScore float64) []simPair {
-	n := len(sets)
-	sigs := make([][]uint64, n)
-	for i, s := range sets {
-		sigs[i] = minhashSig(s, k)
-	}
-	var pairs []simPair
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if w := minhashEstimate(sigs[i], sigs[j]); w >= minScore {
-				pairs = append(pairs, simPair{a: i, b: j, w: w})
-			}
-		}
-	}
-	return pairs
-}

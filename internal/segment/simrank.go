@@ -12,34 +12,24 @@ import (
 // from a node's own communication — at higher cost than Jaccard scoring
 // (§2.1).
 
-// SimRankOptions configures SimRank and SimRank++.
-type SimRankOptions struct {
-	// C is the decay factor (0, 1); 0.8 is the classic default.
-	C float64
-	// Iterations bounds the fixed-point iteration; 5 is usually enough.
-	Iterations int
-}
-
-func (o *SimRankOptions) defaults() {
-	if o.C <= 0 || o.C >= 1 {
-		o.C = 0.8
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = 5
-	}
-}
+const (
+	// simRankDecay is SimRank's decay factor C in (0, 1), the classic 0.8.
+	simRankDecay = 0.8
+	// simRankIterations bounds the fixed-point iteration; 5 is usually
+	// enough.
+	simRankIterations = 5
+)
 
 // simRankScores runs plain SimRank over undirected neighbor sets and
 // returns the dense similarity matrix (row-major n×n).
-func simRankScores(sets [][]int32, opts SimRankOptions) []float64 {
-	opts.defaults()
+func simRankScores(sets [][]int32) []float64 {
 	n := len(sets)
 	cur := make([]float64, n*n)
 	next := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		cur[i*n+i] = 1
 	}
-	for it := 0; it < opts.Iterations; it++ {
+	for range simRankIterations {
 		for i := 0; i < n; i++ {
 			next[i*n+i] = 1
 			for j := i + 1; j < n; j++ {
@@ -53,7 +43,7 @@ func simRankScores(sets [][]int32, opts SimRankOptions) []float64 {
 							sum += row[b]
 						}
 					}
-					s = opts.C * sum / float64(len(ni)*len(nj))
+					s = simRankDecay * sum / float64(len(ni)*len(nj))
 				}
 				next[i*n+j] = s
 				next[j*n+i] = s
@@ -68,8 +58,7 @@ func simRankScores(sets [][]int32, opts SimRankOptions) []float64 {
 // an evidence factor — pairs sharing more neighbors are trusted more — and
 // edge-weight-aware propagation, so heavy conversations (by bytes)
 // influence similarity more than trickles.
-func simRankPPScores(u *graph.Undirected, sets [][]int32, opts SimRankOptions) []float64 {
-	opts.defaults()
+func simRankPPScores(u *graph.Undirected, sets [][]int32) []float64 {
 	n := len(sets)
 
 	// Normalized weights, stored as a slice parallel to sets[i] so the
@@ -103,7 +92,7 @@ func simRankPPScores(u *graph.Undirected, sets [][]int32, opts SimRankOptions) [
 	for i := 0; i < n; i++ {
 		cur[i*n+i] = 1
 	}
-	for it := 0; it < opts.Iterations; it++ {
+	for range simRankIterations {
 		for i := 0; i < n; i++ {
 			next[i*n+i] = 1
 			ni, wi := sets[i], wlist[i]
@@ -122,7 +111,7 @@ func simRankPPScores(u *graph.Undirected, sets [][]int32, opts SimRankOptions) [
 							sum += wa * wj[bi] * row[b]
 						}
 					}
-					s = opts.C * sum * evidence(sets[i], sets[j])
+					s = simRankDecay * sum * evidence(sets[i], sets[j])
 				}
 				next[i*n+j] = s
 				next[j*n+i] = s
@@ -143,9 +132,9 @@ func evidence(a, b []int32) float64 {
 	return 1 - math.Pow(2, -float64(c))
 }
 
-// scoresToPairs converts a dense similarity matrix into clique pairs above
-// minScore, for clustering.
-func scoresToPairs(scores []float64, n int, minScore float64) []simPair {
+// scoresToPairs converts a dense similarity matrix into clique pairs at or
+// above minScore, for clustering.
+func scoresToPairs(scores []float64, n int) []simPair {
 	var pairs []simPair
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

@@ -255,7 +255,7 @@ func decodeV2(b []byte) (*graph.Graph, error) {
 //	i64 start unix, i64 end unix
 //	u32 node count, then per node: u8 kind (0 ip, 1 ipport, 2 name),
 //	    [16]addr, u8 wasV4, u16 port, u16 textLen, text bytes — the
-//	    service name for kind 2, the IPv6 zone (usually empty) otherwise
+//	    node name for kind 2, the IPv6 zone (usually empty) otherwise
 //	u32 directed edge count, then per edge: u32 src, u32 dst, u64 bytes,
 //	    u64 packets, u64 conns
 func decodeV1(b []byte) (*graph.Graph, error) {
@@ -312,7 +312,7 @@ func (r *byteReader) nodeV2() (graph.Node, bool) {
 	kind := flags & flagKind
 	if kind == kindName {
 		name := r.text()
-		return graph.ServiceNode(name), flags == kindName && name != "" && r.err == nil
+		return graph.Node{Name: name}, flags == kindName && name != "" && r.err == nil
 	}
 	var addr netip.Addr
 	switch flags &^ flagKind {
@@ -358,7 +358,7 @@ func (r *byteReader) nodeV1() (graph.Node, bool) {
 		return graph.Node{}, false
 	}
 	if kind == kindName {
-		return graph.ServiceNode(text), text != ""
+		return graph.Node{Name: text}, text != ""
 	}
 	addr := netip.AddrFrom16(a16)
 	switch {

@@ -33,10 +33,10 @@ func randomGraph(rng *rand.Rand, start time.Time) *graph.Graph {
 			Conns:   uint64(1 + rng.Intn(10)),
 		})
 	}
-	// A few exotic nodes: IPv6, IP-port, service, collapsed, isolated, and
+	// A few exotic nodes: IPv6, IP-port, named, collapsed, isolated, and
 	// scoped IPv6 nodes that differ only by zone.
 	m.Add(graph.IPNode(netip.MustParseAddr("2001:db8::1")), graph.Collapsed, graph.Counters{Bytes: 7})
-	m.Add(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.ServiceNode("svc"), graph.Counters{Bytes: 9, Conns: 1})
+	m.Add(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.Node{Name: "svc"}, graph.Counters{Bytes: 9, Conns: 1})
 	m.Vertex(graph.IPNode(netip.MustParseAddr("192.0.2.200")))
 	m.Add(graph.IPNode(netip.MustParseAddr("fe80::1%eth0")), graph.IPNode(netip.MustParseAddr("fe80::1%eth1")), graph.Counters{Bytes: 11})
 	m.Add(graph.IPPortNode(netip.MustParseAddr("fe80::1"), 22), graph.IPPortNode(netip.MustParseAddr("fe80::1%eth0"), 22), graph.Counters{Bytes: 13})
@@ -75,7 +75,7 @@ func sameGraph(t *testing.T, a, b *graph.Graph) {
 }
 
 // TestRoundTrip: graphs with every node kind — IPv4, IPv6, ip:port,
-// service, the collapse bucket, an isolated node, IPv6 nodes that differ
+// name, the collapse bucket, an isolated node, IPv6 nodes that differ
 // only by zone — and the graphtest shapes (self-loops, one-way and
 // zero-byte edges) survive EncodeGraph→DecodeGraph, matching the map
 // reference; and the encoding is canonical: the decoded graph re-encodes to
@@ -369,7 +369,7 @@ func TestDecodeMapFormRecord(t *testing.T) {
 	wantM.Add(ip("2001:db8::1"), ip("10.0.0.1"), graph.Counters{Bytes: 400, Packets: 5, Conns: 1})
 	wantM.Add(ip("fe80::1"), ip("10.0.0.3"), graph.Counters{Bytes: 500, Packets: 6, Conns: 1})
 	wantM.Add(ip("fe80::1"), ip("10.0.0.2"), graph.Counters{Bytes: 600, Packets: 7, Conns: 1})
-	wantM.Add(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.ServiceNode("svc"), graph.Counters{Bytes: 9, Conns: 1})
+	wantM.Add(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.Node{Name: "svc"}, graph.Counters{Bytes: 9, Conns: 1})
 	wantM.Add(ip("2001:db8::1"), graph.Collapsed, graph.Counters{Bytes: 7})
 	wantM.Vertex(ip("192.0.2.200"))
 	want := wantM.Graph()
@@ -455,25 +455,33 @@ func bytesPerRun(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestDecodeGolden pins the v2 writer to a checked-in body holding every
-// node kind — IPv4, IPv6, zoned IPv6, ip:port, service and the collapse
-// bucket — with a self-loop and an isolated node: the body decodes to the
-// graph it was written from, and that graph encodes to the body byte for
-// byte.
+// TestDecodeGolden pins the v2 writer to checked-in bodies: one holding
+// every node kind — IPv4, IPv6, zoned IPv6, ip:port, name and the collapse
+// bucket — with a self-loop and an isolated node, and one endpoint-facet
+// window, whose facet byte pins graph.FacetEndpoint's value. Each body
+// decodes to the graph it was written from, and that graph encodes to the
+// body byte for byte.
 func TestDecodeGolden(t *testing.T) {
-	b, err := os.ReadFile("testdata/v2_every_kind.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := everyKind()
-	got, err := DecodeGraph(b)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	sameGraph(t, want, got)
-	assertMatchesMapReference(t, b)
-	if enc := EncodeGraph(want); !bytes.Equal(enc, b) {
-		t.Fatalf("EncodeGraph writes %x, golden body is %x", enc, b)
+	for _, golden := range []struct {
+		file string
+		want *graph.Graph
+	}{
+		{"testdata/v2_every_kind.bin", everyKind()},
+		{"testdata/v2_endpoint_facet.bin", endpointWindow()},
+	} {
+		b, err := os.ReadFile(golden.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeGraph(b)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", golden.file, err)
+		}
+		sameGraph(t, golden.want, got)
+		assertMatchesMapReference(t, b)
+		if enc := EncodeGraph(golden.want); !bytes.Equal(enc, b) {
+			t.Fatalf("%s: EncodeGraph writes %x, golden body is %x", golden.file, enc, b)
+		}
 	}
 }
 
@@ -484,10 +492,26 @@ func everyKind() *graph.Graph {
 	m.Add(ip("10.0.0.1"), ip("2001:db8::1"), graph.Counters{Bytes: 1500, Packets: 3, Conns: 1})
 	m.Add(ip("2001:db8::1"), ip("10.0.0.1"), graph.Counters{Bytes: 300, Packets: 2, Conns: 1})
 	m.Add(ip("fe80::1%eth0"), ip("10.0.0.1"), graph.Counters{Bytes: 64, Packets: 1})
-	m.Add(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.ServiceNode("svc"), graph.Counters{Bytes: 1 << 40, Packets: 1 << 20, Conns: 70000})
+	m.Add(graph.IPPortNode(netip.MustParseAddr("10.9.9.9"), 443), graph.Node{Name: "svc"}, graph.Counters{Bytes: 1 << 40, Packets: 1 << 20, Conns: 70000})
 	m.Add(ip("10.0.0.1"), graph.Collapsed, graph.Counters{Bytes: 7, Packets: 1, Conns: 1})
-	m.Add(graph.ServiceNode("svc"), graph.ServiceNode("svc"), graph.Counters{Bytes: 9, Packets: 1, Conns: 1})
+	m.Add(graph.Node{Name: "svc"}, graph.Node{Name: "svc"}, graph.Counters{Bytes: 9, Packets: 1, Conns: 1})
 	m.Vertex(ip("192.0.2.200"))
+	return m.Graph()
+}
+
+// endpointWindow is the FacetEndpoint window testdata/v2_endpoint_facet.bin
+// holds: services keyed by ip:port, their clients by IP.
+func endpointWindow() *graph.Graph {
+	svc := func(s string) graph.Node {
+		ap := netip.MustParseAddrPort(s)
+		return graph.IPPortNode(ap.Addr(), ap.Port())
+	}
+	m := graphtest.NewModel(graph.FacetEndpoint)
+	m.Start, m.End = t0, t0.Add(time.Minute)
+	m.Add(ip("10.0.0.1"), svc("10.0.0.2:443"), graph.Counters{Bytes: 1500, Packets: 3, Conns: 2})
+	m.Add(svc("10.0.0.2:443"), ip("10.0.0.1"), graph.Counters{Bytes: 90000, Packets: 70})
+	m.Add(ip("10.0.0.2"), svc("10.0.0.3:5432"), graph.Counters{Bytes: 800, Packets: 6, Conns: 1})
+	m.Add(ip("2001:db8::7"), svc("10.0.0.2:443"), graph.Counters{Bytes: 64, Packets: 1, Conns: 1})
 	return m.Graph()
 }
 
