@@ -49,8 +49,13 @@ func TestAppendToExisting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hs.Close()
-	if lo, hi, _ := hs.Epochs(); lo != 1 || hi != 2 {
-		t.Errorf("epochs = [%d, %d], want [1, 2]", lo, hi)
+	for ep := uint64(1); ep <= 2; ep++ {
+		if _, err := hs.Get(ep); err != nil {
+			t.Errorf("Get(%d): %v", ep, err)
+		}
+	}
+	if _, err := hs.Get(3); err != histstore.ErrNotFound {
+		t.Errorf("Get(3) = %v, want ErrNotFound (epochs 1..2 only)", err)
 	}
 }
 

@@ -7,24 +7,23 @@ import (
 )
 
 // forbiddenEngineMethods are the Engine entry points a bus consumer must
-// never re-enter. Ingest/IngestTraced/Collect/CollectTraced feed the
-// pipeline that publishes to the very bus the consumer rides (unbounded
-// feedback); Flush drains the bus and would wait on the calling consumer
-// forever; Close waits for the consumer's own goroutine to exit.
+// never re-enter. Ingest/IngestTraced/Collect feed the pipeline that
+// publishes to the very bus the consumer rides (unbounded feedback); Flush
+// drains the bus and would wait on the calling consumer forever; Close
+// waits for the consumer's own goroutine to exit.
 var forbiddenEngineMethods = map[string]string{
-	"Ingest":        "feeds the pipeline back into the bus the consumer rides",
-	"IngestTraced":  "feeds the pipeline back into the bus the consumer rides",
-	"Collect":       "feeds the pipeline back into the bus the consumer rides",
-	"CollectTraced": "feeds the pipeline back into the bus the consumer rides",
-	"Flush":         "drains the bus and would wait on this consumer forever",
-	"Close":         "waits for this consumer's own goroutine to exit",
+	"Ingest":       "feeds the pipeline back into the bus the consumer rides",
+	"IngestTraced": "feeds the pipeline back into the bus the consumer rides",
+	"Collect":      "feeds the pipeline back into the bus the consumer rides",
+	"Flush":        "drains the bus and would wait on this consumer forever",
+	"Close":        "waits for this consumer's own goroutine to exit",
 }
 
 // Busconsumer enforces the consumer-bus re-entrancy invariant: a window
 // consumer (any function installed as a ConsumerSpec.Fn) runs on a bus
 // delivery goroutine, so it must not call back into the engine's ingest
-// or lifecycle path — Engine.Ingest, IngestTraced, Collect, CollectTraced,
-// Flush or Close — directly or through module functions, in any package.
+// or lifecycle path — Engine.Ingest, IngestTraced, Collect, Flush or
+// Close — directly or through module functions, in any package.
 // Ingest calls re-enter the pipeline that publishes to the bus; Flush
 // blocks until the bus drains, which includes the consumer making the
 // call; Close joins the consumer's own goroutine. All three shapes are

@@ -460,8 +460,8 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 		// Legacy batches carry no upstream contexts, so the server samples
 		// here: that makes the daemon's -trace-sample useful for
 		// file-driven ingest (graphctl send), with journeys starting at
-		// the wire instead of the NIC. With sampling off the batch skips
-		// the sampler altogether.
+		// the wire. With sampling off the batch skips the sampler
+		// altogether.
 		var tcs []trace.Context
 		if sampling {
 			d := time.Since(start)

@@ -13,23 +13,28 @@ import (
 
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
+	"cloudgraph/internal/nicsim"
 	"cloudgraph/internal/realm"
 	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/trace"
 )
 
-// tracedClientCollector adapts a *Client to nicsim.TracedCollector so the
-// fabric's out-of-band contexts ride the wire protocol's flagged frames.
-type tracedClientCollector struct{ c *Client }
-
-func (t tracedClientCollector) Collect(recs []flowlog.Record) error { return t.c.Ingest(recs) }
-func (t tracedClientCollector) CollectTraced(recs []flowlog.Record, tcs []trace.Context) error {
-	return t.c.IngestTraced(recs, tcs)
+// sampledCollector samples a trace context for every record of each batch
+// the fabric pulls, as a traced collection agent would, and sends the
+// batch in flagged frames with its contexts out of band.
+func sampledCollector(cl *Client, tr *trace.Tracer) nicsim.Collector {
+	return nicsim.CollectorFunc(func(recs []flowlog.Record) error {
+		tcs := make([]trace.Context, len(recs))
+		for i := range tcs {
+			tcs[i] = tr.Sample()
+		}
+		return cl.IngestTraced(recs, tcs)
+	})
 }
 
 // pipelineStages is the Figure 8 journey a sampled record's trace covers
 // up to its window's seal, in causal order.
-var pipelineStages = []string{"nicsim.pull", "wire.ingest", "core.shard", "core.merge"}
+var pipelineStages = []string{"wire.ingest", "core.shard", "core.merge"}
 
 // analysisStages names the span every runner of the tenant's plane records
 // against each sampled record of an analyzed window.
@@ -79,7 +84,8 @@ func checkJourneys(t *testing.T, rec *trace.Recorder, ordered, consumers []strin
 
 // TestTraceEndToEnd runs the whole pipeline — simulated NICs, the wire
 // protocol, the windowing engine, the durable history, the analysis plane
-// — under one tracer with sampling on, and asserts every sampled record
+// — under one tracer with sampling on, the records' contexts sampled at
+// collection and sent in flagged frames, and asserts every sampled record
 // that reached its window's merge leaves exactly one span per stage under
 // a single trace ID: the ingest stages in order, then the history append
 // and each runner's analysis, retrievable from /tracez. It then injects a
@@ -106,8 +112,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	defer cl.Close()
 
 	c := testCluster(t)
-	c.Fabric().Trace(tr)
-	if _, err := c.Run(t0, 5, tracedClientCollector{cl}); err != nil {
+	if _, err := c.Run(t0, 5, sampledCollector(cl, tr)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Flush(); err != nil { // close the window: merge, history append, analyses
@@ -194,7 +199,7 @@ func TestTraceLegacyIngestSamplesServerSide(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	checkJourneys(t, tr.Recorder(), pipelineStages[1:], analysisStages(m))
+	checkJourneys(t, tr.Recorder(), pipelineStages, analysisStages(m))
 }
 
 func hexID(id uint64) string {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cloudgraph/internal/flowlog"
-	"cloudgraph/internal/trace"
 )
 
 // TestDeterministicReplay pins the invariant cloudgraph-vet's detclock
@@ -15,13 +14,12 @@ import (
 // global-RNG draw, or map-iteration order leaking into the record stream
 // shows up here as a diff.
 func TestDeterministicReplay(t *testing.T) {
-	run := func(tr *trace.Tracer) []byte {
+	run := func() []byte {
 		spec := MicroserviceBench(0.2)
 		c, err := New(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Fabric().Trace(tr)
 		start := time.Unix(1700000000, 0).UTC()
 		c.AddAttack(PortScan{
 			AttackerRole: "frontend",
@@ -44,11 +42,8 @@ func TestDeterministicReplay(t *testing.T) {
 		return stream
 	}
 
-	diff := func(label string, first, second []byte) {
-		t.Helper()
-		if bytes.Equal(first, second) {
-			return
-		}
+	first, second := run(), run()
+	if !bytes.Equal(first, second) {
 		n := len(first)
 		if len(second) < n {
 			n = len(second)
@@ -60,17 +55,7 @@ func TestDeterministicReplay(t *testing.T) {
 				break
 			}
 		}
-		t.Fatalf("%s: replay diverged: %d vs %d bytes, first difference at offset %d (record %d)",
-			label, len(first), len(second), at, at/flowlog.WireSize)
+		t.Fatalf("replay diverged: %d vs %d bytes, first difference at offset %d (record %d)",
+			len(first), len(second), at, at/flowlog.WireSize)
 	}
-
-	first := run(nil)
-	second := run(nil)
-	diff("untraced", first, second)
-
-	// Tracing must never perturb the record stream: trace contexts travel
-	// out of band, so a run with sampling enabled is still byte-identical
-	// to the untraced baseline.
-	traced := run(trace.New(trace.Options{SampleEvery: 64, Seed: 1}))
-	diff("traced vs untraced", first, traced)
 }

@@ -58,18 +58,12 @@ type busConsumer struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []busItem
-	busy   bool // fn currently running
+	queue  []busItem // its length is the consumer's depth
+	busy   bool      // fn currently running
 	closed bool
 
-	depth     *telemetry.Gauge
-	drops     *telemetry.Counter
-	delivered *telemetry.Counter
-
-	// Plain counters mirror the telemetry handles so Bus.Stats (the
-	// /statusz view) works with telemetry disabled too.
-	dropsN     atomic.Uint64
-	deliveredN atomic.Uint64
+	drops     atomic.Uint64
+	delivered atomic.Uint64
 }
 
 func newBusConsumer(spec ConsumerSpec) *busConsumer {
@@ -99,12 +93,10 @@ func (c *busConsumer) publish(epoch uint64, g *graph.Graph) (dropped bool) {
 		dropped = true
 	}
 	c.queue = append(c.queue, busItem{epoch: epoch, g: g})
-	c.depth.Set(int64(len(c.queue)))
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	if dropped {
 		c.drops.Add(1)
-		c.dropsN.Add(1)
 	}
 	return dropped
 }
@@ -127,11 +119,9 @@ func (c *busConsumer) loop() {
 		copy(c.queue, c.queue[1:])
 		c.queue = c.queue[:len(c.queue)-1]
 		c.busy = true
-		c.depth.Set(int64(len(c.queue)))
 		c.mu.Unlock()
 		c.fn(it.epoch, it.g)
 		c.delivered.Add(1)
-		c.deliveredN.Add(1)
 		c.mu.Lock()
 		c.busy = false
 		c.cond.Broadcast() // wake drain waiters
@@ -157,9 +147,17 @@ func (c *busConsumer) close() {
 	c.mu.Unlock()
 }
 
-// Bus fans completed windows out to registered consumers. One bus lives
-// inside each Engine; the engine's close path is its only publisher, so
-// every consumer observes windows in epoch order.
+// depth returns how many windows wait in the consumer's queue.
+func (c *busConsumer) depth() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.queue)
+}
+
+// Bus fans completed windows out to the consumers fixed at engine
+// construction (Config.Consumers). One bus lives inside each Engine; the
+// engine's close path is its only publisher, so every consumer observes
+// windows in epoch order.
 //
 // Slow-consumer policy: each consumer has a bounded queue
 // (ConsumerSpec.Buffer, default 64 windows). Publishing never blocks the
@@ -169,61 +167,33 @@ func (c *busConsumer) close() {
 // and every analysis degrade independently instead of backpressuring
 // graph construction.
 type Bus struct {
-	mu        sync.Mutex
 	consumers []*busConsumer
 	wg        sync.WaitGroup
-	closed    bool
-	reg       *telemetry.Registry
+	closeOnce sync.Once
 	tracer    *trace.Tracer
 }
 
-func newBus(reg *telemetry.Registry, tracer *trace.Tracer) *Bus {
-	return &Bus{reg: reg, tracer: tracer}
-}
-
-// Subscribe registers a consumer and starts its delivery goroutine.
-// Consumers registered after windows have completed simply miss the
-// earlier epochs. Subscribing on a closed bus is a no-op.
-func (b *Bus) Subscribe(spec ConsumerSpec) {
-	if spec.Fn == nil {
-		return
+// newBus starts one delivery goroutine per spec with a non-nil Fn.
+func newBus(specs []ConsumerSpec, tracer *trace.Tracer) *Bus {
+	b := &Bus{tracer: tracer}
+	for _, spec := range specs {
+		if spec.Fn == nil {
+			continue
+		}
+		c := newBusConsumer(spec)
+		b.consumers = append(b.consumers, c)
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			c.loop()
+		}()
 	}
-	c := newBusConsumer(spec)
-	if b.reg != nil {
-		label := telemetry.Label{Key: "consumer", Value: c.name}
-		c.depth = b.reg.Gauge("cloudgraph_core_bus_depth",
-			"windows queued per bus consumer", label)
-		c.drops = b.reg.Counter("cloudgraph_core_bus_dropped_total",
-			"windows dropped per bus consumer under the drop-oldest policy", label)
-		c.delivered = b.reg.Counter("cloudgraph_core_bus_delivered_total",
-			"windows delivered per bus consumer", label)
-	}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	b.consumers = append(b.consumers, c)
-	b.mu.Unlock()
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		c.loop()
-	}()
-}
-
-// snapshot returns the current consumer set.
-func (b *Bus) snapshot() []*busConsumer {
-	b.mu.Lock()
-	out := make([]*busConsumer, len(b.consumers))
-	copy(out, b.consumers)
-	b.mu.Unlock()
-	return out
+	return b
 }
 
 // publish hands one completed window to every consumer.
 func (b *Bus) publish(epoch uint64, g *graph.Graph) {
-	for _, c := range b.snapshot() {
+	for _, c := range b.consumers {
 		if c.publish(epoch, g) {
 			b.tracer.Eventf(trace.Context{}, "core", slog.LevelWarn,
 				"bus consumer %q in arrears: dropped oldest queued window (epoch %d published)", c.name, epoch)
@@ -236,7 +206,7 @@ func (b *Bus) publish(epoch uint64, g *graph.Graph) {
 // the engine calls it from Flush so tests and the FLUSH command observe a
 // fully settled plane.
 func (b *Bus) Drain() {
-	for _, c := range b.snapshot() {
+	for _, c := range b.consumers {
 		c.drain()
 	}
 }
@@ -244,30 +214,12 @@ func (b *Bus) Drain() {
 // Close drains and stops all consumer goroutines. Windows published
 // before Close are still delivered. Idempotent.
 func (b *Bus) Close() {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	b.closed = true
-	consumers := make([]*busConsumer, len(b.consumers))
-	copy(consumers, b.consumers)
-	b.mu.Unlock()
-	for _, c := range consumers {
-		c.close()
-	}
-	b.wg.Wait()
-}
-
-// Consumers returns the registered consumer names in subscription order.
-func (b *Bus) Consumers() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, len(b.consumers))
-	for i, c := range b.consumers {
-		out[i] = c.name
-	}
-	return out
+	b.closeOnce.Do(func() {
+		for _, c := range b.consumers {
+			c.close()
+		}
+		b.wg.Wait()
+	})
 }
 
 // ConsumerStat is one bus consumer's point-in-time accounting — the
@@ -281,36 +233,35 @@ type ConsumerStat struct {
 }
 
 // Stats returns per-consumer depth, capacity and drop/delivery totals in
-// subscription order. Unlike the telemetry handles these always count, so
-// the view works on an uninstrumented engine.
+// Config.Consumers order.
 func (b *Bus) Stats() []ConsumerStat {
-	consumers := b.snapshot()
-	out := make([]ConsumerStat, len(consumers))
-	for i, c := range consumers {
-		c.mu.Lock()
-		depth := len(c.queue)
-		c.mu.Unlock()
+	out := make([]ConsumerStat, len(b.consumers))
+	for i, c := range b.consumers {
 		out[i] = ConsumerStat{
 			Name:      c.name,
-			Depth:     depth,
+			Depth:     c.depth(),
 			Capacity:  c.cap,
-			Dropped:   c.dropsN.Load(),
-			Delivered: c.deliveredN.Load(),
+			Dropped:   c.drops.Load(),
+			Delivered: c.delivered.Load(),
 		}
 	}
 	return out
 }
 
-// Depth returns the queued-window count for the named consumer (0 if
-// unknown).
-func (b *Bus) Depth(name string) int {
-	for _, c := range b.snapshot() {
-		if c.name == name {
-			c.mu.Lock()
-			n := len(c.queue)
-			c.mu.Unlock()
-			return n
-		}
+// instrument registers each consumer's depth, drop and delivery series,
+// read from the consumer's own counts, carrying labels after the consumer
+// label.
+func (b *Bus) instrument(reg *telemetry.Registry, labels []telemetry.Label) {
+	for _, c := range b.consumers {
+		ls := append([]telemetry.Label{{Key: "consumer", Value: c.name}}, labels...)
+		reg.GaugeFunc("cloudgraph_core_bus_depth",
+			"windows queued per bus consumer",
+			func() float64 { return float64(c.depth()) }, ls...)
+		reg.GaugeFunc("cloudgraph_core_bus_dropped_total",
+			"windows dropped per bus consumer under the drop-oldest policy",
+			func() float64 { return float64(c.drops.Load()) }, ls...)
+		reg.GaugeFunc("cloudgraph_core_bus_delivered_total",
+			"windows delivered per bus consumer",
+			func() float64 { return float64(c.delivered.Load()) }, ls...)
 	}
-	return 0
 }

@@ -86,8 +86,8 @@ func TestBusOnWindowCompat(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("OnWindow fired %d times, want 3", n)
 	}
-	if got := e.Bus().Consumers(); len(got) != 1 || got[0] != "hook" {
-		t.Fatalf("bus consumers = %v, want [hook]", got)
+	if got := e.Bus().Stats(); len(got) != 1 || got[0].Name != "hook" || got[0].Delivered != 3 {
+		t.Fatalf("bus consumers = %+v, want hook with 3 delivered", got)
 	}
 }
 
@@ -102,8 +102,7 @@ func TestBusDropOldest(t *testing.T) {
 	var mu sync.Mutex
 	var got []uint64
 	e := NewEngine(Config{
-		Window:    time.Hour,
-		Telemetry: reg,
+		Window: time.Hour,
 		Consumers: []ConsumerSpec{{
 			Name:   "slow",
 			Buffer: 2,
@@ -117,6 +116,7 @@ func TestBusDropOldest(t *testing.T) {
 		}},
 	})
 	defer e.Close()
+	e.Instrument(reg, telemetry.Label{Key: "tenant", Value: "t"})
 
 	all := busRecs(6)
 	e.Ingest(all[:2]) // closes the first window: epoch 1 delivered
@@ -150,8 +150,14 @@ func TestBusDropOldest(t *testing.T) {
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), `cloudgraph_core_bus_dropped_total{consumer="slow"} 3`) {
-		t.Fatalf("drop counter missing or wrong:\n%s", b.String())
+	for _, series := range []string{
+		`cloudgraph_core_bus_dropped_total{consumer="slow",tenant="t"} 3`,
+		`cloudgraph_core_bus_delivered_total{consumer="slow",tenant="t"} 3`,
+		`cloudgraph_core_bus_depth{consumer="slow",tenant="t"} 0`,
+	} {
+		if !strings.Contains(b.String(), series+"\n") {
+			t.Fatalf("exposition lacks %s:\n%s", series, b.String())
+		}
 	}
 }
 
@@ -179,38 +185,3 @@ func TestBusCloseIdempotent(t *testing.T) {
 		t.Fatalf("consumer saw %d windows across Close, want 2", n)
 	}
 }
-
-// TestBusLateSubscribe: a consumer added after some windows completed sees
-// only the later epochs.
-func TestBusLateSubscribe(t *testing.T) {
-	var mu sync.Mutex
-	var got []uint64
-	e := NewEngine(Config{Window: time.Hour})
-	defer e.Close()
-	e.Ingest(busRecs(2))
-	e.closeMu.Lock()
-	e.closeShards(time.Time{}, true)
-	e.closeMu.Unlock()
-	first := e.Epoch()
-	e.Subscribe(ConsumerSpec{Name: "late", Fn: func(epoch uint64, g *graph.Graph) {
-		mu.Lock()
-		got = append(got, epoch)
-		mu.Unlock()
-	}})
-	e.Ingest(busRecs(4)[first:]) // two more hourly windows
-	e.Flush()
-	mu.Lock()
-	defer mu.Unlock()
-	for _, ep := range got {
-		if ep <= first {
-			t.Fatalf("late subscriber saw pre-subscription epoch %d (subscribed after %d)", ep, first)
-		}
-	}
-	if len(got) == 0 {
-		t.Fatal("late subscriber saw nothing")
-	}
-}
-
-// Subscribe registers an additional bus consumer. Consumers added after
-// windows completed miss the earlier epochs.
-func (e *Engine) Subscribe(spec ConsumerSpec) { e.bus.Subscribe(spec) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/netip"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -508,17 +509,16 @@ func TestMonitorBaselinePinnedAcrossTrim(t *testing.T) {
 }
 
 func TestEngineOnWindowHook(t *testing.T) {
-	// The OnWindow config hook is gone; a per-window func subscribed to the
-	// engine's bus takes its place and fires once per window by Flush.
+	// The OnWindow config hook is gone; a per-window func named in
+	// Config.Consumers takes its place and fires once per window by Flush.
 	var mu sync.Mutex
 	var got []*graph.Graph
-	e := NewEngine(Config{Window: time.Hour})
-	defer e.Close()
-	e.Subscribe(ConsumerSpec{Name: "hook", Fn: func(_ uint64, g *graph.Graph) {
+	e := NewEngine(Config{Window: time.Hour, Consumers: []ConsumerSpec{{Name: "hook", Fn: func(_ uint64, g *graph.Graph) {
 		mu.Lock()
 		got = append(got, g)
 		mu.Unlock()
-	}})
+	}}}})
+	defer e.Close()
 	e.Ingest([]flowlog.Record{rec(t0, 1, 10)})
 	e.Ingest([]flowlog.Record{rec(t0.Add(time.Hour), 2, 10)})
 	e.Flush()
@@ -576,15 +576,17 @@ func TestWindowerLateRecordBoundary(t *testing.T) {
 
 func TestEngineCountsLateRecords(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	e, published := collecting(Config{Window: time.Hour, Telemetry: reg})
+	e, published := collecting(Config{Window: time.Hour})
 	defer e.Close()
+	e.Instrument(reg, telemetry.Label{Key: "tenant", Value: "t"})
 	e.Ingest([]flowlog.Record{rec(t0.Add(time.Hour), 1, 10), rec(t0.Add(61*time.Minute), 2, 10)})
 	e.Ingest([]flowlog.Record{rec(t0.Add(59*time.Minute), 3, 10), {}, rec(t0.Add(2*time.Hour), 4, 10)})
-	late := reg.Counter("cloudgraph_core_late_records_total",
-		"records older than the newest window their shard had reached",
-		telemetry.Label{Key: "shard", Value: "0"})
-	if late.Value() != 1 {
-		t.Errorf("late records counter = %d, want 1", late.Value())
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := `cloudgraph_core_late_records_total{shard="0",tenant="t"} 1` + "\n"; !strings.Contains(b.String(), want) {
+		t.Errorf("exposition lacks %s:\n%s", want, b.String())
 	}
 	if got := len(flushed(e, published)); got != 3 {
 		t.Errorf("windows = %d, want 3 (the late record still opens hour 0)", got)

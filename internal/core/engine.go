@@ -35,21 +35,15 @@ type Config struct {
 	Shards int
 	// Consumers are the fan-out bus subscribers receiving each completed
 	// window together with its epoch — the engine keeps no window history
-	// of its own, so a caller that needs the windows subscribes one. See
-	// WindowConsumer for the contract and Bus for the slow-consumer
-	// policy.
+	// of its own, so a caller that needs the windows names a consumer
+	// here. The set is fixed for the engine's life. See WindowConsumer
+	// for the contract and Bus for the slow-consumer policy.
 	Consumers []ConsumerSpec
-	// Telemetry, when set, receives the engine's metrics: per-shard
-	// ingest counts, window merge latency, open and pending-merge window
-	// gauges, and the shared ingest counters.
-	// Handles are preallocated at construction and lock-free on the hot
-	// path; nil disables instrumentation for the cost of a branch.
-	Telemetry *telemetry.Registry
 	// Trace, when set, records "core.shard" and "core.merge" spans for
 	// sampled records handed to IngestTraced, attaches their contexts to
 	// completed windows (graph.Graph.Traces), and trips the flight
 	// recorder when a merge pass runs badly in arrears. Nil disables
-	// tracing for the cost of a branch, like Telemetry.
+	// tracing for the cost of a branch.
 	Trace *trace.Tracer
 	// StartEpoch seeds the epoch counter: the first completed window is
 	// published as StartEpoch+1. A restarting daemon passes the last
@@ -61,7 +55,7 @@ type Config struct {
 	// advances on every window-start move, and each published window's
 	// seal is recorded so downstream stages can account seal-to-stage
 	// freshness. Nil disables watermarking for the cost of a branch, like
-	// Telemetry and Trace.
+	// Trace.
 	Watermarks *watermark.Tracker
 }
 
@@ -86,7 +80,7 @@ func (c *Config) defaults() {
 // engine-wide lock.
 type Engine struct {
 	cfg   Config
-	meter *ingest.Meter
+	start time.Time // construction time: the cost report's wall clock
 
 	// The ingest hot path: one windower per shard, each behind its own
 	// lock. A record only ever takes its shard's lock.
@@ -111,9 +105,10 @@ type Engine struct {
 	winTraces map[int64][]trace.Context
 	tracer    *trace.Tracer
 
-	// tel holds the preallocated metric handles (all nil when
-	// Config.Telemetry is unset).
-	tel engineMetrics
+	// The two latency histograms Instrument attaches (nil until then).
+	// Every other series the engine exports reads a count kept here.
+	merge    *telemetry.Histogram
+	flushLag *telemetry.Histogram
 
 	// bus fans completed windows out to consumers; epoch numbers them.
 	// onWindow (serialized by closeMu) is the only publisher and the only
@@ -122,15 +117,12 @@ type Engine struct {
 	epoch atomic.Uint64
 }
 
-// engineShard is one lane of the ingest hot path.
+// engineShard is one lane of the ingest hot path. mu guards all of it.
 type engineShard struct {
 	mu       sync.Mutex
 	windower *Windower
-	records  int64
+	records  int64 // records routed to the shard, invalid ones included
 	busy     time.Duration
-	// late mirrors the windower's late-record count into telemetry (nil
-	// when telemetry is off), advanced once per batch.
-	late *telemetry.Counter
 }
 
 // add folds a batch into the shard and returns the newest window start the
@@ -138,14 +130,12 @@ type engineShard struct {
 func (sh *engineShard) add(recs []flowlog.Record) time.Time {
 	sh.mu.Lock()
 	start := time.Now()
-	late := sh.windower.Late()
 	for i := range recs {
 		//lint:allow lockorder OnComplete here is always Engine.addPartial, which only takes the leaf lock pendMu; partials must queue before the shard lock releases so a window closes atomically per shard
 		sh.windower.add(&recs[i])
 	}
 	sh.busy += time.Since(start)
 	sh.records += int64(len(recs))
-	sh.late.Add(sh.windower.Late() - late)
 	m := sh.windower.MaxStart()
 	sh.mu.Unlock()
 	return m
@@ -158,7 +148,6 @@ func (sh *engineShard) add(recs []flowlog.Record) time.Time {
 func (sh *engineShard) addFiltered(recs []flowlog.Record, ids []uint8, s uint8, count int) time.Time {
 	sh.mu.Lock()
 	start := time.Now()
-	late := sh.windower.Late()
 	for i := range recs {
 		if ids[i] == s {
 			//lint:allow lockorder OnComplete here is always Engine.addPartial (leaf lock pendMu only); see add
@@ -167,7 +156,6 @@ func (sh *engineShard) addFiltered(recs []flowlog.Record, ids []uint8, s uint8, 
 	}
 	sh.busy += time.Since(start)
 	sh.records += int64(count)
-	sh.late.Add(sh.windower.Late() - late)
 	m := sh.windower.MaxStart()
 	sh.mu.Unlock()
 	return m
@@ -178,7 +166,7 @@ func NewEngine(cfg Config) *Engine {
 	cfg.defaults()
 	e := &Engine{
 		cfg:       cfg,
-		meter:     ingest.NewMeter(),
+		start:     time.Now(),
 		pending:   make(map[int64][]*graph.Graph),
 		winTraces: make(map[int64][]trace.Context),
 		tracer:    cfg.Trace,
@@ -191,11 +179,7 @@ func NewEngine(cfg Config) *Engine {
 		w.OnComplete = e.addPartial
 		e.shards = append(e.shards, &engineShard{windower: w})
 	}
-	e.instrument(cfg.Telemetry)
-	e.bus = newBus(cfg.Telemetry, cfg.Trace)
-	for _, spec := range cfg.Consumers {
-		e.bus.Subscribe(spec)
-	}
+	e.bus = newBus(cfg.Consumers, cfg.Trace)
 	return e
 }
 
@@ -232,7 +216,6 @@ func (e *Engine) onWindow(g *graph.Graph, traces []trace.Context) {
 		g = g.Collapse(e.cfg.Collapse)
 	}
 	g.Traces = traces
-	e.tel.windows.Add(1)
 	e.tracer.Eventf(trace.Context{}, "core", slog.LevelDebug,
 		"window %s completed: %d nodes, %d edges, %d sampled traces",
 		g.Start.UTC().Format(time.RFC3339), g.NumNodes(), g.NumEdges(), len(traces))
@@ -286,12 +269,10 @@ func (e *Engine) IngestTraced(recs []flowlog.Record, tcs []trace.Context) {
 	if tcs != nil {
 		traceStart = time.Now()
 	}
-	e.meter.Observe(len(recs))
 	n := len(e.shards)
 	var maxStart time.Time
 	if n == 1 {
 		maxStart = e.shards[0].add(recs)
-		e.tel.shardRecords[0].Add(int64(len(recs)))
 		e.recordShardSpans(recs, tcs, nil, traceStart)
 	} else {
 		// One byte of shard id per record instead of per-shard record
@@ -319,7 +300,6 @@ func (e *Engine) IngestTraced(recs []flowlog.Record, tcs []trace.Context) {
 			if m := sh.addFiltered(recs, ids, uint8(i), counts[i]); m.After(maxStart) {
 				maxStart = m
 			}
-			e.tel.shardRecords[i].Add(int64(counts[i]))
 		}
 		e.recordShardSpans(recs, tcs, ids, traceStart)
 		shardScratchPool.Put(sc)
@@ -396,7 +376,7 @@ func (e *Engine) closeShards(cutoff time.Time, flush bool) {
 	exemplar := e.mergePending(cutoff, flush)
 	elapsed := time.Since(start)
 	e.mergeNS.Add(int64(elapsed))
-	e.tel.merge.ObserveEx(elapsed.Seconds(), exemplar)
+	e.merge.ObserveEx(elapsed.Seconds(), exemplar)
 	// The stream is now filling the window one past everything sealed;
 	// that is the ingested watermark. Serialized by closeMu, so it never
 	// races a concurrent seal's epoch increment.
@@ -429,7 +409,7 @@ func (e *Engine) mergePending(cutoff time.Time, all bool) uint64 {
 	}
 	e.pendMu.Unlock()
 	if len(groups) > 0 {
-		e.tel.flushLag.Observe(float64(len(groups)))
+		e.flushLag.Observe(float64(len(groups)))
 		if len(groups) >= flushLagTripWindows && e.tracer != nil {
 			e.tracer.Eventf(trace.Context{}, "core", slog.LevelWarn,
 				"merge pass emitted %d windows in arrears", len(groups))
@@ -508,12 +488,10 @@ func (e *Engine) Flush() {
 }
 
 // Cost returns the ingest cost report so far, including the per-shard
-// breakdown of the hot path.
+// breakdown of the hot path. Records is the shards' sum, and Bytes their
+// fixed wire size.
 func (e *Engine) Cost() ingest.CostReport {
-	r := e.meter.Snapshot()
-	r.Workers = len(e.shards)
-	r.Shards = make([]ingest.ShardStat, len(e.shards))
-	var busy time.Duration
+	r := ingest.CostReport{Workers: len(e.shards), Shards: make([]ingest.ShardStat, len(e.shards))}
 	for i, sh := range e.shards {
 		sh.mu.Lock()
 		st := ingest.ShardStat{
@@ -523,9 +501,26 @@ func (e *Engine) Cost() ingest.CostReport {
 		}
 		sh.mu.Unlock()
 		r.Shards[i] = st
-		busy += st.Busy
+		r.Records += st.Records
+		r.WorkerBusy += st.Busy
 	}
-	r.WorkerBusy = busy
+	r.Bytes = r.Records * flowlog.WireSize
+	r.Wall = time.Since(e.start)
+	if secs := r.Wall.Seconds(); secs > 0 {
+		r.RecordsPerSec = float64(r.Records) / secs
+	}
 	r.Merge = time.Duration(e.mergeNS.Load())
 	return r
+}
+
+// Records returns how many records the engine has been handed, the sum of
+// its shards' counts.
+func (e *Engine) Records() int64 {
+	var n int64
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		n += sh.records
+		sh.mu.Unlock()
+	}
+	return n
 }

@@ -9,10 +9,33 @@ import (
 	"cloudgraph/internal/telemetry"
 )
 
+// exposition renders reg and returns each sample line's value by series.
+func exposition(t *testing.T, reg *telemetry.Registry) (map[string]float64, string) {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	series := make(map[string]float64)
+	for _, line := range strings.Split(b.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		series[line[:i]] = v
+	}
+	return series, b.String()
+}
+
 func TestEngineTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	e := NewEngine(Config{Window: time.Hour, Shards: 4, Telemetry: reg})
+	e := NewEngine(Config{Window: time.Hour, Shards: 4})
 	defer e.Close()
+	e.Instrument(reg, telemetry.Label{Key: "tenant", Value: "t"})
 	recs := engineRecords(t, 3)
 	for i := 0; i < len(recs); i += 97 {
 		end := i + 97
@@ -25,64 +48,47 @@ func TestEngineTelemetry(t *testing.T) {
 		t.Fatalf("windows = %d, want 3", e.Epoch())
 	}
 
-	var perShard int64
+	series, out := exposition(t, reg)
+	var perShard float64
 	for i := 0; i < 4; i++ {
-		perShard += reg.Counter("cloudgraph_core_shard_records_total",
-			"records folded per ingest shard",
-			telemetry.Label{Key: "shard", Value: strconv.Itoa(i)}).Value()
+		perShard += series[`cloudgraph_core_shard_records_total{shard="`+strconv.Itoa(i)+`",tenant="t"}`]
 	}
-	if perShard != int64(len(recs)) {
-		t.Errorf("shard counters sum to %d, want %d", perShard, len(recs))
+	if perShard != float64(len(recs)) {
+		t.Errorf("shard series sum to %v, want %d", perShard, len(recs))
 	}
-	if got := e.tel.windows.Value(); got != 3 {
-		t.Errorf("windows counter = %d, want 3", got)
-	}
-	if e.tel.merge.Count() == 0 {
-		t.Error("merge histogram recorded nothing")
-	}
-	if e.tel.flushLag.Count() == 0 {
-		t.Error("flush-lag histogram recorded nothing")
-	}
-	// The engine's meter mirrors into the shared ingest families.
-	if got := reg.Counter("cloudgraph_ingest_records_total",
-		"connection summaries accepted by an ingest path").Value(); got != int64(len(recs)) {
-		t.Errorf("ingest records counter = %d, want %d", got, len(recs))
-	}
-
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, fam := range []string{
-		"cloudgraph_core_shard_records_total",
-		"cloudgraph_core_window_merge_seconds_bucket",
-		"cloudgraph_core_windows_completed_total 3",
-		"cloudgraph_core_open_windows 0",
-		"cloudgraph_core_pending_merge_windows 0",
-		"cloudgraph_ingest_bytes_total",
+	for name, want := range map[string]float64{
+		`cloudgraph_core_windows_completed_total{tenant="t"}`: 3,
+		`cloudgraph_core_open_windows{tenant="t"}`:            0,
+		`cloudgraph_core_pending_merge_windows{tenant="t"}`:   0,
 	} {
-		if !strings.Contains(out, fam) {
-			t.Errorf("exposition missing %q", fam)
+		if got, ok := series[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
 		}
+	}
+	for _, hist := range []string{
+		`cloudgraph_core_window_merge_seconds_count{tenant="t"}`,
+		`cloudgraph_core_window_flush_lag_windows_count{tenant="t"}`,
+	} {
+		if series[hist] == 0 {
+			t.Errorf("%s recorded nothing", hist)
+		}
+	}
+	if strings.Contains(out, "cloudgraph_ingest_") {
+		t.Errorf("exposition still carries a cloudgraph_ingest_ family:\n%s", out)
 	}
 }
 
 func TestEngineTelemetryDisabled(t *testing.T) {
-	// With no registry every handle is nil and ingest must still work —
-	// the nil-receiver no-op path the overhead budget depends on.
+	// Without Instrument both histograms are nil and ingest must still
+	// work — the nil-receiver no-op path the overhead budget depends on.
 	e := NewEngine(Config{Window: time.Hour, Shards: 2})
 	defer e.Close()
+	e.Instrument(nil)
 	e.Ingest(engineRecords(t, 1))
 	if e.Flush(); e.Epoch() != 1 {
 		t.Fatalf("windows = %d, want 1", e.Epoch())
 	}
-	if len(e.tel.shardRecords) != 2 {
-		t.Fatalf("shardRecords len = %d, want 2 (sized even when off)", len(e.tel.shardRecords))
-	}
-	for i, c := range e.tel.shardRecords {
-		if c != nil {
-			t.Errorf("shard %d counter non-nil with telemetry off", i)
-		}
+	if e.merge != nil || e.flushLag != nil {
+		t.Error("histograms attached by a nil registry")
 	}
 }

@@ -319,23 +319,6 @@ func (s *Store) LastEpoch() uint64 {
 	return s.lastEpoch
 }
 
-// Epochs returns the store's full epoch range, roll-ups included.
-func (s *Store) Epochs() (lo, hi uint64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, si := range s.segs {
-		if si.records == 0 {
-			continue
-		}
-		if !ok || si.minEpoch < lo {
-			lo = si.minEpoch
-		}
-		hi = max(hi, si.maxEpoch)
-		ok = true
-	}
-	return lo, hi, ok
-}
-
 // WindowEpochs returns the epoch range still held at window resolution
 // (replayable); epochs below it survive only inside roll-ups.
 func (s *Store) WindowEpochs() (lo, hi uint64, ok bool) {

@@ -76,9 +76,7 @@ func TestAppendGetRoundTrip(t *testing.T) {
 	if _, err := s.Get(0); err != ErrNotFound {
 		t.Fatalf("Get(0) = %v, want ErrNotFound", err)
 	}
-	if lo, hi, ok := s.Epochs(); !ok || lo != 1 || hi != 10 {
-		t.Fatalf("Epochs() = %d..%d %v, want 1..10", lo, hi, ok)
-	}
+	holdsEpochs(t, s, 1, 10)
 	// Time resolution: the middle of window i maps to epoch i+1.
 	for i := 0; i < 10; i++ {
 		ep, ok := s.EpochAt(t0.Add(time.Duration(i)*time.Minute + 30*time.Second))
@@ -272,9 +270,7 @@ func TestManifestTmpRollForward(t *testing.T) {
 		t.Fatalf("open with pending rename: %v", err)
 	}
 	defer s2.Close()
-	if lo, hi, ok := s2.Epochs(); !ok || lo != 1 || hi != 4 {
-		t.Fatalf("Epochs after roll-forward = %d..%d %v, want 1..4", lo, hi, ok)
-	}
+	holdsEpochs(t, s2, 1, 4)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("rolled-forward segment missing: %v", err)
 	}
@@ -314,8 +310,19 @@ func TestOrphanSegmentSwept(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "seg-99999999.seg.tmp")); !os.IsNotExist(err) {
 		t.Fatal("stray tmp not swept")
 	}
-	if lo, hi, ok := s2.Epochs(); !ok || lo != 1 || hi != 4 {
-		t.Fatalf("Epochs after sweep = %d..%d %v, want 1..4", lo, hi, ok)
+	holdsEpochs(t, s2, 1, 4)
+}
+
+// holdsEpochs fails unless s serves exactly the epochs lo..hi (lo ≥ 1).
+func holdsEpochs(t *testing.T, s *Store, lo, hi uint64) {
+	t.Helper()
+	for ep := lo - 1; ep <= hi+1; ep++ {
+		_, err := s.Get(ep)
+		if held := ep >= lo && ep <= hi; held && err != nil {
+			t.Fatalf("Get(%d) = %v, want epochs %d..%d held", ep, err, lo, hi)
+		} else if !held && err != ErrNotFound {
+			t.Fatalf("Get(%d) = %v, want ErrNotFound outside %d..%d", ep, err, lo, hi)
+		}
 	}
 }
 

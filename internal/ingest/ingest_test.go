@@ -63,14 +63,7 @@ func TestShardOfBalanced(t *testing.T) {
 }
 
 func TestMeterAndCores(t *testing.T) {
-	m := NewMeter()
-	m.Observe(600)
-	r := m.Snapshot()
-	if r.Records != 600 || r.Bytes != int64(600*flowlog.WireSize) {
-		t.Errorf("meter = %+v", r)
-	}
-	r.WorkerBusy = 6 * time.Second
-	r.Records = 600
+	r := CostReport{Records: 600, WorkerBusy: 6 * time.Second}
 	// 10ms busy per record; 60 records/min live => 0.6s busy per minute
 	// => 0.01 cores.
 	got := r.CoresForLive(60)

@@ -1,7 +1,8 @@
 // Package ingest holds the streaming-side building blocks of the analytics
 // system (§3.2) that sit beside the engine's sharded hot path: the flow-key
-// shard function both reports of a flow agree on, and a meter accounting
-// for the COGS the paper argues must stay below roughly a 0.5% surcharge.
+// shard function both reports of a flow agree on, and the cost report
+// accounting for the COGS the paper argues must stay below roughly a 0.5%
+// surcharge.
 package ingest
 
 import (

@@ -1,15 +1,12 @@
 package nicsim
 
 import (
-	"log/slog"
 	"net/netip"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
 	"cloudgraph/internal/flowlog"
-	"cloudgraph/internal/trace"
 )
 
 // Collector receives batches of connection summaries forwarded by host
@@ -25,26 +22,6 @@ type CollectorFunc func(recs []flowlog.Record) error
 // Collect calls f.
 func (f CollectorFunc) Collect(recs []flowlog.Record) error { return f(recs) }
 
-// TracedCollector is a Collector that can also accept the per-record trace
-// contexts of a sampled batch. tcs is either nil or parallel to recs, with
-// the zero Context on unsampled records. Collectors that don't implement
-// it still receive the records — tracing degrades, the data does not.
-type TracedCollector interface {
-	Collector
-	CollectTraced(recs []flowlog.Record, tcs []trace.Context) error
-}
-
-// forward hands a batch to c, through the traced path when the batch has
-// sampled records and the collector supports it.
-func forward(c Collector, recs []flowlog.Record, tcs []trace.Context) error {
-	if tcs != nil {
-		if tc, ok := c.(TracedCollector); ok {
-			return tc.CollectTraced(recs, tcs)
-		}
-	}
-	return c.Collect(recs)
-}
-
 // Host models one physical cloud host: a set of VNICs (one per VM placed on
 // the host) and the agent that periodically pulls their flow summaries and
 // forwards them to a collector. Crucially the agent runs on the host, not in
@@ -58,11 +35,6 @@ type Host struct {
 	vnics []*VNIC
 
 	idleTimeout time.Duration
-
-	// Fabric-wide tracer, bound by Fabric.Trace (nil when off). All
-	// tracer methods are nil-safe, but Pull still branches on it to skip
-	// the per-record sampling loop entirely when tracing is disabled.
-	tracer *trace.Tracer
 }
 
 // NewHost returns an empty host whose VNICs use the given idle timeout.
@@ -98,16 +70,9 @@ func (h *Host) vms() int {
 // forwarded.
 func (h *Host) Pull(intervalStart time.Time, c Collector) (int, error) {
 	h.mu.Lock()
-	tracer := h.tracer
 	vnics := h.vnics
 	h.mu.Unlock()
 
-	sampling := tracer.Sampling()
-	var drainStart time.Time
-	if sampling {
-		//lint:allow detclock span timestamps are observability-only and never reach the record stream
-		drainStart = time.Now()
-	}
 	pending := 0
 	for _, v := range vnics {
 		pending += v.pending()
@@ -119,32 +84,7 @@ func (h *Host) Pull(intervalStart time.Time, c Collector) (int, error) {
 	if len(batch) == 0 {
 		return 0, nil
 	}
-
-	// Sample trace contexts out-of-band: tcs is parallel to batch, never
-	// stored in the records themselves, so replay streams stay
-	// byte-identical whether or not a tracer is attached.
-	var tcs []trace.Context
-	if sampling {
-		for i := range batch {
-			if ctx := tracer.Sample(); ctx.Sampled() {
-				if tcs == nil {
-					tcs = make([]trace.Context, len(batch))
-				}
-				tcs[i] = ctx
-			}
-		}
-		//lint:allow detclock span timestamps are observability-only and never reach the record stream
-		drainDur := time.Since(drainStart)
-		note := "records=" + strconv.Itoa(len(batch)) + " vnics=" + strconv.Itoa(len(vnics))
-		for _, tc := range tcs {
-			if tc.Sampled() {
-				tracer.Record(tc, "nicsim.pull", drainStart, drainDur, note)
-			}
-		}
-	}
-
-	if err := forward(c, batch, tcs); err != nil {
-		tracer.Eventf(trace.Context{}, "nicsim", slog.LevelError, "collector rejected batch of %d records: %v", len(batch), err)
+	if err := c.Collect(batch); err != nil {
 		return 0, err
 	}
 	return len(batch), nil
@@ -160,9 +100,6 @@ type Fabric struct {
 	hosts  []*Host
 	perVM  int
 	idleTO time.Duration
-
-	// Fleet tracer bound by Trace; new hosts inherit it.
-	tracer *trace.Tracer
 }
 
 // NewFabric returns a fabric that packs vmsPerHost VMs onto each host.
@@ -185,9 +122,6 @@ func (f *Fabric) AddVM(addr netip.Addr) {
 		h = f.hosts[n-1]
 	} else {
 		h = NewHost(f.idleTO)
-		h.mu.Lock()
-		h.tracer = f.tracer
-		h.mu.Unlock()
 		f.hosts = append(f.hosts, h)
 	}
 	f.byVM[addr] = h.PlaceVM(addr)
@@ -248,20 +182,4 @@ func (f *Fabric) PullAll(intervalStart time.Time, c Collector) (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// Trace binds tr to every current and future host, making host agents
-// sample drained records and record "nicsim.pull" spans — the first hop of
-// the record's journey through the pipeline. A nil tracer (or never
-// calling Trace) leaves collection untraced; the record stream is
-// byte-identical either way because contexts travel out-of-band.
-func (f *Fabric) Trace(tr *trace.Tracer) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.tracer = tr
-	for _, h := range f.hosts {
-		h.mu.Lock()
-		h.tracer = tr
-		h.mu.Unlock()
-	}
 }

@@ -7,7 +7,8 @@
 //
 // The simulation is driven by explicit timestamps rather than wall-clock
 // time so experiments are deterministic: traffic is reported to a VNIC with
-// Observe, and the host agent's periodic pull is modelled by Drain.
+// Observe, and the host agent's periodic pull is modelled by Host.Pull,
+// which drains every VNIC of its host.
 package nicsim
 
 import (
@@ -77,13 +78,13 @@ const EntrySize = 2 + 18 + 8*5
 
 // VNIC is the virtual NIC attached to one monitored VM. It accumulates
 // per-flow counters exactly as the smartNIC's flow table would; flows idle
-// longer than the idle timeout are evicted at the next Drain (their final
+// longer than the idle timeout are evicted at the next drain (their final
 // counters are still reported).
 //
 // Every resident flow owns a dense slot: flows indexes the keys, its id
 // for a key is the slot, and seen holds the slot's last-seen time. Only the
 // flows observed since the last drain have counters: live, in
-// first-observation order, with touched naming their slots. Drain
+// first-observation order, with touched naming their slots. A drain
 // therefore costs what this interval's flows cost — it radix-sorts and
 // emits touched — plus a sequential sweep of seen for idle slots.
 type VNIC struct {
@@ -103,7 +104,7 @@ type VNIC struct {
 	zoneOf   map[string]uint32
 	zoneRank []uint32
 
-	// IdleTimeout evicts flows not seen for this long at Drain time.
+	// IdleTimeout evicts flows not seen for this long at drain time.
 	// Zero means never evict between drains (flows are always flushed
 	// and reset each interval regardless).
 	idleTimeout time.Duration
@@ -215,7 +216,7 @@ func (v *VNIC) rankZones() {
 	}
 }
 
-// sortTouched orders the touched slots as Drain emits them — remote
+// sortTouched orders the touched slots as appendDrain emits them — remote
 // address in netip.Addr.Compare order (family, the address words, zone
 // name), then remote port, then local port — by stable radix passes from
 // the least significant key up. v.mu is held.
@@ -235,14 +236,6 @@ func (v *VNIC) sortTouched() {
 	v.order.Sort(v.touched, func(s int32) uint64 { return family(keys[s].kind) })
 }
 
-// Drain emits one connection summary per active flow for the interval
-// starting at intervalStart, resets the counters, and evicts idle flows.
-// Flows with no traffic this interval produce no record (NSG flow logs only
-// log active flows). Records are sorted for determinism.
-func (v *VNIC) Drain(intervalStart time.Time) []flowlog.Record {
-	return v.appendDrain(make([]flowlog.Record, 0, v.pending()), intervalStart)
-}
-
 // pending returns how many flows were observed since the last drain: an
 // upper bound on the records the next drain emits.
 func (v *VNIC) pending() int {
@@ -251,10 +244,12 @@ func (v *VNIC) pending() int {
 	return len(v.touched)
 }
 
-// appendDrain is Drain appending to dst: it appends the interval's records
-// in (remote address, remote port, local port) order, clears the counters
-// and evicts the flows whose last observation is idleTimeout or more
-// before intervalStart.
+// appendDrain appends to dst one connection summary per active flow for
+// the interval starting at intervalStart, in (remote address, remote port,
+// local port) order, clears the counters and evicts the flows whose last
+// observation is idleTimeout or more before intervalStart. Flows with no
+// traffic this interval produce no record (NSG flow logs only log active
+// flows).
 func (v *VNIC) appendDrain(dst []flowlog.Record, intervalStart time.Time) []flowlog.Record {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -21,6 +21,12 @@ var (
 	t0  = time.Unix(1700000000, 0).UTC()
 )
 
+// Drain emits one connection summary per active flow for the interval
+// starting at intervalStart, as Host.Pull does for each of its VNICs.
+func (v *VNIC) Drain(intervalStart time.Time) []flowlog.Record {
+	return v.appendDrain(make([]flowlog.Record, 0, v.pending()), intervalStart)
+}
+
 func TestVNICObserveDrain(t *testing.T) {
 	v := NewVNIC(vmA, 4*time.Minute)
 	remote := netip.AddrPortFrom(ext, 443)

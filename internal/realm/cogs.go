@@ -8,19 +8,15 @@ import (
 	"cloudgraph/internal/telemetry"
 )
 
-// cogsMeter accumulates one tenant's cost-of-goods-sold counters: what
-// serving this subscription's dynamic communication graph actually
-// consumes. The paper's economic claim is COGS-per-subscription; these
-// five series (records, wire bytes, graph memory, compute seconds, disk
-// bytes) are that claim made measurable per tenant.
+// cogsMeter accumulates the compute a tenant costs: what serving this
+// subscription's dynamic communication graph actually consumes. The
+// paper's economic claim is COGS-per-subscription; with the records its
+// engine's shards count, the graph memory its timeline holds and the
+// disk bytes its history store holds, these make that claim measurable
+// per tenant.
 type cogsMeter struct {
-	records    atomic.Int64
 	ingestNS   atomic.Int64
 	analysisNS atomic.Int64
-}
-
-func (c *cogsMeter) addBatch(n int) {
-	c.records.Add(int64(n))
 }
 
 func (c *cogsMeter) timeIngest(start time.Time) {
@@ -56,9 +52,9 @@ type Cost struct {
 	QueueDepth int `json:"queue_depth"`
 }
 
-// instrument registers the tenant-labeled COGS series. All handles read
-// the meter's atomics through GaugeFunc, so registration is one-time and
-// the hot path stays a plain atomic add.
+// instrument registers the tenant-labeled COGS series. Each is a
+// GaugeFunc over a count the realm's parts keep, so registration is
+// one-time and the hot path pays nothing for it.
 func (r *Realm) instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -67,10 +63,10 @@ func (r *Realm) instrument(reg *telemetry.Registry) {
 	c := &r.cogs
 	reg.GaugeFunc("cloudgraph_tenant_records_total",
 		"records ingested into the tenant's realm",
-		func() float64 { return float64(c.records.Load()) }, label)
+		func() float64 { return float64(r.engine.Records()) }, label)
 	reg.GaugeFunc("cloudgraph_tenant_ingest_bytes_total",
 		"wire bytes of records ingested into the tenant's realm",
-		func() float64 { return float64(c.records.Load() * flowlog.WireSize) }, label)
+		func() float64 { return float64(r.engine.Records() * flowlog.WireSize) }, label)
 	reg.GaugeFunc("cloudgraph_tenant_graph_bytes",
 		"in-memory size of the latest window graph in the tenant's timeline",
 		func() float64 { return float64(r.graphBytes()) }, label)

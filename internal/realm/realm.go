@@ -37,8 +37,8 @@ import (
 
 // Config parameterizes a Manager.
 type Config struct {
-	// Engine is the per-tenant engine template. Consumers, Telemetry,
-	// Trace, Watermarks and StartEpoch are owned by the manager and
+	// Engine is the per-tenant engine template. Consumers, Trace,
+	// Watermarks and StartEpoch are owned by the manager and
 	// overwritten per realm; every other field applies to each tenant
 	// identically (identical configs are what make the isolation
 	// equivalence well-defined).
@@ -64,9 +64,13 @@ type Config struct {
 	MaxTenants int
 	// Weights seeds per-tenant scheduler weights (default 1 each).
 	Weights map[string]int64
-	// Telemetry and Trace are shared across realms; per-tenant series
-	// carry a tenant label (see cogs.go), engine-internal series
-	// aggregate across tenants.
+	// Telemetry and Trace are shared across realms. Every series a realm
+	// registers carries its tenant label: the engine's and bus's
+	// cloudgraph_core_*, the COGS cloudgraph_tenant_* (cogs.go) and the
+	// history store's. Only the default tenant's watermark series are
+	// unlabeled; their owner instruments them (a named tenant's carry its
+	// name). A realm's GaugeFuncs keep its engine, plane and store
+	// reachable from the registry for the registry's life.
 	Telemetry *telemetry.Registry
 	Trace     *trace.Tracer
 }
@@ -223,9 +227,9 @@ func (m *Manager) create(name string) (*Realm, error) {
 		wmCfg.OnBurn = nil
 	}
 	r := &Realm{name: name, m: m, wm: watermark.New(wmCfg)}
+	tenant := telemetry.Label{Key: "tenant", Value: name}
 
 	ecfg := m.cfg.Engine
-	ecfg.Telemetry = m.cfg.Telemetry
 	ecfg.Trace = m.cfg.Trace
 	ecfg.Watermarks = r.wm
 	ecfg.Consumers = nil
@@ -246,7 +250,7 @@ func (m *Manager) create(name string) (*Realm, error) {
 		}
 		r.hist = hs
 		hs.Trace(m.cfg.Trace)
-		hs.Instrument(m.cfg.Telemetry, telemetry.Label{Key: "tenant", Value: name})
+		hs.Instrument(m.cfg.Telemetry, tenant)
 		if err := hs.Replay(func(ep uint64, g *graph.Graph) error {
 			r.plane.Restore(ep, g)
 			r.recovered++
@@ -294,12 +298,13 @@ func (m *Manager) create(name string) (*Realm, error) {
 	}
 	ecfg.Consumers = consumers
 	r.engine = core.NewEngine(ecfg)
+	r.engine.Instrument(m.cfg.Telemetry, tenant)
 	r.instrument(m.cfg.Telemetry)
 	// Every stage now exists. The default tenant's tracker keeps the
 	// unlabeled cloudgraph_watermark_* series its owner instruments;
 	// a named tenant's carry its name.
 	if name != DefaultTenant {
-		r.wm.Instrument(m.cfg.Telemetry, telemetry.Label{Key: "tenant", Value: name})
+		r.wm.Instrument(m.cfg.Telemetry, tenant)
 	}
 	return r, nil
 }
@@ -385,7 +390,6 @@ func (r *Realm) IngestTraced(recs []flowlog.Record, tcs []trace.Context) {
 	start := time.Now()
 	r.engine.IngestTraced(recs, tcs)
 	r.cogs.timeIngest(start)
-	r.cogs.addBatch(len(recs))
 }
 
 // diskBytes is the tenant's durable footprint (0 without a store).
@@ -410,7 +414,7 @@ func (r *Realm) Cost() Cost {
 	c := Cost{
 		Tenant:          r.name,
 		Weight:          r.m.weight(r.name),
-		Records:         r.cogs.records.Load(),
+		Records:         r.engine.Records(),
 		GraphBytes:      r.graphBytes(),
 		IngestSeconds:   time.Duration(r.cogs.ingestNS.Load()).Seconds(),
 		AnalysisSeconds: time.Duration(r.cogs.analysisNS.Load()).Seconds(),

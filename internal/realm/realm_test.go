@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -152,6 +153,79 @@ func TestCostGraphBytesIsLatestWindow(t *testing.T) {
 	}
 	if got, want := r.Cost().GraphBytes, latest.MemBytes(); got != want || got == 0 {
 		t.Fatalf("graph bytes = %d, want the latest window's %d", got, want)
+	}
+}
+
+// TestTenantTelemetrySeries: two tenants share one registry, and every
+// engine and bus series on it reports the tenant its label names. Only
+// the second tenant ingests, so its open-window gauge must equal its own
+// engine's open windows while the default tenant's reads 0, and each
+// tenant's bus consumer reports its own depth and deliveries.
+func TestTenantTelemetrySeries(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m, err := NewManager(Config{Engine: core.Config{Window: time.Minute, Shards: 2}, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	def := m.Default()
+	b, err := m.Realm("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Unix(1700000000, 0).Truncate(time.Minute)
+	var recs []flowlog.Record
+	for i := 0; i < 150; i++ { // three minutes: two seal, the third stays open
+		recs = append(recs, testRecord(i, t0.Add(time.Duration(i)*1200*time.Millisecond)))
+	}
+	b.IngestTraced(recs, nil)
+	b.Engine().Bus().Drain()
+
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	series := make(map[string]string)
+	for _, line := range strings.Split(text.String(), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			series[line[:i]] = line[i+1:]
+		}
+	}
+	expect := func(name, want string) {
+		t.Helper()
+		if got, ok := series[name]; !ok || got != want {
+			t.Errorf("%s = %q (present %v), want %q", name, got, ok, want)
+		}
+	}
+
+	open := 0
+	for _, sh := range b.Engine().Cost().Shards {
+		open += sh.Depth
+	}
+	if open == 0 {
+		t.Fatal("tenant b has no open window to report")
+	}
+	expect(`cloudgraph_core_open_windows{tenant="b"}`, strconv.Itoa(open))
+	expect(`cloudgraph_core_open_windows{tenant="default"}`, "0")
+	expect(`cloudgraph_core_windows_completed_total{tenant="b"}`, strconv.FormatUint(b.Engine().Epoch(), 10))
+	expect(`cloudgraph_core_windows_completed_total{tenant="default"}`, "0")
+	for _, r := range []*Realm{def, b} {
+		stats := r.Engine().Bus().Stats()
+		if len(stats) == 0 {
+			t.Fatalf("tenant %s has no bus consumer", r.Name())
+		}
+		for _, st := range stats {
+			ls := `{consumer="` + st.Name + `",tenant="` + r.Name() + `"}`
+			expect("cloudgraph_core_bus_depth"+ls, strconv.Itoa(st.Depth))
+			expect("cloudgraph_core_bus_delivered_total"+ls, strconv.FormatUint(st.Delivered, 10))
+			expect("cloudgraph_core_bus_dropped_total"+ls, strconv.FormatUint(st.Dropped, 10))
+		}
+	}
+	if got := b.Engine().Bus().Stats()[0].Delivered; got != 2 {
+		t.Errorf("tenant b delivered %d windows to its plane, want 2", got)
+	}
+	if strings.Contains(text.String(), "cloudgraph_ingest_") {
+		t.Error("exposition still carries a cloudgraph_ingest_ family")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/graph/graphtest"
-	"cloudgraph/internal/segment"
 	"cloudgraph/internal/summarize"
 	"cloudgraph/internal/trace"
 )
@@ -160,10 +159,10 @@ func TestSharedMemosMatchSolo(t *testing.T) {
 	const window = 5 * time.Minute
 	shared := runBatch(recs, window, nil)
 	solo := New(Config{Runners: []Runner{
-		NewSegment(segment.StrategyJaccardLouvain, segment.Options{}),
-		NewSummarize(summarize.AnomalyOptions{}),
-		NewCounterfactual(0, 0.8, 10),
-		NewPolicyChurn(segment.StrategyJaccardLouvain, segment.Options{}),
+		NewSegment(),
+		NewSummarize(),
+		NewCounterfactual(),
+		NewPolicyChurn(),
 	}})
 	solo.Replay(recs, ReplayOptions{Window: window})
 	_, epochs := solo.Epochs("segment")
@@ -218,7 +217,7 @@ func TestViewMemoKeepsTwoMostRecent(t *testing.T) {
 // online score is not an approximation.
 func TestSummarizeRunnerMatchesBatchScorer(t *testing.T) {
 	recs := seededStream(t)
-	p := New(Config{Runners: []Runner{NewSummarize(summarize.AnomalyOptions{})}})
+	p := New(Config{Runners: []Runner{NewSummarize()}})
 	windows := p.Replay(recs, ReplayOptions{Window: time.Minute})
 	if len(windows) < 20 {
 		t.Fatalf("only %d windows", len(windows))
@@ -250,7 +249,7 @@ func TestSummarizeRunnerMatchesBatchScorer(t *testing.T) {
 // first window is the baseline, later windows price moves.
 func TestPolicyChurnRunnerBaseline(t *testing.T) {
 	recs := seededStream(t)
-	p := New(Config{Runners: []Runner{NewPolicyChurn(segment.StrategyJaccardLouvain, segment.Options{})}})
+	p := New(Config{Runners: []Runner{NewPolicyChurn()}})
 	p.Replay(recs, ReplayOptions{Window: 15 * time.Minute})
 	_, raw, err := p.Query("policy", 1)
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/graph"
 	"cloudgraph/internal/nicsim"
-	"cloudgraph/internal/summarize"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/default_runners.golden from this build")
@@ -132,7 +131,7 @@ func TestRepeatRunsAgree(t *testing.T) {
 func TestSummarizeAllocBudget(t *testing.T) {
 	const budget = 300
 	windows := goldenWindows(t, "k8spaas", 0.25, 3)
-	r := NewSummarize(summarize.AnomalyOptions{})
+	r := NewSummarize()
 	r.OnSnapshot(1, windows[0])
 	var epoch uint64 = 1
 	avg := testing.AllocsPerRun(20, func() {

@@ -144,7 +144,7 @@ func (p *Plane) Runners() []string {
 	return out
 }
 
-// Consumers returns the bus subscription that puts this plane online: one
+// Consumers returns the bus consumer that puts this plane online: one
 // "analysis" consumer running Restore on every window. Pass it to
 // core.Config.Consumers. The whole plane is one
 // lane, so a slow analysis degrades the plane as a whole under the bus's

@@ -10,8 +10,21 @@ import (
 	"cloudgraph/internal/summarize"
 )
 
-// DefaultRunners returns the paper's §2 analyses with default tuning —
-// what cloudgraphd puts online for every tenant. All four read each
+// The runners' fixed tuning: segment and policy segment every window by
+// Jaccard-Louvain with segment's default Options (zero, so TopK 6 and
+// classic modularity), summarize scores drift with summarize's default
+// AnomalyOptions (3σ after 3 windows), and counterfactual ranks nodes by
+// raw load, recommends upgrades above 80 % utilization and lists the 10
+// heaviest pairs.
+const (
+	segmentStrategy = segment.StrategyJaccardLouvain
+	capacityPerMin  = 0
+	utilThreshold   = 0.8
+	topPairs        = 10
+)
+
+// DefaultRunners returns the paper's §2 analyses — what cloudgraphd puts
+// online for every tenant. All four read each
 // window's undirected view, so they share one viewMemo: each window's view
 // is built once. The segment and policy runners segment every window the
 // same way, so they also share one segMemo: each window is segmented once,
@@ -20,10 +33,7 @@ import (
 func DefaultRunners() []Runner {
 	views := new(viewMemo)
 	segs := &segMemo{views: views}
-	seg := NewSegment(segment.StrategyJaccardLouvain, segment.Options{})
-	sum := NewSummarize(summarize.AnomalyOptions{})
-	cf := NewCounterfactual(0, 0.8, 10)
-	pol := NewPolicyChurn(segment.StrategyJaccardLouvain, segment.Options{})
+	seg, sum, cf, pol := NewSegment(), NewSummarize(), NewCounterfactual(), NewPolicyChurn()
 	seg.memo, pol.memo = segs, segs
 	sum.views, cf.views = views, views
 	return []Runner{seg, sum, cf, pol}
@@ -65,29 +75,27 @@ func (m *viewMemo) view(g *graph.Graph) *graph.Undirected {
 }
 
 // segMemo holds the segmentation of the latest window asked for, keyed by
-// the window pointer and the segmentation parameters, for the runners
-// sharing it: whichever asks first segments the view its viewMemo hands
-// out, in the memo's segment.Scratch, and the other reuses the Assignment.
+// the window pointer, for the runners sharing it: whichever asks first
+// segments the view its viewMemo hands out, in the memo's segment.Scratch,
+// and the other reuses the Assignment.
 type segMemo struct {
-	views    *viewMemo
-	scratch  segment.Scratch
-	g        *graph.Graph
-	strategy segment.Strategy
-	opts     segment.Options
-	assign   segment.Assignment
-	err      error
+	views   *viewMemo
+	scratch segment.Scratch
+	g       *graph.Graph
+	assign  segment.Assignment
+	err     error
 }
 
-// run returns segment.Run(s, g, opts), computed once per window across the
-// memo's runners. The Assignment is shared between them: read-only. A nil
-// memo segments directly.
-func (m *segMemo) run(s segment.Strategy, g *graph.Graph, opts segment.Options) (segment.Assignment, error) {
+// run returns g's segmentation, computed once per window across the memo's
+// runners. The Assignment is shared between them: read-only. A nil memo
+// segments directly.
+func (m *segMemo) run(g *graph.Graph) (segment.Assignment, error) {
 	if m == nil {
-		return segment.Run(s, g, opts)
+		return segment.Run(segmentStrategy, g, segment.Options{})
 	}
-	if m.g != g || m.strategy != s || m.opts != opts {
-		m.g, m.strategy, m.opts = g, s, opts
-		m.assign, m.err = m.scratch.RunView(s, m.views.view(g), opts)
+	if m.g != g {
+		m.g = g
+		m.assign, m.err = m.scratch.RunView(segmentStrategy, m.views.view(g), segment.Options{})
 	}
 	return m.assign, m.err
 }
@@ -104,22 +112,18 @@ type SegmentResult struct {
 	Error       string     `json:"error,omitempty"`
 }
 
-// SegmentRunner re-segments each window with the configured strategy. It
-// carries no state across windows, so it segments only the windows whose
-// Result is asked for.
+// SegmentRunner re-segments each window by Jaccard-Louvain. It carries no
+// state across windows, so it segments only the windows whose Result is
+// asked for.
 type SegmentRunner struct {
-	strategy segment.Strategy
-	opts     segment.Options
-	memo     *segMemo // shared with the policy runner by DefaultRunners
-	epoch    uint64
-	g        *graph.Graph // latest window, until Result segments it
-	last     SegmentResult
+	memo  *segMemo // shared with the policy runner by DefaultRunners
+	epoch uint64
+	g     *graph.Graph // latest window, until Result segments it
+	last  SegmentResult
 }
 
 // NewSegment returns the "segment" runner.
-func NewSegment(s segment.Strategy, opts segment.Options) *SegmentRunner {
-	return &SegmentRunner{strategy: s, opts: opts}
-}
+func NewSegment() *SegmentRunner { return &SegmentRunner{} }
 
 func (r *SegmentRunner) Name() string { return "segment" }
 
@@ -135,7 +139,7 @@ func (r *SegmentRunner) Result() any {
 
 func (r *SegmentRunner) segment(epoch uint64, g *graph.Graph) SegmentResult {
 	res := SegmentResult{Epoch: epoch}
-	assign, err := r.memo.run(r.strategy, g, r.opts)
+	assign, err := r.memo.run(g)
 	if err != nil {
 		res.Error = err.Error()
 		return res
@@ -207,8 +211,8 @@ type SummarizeRunner struct {
 }
 
 // NewSummarize returns the "summarize" runner.
-func NewSummarize(opts summarize.AnomalyOptions) *SummarizeRunner {
-	return &SummarizeRunner{scorer: summarize.NewScorer(opts)}
+func NewSummarize() *SummarizeRunner {
+	return &SummarizeRunner{scorer: summarize.NewScorer(summarize.AnomalyOptions{})}
 }
 
 func (r *SummarizeRunner) Name() string { return "summarize" }
@@ -276,25 +280,14 @@ type PairJSON struct {
 // CounterfactualRunner plans capacity per window via
 // counterfactual.PlanCapacity, for the windows whose Result is asked for.
 type CounterfactualRunner struct {
-	capacityPerMin float64
-	utilThreshold  float64
-	topPairs       int
-	views          *viewMemo // shared with the other runners by DefaultRunners
-	epoch          uint64
-	g              *graph.Graph // latest window, until Result plans it
-	last           CounterfactualResult
+	views *viewMemo // shared with the other runners by DefaultRunners
+	epoch uint64
+	g     *graph.Graph // latest window, until Result plans it
+	last  CounterfactualResult
 }
 
-// NewCounterfactual returns the "counterfactual" runner. capacityPerMin 0
-// ranks by raw load; utilThreshold gates upgrade recommendations;
-// topPairs bounds the proximity list.
-func NewCounterfactual(capacityPerMin, utilThreshold float64, topPairs int) *CounterfactualRunner {
-	return &CounterfactualRunner{
-		capacityPerMin: capacityPerMin,
-		utilThreshold:  utilThreshold,
-		topPairs:       topPairs,
-	}
-}
+// NewCounterfactual returns the "counterfactual" runner.
+func NewCounterfactual() *CounterfactualRunner { return &CounterfactualRunner{} }
 
 func (r *CounterfactualRunner) Name() string { return "counterfactual" }
 
@@ -309,7 +302,7 @@ func (r *CounterfactualRunner) Result() any {
 }
 
 func (r *CounterfactualRunner) plan(epoch uint64, g *graph.Graph) CounterfactualResult {
-	plan := counterfactual.PlanCapacityView(g, r.views.view(g), r.capacityPerMin, r.utilThreshold, r.topPairs)
+	plan := counterfactual.PlanCapacityView(g, r.views.view(g), capacityPerMin, utilThreshold, topPairs)
 	res := CounterfactualResult{Epoch: epoch}
 	for _, u := range plan.Upgrades {
 		res.Upgrades = append(res.Upgrades, NodeLoadJSON{
@@ -358,20 +351,16 @@ type PolicyChurnResult struct {
 // segments; the churn of a later window is priced only when its Result is
 // asked for.
 type PolicyChurnRunner struct {
-	strategy segment.Strategy
-	opts     segment.Options
-	memo     *segMemo // shared with the segment runner by DefaultRunners
-	assign   segment.Assignment
-	reach    *policy.Reachability
-	epoch    uint64
-	g        *graph.Graph // latest post-baseline window, until Result prices it
-	last     PolicyChurnResult
+	memo   *segMemo // shared with the segment runner by DefaultRunners
+	assign segment.Assignment
+	reach  *policy.Reachability
+	epoch  uint64
+	g      *graph.Graph // latest post-baseline window, until Result prices it
+	last   PolicyChurnResult
 }
 
 // NewPolicyChurn returns the "policy" runner.
-func NewPolicyChurn(s segment.Strategy, opts segment.Options) *PolicyChurnRunner {
-	return &PolicyChurnRunner{strategy: s, opts: opts}
-}
+func NewPolicyChurn() *PolicyChurnRunner { return &PolicyChurnRunner{} }
 
 func (r *PolicyChurnRunner) Name() string { return "policy" }
 
@@ -381,7 +370,7 @@ func (r *PolicyChurnRunner) OnSnapshot(epoch uint64, g *graph.Graph) {
 		return
 	}
 	r.last = PolicyChurnResult{Epoch: epoch}
-	assign, err := r.memo.run(r.strategy, g, r.opts)
+	assign, err := r.memo.run(g)
 	if err != nil {
 		r.last.Error = err.Error()
 		return
@@ -403,7 +392,7 @@ func (r *PolicyChurnRunner) Result() any {
 // churn prices window g's segment moves against the learned baseline.
 func (r *PolicyChurnRunner) churn(epoch uint64, g *graph.Graph) PolicyChurnResult {
 	res := PolicyChurnResult{Epoch: epoch}
-	assign, err := r.memo.run(r.strategy, g, r.opts)
+	assign, err := r.memo.run(g)
 	if err != nil {
 		res.Error = err.Error()
 		return res

@@ -384,14 +384,6 @@ func (h *Histogram) Exemplar() (traceID uint64, v float64) {
 	return h.exTrace.Load(), math.Float64frombits(h.exValue.Load())
 }
 
-// Count returns the number of samples observed (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the running total of observed values (0 on nil).
 func (h *Histogram) Sum() float64 {
 	if h == nil {
